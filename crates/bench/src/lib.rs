@@ -1,15 +1,14 @@
-//! # mirror-bench — workloads and measurement helpers
+//! # mirror-bench — inputs for the criterion micro-benches
 //!
-//! The demo paper contains no numeric tables, so EXPERIMENTS.md defines
-//! the quantitative claims to validate (E1–E15); this crate provides the
-//! shared workload generators used by both the criterion benches
-//! (`benches/e*.rs`) and the `report` binary that regenerates the
-//! EXPERIMENTS.md tables.
+//! The repo's performance claims live in `mirror-benchmark` (root
+//! `BENCHMARK.json`, `benchmark/`). The criterion benches here (`benches/e*.rs`)
+//! time only what no benchmark workload executes: the naive interpreter (E1),
+//! the hand-written inference network (E3), daemon ingest (E5), the AutoClass
+//! vocabulary build (E8) and the fragment-degree sweep (E9).
 
 #![warn(missing_docs)]
 
 use media::{CrawledImage, RobotConfig, WebRobot};
-use mirror_core::{Clustering, MirrorConfig, MirrorDbms};
 use moa::{Env, MoaEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,14 +57,12 @@ pub fn text_env(n: usize, seed: u64) -> Arc<Env> {
 pub const RANKING_QUERY: &str =
     "map[sum(THIS)](map[getBL(THIS.annotation, benchquery, stats)](TraditionalImgLib))";
 
-/// The standard benchmark query terms.
-pub fn bench_query_terms() -> Vec<(String, f64)> {
-    vec![("sunset".into(), 1.0), ("ocean".into(), 1.0), ("glow".into(), 1.0)]
-}
-
 /// Bind the standard benchmark query terms.
 pub fn bind_bench_query(env: &Env) {
-    env.bind_query("benchquery", bench_query_terms());
+    env.bind_query(
+        "benchquery",
+        vec![("sunset".into(), 1.0), ("ocean".into(), 1.0), ("glow".into(), 1.0)],
+    );
 }
 
 /// An engine over a text environment with default optimisation.
@@ -77,39 +74,6 @@ pub fn engine(env: &Arc<Env>) -> MoaEngine {
 pub fn image_corpus(n: usize, seed: u64) -> Vec<CrawledImage> {
     WebRobot::new(RobotConfig { n_images: n, image_size: 24, unannotated_fraction: 0.3, seed })
         .crawl()
-}
-
-/// A fully ingested Mirror instance over an image corpus.
-pub fn ingested_db(n: usize, seed: u64, clustering: Clustering) -> MirrorDbms {
-    let mut db = MirrorDbms::new(MirrorConfig { clustering, ..Default::default() });
-    db.ingest(&image_corpus(n, seed)).expect("ingest succeeds");
-    db
-}
-
-/// A small-image corpus for the sharding experiments (E11): cheap enough
-/// to extract and cluster at four-digit document counts (the renderer
-/// needs at least 9×9 pixels to place its accent blobs).
-pub fn cluster_corpus(n: usize, seed: u64) -> Vec<CrawledImage> {
-    WebRobot::new(RobotConfig { n_images: n, image_size: 12, unannotated_fraction: 0.3, seed })
-        .crawl()
-}
-
-/// Node configuration for the sharding experiments: a coarse segmentation
-/// grid and fixed k-means keep the one-off global ingest pipeline fast at
-/// 10k documents; retrieval behaviour is unaffected.
-pub fn cluster_node_config() -> MirrorConfig {
-    MirrorConfig { grid: 2, clustering: Clustering::KMeans(4), ..Default::default() }
-}
-
-/// The E14 live-ingest corpus: the E11 small-image crawl ingested under
-/// the node config, supplying real library rows plus the shared visual
-/// vocabulary and association thesaurus for seeding `LiveMirror`
-/// instances (a row prefix becomes the merged base, the rest the
-/// insert pool).
-pub fn live_ingest_db(n: usize, seed: u64) -> MirrorDbms {
-    let mut db = MirrorDbms::new(cluster_node_config());
-    db.ingest(&cluster_corpus(n, seed)).expect("ingest succeeds");
-    db
 }
 
 /// A kernel catalog holding the E9 scan workload: `scores`, `n` uniformly
@@ -141,66 +105,6 @@ pub fn kernel_scan_aggr_plan() -> monet::Plan {
     monet::Plan::Aggr { input: Box::new(kernel_scan_plan()), agg: monet::Agg::Sum }
 }
 
-/// A large skewed text index for the postings-compression experiments
-/// (E13), built directly at the ir level: `n` documents of 6–14 tokens
-/// drawn Zipf-style from a 2 000-term vocabulary (term *i* with weight
-/// ∝ 1/(i+1)), so head terms have long dense posting runs and tail terms
-/// are short and selective — with natural within-document repeats for tf
-/// variance across blocks.
-pub fn compression_index(n: usize, seed: u64) -> ir::InvertedIndex {
-    let vocab: Vec<String> = (0..2_000).map(|i| format!("t{i}")).collect();
-    let cum: Vec<f64> = vocab
-        .iter()
-        .enumerate()
-        .scan(0.0, |acc, (i, _)| {
-            *acc += 1.0 / (i + 1) as f64;
-            Some(*acc)
-        })
-        .collect();
-    let total = *cum.last().expect("nonempty vocabulary");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = ir::IndexBuilder::new();
-    for _ in 0..n {
-        let len = rng.gen_range(6..=14);
-        let toks: Vec<&str> = (0..len)
-            .map(|_| {
-                let x = rng.gen_range(0.0..total);
-                vocab[cum.partition_point(|&c| c < x)].as_str()
-            })
-            .collect();
-        b.add_tokens(&toks);
-    }
-    b.build()
-}
-
-/// The E13 query battery. The headline shape is *head + tail*: a dense
-/// head list paired with selective tail terms whose high-idf postings
-/// drive the threshold up, so the pivot leaps the head cursor in
-/// multi-block strides — the workload block-max skipping exists for.
-/// `head-heavy` (all-dense, nothing to leap) and `selective` (all-sparse,
-/// nothing worth leaping) bracket it.
-pub fn compression_queries() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
-    vec![
-        ("head+tail", vec![("t1", 1.0), ("t400", 1.0), ("t900", 1.0)]),
-        ("head-heavy", vec![("t0", 1.0), ("t3", 1.0), ("t12", 1.0)]),
-        ("selective", vec![("t150", 1.0), ("t500", 1.0), ("t1200", 1.0)]),
-    ]
-}
-
-/// Wall-clock one closure in milliseconds.
-pub fn time_ms<F: FnMut()>(mut f: F) -> f64 {
-    let t0 = std::time::Instant::now();
-    f();
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
-/// Median of several timed runs, in milliseconds.
-pub fn median_time_ms<F: FnMut()>(runs: usize, mut f: F) -> f64 {
-    let mut times: Vec<f64> = (0..runs).map(|_| time_ms(&mut f)).collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,13 +128,5 @@ mod tests {
         let ra = qa.query(RANKING_QUERY).unwrap();
         let rb = qb.query(RANKING_QUERY).unwrap();
         assert_eq!(ra, rb);
-    }
-
-    #[test]
-    fn median_time_is_positive() {
-        let t = median_time_ms(3, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(t >= 0.0);
     }
 }

@@ -25,9 +25,6 @@
 //!   corpus across shards, scatters requests through per-shard replica
 //!   routers, and gathers per-shard heaps into the bit-identical global
 //!   top-k;
-//! * the open-loop workload harness ([`workload`]): seeded mixed-traffic
-//!   generation at a fixed arrival rate against the serving layer's
-//!   bounded admission queue, reporting p50/p99 and SLO headroom;
 //! * relevance feedback ([`feedback`]) and retrieval evaluation
 //!   ([`eval`]).
 
@@ -42,11 +39,9 @@ pub mod query;
 pub mod retriever;
 pub mod serve;
 pub mod shard;
-pub mod workload;
 
 pub use live::{GenerationStats, LiveCluster, LiveMirror, LiveReader, MergePolicy, MutableCorpus};
 pub use retriever::{RetrievalError, RetrievalResult, Retriever};
-pub use workload::{TrafficMix, WorkloadConfig, WorkloadGen, WorkloadReport};
 
 use cluster::VisualVocabulary;
 use ir::ContrepStore;

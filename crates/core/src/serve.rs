@@ -30,7 +30,7 @@
 //!   [`RetrievalError::Overloaded`] instead of buffering into unbounded
 //!   queueing latency. Throughput and latency counters use a fixed-bucket
 //!   histogram, so p50/p99 are exact over the whole run and deterministic
-//!   — the measurement surface `core::workload` drives.
+//!   (the repo's benchmark, `benchmark/`, drives it open- and closed-loop).
 
 use crate::query::{weighted_terms, RankedResult};
 use crate::retriever::{RetrievalError, RetrievalResult, Retriever};
@@ -466,9 +466,9 @@ impl<R: Retriever + 'static> MirrorServer<R> {
     /// Start a server with an explicit admission-queue bound: at most
     /// `queue_depth` requests wait behind the worker pool; a request that
     /// arrives while the queue is full is rejected immediately with
-    /// [`RetrievalError::Overloaded`] instead of being buffered (the
-    /// open-loop workload harness relies on this to shed load at a fixed
-    /// arrival rate rather than melting down).
+    /// [`RetrievalError::Overloaded`] instead of being buffered, so an
+    /// open-loop client at a fixed arrival rate sees load shed rather than
+    /// a meltdown.
     pub fn start_with_queue(db: Arc<R>, workers: usize, queue_depth: usize) -> Self {
         let workers = if workers == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)

@@ -155,13 +155,14 @@ impl InvertedIndex {
     }
 
     /// Heap bytes held by the compressed posting lists (payload words plus
-    /// skip indexes) — the numerator of the §E13 bytes-per-document metric.
+    /// skip indexes) — the numerator of the benchmark's
+    /// `ir.postings.bytes_per_doc`.
     pub fn postings_heap_bytes(&self) -> usize {
         self.postings.iter().map(PostingList::heap_bytes).sum()
     }
 
     /// Bytes the same postings would occupy in the raw-vec representation
-    /// (8 bytes per posting) — the §E13 baseline.
+    /// (8 bytes per posting) — the pre-compression baseline.
     pub fn raw_postings_bytes(&self) -> usize {
         self.postings.iter().map(|p| p.len() * std::mem::size_of::<Posting>()).sum()
     }

@@ -14,8 +14,9 @@
 //!
 //! The raw-vec representation cost 8 bytes per posting; on natural-language
 //! term distributions blocks typically land between 1 and 2 bytes per
-//! posting (§E13 measures the exact ratio), so the same corpus moves
-//! less memory per query — on disk, at cold open, and on every scan.
+//! posting (the benchmark's `ir.postings.bytes_per_doc` row measures it),
+//! so the same corpus moves less memory per query — on disk, at cold open,
+//! and on every scan.
 
 use crate::index::Posting;
 use monet::storage::{

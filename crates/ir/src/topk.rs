@@ -21,8 +21,8 @@
 //!   scored **in the same floating-point order as the materialise path**,
 //!   so results are bit-identical;
 //! * [`topk_beliefs_raw`] — the pre-compression reference evaluator over
-//!   decoded posting vectors ([`RawPostings`]), kept as the §E13 baseline
-//!   and the property-test oracle;
+//!   decoded posting vectors ([`RawPostings`]), kept as a baseline and the
+//!   property-test oracle;
 //! * fragment-parallel accumulation: the document-id space splits into
 //!   [`monet::fragment::bounds`] spans, each span fills its own
 //!   accumulator on a scoped thread, and the per-fragment heaps merge at
@@ -518,9 +518,11 @@ fn span_topk(
         }
         scored += 1;
         acc.push(pivot_doc, score);
+        // stepping past a scored posting consumes it rather than skipping
+        // it, and passes nothing else, so it is not counted
         for c in cursors.iter_mut() {
             if !c.exhausted && c.cur_doc == pivot_doc {
-                c.seek(pivot_doc + 1, Some(&mut skips));
+                c.seek(pivot_doc + 1, None);
             }
         }
     }
@@ -846,6 +848,28 @@ mod tests {
             out.scored
         );
         assert!(out.skipped_postings > 0, "cursor leaps should pass postings: {out:?}");
+    }
+
+    #[test]
+    fn skipped_postings_counts_only_unscored_postings() {
+        // "a" in docs 0, 1, 3; "b" in docs 0, 2, 3; doc 4 matches neither
+        let mut b = IndexBuilder::new();
+        for toks in [&["a", "b"][..], &["a"], &["b"], &["a", "b"], &["c"]] {
+            b.add_tokens(toks);
+        }
+        let index = b.build();
+        let params = BeliefParams::default();
+        let query = [("a", 1.0), ("b", 1.0)];
+        // k covers every candidate: each of the 6 postings is scored
+        let out = topk_beliefs(&index, params, &query, None, 10, 1);
+        assert_eq!(out.hits, baseline(&index, params, &query, None, 10));
+        assert_eq!((out.scored, out.skipped_postings, out.blocks_skipped), (4, 0, 0));
+        // docs 1 and 2 fall outside the domain: their one posting each is
+        // passed unscored, the 4 postings of docs 0 and 3 are scored
+        let domain: FxHashSet<Oid> = [0, 3].into_iter().collect();
+        let out = topk_beliefs(&index, params, &query, Some(&domain), 10, 1);
+        assert_eq!(out.hits, baseline(&index, params, &query, Some(&domain), 10));
+        assert_eq!((out.scored, out.skipped_postings, out.blocks_skipped), (2, 2, 0));
     }
 
     #[test]

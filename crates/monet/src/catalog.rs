@@ -68,7 +68,7 @@ impl Catalog {
     }
 
     /// Total number of associations across all registered BATs — a cheap
-    /// size indicator for monitoring and the report binary.
+    /// size indicator for monitoring.
     pub fn total_rows(&self) -> usize {
         self.bats.read().values().map(|b| b.count()).sum()
     }

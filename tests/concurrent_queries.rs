@@ -20,6 +20,8 @@ fn facade_types_are_send_and_sync() {
     assert_send_sync::<RetrievalRequest>();
 }
 
+/// The shared ingested node. Read-only: tests run on parallel threads and
+/// only query it.
 fn db() -> Arc<MirrorDbms> {
     static DB: OnceLock<Arc<MirrorDbms>> = OnceLock::new();
     Arc::clone(DB.get_or_init(|| {

@@ -39,7 +39,9 @@ fn probe(r: &(impl Retriever + ?Sized)) -> Vec<Vec<RankedResult>> {
 }
 
 /// One ingested instance, its never-crashed durable images, and its
-/// rankings — built once, shared by every test below.
+/// rankings — built once, shared by every test below. Read-only: tests
+/// run on parallel threads, so a test that writes to a disk image works on
+/// a [`MemFs::fork`] of it; [`reopen`] of a shared image only reads.
 struct Baseline {
     db: MirrorDbms,
     /// Fully saved *and* checkpointed: state lives in checksummed pages.
@@ -327,6 +329,7 @@ fn keyed(runs: Vec<Vec<RankedResult>>) -> KeyedProbes {
     runs.into_iter().map(|hits| hits.into_iter().map(|h| (h.url, h.score)).collect()).collect()
 }
 
+/// The scripted live session's reference states, built once. Read-only.
 struct LiveBaseline {
     base_rows: Vec<LibraryRow>,
     /// Reference probes of every op-prefix state (index = ops applied).

@@ -20,6 +20,9 @@ fn corpus() -> &'static Vec<mirror::media::CrawledImage> {
     })
 }
 
+/// The shared ingested node. Read-only: tests run on parallel threads; the
+/// only env state tests add are query bindings, each under a name of its
+/// own (`e2equery`, `e2enaive`).
 fn db() -> &'static MirrorDbms {
     static DB: OnceLock<MirrorDbms> = OnceLock::new();
     DB.get_or_init(|| {

@@ -30,6 +30,8 @@ use std::sync::{Arc, OnceLock};
 // Fixture: one batch-ingested corpus supplying rows, vocabulary, thesaurus
 // ---------------------------------------------------------------------------
 
+/// Plain data shared by every test below. Read-only: each test seeds its
+/// own `LiveMirror`/`LiveCluster` from clones of these rows.
 struct Fixture {
     config: MirrorConfig,
     /// All ingested rows: a prefix seeds live instances, the rest is the

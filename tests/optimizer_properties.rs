@@ -22,6 +22,10 @@ const POOL: &[&str] = &[
 
 const FILTERS: &[&str] = &["/sunset/", "/ocean/", "1", "png"];
 
+/// One corpus served by an optimised node, an `OptConfig::none()` node and
+/// 1/2/4-shard clusters, built once and shared by every test below.
+/// Read-only: tests run on parallel threads, and nothing here binds query
+/// names or kills replicas.
 struct Fixture {
     corpus: Vec<CrawledImage>,
     /// Reference node: every optimizer switch off.

@@ -45,32 +45,37 @@ proptest! {
 /// One corpus, one single node, and clusters at 1/2/4 shards — built once
 /// and shared by every proptest case below (building them is the
 /// expensive part; the properties range over queries).
+///
+/// Read-only: tests run on parallel libtest threads, so a test that kills
+/// replicas builds its own clusters from `corpus` (see [`clusters`]).
 struct Fixture {
+    corpus: Vec<CrawledImage>,
     single: MirrorDbms,
     clusters: Vec<MirrorCluster>,
 }
 
-fn corpus() -> Vec<CrawledImage> {
-    WebRobot::new(RobotConfig {
-        n_images: 48,
-        image_size: 24,
-        unannotated_fraction: 0.25,
-        seed: 33,
-    })
-    .crawl()
+/// Clusters at 1/2/4 shards × 2 replicas over `corpus`.
+fn clusters(corpus: &[CrawledImage]) -> Vec<MirrorCluster> {
+    [1usize, 2, 4]
+        .into_iter()
+        .map(|shards| MirrorCluster::build(corpus, shards, 2).unwrap())
+        .collect()
 }
 
 fn fixture() -> &'static Fixture {
     static F: OnceLock<Fixture> = OnceLock::new();
     F.get_or_init(|| {
-        let corpus = corpus();
+        let corpus = WebRobot::new(RobotConfig {
+            n_images: 48,
+            image_size: 24,
+            unannotated_fraction: 0.25,
+            seed: 33,
+        })
+        .crawl();
         let mut single = MirrorDbms::with_defaults();
         single.ingest(&corpus).unwrap();
-        let clusters = [1usize, 2, 4]
-            .into_iter()
-            .map(|shards| MirrorCluster::build(&corpus, shards, 2).unwrap())
-            .collect();
-        Fixture { single, clusters }
+        let clusters = clusters(&corpus);
+        Fixture { corpus, single, clusters }
     })
 }
 
@@ -125,10 +130,13 @@ proptest! {
         k in 1usize..48,
         dead_replica in 0usize..2,
     ) {
+        // this test's own clusters, built once for all its cases: it kills
+        // replicas, which another test querying them would observe
+        static OWN: OnceLock<Vec<MirrorCluster>> = OnceLock::new();
         let f = fixture();
         let q = query_text(&words);
         let expected = f.single.query_text(&q, k).unwrap();
-        for cluster in &f.clusters {
+        for cluster in OWN.get_or_init(|| clusters(&f.corpus)) {
             for shard in 0..cluster.n_shards() {
                 cluster.kill_replica(shard, dead_replica);
             }
@@ -187,7 +195,8 @@ proptest! {
 #[test]
 fn losing_a_whole_shard_errors_rather_than_truncating() {
     let f = fixture();
-    let cluster = &f.clusters[1]; // 2 shards × 2 replicas
+    // its own cluster: the replicas it kills must not fail other tests
+    let cluster = MirrorCluster::build(&f.corpus, 2, 2).unwrap();
     cluster.kill_replica(0, 0);
     cluster.kill_replica(0, 1);
     let err = cluster.query_text("sunset glow", 10).unwrap_err();
