@@ -36,7 +36,7 @@
 //!   statistics, so a quiesced cluster ranks bit-identically to a
 //!   single-node [`LiveMirror`] fed the same operations.
 
-use crate::query::RankedResult;
+use crate::query::{top_k_positive, RankedResult};
 use crate::retriever::{RetrievalError, RetrievalResult, Retriever};
 use crate::serve::{Channel, RetrievalRequest};
 use crate::shard::hash_shard;
@@ -552,18 +552,14 @@ impl LiveReader {
         } else {
             eval_channel(vis_q, Ch::Image, vis_stats)
         };
-        let mut ranked: Vec<RankedResult> = scores
+        top_k_positive(scores, plan.k)
             .into_iter()
-            .filter(|(_, s)| *s > 0.0)
             .map(|(oid, score)| RankedResult {
                 oid,
                 url: snap.row(oid).expect("scored doc exists").url.clone(),
                 score,
             })
-            .collect();
-        ranked.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.oid.cmp(&b.oid)));
-        ranked.truncate(plan.k);
-        ranked
+            .collect()
     }
 
     /// Execute a request against this snapshot (single-node statistics).

@@ -11,6 +11,7 @@
 
 use crate::MirrorDbms;
 use ir::text::tokenize_stemmed;
+use ir::TopKAccumulator;
 use moa::{MoaError, QueryOutput};
 use monet::Oid;
 
@@ -36,26 +37,39 @@ impl MirrorDbms {
         self.engine().query(src)
     }
 
-    /// Turn a belief column into ranked results: drop zero scores, sort by
-    /// score (ties by oid), truncate to k, attach URLs.
+    /// Turn a belief column into ranked results: the k best positive
+    /// scores (ties by oid), then their URLs.
     pub(crate) fn ranked(&self, out: QueryOutput, k: usize) -> moa::Result<Vec<RankedResult>> {
         let pairs = match out {
             QueryOutput::Pairs(p) => p,
             other => return Err(MoaError::Type(format!("ranking query returned {other:?}"))),
         };
-        let mut ranked: Vec<RankedResult> = pairs
+        let docs = self.docs();
+        let scored = pairs
             .into_iter()
-            .filter_map(|(oid, v)| {
-                let score = v.as_float()?;
-                let url = self.docs().get(oid as usize)?.url.clone();
-                Some(RankedResult { oid, url, score })
-            })
-            .filter(|r| r.score > 0.0)
-            .collect();
-        ranked.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.oid.cmp(&b.oid)));
-        ranked.truncate(k);
-        Ok(ranked)
+            .filter(|(oid, _)| (*oid as usize) < docs.len())
+            .filter_map(|(oid, v)| Some((oid, v.as_float()?)));
+        Ok(top_k_positive(scored, k)
+            .into_iter()
+            .map(|(oid, score)| RankedResult { oid, url: docs[oid as usize].url.clone(), score })
+            .collect())
     }
+}
+
+/// The k best positive-score `(oid, score)` pairs in rank order — score
+/// descending, ties by ascending oid. Selecting on the bare pairs lets a
+/// caller attach URLs to the ≤ k survivors only (late materialisation).
+pub(crate) fn top_k_positive(
+    pairs: impl IntoIterator<Item = (Oid, f64)>,
+    k: usize,
+) -> Vec<(Oid, f64)> {
+    let mut acc = TopKAccumulator::new(k);
+    for (oid, score) in pairs {
+        if score > 0.0 {
+            acc.push(oid, score);
+        }
+    }
+    acc.into_ranked()
 }
 
 /// Tokenise free text into unit-weight query terms.
@@ -69,6 +83,7 @@ mod tests {
     use crate::retriever::Retriever;
     use crate::INTERNAL;
     use media::{RobotConfig, WebRobot};
+    use monet::Val;
 
     fn db() -> &'static MirrorDbms {
         static DB: std::sync::OnceLock<MirrorDbms> = std::sync::OnceLock::new();
@@ -165,6 +180,47 @@ mod tests {
             let top = db.query_text("sunset glow evening", k).unwrap();
             assert_eq!(top.as_slice(), &full[..k.min(full.len())], "k={k}");
         }
+    }
+
+    #[test]
+    fn ranked_selects_before_materialising_like_sort_then_truncate() {
+        let db = db();
+        // the old post-pass: attach URLs, drop zero scores, sort, truncate
+        let old = |pairs: &[(Oid, f64)], k: usize| {
+            let mut v: Vec<RankedResult> = pairs
+                .iter()
+                .map(|&(oid, score)| RankedResult {
+                    oid,
+                    url: db.docs()[oid as usize].url.clone(),
+                    score,
+                })
+                .filter(|r| r.score > 0.0)
+                .collect();
+            v.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.oid.cmp(&b.oid)));
+            v.truncate(k);
+            v
+        };
+        // ties at 0.5 and 0.25, zero and negative scores, a NaN
+        let pairs = [
+            (7, 0.5),
+            (3, 0.0),
+            (12, 0.25),
+            (1, 0.5),
+            (30, -0.1),
+            (9, 0.9),
+            (4, 0.25),
+            (22, 0.5),
+            (5, f64::NAN),
+            (0, 0.0),
+        ];
+        let out = || QueryOutput::Pairs(pairs.iter().map(|&(o, s)| (o, Val::Float(s))).collect());
+        for k in [0usize, 1, 2, 4, 6, 100] {
+            assert_eq!(db.ranked(out(), k).unwrap(), old(&pairs, k), "k={k}");
+        }
+        // k beyond the positive hits returns all of them, best first
+        let all = db.ranked(out(), 100).unwrap();
+        let oids: Vec<Oid> = all.iter().map(|r| r.oid).collect();
+        assert_eq!(oids, vec![9, 1, 7, 22, 4, 12]);
     }
 
     #[test]

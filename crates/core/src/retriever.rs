@@ -36,6 +36,9 @@ pub enum RetrievalError {
     /// pattern, which would silently match every document). Not
     /// retryable: the same request fails on every replica.
     BadFilter(String),
+    /// The request is malformed in another way (for example a channel mix
+    /// outside `[0, 1]`). Not retryable, like [`RetrievalError::BadFilter`].
+    BadRequest(String),
     /// The request failed to compile or execute in the algebra layers.
     /// Not retryable for the same reason.
     Compile(MoaError),
@@ -68,6 +71,7 @@ impl std::fmt::Display for RetrievalError {
                 write!(f, "shard {shard} unavailable: {detail}")
             }
             RetrievalError::BadFilter(m) => write!(f, "bad filter: {m}"),
+            RetrievalError::BadRequest(m) => write!(f, "bad request: {m}"),
             RetrievalError::Compile(e) => write!(f, "query failed: {e}"),
             RetrievalError::Storage(e) => write!(f, "storage failure: {e}"),
             RetrievalError::IncompleteState { detail } => {
@@ -224,6 +228,7 @@ mod tests {
         assert!(down.is_retryable());
         assert!(down.to_string().contains("shard 2"));
         assert!(!RetrievalError::BadFilter("empty".into()).is_retryable());
+        assert!(!RetrievalError::BadRequest("mix".into()).is_retryable());
     }
 
     #[test]

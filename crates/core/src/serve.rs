@@ -76,7 +76,8 @@ pub struct RetrievalRequest {
     pub filter: Option<String>,
     /// How many results the caller wants (the top-k budget).
     pub k: usize,
-    /// Weight of the visual channel in [`Channel::Dual`] (`0.0..=1.0`).
+    /// Weight of the visual channel in [`Channel::Dual`] (`0.0..=1.0`;
+    /// [`validate`](RetrievalRequest::validate) rejects anything else).
     pub mix: f64,
 }
 
@@ -151,6 +152,14 @@ impl RetrievalRequest {
     /// Check the request before compiling it anywhere. Runs once at the
     /// cluster edge (and on direct single-node calls), not per shard.
     pub fn validate(&self) -> RetrievalResult<()> {
+        // a NaN mix ranks nothing, and a mix above 1 gives the text channel
+        // a negative weight, which no ranking bound admits
+        if !(0.0..=1.0).contains(&self.mix) {
+            return Err(RetrievalError::BadRequest(format!(
+                "mix must be a channel weight in [0, 1], got {}",
+                self.mix
+            )));
+        }
         if let Some(pattern) = &self.filter {
             if pattern.is_empty() {
                 return Err(RetrievalError::BadFilter(
@@ -202,6 +211,16 @@ impl MirrorDbms {
         self.ranked(out, req.k)
     }
 
+    /// EXPLAIN ANALYZE of a typed request on this node: the plan the
+    /// request compiles to after the optimizer passes, executed, with the
+    /// passes that fired, estimated and actual rows per operator, and the
+    /// fused top-k operator's work per channel.
+    pub fn explain_analyze(&self, req: &RetrievalRequest) -> RetrievalResult<String> {
+        req.validate()?;
+        let (expr, params) = self.compile_request(req)?;
+        Ok(self.engine().explain_analyze_expr(&expr, &params)?)
+    }
+
     /// Compile a request into its Moa AST and request-scoped parameters.
     fn compile_request(&self, req: &RetrievalRequest) -> moa::Result<(Expr, QueryParams)> {
         let input = match &req.filter {
@@ -245,7 +264,9 @@ impl MirrorDbms {
                     ));
                 }
                 // sum(getBL(text)) * (1 - mix) + sum(getBL(image)) * mix,
-                // the same expression tree the Moa string used to parse to
+                // the same expression tree the Moa string used to parse to;
+                // the optimizer's topk_fuse pass runs it as one two-channel
+                // top-k operator
                 let tw = 1.0 - req.mix;
                 let body = Expr::Arith {
                     op: moa::expr::ArithKind::Add,
@@ -800,6 +821,22 @@ mod tests {
             db.retrieve(&RetrievalRequest::text("sunset", 20).with_filter("/sunset/")).unwrap();
         assert!(!filtered.is_empty());
         assert!(filtered.iter().all(|r| r.url.contains("/sunset/")));
+    }
+
+    #[test]
+    fn malformed_mix_is_rejected_at_the_edge() {
+        let db = shared_db();
+        for mix in [f64::NAN, f64::INFINITY, -0.1, 1.5] {
+            let req = RetrievalRequest::dual("sunset glow", mix, 10);
+            let err = db.retrieve(&req).unwrap_err();
+            assert!(matches!(err, RetrievalError::BadRequest(_)), "mix {mix}: {err}");
+            assert!(!err.is_retryable());
+            let fb = RetrievalRequest::dual_terms(vec![("sunset".into(), 1.0)], vec![], mix, 10);
+            assert!(matches!(db.retrieve(&fb), Err(RetrievalError::BadRequest(_))), "mix {mix}");
+        }
+        for mix in [0.0, 1.0] {
+            assert!(db.retrieve(&RetrievalRequest::dual("sunset glow", mix, 10)).is_ok());
+        }
     }
 
     #[test]

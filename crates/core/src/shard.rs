@@ -30,7 +30,7 @@
 use crate::query::RankedResult;
 use crate::retriever::{RetrievalResult, Retriever};
 use crate::serve::{ReplicaRouter, RetrievalRequest};
-use crate::{DocMeta, MirrorConfig, MirrorDbms, INTERNAL};
+use crate::{DocMeta, LibraryRow, MirrorConfig, MirrorDbms, INTERNAL};
 use ir::TopKAccumulator;
 use media::CrawledImage;
 use monet::Oid;
@@ -141,10 +141,7 @@ impl MirrorCluster {
         let extractions = global.extract_inline(corpus);
         let artifacts = global.cluster_and_tokenize(corpus, &extractions);
         global.load_library(corpus, &artifacts.visual_docs)?;
-        let ann_key = format!("{INTERNAL}__annotation");
-        let img_key = format!("{INTERNAL}__image");
-        let global_ann = global.store().get(&ann_key).expect("ingest built the annotation index");
-        let global_img = global.store().get(&img_key).expect("ingest built the image index");
+        global.set_ingest_outputs(artifacts.vocab, artifacts.thesaurus);
 
         // Place every document on a shard.
         let assignment = match config.partitioning {
@@ -155,37 +152,59 @@ impl MirrorCluster {
                 content_assignment(corpus.len(), &extractions, config.shards, config.node.seed)
             }
         };
-        let global_ids = shard_doc_lists(assignment, config.shards, corpus.len());
+        Self::from_global(config, &global, assignment)
+    }
 
-        // Stand each shard up: its subset of the library, with its store
-        // indexes swapped for statistics-pinned projections of the global
-        // ones, and the shared vocabulary/thesaurus cloned in.
+    /// Build a hash-partitioned cluster with default node configuration
+    /// over already-extracted library rows — the cluster counterpart of
+    /// [`MirrorDbms::from_rows`] (no vocabulary or thesaurus, so dual
+    /// requests need explicit visual terms).
+    pub fn from_rows(
+        rows: Vec<LibraryRow>,
+        shards: usize,
+        replicas: usize,
+    ) -> RetrievalResult<Self> {
+        let config = ClusterConfig { shards, replicas, ..ClusterConfig::default() };
+        assert!(config.shards >= 1, "a cluster needs at least one shard");
+        assert!(config.replicas >= 1, "a shard needs at least one replica");
+        let global = MirrorDbms::from_rows(config.node.clone(), rows, None, None)?;
+        let assignment =
+            global.library_rows().iter().map(|r| hash_shard(&r.url, config.shards)).collect();
+        Self::from_global(config, &global, assignment)
+    }
+
+    /// Stand the shards of `assignment` up from a globally loaded node:
+    /// each shard gets its subset of the library rows, with its store
+    /// indexes swapped for statistics-pinned projections of the global
+    /// ones, and the shared vocabulary/thesaurus cloned in.
+    fn from_global(
+        config: ClusterConfig,
+        global: &MirrorDbms,
+        assignment: Vec<usize>,
+    ) -> RetrievalResult<Self> {
+        let ann_key = format!("{INTERNAL}__annotation");
+        let img_key = format!("{INTERNAL}__image");
+        let global_ann = global.store().get(&ann_key).expect("ingest built the annotation index");
+        let global_img = global.store().get(&img_key).expect("ingest built the image index");
+        let rows = global.library_rows();
+        let global_ids = shard_doc_lists(assignment, config.shards, rows.len());
         let mut routers = Vec::with_capacity(config.shards);
         let mut nodes = Vec::with_capacity(config.shards);
         for (shard, docs) in global_ids.iter().enumerate() {
-            let mut node = MirrorDbms::new(config.node.clone());
-            let sub_corpus: Vec<CrawledImage> =
-                docs.iter().map(|&d| corpus[d as usize].clone()).collect();
-            let sub_vdocs: Vec<Vec<String>> =
-                docs.iter().map(|&d| artifacts.visual_docs[d as usize].clone()).collect();
-            node.load_library(&sub_corpus, &sub_vdocs)?;
+            let node = MirrorDbms::from_rows(
+                config.node.clone(),
+                docs.iter().map(|&d| rows[d as usize].clone()).collect(),
+                global.vocabulary().cloned(),
+                global.thesaurus().cloned(),
+            )?;
             node.store().insert(ann_key.clone(), global_ann.shard_projection(docs));
             node.store().insert(img_key.clone(), global_img.shard_projection(docs));
-            node.set_ingest_outputs(artifacts.vocab.clone(), artifacts.thesaurus.clone());
             let snapshot = Arc::new(node);
             let backends = (0..config.replicas).map(|_| Arc::clone(&snapshot)).collect();
             routers.push(ReplicaRouter::new(shard, backends));
             nodes.push(snapshot);
         }
-
-        let docs = corpus
-            .iter()
-            .map(|c| DocMeta {
-                url: c.url.clone(),
-                annotated: c.annotation.is_some(),
-                theme: c.theme,
-            })
-            .collect();
+        let docs = global.docs().to_vec();
         Ok(MirrorCluster { config, routers, nodes, global_ids, docs })
     }
 

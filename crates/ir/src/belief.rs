@@ -58,10 +58,18 @@ impl BeliefParams {
     /// Belief in `t` given `d` from raw statistics.
     #[inline]
     pub fn belief(&self, tf: u32, df: u32, dl: u32, n_docs: usize, avg_dl: f64) -> f64 {
+        self.belief_nidf(tf, dl, avg_dl, self.nidf(df, n_docs))
+    }
+
+    /// [`Self::belief`] from the term's precomputed [`Self::nidf`] — the
+    /// same float operations, without two logarithms per posting for
+    /// callers that score many postings of one term.
+    #[inline]
+    pub fn belief_nidf(&self, tf: u32, dl: u32, avg_dl: f64, nidf: f64) -> f64 {
         if tf == 0 {
             return self.alpha;
         }
-        self.alpha + (1.0 - self.alpha) * self.ntf(tf, dl, avg_dl) * self.nidf(df, n_docs)
+        self.alpha + (1.0 - self.alpha) * self.ntf(tf, dl, avg_dl) * nidf
     }
 
     /// Upper bound on the belief any single document can reach for a term

@@ -35,10 +35,13 @@ use std::sync::Arc;
 pub const GETBL_OP: &str = "contrep.getbl";
 
 /// Name of the fused top-k belief operator (`topk_bl`): `getBL` + grouped
-/// sum + rank collapsed into one streaming operator with threshold pruning
-/// ([`crate::topk`]). The name follows the kernel's fusion convention —
-/// `<op>.topk` — which the Moa rewriter uses to find a fused counterpart
-/// for a top-k budget ([`moa::rewrite_topk`]).
+/// sum + rank — over one channel, or over a weighted sum of several
+/// channels' sums (dual coding) — collapsed into one streaming operator
+/// with block-max pruning ([`crate::topk::topk_channels`]). The name
+/// follows the kernel's fusion convention — `<op>.topk` — which the Moa
+/// optimizer uses to find a fused counterpart for a top-k budget
+/// ([`moa::rewrite_topk`] for one channel, the `topk_fuse` pass for the
+/// dual shape); its parameter layout is [`moa::rewrite::topk_params`].
 pub const TOPK_BL_OP: &str = "contrep.getbl.topk";
 
 /// Shared store of built content representations, keyed by BAT prefix.
@@ -302,32 +305,64 @@ fn register_getbl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
     });
 }
 
-/// Register (or refresh) the fused `topk_bl` operator: parameters are the
-/// `getBL` layout with the budget appended (`[prefix, (term, weight)*, k]`,
-/// the kernel's `<op>.topk` fusion convention), and the output is the k
-/// best `[doc, belief-sum]` rows in rank order. Runs the streaming
-/// evaluation of [`crate::topk`] at the executor's parallel degree and
-/// reports pruning through the EXPLAIN note channel.
+/// Register (or refresh) the fused `topk_bl` operator. Its parameters
+/// are the kernel's multi-channel `<op>.topk` layout
+/// ([`moa::rewrite::topk_params`]): per channel a weight, a length and
+/// that channel's `getBL` parameters, then the budget — one channel for a
+/// plain ranking, two (text, image) for dual coding and relevance
+/// feedback. The output is the k best `[doc, Σ weight·belief-sum]` rows in
+/// rank order. Runs the streaming evaluation of [`crate::topk`] at the
+/// executor's parallel degree and reports its work, per channel, through
+/// the EXPLAIN note channel.
 fn register_topk_bl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
     ops.register(TOPK_BL_OP, move |ctx, inputs, params| {
-        let k = params.last().and_then(Val::as_int).filter(|k| *k >= 0).ok_or_else(|| {
-            MonetError::BadOpInvocation {
-                op: TOPK_BL_OP.into(),
-                msg: "last parameter must be the non-negative top-k budget".into(),
+        let bad =
+            |msg: &str| MonetError::BadOpInvocation { op: TOPK_BL_OP.into(), msg: msg.into() };
+        let (groups, k) = moa::rewrite::split_topk_params(params).ok_or_else(|| {
+            bad("parameters must be (weight, len, getBL params)+ then the budget")
+        })?;
+        let mut decoded = Vec::with_capacity(groups.len());
+        for (channel, weight) in groups {
+            if !(weight.is_finite() && weight >= 0.0) {
+                return Err(bad("channel weights must be finite and non-negative"));
             }
-        })? as usize;
-        let (index, query) = decode_bl_params(TOPK_BL_OP, &store, &params[..params.len() - 1])?;
+            let (index, query) = decode_bl_params(TOPK_BL_OP, &store, channel)?;
+            let label = channel[0].as_str().map_or("", |p| p.rsplit("__").next().unwrap_or(p));
+            decoded.push((index, query, weight, label));
+        }
+        let channels: Vec<crate::topk::TopKChannel<'_>> = decoded
+            .iter()
+            .map(|(index, query, weight, _)| crate::topk::TopKChannel {
+                index,
+                query,
+                weight: *weight,
+            })
+            .collect();
         let domain = decode_domain(inputs);
         // fragment the doc-id space only when it is large enough to pay
         // for the scoped threads — the executor's threshold, like the
         // built-in operators (so `min_fragment_rows` overrides apply here)
-        let degree = ctx.frag_degree(index.n_docs());
-        let out =
-            crate::topk::topk_beliefs(&index, store.params(), &query, domain.as_ref(), k, degree);
-        ctx.set_note(format!(
+        let n_docs = decoded.iter().map(|(index, ..)| index.n_docs()).max().unwrap_or(0);
+        let degree = ctx.frag_degree(n_docs);
+        let out = crate::topk::topk_channels(&channels, store.params(), domain.as_ref(), k, degree);
+        let mut note = format!(
             "topk ×{k} (pruned {} docs, skipped {} blocks / {} postings)",
             out.pruned, out.blocks_skipped, out.skipped_postings
-        ));
+        );
+        if decoded.len() > 1 {
+            let per_channel: Vec<String> = decoded
+                .iter()
+                .zip(&out.channels)
+                .map(|((.., label), w)| {
+                    format!(
+                        "{label}: scored {} postings, pruned {}, skipped {} blocks",
+                        w.scored_postings, w.pruned, w.blocks_skipped
+                    )
+                })
+                .collect();
+            note = format!("{note} [{}]", per_channel.join("; "));
+        }
+        ctx.set_note(note);
         let (docs, scores): (Vec<Oid>, Vec<f64>) = out.hits.into_iter().unzip();
         Bat::new(Column::Oid(docs), Column::Float(scores))
     });

@@ -42,4 +42,7 @@ pub use index::{CollectionStats, IndexBuilder, InvertedIndex, INDEX_FORMAT_VERSI
 pub use net::{QueryNode, Ranker};
 pub use postings::{BlockMeta, PostingList, BLOCK_LEN};
 pub use text::{is_stopword, porter_stem, tokenize, tokenize_stemmed};
-pub use topk::{topk_beliefs, topk_beliefs_raw, RawPostings, TopKAccumulator, TopKOutcome};
+pub use topk::{
+    topk_beliefs, topk_beliefs_raw, topk_channels, ChannelWork, RawPostings, TopKAccumulator,
+    TopKChannel, TopKOutcome,
+};

@@ -9,24 +9,32 @@
 //!   `(oid, score)` pairs (score descending, ties broken by ascending oid,
 //!   exactly like the facade's sort) and exposes the current admission
 //!   threshold;
-//! * [`topk_beliefs`] — a WAND-style document-at-a-time merge over the
-//!   query terms' *compressed* postings ([`crate::postings::PostingList`]).
-//!   Cursors stay sorted by their current document; the prefix sum of
-//!   per-term belief upper bounds ([`BeliefParams::belief_bound`]) picks
-//!   the pivot — the first document that could still enter the top k —
-//!   and every cursor before it leaps forward. A leap that clears a whole
-//!   block skips its decode entirely (the block metadata carries the last
-//!   doc id), and at the pivot the block-max `max_tf` refines the upper
-//!   bound once more before any tf is unpacked. Documents that survive are
-//!   scored **in the same floating-point order as the materialise path**,
-//!   so results are bit-identical;
+//! * [`topk_channels`] — a WAND-style document-at-a-time merge over the
+//!   *compressed* postings ([`crate::postings::PostingList`]) of every
+//!   query term of N weighted **channels**, each an [`InvertedIndex`] over
+//!   the same collection with its own terms and channel weight. One
+//!   channel is the paper's `map[sum(THIS)](map[getBL(…)])` ranking; two
+//!   are dual coding and relevance feedback,
+//!   `sum(getBL(text))·(1−mix) + sum(getBL(image))·mix`. Cursors of all
+//!   channels stay sorted by their current document; the prefix sum of
+//!   channel-weighted per-term belief upper bounds
+//!   ([`BeliefParams::belief_bound`]), on top of every channel's
+//!   `weight·α`, picks the pivot — the first document that could still
+//!   enter the top k — and every cursor before it leaps forward. A leap that clears a whole block skips its decode entirely
+//!   (the block metadata carries the last doc id), and at the pivot the
+//!   block-max `max_tf` refines the upper bound once more before any tf
+//!   is unpacked. Documents that survive are scored **in the same
+//!   floating-point order as the materialise path** — each channel's
+//!   grouped sum in query order, times its weight, channels added left to
+//!   right — so results are bit-identical;
+//! * [`topk_beliefs`] — the one-channel case (weight `1.0`);
 //! * [`topk_beliefs_raw`] — the pre-compression reference evaluator over
 //!   decoded posting vectors ([`RawPostings`]), kept as a baseline and the
 //!   property-test oracle;
 //! * fragment-parallel accumulation: the document-id space splits into
 //!   [`monet::fragment::bounds`] spans, each span fills its own
 //!   accumulator on a scoped thread, and the per-fragment heaps merge at
-//!   the end. Per-document sums never cross a fragment boundary, so the
+//!   the end. Per-document scores never cross a fragment boundary, so the
 //!   parallel result is bit-identical to serial at every degree.
 
 use crate::belief::BeliefParams;
@@ -152,7 +160,47 @@ impl TopKAccumulator {
     }
 }
 
-/// What a [`topk_beliefs`] run did.
+/// One weighted evidence channel of a fused ranking: a content
+/// representation, the channel's weighted query terms, and the weight its
+/// belief sum carries in the combined score.
+#[derive(Debug, Clone, Copy)]
+pub struct TopKChannel<'a> {
+    /// The channel's inverted index. Every channel of one request indexes
+    /// the same collection, so document ids agree across channels.
+    pub index: &'a InvertedIndex,
+    /// Weighted query terms, in query order.
+    pub query: &'a [(&'a str, f64)],
+    /// Multiplier of the channel's belief sum; finite and ≥ 0.
+    pub weight: f64,
+}
+
+/// What one channel did during a top-k run — EXPLAIN's per-channel split.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChannelWork {
+    /// This channel's postings scored: one per matching query term of
+    /// every fully scored document.
+    pub scored_postings: u64,
+    /// Pivot documents that matched this channel and were pruned by the
+    /// block-max refinement.
+    pub pruned: u64,
+    /// This channel's compressed blocks passed over without decoding.
+    pub blocks_skipped: u64,
+    /// This channel's postings passed over without scoring their document
+    /// — cursor leaps inside decoded blocks plus everything inside skipped
+    /// blocks.
+    pub skipped_postings: u64,
+}
+
+impl ChannelWork {
+    fn add(&mut self, other: &ChannelWork) {
+        self.scored_postings += other.scored_postings;
+        self.pruned += other.pruned;
+        self.blocks_skipped += other.blocks_skipped;
+        self.skipped_postings += other.skipped_postings;
+    }
+}
+
+/// What a [`topk_channels`] (or [`topk_beliefs`]) run did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopKOutcome {
     /// The k best `(oid, score)` pairs in rank order.
@@ -163,39 +211,47 @@ pub struct TopKOutcome {
     pub pruned: u64,
     /// Candidate documents fully scored.
     pub scored: u64,
-    /// Compressed blocks passed over without decoding.
+    /// Compressed blocks passed over without decoding, over all channels.
     pub blocks_skipped: u64,
-    /// Postings passed over without scoring their document — cursor leaps
-    /// inside decoded blocks plus everything inside skipped blocks.
+    /// Postings passed over without scoring their document, over all
+    /// channels.
     pub skipped_postings: u64,
+    /// The work split by channel, in channel order.
+    pub channels: Vec<ChannelWork>,
 }
 
 impl TopKOutcome {
-    fn empty() -> TopKOutcome {
+    fn empty(n_channels: usize) -> TopKOutcome {
         TopKOutcome {
             hits: Vec::new(),
             pruned: 0,
             scored: 0,
             blocks_skipped: 0,
             skipped_postings: 0,
+            channels: vec![ChannelWork::default(); n_channels],
         }
     }
 }
 
-/// Decode-avoidance counters threaded through cursor seeks.
-#[derive(Debug, Clone, Copy, Default)]
-struct Skips {
-    blocks: u64,
-    postings: u64,
+/// Per-channel request state, resolved once per request.
+struct ChanInfo<'a> {
+    index: &'a InvertedIndex,
+    stats: CollectionStats,
+    total_w: f64,
+    weight: f64,
 }
 
 /// Per-query-term request state, resolved once per request.
 struct TermInfo<'a> {
     list: Option<&'a PostingList>,
+    chan: usize,
     w: f64,
     df: u32,
-    /// The term's greatest possible score contribution beyond the default
-    /// belief: `w · (belief_bound − α) / Σw`.
+    /// The term's [`BeliefParams::nidf`], computed once per request.
+    nidf: f64,
+    /// The term's greatest possible contribution to the combined score
+    /// beyond its channel's default belief:
+    /// `weight · w · (belief_bound − α) / Σw`.
     cbound: f64,
 }
 
@@ -206,8 +262,10 @@ struct TermInfo<'a> {
 /// Invariant: the list holds no unconsumed document below `cur_doc`.
 struct Cursor<'a> {
     list: &'a PostingList,
+    chan: usize,
     w: f64,
     df: u32,
+    nidf: f64,
     /// List-level score-contribution bound (the WAND pivot currency).
     cbound: f64,
     block: usize,
@@ -221,14 +279,19 @@ struct Cursor<'a> {
     /// Lazily computed block-level contribution bound for `cached_block`.
     cached_block: usize,
     cached_cb: f64,
+    /// This cursor's share of its channel's work (`pruned` stays 0: a
+    /// pruned document counts once per channel, not per term).
+    work: ChannelWork,
 }
 
 impl<'a> Cursor<'a> {
     fn new(info: &TermInfo<'a>, list: &'a PostingList, lo: usize, hi: usize) -> Cursor<'a> {
         let mut c = Cursor {
             list,
+            chan: info.chan,
             w: info.w,
             df: info.df,
+            nidf: info.nidf,
             cbound: info.cbound,
             block: 0,
             idx: 0,
@@ -240,19 +303,21 @@ impl<'a> Cursor<'a> {
             hi: hi as Oid,
             cached_block: usize::MAX,
             cached_cb: 0.0,
+            work: ChannelWork::default(),
         };
         if !c.exhausted {
             c.cur_doc = c.list.blocks()[0].first_doc;
             // position on the span start; skips before `lo` belong to other
             // fragments and are not counted
-            c.seek(lo as Oid, None);
+            c.seek(lo as Oid, false);
         }
         c
     }
 
     /// Advance to the first unconsumed document ≥ `target`, skipping the
     /// decode of every block whose `last_doc` metadata proves it dead.
-    fn seek(&mut self, target: Oid, mut counters: Option<&mut Skips>) {
+    /// With `count`, what the advance passes over is counted as skipped.
+    fn seek(&mut self, target: Oid, count: bool) {
         if self.exhausted {
             return;
         }
@@ -263,6 +328,7 @@ impl<'a> Cursor<'a> {
             return;
         }
         let blocks = self.list.blocks();
+        let mut passed = 0u64;
         if self.decoded && blocks[self.block].last_doc >= target {
             // stays inside the current decoded block; the single-step
             // advance past a just-scored document is the hot case, so try
@@ -272,46 +338,44 @@ impl<'a> Cursor<'a> {
             } else {
                 1 + self.docs[self.idx + 1..].partition_point(|&d| d < target)
             };
-            if let Some(c) = counters.as_deref_mut() {
-                c.postings += rel as u64;
-            }
+            passed += rel as u64;
             self.idx += rel;
             self.cur_doc = self.docs[self.idx];
         } else {
             // abandon the rest of the current block…
             let mut b = self.block;
             if self.decoded {
-                if let Some(c) = counters.as_deref_mut() {
-                    c.postings += (self.docs.len() - self.idx) as u64;
-                }
+                passed += (self.docs.len() - self.idx) as u64;
                 b += 1;
             }
             // …then leap over whole undecoded blocks
+            let first_skipped = b;
             while b < blocks.len() && blocks[b].last_doc < target {
-                if let Some(c) = counters.as_deref_mut() {
-                    c.blocks += 1;
-                    c.postings += blocks[b].count as u64;
-                }
+                passed += blocks[b].count as u64;
                 b += 1;
+            }
+            if count {
+                self.work.blocks_skipped += (b - first_skipped) as u64;
             }
             if b >= blocks.len() {
                 self.exhausted = true;
-                return;
-            }
-            self.block = b;
-            if blocks[b].first_doc >= target {
-                // park on the block start — exact without decoding
-                self.decoded = false;
-                self.cur_doc = blocks[b].first_doc;
             } else {
-                self.list.decode_block_into(b, &mut self.docs, &mut self.tfs);
-                self.decoded = true;
-                self.idx = self.docs.partition_point(|&d| d < target);
-                if let Some(c) = counters {
-                    c.postings += self.idx as u64;
+                self.block = b;
+                if blocks[b].first_doc >= target {
+                    // park on the block start — exact without decoding
+                    self.decoded = false;
+                    self.cur_doc = blocks[b].first_doc;
+                } else {
+                    self.list.decode_block_into(b, &mut self.docs, &mut self.tfs);
+                    self.decoded = true;
+                    self.idx = self.docs.partition_point(|&d| d < target);
+                    passed += self.idx as u64;
+                    self.cur_doc = self.docs[self.idx];
                 }
-                self.cur_doc = self.docs[self.idx];
             }
+        }
+        if count {
+            self.work.skipped_postings += passed;
         }
         if self.cur_doc >= self.hi {
             self.exhausted = true;
@@ -320,10 +384,12 @@ impl<'a> Cursor<'a> {
 
     /// Block-level contribution bound of the current block, from its
     /// `max_tf` metadata — computable without decoding, memoised per block.
-    fn block_cbound(&mut self, params: BeliefParams, n_docs: usize, total_w: f64) -> f64 {
+    fn block_cbound(&mut self, params: BeliefParams, chan: &ChanInfo<'_>) -> f64 {
         if self.cached_block != self.block {
-            let bound = params.belief_bound(self.list.blocks()[self.block].max_tf, self.df, n_docs);
-            self.cached_cb = (self.w * (bound - params.alpha) / total_w).max(0.0);
+            let max_tf = self.list.blocks()[self.block].max_tf;
+            let bound = params.belief_bound(max_tf, self.df, chan.stats.n_docs);
+            self.cached_cb =
+                chan.weight * (self.w * (bound - params.alpha) / chan.total_w).max(0.0);
             self.cached_block = self.block;
         }
         self.cached_cb
@@ -341,20 +407,9 @@ impl<'a> Cursor<'a> {
 }
 
 /// Evaluate the paper's `map[sum(THIS)](map[getBL(…)])` ranking for the k
-/// best documents only, over the block-compressed postings.
-///
-/// Scores are computed with the exact floating-point operation order of the
-/// materialise path (`contrep.getbl` rows summed per document in query-term
-/// order, then the default-belief row), so the `(oid, score)` pairs are
-/// bit-identical to materialise-then-sort — at every `degree`, because a
-/// document's sum never crosses a fragment boundary. Documents that match
-/// no query term are not emitted (their grouped sum is 0 and the facade
-/// drops zero scores).
-///
-/// Skipping is sound: a document is only leapt over or pruned when its
-/// belief upper bound plus a tiny float-safety margin is *strictly below* the
-/// admission threshold, and the threshold only rises — so a skipped
-/// document can never displace an admitted one, not even on a tie.
+/// best documents only, over the block-compressed postings — the
+/// one-channel case of [`topk_channels`] (weight `1.0`, which multiplies
+/// exactly, so scores are the plain belief sums).
 pub fn topk_beliefs(
     index: &InvertedIndex,
     params: BeliefParams,
@@ -363,29 +418,81 @@ pub fn topk_beliefs(
     k: usize,
     degree: usize,
 ) -> TopKOutcome {
-    let total_w: f64 = query.iter().map(|(_, w)| w).sum();
-    if total_w <= 0.0 || k == 0 {
-        return TopKOutcome::empty();
-    }
-    let stats = index.stats();
-    let terms: Vec<TermInfo<'_>> = query
+    topk_channels(&[TopKChannel { index, query, weight: 1.0 }], params, domain, k, degree)
+}
+
+/// Evaluate a weighted mix of belief sums — the dual-coding ranking
+/// `sum(getBL(text))·w₀ + sum(getBL(image))·w₁`, or any number of
+/// channels — for the k best documents only, in one block-max WAND pass
+/// over every channel's compressed postings.
+///
+/// Scores are computed with the exact floating-point operation order of
+/// the materialise path: each channel's `contrep.getbl` rows summed per
+/// document in query-term order, then the default-belief row (a channel
+/// the document does not match contributes its grouped sum's zero fill,
+/// `0.0`), each sum multiplied by its channel weight, and the products
+/// added left to right. The `(oid, score)` pairs are therefore
+/// bit-identical to materialise-then-sort — at every `degree`, because a
+/// document's score never crosses a fragment boundary. Documents that
+/// match no query term are not emitted (their score is 0 and the facade
+/// drops zero scores); nor are documents that match only channels of
+/// weight 0 or of non-positive total term weight, which score 0 too.
+///
+/// Skipping is sound: a document is only leapt over or pruned when its
+/// upper bound `Σ_c weight_c·(α + Σ cbound)` plus a tiny float-safety
+/// margin is *strictly below* the admission threshold, and the threshold
+/// only rises — so a skipped document can never displace an admitted one,
+/// not even on a tie.
+pub fn topk_channels(
+    channels: &[TopKChannel<'_>],
+    params: BeliefParams,
+    domain: Option<&FxHashSet<Oid>>,
+    k: usize,
+    degree: usize,
+) -> TopKOutcome {
+    let chans: Vec<ChanInfo<'_>> = channels
         .iter()
-        .map(|(t, w)| {
-            let df = index.df(t);
-            let bound = params.belief_bound(index.max_tf(t), df, stats.n_docs);
-            TermInfo {
-                list: index.postings_list(t),
-                w: *w,
-                df,
-                cbound: (w * (bound - params.alpha) / total_w).max(0.0),
-            }
+        .map(|c| ChanInfo {
+            index: c.index,
+            stats: c.index.stats(),
+            total_w: c.query.iter().map(|(_, w)| w).sum(),
+            weight: c.weight,
         })
         .collect();
-    let spans = monet::fragment::bounds(index.n_docs(), degree.max(1));
-    let run_span = |span: (usize, usize)| -> (TopKAccumulator, u64, u64, Skips) {
-        span_topk(index, params, stats, &terms, total_w, span, domain, k)
+    // a channel of weight 0 or without positive term mass adds exactly
+    // 0.0 to every score, so it needs no cursors
+    let live = |ch: &ChanInfo<'_>| ch.weight != 0.0 && ch.total_w > 0.0;
+    let terms: Vec<TermInfo<'_>> = channels
+        .iter()
+        .zip(&chans)
+        .enumerate()
+        .filter(|(_, (_, ch))| live(ch))
+        .flat_map(|(chan, (c, ch))| {
+            c.query.iter().map(move |(t, w)| {
+                let df = ch.index.df(t);
+                let bound = params.belief_bound(ch.index.max_tf(t), df, ch.stats.n_docs);
+                TermInfo {
+                    list: ch.index.postings_list(t),
+                    chan,
+                    w: *w,
+                    df,
+                    nidf: params.nidf(df, ch.stats.n_docs),
+                    cbound: ch.weight * (w * (bound - params.alpha) / ch.total_w).max(0.0),
+                }
+            })
+        })
+        .collect();
+    if k == 0 || terms.is_empty() {
+        return TopKOutcome::empty(chans.len());
+    }
+    // every live channel's default-belief share of any document's bound
+    let alpha: f64 = chans.iter().filter(|ch| live(ch)).map(|ch| ch.weight * params.alpha).sum();
+    let n_docs = chans.iter().map(|c| c.index.n_docs()).max().unwrap_or(0);
+    let spans = monet::fragment::bounds(n_docs, degree.max(1));
+    let run_span = |span: (usize, usize)| -> SpanOut {
+        span_topk(&chans, &terms, params, alpha, span, domain, k)
     };
-    let parts: Vec<(TopKAccumulator, u64, u64, Skips)> = if spans.len() <= 1 {
+    let parts: Vec<SpanOut> = if spans.len() <= 1 {
         spans.into_iter().map(run_span).collect()
     } else {
         std::thread::scope(|scope| {
@@ -395,38 +502,55 @@ pub fn topk_beliefs(
         })
     };
     let mut acc = TopKAccumulator::new(k);
-    let mut out = TopKOutcome::empty();
-    for (part, pruned, scored, skips) in parts {
-        acc.merge(part);
-        out.pruned += pruned;
-        out.scored += scored;
-        out.blocks_skipped += skips.blocks;
-        out.skipped_postings += skips.postings;
+    let mut out = TopKOutcome::empty(chans.len());
+    for part in parts {
+        acc.merge(part.acc);
+        out.pruned += part.pruned;
+        out.scored += part.scored;
+        for (total, w) in out.channels.iter_mut().zip(&part.work) {
+            total.add(w);
+        }
     }
+    out.blocks_skipped = out.channels.iter().map(|c| c.blocks_skipped).sum();
+    out.skipped_postings = out.channels.iter().map(|c| c.skipped_postings).sum();
     out.hits = acc.into_ranked();
     out
 }
 
-/// Block-max WAND accumulation over one document-id span `[lo, hi)`.
-#[allow(clippy::too_many_arguments)]
+/// One document-id span's share of a top-k run.
+struct SpanOut {
+    acc: TopKAccumulator,
+    pruned: u64,
+    scored: u64,
+    work: Vec<ChannelWork>,
+}
+
+/// Block-max WAND accumulation over one document-id span `[lo, hi)`;
+/// `alpha` is `Σ weight·α` over the channels with cursors.
 fn span_topk(
-    index: &InvertedIndex,
-    params: BeliefParams,
-    stats: CollectionStats,
+    chans: &[ChanInfo<'_>],
     terms: &[TermInfo<'_>],
-    total_w: f64,
+    params: BeliefParams,
+    alpha: f64,
     (lo, hi): (usize, usize),
     domain: Option<&FxHashSet<Oid>>,
     k: usize,
-) -> (TopKAccumulator, u64, u64, Skips) {
-    // cursor order mirrors query order, so scoring by cursor index
-    // reproduces the materialise path's float-addition order
+) -> SpanOut {
+    // cursors are channel-major and in query order within a channel, so
+    // scoring a channel's cursor range in order reproduces the
+    // materialise path's float-addition order
     let mut cursors: Vec<Cursor<'_>> =
         terms.iter().filter_map(|t| t.list.map(|l| Cursor::new(t, l, lo, hi))).collect();
+    let ranges: Vec<std::ops::Range<usize>> = (0..chans.len())
+        .map(|chan| {
+            let start = cursors.partition_point(|c| c.chan < chan);
+            start..cursors.partition_point(|c| c.chan <= chan)
+        })
+        .collect();
     let mut acc = TopKAccumulator::new(k);
     let mut pruned = 0u64;
     let mut scored = 0u64;
-    let mut skips = Skips::default();
+    let mut work = vec![ChannelWork::default(); chans.len()];
     let n = cursors.len();
     let mut order: Vec<usize> = (0..n).collect();
     loop {
@@ -450,7 +574,7 @@ fn span_topk(
         let theta = acc.threshold();
         // pivot: the first cursor whose prefix of contribution bounds could
         // still reach the threshold — no document before it can qualify
-        let mut bound = params.alpha;
+        let mut bound = alpha;
         let mut pivot = None;
         for (i, &c) in order[..alive].iter().enumerate() {
             bound += cursors[c].cbound;
@@ -468,7 +592,7 @@ fn span_topk(
             // last_doc falls short are skipped without decoding
             for &c in &order[..p] {
                 if cursors[c].cur_doc < pivot_doc {
-                    cursors[c].seek(pivot_doc, Some(&mut skips));
+                    cursors[c].seek(pivot_doc, true);
                 }
             }
             continue;
@@ -477,7 +601,7 @@ fn span_topk(
         if domain.is_some_and(|d| !d.contains(&pivot_doc)) {
             for &c in &order[..alive] {
                 if cursors[c].cur_doc == pivot_doc {
-                    cursors[c].seek(pivot_doc + 1, Some(&mut skips));
+                    cursors[c].seek(pivot_doc + 1, true);
                 }
             }
             continue;
@@ -485,36 +609,49 @@ fn span_topk(
         // block-max refinement: tighten the bound with the per-block
         // max_tf of each matching cursor's current block — still no decode
         if acc.is_full() {
-            let mut ub = params.alpha;
+            let mut ub = alpha;
             for &c in &order[..alive] {
                 if cursors[c].cur_doc == pivot_doc {
-                    ub += cursors[c].block_cbound(params, stats.n_docs, total_w);
+                    let chan = &chans[cursors[c].chan];
+                    ub += cursors[c].block_cbound(params, chan);
                 }
             }
             if ub + PRUNE_MARGIN < theta {
                 pruned += 1;
+                for (w, range) in work.iter_mut().zip(&ranges) {
+                    let on_pivot = |c: &Cursor<'_>| !c.exhausted && c.cur_doc == pivot_doc;
+                    w.pruned += u64::from(cursors[range.clone()].iter().any(on_pivot));
+                }
                 for &c in &order[..alive] {
                     if cursors[c].cur_doc == pivot_doc {
-                        cursors[c].seek(pivot_doc + 1, Some(&mut skips));
+                        cursors[c].seek(pivot_doc + 1, true);
                     }
                 }
                 continue;
             }
         }
-        // exact score: matched terms in query order, then the default row —
-        // the same float-addition order as getbl rows under a grouped sum
+        // exact score: per channel, matched terms in query order, then the
+        // default row — the same float-addition order as getbl rows under
+        // a grouped sum — times the channel weight, channels added left to
+        // right like the compiled arith_const[mul]/arith[add] plan
         let mut score = 0.0;
-        let mut mw = 0.0;
-        let dl = index.doc_len(pivot_doc);
-        for c in cursors.iter_mut() {
-            if !c.exhausted && c.cur_doc == pivot_doc {
-                let b = params.belief(c.current_tf(), c.df, dl, stats.n_docs, stats.avg_dl);
-                score += c.w * b / total_w;
-                mw += c.w;
+        for (chan, ch) in chans.iter().enumerate() {
+            let dl = ch.index.doc_len(pivot_doc);
+            let (mut s, mut mw, mut hit) = (0.0, 0.0, false);
+            for c in &mut cursors[ranges[chan].clone()] {
+                if !c.exhausted && c.cur_doc == pivot_doc {
+                    let b = params.belief_nidf(c.current_tf(), dl, ch.stats.avg_dl, c.nidf);
+                    s += c.w * b / ch.total_w;
+                    mw += c.w;
+                    hit = true;
+                    c.work.scored_postings += 1;
+                }
             }
-        }
-        if mw < total_w {
-            score += params.alpha * (total_w - mw) / total_w;
+            if hit && mw < ch.total_w {
+                s += params.alpha * (ch.total_w - mw) / ch.total_w;
+            }
+            let part = s * ch.weight;
+            score = if chan == 0 { part } else { score + part };
         }
         scored += 1;
         acc.push(pivot_doc, score);
@@ -522,11 +659,14 @@ fn span_topk(
         // it, and passes nothing else, so it is not counted
         for c in cursors.iter_mut() {
             if !c.exhausted && c.cur_doc == pivot_doc {
-                c.seek(pivot_doc + 1, None);
+                c.seek(pivot_doc + 1, false);
             }
         }
     }
-    (acc, pruned, scored, skips)
+    for c in &cursors {
+        work[c.chan].add(&c.work);
+    }
+    SpanOut { acc, pruned, scored, work }
 }
 
 /// Every term's postings decoded into raw vectors — the pre-compression
@@ -582,7 +722,7 @@ pub fn topk_beliefs_raw(
 ) -> TopKOutcome {
     let total_w: f64 = query.iter().map(|(_, w)| w).sum();
     if total_w <= 0.0 || k == 0 {
-        return TopKOutcome::empty();
+        return TopKOutcome::empty(1);
     }
     let stats = index.stats();
     let terms: Vec<RawTermCtx<'_>> = query
@@ -612,12 +752,13 @@ pub fn topk_beliefs_raw(
         })
     };
     let mut acc = TopKAccumulator::new(k);
-    let mut out = TopKOutcome::empty();
+    let mut out = TopKOutcome::empty(1);
     for (part, pruned, scored) in parts {
         acc.merge(part);
         out.pruned += pruned;
         out.scored += scored;
     }
+    out.channels[0].pruned = out.pruned;
     out.hits = acc.into_ranked();
     out
 }
@@ -715,6 +856,35 @@ mod tests {
         b.build()
     }
 
+    /// One document's `contrep.getbl` rows under a grouped sum; `None` when
+    /// it matches no query term.
+    fn grouped_sum(
+        index: &InvertedIndex,
+        params: BeliefParams,
+        query: &[(&str, f64)],
+        doc: Oid,
+    ) -> Option<f64> {
+        let total_w: f64 = query.iter().map(|(_, w)| w).sum();
+        let stats = index.stats();
+        let mut score = 0.0;
+        let mut mw = 0.0;
+        let mut any = false;
+        for (t, w) in query {
+            let tf = index.tf(t, doc);
+            if tf > 0 {
+                let b =
+                    params.belief(tf, index.df(t), index.doc_len(doc), stats.n_docs, stats.avg_dl);
+                score += w * b / total_w;
+                mw += w;
+                any = true;
+            }
+        }
+        if mw < total_w {
+            score += params.alpha * (total_w - mw) / total_w;
+        }
+        any.then_some(score)
+    }
+
     /// The materialise path: score every document exactly like
     /// `contrep.getbl` rows under a grouped sum, then sort and truncate.
     fn baseline(
@@ -724,42 +894,51 @@ mod tests {
         domain: Option<&FxHashSet<Oid>>,
         k: usize,
     ) -> Vec<(Oid, f64)> {
-        let total_w: f64 = query.iter().map(|(_, w)| w).sum();
-        let stats = index.stats();
-        let mut out = Vec::new();
-        for doc in 0..index.n_docs() as Oid {
-            if domain.is_some_and(|d| !d.contains(&doc)) {
-                continue;
-            }
-            let mut score = 0.0;
-            let mut mw = 0.0;
-            let mut any = false;
-            for (t, w) in query {
-                let tf = index.tf(t, doc);
-                if tf > 0 {
-                    let b = params.belief(
-                        tf,
-                        index.df(t),
-                        index.doc_len(doc),
-                        stats.n_docs,
-                        stats.avg_dl,
-                    );
-                    score += w * b / total_w;
-                    mw += w;
-                    any = true;
-                }
-            }
-            if !any {
-                continue;
-            }
-            if mw < total_w {
-                score += params.alpha * (total_w - mw) / total_w;
-            }
-            out.push((doc, score));
-        }
+        let mut out: Vec<(Oid, f64)> = (0..index.n_docs() as Oid)
+            .filter(|doc| domain.is_none_or(|d| d.contains(doc)))
+            .filter_map(|doc| Some((doc, grouped_sum(index, params, query, doc)?)))
+            .collect();
         out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         out.truncate(k);
         out
+    }
+
+    /// The unfused dual plan: every document's channel sums (zero-filled),
+    /// times the channel weights, added left to right; positive scores
+    /// ranked and truncated.
+    fn multi_baseline(channels: &[TopKChannel<'_>], k: usize) -> Vec<(Oid, f64)> {
+        let params = BeliefParams::default();
+        let n = channels[0].index.n_docs() as Oid;
+        let mut out: Vec<(Oid, f64)> = (0..n)
+            .map(|doc| {
+                let part = |c: &TopKChannel<'_>| {
+                    grouped_sum(c.index, params, c.query, doc).unwrap_or(0.0) * c.weight
+                };
+                let score = channels[1..].iter().fold(part(&channels[0]), |s, c| s + part(c));
+                (doc, score)
+            })
+            .filter(|(_, s)| *s > 0.0)
+            .collect();
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        out.truncate(k);
+        out
+    }
+
+    /// A second channel over the same documents as [`idx`]: raw tokens
+    /// from a small visual-term pool, most of them in most documents.
+    fn visual_idx(n_docs: usize) -> InvertedIndex {
+        let pool = ["v0", "v1", "v2", "v3", "v4"];
+        let mut b = IndexBuilder::new();
+        for d in 0..n_docs {
+            let toks: Vec<&str> = pool
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| (d * 7 + i * 3) % 5 != 0)
+                .map(|p| *p.1)
+                .collect();
+            b.add_tokens(&toks);
+        }
+        b.build()
     }
 
     #[test]
@@ -948,5 +1127,64 @@ mod tests {
             topk_beliefs(&index, params, &dup, None, 10, 1).hits,
             baseline(&index, params, &dup, None, 10)
         );
+    }
+
+    #[test]
+    fn channels_match_the_unfused_weighted_sum() {
+        let text = idx(1500);
+        let vis = visual_idx(1500);
+        let tq = [("sunset", 1.0), ("wave", 0.5)];
+        let vq = [("v1", 1.0), ("v3", 0.7), ("zzz", 1.0)];
+        let params = BeliefParams::default();
+        for (tw, vw) in [(0.7, 0.3), (0.5, 0.5), (1.0, 0.0), (0.0, 1.0)] {
+            let channels = [
+                TopKChannel { index: &text, query: &tq, weight: tw },
+                TopKChannel { index: &vis, query: &vq, weight: vw },
+            ];
+            for k in [1usize, 10, 1500] {
+                let expected = multi_baseline(&channels, k);
+                assert!(!expected.is_empty());
+                for degree in [1usize, 4] {
+                    let got = topk_channels(&channels, params, None, k, degree);
+                    assert_eq!(got.hits, expected, "weights ({tw}, {vw}) k={k} degree={degree}");
+                }
+            }
+        }
+        // text terms absent from the corpus: the visual channel alone ranks
+        let absent = [("zzz", 1.0)];
+        let channels = [
+            TopKChannel { index: &text, query: &absent, weight: 0.6 },
+            TopKChannel { index: &vis, query: &vq, weight: 0.4 },
+        ];
+        assert_eq!(
+            topk_channels(&channels, params, None, 10, 1).hits,
+            multi_baseline(&channels, 10)
+        );
+    }
+
+    #[test]
+    fn per_channel_work_adds_up_to_the_totals() {
+        let text = idx(5000);
+        let vis = visual_idx(5000);
+        let tq = [("sunset", 1.0), ("mist", 1.0)];
+        let vq = [("v0", 1.0), ("v2", 1.0)];
+        let channels = [
+            TopKChannel { index: &text, query: &tq, weight: 0.5 },
+            TopKChannel { index: &vis, query: &vq, weight: 0.5 },
+        ];
+        let out = topk_channels(&channels, BeliefParams::default(), None, 5, 1);
+        assert_eq!(out.hits, multi_baseline(&channels, 5));
+        assert_eq!(out.channels.len(), 2);
+        let sum = |f: fn(&ChannelWork) -> u64| out.channels.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|w| w.blocks_skipped), out.blocks_skipped);
+        assert_eq!(sum(|w| w.skipped_postings), out.skipped_postings);
+        // every scored document matched at least one channel's term
+        assert!(sum(|w| w.scored_postings) >= out.scored);
+        assert!(out.channels.iter().all(|w| w.pruned <= out.pruned));
+        // the one-channel case is topk_beliefs, work included
+        let one_channel = [TopKChannel { weight: 1.0, ..channels[0] }];
+        let one = topk_channels(&one_channel, BeliefParams::default(), None, 5, 1);
+        let plain = topk_beliefs(&text, BeliefParams::default(), &tq, None, 5, 1);
+        assert_eq!(one, plain);
     }
 }

@@ -175,8 +175,12 @@ impl MoaEngine {
     /// produced — the estimated-vs-actual view of the statistics-driven
     /// optimizer.
     pub fn explain_analyze(&self, src: &str, params: &QueryParams) -> Result<String> {
-        let expr = parse_expr(src)?;
-        let rewritten = rewrite_logical(&expr, &self.env, self.opt);
+        self.explain_analyze_expr(&parse_expr(src)?, params)
+    }
+
+    /// [`Self::explain_analyze`] of a query given as an AST.
+    pub fn explain_analyze_expr(&self, expr: &Expr, params: &QueryParams) -> Result<String> {
+        let rewritten = rewrite_logical(expr, &self.env, self.opt);
         let (_, plan, hints) = self.compile_rewritten(&rewritten, params)?;
         let passes = if hints.passes_fired.is_empty() {
             String::new()

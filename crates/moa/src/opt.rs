@@ -20,7 +20,9 @@
 //!    — and the plan then matches the fusable domain-restricted shape;
 //! 4. **topk_fuse** — [`crate::rewrite::rewrite_topk`] as a pass, extended
 //!    to fuse the late-filter variant (`semijoin(grouped_sum(getbl), S)`)
-//!    directly into the fused operator with `S` as its domain input.
+//!    directly into the fused operator with `S` as its domain input, and
+//!    the dual-coding shape (a weighted sum of two channels' grouped
+//!    belief sums) into one two-channel fused operator.
 //!
 //! After the passes run, every node of the final plan is annotated with an
 //! estimated output cardinality ([`estimate`]) and an estimate-driven
@@ -28,9 +30,12 @@
 //! EXPLAIN as `est≈N` next to actual row counts and consults when choosing
 //! fragmentation degrees.
 
-use crate::rewrite::{map_children, rewrite_physical, rewrite_topk, OptConfig};
+use crate::rewrite::{
+    fuse_channels, map_children, ranking_channel, rewrite_physical, rewrite_topk,
+    split_topk_params, OptConfig, RankingChannel,
+};
 use monet::fxhash::FxHashMap;
-use monet::{Agg, ColSummary, OpRegistry, Plan, Pred, Val};
+use monet::{Agg, ArithOp, ColSummary, OpRegistry, Plan, Pred, Val};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -173,26 +178,41 @@ pub fn estimate(plan: &Plan, stats: &StatsCatalog) -> Option<u64> {
             (l, r) => l.or(r),
         },
         Plan::Custom { op, inputs, params } => {
-            let Some(Val::Str(prefix)) = params.first() else { return None };
-            let n_docs = stats.index_docs(prefix)?;
-            let mut sum = 0u64;
-            for pair in params[1..].chunks(2) {
-                if let [Val::Str(term), _] = pair {
-                    sum += stats.term_df(prefix, term).unwrap_or(0) as u64;
+            let mut est = if op.ends_with(".topk") {
+                // fused top-k: the documents any channel touches, at most k
+                let (channels, k) = split_topk_params(params)?;
+                let (mut touched, mut n_docs) = (0u64, 0u64);
+                for (channel, _) in channels {
+                    let (t, n) = belief_touches(channel, stats)?;
+                    touched = touched.saturating_add(t);
+                    n_docs = n_docs.max(n);
                 }
-            }
-            let mut est = sum.min(n_docs);
+                touched.min(n_docs).min(k as u64)
+            } else {
+                let (touched, n_docs) = belief_touches(params, stats)?;
+                touched.min(n_docs)
+            };
             if let Some(d) = inputs.first().and_then(|d| estimate(d, stats)) {
                 est = est.min(d);
-            }
-            if op.ends_with(".topk") {
-                if let Some(Val::Int(k)) = params.last() {
-                    est = est.min((*k).max(0) as u64);
-                }
             }
             Some(est)
         }
     }
+}
+
+/// A belief operator's `[prefix, (term, weight)*]` parameters against the
+/// statistics: the sum of its terms' document frequencies, and the size
+/// of the corpus it ranks.
+fn belief_touches(params: &[Val], stats: &StatsCatalog) -> Option<(u64, u64)> {
+    let Some(Val::Str(prefix)) = params.first() else { return None };
+    let n_docs = stats.index_docs(prefix)?;
+    let mut sum = 0u64;
+    for pair in params[1..].chunks(2) {
+        if let [Val::Str(term), _] = pair {
+            sum += stats.term_df(prefix, term).unwrap_or(0) as u64;
+        }
+    }
+    Some((sum, n_docs))
 }
 
 /// Shared context the passes run under.
@@ -437,12 +457,20 @@ fn push_domains(plan: &Plan, stats: &StatsCatalog) -> Plan {
     pushed.unwrap_or(Plan::Semijoin { left, right })
 }
 
-/// Top-k fusion as a pass: the legacy shapes of
+/// Top-k fusion as a pass: the single-channel shapes of
 /// [`crate::rewrite::rewrite_topk`] fuse unconditionally (kept identical to
-/// the pre-pass-framework behaviour); under [`OptConfig::stats_driven`] the
-/// late-filter variant — a semijoin against a domain the operator does not
-/// know about — additionally fuses by handing the domain to the fused
-/// operator as its input.
+/// the pre-pass-framework behaviour); under [`OptConfig::stats_driven`]
+/// two more shapes fuse into the same multi-channel operator:
+///
+/// * the late-filter variant — a semijoin against a domain the operator
+///   does not know about — by handing the domain to the fused operator as
+///   its input;
+/// * the dual-coding shape `sum(getBL(a))·w₀ + sum(getBL(b))·w₁` that
+///   dual and relevance-feedback requests compile to, into one
+///   two-channel fused operator.
+///
+/// [`OptConfig::none`] leaves both unfused: it is the reference plan the
+/// fused ones are tested against.
 pub struct TopKFusePass;
 
 impl Pass for TopKFusePass {
@@ -454,15 +482,13 @@ impl Pass for TopKFusePass {
     }
     fn apply(&self, plan: &Plan, ctx: &PassCtx) -> Plan {
         let k = ctx.top_k.expect("enabled() checked");
-        if let Some(fused) = rewrite_topk(plan, k, ctx.ops) {
-            return fused;
-        }
-        if ctx.cfg.stats_driven {
-            if let Some(fused) = fuse_late_filter(plan, k, ctx.ops) {
-                return fused;
+        let fused = rewrite_topk(plan, k, ctx.ops).or_else(|| {
+            if !ctx.cfg.stats_driven {
+                return None;
             }
-        }
-        plan.clone()
+            fuse_late_filter(plan, k, ctx.ops).or_else(|| fuse_dual(plan, k, ctx.ops))
+        });
+        fused.unwrap_or_else(|| plan.clone())
     }
 }
 
@@ -482,13 +508,37 @@ fn fuse_late_filter(plan: &Plan, k: usize, ops: &OpRegistry) -> Option<Plan> {
         Plan::Load(name) if name.ends_with("__self") => {}
         _ => return None,
     }
-    let fused = format!("{op}.topk");
-    if !ops.contains(&fused) {
+    fuse_channels(op, &[(params, 1.0)], std::slice::from_ref(&**right), k, ops)
+}
+
+/// Fuse the compiled dual-coding shape
+/// `arith[add](arith_const[mul](A, w₀), arith_const[mul](B, w₁))`, where
+/// `A` and `B` are ranking channels ([`ranking_channel`]) of one belief
+/// operator over one domain — both the collection identity, or both
+/// restricted to the same filter — into one two-channel fused operator.
+/// The fused operator scores `(sum_A · w₀) + (sum_B · w₁)` in exactly this
+/// order, a channel the document misses contributing `0.0`, so the
+/// surviving pairs are bit-identical to the serial unfused plan.
+///
+/// Refuses (returns `None`) when a weight is negative or not finite: the
+/// fused operator's pruning bound assumes every channel adds a
+/// non-negative share, which engine callers that skip
+/// `RetrievalRequest::validate` could otherwise break.
+fn fuse_dual(plan: &Plan, k: usize, ops: &OpRegistry) -> Option<Plan> {
+    fn weighted(p: &Plan) -> Option<(RankingChannel<'_>, f64)> {
+        let Plan::ArithConst { input, op: ArithOp::Mul, val } = p else { return None };
+        let w = val.as_float().filter(|w| w.is_finite() && *w >= 0.0)?;
+        Some((ranking_channel(input)?, w))
+    }
+    let Plan::Arith { left, right, op: ArithOp::Add } = plan else { return None };
+    let ((a, wa), (b, wb)) = (weighted(left)?, weighted(right)?);
+    if a.op != b.op
+        || a.inputs.len() != b.inputs.len()
+        || a.groups.fingerprint() != b.groups.fingerprint()
+    {
         return None;
     }
-    let mut fused_params = params.clone();
-    fused_params.push(Val::Int(k as i64));
-    Some(Plan::Custom { op: fused, inputs: vec![(**right).clone()], params: fused_params })
+    fuse_channels(a.op, &[(a.params, wa), (b.params, wb)], a.inputs, k, ops)
 }
 
 #[cfg(test)]
@@ -672,6 +722,116 @@ mod tests {
             right: Box::new(Plan::load("mystery")),
         };
         assert_eq!(PushDomainPass.apply(&plan2, &ctx).fingerprint(), plan2.fingerprint());
+    }
+
+    /// The compiled dual-coding shape over `getbl(inputs)` on two channels,
+    /// grouped by `groups` (and semijoined with it when it is a domain).
+    fn dual(inputs: Vec<Plan>, groups: Plan, tw: Val, vw: Val) -> Plan {
+        let channel = |prefix: &str, term: &str, w: Val| {
+            let mut sum = Plan::GroupedAggr {
+                values: Box::new(Plan::Custom {
+                    op: "contrep.getbl".into(),
+                    inputs: inputs.clone(),
+                    params: vec![Val::Str(prefix.into()), Val::Str(term.into()), Val::Float(1.0)],
+                }),
+                groups: Box::new(groups.clone()),
+                agg: Agg::Sum,
+            };
+            if !inputs.is_empty() {
+                sum = Plan::Semijoin { left: Box::new(sum), right: Box::new(groups.clone()) };
+            }
+            Plan::ArithConst { input: Box::new(sum), op: ArithOp::Mul, val: w }
+        };
+        Plan::Arith {
+            left: Box::new(channel("Lib__annotation", "sunset", tw)),
+            right: Box::new(channel("Lib__image", "gabor_3", vw)),
+            op: ArithOp::Add,
+        }
+    }
+
+    fn fuse_ctx(stats: StatsCatalog, ops: &OpRegistry, cfg: OptConfig) -> PassCtx<'_> {
+        PassCtx { cfg, stats: Arc::new(stats), ops, top_k: Some(10) }
+    }
+
+    #[test]
+    fn topk_pass_fuses_the_dual_shape() {
+        let (stats, ops) = ctx_parts();
+        let ctx = fuse_ctx(stats, &ops, OptConfig::default());
+        let plan = dual(vec![], Plan::load("Lib__self"), Val::Float(0.6), Val::Float(0.4));
+        let out = TopKFusePass.apply(&plan, &ctx);
+        let Plan::Custom { op, inputs, params } = &out else { panic!("expected fused: {out:?}") };
+        assert_eq!(op, "contrep.getbl.topk");
+        assert!(inputs.is_empty());
+        let (channels, k) = split_topk_params(params).unwrap();
+        assert_eq!(k, 10);
+        let summary: Vec<(&Val, f64)> = channels.iter().map(|(p, w)| (&p[0], *w)).collect();
+        assert_eq!(
+            summary,
+            vec![(&Val::Str("Lib__annotation".into()), 0.6), (&Val::Str("Lib__image".into()), 0.4)]
+        );
+        // both channels restricted to one domain: the domain is the input
+        let d = eq_filter("Lib__size", 3);
+        let filtered = dual(vec![d.clone()], d.clone(), Val::Float(0.5), Val::Float(0.5));
+        let Plan::Custom { inputs, .. } = TopKFusePass.apply(&filtered, &ctx) else {
+            panic!("filtered dual did not fuse")
+        };
+        assert_eq!(inputs.iter().map(Plan::fingerprint).collect::<Vec<_>>(), vec![d.fingerprint()]);
+    }
+
+    #[test]
+    fn topk_pass_refuses_unsafe_dual_shapes() {
+        let (stats, ops) = ctx_parts();
+        let ctx = fuse_ctx(stats, &ops, OptConfig::default());
+        let self_ = || Plan::load("Lib__self");
+        let refused = [
+            // a negative or non-finite channel weight would break the bound
+            dual(vec![], self_(), Val::Float(1.5), Val::Float(-0.5)),
+            dual(vec![], self_(), Val::Float(f64::NAN), Val::Float(0.5)),
+            dual(vec![], self_(), Val::Float(0.5), Val::Float(f64::INFINITY)),
+        ];
+        for plan in refused {
+            assert_eq!(TopKFusePass.apply(&plan, &ctx).fingerprint(), plan.fingerprint());
+        }
+        // channels over different domains
+        let mixed_domains = {
+            let Plan::Arith { left, .. } = dual(vec![], self_(), Val::Float(0.5), Val::Float(0.5))
+            else {
+                unreachable!()
+            };
+            let Plan::Arith { right, .. } = dual(
+                vec![eq_filter("Lib__size", 3)],
+                eq_filter("Lib__size", 3),
+                Val::Float(0.5),
+                Val::Float(0.5),
+            ) else {
+                unreachable!()
+            };
+            Plan::Arith { left, right, op: ArithOp::Add }
+        };
+        assert_eq!(
+            TopKFusePass.apply(&mixed_domains, &ctx).fingerprint(),
+            mixed_domains.fingerprint()
+        );
+        // OptConfig::none() keeps the dual plan unfused: it is the oracle
+        let (stats, ops) = ctx_parts();
+        let none = fuse_ctx(stats, &ops, OptConfig::none());
+        let plan = dual(vec![], self_(), Val::Float(0.5), Val::Float(0.5));
+        assert_eq!(TopKFusePass.apply(&plan, &none).fingerprint(), plan.fingerprint());
+    }
+
+    #[test]
+    fn fused_dual_estimate_counts_both_channels_up_to_k() {
+        let (mut stats, ops) = ctx_parts();
+        stats.set_index("Lib__image", 1000, [("gabor_3".to_string(), 30u32)]);
+        let ctx = fuse_ctx(stats.clone(), &ops, OptConfig::default());
+        let plan = dual(vec![], Plan::load("Lib__self"), Val::Float(0.5), Val::Float(0.5));
+        let fused = TopKFusePass.apply(&plan, &ctx);
+        // sunset (40) + gabor_3 (30), capped by the budget of 10
+        assert_eq!(estimate(&fused, &stats), Some(10));
+        let Plan::Custom { op, inputs, params } = fused else { unreachable!() };
+        let (channels, _) = split_topk_params(&params).unwrap();
+        let wide = Plan::Custom { op, inputs, params: crate::rewrite::topk_params(&channels, 500) };
+        assert_eq!(estimate(&wide, &stats), Some(70));
     }
 
     #[test]

@@ -191,18 +191,18 @@ fn peephole(plan: &Plan) -> Plan {
     }
 }
 
-/// Fuse a top-k budget into the compiled ranking plan.
+/// Fuse a top-k budget into a compiled single-channel ranking plan.
 ///
 /// Recognises the physical shape the paper's
 /// `map[sum(THIS)](map[getBL(…)](C))` query compiles to — a grouped sum
 /// over a custom belief operator, optionally semijoined with the domain the
 /// operator is already restricted to — and rewrites it into the operator's
-/// fused top-k counterpart. The convention is the kernel's: an extension
-/// that registers `X` may also register `X.topk`, taking `X`'s parameters
-/// with the budget appended, and returning the k best `[oid, value]` rows
-/// in rank order (the IR crate registers `contrep.getbl.topk`, the
-/// `topk_bl` operator). Returns `None` — execute the original plan — when
-/// the shape does not match or no fused operator is registered.
+/// fused top-k counterpart with one channel of weight `1.0` (parameter
+/// layout: [`topk_params`]). Returns `None` — execute the original plan —
+/// when the shape does not match or no fused operator is registered. The
+/// dual-coding shape, a weighted sum of two such channels, fuses in the
+/// optimizer's `topk_fuse` pass ([`crate::opt::TopKFusePass`]), not here,
+/// so that [`OptConfig::none`] keeps it unfused as the reference plan.
 ///
 /// The fused plan implements the *top-k budget* contract, not row-for-row
 /// plan equivalence: the grouped sum emits a `0.0` row for every document
@@ -211,8 +211,27 @@ fn peephole(plan: &Plan) -> Plan {
 /// the k best of the rest. The surviving `(oid, score)` pairs are
 /// bit-identical to materialise-then-sort.
 pub fn rewrite_topk(plan: &Plan, k: usize, ops: &OpRegistry) -> Option<Plan> {
-    // see through the domain semijoin the aggregate compiler adds; it is
-    // redundant iff the custom operator restricts itself to the same domain
+    let ch = ranking_channel(plan)?;
+    fuse_channels(ch.op, &[(ch.params, 1.0)], ch.inputs, k, ops)
+}
+
+/// One ranking channel of a compiled plan: `grouped_aggr[sum]` over a
+/// custom belief operator `op(inputs…; params)`, grouped by `groups`.
+pub(crate) struct RankingChannel<'a> {
+    /// The belief operator.
+    pub op: &'a str,
+    /// Its domain input, if it is restricted to one.
+    pub inputs: &'a [Plan],
+    /// Its parameters (`[prefix, (term, weight)*]` for `contrep.getbl`).
+    pub params: &'a [Val],
+    /// The grouping: the collection identity, or the operator's domain.
+    pub groups: &'a Plan,
+}
+
+/// Match one ranking channel, seeing through the domain semijoin the
+/// aggregate compiler adds (it is redundant iff the operator restricts
+/// itself to the same domain).
+pub(crate) fn ranking_channel(plan: &Plan) -> Option<RankingChannel<'_>> {
     let (inner, outer_domain) = match plan {
         Plan::Semijoin { left, right } => (&**left, Some(&**right)),
         p => (p, None),
@@ -245,13 +264,62 @@ pub fn rewrite_topk(plan: &Plan, k: usize, ops: &OpRegistry) -> Option<Plan> {
         // cannot be folded into it
         (None, Some(_)) => return None,
     }
+    Some(RankingChannel { op, inputs, params, groups })
+}
+
+/// Build the fused `<op>.topk` operator over weighted channels of the
+/// belief operator `op`, restricted to `inputs` (the shared domain, if
+/// any). `None` when no fused counterpart is registered.
+///
+/// The kernel convention: an extension that registers `X` may also
+/// register `X.topk`, returning the k best `[oid, Σ weight·sum(X rows)]`
+/// rows in rank order (the IR crate registers `contrep.getbl.topk`, the
+/// `topk_bl` operator). Its parameters are one group per channel — the
+/// channel weight, the number of `X` parameters that follow, then `X`'s
+/// own parameters — and the budget last ([`topk_params`]).
+pub(crate) fn fuse_channels(
+    op: &str,
+    channels: &[ChannelParams<'_>],
+    inputs: &[Plan],
+    k: usize,
+    ops: &OpRegistry,
+) -> Option<Plan> {
     let fused = format!("{op}.topk");
     if !ops.contains(&fused) {
         return None;
     }
-    let mut fused_params = params.clone();
-    fused_params.push(Val::Int(k as i64));
-    Some(Plan::Custom { op: fused, inputs: inputs.clone(), params: fused_params })
+    Some(Plan::Custom { op: fused, inputs: inputs.to_vec(), params: topk_params(channels, k) })
+}
+
+/// One channel of fused top-k parameters: the belief operator's own
+/// parameters and the channel weight.
+pub type ChannelParams<'a> = (&'a [Val], f64);
+
+/// Encode fused top-k parameters:
+/// `[(weight: Float, len: Int, <len channel parameters>)+, k: Int]`.
+pub fn topk_params(channels: &[ChannelParams<'_>], k: usize) -> Vec<Val> {
+    let mut out = Vec::new();
+    for (params, weight) in channels {
+        out.push(Val::Float(*weight));
+        out.push(Val::Int(params.len() as i64));
+        out.extend_from_slice(params);
+    }
+    out.push(Val::Int(k as i64));
+    out
+}
+
+/// Decode [`topk_params`]: the `(channel parameters, weight)` groups and
+/// the budget, or `None` when the layout is malformed.
+pub fn split_topk_params(params: &[Val]) -> Option<(Vec<ChannelParams<'_>>, usize)> {
+    let (Val::Int(k), mut rest) = params.split_last()? else { return None };
+    let k = usize::try_from(*k).ok()?;
+    let mut channels = Vec::new();
+    while let [Val::Float(weight), Val::Int(len), tail @ ..] = rest {
+        let len = usize::try_from(*len).ok().filter(|&l| l <= tail.len())?;
+        channels.push((&tail[..len], *weight));
+        rest = &tail[len..];
+    }
+    (rest.is_empty() && !channels.is_empty()).then_some((channels, k))
 }
 
 /// Rebuild a plan node with its children transformed (shared with the
@@ -443,7 +511,8 @@ mod tests {
         let fused = rewrite_topk(&plan, 10, &ops).unwrap();
         let Plan::Custom { op, params, .. } = fused else { panic!("expected custom") };
         assert_eq!(op, "contrep.getbl.topk");
-        assert_eq!(params.last(), Some(&Val::Int(10)));
+        let Plan::Custom { params: getbl, .. } = getbl_like(vec![]) else { unreachable!() };
+        assert_eq!(split_topk_params(&params), Some((vec![(&getbl[..], 1.0)], 10)));
     }
 
     #[test]
@@ -462,6 +531,21 @@ mod tests {
             right: Box::new(domain),
         };
         assert!(rewrite_topk(&plan, 5, &ops).is_some());
+    }
+
+    #[test]
+    fn topk_params_round_trip_and_reject_malformed_layouts() {
+        let a = [Val::Str("A".into()), Val::Str("t".into()), Val::Float(1.0)];
+        let b = [Val::Str("B".into())];
+        let enc = topk_params(&[(&a, 0.25), (&b, 0.75)], 7);
+        assert_eq!(split_topk_params(&enc), Some((vec![(&a[..], 0.25), (&b[..], 0.75)], 7)));
+        let mut past_end = enc.clone();
+        past_end[1] = Val::Int(99);
+        let mut negative_k = enc.clone();
+        *negative_k.last_mut().unwrap() = Val::Int(-1);
+        for bad in [&enc[..enc.len() - 1], &enc[1..], &[Val::Int(3)], &past_end, &negative_k] {
+            assert_eq!(split_topk_params(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -1,0 +1,94 @@
+//! A block-scale library shared by the top-k and shard property suites:
+//! thousands of synthetic rows, so the visual channel's posting lists span
+//! tens of 128-posting blocks and the fused operator fragments at degree
+//! 2 and 4 (the executor fragments at ≥ 4096 documents).
+
+use mirror::core::serve::RetrievalRequest;
+use mirror::core::{LibraryRow, MirrorDbms};
+
+/// Rows in the block-scale library.
+pub const BLOCK_SCALE_DOCS: usize = 4_500;
+
+const WORDS: &[&str] =
+    &["sunset", "beach", "forest", "mist", "wave", "glow", "stone", "river", "meadow", "dune"];
+
+fn splitmix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE5_E9B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The library: skewed annotation words (a fifth of the documents
+/// unannotated), and visual terms `v0`…`v11` where `v0` sits in ~90 % of
+/// the documents and `v1` in ~60 % — lists of 32 and 22 blocks — and the
+/// rest in ~25 % each (9–10 blocks). URLs carry one of six theme directories.
+pub fn block_scale_rows() -> Vec<LibraryRow> {
+    (0..BLOCK_SCALE_DOCS as u64)
+        .map(|i| {
+            let h = splitmix(i);
+            let annotation = (!h.is_multiple_of(5)).then(|| {
+                let n = 2 + (h >> 8) % 5;
+                let words: Vec<&str> = (0..n)
+                    .map(|j| {
+                        let r = splitmix(h ^ j) % 100;
+                        WORDS[((r * r) / 1000) as usize % WORDS.len()]
+                    })
+                    .collect();
+                words.join(" ")
+            });
+            let vterms: Vec<String> = (0..12u64)
+                .filter(|&v| {
+                    let p = match v {
+                        0 => 90,
+                        1 => 60,
+                        _ => 25,
+                    };
+                    splitmix(h ^ (v << 40)) % 100 < p
+                })
+                .map(|v| format!("v{v}"))
+                .collect();
+            let theme = (h >> 16) as usize % 6;
+            LibraryRow {
+                url: format!("http://lib.example/theme{theme}/{i}.png"),
+                annotation,
+                vterms: vterms.join(" "),
+                theme,
+            }
+        })
+        .collect()
+}
+
+/// `dual_terms` requests over the block-scale library for every mix in
+/// {0, 0.3, 0.5, 1} and k in {1, 10, all}: text and visual terms present,
+/// text terms absent from the corpus, an empty visual side, and a URL
+/// filter.
+pub fn block_scale_requests() -> Vec<RetrievalRequest> {
+    let text = vec![("sunset".to_string(), 1.0), ("wave".to_string(), 0.5)];
+    let absent = vec![("zeppelin".to_string(), 1.0), ("quartz".to_string(), 1.0)];
+    let visual = vec![("v0".to_string(), 1.0), ("v1".to_string(), 0.7), ("v5".to_string(), 0.4)];
+    let mut reqs = Vec::new();
+    for mix in [0.0, 0.3, 0.5, 1.0] {
+        for k in [1, 10, BLOCK_SCALE_DOCS] {
+            let dual = |t: &[(String, f64)], v: &[(String, f64)]| {
+                RetrievalRequest::dual_terms(t.to_vec(), v.to_vec(), mix, k)
+            };
+            reqs.push(dual(&text, &visual));
+            reqs.push(dual(&absent, &visual));
+            reqs.push(dual(&text, &[]));
+            reqs.push(dual(&text, &visual).with_filter("/theme2/"));
+        }
+    }
+    reqs
+}
+
+/// Panic unless `req` runs on `db` as one fused top-k operator, with no
+/// unfused grouped sum or channel arithmetic left in the plan.
+pub fn assert_fused(db: &MirrorDbms, req: &RetrievalRequest) {
+    let analyzed = db.explain_analyze(req).unwrap();
+    let physical = analyzed.split_once("-- degree").expect("executor header").1;
+    assert!(physical.contains("custom[contrep.getbl.topk]"), "not fused: {req:?}\n{analyzed}");
+    for unfused in ["grouped_aggr", "arith"] {
+        assert!(!physical.contains(unfused), "{unfused} left unfused: {req:?}\n{analyzed}");
+    }
+}

@@ -250,3 +250,25 @@ fn catalog_is_fully_binary_relational() {
         assert_eq!(bat.head().len(), bat.tail().len(), "BAT {name} has asymmetric columns");
     }
 }
+
+#[test]
+fn explain_analyze_shows_the_fused_dual_request() {
+    use mirror::core::serve::RetrievalRequest;
+    let db = db();
+    // a thesaurus-expanded dual request: the visual side comes from the
+    // association thesaurus, both channels fuse into one top-k operator
+    let req = RetrievalRequest::dual("sunset glow", 0.4, 10);
+    let analyzed = db.explain_analyze(&req).unwrap();
+    assert!(analyzed.contains("passes: topk_fuse"), "{analyzed}");
+    let physical = analyzed.split_once("-- degree").expect("executor header").1;
+    assert!(physical.contains("custom[contrep.getbl.topk]"), "{analyzed}");
+    for unfused in ["arith", "grouped_aggr", "custom[contrep.getbl]"] {
+        assert!(!physical.contains(unfused), "{unfused} survived fusion:\n{analyzed}");
+    }
+    // the operator's note splits its work by channel
+    assert!(analyzed.contains("annotation: scored"), "{analyzed}");
+    assert!(analyzed.contains("image: scored"), "{analyzed}");
+    // and the fused answer is the facade's
+    let fused_rows = db.retrieve(&req).unwrap();
+    assert!(physical.contains(&format!("rows={}", fused_rows.len())), "{analyzed}");
+}

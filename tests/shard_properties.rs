@@ -3,8 +3,11 @@
 //! single node at 1/2/4 shards, and the replica router must survive the
 //! loss of one replica per shard without changing a single result.
 
+mod common;
+
+use common::{assert_fused, block_scale_requests, block_scale_rows};
 use mirror::core::shard::{hash_shard, MirrorCluster};
-use mirror::core::{MirrorDbms, RetrievalError, Retriever};
+use mirror::core::{MirrorConfig, MirrorDbms, RetrievalError, Retriever};
 use mirror::ir::{
     topk_beliefs, topk_beliefs_raw, BeliefParams, IndexBuilder, RawPostings, TopKAccumulator,
 };
@@ -186,6 +189,34 @@ proptest! {
                 }
             }
             prop_assert_eq!(&merged.into_ranked(), &expected, "shards={} k={}", shards, k);
+        }
+    }
+}
+
+/// Fused dual requests at block scale through 1/2/4-shard clusters: every
+/// shard runs the two-channel fused operator over its projection, and the
+/// gathered answer equals the unfused `OptConfig::none()` single node bit
+/// for bit.
+#[test]
+fn fused_dual_requests_at_block_scale_match_across_shards() {
+    let rows = block_scale_rows();
+    let mut oracle =
+        MirrorDbms::from_rows(MirrorConfig::default(), rows.clone(), None, None).unwrap();
+    oracle.set_opt(mirror::moa::OptConfig::none());
+    let fused = MirrorDbms::from_rows(MirrorConfig::default(), rows.clone(), None, None).unwrap();
+    let clusters: Vec<MirrorCluster> =
+        [1, 2, 4].map(|s| MirrorCluster::from_rows(rows.clone(), s, 1).unwrap()).into();
+    for req in block_scale_requests() {
+        // shards compile requests exactly like a single node does
+        assert_fused(&fused, &req);
+        let expected = oracle.retrieve(&req).unwrap();
+        for cluster in &clusters {
+            assert_eq!(
+                cluster.retrieve(&req).unwrap(),
+                expected,
+                "{} shards: {req:?}",
+                cluster.n_shards()
+            );
         }
     }
 }

@@ -2,8 +2,13 @@
 //! corpus and query, `topk_bl` must return exactly the `(oid, score)`
 //! ranking that materialise-then-sort produces — same documents, same
 //! bit-identical scores, same tie-breaks — for k ∈ {1, 10, all} and at
-//! parallel degrees 1 and 4.
+//! parallel degrees 1 and 4; and on a block-scale library, fused dual
+//! requests must equal the unfused `OptConfig::none()` plan bit for bit.
 
+mod common;
+
+use common::{assert_fused, block_scale_requests, block_scale_rows};
+use mirror::core::{MirrorConfig, MirrorDbms, Retriever};
 use mirror::ir::{
     self, porter_stem, topk_beliefs, topk_beliefs_raw, BeliefParams, IndexBuilder, RawPostings,
 };
@@ -182,4 +187,82 @@ fn fusion_fires_and_finds_documents() {
     let hits = fused(&env, &terms, 5, 1);
     assert_eq!(hits.len(), 5);
     assert_eq!(hits, baseline(&env, &terms, 5));
+}
+
+/// Dual-coded and feedback-shaped requests at block scale: thousands of
+/// documents, visual lists of tens of blocks, fragmented evaluation. Every
+/// request fuses into one two-channel top-k operator (or, with an empty
+/// visual side, the one-channel one) and must return exactly what the
+/// unfused, serial `OptConfig::none()` plan returns — at degree 1, 2 and 4.
+#[test]
+fn fused_dual_requests_at_block_scale_equal_the_unfused_plan() {
+    let rows = block_scale_rows();
+    let node = |opt: OptConfig| {
+        let mut db =
+            MirrorDbms::from_rows(MirrorConfig::default(), rows.clone(), None, None).unwrap();
+        db.set_opt(opt);
+        db
+    };
+    let oracle = node(OptConfig::none());
+    let fused: Vec<MirrorDbms> =
+        [1, 2, 4].map(|d| node(OptConfig { parallelism: d, ..OptConfig::default() })).into();
+    let mut nonempty = 0;
+    for req in block_scale_requests() {
+        assert_fused(&fused[0], &req);
+        let expected = oracle.retrieve(&req).unwrap();
+        nonempty += usize::from(!expected.is_empty());
+        for (db, degree) in fused.iter().zip([1, 2, 4]) {
+            assert_eq!(db.retrieve(&req).unwrap(), expected, "degree {degree}: {req:?}");
+        }
+    }
+    assert!(nonempty > 30, "too few requests rank anything: {nonempty}");
+}
+
+/// An engine caller that skips `RetrievalRequest::validate` and hands the
+/// optimizer a dual plan with a negative channel weight (mix 1.5) gets the
+/// unfused plan — whose pruning-free evaluation stays correct — not the
+/// fused operator, whose bound assumes non-negative weights.
+#[test]
+fn negative_channel_weights_stay_unfused() {
+    use mirror::moa::expr::{ArithKind, Lit};
+    use mirror::moa::Expr;
+    let rows = block_scale_rows()[..600].to_vec();
+    // serial, so the unfused grouped sums add in the oracle's order
+    let config = MirrorConfig { parallelism: 1, ..MirrorConfig::default() };
+    let db = MirrorDbms::from_rows(config, rows, None, None).unwrap();
+    let weighted = |attr: &str, binding: &str, w: f64| Expr::Arith {
+        op: ArithKind::Mul,
+        left: Box::new(Expr::call(
+            "sum",
+            vec![Expr::call(
+                "getBL",
+                vec![
+                    Expr::this_attr(attr),
+                    Expr::Ident(binding.into()),
+                    Expr::Ident("stats".into()),
+                ],
+            )],
+        )),
+        right: Box::new(Expr::Lit(Lit::Float(w))),
+    };
+    let expr = Expr::map(
+        Expr::Arith {
+            op: ArithKind::Add,
+            left: Box::new(weighted("annotation", "q_text", -0.5)),
+            right: Box::new(weighted("image", "q_vis", 1.5)),
+        },
+        Expr::Ident(mirror::core::INTERNAL.into()),
+    );
+    let params = QueryParams::new()
+        .bind("q_text", vec![("sunset".into(), 1.0)])
+        .bind("q_vis", vec![("v1".into(), 1.0), ("v5".into(), 1.0)])
+        .with_top_k(10);
+    let analyzed = db.engine().explain_analyze_expr(&expr, &params).unwrap();
+    assert!(!analyzed.contains("getbl.topk"), "negative weight fused:\n{analyzed}");
+    assert!(analyzed.contains("arith"), "{analyzed}");
+    let none = MoaEngine::with_opt(Arc::clone(db.env()), OptConfig::none());
+    assert_eq!(
+        db.engine().query_expr_params(&expr, &params).unwrap().0,
+        none.query_expr_params(&expr, &params).unwrap().0
+    );
 }
