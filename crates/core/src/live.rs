@@ -10,13 +10,17 @@
 //!   bump: the epoch guard. A pinned generation stays readable through
 //!   any number of merges; dropping the last pin frees it (the
 //!   instrumented [`GenerationStats`] counters prove reclamation).
-//! * **Delta** — writers append to an uncompressed delta: per-batch
-//!   [`ir::delta::DeltaSeg`]s for both evidence channels, the raw
-//!   [`LibraryRow`]s, and a tombstone set for deletes. Every query
-//!   evaluates base + delta together with tombstones masked in both —
-//!   via [`ir::delta::eval_live_channel`], which replicates the kernel's
-//!   `getbl` float arithmetic exactly, so every snapshot ranks
-//!   bit-identically to a batch re-ingest of its surviving rows.
+//! * **Delta** — each insert batch becomes a *segment*: the raw
+//!   [`LibraryRow`]s plus, per evidence channel, an ordinary
+//!   block-compressed [`InvertedIndex`] built by the same
+//!   [`IndexBuilder`] pipelines as the generation, placed at the batch's
+//!   first live doc id; deletes add to a tombstone set. A query resolves
+//!   through [`MirrorDbms`]'s one request resolver and runs as one
+//!   [`ir::topk_channels`] pass over the generation's index and every
+//!   batch's, in doc order, with the snapshot's union statistics and the
+//!   tombstones as a mask — the kernel's own scorer, so every snapshot
+//!   ranks bit-identically to a batch re-ingest of its surviving rows,
+//!   and the threshold learned on the generation prunes the delta.
 //! * **Merge** — [`LiveMirror::merge`] folds a snapshot's survivors into
 //!   a fresh compressed generation LSM-style (re-cutting posting blocks,
 //!   recomputing collection statistics through
@@ -32,19 +36,21 @@
 //!   generation plus replayed delta ops, or the new generation, never a
 //!   torn hybrid.
 //! * **Scale-out** — [`LiveCluster`] routes inserts/deletes to shards by
-//!   URL hash and serves scatter-gather queries with *global* union
-//!   statistics, so a quiesced cluster ranks bit-identically to a
-//!   single-node [`LiveMirror`] fed the same operations.
+//!   URL hash and scores every shard's segments with the *cluster-wide*
+//!   union statistics, so a quiesced cluster ranks bit-identically to a
+//!   single-node [`LiveMirror`] fed the same operations, and returns
+//!   global arrival oids at every shard count.
 
-use crate::query::{top_k_positive, RankedResult};
+use crate::query::RankedResult;
 use crate::retriever::{RetrievalError, RetrievalResult, Retriever};
-use crate::serve::{Channel, RetrievalRequest};
+use crate::serve::{Channel, ResolvedChannels, RetrievalRequest};
 use crate::shard::hash_shard;
 use crate::{durable, LibraryRow, MirrorConfig, MirrorDbms, INTERNAL};
 use cluster::VisualVocabulary;
-use ir::delta::{eval_live_channel, DeltaSeg, LiveStats, LiveTerm};
 use ir::text::tokenize_stemmed;
-use ir::{InvertedIndex, TopKAccumulator};
+use ir::{
+    topk_channels, CollectionStats, IndexBuilder, InvertedIndex, TopKAccumulator, TopKChannel,
+};
 use media::{grid_segments, standard_extractors, CrawledImage};
 use moa::MoaError;
 use monet::fxhash::{FxHashMap, FxHashSet};
@@ -97,31 +103,31 @@ pub struct GenerationStats {
 struct Generation {
     db: MirrorDbms,
     number: u64,
-    ann: Option<Arc<InvertedIndex>>,
-    img: Option<Arc<InvertedIndex>>,
+    /// The channel indexes, by [`slot`].
+    indexes: [Option<Arc<InvertedIndex>>; 2],
     /// Exact token totals per channel (survivor bookkeeping starts here).
-    text_total: u64,
-    image_total: u64,
+    totals: [u64; 2],
     heap_bytes: u64,
     counters: Arc<LiveCounters>,
 }
 
 impl Generation {
     fn new(db: MirrorDbms, number: u64, counters: Arc<LiveCounters>) -> Self {
-        let ann = db.store().get(&format!("{INTERNAL}__annotation"));
-        let img = db.store().get(&format!("{INTERNAL}__image"));
-        let channel_total = |idx: &Option<Arc<InvertedIndex>>| -> u64 {
-            idx.as_ref().map_or(0, |i| (0..i.n_docs() as Oid).map(|d| i.doc_len(d) as u64).sum())
-        };
-        let text_total = channel_total(&ann);
-        let image_total = channel_total(&img);
-        let heap_bytes = ann.as_ref().map_or(0, |i| i.postings_heap_bytes() as u64)
-            + img.as_ref().map_or(0, |i| i.postings_heap_bytes() as u64)
-            + db.library_rows().iter().map(row_bytes).sum::<u64>();
+        let indexes = ["annotation", "image"].map(|f| db.store().get(&format!("{INTERNAL}__{f}")));
+        let totals = indexes.each_ref().map(|i| i.as_ref().map_or(0, |i| i.stats().total_tokens));
+        let heap_bytes =
+            indexes.iter().flatten().map(|i| i.postings_heap_bytes() as u64).sum::<u64>()
+                + db.library_rows().iter().map(row_bytes).sum::<u64>();
         counters.created.fetch_add(1, Ordering::Relaxed);
         counters.alive_bytes.fetch_add(heap_bytes, Ordering::Relaxed);
-        Generation { db, number, ann, img, text_total, image_total, heap_bytes, counters }
+        Generation { db, number, indexes, totals, heap_bytes, counters }
     }
+}
+
+/// Position of an evidence channel in the live tier's per-channel arrays:
+/// the annotation (text) channel, then the image channel.
+fn slot(ch: Channel) -> usize {
+    usize::from(ch == Channel::Visual)
 }
 
 impl Drop for Generation {
@@ -131,13 +137,26 @@ impl Drop for Generation {
     }
 }
 
-/// One insert batch of the delta: the raw rows plus an uncompressed
-/// segment per evidence channel, all over global live document ids.
+/// One insert batch of the delta: the raw rows plus, per evidence channel,
+/// an ordinary block-compressed index over them built by the same
+/// [`IndexBuilder`] pipelines as `CONTREP<Text>` / `CONTREP<Image>` —
+/// local doc `j` is live doc `first_doc + j`.
 struct DeltaBatch {
     first_doc: Oid,
     rows: Vec<LibraryRow>,
-    text: DeltaSeg,
-    image: DeltaSeg,
+    /// The channel indexes, by [`slot`].
+    indexes: [InvertedIndex; 2],
+}
+
+impl DeltaBatch {
+    fn new(first_doc: Oid, rows: Vec<LibraryRow>) -> Self {
+        let [mut text, mut image] = [IndexBuilder::new(), IndexBuilder::new()];
+        for r in &rows {
+            text.add_text(r.annotation.as_deref());
+            image.add_tokens(&vis_tokens(r));
+        }
+        DeltaBatch { first_doc, rows, indexes: [text.build(), image.build()] }
+    }
 }
 
 /// Approximate heap bytes of one library row — the same estimate
@@ -169,38 +188,31 @@ struct LiveSnapshot {
     batches: Vec<Arc<DeltaBatch>>,
     tombstones: Arc<FxHashSet<Oid>>,
     /// Per-channel document frequencies lost to tombstones: term → number
-    /// of deleted docs containing it. Union df = base + deltas − minus.
-    df_minus_text: Arc<HashMap<String, u32>>,
-    df_minus_image: Arc<HashMap<String, u32>>,
+    /// of deleted docs containing it. Union df = Σ segment dfs − minus.
+    df_minus: [Arc<HashMap<String, u32>>; 2],
     n_live: usize,
-    text_total: u64,
-    image_total: u64,
+    /// Surviving token totals per channel.
+    totals: [u64; 2],
     seq: u64,
-}
-
-#[derive(Clone, Copy)]
-enum Ch {
-    Text,
-    Image,
 }
 
 impl LiveSnapshot {
     fn fresh(gen: Arc<Generation>, seq: u64) -> Self {
         LiveSnapshot {
             n_live: gen.db.n_docs(),
-            text_total: gen.text_total,
-            image_total: gen.image_total,
+            totals: gen.totals,
             gen,
             batches: Vec::new(),
             tombstones: Arc::new(FxHashSet::default()),
-            df_minus_text: Arc::new(HashMap::new()),
-            df_minus_image: Arc::new(HashMap::new()),
+            df_minus: Default::default(),
             seq,
         }
     }
 
     fn end_doc(&self) -> Oid {
-        self.batches.last().map_or(self.gen.db.n_docs() as Oid, |b| b.text.end_doc())
+        self.batches
+            .last()
+            .map_or(self.gen.db.n_docs() as Oid, |b| b.first_doc + b.rows.len() as Oid)
     }
 
     fn row(&self, oid: Oid) -> Option<&LibraryRow> {
@@ -214,137 +226,138 @@ impl LiveSnapshot {
             .and_then(|b| b.rows.get((oid - b.first_doc) as usize))
     }
 
+    /// Every row with its live oid, tombstoned or not, in arrival order.
+    fn rows(&self) -> impl Iterator<Item = (Oid, &LibraryRow)> {
+        let base = self.gen.db.library_rows().iter().enumerate().map(|(i, r)| (i as Oid, r));
+        base.chain(
+            self.batches.iter().flat_map(|b| {
+                b.rows.iter().enumerate().map(move |(j, r)| (b.first_doc + j as Oid, r))
+            }),
+        )
+    }
+
+    /// The surviving rows with their live oids, in arrival order.
+    fn survivors(&self) -> impl Iterator<Item = (Oid, &LibraryRow)> {
+        self.rows().filter(|(oid, _)| !self.tombstones.contains(oid))
+    }
+
     /// The surviving rows in arrival order — the corpus a batch re-ingest
     /// of this snapshot would be built from.
     fn surviving_rows(&self) -> Vec<LibraryRow> {
-        let mut out = Vec::with_capacity(self.n_live);
-        for (i, r) in self.gen.db.library_rows().iter().enumerate() {
-            if !self.tombstones.contains(&(i as Oid)) {
-                out.push(r.clone());
-            }
-        }
-        for b in &self.batches {
-            for (j, r) in b.rows.iter().enumerate() {
-                if !self.tombstones.contains(&(b.first_doc + j as Oid)) {
-                    out.push(r.clone());
-                }
-            }
-        }
-        out
+        self.survivors().map(|(_, r)| r.clone()).collect()
     }
 
     fn with_insert(&self, rows: Vec<LibraryRow>, seq: u64) -> LiveSnapshot {
-        let first = self.end_doc();
-        let mut text = DeltaSeg::new(first);
-        let mut image = DeltaSeg::new(first);
-        for r in &rows {
-            text.add_doc(&text_tokens(r));
-            image.add_doc(&vis_tokens(r));
-        }
+        let batch = DeltaBatch::new(self.end_doc(), rows);
+        let n_live = self.n_live + batch.rows.len();
+        let totals =
+            std::array::from_fn(|c| self.totals[c] + batch.indexes[c].stats().total_tokens);
         let mut batches = self.batches.clone();
-        let n_live = self.n_live + rows.len();
-        let text_total = self.text_total + text.total_tokens();
-        let image_total = self.image_total + image.total_tokens();
-        batches.push(Arc::new(DeltaBatch { first_doc: first, rows, text, image }));
+        batches.push(Arc::new(batch));
         LiveSnapshot {
             gen: Arc::clone(&self.gen),
             batches,
             tombstones: Arc::clone(&self.tombstones),
-            df_minus_text: Arc::clone(&self.df_minus_text),
-            df_minus_image: Arc::clone(&self.df_minus_image),
+            df_minus: self.df_minus.clone(),
             n_live,
-            text_total,
-            image_total,
+            totals,
             seq,
         }
     }
 
     fn with_delete(&self, oid: Oid, seq: u64) -> LiveSnapshot {
-        let row = self.row(oid).expect("tombstoned doc exists in the snapshot").clone();
-        let tt = text_tokens(&row);
-        let vt = vis_tokens(&row);
+        let row = self.row(oid).expect("tombstoned doc exists in the snapshot");
+        let text = text_tokens(row);
+        let tokens: [Vec<&str>; 2] = [text.iter().map(String::as_str).collect(), vis_tokens(row)];
         let mut tombstones = (*self.tombstones).clone();
         tombstones.insert(oid);
-        let mut dmt = (*self.df_minus_text).clone();
-        for t in tt.iter().map(String::as_str).collect::<HashSet<_>>() {
-            *dmt.entry(t.to_string()).or_insert(0) += 1;
-        }
-        let mut dmi = (*self.df_minus_image).clone();
-        for t in vt.iter().copied().collect::<HashSet<_>>() {
-            *dmi.entry(t.to_string()).or_insert(0) += 1;
-        }
+        let df_minus = std::array::from_fn(|c| {
+            let mut minus = (*self.df_minus[c]).clone();
+            for t in tokens[c].iter().collect::<HashSet<_>>() {
+                *minus.entry(t.to_string()).or_insert(0) += 1;
+            }
+            Arc::new(minus)
+        });
         LiveSnapshot {
             gen: Arc::clone(&self.gen),
             batches: self.batches.clone(),
             tombstones: Arc::new(tombstones),
-            df_minus_text: Arc::new(dmt),
-            df_minus_image: Arc::new(dmi),
+            df_minus,
             n_live: self.n_live - 1,
-            text_total: self.text_total - tt.len() as u64,
-            image_total: self.image_total - vt.len() as u64,
+            totals: std::array::from_fn(|c| self.totals[c] - tokens[c].len() as u64),
             seq,
         }
     }
 
-    fn base_index(&self, ch: Ch) -> Option<&InvertedIndex> {
-        match ch {
-            Ch::Text => self.gen.ann.as_deref(),
-            Ch::Image => self.gen.img.as_deref(),
-        }
+    /// One evidence channel's index segments: the generation's at 0, then
+    /// every delta batch's at its first doc.
+    fn segments(&self, ch: Channel) -> Vec<(Oid, &InvertedIndex)> {
+        let c = slot(ch);
+        let base = self.gen.indexes[c].as_deref().map(|index| (0, index));
+        base.into_iter().chain(self.batches.iter().map(|b| (b.first_doc, &b.indexes[c]))).collect()
     }
 
-    fn segs(&self, ch: Ch) -> Vec<&DeltaSeg> {
-        self.batches
+    /// Union document frequency: Σ segment dfs − tombstoned docs.
+    fn df(&self, ch: Channel, term: &str) -> u32 {
+        let total: u32 = self.segments(ch).iter().map(|(_, index)| index.df(term)).sum();
+        let minus = self.df_minus[slot(ch)].get(term).copied().unwrap_or(0);
+        debug_assert!(minus <= total, "df underflow for {term:?}");
+        total.saturating_sub(minus)
+    }
+
+    /// The k best positive `(oid, score)` pairs of a resolved request over
+    /// this snapshot's segments — tombstones masked, the URL filter as the
+    /// domain — scored with `stats` in one [`topk_channels`] pass.
+    fn topk(
+        &self,
+        channels: &ResolvedChannels,
+        stats: &[UnionStats],
+        filter: Option<&str>,
+        k: usize,
+    ) -> Vec<(Oid, f64)> {
+        let domain: Option<FxHashSet<Oid>> = filter.map(|pattern| {
+            self.rows().filter(|(_, r)| r.url.contains(pattern)).map(|(oid, _)| oid).collect()
+        });
+        let channels: Vec<TopKChannel<'_>> = channels
             .iter()
-            .map(|b| match ch {
-                Ch::Text => &b.text,
-                Ch::Image => &b.image,
+            .zip(stats)
+            .map(|((ch, terms, weight), (stats, dfs))| TopKChannel {
+                segments: self.segments(*ch),
+                query: terms.iter().zip(dfs).map(|((t, w), &df)| (t.as_str(), *w, df)).collect(),
+                stats: *stats,
+                weight: *weight,
             })
-            .collect()
-    }
-
-    /// Union document frequency: base + delta segments − tombstoned docs.
-    fn df(&self, ch: Ch, term: &str) -> u32 {
-        let base = self.base_index(ch).map_or(0, |i| i.df(term));
-        let delta: u32 = self.segs(ch).iter().map(|s| s.df(term)).sum();
-        let minus = match ch {
-            Ch::Text => &self.df_minus_text,
-            Ch::Image => &self.df_minus_image,
-        }
-        .get(term)
-        .copied()
-        .unwrap_or(0);
-        debug_assert!(minus <= base + delta, "df underflow for {term:?}");
-        (base + delta).saturating_sub(minus)
-    }
-
-    fn stats(&self, ch: Ch) -> LiveStats {
-        let total = match ch {
-            Ch::Text => self.text_total,
-            Ch::Image => self.image_total,
-        };
-        LiveStats {
-            n_docs: self.n_live,
-            avg_dl: if self.n_live == 0 { 0.0 } else { total as f64 / self.n_live as f64 },
-        }
+            .collect();
+        let params = self.gen.db.store().params();
+        let out = topk_channels(&channels, params, domain.as_ref(), Some(&self.tombstones), k, 1);
+        out.hits.into_iter().filter(|&(_, score)| score > 0.0).collect()
     }
 }
 
-/// The request, resolved against a snapshot: which channels run with
-/// which terms, and how their sums combine. Resolution (thesaurus
-/// expansion, empty-visual fallback) happens once — at the cluster edge
-/// for sharded execution — so every shard scores the same plan.
-pub(crate) struct ResolvedPlan {
-    text: Vec<(String, f64)>,
-    visual: Vec<(String, f64)>,
-    /// `true` = combine `text_sum·text_weight + visual_sum·visual_weight`
-    /// per document; `false` = single-channel (whichever side is
-    /// non-empty).
-    dual: bool,
-    text_weight: f64,
-    visual_weight: f64,
-    filter: Option<String>,
-    k: usize,
+/// What one resolved channel is scored with: collection statistics and
+/// one df per query term.
+type UnionStats = (CollectionStats, Vec<u32>);
+
+/// The union statistics of a resolved request over `snaps` — one
+/// snapshot's segments, or every shard's of a cluster — so each scores
+/// exactly like a batch index of all their surviving documents.
+fn union_stats(snaps: &[&LiveSnapshot], channels: &ResolvedChannels) -> Vec<UnionStats> {
+    let n_docs: usize = snaps.iter().map(|s| s.n_live).sum();
+    channels
+        .iter()
+        .map(|(ch, terms, _)| {
+            let total_tokens: u64 = snaps.iter().map(|s| s.totals[slot(*ch)]).sum();
+            let stats = CollectionStats {
+                n_docs,
+                // distinct survivor terms are not tracked; nothing scores with them
+                n_terms: 0,
+                avg_dl: if n_docs == 0 { 0.0 } else { total_tokens as f64 / n_docs as f64 },
+                total_tokens,
+            };
+            let dfs = terms.iter().map(|(t, _)| snaps.iter().map(|s| s.df(*ch, t)).sum()).collect();
+            (stats, dfs)
+        })
+        .collect()
 }
 
 /// A pinned MVCC snapshot: the epoch guard handed to readers. Queries on
@@ -380,206 +393,31 @@ impl LiveReader {
     /// Local oids alive in this snapshot, ascending — exactly the
     /// arrival-order compaction a merge of this snapshot applies.
     pub(crate) fn surviving_local_ids(&self) -> Vec<Oid> {
-        let mut out = Vec::with_capacity(self.snap.n_live);
-        for i in 0..self.snap.gen.db.n_docs() as Oid {
-            if !self.snap.tombstones.contains(&i) {
-                out.push(i);
-            }
+        self.snap.survivors().map(|(oid, _)| oid).collect()
+    }
+
+    /// Execute a request against this snapshot (single-node statistics).
+    /// With an empty delta and no tombstones the request is delegated to
+    /// the pinned generation's engine — the fused `topk_bl` fast path;
+    /// otherwise the generation and every delta batch are walked as
+    /// segments of one top-k pass with the snapshot's union statistics.
+    pub fn retrieve(&self, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>> {
+        req.validate()?;
+        let snap = &*self.snap;
+        if snap.batches.is_empty() && snap.tombstones.is_empty() {
+            return snap.gen.db.retrieve(req);
         }
-        for b in &self.snap.batches {
-            for j in 0..b.rows.len() as Oid {
-                let oid = b.first_doc + j;
-                if !self.snap.tombstones.contains(&oid) {
-                    out.push(oid);
-                }
-            }
-        }
-        out
-    }
-
-    pub(crate) fn df_text(&self, term: &str) -> u32 {
-        self.snap.df(Ch::Text, term)
-    }
-
-    pub(crate) fn df_image(&self, term: &str) -> u32 {
-        self.snap.df(Ch::Image, term)
-    }
-
-    /// `(n_live, text_total_tokens, image_total_tokens)` for global-stat
-    /// gathering across shards.
-    pub(crate) fn totals(&self) -> (usize, u64, u64) {
-        (self.snap.n_live, self.snap.text_total, self.snap.image_total)
-    }
-
-    /// Resolve a request against this snapshot's thesaurus and config —
-    /// the live mirror of `MirrorDbms::compile_request`.
-    pub(crate) fn resolve(&self, req: &RetrievalRequest) -> RetrievalResult<ResolvedPlan> {
-        let db = &self.snap.gen.db;
-        let plan = match req.channel {
-            Channel::Text => ResolvedPlan {
-                text: req.terms.clone(),
-                visual: Vec::new(),
-                dual: false,
-                text_weight: 1.0,
-                visual_weight: 0.0,
-                filter: req.filter.clone(),
-                k: req.k,
-            },
-            Channel::Visual => ResolvedPlan {
-                text: Vec::new(),
-                visual: req.terms.clone(),
-                dual: false,
-                text_weight: 0.0,
-                visual_weight: 1.0,
-                filter: req.filter.clone(),
-                k: req.k,
-            },
-            Channel::Dual => {
-                let visual = match &req.visual_terms {
-                    Some(v) => v.clone(),
-                    None => {
-                        let th = db.thesaurus().ok_or_else(|| {
-                            RetrievalError::Compile(MoaError::Unknown(
-                                "thesaurus (ingest first)".into(),
-                            ))
-                        })?;
-                        th.expand(
-                            &req.terms,
-                            db.config().expand_per_term,
-                            db.config().expand_max_terms,
-                        )
-                    }
-                };
-                if visual.is_empty() {
-                    // no visual evidence: single-channel text ranking
-                    ResolvedPlan {
-                        text: req.terms.clone(),
-                        visual: Vec::new(),
-                        dual: false,
-                        text_weight: 1.0,
-                        visual_weight: 0.0,
-                        filter: req.filter.clone(),
-                        k: req.k,
-                    }
-                } else {
-                    ResolvedPlan {
-                        text: req.terms.clone(),
-                        visual,
-                        dual: true,
-                        text_weight: 1.0 - req.mix,
-                        visual_weight: req.mix,
-                        filter: req.filter.clone(),
-                        k: req.k,
-                    }
-                }
-            }
-        };
-        Ok(plan)
-    }
-
-    /// Resolve one side of the plan into live terms using this snapshot's
-    /// own (single-node) union dfs.
-    fn local_terms(&self, terms: &[(String, f64)], ch: Ch) -> Vec<LiveTerm> {
-        terms
-            .iter()
-            .map(|(t, w)| LiveTerm { term: t.clone(), weight: *w, df: self.snap.df(ch, t) })
-            .collect()
-    }
-
-    /// Evaluate a resolved plan with explicit (possibly cluster-global)
-    /// term dfs and statistics. Returns ranked hits: positive scores
-    /// only, sorted by score descending with ascending-oid tie-break,
-    /// truncated to the plan's k — exactly the `ranked()` post-pass.
-    pub(crate) fn eval_resolved(
-        &self,
-        plan: &ResolvedPlan,
-        text_q: &[LiveTerm],
-        vis_q: &[LiveTerm],
-        text_stats: LiveStats,
-        vis_stats: LiveStats,
-    ) -> Vec<RankedResult> {
-        let snap = &self.snap;
-        let params = snap.gen.db.store().params();
-        let domain: Option<FxHashSet<Oid>> = plan.filter.as_deref().map(|pattern| {
-            let mut dom = FxHashSet::default();
-            for (i, r) in snap.gen.db.library_rows().iter().enumerate() {
-                if r.url.contains(pattern) {
-                    dom.insert(i as Oid);
-                }
-            }
-            for b in &snap.batches {
-                for (j, r) in b.rows.iter().enumerate() {
-                    if r.url.contains(pattern) {
-                        dom.insert(b.first_doc + j as Oid);
-                    }
-                }
-            }
-            dom
-        });
-        let eval_channel = |q: &[LiveTerm], ch: Ch, stats: LiveStats| -> FxHashMap<Oid, f64> {
-            if q.is_empty() {
-                return FxHashMap::default();
-            }
-            eval_live_channel(
-                snap.base_index(ch),
-                &snap.segs(ch),
-                params,
-                q,
-                stats,
-                &snap.tombstones,
-                domain.as_ref(),
-            )
-        };
-        let scores: FxHashMap<Oid, f64> = if plan.dual {
-            let t_scores = eval_channel(text_q, Ch::Text, text_stats);
-            let v_scores = eval_channel(vis_q, Ch::Image, vis_stats);
-            // the engine scores every candidate as
-            // (text_sum · tw) + (vis_sum · vw), a missing channel
-            // contributing 0.0 — replicate the exact expression
-            let mut out = FxHashMap::default();
-            for (&doc, &t) in &t_scores {
-                let v = v_scores.get(&doc).copied().unwrap_or(0.0);
-                out.insert(doc, t * plan.text_weight + v * plan.visual_weight);
-            }
-            for (&doc, &v) in &v_scores {
-                if !t_scores.contains_key(&doc) {
-                    out.insert(doc, 0.0 * plan.text_weight + v * plan.visual_weight);
-                }
-            }
-            out
-        } else if !plan.text.is_empty() {
-            eval_channel(text_q, Ch::Text, text_stats)
-        } else {
-            eval_channel(vis_q, Ch::Image, vis_stats)
-        };
-        top_k_positive(scores, plan.k)
+        let channels = snap.gen.db.resolve_channels(req)?;
+        let stats = union_stats(&[snap], &channels);
+        Ok(snap
+            .topk(&channels, &stats, req.filter.as_deref(), req.k)
             .into_iter()
             .map(|(oid, score)| RankedResult {
                 oid,
                 url: snap.row(oid).expect("scored doc exists").url.clone(),
                 score,
             })
-            .collect()
-    }
-
-    /// Execute a request against this snapshot (single-node statistics).
-    /// With an empty delta and no tombstones the request is delegated to
-    /// the pinned generation's engine — the fused `topk_bl` fast path.
-    pub fn retrieve(&self, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>> {
-        req.validate()?;
-        if self.snap.batches.is_empty() && self.snap.tombstones.is_empty() {
-            return self.snap.gen.db.retrieve(req);
-        }
-        let plan = self.resolve(req)?;
-        let text_q = self.local_terms(&plan.text, Ch::Text);
-        let vis_q = self.local_terms(&plan.visual, Ch::Image);
-        Ok(self.eval_resolved(
-            &plan,
-            &text_q,
-            &vis_q,
-            self.snap.stats(Ch::Text),
-            self.snap.stats(Ch::Image),
-        ))
+            .collect())
     }
 }
 
@@ -1066,63 +904,28 @@ impl Retriever for LiveCluster {
             let routing = inner.local_to_global.clone();
             (pins, routing)
         };
-        if pins.len() == 1 {
-            // one shard: local ids are global ids, local stats are global
-            return pins[0].retrieve(req);
-        }
-        let plan = pins[0].resolve(req)?;
-        let (n_live, text_total, image_total) =
-            pins.iter().fold((0usize, 0u64, 0u64), |(n, t, v), p| {
-                let (pn, pt, pv) = p.totals();
-                (n + pn, t + pt, v + pv)
-            });
-        let avg = |total: u64| if n_live == 0 { 0.0 } else { total as f64 / n_live as f64 };
-        let text_stats = LiveStats { n_docs: n_live, avg_dl: avg(text_total) };
-        let vis_stats = LiveStats { n_docs: n_live, avg_dl: avg(image_total) };
-        let text_q: Vec<LiveTerm> = plan
-            .text
-            .iter()
-            .map(|(t, w)| LiveTerm {
-                term: t.clone(),
-                weight: *w,
-                df: pins.iter().map(|p| p.df_text(t)).sum(),
-            })
-            .collect();
-        let vis_q: Vec<LiveTerm> = plan
-            .visual
-            .iter()
-            .map(|(t, w)| LiveTerm {
-                term: t.clone(),
-                weight: *w,
-                df: pins.iter().map(|p| p.df_image(t)).sum(),
-            })
-            .collect();
-        let shard_hits: Vec<Vec<RankedResult>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = pins
-                .iter()
-                .map(|p| {
-                    let (plan, text_q, vis_q) = (&plan, &text_q, &vis_q);
-                    scope.spawn(move || p.eval_resolved(plan, text_q, vis_q, text_stats, vis_stats))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard evaluation panicked")).collect()
-        });
-        let mut acc = TopKAccumulator::new(plan.k);
-        let mut urls: FxHashMap<Oid, String> = FxHashMap::default();
-        for (s, hits) in shard_hits.iter().enumerate() {
-            for h in hits {
-                let global = routing[s][h.oid as usize];
-                urls.insert(global, h.url.clone());
-                acc.push(global, h.score);
+        // resolve once at the cluster edge and score every shard with the
+        // cluster-wide union statistics, so each shard's hits carry the
+        // scores a single node over all surviving rows would give them
+        let snaps: Vec<&LiveSnapshot> = pins.iter().map(|p| &*p.snap).collect();
+        let channels = snaps[0].gen.db.resolve_channels(req)?;
+        let stats = union_stats(&snaps, &channels);
+        let mut acc = TopKAccumulator::new(req.k);
+        let mut origin: FxHashMap<Oid, (usize, Oid)> = FxHashMap::default();
+        for (s, snap) in snaps.iter().enumerate() {
+            for (local, score) in snap.topk(&channels, &stats, req.filter.as_deref(), req.k) {
+                let global = routing[s][local as usize];
+                origin.insert(global, (s, local));
+                acc.push(global, score);
             }
         }
         Ok(acc
             .into_ranked()
             .into_iter()
-            .map(|(oid, score)| RankedResult {
-                oid,
-                url: urls.get(&oid).expect("merged hit has a url").clone(),
-                score,
+            .map(|(oid, score)| {
+                let (s, local) = origin[&oid];
+                let url = snaps[s].row(local).expect("scored doc exists").url.clone();
+                RankedResult { oid, url, score }
             })
             .collect())
     }

@@ -6,8 +6,8 @@
 //! [`Retriever::retrieve`](crate::retriever::Retriever::retrieve)), so
 //! they work identically against a single [`MirrorDbms`] node and a
 //! sharded [`MirrorCluster`](crate::shard::MirrorCluster). This module
-//! keeps the result type, the shared ranking post-pass, and the raw Moa
-//! escape hatch.
+//! keeps the result type and the node's ranking post-pass; raw Moa
+//! queries go through [`MirrorDbms::engine`].
 
 use crate::MirrorDbms;
 use ir::text::tokenize_stemmed;
@@ -27,16 +27,6 @@ pub struct RankedResult {
 }
 
 impl MirrorDbms {
-    /// Run a raw Moa query string against the library.
-    #[deprecated(
-        since = "0.6.0",
-        note = "stringly-typed entry point; build a typed `serve::RetrievalRequest` and call \
-                `Retriever::retrieve`, or use `engine().query(..)` for raw algebra experiments"
-    )]
-    pub fn moa_query(&self, src: &str) -> moa::Result<QueryOutput> {
-        self.engine().query(src)
-    }
-
     /// Turn a belief column into ranked results: the k best positive
     /// scores (ties by oid), then their URLs.
     pub(crate) fn ranked(&self, out: QueryOutput, k: usize) -> moa::Result<Vec<RankedResult>> {
@@ -45,31 +35,20 @@ impl MirrorDbms {
             other => return Err(MoaError::Type(format!("ranking query returned {other:?}"))),
         };
         let docs = self.docs();
-        let scored = pairs
-            .into_iter()
-            .filter(|(oid, _)| (*oid as usize) < docs.len())
-            .filter_map(|(oid, v)| Some((oid, v.as_float()?)));
-        Ok(top_k_positive(scored, k)
+        // select on the bare pairs, so URLs are cloned for the ≤ k
+        // survivors only (late materialisation)
+        let mut acc = TopKAccumulator::new(k);
+        for (oid, v) in pairs {
+            if let Some(score) = v.as_float().filter(|&s| s > 0.0 && (oid as usize) < docs.len()) {
+                acc.push(oid, score);
+            }
+        }
+        Ok(acc
+            .into_ranked()
             .into_iter()
             .map(|(oid, score)| RankedResult { oid, url: docs[oid as usize].url.clone(), score })
             .collect())
     }
-}
-
-/// The k best positive-score `(oid, score)` pairs in rank order — score
-/// descending, ties by ascending oid. Selecting on the bare pairs lets a
-/// caller attach URLs to the ≤ k survivors only (late materialisation).
-pub(crate) fn top_k_positive(
-    pairs: impl IntoIterator<Item = (Oid, f64)>,
-    k: usize,
-) -> Vec<(Oid, f64)> {
-    let mut acc = TopKAccumulator::new(k);
-    for (oid, score) in pairs {
-        if score > 0.0 {
-            acc.push(oid, score);
-        }
-    }
-    acc.into_ranked()
 }
 
 /// Tokenise free text into unit-weight query terms.
@@ -224,10 +203,9 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn moa_query_passthrough() {
         let db = db();
-        let out = db.moa_query(&format!("count({INTERNAL})")).unwrap();
+        let out = db.engine().query(&format!("count({INTERNAL})")).unwrap();
         assert_eq!(out.scalar().and_then(|v| v.as_int()), Some(40));
     }
 }

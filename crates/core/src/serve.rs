@@ -176,6 +176,24 @@ impl RetrievalRequest {
     }
 }
 
+/// A request resolved to the evidence it ranks with: per ranked channel
+/// ([`Channel::Text`] or [`Channel::Visual`]) its weighted terms and the
+/// weight its belief sum carries — one channel of weight `1.0` for a
+/// single-channel ranking, `[(Text, 1 − mix), (Visual, mix)]` for dual
+/// coding.
+pub(crate) type ResolvedChannels = Vec<(Channel, Vec<(String, f64)>, f64)>;
+
+impl Channel {
+    /// The `CONTREP` attribute a resolved channel ranks over, and the
+    /// request binding that carries its terms.
+    fn attr_binding(self) -> (&'static str, &'static str) {
+        match self {
+            Channel::Visual => ("image", "q_vis"),
+            Channel::Text | Channel::Dual => ("annotation", "q_text"),
+        }
+    }
+}
+
 /// `sum(getBL(THIS.attr, binding, stats))`.
 fn sum_getbl(attr: &str, binding: &str) -> Expr {
     Expr::call(
@@ -221,6 +239,34 @@ impl MirrorDbms {
         Ok(self.engine().explain_analyze_expr(&expr, &params)?)
     }
 
+    /// Resolve a request to the channels it ranks with — the one home of
+    /// the channel → terms mapping, thesaurus expansion (a dual request
+    /// without explicit visual terms), the empty-visual fallback to text
+    /// ranking, and the mix weights. Moa plans ([`Self::compile_request`])
+    /// and live snapshots (`crate::live`) are both built from it.
+    pub(crate) fn resolve_channels(&self, req: &RetrievalRequest) -> moa::Result<ResolvedChannels> {
+        if req.channel != Channel::Dual {
+            return Ok(vec![(req.channel, req.terms.clone(), 1.0)]);
+        }
+        let visual = match &req.visual_terms {
+            Some(v) => v.clone(),
+            None => {
+                let th = self
+                    .thesaurus()
+                    .ok_or_else(|| MoaError::Unknown("thesaurus (ingest first)".into()))?;
+                th.expand(&req.terms, self.config().expand_per_term, self.config().expand_max_terms)
+            }
+        };
+        if visual.is_empty() {
+            // no visual evidence: single-channel text ranking
+            return Ok(vec![(Channel::Text, req.terms.clone(), 1.0)]);
+        }
+        Ok(vec![
+            (Channel::Text, req.terms.clone(), 1.0 - req.mix),
+            (Channel::Visual, visual, req.mix),
+        ])
+    }
+
     /// Compile a request into its Moa AST and request-scoped parameters.
     fn compile_request(&self, req: &RetrievalRequest) -> moa::Result<(Expr, QueryParams)> {
         let input = match &req.filter {
@@ -233,60 +279,38 @@ impl MirrorDbms {
             ),
             None => Expr::Ident(INTERNAL.into()),
         };
-        let params = QueryParams::new().with_top_k(req.k);
-        match req.channel {
-            Channel::Text => Ok((
-                ranking_expr("annotation", "q_text", input),
-                params.bind("q_text", req.terms.clone()),
-            )),
-            Channel::Visual => {
-                Ok((ranking_expr("image", "q_vis", input), params.bind("q_vis", req.terms.clone())))
-            }
-            Channel::Dual => {
-                let visual = match &req.visual_terms {
-                    Some(v) => v.clone(),
-                    None => {
-                        let th = self
-                            .thesaurus()
-                            .ok_or_else(|| MoaError::Unknown("thesaurus (ingest first)".into()))?;
-                        th.expand(
-                            &req.terms,
-                            self.config().expand_per_term,
-                            self.config().expand_max_terms,
-                        )
-                    }
-                };
-                if visual.is_empty() {
-                    // no visual evidence: single-channel text ranking
-                    return Ok((
-                        ranking_expr("annotation", "q_text", input),
-                        params.bind("q_text", req.terms.clone()),
-                    ));
+        let channels = self.resolve_channels(req)?;
+        let expr = if let [(channel, ..)] = channels.as_slice() {
+            let (attr, binding) = channel.attr_binding();
+            ranking_expr(attr, binding, input)
+        } else {
+            // sum(getBL(text)) * (1 - mix) + sum(getBL(image)) * mix, the
+            // same expression tree the Moa string used to parse to; the
+            // optimizer's topk_fuse pass runs it as one two-channel top-k
+            // operator
+            let weighted = channels.iter().map(|(channel, _, weight)| {
+                let (attr, binding) = channel.attr_binding();
+                Expr::Arith {
+                    op: moa::expr::ArithKind::Mul,
+                    left: Box::new(sum_getbl(attr, binding)),
+                    right: Box::new(Expr::Lit(Lit::Float(*weight))),
                 }
-                // sum(getBL(text)) * (1 - mix) + sum(getBL(image)) * mix,
-                // the same expression tree the Moa string used to parse to;
-                // the optimizer's topk_fuse pass runs it as one two-channel
-                // top-k operator
-                let tw = 1.0 - req.mix;
-                let body = Expr::Arith {
+            });
+            let body = weighted
+                .reduce(|left, right| Expr::Arith {
                     op: moa::expr::ArithKind::Add,
-                    left: Box::new(Expr::Arith {
-                        op: moa::expr::ArithKind::Mul,
-                        left: Box::new(sum_getbl("annotation", "q_text")),
-                        right: Box::new(Expr::Lit(Lit::Float(tw))),
-                    }),
-                    right: Box::new(Expr::Arith {
-                        op: moa::expr::ArithKind::Mul,
-                        left: Box::new(sum_getbl("image", "q_vis")),
-                        right: Box::new(Expr::Lit(Lit::Float(req.mix))),
-                    }),
-                };
-                Ok((
-                    Expr::map(body, input),
-                    params.bind("q_text", req.terms.clone()).bind("q_vis", visual),
-                ))
-            }
-        }
+                    left: Box::new(left),
+                    right: Box::new(right),
+                })
+                .expect("a resolved request ranks with at least one channel");
+            Expr::map(body, input)
+        };
+        let params = channels
+            .into_iter()
+            .fold(QueryParams::new().with_top_k(req.k), |params, (channel, terms, _)| {
+                params.bind(channel.attr_binding().1, terms)
+            });
+        Ok((expr, params))
     }
 }
 
@@ -804,6 +828,32 @@ mod tests {
         for n in ["q_text", "q_vis"] {
             assert!(db.env().query_binding(n).is_none(), "{n} leaked into Env");
         }
+    }
+
+    #[test]
+    fn one_resolver_maps_channels_thesaurus_fallback_and_mix() {
+        let db = shared_db();
+        let terms = crate::query::weighted_terms("sunset glow");
+        let resolve = |req: &RetrievalRequest| db.resolve_channels(req).unwrap();
+        let text = resolve(&RetrievalRequest::text_terms(terms.clone(), 5));
+        assert_eq!(text, vec![(Channel::Text, terms.clone(), 1.0)]);
+        let visual = resolve(&RetrievalRequest::visual(terms.clone(), 5));
+        assert_eq!(visual, vec![(Channel::Visual, terms.clone(), 1.0)]);
+        // a dual request expands its text terms through the thesaurus
+        let (th, config) = (db.thesaurus().unwrap(), db.config());
+        let expanded = th.expand(&terms, config.expand_per_term, config.expand_max_terms);
+        assert!(!expanded.is_empty());
+        let dual = resolve(&RetrievalRequest::dual("sunset glow", 0.25, 5));
+        assert_eq!(
+            dual,
+            vec![(Channel::Text, terms.clone(), 0.75), (Channel::Visual, expanded, 0.25)]
+        );
+        // explicit visual terms win; an empty visual side ranks text alone
+        let v = vec![("v1".to_string(), 1.0)];
+        let feedback = resolve(&RetrievalRequest::dual_terms(terms.clone(), v.clone(), 0.5, 5));
+        assert_eq!(feedback, vec![(Channel::Text, terms.clone(), 0.5), (Channel::Visual, v, 0.5)]);
+        let fallback = resolve(&RetrievalRequest::dual_terms(terms.clone(), Vec::new(), 0.5, 5));
+        assert_eq!(fallback, vec![(Channel::Text, terms, 1.0)]);
     }
 
     #[test]

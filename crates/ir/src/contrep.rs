@@ -332,11 +332,7 @@ fn register_topk_bl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
         }
         let channels: Vec<crate::topk::TopKChannel<'_>> = decoded
             .iter()
-            .map(|(index, query, weight, _)| crate::topk::TopKChannel {
-                index,
-                query,
-                weight: *weight,
-            })
+            .map(|(index, query, weight, _)| crate::topk::TopKChannel::whole(index, query, *weight))
             .collect();
         let domain = decode_domain(inputs);
         // fragment the doc-id space only when it is large enough to pay
@@ -344,7 +340,8 @@ fn register_topk_bl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
         // built-in operators (so `min_fragment_rows` overrides apply here)
         let n_docs = decoded.iter().map(|(index, ..)| index.n_docs()).max().unwrap_or(0);
         let degree = ctx.frag_degree(n_docs);
-        let out = crate::topk::topk_channels(&channels, store.params(), domain.as_ref(), k, degree);
+        let out =
+            crate::topk::topk_channels(&channels, store.params(), domain.as_ref(), None, k, degree);
         let mut note = format!(
             "topk ×{k} (pruned {} docs, skipped {} blocks / {} postings)",
             out.pruned, out.blocks_skipped, out.skipped_postings

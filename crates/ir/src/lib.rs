@@ -26,7 +26,6 @@
 
 pub mod belief;
 pub mod contrep;
-pub mod delta;
 pub mod dict;
 pub mod index;
 pub mod net;
@@ -36,7 +35,6 @@ pub mod topk;
 
 pub use belief::{BeliefParams, DEFAULT_BELIEF};
 pub use contrep::{register_contrep, Contrep, ContrepStore};
-pub use delta::{eval_live_channel, DeltaSeg, LiveStats, LiveTerm};
 pub use dict::TermDict;
 pub use index::{CollectionStats, IndexBuilder, InvertedIndex, INDEX_FORMAT_VERSION};
 pub use net::{QueryNode, Ranker};

@@ -11,23 +11,33 @@
 //!   threshold;
 //! * [`topk_channels`] — a WAND-style document-at-a-time merge over the
 //!   *compressed* postings ([`crate::postings::PostingList`]) of every
-//!   query term of N weighted **channels**, each an [`InvertedIndex`] over
-//!   the same collection with its own terms and channel weight. One
-//!   channel is the paper's `map[sum(THIS)](map[getBL(…)])` ranking; two
-//!   are dual coding and relevance feedback,
-//!   `sum(getBL(text))·(1−mix) + sum(getBL(image))·mix`. Cursors of all
-//!   channels stay sorted by their current document; the prefix sum of
-//!   channel-weighted per-term belief upper bounds
+//!   query term of N weighted **channels**, each a list of
+//!   [`InvertedIndex`] *segments* over the same collection with its own
+//!   terms and channel weight. One channel is the paper's
+//!   `map[sum(THIS)](map[getBL(…)])` ranking; two are dual coding and
+//!   relevance feedback, `sum(getBL(text))·(1−mix) + sum(getBL(image))·mix`.
+//!   Cursors of all channels stay sorted by their current document; the
+//!   prefix sum of channel-weighted per-term belief upper bounds
 //!   ([`BeliefParams::belief_bound`]), on top of every channel's
 //!   `weight·α`, picks the pivot — the first document that could still
-//!   enter the top k — and every cursor before it leaps forward. A leap that clears a whole block skips its decode entirely
-//!   (the block metadata carries the last doc id), and at the pivot the
+//!   enter the top k — and every cursor before it leaps forward. A leap
+//!   that clears a whole block skips its decode entirely (the block
+//!   metadata carries the last doc id), and at the pivot the
 //!   block-max `max_tf` refines the upper bound once more before any tf
 //!   is unpacked. Documents that survive are scored **in the same
 //!   floating-point order as the materialise path** — each channel's
 //!   grouped sum in query order, times its weight, channels added left to
 //!   right — so results are bit-identical;
-//! * [`topk_beliefs`] — the one-channel case (weight `1.0`);
+//! * segments: a channel's index is an ordered list of ordinary
+//!   block-compressed indexes over disjoint doc-id ranges (a live
+//!   snapshot's base generation, then one per delta batch). The walk
+//!   visits them in order with one shared accumulator, so the threshold
+//!   learned on the base prunes the deltas. Collection statistics and
+//!   per-term document frequencies are inputs, not properties of the
+//!   layout (union statistics for a live snapshot, global ones for a
+//!   shard), and a tombstone mask drops deleted documents beside the
+//!   domain filter;
+//! * [`topk_beliefs`] — the one-channel, one-segment case (weight `1.0`);
 //! * [`topk_beliefs_raw`] — the pre-compression reference evaluator over
 //!   decoded posting vectors ([`RawPostings`]), kept as a baseline and the
 //!   property-test oracle;
@@ -161,17 +171,39 @@ impl TopKAccumulator {
 }
 
 /// One weighted evidence channel of a fused ranking: a content
-/// representation, the channel's weighted query terms, and the weight its
-/// belief sum carries in the combined score.
-#[derive(Debug, Clone, Copy)]
+/// representation as index segments, the channel's weighted query terms
+/// with the statistics they are scored with, and the weight its belief sum
+/// carries in the combined score.
+#[derive(Debug, Clone)]
 pub struct TopKChannel<'a> {
-    /// The channel's inverted index. Every channel of one request indexes
-    /// the same collection, so document ids agree across channels.
-    pub index: &'a InvertedIndex,
-    /// Weighted query terms, in query order.
-    pub query: &'a [(&'a str, f64)],
+    /// The channel's index segments as `(first_doc, index)`: ordinary
+    /// indexes over disjoint doc-id ranges in ascending order, local doc
+    /// `d` of a segment being global doc `first_doc + d`. Every channel of
+    /// one request covers the same collection cut at the same `first_doc`s
+    /// (a live snapshot's batches cut both evidence channels alike), so
+    /// segment ids and global ids agree across channels.
+    pub segments: Vec<(Oid, &'a InvertedIndex)>,
+    /// Weighted query terms in query order, each with the document
+    /// frequency its belief is scored with.
+    pub query: Vec<(&'a str, f64, u32)>,
+    /// The collection statistics beliefs are scored with (`n_docs` and
+    /// `avg_dl` are read).
+    pub stats: CollectionStats,
     /// Multiplier of the channel's belief sum; finite and ≥ 0.
     pub weight: f64,
+}
+
+impl<'a> TopKChannel<'a> {
+    /// A channel over one self-contained index, scored with the index's
+    /// own statistics and dfs (a shard projection's are its parent's).
+    pub fn whole(index: &'a InvertedIndex, query: &[(&'a str, f64)], weight: f64) -> Self {
+        TopKChannel {
+            segments: vec![(0, index)],
+            query: query.iter().map(|&(t, w)| (t, w, index.df(t))).collect(),
+            stats: index.stats(),
+            weight,
+        }
+    }
 }
 
 /// What one channel did during a top-k run — EXPLAIN's per-channel split.
@@ -235,31 +267,37 @@ impl TopKOutcome {
 
 /// Per-channel request state, resolved once per request.
 struct ChanInfo<'a> {
-    index: &'a InvertedIndex,
+    segments: &'a [(Oid, &'a InvertedIndex)],
     stats: CollectionStats,
     total_w: f64,
     weight: f64,
 }
 
+impl ChanInfo<'_> {
+    /// A term's greatest possible contribution to the combined score
+    /// beyond this channel's default belief, given its belief `bound`:
+    /// `weight · w · (bound − α) / Σw`.
+    fn cbound(&self, params: BeliefParams, w: f64, bound: f64) -> f64 {
+        self.weight * (w * (bound - params.alpha) / self.total_w).max(0.0)
+    }
+}
+
 /// Per-query-term request state, resolved once per request.
 struct TermInfo<'a> {
-    list: Option<&'a PostingList>,
+    term: &'a str,
     chan: usize,
     w: f64,
     df: u32,
     /// The term's [`BeliefParams::nidf`], computed once per request.
     nidf: f64,
-    /// The term's greatest possible contribution to the combined score
-    /// beyond its channel's default belief:
-    /// `weight · w · (belief_bound − α) / Σw`.
-    cbound: f64,
 }
 
-/// A streaming cursor over one term's compressed postings, restricted to a
-/// document span `[lo, hi)`. The cursor is either *parked* at the first
-/// document of an undecoded block (known exactly from the block metadata —
-/// no decode needed to stand still) or positioned inside a decoded block.
-/// Invariant: the list holds no unconsumed document below `cur_doc`.
+/// A streaming cursor over one term's compressed postings in one segment,
+/// restricted to a span `[lo, hi)` of the segment's local doc ids. The
+/// cursor is either *parked* at the first document of an undecoded block
+/// (known exactly from the block metadata — no decode needed to stand
+/// still) or positioned inside a decoded block. Invariant: the list holds
+/// no unconsumed document below `cur_doc`.
 struct Cursor<'a> {
     list: &'a PostingList,
     chan: usize,
@@ -285,14 +323,19 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn new(info: &TermInfo<'a>, list: &'a PostingList, lo: usize, hi: usize) -> Cursor<'a> {
+    fn new(
+        info: &TermInfo<'a>,
+        list: &'a PostingList,
+        cbound: f64,
+        (lo, hi): (Oid, Oid),
+    ) -> Cursor<'a> {
         let mut c = Cursor {
             list,
             chan: info.chan,
             w: info.w,
             df: info.df,
             nidf: info.nidf,
-            cbound: info.cbound,
+            cbound,
             block: 0,
             idx: 0,
             decoded: false,
@@ -300,7 +343,7 @@ impl<'a> Cursor<'a> {
             tfs: Vec::new(),
             cur_doc: 0,
             exhausted: list.is_empty(),
-            hi: hi as Oid,
+            hi,
             cached_block: usize::MAX,
             cached_cb: 0.0,
             work: ChannelWork::default(),
@@ -309,7 +352,7 @@ impl<'a> Cursor<'a> {
             c.cur_doc = c.list.blocks()[0].first_doc;
             // position on the span start; skips before `lo` belong to other
             // fragments and are not counted
-            c.seek(lo as Oid, false);
+            c.seek(lo, false);
         }
         c
     }
@@ -388,8 +431,7 @@ impl<'a> Cursor<'a> {
         if self.cached_block != self.block {
             let max_tf = self.list.blocks()[self.block].max_tf;
             let bound = params.belief_bound(max_tf, self.df, chan.stats.n_docs);
-            self.cached_cb =
-                chan.weight * (self.w * (bound - params.alpha) / chan.total_w).max(0.0);
+            self.cached_cb = chan.cbound(params, self.w, bound);
             self.cached_block = self.block;
         }
         self.cached_cb
@@ -418,25 +460,29 @@ pub fn topk_beliefs(
     k: usize,
     degree: usize,
 ) -> TopKOutcome {
-    topk_channels(&[TopKChannel { index, query, weight: 1.0 }], params, domain, k, degree)
+    topk_channels(&[TopKChannel::whole(index, query, 1.0)], params, domain, None, k, degree)
 }
 
 /// Evaluate a weighted mix of belief sums — the dual-coding ranking
 /// `sum(getBL(text))·w₀ + sum(getBL(image))·w₁`, or any number of
 /// channels — for the k best documents only, in one block-max WAND pass
-/// over every channel's compressed postings.
+/// over every channel's compressed postings, segment after segment.
 ///
 /// Scores are computed with the exact floating-point operation order of
 /// the materialise path: each channel's `contrep.getbl` rows summed per
 /// document in query-term order, then the default-belief row (a channel
 /// the document does not match contributes its grouped sum's zero fill,
 /// `0.0`), each sum multiplied by its channel weight, and the products
-/// added left to right. The `(oid, score)` pairs are therefore
-/// bit-identical to materialise-then-sort — at every `degree`, because a
-/// document's score never crosses a fragment boundary. Documents that
-/// match no query term are not emitted (their score is 0 and the facade
-/// drops zero scores); nor are documents that match only channels of
-/// weight 0 or of non-positive total term weight, which score 0 too.
+/// added left to right. Beliefs use each channel's explicit statistics and
+/// term dfs, so segments scored with the statistics of their union rank
+/// bit-identically to one index built over the same documents — and the
+/// `(oid, score)` pairs are bit-identical to materialise-then-sort at
+/// every `degree`, because a document's score never crosses a fragment
+/// boundary. Documents outside `domain` or inside `tombstones` are never
+/// scored. Documents that match no query term are not emitted (their
+/// score is 0 and the facade drops zero scores); nor are documents that
+/// match only channels of weight 0 or of non-positive total term weight,
+/// which score 0 too.
 ///
 /// Skipping is sound: a document is only leapt over or pruned when its
 /// upper bound `Σ_c weight_c·(α + Σ cbound)` plus a tiny float-safety
@@ -447,15 +493,16 @@ pub fn topk_channels(
     channels: &[TopKChannel<'_>],
     params: BeliefParams,
     domain: Option<&FxHashSet<Oid>>,
+    tombstones: Option<&FxHashSet<Oid>>,
     k: usize,
     degree: usize,
 ) -> TopKOutcome {
     let chans: Vec<ChanInfo<'_>> = channels
         .iter()
         .map(|c| ChanInfo {
-            index: c.index,
-            stats: c.index.stats(),
-            total_w: c.query.iter().map(|(_, w)| w).sum(),
+            segments: &c.segments,
+            stats: c.stats,
+            total_w: c.query.iter().map(|(_, w, _)| w).sum(),
             weight: c.weight,
         })
         .collect();
@@ -468,17 +515,12 @@ pub fn topk_channels(
         .enumerate()
         .filter(|(_, (_, ch))| live(ch))
         .flat_map(|(chan, (c, ch))| {
-            c.query.iter().map(move |(t, w)| {
-                let df = ch.index.df(t);
-                let bound = params.belief_bound(ch.index.max_tf(t), df, ch.stats.n_docs);
-                TermInfo {
-                    list: ch.index.postings_list(t),
-                    chan,
-                    w: *w,
-                    df,
-                    nidf: params.nidf(df, ch.stats.n_docs),
-                    cbound: ch.weight * (w * (bound - params.alpha) / ch.total_w).max(0.0),
-                }
+            c.query.iter().map(move |&(term, w, df)| TermInfo {
+                term,
+                chan,
+                w,
+                df,
+                nidf: params.nidf(df, ch.stats.n_docs),
             })
         })
         .collect();
@@ -487,10 +529,43 @@ pub fn topk_channels(
     }
     // every live channel's default-belief share of any document's bound
     let alpha: f64 = chans.iter().filter(|ch| live(ch)).map(|ch| ch.weight * params.alpha).sum();
-    let n_docs = chans.iter().map(|c| c.index.n_docs()).max().unwrap_or(0);
+    let cut = &channels[0].segments;
+    assert!(
+        channels.iter().all(|c| c.segments.len() == cut.len()
+            && c.segments.iter().zip(cut).all(|(a, b)| a.0 == b.0)),
+        "every channel must be cut at the same segment boundaries"
+    );
+    // segment `s` of every channel covers the same doc ids, from the
+    // shared first doc to the end of the longest channel's index
+    let ranges: Vec<(Oid, Oid)> = cut
+        .iter()
+        .enumerate()
+        .map(|(s, &(first, _))| {
+            let len = chans.iter().map(|ch| ch.segments[s].1.n_docs()).max().unwrap_or(0);
+            (first, first + len as Oid)
+        })
+        .collect();
+    let n_docs = ranges.iter().map(|&(_, end)| end as usize).max().unwrap_or(0);
     let spans = monet::fragment::bounds(n_docs, degree.max(1));
-    let run_span = |span: (usize, usize)| -> SpanOut {
-        span_topk(&chans, &terms, params, alpha, span, domain, k)
+    let run_span = |(lo, hi): (usize, usize)| -> SpanOut {
+        let mut out = SpanOut {
+            acc: TopKAccumulator::new(k),
+            pruned: 0,
+            scored: 0,
+            work: vec![ChannelWork::default(); chans.len()],
+        };
+        // the span's share of each segment, in doc order, into one
+        // accumulator
+        for (seg, &(first, end)) in ranges.iter().enumerate() {
+            let (lo, hi) = ((lo as Oid).max(first), (hi as Oid).min(end));
+            if lo < hi {
+                let local = (lo - first, hi - first);
+                segment_topk(
+                    &chans, &terms, params, alpha, seg, local, domain, tombstones, &mut out,
+                );
+            }
+        }
+        out
     };
     let parts: Vec<SpanOut> = if spans.len() <= 1 {
         spans.into_iter().map(run_span).collect()
@@ -525,32 +600,43 @@ struct SpanOut {
     work: Vec<ChannelWork>,
 }
 
-/// Block-max WAND accumulation over one document-id span `[lo, hi)`;
-/// `alpha` is `Σ weight·α` over the channels with cursors.
-fn span_topk(
+/// Block-max WAND accumulation over segment `seg`, restricted to its
+/// local doc ids `[lo, hi)`; `alpha` is `Σ weight·α` over the channels
+/// with cursors. Cursors walk local ids; the domain, the tombstones and
+/// the accumulator see global ones.
+#[allow(clippy::too_many_arguments)]
+fn segment_topk(
     chans: &[ChanInfo<'_>],
     terms: &[TermInfo<'_>],
     params: BeliefParams,
     alpha: f64,
-    (lo, hi): (usize, usize),
+    seg: usize,
+    (lo, hi): (Oid, Oid),
     domain: Option<&FxHashSet<Oid>>,
-    k: usize,
-) -> SpanOut {
+    tombstones: Option<&FxHashSet<Oid>>,
+    out: &mut SpanOut,
+) {
+    let first = chans[0].segments[seg].0;
+    let indexes: Vec<&InvertedIndex> = chans.iter().map(|ch| ch.segments[seg].1).collect();
     // cursors are channel-major and in query order within a channel, so
     // scoring a channel's cursor range in order reproduces the
     // materialise path's float-addition order
-    let mut cursors: Vec<Cursor<'_>> =
-        terms.iter().filter_map(|t| t.list.map(|l| Cursor::new(t, l, lo, hi))).collect();
+    let mut cursors: Vec<Cursor<'_>> = terms
+        .iter()
+        .filter_map(|t| {
+            let (ch, index) = (&chans[t.chan], indexes[t.chan]);
+            let list = index.postings_list(t.term)?;
+            let bound = params.belief_bound(index.max_tf(t.term), t.df, ch.stats.n_docs);
+            Some(Cursor::new(t, list, ch.cbound(params, t.w, bound), (lo, hi)))
+        })
+        .collect();
     let ranges: Vec<std::ops::Range<usize>> = (0..chans.len())
         .map(|chan| {
             let start = cursors.partition_point(|c| c.chan < chan);
             start..cursors.partition_point(|c| c.chan <= chan)
         })
         .collect();
-    let mut acc = TopKAccumulator::new(k);
-    let mut pruned = 0u64;
-    let mut scored = 0u64;
-    let mut work = vec![ChannelWork::default(); chans.len()];
+    let acc = &mut out.acc;
     let n = cursors.len();
     let mut order: Vec<usize> = (0..n).collect();
     loop {
@@ -598,7 +684,9 @@ fn span_topk(
             continue;
         }
         // candidate: every cursor in order[..=p] sits on pivot_doc
-        if domain.is_some_and(|d| !d.contains(&pivot_doc)) {
+        let doc = first + pivot_doc;
+        if domain.is_some_and(|d| !d.contains(&doc)) || tombstones.is_some_and(|t| t.contains(&doc))
+        {
             for &c in &order[..alive] {
                 if cursors[c].cur_doc == pivot_doc {
                     cursors[c].seek(pivot_doc + 1, true);
@@ -617,8 +705,8 @@ fn span_topk(
                 }
             }
             if ub + PRUNE_MARGIN < theta {
-                pruned += 1;
-                for (w, range) in work.iter_mut().zip(&ranges) {
+                out.pruned += 1;
+                for (w, range) in out.work.iter_mut().zip(&ranges) {
                     let on_pivot = |c: &Cursor<'_>| !c.exhausted && c.cur_doc == pivot_doc;
                     w.pruned += u64::from(cursors[range.clone()].iter().any(on_pivot));
                 }
@@ -636,7 +724,7 @@ fn span_topk(
         // right like the compiled arith_const[mul]/arith[add] plan
         let mut score = 0.0;
         for (chan, ch) in chans.iter().enumerate() {
-            let dl = ch.index.doc_len(pivot_doc);
+            let dl = indexes[chan].doc_len(pivot_doc);
             let (mut s, mut mw, mut hit) = (0.0, 0.0, false);
             for c in &mut cursors[ranges[chan].clone()] {
                 if !c.exhausted && c.cur_doc == pivot_doc {
@@ -653,8 +741,8 @@ fn span_topk(
             let part = s * ch.weight;
             score = if chan == 0 { part } else { score + part };
         }
-        scored += 1;
-        acc.push(pivot_doc, score);
+        out.scored += 1;
+        acc.push(doc, score);
         // stepping past a scored posting consumes it rather than skipping
         // it, and passes nothing else, so it is not counted
         for c in cursors.iter_mut() {
@@ -664,9 +752,8 @@ fn span_topk(
         }
     }
     for c in &cursors {
-        work[c.chan].add(&c.work);
+        out.work[c.chan].add(&c.work);
     }
-    SpanOut { acc, pruned, scored, work }
 }
 
 /// Every term's postings decoded into raw vectors — the pre-compression
@@ -845,15 +932,33 @@ mod tests {
     use super::*;
     use crate::index::IndexBuilder;
 
-    fn idx(n_docs: usize) -> InvertedIndex {
+    /// Text tokens of document `d`: 2–7 words from a small pool.
+    fn text_doc(d: usize) -> Vec<&'static str> {
         let pool = ["sunset", "beach", "forest", "mist", "wave", "city", "snow", "glow"];
+        let len = 2 + (d * 7) % 6;
+        (0..len).map(|j| pool[(d * 3 + j * 5) % pool.len()]).collect()
+    }
+
+    /// Visual tokens of document `d`: most of a small pool of visual terms.
+    fn visual_doc(d: usize) -> Vec<&'static str> {
+        let pool = ["v0", "v1", "v2", "v3", "v4"];
+        pool.iter()
+            .enumerate()
+            .filter(|(i, _)| !(d * 7 + i * 3).is_multiple_of(5))
+            .map(|p| *p.1)
+            .collect()
+    }
+
+    fn build(docs: impl Iterator<Item = Vec<&'static str>>) -> InvertedIndex {
         let mut b = IndexBuilder::new();
-        for d in 0..n_docs {
-            let len = 2 + (d * 7) % 6;
-            let toks: Vec<&str> = (0..len).map(|j| pool[(d * 3 + j * 5) % pool.len()]).collect();
+        for toks in docs {
             b.add_tokens(&toks);
         }
         b.build()
+    }
+
+    fn idx(n_docs: usize) -> InvertedIndex {
+        build((0..n_docs).map(text_doc))
     }
 
     /// One document's `contrep.getbl` rows under a grouped sum; `None` when
@@ -903,16 +1008,17 @@ mod tests {
         out
     }
 
-    /// The unfused dual plan: every document's channel sums (zero-filled),
-    /// times the channel weights, added left to right; positive scores
-    /// ranked and truncated.
+    /// The unfused dual plan over whole-index channels: every document's
+    /// channel sums (zero-filled), times the channel weights, added left
+    /// to right; positive scores ranked and truncated.
     fn multi_baseline(channels: &[TopKChannel<'_>], k: usize) -> Vec<(Oid, f64)> {
         let params = BeliefParams::default();
-        let n = channels[0].index.n_docs() as Oid;
+        let n = channels[0].segments[0].1.n_docs() as Oid;
         let mut out: Vec<(Oid, f64)> = (0..n)
             .map(|doc| {
                 let part = |c: &TopKChannel<'_>| {
-                    grouped_sum(c.index, params, c.query, doc).unwrap_or(0.0) * c.weight
+                    let query: Vec<(&str, f64)> = c.query.iter().map(|&(t, w, _)| (t, w)).collect();
+                    grouped_sum(c.segments[0].1, params, &query, doc).unwrap_or(0.0) * c.weight
                 };
                 let score = channels[1..].iter().fold(part(&channels[0]), |s, c| s + part(c));
                 (doc, score)
@@ -924,21 +1030,9 @@ mod tests {
         out
     }
 
-    /// A second channel over the same documents as [`idx`]: raw tokens
-    /// from a small visual-term pool, most of them in most documents.
+    /// A second channel over the same documents as [`idx`].
     fn visual_idx(n_docs: usize) -> InvertedIndex {
-        let pool = ["v0", "v1", "v2", "v3", "v4"];
-        let mut b = IndexBuilder::new();
-        for d in 0..n_docs {
-            let toks: Vec<&str> = pool
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| (d * 7 + i * 3) % 5 != 0)
-                .map(|p| *p.1)
-                .collect();
-            b.add_tokens(&toks);
-        }
-        b.build()
+        build((0..n_docs).map(visual_doc))
     }
 
     #[test]
@@ -1137,27 +1231,22 @@ mod tests {
         let vq = [("v1", 1.0), ("v3", 0.7), ("zzz", 1.0)];
         let params = BeliefParams::default();
         for (tw, vw) in [(0.7, 0.3), (0.5, 0.5), (1.0, 0.0), (0.0, 1.0)] {
-            let channels = [
-                TopKChannel { index: &text, query: &tq, weight: tw },
-                TopKChannel { index: &vis, query: &vq, weight: vw },
-            ];
+            let channels = [TopKChannel::whole(&text, &tq, tw), TopKChannel::whole(&vis, &vq, vw)];
             for k in [1usize, 10, 1500] {
                 let expected = multi_baseline(&channels, k);
                 assert!(!expected.is_empty());
                 for degree in [1usize, 4] {
-                    let got = topk_channels(&channels, params, None, k, degree);
+                    let got = topk_channels(&channels, params, None, None, k, degree);
                     assert_eq!(got.hits, expected, "weights ({tw}, {vw}) k={k} degree={degree}");
                 }
             }
         }
         // text terms absent from the corpus: the visual channel alone ranks
         let absent = [("zzz", 1.0)];
-        let channels = [
-            TopKChannel { index: &text, query: &absent, weight: 0.6 },
-            TopKChannel { index: &vis, query: &vq, weight: 0.4 },
-        ];
+        let channels =
+            [TopKChannel::whole(&text, &absent, 0.6), TopKChannel::whole(&vis, &vq, 0.4)];
         assert_eq!(
-            topk_channels(&channels, params, None, 10, 1).hits,
+            topk_channels(&channels, params, None, None, 10, 1).hits,
             multi_baseline(&channels, 10)
         );
     }
@@ -1168,11 +1257,8 @@ mod tests {
         let vis = visual_idx(5000);
         let tq = [("sunset", 1.0), ("mist", 1.0)];
         let vq = [("v0", 1.0), ("v2", 1.0)];
-        let channels = [
-            TopKChannel { index: &text, query: &tq, weight: 0.5 },
-            TopKChannel { index: &vis, query: &vq, weight: 0.5 },
-        ];
-        let out = topk_channels(&channels, BeliefParams::default(), None, 5, 1);
+        let channels = [TopKChannel::whole(&text, &tq, 0.5), TopKChannel::whole(&vis, &vq, 0.5)];
+        let out = topk_channels(&channels, BeliefParams::default(), None, None, 5, 1);
         assert_eq!(out.hits, multi_baseline(&channels, 5));
         assert_eq!(out.channels.len(), 2);
         let sum = |f: fn(&ChannelWork) -> u64| out.channels.iter().map(f).sum::<u64>();
@@ -1182,9 +1268,115 @@ mod tests {
         assert!(sum(|w| w.scored_postings) >= out.scored);
         assert!(out.channels.iter().all(|w| w.pruned <= out.pruned));
         // the one-channel case is topk_beliefs, work included
-        let one_channel = [TopKChannel { weight: 1.0, ..channels[0] }];
-        let one = topk_channels(&one_channel, BeliefParams::default(), None, 5, 1);
+        let one_channel = [TopKChannel { weight: 1.0, ..channels[0].clone() }];
+        let one = topk_channels(&one_channel, BeliefParams::default(), None, None, 5, 1);
         let plain = topk_beliefs(&text, BeliefParams::default(), &tq, None, 5, 1);
         assert_eq!(one, plain);
+    }
+
+    #[test]
+    fn segments_with_tombstones_match_one_index_of_the_survivors() {
+        // a base generation and three delta batches; every 7th document is
+        // deleted, in the base and in the deltas
+        let docs: [fn(usize) -> Vec<&'static str>; 2] = [text_doc, visual_doc];
+        let cuts = [0usize, 900, 1000, 1150, 1200];
+        let dead: FxHashSet<Oid> = (0..1200).filter(|d| d % 7 == 3).collect();
+        let survivors: Vec<Oid> = (0..1200).filter(|d| !dead.contains(d)).collect();
+        let segs: Vec<Vec<(Oid, InvertedIndex)>> = docs
+            .iter()
+            .map(|doc| {
+                cuts.windows(2).map(|w| (w[0] as Oid, build((w[0]..w[1]).map(doc)))).collect()
+            })
+            .collect();
+        // the reference: one batch index over the survivors, whose dense
+        // ids are positions in `survivors`
+        let batch: Vec<InvertedIndex> =
+            docs.iter().map(|doc| build(survivors.iter().map(|&d| doc(d as usize)))).collect();
+        let queries: [&[(&str, f64)]; 2] =
+            [&[("sunset", 1.0), ("wave", 0.5), ("zzz", 1.0)], &[("v1", 1.0), ("v3", 0.7)]];
+        let in_domain = |d: Oid| !d.is_multiple_of(3);
+        let live_domain: FxHashSet<Oid> = (0..1200).filter(|&d| in_domain(d)).collect();
+        let batch_domain: FxHashSet<Oid> =
+            (0..survivors.len() as Oid).filter(|&i| in_domain(survivors[i as usize])).collect();
+        let params = BeliefParams::default();
+        for weights in [&[1.0][..], &[0.7, 0.3]] {
+            let segmented: Vec<TopKChannel<'_>> = weights
+                .iter()
+                .enumerate()
+                .map(|(c, &weight)| TopKChannel {
+                    segments: segs[c].iter().map(|(first, index)| (*first, index)).collect(),
+                    // the survivors' union statistics, passed explicitly
+                    query: queries[c].iter().map(|&(t, w)| (t, w, batch[c].df(t))).collect(),
+                    stats: batch[c].stats(),
+                    weight,
+                })
+                .collect();
+            let whole: Vec<TopKChannel<'_>> = weights
+                .iter()
+                .enumerate()
+                .map(|(c, &weight)| TopKChannel::whole(&batch[c], queries[c], weight))
+                .collect();
+            for k in [1usize, 10, 1200] {
+                for (live_dom, batch_dom) in
+                    [(None, None), (Some(&live_domain), Some(&batch_domain))]
+                {
+                    let want: Vec<(Oid, f64)> =
+                        topk_channels(&whole, params, batch_dom, None, k, 1)
+                            .hits
+                            .into_iter()
+                            .map(|(i, score)| (survivors[i as usize], score))
+                            .collect();
+                    assert!(!want.is_empty());
+                    for degree in [1usize, 3] {
+                        let got =
+                            topk_channels(&segmented, params, live_dom, Some(&dead), k, degree);
+                        let case = format!(
+                            "{} channels k={k} domain={}",
+                            weights.len(),
+                            live_dom.is_some()
+                        );
+                        assert_eq!(got.hits, want, "{case} degree={degree}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_or_weightless_query_over_segments_scores_nothing() {
+        let base = idx(300);
+        let delta = build((300..400).map(text_doc));
+        let dead: FxHashSet<Oid> = [3, 310].into_iter().collect();
+        let segments = vec![(0, &base), (300, &delta)];
+        for query in [Vec::new(), vec![("sunset", 0.0, 90)]] {
+            let ch =
+                TopKChannel { segments: segments.clone(), query, stats: base.stats(), weight: 1.0 };
+            let out = topk_channels(&[ch], BeliefParams::default(), None, Some(&dead), 10, 1);
+            assert!(out.hits.is_empty());
+        }
+    }
+
+    #[test]
+    fn base_threshold_prunes_delta_segments() {
+        // the base holds the documents that match both terms; the delta's
+        // match only the near-zero-idf common term, so once the base fills
+        // the heap no delta document can reach the threshold
+        let base =
+            build(
+                (0..1000)
+                    .map(|d| if d % 10 == 0 { vec!["common", "rare"] } else { vec!["common"] }),
+            );
+        let delta = build((0..1000).map(|_| vec!["common"]));
+        let stats = CollectionStats { n_docs: 2000, n_terms: 2, avg_dl: 1.05, total_tokens: 2100 };
+        let query = vec![("common", 1.0, 2000), ("rare", 1.0, 100)];
+        let channel = |segments| TopKChannel { segments, query: query.clone(), stats, weight: 1.0 };
+        let params = BeliefParams::default();
+        let both =
+            topk_channels(&[channel(vec![(0, &base), (1000, &delta)])], params, None, None, 5, 1);
+        let base_only = topk_channels(&[channel(vec![(0, &base)])], params, None, None, 5, 1);
+        assert_eq!(both.hits, base_only.hits);
+        assert!(both.hits.iter().all(|(oid, _)| oid % 10 == 0 && *oid < 1000));
+        // the delta's thousand candidates cost no scoring at all
+        assert_eq!(both.scored, base_only.scored);
     }
 }

@@ -13,6 +13,9 @@
 //! corpora must produce equal url/score sequences — including equal-score
 //! tie-breaks.
 
+mod common;
+
+use common::{assert_fused, block_scale_requests, block_scale_rows};
 use mirror::core::feedback::FeedbackQuery;
 use mirror::core::query::weighted_terms;
 use mirror::core::serve::{MirrorServer, RetrievalRequest};
@@ -627,4 +630,90 @@ fn mutable_corpus_is_object_safe_behind_the_server() {
     let hits: RetrievalResult<_> = server.query(&RetrievalRequest::text("sunset", 5));
     hits.unwrap();
     assert_eq!(server.delete(&f.rows[10].url).unwrap(), Some(seq + 1));
+}
+
+/// The same insert/delete/`merge_all` schedule on 1-, 2- and 4-shard
+/// clusters returns identical `(oid, url, score)` lists: hits carry global
+/// arrival ids at every shard count (regression: a 1-shard cluster
+/// returned shard-local oids, which `merge_all` compacts away from the
+/// arrival ids).
+#[test]
+fn cluster_oids_are_global_arrival_ids_at_every_shard_count() {
+    let f = fixture();
+    let run = |n_shards: usize| {
+        let cluster = LiveCluster::new(
+            n_shards,
+            f.config.clone(),
+            Some(f.vocab.clone()),
+            Some(f.thes.clone()),
+        )
+        .unwrap();
+        let mut snapshots = Vec::new();
+        let mut probe_oids = |cluster: &LiveCluster| {
+            snapshots.push(
+                probe_requests(f)
+                    .iter()
+                    .map(|q| {
+                        let hits = cluster.retrieve(q).unwrap();
+                        hits.into_iter().map(|h| (h.oid, h.url, h.score)).collect::<Vec<_>>()
+                    })
+                    .collect::<Vec<_>>(),
+            );
+        };
+        for (round, chunk) in f.rows.chunks(8).enumerate() {
+            cluster.insert_rows(chunk.to_vec()).unwrap();
+            // tombstone an early document, then compact every other round
+            cluster.delete(&f.rows[round * 3].url).unwrap().expect("victim is live");
+            probe_oids(&cluster);
+            if round % 2 == 1 {
+                cluster.merge_all().unwrap();
+                probe_oids(&cluster);
+            }
+        }
+        snapshots
+    };
+    let one = run(1);
+    assert!(one.iter().flatten().any(|hits| !hits.is_empty()));
+    for n_shards in [2, 4] {
+        assert_eq!(run(n_shards), one, "{n_shards}-shard oids diverged from 1 shard");
+    }
+}
+
+/// At block scale — visual lists spanning many 128-posting blocks across
+/// the generation and dozens of 64-row delta segments, deletes in both —
+/// every request (filters, k = all, mix 0 and 1 included) ranks exactly
+/// like a batch re-ingest of the surviving rows, on a single node and on
+/// a 2-shard cluster.
+#[test]
+fn block_scale_segments_match_a_batch_reingest_on_node_and_cluster() {
+    const N_BASE: usize = 3_000;
+    let rows = block_scale_rows();
+    let config = MirrorConfig::default();
+    let base = MirrorDbms::from_rows(config.clone(), rows[..N_BASE].to_vec(), None, None).unwrap();
+    let live = LiveMirror::new(base);
+    let cluster = LiveCluster::new(2, config.clone(), None, None).unwrap();
+    cluster.insert_rows(rows[..N_BASE].to_vec()).unwrap();
+    cluster.merge_all().unwrap();
+    for chunk in rows[N_BASE..].chunks(64) {
+        live.insert_rows(chunk.to_vec()).unwrap();
+        cluster.insert_rows(chunk.to_vec()).unwrap();
+    }
+    // every 9th row: tombstones in the generation and in the delta
+    for r in rows.iter().step_by(9) {
+        live.delete(&r.url).unwrap().expect("victim is live");
+        cluster.delete(&r.url).unwrap().expect("victim is live on its shard");
+    }
+    let reference = MirrorDbms::from_rows(config, live.pin().surviving_rows(), None, None).unwrap();
+    let keyed = |hits: Vec<mirror::core::query::RankedResult>| -> Vec<(String, f64)> {
+        hits.into_iter().map(|h| (h.url, h.score)).collect()
+    };
+    let mut nonempty = 0;
+    for req in block_scale_requests() {
+        assert_fused(&reference, &req);
+        let expected = keyed(reference.retrieve(&req).unwrap());
+        nonempty += usize::from(!expected.is_empty());
+        assert_eq!(keyed(live.retrieve(&req).unwrap()), expected, "node: {req:?}");
+        assert_eq!(keyed(cluster.retrieve(&req).unwrap()), expected, "cluster: {req:?}");
+    }
+    assert!(nonempty > 0);
 }
