@@ -52,9 +52,16 @@
 //! write becomes visible in memory. A merge persists the whole new
 //! generation under its prefix first and flips `live/current` last, so
 //! the pointer only ever names a complete generation; ops with
-//! `seq > base_seq` replay on top of it at open. Orphans left by a
-//! crashed merge (a partial `live/gen-*` payload, ops already folded in)
-//! are ignored by open and overwritten by the next merge.
+//! `seq > base_seq` replay on top of it at open.
+//!
+//! Once the pointer has flipped, a *sweep* deletes everything it no
+//! longer names — every `live/gen-M/*` with `M ≠ gen`, every
+//! `live/op-S` with `S ≤ base_seq` — in one transaction, then
+//! checkpoints, so the store holds one generation plus the ops since its
+//! base and its size does not grow with the number of merges. The sweep
+//! only ever removes garbage: a crash before or during it leaves
+//! leftovers (a superseded generation, a partial one from a crashed
+//! merge, ops already folded in) that open ignores and sweeps.
 
 use crate::live::WriteOp;
 use crate::retriever::{RetrievalError, RetrievalResult};
@@ -550,6 +557,7 @@ pub(crate) fn open_instance(store: &Store, prefix: &str) -> RetrievalResult<Mirr
 mod live_key {
     pub const CURRENT: &str = "live/current";
     pub const OP_PREFIX: &str = "live/op-";
+    pub const GEN_PREFIX: &str = "live/gen-";
 
     pub fn op(seq: u64) -> String {
         format!("{OP_PREFIX}{seq:016}")
@@ -558,7 +566,14 @@ mod live_key {
 
 /// Key prefix a live generation's instance layout is saved under.
 pub(crate) fn live_gen_prefix(gen_no: u64) -> String {
-    format!("live/gen-{gen_no:06}/")
+    format!("{}{gen_no:06}/", live_key::GEN_PREFIX)
+}
+
+/// The sequence number of a `live/op-…` key, `None` for any other key.
+fn op_seq(key: &str) -> RetrievalResult<Option<u64>> {
+    let Some(digits) = key.strip_prefix(live_key::OP_PREFIX) else { return Ok(None) };
+    let seq = digits.parse().map_err(|_| corrupt(key, "unparseable op sequence number"))?;
+    Ok(Some(seq))
 }
 
 /// Read the `live/current` pointer: `(generation number, base sequence)`,
@@ -608,12 +623,7 @@ pub(crate) fn live_append_op(store: &Store, seq: u64, op: &WriteOp) -> Retrieval
 pub(crate) fn live_ops_after(store: &Store, base_seq: u64) -> RetrievalResult<Vec<(u64, WriteOp)>> {
     let mut ops = Vec::new();
     for key in store.keys() {
-        let Some(digits) = key.strip_prefix(live_key::OP_PREFIX) else { continue };
-        let seq: u64 =
-            digits.parse().map_err(|_| corrupt(&key, "unparseable op sequence number"))?;
-        if seq <= base_seq {
-            continue;
-        }
+        let Some(seq) = op_seq(&key)?.filter(|&seq| seq > base_seq) else { continue };
         let bytes = must_get(store, &key)?;
         let mut r = ByteReader::new(&bytes, &key);
         let op = match r.u8()? {
@@ -625,6 +635,34 @@ pub(crate) fn live_ops_after(store: &Store, base_seq: u64) -> RetrievalResult<Ve
     }
     ops.sort_unstable_by_key(|&(seq, _)| seq);
     Ok(ops)
+}
+
+/// Delete what the pointer `(gen_no, base_seq)` no longer names — every
+/// `live/gen-M/*` with `M ≠ gen_no` and every `live/op-S` with
+/// `S ≤ base_seq` — in one transaction, then checkpoint so the bytes
+/// leave the WAL, the overlay and the page files. A store with nothing to
+/// sweep is left untouched.
+pub(crate) fn live_sweep(store: &Store, gen_no: u64, base_seq: u64) -> RetrievalResult<()> {
+    let keep = live_gen_prefix(gen_no);
+    let mut stale = Vec::new();
+    for key in store.keys() {
+        let gone = match op_seq(&key)? {
+            Some(seq) => seq <= base_seq,
+            None => key.starts_with(live_key::GEN_PREFIX) && !key.starts_with(&keep),
+        };
+        if gone {
+            stale.push(key);
+        }
+    }
+    if stale.is_empty() {
+        return Ok(());
+    }
+    for key in stale {
+        store.delete(key);
+    }
+    store.commit()?;
+    store.checkpoint()?;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

@@ -34,7 +34,9 @@
 //!   own key prefix before flipping the `live/current` pointer — so a
 //!   crash at any write reopens to a consistent state: the old
 //!   generation plus replayed delta ops, or the new generation, never a
-//!   torn hybrid.
+//!   torn hybrid. After the flip the merge sweeps the superseded
+//!   generation and the folded ops out of the store and checkpoints, so
+//!   the store holds one generation plus the ops since its base.
 //! * **Scale-out** — [`LiveCluster`] routes inserts/deletes to shards by
 //!   URL hash and scores every shard's segments with the *cluster-wide*
 //!   union statistics, so a quiesced cluster ranks bit-identically to a
@@ -49,14 +51,16 @@ use crate::{durable, LibraryRow, MirrorConfig, MirrorDbms, INTERNAL};
 use cluster::VisualVocabulary;
 use ir::text::tokenize_stemmed;
 use ir::{
-    topk_channels, CollectionStats, IndexBuilder, InvertedIndex, TopKAccumulator, TopKChannel,
+    topk_channels, CollectionStats, IndexBuilder, InvertedIndex, Tombstones, TopKAccumulator,
+    TopKChannel,
 };
 use media::{grid_segments, standard_extractors, CrawledImage};
 use moa::MoaError;
-use monet::fxhash::{FxHashMap, FxHashSet};
+use monet::fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 use monet::{MonetError, Oid, Store};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use thesaurus::AssociationThesaurus;
@@ -178,18 +182,56 @@ fn vis_tokens(row: &LibraryRow) -> Vec<&str> {
     row.vterms.split_whitespace().collect()
 }
 
+/// Hash chunks of a [`DfMinus`] map.
+const DF_CHUNKS: usize = 256;
+
+/// One channel's document frequencies lost to tombstones — term → number
+/// of deleted docs containing it — split by term hash into
+/// [`DF_CHUNKS`] copy-on-write maps, so publishing a delete copies only
+/// the chunks its terms land in, not every earlier delete's counts.
+#[derive(Clone, Default)]
+struct DfMinus {
+    /// Empty until the first delete.
+    chunks: Vec<Arc<FxHashMap<String, u32>>>,
+}
+
+impl DfMinus {
+    fn chunk(term: &str) -> usize {
+        // bits the chunk's own hash table does not index by
+        (FxBuildHasher::default().hash_one(term) >> 32) as usize % DF_CHUNKS
+    }
+
+    fn get(&self, term: &str) -> u32 {
+        self.chunks.get(Self::chunk(term)).and_then(|m| m.get(term)).copied().unwrap_or(0)
+    }
+
+    fn add(&mut self, term: &str) {
+        if self.chunks.is_empty() {
+            self.chunks = vec![Arc::default(); DF_CHUNKS];
+        }
+        let map = Arc::make_mut(&mut self.chunks[Self::chunk(term)]);
+        match map.get_mut(term) {
+            Some(n) => *n += 1,
+            None => {
+                map.insert(term.to_string(), 1);
+            }
+        }
+    }
+}
+
 /// An immutable MVCC snapshot: a pinned generation, the delta batches
 /// appended since it was cut, tombstones, and exact union statistics.
-/// Every mutation publishes a *new* snapshot (persistent data structure:
-/// batches and tombstone sets are shared via [`Arc`]), so a pinned
-/// snapshot never observes later writes.
+/// Every mutation publishes a *new* snapshot (persistent data structures:
+/// batches, tombstone chunks and df-minus chunks are shared via [`Arc`]
+/// and copied only where written), so a pinned snapshot never observes
+/// later writes.
 struct LiveSnapshot {
     gen: Arc<Generation>,
     batches: Vec<Arc<DeltaBatch>>,
-    tombstones: Arc<FxHashSet<Oid>>,
-    /// Per-channel document frequencies lost to tombstones: term → number
-    /// of deleted docs containing it. Union df = Σ segment dfs − minus.
-    df_minus: [Arc<HashMap<String, u32>>; 2],
+    tombstones: Tombstones,
+    /// Per-channel document frequencies lost to tombstones. Union df =
+    /// Σ segment dfs − minus.
+    df_minus: [DfMinus; 2],
     n_live: usize,
     /// Surviving token totals per channel.
     totals: [u64; 2],
@@ -203,7 +245,7 @@ impl LiveSnapshot {
             totals: gen.totals,
             gen,
             batches: Vec::new(),
-            tombstones: Arc::new(FxHashSet::default()),
+            tombstones: Tombstones::new(),
             df_minus: Default::default(),
             seq,
         }
@@ -238,7 +280,7 @@ impl LiveSnapshot {
 
     /// The surviving rows with their live oids, in arrival order.
     fn survivors(&self) -> impl Iterator<Item = (Oid, &LibraryRow)> {
-        self.rows().filter(|(oid, _)| !self.tombstones.contains(oid))
+        self.rows().filter(|&(oid, _)| !self.tombstones.contains(oid))
     }
 
     /// The surviving rows in arrival order — the corpus a batch re-ingest
@@ -257,7 +299,7 @@ impl LiveSnapshot {
         LiveSnapshot {
             gen: Arc::clone(&self.gen),
             batches,
-            tombstones: Arc::clone(&self.tombstones),
+            tombstones: self.tombstones.clone(),
             df_minus: self.df_minus.clone(),
             n_live,
             totals,
@@ -269,19 +311,19 @@ impl LiveSnapshot {
         let row = self.row(oid).expect("tombstoned doc exists in the snapshot");
         let text = text_tokens(row);
         let tokens: [Vec<&str>; 2] = [text.iter().map(String::as_str).collect(), vis_tokens(row)];
-        let mut tombstones = (*self.tombstones).clone();
+        let mut tombstones = self.tombstones.clone();
         tombstones.insert(oid);
         let df_minus = std::array::from_fn(|c| {
-            let mut minus = (*self.df_minus[c]).clone();
+            let mut minus = self.df_minus[c].clone();
             for t in tokens[c].iter().collect::<HashSet<_>>() {
-                *minus.entry(t.to_string()).or_insert(0) += 1;
+                minus.add(t);
             }
-            Arc::new(minus)
+            minus
         });
         LiveSnapshot {
             gen: Arc::clone(&self.gen),
             batches: self.batches.clone(),
-            tombstones: Arc::new(tombstones),
+            tombstones,
             df_minus,
             n_live: self.n_live - 1,
             totals: std::array::from_fn(|c| self.totals[c] - tokens[c].len() as u64),
@@ -300,7 +342,7 @@ impl LiveSnapshot {
     /// Union document frequency: Σ segment dfs − tombstoned docs.
     fn df(&self, ch: Channel, term: &str) -> u32 {
         let total: u32 = self.segments(ch).iter().map(|(_, index)| index.df(term)).sum();
-        let minus = self.df_minus[slot(ch)].get(term).copied().unwrap_or(0);
+        let minus = self.df_minus[slot(ch)].get(term);
         debug_assert!(minus <= total, "df underflow for {term:?}");
         total.saturating_sub(minus)
     }
@@ -543,6 +585,8 @@ impl LiveMirror {
     /// at and replays the committed delta ops past its base sequence.
     /// A crash mid-merge reopens the *old* generation (whose ops are all
     /// still present); a crash mid-append reopens the committed prefix.
+    /// Leftovers of a crashed merge or sweep — generations the pointer
+    /// does not name, ops at or below its base — are swept on the way.
     pub fn open_durable(store: Arc<Store>) -> RetrievalResult<Self> {
         let Some((gen_no, base_seq)) = durable::live_pointer(&store)? else {
             return Err(RetrievalError::IncompleteState {
@@ -567,6 +611,7 @@ impl LiveMirror {
                 }
             }
         }
+        durable::live_sweep(&store, gen_no, base_seq)?;
         *live.store.lock() = Some(store);
         Ok(live)
     }
@@ -697,8 +742,12 @@ impl LiveMirror {
     /// raced the rebuild and swap the new generation in. Old generations
     /// retire as soon as the last reader unpins them. With a durable
     /// store the new generation is persisted under its own prefix and
-    /// `live/current` flips only after it is complete — a crash anywhere
-    /// leaves the old generation (plus its WAL ops) authoritative.
+    /// `live/current` flips only after it is complete — a crash before the
+    /// flip leaves the old generation (plus its WAL ops) authoritative.
+    /// After the flip the old generation and the folded ops are swept
+    /// from the store, which then checkpoints; an `Err` from that sweep
+    /// means the merge took effect but its garbage remains, for the next
+    /// merge or [`open_durable`](Self::open_durable) to sweep.
     pub fn merge(&self) -> RetrievalResult<()> {
         let _serialise = self.merge_lock.lock();
         let snap = Arc::clone(&self.state.read());
@@ -753,6 +802,10 @@ impl LiveMirror {
         w.op_log = kept;
         w.url_to_oids = url_map;
         *self.state.write() = Arc::new(next);
+        drop(w);
+        if let Some(store) = self.store.lock().as_ref() {
+            durable::live_sweep(store, new_no, snap.seq)?;
+        }
         Ok(())
     }
 }

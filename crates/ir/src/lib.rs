@@ -31,6 +31,7 @@ pub mod index;
 pub mod net;
 pub mod postings;
 pub mod text;
+pub mod tombstones;
 pub mod topk;
 
 pub use belief::{BeliefParams, DEFAULT_BELIEF};
@@ -40,6 +41,7 @@ pub use index::{CollectionStats, IndexBuilder, InvertedIndex, INDEX_FORMAT_VERSI
 pub use net::{QueryNode, Ranker};
 pub use postings::{BlockMeta, PostingList, BLOCK_LEN};
 pub use text::{is_stopword, porter_stem, tokenize, tokenize_stemmed};
+pub use tombstones::Tombstones;
 pub use topk::{
     topk_beliefs, topk_beliefs_raw, topk_channels, ChannelWork, RawPostings, TopKAccumulator,
     TopKChannel, TopKOutcome,

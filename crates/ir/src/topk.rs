@@ -50,6 +50,7 @@
 use crate::belief::BeliefParams;
 use crate::index::{CollectionStats, InvertedIndex, Posting};
 use crate::postings::PostingList;
+use crate::tombstones::Tombstones;
 use monet::fxhash::FxHashSet;
 use monet::Oid;
 use std::cmp::Ordering;
@@ -493,7 +494,7 @@ pub fn topk_channels(
     channels: &[TopKChannel<'_>],
     params: BeliefParams,
     domain: Option<&FxHashSet<Oid>>,
-    tombstones: Option<&FxHashSet<Oid>>,
+    tombstones: Option<&Tombstones>,
     k: usize,
     degree: usize,
 ) -> TopKOutcome {
@@ -613,7 +614,7 @@ fn segment_topk(
     seg: usize,
     (lo, hi): (Oid, Oid),
     domain: Option<&FxHashSet<Oid>>,
-    tombstones: Option<&FxHashSet<Oid>>,
+    tombstones: Option<&Tombstones>,
     out: &mut SpanOut,
 ) {
     let first = chans[0].segments[seg].0;
@@ -685,7 +686,7 @@ fn segment_topk(
         }
         // candidate: every cursor in order[..=p] sits on pivot_doc
         let doc = first + pivot_doc;
-        if domain.is_some_and(|d| !d.contains(&doc)) || tombstones.is_some_and(|t| t.contains(&doc))
+        if domain.is_some_and(|d| !d.contains(&doc)) || tombstones.is_some_and(|t| t.contains(doc))
         {
             for &c in &order[..alive] {
                 if cursors[c].cur_doc == pivot_doc {
@@ -1280,8 +1281,8 @@ mod tests {
         // deleted, in the base and in the deltas
         let docs: [fn(usize) -> Vec<&'static str>; 2] = [text_doc, visual_doc];
         let cuts = [0usize, 900, 1000, 1150, 1200];
-        let dead: FxHashSet<Oid> = (0..1200).filter(|d| d % 7 == 3).collect();
-        let survivors: Vec<Oid> = (0..1200).filter(|d| !dead.contains(d)).collect();
+        let dead: Tombstones = (0..1200).filter(|d| d % 7 == 3).collect();
+        let survivors: Vec<Oid> = (0..1200).filter(|&d| !dead.contains(d)).collect();
         let segs: Vec<Vec<(Oid, InvertedIndex)>> = docs
             .iter()
             .map(|doc| {
@@ -1346,7 +1347,7 @@ mod tests {
     fn empty_or_weightless_query_over_segments_scores_nothing() {
         let base = idx(300);
         let delta = build((300..400).map(text_doc));
-        let dead: FxHashSet<Oid> = [3, 310].into_iter().collect();
+        let dead: Tombstones = [3, 310].into_iter().collect();
         let segments = vec![(0, &base), (300, &delta)];
         for query in [Vec::new(), vec![("sunset", 0.0, 90)]] {
             let ch =

@@ -9,7 +9,12 @@
 //!   Each is a run of data pages (values chunked across pages in sorted
 //!   key order), then manifest pages (key → page-range entries), then a
 //!   single footer page locating the manifest.
-//! * `wal.log` — puts committed since the last checkpoint.
+//! * `wal.log` — puts and deletes committed since the last checkpoint.
+//!
+//! A [`Store::delete`] is logged like a put and held in the overlay as a
+//! removal, which hides the key even while the base manifest still lists
+//! it; the next checkpoint leaves the key out of the new generation, so
+//! deleted bytes leave both memory and the backend at that point.
 //!
 //! ## Crash safety without rename
 //!
@@ -18,9 +23,10 @@
 //! generations removed. Opening scans for the **highest generation whose
 //! footer and manifest validate** — a torn half-written generation simply
 //! fails validation and the opener falls back to the previous one. WAL
-//! replay over any base is idempotent (puts overwrite by key), so every
-//! crash window — mid-checkpoint, after checkpoint but before WAL reset,
-//! mid-removal of old gens — recovers to the committed state.
+//! replay over any base is idempotent (puts overwrite by key, deletes
+//! remove it, the last write to a key wins), so every crash window —
+//! mid-checkpoint, after checkpoint but before WAL reset, mid-removal of
+//! old gens — recovers to the committed state.
 //!
 //! ## Recovery state machine (on [`Store::open`])
 //!
@@ -33,7 +39,9 @@
 //!                                    ▼
 //!                        WAL replay (committed tail)
 //!                                    ▼
-//!                 overlay = replayed puts   +   report
+//!        overlay = replayed puts and deletes, in order   +   report
+//!                                    ▼
+//!             tail discarded? ── checkpoint (or empty the log)
 //! ```
 
 use crate::error::{MonetError, Result};
@@ -43,6 +51,7 @@ use crate::storage::page::{decode_page, encode_page, PageKind, PAGE_PAYLOAD, PAG
 use crate::storage::pool::{BufferPool, PageKey, PoolStats};
 use crate::storage::wal::{Wal, WAL_FILE};
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::sync::Arc;
 
 const FOOTER_MAGIC: u32 = 0x4D46_5431; // "MFT1"
@@ -71,7 +80,7 @@ pub struct RecoveryReport {
     pub generations_skipped: Vec<u64>,
     /// Committed transactions replayed from the WAL.
     pub wal_transactions: usize,
-    /// Keys whose values came from the WAL overlay.
+    /// Keys the replayed WAL puts or deletes (the overlay).
     pub wal_keys: usize,
     /// Uncommitted WAL records discarded.
     pub records_discarded: usize,
@@ -91,10 +100,12 @@ struct StoreInner {
     generation: Option<u64>,
     /// Key → location in the base generation file.
     manifest: FxHashMap<String, ManifestEntry>,
-    /// Committed puts not yet checkpointed (WAL overlay).
-    overlay: FxHashMap<String, Vec<u8>>,
-    /// Puts staged by [`Store::put`], durable at the next [`Store::commit`].
-    staged: Vec<(String, Vec<u8>)>,
+    /// Committed writes not yet checkpointed (WAL overlay): a value, or
+    /// `None` for a deleted key, which hides any base-manifest entry.
+    overlay: FxHashMap<String, Option<Vec<u8>>>,
+    /// Writes staged by [`Store::put`] / [`Store::delete`], durable at the
+    /// next [`Store::commit`].
+    staged: Vec<(String, Option<Vec<u8>>)>,
     /// Highest generation number ever observed, valid or torn — the next
     /// checkpoint must go above it so a torn higher gen never shadows us.
     max_gen_seen: u64,
@@ -108,6 +119,10 @@ pub struct Store {
     backend: Arc<dyn StorageBackend>,
     pool: BufferPool,
     inner: Mutex<StoreInner>,
+    /// Serialises [`Store::commit`] and [`Store::checkpoint`]: WAL records
+    /// of two commits never interleave, and a checkpoint never resets the
+    /// WAL under a commit it did not fold.
+    log: Mutex<()>,
     recovery: RecoveryReport,
 }
 
@@ -135,8 +150,10 @@ fn parse_gen(file: &str) -> Option<u64> {
 impl Store {
     /// Open a store, running recovery: pick the newest valid checkpoint
     /// generation, replay the WAL's committed tail over it, and discard
-    /// any torn records. Never fails on a torn state — only on real I/O
-    /// errors or an unreadable *valid-looking* structure.
+    /// any torn records — checkpointing (or emptying the log) when it
+    /// did, so later commits never land behind them. Never fails on a
+    /// torn state — only on real I/O errors or an unreadable
+    /// *valid-looking* structure.
     pub fn open(backend: Arc<dyn StorageBackend>, options: StoreOptions) -> Result<Self> {
         let mut report = RecoveryReport::default();
         let mut gens: Vec<u64> = backend.list()?.iter().filter_map(|f| parse_gen(f)).collect();
@@ -162,12 +179,13 @@ impl Store {
         report.records_discarded = replay.records_discarded;
         report.bytes_discarded = replay.bytes_discarded;
         let mut overlay = FxHashMap::default();
-        for (k, v) in replay.puts {
+        for (k, v) in replay.writes {
             overlay.insert(k, v);
         }
         report.wal_keys = overlay.len();
 
-        Ok(Store {
+        let discarded = report.records_discarded > 0 || report.bytes_discarded > 0;
+        let store = Store {
             pool: BufferPool::new(options.pool_pages),
             inner: Mutex::new(StoreInner {
                 generation,
@@ -176,9 +194,22 @@ impl Store {
                 staged: Vec::new(),
                 max_gen_seen,
             }),
+            log: Mutex::new(()),
             backend,
             recovery: report,
-        })
+        };
+        // a discarded tail must not stay in the log: the next commit would
+        // land behind torn bytes (where replay stops) or seal a crashed
+        // transaction's records. Fold the committed writes into pages, or
+        // with none to fold, just empty the log.
+        if discarded {
+            if store.inner.lock().overlay.is_empty() {
+                Wal::new(store.backend.as_ref(), WAL_FILE).reset()?;
+            } else {
+                store.checkpoint()?;
+            }
+        }
+        Ok(store)
     }
 
     /// What recovery found while opening this store.
@@ -196,7 +227,8 @@ impl Store {
         &self.backend
     }
 
-    /// All keys currently visible (base ∪ overlay ∪ staged), sorted.
+    /// All keys currently visible (base ∪ overlay ∪ staged, less
+    /// deletes), sorted.
     pub fn keys(&self) -> Vec<String> {
         let inner = self.inner.lock();
         let mut keys: Vec<String> = inner
@@ -204,6 +236,7 @@ impl Store {
             .keys()
             .chain(inner.overlay.keys())
             .chain(inner.staged.iter().map(|(k, _)| k))
+            .filter(|k| inner.visible(k, true))
             .cloned()
             .collect();
         keys.sort_unstable();
@@ -213,23 +246,24 @@ impl Store {
 
     /// True if `key` is visible.
     pub fn contains(&self, key: &str) -> bool {
-        let inner = self.inner.lock();
-        inner.staged.iter().any(|(k, _)| k == key)
-            || inner.overlay.contains_key(key)
-            || inner.manifest.contains_key(key)
+        self.inner.lock().visible(key, true)
     }
 
-    /// Read a value. Staged puts win over the WAL overlay, which wins
-    /// over the checkpointed base. Base reads go through the buffer pool
-    /// page by page, each page checksum-verified.
+    /// Read a value. Staged writes win over the WAL overlay, which wins
+    /// over the checkpointed base; a delete hides the key from every
+    /// layer below it. Base reads go through the buffer pool page by
+    /// page, each page checksum-verified.
     pub fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+        self.read(key, true)
+    }
+
+    /// [`get`](Self::get), optionally ignoring staged writes (a
+    /// checkpoint folds committed state only).
+    fn read(&self, key: &str, with_staged: bool) -> Result<Option<Vec<u8>>> {
         let (entry, generation) = {
             let inner = self.inner.lock();
-            if let Some((_, v)) = inner.staged.iter().rev().find(|(k, _)| k == key) {
-                return Ok(Some(v.clone()));
-            }
-            if let Some(v) = inner.overlay.get(key) {
-                return Ok(Some(v.clone()));
+            if let Some(v) = inner.pending(key, with_staged) {
+                return Ok(v.clone());
             }
             match (&inner.generation, inner.manifest.get(key)) {
                 (Some(g), Some(e)) => (e.clone(), *g),
@@ -287,19 +321,30 @@ impl Store {
 
     /// Stage a put. Nothing is durable until [`commit`](Self::commit).
     pub fn put(&self, key: impl Into<String>, value: Vec<u8>) {
-        self.inner.lock().staged.push((key.into(), value));
+        self.inner.lock().staged.push((key.into(), Some(value)));
     }
 
-    /// Write all staged puts to the WAL as one transaction and sync.
-    /// After this returns, the puts survive any crash.
+    /// Stage the removal of `key` (a no-op for an absent key). Like a put
+    /// it is durable at the next [`commit`](Self::commit), and the bytes
+    /// leave the page files at the next [`checkpoint`](Self::checkpoint).
+    pub fn delete(&self, key: impl Into<String>) {
+        self.inner.lock().staged.push((key.into(), None));
+    }
+
+    /// Write all staged puts and deletes to the WAL as one transaction and
+    /// sync. After this returns, they survive any crash.
     pub fn commit(&self) -> Result<()> {
+        let _log = self.log.lock();
         let staged = std::mem::take(&mut self.inner.lock().staged);
         if staged.is_empty() {
             return Ok(());
         }
         let wal = Wal::new(self.backend.as_ref(), WAL_FILE);
         for (k, v) in &staged {
-            wal.append_put(k, v)?;
+            match v {
+                Some(v) => wal.append_put(k, v)?,
+                None => wal.append_delete(k)?,
+            }
         }
         wal.commit()?;
         let mut inner = self.inner.lock();
@@ -310,72 +355,68 @@ impl Store {
     }
 
     /// Fold base + overlay into a fresh shadow generation, then reset the
-    /// WAL and remove superseded generation files. Crash-safe at every
-    /// step (see module docs). No-op when there is nothing to fold.
+    /// WAL and remove superseded generation files. Deleted keys are left
+    /// out. Crash-safe at every step (see module docs). No-op when there
+    /// is nothing to fold.
     pub fn checkpoint(&self) -> Result<()> {
-        // materialize the full visible state (base ∪ overlay; staged
-        // data is NOT checkpointed — commit first)
-        let (pairs, old_gen, new_gen) = {
+        let _log = self.log.lock();
+        // the committed visible keys (base ∪ overlay, less deletes; staged
+        // writes are NOT checkpointed — commit first)
+        let (keys, old_gen, new_gen) = {
             let inner = self.inner.lock();
             if inner.overlay.is_empty() && inner.generation.is_some() {
                 return Ok(()); // base already reflects everything
             }
-            let mut keys: Vec<String> =
-                inner.manifest.keys().chain(inner.overlay.keys()).cloned().collect();
+            let mut keys: Vec<String> = inner
+                .manifest
+                .keys()
+                .chain(inner.overlay.keys())
+                .filter(|k| inner.visible(k, false))
+                .cloned()
+                .collect();
             keys.sort_unstable();
             keys.dedup();
             (keys, inner.generation, inner.max_gen_seen + 1)
         };
-        let mut resolved: Vec<(String, Vec<u8>)> = Vec::with_capacity(pairs.len());
-        for key in pairs {
-            if let Some(v) = self.get(&key)? {
-                resolved.push((key, v));
-            }
-        }
 
-        // lay out pages: data runs in key order, then manifest, then footer
-        let mut pages: Vec<(PageKind, Vec<u8>)> = Vec::new();
-        let mut entries: Vec<ManifestEntry> = Vec::with_capacity(resolved.len());
-        for (key, value) in &resolved {
-            let first_page = pages.len() as u64;
+        // shadow write, one value at a time: data runs in key order, then
+        // manifest, then footer. The new generation becomes real only once
+        // its footer page (written last) validates.
+        let file = gen_file(new_gen);
+        self.backend.remove(&file)?; // clear any torn leftover at this gen
+        let n_pages = Cell::new(0u64);
+        let write_page = |kind: PageKind, payload: &[u8]| -> Result<()> {
+            let page_no = n_pages.replace(n_pages.get() + 1);
+            self.backend.append(&file, &encode_page(kind, page_no as u32, payload))
+        };
+        let mut entries: Vec<ManifestEntry> = Vec::with_capacity(keys.len());
+        for key in keys {
+            let Some(value) = self.read(&key, false)? else { continue };
+            let first_page = n_pages.get();
             if value.is_empty() {
-                pages.push((PageKind::Data, Vec::new()));
-            } else {
-                for chunk in value.chunks(PAGE_PAYLOAD) {
-                    pages.push((PageKind::Data, chunk.to_vec()));
-                }
+                write_page(PageKind::Data, &[])?;
             }
-            entries.push(ManifestEntry {
-                key: key.clone(),
-                first_page,
-                byte_len: value.len() as u64,
-            });
+            for chunk in value.chunks(PAGE_PAYLOAD) {
+                write_page(PageKind::Data, chunk)?;
+            }
+            entries.push(ManifestEntry { key, first_page, byte_len: value.len() as u64 });
         }
         let manifest_bytes = Self::encode_manifest(&entries);
-        let manifest_first = pages.len() as u64;
+        let manifest_first = n_pages.get();
         if manifest_bytes.is_empty() {
-            pages.push((PageKind::Manifest, Vec::new()));
-        } else {
-            for chunk in manifest_bytes.chunks(PAGE_PAYLOAD) {
-                pages.push((PageKind::Manifest, chunk.to_vec()));
-            }
+            write_page(PageKind::Manifest, &[])?;
+        }
+        for chunk in manifest_bytes.chunks(PAGE_PAYLOAD) {
+            write_page(PageKind::Manifest, chunk)?;
         }
         let mut footer = Vec::with_capacity(44);
         footer.extend_from_slice(&FOOTER_MAGIC.to_le_bytes());
         footer.extend_from_slice(&new_gen.to_le_bytes());
         footer.extend_from_slice(&manifest_first.to_le_bytes());
-        footer.extend_from_slice(&(pages.len() as u64 - manifest_first).to_le_bytes());
+        footer.extend_from_slice(&(n_pages.get() - manifest_first).to_le_bytes());
         footer.extend_from_slice(&(manifest_bytes.len() as u64).to_le_bytes());
         footer.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        pages.push((PageKind::Footer, footer));
-
-        // shadow write: the new generation becomes real only once its
-        // footer page (written last) validates
-        let file = gen_file(new_gen);
-        self.backend.remove(&file)?; // clear any torn leftover at this gen
-        for (page_no, (kind, payload)) in pages.iter().enumerate() {
-            self.backend.append(&file, &encode_page(*kind, page_no as u32, payload))?;
-        }
+        write_page(PageKind::Footer, &footer)?;
         self.backend.sync(&file)?;
 
         // swap in the new base, then retire the WAL and old generations.
@@ -508,6 +549,25 @@ impl Store {
             return Err(corrupt("trailing bytes after last entry"));
         }
         Ok(entries)
+    }
+}
+
+impl StoreInner {
+    /// The newest un-checkpointed write to `key` — staged (when asked)
+    /// over the overlay: `Some(None)` is a delete, `None` means "ask the
+    /// base".
+    fn pending(&self, key: &str, with_staged: bool) -> Option<&Option<Vec<u8>>> {
+        let staged = with_staged.then(|| self.staged.iter().rev().find(|(k, _)| k == key));
+        staged.flatten().map(|(_, v)| v).or_else(|| self.overlay.get(key))
+    }
+
+    /// True if `key` is visible: its newest write is a put, or it has
+    /// none and the base manifest lists it.
+    fn visible(&self, key: &str, with_staged: bool) -> bool {
+        match self.pending(key, with_staged) {
+            Some(v) => v.is_some(),
+            None => self.manifest.contains_key(key),
+        }
     }
 }
 
@@ -671,6 +731,175 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn delete_survives_reopen_from_the_wal_alone() {
+        let fs = MemFs::new();
+        {
+            let store = mem_store(&fs);
+            store.put("a", b"1".to_vec());
+            store.put("b", b"2".to_vec());
+            store.commit().unwrap();
+            store.delete("a");
+            assert_eq!(store.get("a").unwrap(), None); // staged delete reads through
+            store.commit().unwrap();
+        }
+        let store = mem_store(&fs);
+        assert_eq!(store.recovery().base_generation, None);
+        assert_eq!(store.get("a").unwrap(), None);
+        assert!(!store.contains("a"));
+        assert_eq!(store.keys(), vec!["b".to_string()]);
+    }
+
+    #[test]
+    fn checkpoint_leaves_deleted_keys_out_of_the_page_file() {
+        let fs = MemFs::new();
+        {
+            let store = mem_store(&fs);
+            store.put("gone", vec![5u8; 20_000]);
+            store.put("kept", b"k".to_vec());
+            store.commit().unwrap();
+            store.delete("gone");
+            store.commit().unwrap();
+            store.checkpoint().unwrap();
+        }
+        assert!(fs.total_bytes() < 20_000, "deleted bytes still on the backend");
+        let store = mem_store(&fs);
+        assert_eq!(store.recovery().wal_transactions, 0);
+        assert_eq!(store.get("gone").unwrap(), None);
+        assert_eq!(store.keys(), vec!["kept".to_string()]);
+    }
+
+    #[test]
+    fn delete_hides_a_base_manifest_key() {
+        let fs = MemFs::new();
+        {
+            let store = mem_store(&fs);
+            store.put("k", b"base".to_vec());
+            store.put("other", b"o".to_vec());
+            store.commit().unwrap();
+            store.checkpoint().unwrap();
+            store.delete("k");
+            store.commit().unwrap();
+            assert_eq!(store.get("k").unwrap(), None);
+            assert!(!store.contains("k"));
+        }
+        // the base page file still lists the key; the replayed delete hides it
+        let store = mem_store(&fs);
+        assert_eq!(store.recovery().base_generation, Some(1));
+        assert_eq!(store.get("k").unwrap(), None);
+        assert!(!store.contains("k"));
+        assert_eq!(store.keys(), vec!["other".to_string()]);
+    }
+
+    #[test]
+    fn put_after_delete_wins() {
+        let fs = MemFs::new();
+        {
+            let store = mem_store(&fs);
+            store.put("k", b"old".to_vec());
+            store.commit().unwrap();
+            store.checkpoint().unwrap();
+            store.delete("k");
+            store.put("k", b"new".to_vec()); // same transaction
+            store.commit().unwrap();
+            assert_eq!(store.get("k").unwrap().unwrap(), b"new");
+            store.delete("k");
+            store.commit().unwrap();
+            store.put("k", b"newer".to_vec()); // a later transaction
+            store.commit().unwrap();
+        }
+        let store = mem_store(&fs);
+        assert_eq!(store.get("k").unwrap().unwrap(), b"newer");
+        store.checkpoint().unwrap();
+        assert_eq!(mem_store(&fs).get("k").unwrap().unwrap(), b"newer");
+    }
+
+    #[test]
+    fn crash_in_a_mixed_put_delete_transaction_is_all_or_nothing() {
+        // a checkpointed base, then one transaction that deletes a base
+        // key and a WAL key and puts a new one, then a checkpoint: crash
+        // at every write of the run and expect exactly before or after
+        let setup = |store: &Store| {
+            store.put("base", vec![2u8; 5000]);
+            store.commit().unwrap();
+            store.checkpoint().unwrap();
+            store.put("wal", b"w".to_vec());
+            store.commit().unwrap();
+        };
+        let txn = |store: &Store| -> bool {
+            store.delete("base");
+            store.delete("wal");
+            store.put("new", vec![3u8; 6000]);
+            let committed = store.commit().is_ok();
+            let _ = store.checkpoint(); // may crash — fine
+            committed
+        };
+        let counter = Arc::new(FaultFs::new(Arc::new(MemFs::new()), FaultPlan::default()));
+        let store = Store::open(counter.clone(), StoreOptions::default()).unwrap();
+        setup(&store);
+        let first = counter.writes_issued();
+        assert!(txn(&store));
+        let n = counter.writes_issued();
+        assert!(n - first > 5, "transaction too small to be interesting: {} writes", n - first);
+
+        for crash_at in first..n {
+            for torn in [0usize, 3] {
+                let disk = MemFs::new();
+                let faulty = Arc::new(FaultFs::new(
+                    Arc::new(disk.clone()),
+                    FaultPlan {
+                        crash_at_write: Some(crash_at),
+                        torn_bytes: torn,
+                        ..Default::default()
+                    },
+                ));
+                let store = Store::open(faulty, StoreOptions::default()).unwrap();
+                setup(&store);
+                let committed = txn(&store);
+                drop(store);
+                let store = mem_store(&disk);
+                let keys = store.keys();
+                if committed {
+                    assert_eq!(keys, vec!["new".to_string()], "crash at {crash_at} torn {torn}");
+                    assert_eq!(store.get("new").unwrap().unwrap(), vec![3u8; 6000]);
+                } else {
+                    let before = vec!["base".to_string(), "wal".to_string()];
+                    assert_eq!(keys, before, "crash at {crash_at} torn {torn}");
+                    assert_eq!(store.get("base").unwrap().unwrap(), vec![2u8; 5000]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn commits_after_a_discarded_wal_tail_survive_the_next_reopen() {
+        for checkpointed in [false, true] {
+            let fs = MemFs::new();
+            {
+                let store = mem_store(&fs);
+                store.put("a", b"1".to_vec());
+                store.commit().unwrap();
+                if checkpointed {
+                    store.checkpoint().unwrap();
+                }
+                // a crash left an unsealed put, then a torn record
+                let wal = Wal::new(&fs, WAL_FILE);
+                wal.append_put("ghost", b"never committed").unwrap();
+                fs.append(WAL_FILE, &[0xAB, 0x00, 0x00]).unwrap();
+            }
+            {
+                let store = mem_store(&fs);
+                assert!(store.recovery().bytes_discarded > 0);
+                store.put("b", b"2".to_vec());
+                store.commit().unwrap();
+            }
+            let store = mem_store(&fs);
+            assert_eq!(store.get("b").unwrap().unwrap(), b"2", "checkpointed base: {checkpointed}");
+            assert_eq!(store.get("ghost").unwrap(), None, "a later commit sealed a crashed put");
+            assert_eq!(store.keys(), vec!["a".to_string(), "b".to_string()]);
         }
     }
 

@@ -8,18 +8,21 @@
 //! ```
 //!
 //! `len` counts the kind byte plus the payload; `crc` is fx64 over the
-//! kind byte and payload. Two kinds exist: `Put {key, value}` (kind 1)
-//! and `Commit` (kind 2). Writers append the puts of a transaction and
-//! then a commit record, syncing after the commit — a transaction is
-//! durable exactly when its commit record is fully on disk.
+//! kind byte and payload. Three kinds exist: `Put {key, value}` (kind 1),
+//! `Commit` (kind 2) and `Delete {key}` (kind 3). Writers append the puts
+//! and deletes of a transaction and then a commit record, syncing after
+//! the commit — a transaction is durable exactly when its commit record
+//! is fully on disk.
 //!
-//! Replay scans from the start, buffering puts until a commit seals
+//! Replay scans from the start, buffering writes until a commit seals
 //! them. A record that is truncated, short, or fails its CRC ends the
-//! scan: it and everything after it (including any unsealed puts) is the
-//! torn tail a crash left behind, and is discarded — counted, never
-//! decoded.
+//! scan: it and everything after it (including any unsealed writes) is
+//! the torn tail a crash left behind, and is discarded — counted, never
+//! decoded. A record whose CRC holds but whose kind this build does not
+//! know is not a torn tail — a crash cannot forge a checksum — so replay
+//! fails with [`MonetError::Corrupt`] rather than drop committed data.
 
-use crate::error::Result;
+use crate::error::{MonetError, Result};
 use crate::storage::backend::StorageBackend;
 use crate::storage::codec::checksum64;
 
@@ -28,6 +31,7 @@ pub const WAL_FILE: &str = "wal.log";
 
 const KIND_PUT: u8 = 1;
 const KIND_COMMIT: u8 = 2;
+const KIND_DELETE: u8 = 3;
 /// Allocation guard for a single record (16 MiB) — a corrupt length
 /// field must not trigger an absurd allocation.
 const MAX_RECORD: usize = 16 << 20;
@@ -36,13 +40,14 @@ const MAX_RECORD: usize = 16 << 20;
 /// of what the scan discarded.
 #[derive(Debug, Clone, Default)]
 pub struct WalReplay {
-    /// Committed `(key, value)` puts, in commit order. Later puts to the
-    /// same key supersede earlier ones; the store applies them in order.
-    pub puts: Vec<(String, Vec<u8>)>,
+    /// Committed writes in commit order: `(key, Some(value))` for a put,
+    /// `(key, None)` for a delete. A later write to the same key
+    /// supersedes an earlier one; the store applies them in order.
+    pub writes: Vec<(String, Option<Vec<u8>>)>,
     /// Number of committed transactions replayed.
     pub transactions: usize,
-    /// Whole records discarded: members of transactions never sealed by
-    /// a commit.
+    /// Whole records discarded: writes of transactions never sealed by a
+    /// commit.
     pub records_discarded: usize,
     /// Bytes of torn trailing garbage (a partly-written record).
     pub bytes_discarded: usize,
@@ -85,6 +90,15 @@ impl<'a> Wal<'a> {
         self.backend.append(&self.file, &Self::frame(KIND_PUT, &payload))
     }
 
+    /// Append a `Delete {key}` record (unsealed until the next
+    /// [`commit`](Self::commit), like a put).
+    pub fn append_delete(&self, key: &str) -> Result<()> {
+        let mut payload = Vec::with_capacity(4 + key.len());
+        payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        payload.extend_from_slice(key.as_bytes());
+        self.backend.append(&self.file, &Self::frame(KIND_DELETE, &payload))
+    }
+
     /// Append a commit record and sync — the durability point of every
     /// transaction written since the previous commit.
     pub fn commit(&self) -> Result<()> {
@@ -92,8 +106,9 @@ impl<'a> Wal<'a> {
         self.backend.sync(&self.file)
     }
 
-    /// Scan the log, returning committed puts and discarding the torn
-    /// tail. A missing log file is an empty log.
+    /// Scan the log, returning committed writes and discarding the torn
+    /// tail. A missing log file is an empty log; a checksummed record of
+    /// an unknown kind is an error.
     pub fn replay(&self) -> Result<WalReplay> {
         let mut out = WalReplay::default();
         if !self.backend.exists(&self.file) {
@@ -101,7 +116,7 @@ impl<'a> Wal<'a> {
         }
         let bytes = self.backend.read(&self.file)?;
         let mut at = 0usize;
-        let mut pending: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut pending: Vec<(String, Option<Vec<u8>>)> = Vec::new();
         loop {
             if at == bytes.len() {
                 break; // clean end
@@ -121,19 +136,25 @@ impl<'a> Wal<'a> {
                 out.bytes_discarded = bytes.len() - at;
                 break; // bit rot or torn overwrite — stop trusting the tail
             }
-            match body[0] {
-                KIND_PUT => match Self::decode_put(&body[1..]) {
-                    Some(kv) => pending.push(kv),
-                    None => {
-                        out.bytes_discarded = bytes.len() - at;
-                        break;
-                    }
-                },
+            let write = match body[0] {
+                KIND_PUT => Self::decode_put(&body[1..]).map(|(k, v)| (k, Some(v))),
+                KIND_DELETE => Self::decode_key(&body[1..]).map(|k| (k, None)),
                 KIND_COMMIT => {
                     out.transactions += 1;
-                    out.puts.append(&mut pending);
+                    out.writes.append(&mut pending);
+                    at += 12 + len;
+                    continue;
                 }
-                _ => {
+                kind => {
+                    return Err(MonetError::Corrupt {
+                        what: format!("{} record at byte {at}", self.file),
+                        detail: format!("unknown record kind {kind} behind a valid checksum"),
+                    })
+                }
+            };
+            match write {
+                Some(w) => pending.push(w),
+                None => {
                     out.bytes_discarded = bytes.len() - at;
                     break;
                 }
@@ -142,6 +163,14 @@ impl<'a> Wal<'a> {
         }
         out.records_discarded = pending.len();
         Ok(out)
+    }
+
+    fn decode_key(payload: &[u8]) -> Option<String> {
+        let klen = u32::from_le_bytes(payload.get(0..4)?.try_into().ok()?) as usize;
+        if payload.len() != 4 + klen {
+            return None;
+        }
+        Some(std::str::from_utf8(&payload[4..]).ok()?.to_string())
     }
 
     fn decode_put(payload: &[u8]) -> Option<(String, Vec<u8>)> {
@@ -198,11 +227,11 @@ mod tests {
         let r = wal.replay().unwrap();
         assert_eq!(r.transactions, 2);
         assert_eq!(
-            r.puts,
+            r.writes,
             vec![
-                ("a".into(), b"1".to_vec()),
-                ("b".into(), b"2".to_vec()),
-                ("a".into(), b"3".to_vec()),
+                ("a".into(), Some(b"1".to_vec())),
+                ("b".into(), Some(b"2".to_vec())),
+                ("a".into(), Some(b"3".to_vec())),
             ]
         );
         assert_eq!(r.records_discarded, 0);
@@ -217,7 +246,7 @@ mod tests {
         wal.commit().unwrap();
         wal.append_put("b", b"2").unwrap(); // never committed
         let r = wal.replay().unwrap();
-        assert_eq!(r.puts, vec![("a".into(), b"1".to_vec())]);
+        assert_eq!(r.writes, vec![("a".into(), Some(b"1".to_vec()))]);
         assert_eq!(r.records_discarded, 1);
     }
 
@@ -233,16 +262,16 @@ mod tests {
         for cut in 0..full.len() {
             fs.write(WAL_FILE, &full[..cut]).unwrap();
             let r = wal.replay().expect("replay never errors on truncation");
-            // the replayed puts must be a committed prefix: [], [k1], or [k1,k2]
-            match r.puts.len() {
+            // the replayed writes must be a committed prefix: [], [k1], or [k1,k2]
+            match r.writes.len() {
                 0 => {}
-                1 => assert_eq!(r.puts[0].0, "k1"),
-                2 => assert_eq!(r.puts[1].0, "k2"),
+                1 => assert_eq!(r.writes[0].0, "k1"),
+                2 => assert_eq!(r.writes[1].0, "k2"),
                 n => panic!("impossible put count {n}"),
             }
             if cut < full.len() {
                 assert!(
-                    r.bytes_discarded > 0 || r.puts.len() < 2 || cut == full.len(),
+                    r.bytes_discarded > 0 || r.writes.len() < 2 || cut == full.len(),
                     "cut at {cut} silently dropped data"
                 );
             }
@@ -266,8 +295,37 @@ mod tests {
         bytes[second_tx_start + 14] ^= 0xFF;
         fs.write(WAL_FILE, &bytes).unwrap();
         let r = wal.replay().unwrap();
-        assert_eq!(r.puts, vec![("a".into(), b"1".to_vec())]);
+        assert_eq!(r.writes, vec![("a".into(), Some(b"1".to_vec()))]);
         assert!(r.bytes_discarded > 0);
+    }
+
+    #[test]
+    fn deletes_replay_in_order_with_puts() {
+        let fs = MemFs::new();
+        let wal = Wal::new(&fs, WAL_FILE);
+        wal.append_put("a", b"1").unwrap();
+        wal.append_delete("a").unwrap();
+        wal.commit().unwrap();
+        wal.append_delete("b").unwrap(); // never committed
+        let r = wal.replay().unwrap();
+        assert_eq!(r.writes, vec![("a".into(), Some(b"1".to_vec())), ("a".into(), None)]);
+        assert_eq!(r.records_discarded, 1);
+    }
+
+    #[test]
+    fn unknown_kind_with_valid_checksum_is_an_error_not_a_torn_tail() {
+        let fs = MemFs::new();
+        let wal = Wal::new(&fs, WAL_FILE);
+        wal.append_put("a", b"1").unwrap();
+        wal.commit().unwrap();
+        fs.append(WAL_FILE, &Wal::frame(9, b"from a newer build")).unwrap();
+        wal.append_put("b", b"2").unwrap();
+        wal.commit().unwrap();
+        let err = wal.replay().unwrap_err();
+        assert!(
+            matches!(&err, MonetError::Corrupt { detail, .. } if detail.contains("kind 9")),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -279,7 +337,7 @@ mod tests {
         assert!(!wal.is_empty().unwrap());
         wal.reset().unwrap();
         assert!(wal.is_empty().unwrap());
-        assert_eq!(wal.replay().unwrap().puts.len(), 0);
+        assert_eq!(wal.replay().unwrap().writes.len(), 0);
     }
 
     #[test]
@@ -287,7 +345,7 @@ mod tests {
         let fs = MemFs::new();
         let wal = Wal::new(&fs, WAL_FILE);
         let r = wal.replay().unwrap();
-        assert!(r.puts.is_empty());
+        assert!(r.writes.is_empty());
         assert_eq!(wal.len().unwrap(), 0);
     }
 }

@@ -531,6 +531,99 @@ fn fresh_store_reports_never_initialised_live_instance() {
     }
 }
 
+/// The `live/current` pointer of a store: `(generation, base sequence)`.
+fn live_pointer(store: &Store) -> Option<(u64, u64)> {
+    let bytes = store.get("live/current").unwrap()?;
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    Some((word(0), word(8)))
+}
+
+/// Keys the pointer no longer names: other generations' layouts and ops
+/// at or below its base sequence — what a merge's sweep deletes.
+fn live_leftovers(store: &Store) -> Vec<String> {
+    let Some((gen, base)) = live_pointer(store) else { return Vec::new() };
+    let keep = format!("live/gen-{gen:06}/");
+    store
+        .keys()
+        .into_iter()
+        .filter(|k| match k.strip_prefix("live/op-") {
+            Some(seq) => seq.parse::<u64>().unwrap() <= base,
+            None => k.starts_with("live/gen-") && !k.starts_with(&keep),
+        })
+        .collect()
+}
+
+#[test]
+fn live_store_stays_bounded_across_merges() {
+    let b = baseline();
+    let rows = b.db.library_rows();
+    let fs = MemFs::new();
+    let store = Arc::new(reopen(&fs));
+    let live = LiveMirror::create_durable(live_base(b), Arc::clone(&store)).unwrap();
+    // every round inserts one row and deletes one, so the corpus holds
+    // steady at ten documents while the merges pile up
+    let mut doomed = rows[0].url.clone();
+    let mut bytes_after_round_3 = 0;
+    for round in 0..30 {
+        let mut row = rows[10 + round % 8].clone();
+        row.url = format!("http://live/round-{round}");
+        live.insert_rows(vec![row.clone()]).unwrap();
+        assert!(live.delete(&doomed).unwrap().is_some());
+        doomed = row.url;
+        live.merge().unwrap();
+        if round == 2 {
+            bytes_after_round_3 = fs.total_bytes();
+        }
+    }
+    let bytes = fs.total_bytes();
+    assert!(
+        bytes as f64 <= 1.25 * bytes_after_round_3 as f64,
+        "store grew from {bytes_after_round_3} bytes after round 3 to {bytes} after round 30"
+    );
+    let keys = store.keys();
+    let mut gens: Vec<&str> = keys
+        .iter()
+        .filter_map(|k| k.strip_prefix("live/gen-"))
+        .map(|rest| rest.split('/').next().unwrap())
+        .collect();
+    gens.dedup();
+    assert_eq!(gens.len(), 1, "generations left in the store: {gens:?}");
+    assert_eq!(live_leftovers(&store), Vec::<String>::new());
+
+    let reopened = LiveMirror::open_durable(Arc::new(reopen(&fs))).unwrap();
+    assert_eq!(keyed(probe(&reopened)), keyed(probe(&live)));
+}
+
+#[test]
+fn live_crash_between_pointer_flip_and_sweep_reopens_swept() {
+    let b = baseline();
+    let lb = live_baseline();
+    let mut in_window = 0;
+    for w in lb.writes_at_init..lb.total_writes {
+        let fs = MemFs::new();
+        let plan = FaultPlan { crash_at_write: Some(w), torn_bytes: 0, flips: vec![] };
+        let fault = Arc::new(FaultFs::new(Arc::new(fs.clone()), plan));
+        let store = Arc::new(Store::open(fault, StoreOptions::default()).unwrap());
+        assert!(run_live_script(b, store).is_err(), "crash at write {w} did not fire");
+
+        let store = Arc::new(reopen(&fs));
+        let leftovers = live_leftovers(&store);
+        // the pointer names a generation whose predecessor is still
+        // stored: the crash hit after the flip, before the sweep finished
+        let (gen, _) = live_pointer(&store).unwrap();
+        let superseded = format!("live/gen-{:06}/", gen.wrapping_sub(1));
+        in_window += usize::from(gen > 0 && leftovers.iter().any(|k| k.starts_with(&superseded)));
+
+        let live = LiveMirror::open_durable(Arc::clone(&store)).unwrap();
+        assert_eq!(live_leftovers(&store), Vec::<String>::new(), "crash at write {w}");
+        let got = keyed(probe(&live));
+        assert!(lb.prefix_probes.contains(&got), "crash at write {w}: no op-prefix state");
+        let again = LiveMirror::open_durable(Arc::new(reopen(&fs))).unwrap();
+        assert_eq!(keyed(probe(&again)), got, "crash at write {w}: sweep changed the state");
+    }
+    assert!(in_window > 0, "no crash point fell between a pointer flip and its sweep");
+}
+
 // ---------------------------------------------------------------------------
 // Properties
 // ---------------------------------------------------------------------------
