@@ -39,9 +39,9 @@ pub const GETBL_OP: &str = "contrep.getbl";
 /// channels' sums (dual coding) — collapsed into one streaming operator
 /// with block-max pruning ([`crate::topk::topk_channels`]). The name
 /// follows the kernel's fusion convention — `<op>.topk` — which the Moa
-/// optimizer uses to find a fused counterpart for a top-k budget
-/// ([`moa::rewrite_topk`] for one channel, the `topk_fuse` pass for the
-/// dual shape); its parameter layout is [`moa::rewrite::topk_params`].
+/// optimizer's `topk_fuse` rewrite ([`moa::opt`]) uses to find a fused
+/// counterpart for a top-k budget; its parameter layout is
+/// [`moa::opt::topk_params`].
 pub const TOPK_BL_OP: &str = "contrep.getbl.topk";
 
 /// Shared store of built content representations, keyed by BAT prefix.
@@ -307,7 +307,7 @@ fn register_getbl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
 
 /// Register (or refresh) the fused `topk_bl` operator. Its parameters
 /// are the kernel's multi-channel `<op>.topk` layout
-/// ([`moa::rewrite::topk_params`]): per channel a weight, a length and
+/// ([`moa::opt::topk_params`]): per channel a weight, a length and
 /// that channel's `getBL` parameters, then the budget — one channel for a
 /// plain ranking, two (text, image) for dual coding and relevance
 /// feedback. The output is the k best `[doc, Σ weight·belief-sum]` rows in
@@ -318,7 +318,7 @@ fn register_topk_bl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
     ops.register(TOPK_BL_OP, move |ctx, inputs, params| {
         let bad =
             |msg: &str| MonetError::BadOpInvocation { op: TOPK_BL_OP.into(), msg: msg.into() };
-        let (groups, k) = moa::rewrite::split_topk_params(params).ok_or_else(|| {
+        let (groups, k) = moa::opt::split_topk_params(params).ok_or_else(|| {
             bad("parameters must be (weight, len, getBL params)+ then the budget")
         })?;
         let mut decoded = Vec::with_capacity(groups.len());

@@ -59,20 +59,19 @@ pub struct MoaEngine {
     env: Arc<Env>,
     /// Optimiser configuration applied to every query.
     pub opt: OptConfig,
-    /// The registered optimizer pass pipeline ([`Pipeline::standard`] by
-    /// default); every query's physical plan runs through it.
+    /// The optimizer; every query's physical plan runs through it.
     pub pipeline: Pipeline,
 }
 
 impl MoaEngine {
     /// Create an engine over an environment.
     pub fn new(env: Arc<Env>) -> Self {
-        MoaEngine { env, opt: OptConfig::default(), pipeline: Pipeline::standard() }
+        MoaEngine { env, opt: OptConfig::default(), pipeline: Pipeline }
     }
 
     /// Create an engine with explicit optimiser switches.
     pub fn with_opt(env: Arc<Env>, opt: OptConfig) -> Self {
-        MoaEngine { env, opt, pipeline: Pipeline::standard() }
+        MoaEngine { env, opt, pipeline: Pipeline }
     }
 
     /// The underlying environment.
@@ -210,8 +209,8 @@ impl MoaEngine {
     }
 
     /// Compile an AST to its final physical plan: logical rewrite, flatten
-    /// (with request bindings), then the optimizer pass pipeline (peephole,
-    /// statistics-driven reordering/placement, top-k fusion).
+    /// (with request bindings), then the optimizer (statistics-driven
+    /// selection ordering, top-k fusion).
     fn compile_params(&self, expr: &Expr, params: &QueryParams) -> Result<(Rep, Plan, PlanHints)> {
         let rewritten = rewrite_logical(expr, &self.env, self.opt);
         self.compile_rewritten(&rewritten, params)
@@ -303,12 +302,16 @@ mod tests {
             let e = engine();
             Arc::clone(e.env())
         };
-        let q = "map[THIS.score * 2 * 3](select[THIS.size > 100](Lib))";
         let opt = MoaEngine::with_opt(Arc::clone(&env), OptConfig::default());
         let raw = MoaEngine::with_opt(env, OptConfig::none());
-        let a = opt.query(q).unwrap();
-        let b = raw.query(q).unwrap();
-        assert_eq!(a, b);
+        // chained float constants must not be folded: (x·a)·b ≠ x·(a·b)
+        for q in [
+            "map[THIS.score * 2 * 3](select[THIS.size > 100](Lib))",
+            "map[THIS.score * 0.2 * 0.3](Lib)",
+            "map[THIS.score + 0.2 + 0.3](Lib)",
+        ] {
+            assert_eq!(opt.query(q).unwrap(), raw.query(q).unwrap(), "{q}");
+        }
     }
 
     #[test]

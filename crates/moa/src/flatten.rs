@@ -310,8 +310,7 @@ impl<'e> Compiler<'e> {
             //    collection — *late filtering*: evaluate the map over
             //    everything, then semijoin with the qualifying rows. The
             //    pushdown rewrite turns this shape into early filtering;
-            //    keeping the late form is what the optimizer ablation
-            //    measures.
+            //    `OptConfig::none()` keeps the late form as the reference.
             Rep::Vals { plan, multi, ty, coll, domain, child_prefix } => {
                 if pred.uses_bare_this() {
                     let filtered = self.value_pred(pred, plan)?;

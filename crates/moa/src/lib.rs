@@ -18,9 +18,9 @@
 //! * a parser ([`parser`]) for the paper's surface syntax
 //!   (`define … as SET<TUPLE<…>>;`, `map[sum(THIS)](map[getBL(…)](Lib))`);
 //! * the flattening compiler ([`flatten`]) from expressions to plans;
-//! * an algebraic rewriter ([`rewrite`]) with toggleable optimisations
-//!   (selection pushdown, peephole plan rewrites, CSE memoisation) used by
-//!   the optimizer-ablation experiment;
+//! * the optimiser switches and logical selection pushdown ([`rewrite`]),
+//!   and the optimizer ([`opt`]): one fixed cascade of statistics-driven
+//!   plan rewrites and top-k fusion, with cardinality estimates;
 //! * a deliberately naive **object-at-a-time interpreter** ([`naive`]) that
 //!   serves as the baseline for the set-at-a-time scalability experiment;
 //! * the execution facade ([`exec::MoaEngine`]).
@@ -44,10 +44,10 @@ pub use env::{Env, QueryBindingGuard};
 pub use exec::{MoaEngine, QueryOutput};
 pub use expr::{CmpOp, Expr};
 pub use flatten::Rep;
-pub use opt::{estimate, Pass, PassCtx, Pipeline, PlanHints, StatsCatalog};
+pub use opt::{estimate, PassCtx, Pipeline, PlanHints, StatsCatalog};
 pub use params::QueryParams;
 pub use parser::{parse_define, parse_expr, parse_type};
-pub use rewrite::{rewrite_topk, OptConfig};
+pub use rewrite::OptConfig;
 pub use structure::{CallArgs, StructRegistry, Structure};
 pub use types::{AtomicType, MoaType};
 pub use value::MoaVal;

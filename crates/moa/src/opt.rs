@@ -1,39 +1,36 @@
-//! Statistics-driven optimizer pass framework.
+//! The optimizer: every physical plan rewrite, as one fixed cascade.
 //!
-//! [`crate::rewrite`] is a fixed rule pipeline; this module generalises it
-//! into composable [`Pass`]es over physical plans, fed by a [`StatsCatalog`]
+//! The logical selection pushdown of [`crate::rewrite`] runs before
+//! flattening; everything after it happens here, fed by a [`StatsCatalog`]
 //! collected at ingest time (per-column row counts, NDV and min/max via
 //! [`monet::summarize`]; per-term document frequencies from the IR layer's
-//! inverted indexes). The standard pipeline runs:
+//! inverted indexes). [`Pipeline::optimize`] runs, in order:
 //!
-//! 1. **peephole** — the classic rewrites of
-//!    [`crate::rewrite::rewrite_physical`] (gated by [`OptConfig::peephole`]);
-//! 2. **selection_order** — reorders semijoin filter chains so the most
+//! 1. **selection_order** (under [`OptConfig::stats_driven`], when
+//!    statistics exist) — reorders semijoin filter chains so the most
 //!    selective filter applies first. Sound for *any* filters: a semijoin
 //!    keeps rows of its left input whose head occurs among the right's
 //!    heads, preserving left order, so a chain over one base intersects
 //!    head sets — commutative in the filters by construction;
-//! 3. **push_domain** — semijoin placement: moves a selective domain
-//!    *into* a belief operator (`contrep.getbl` convention: the first BAT
-//!    input restricts scoring to that domain, per-document scores are
-//!    domain-independent), so ranking scores only the surviving documents
-//!    — and the plan then matches the fusable domain-restricted shape;
-//! 4. **topk_fuse** — [`crate::rewrite::rewrite_topk`] as a pass, extended
-//!    to fuse the late-filter variant (`semijoin(grouped_sum(getbl), S)`)
-//!    directly into the fused operator with `S` as its domain input, and
-//!    the dual-coding shape (a weighted sum of two channels' grouped
-//!    belief sums) into one two-channel fused operator.
+//! 2. **topk_fuse** (when the request carries a top-k budget) — rewrites a
+//!    ranking plan into its belief operator's fused `<op>.topk`
+//!    counterpart: the single-channel ranking shape always, and the
+//!    dual-coding shape (a weighted sum of two channels' grouped belief
+//!    sums) into one two-channel fused operator under
+//!    [`OptConfig::stats_driven`], so [`OptConfig::none`] keeps it as the
+//!    unfused reference plan. A filter outside the ranking map needs no
+//!    rule of its own: the logical pushdown has already moved it inside,
+//!    where it compiles to the fusable domain-restricted shape.
 //!
-//! After the passes run, every node of the final plan is annotated with an
-//! estimated output cardinality ([`estimate`]) and an estimate-driven
-//! parallel-degree cap, which the kernel [`monet::Executor`] renders in
-//! EXPLAIN as `est≈N` next to actual row counts and consults when choosing
-//! fragmentation degrees.
+//! Every rewrite must preserve the executed result (bit-identical under the
+//! documented operator contracts), and each one that changes the plan is
+//! reported by name in [`PlanHints::passes_fired`]. Afterwards every node
+//! of the final plan is annotated with an estimated output cardinality
+//! ([`estimate`]) and an estimate-driven parallel-degree cap, which the
+//! kernel [`monet::Executor`] renders in EXPLAIN as `est≈N` next to actual
+//! row counts and consults when choosing fragmentation degrees.
 
-use crate::rewrite::{
-    fuse_channels, map_children, ranking_channel, rewrite_physical, rewrite_topk,
-    split_topk_params, OptConfig, RankingChannel,
-};
+use crate::rewrite::OptConfig;
 use monet::fxhash::FxHashMap;
 use monet::{Agg, ArithOp, ColSummary, OpRegistry, Plan, Pred, Val};
 use std::collections::HashMap;
@@ -215,7 +212,7 @@ fn belief_touches(params: &[Val], stats: &StatsCatalog) -> Option<(u64, u64)> {
     Some((sum, n_docs))
 }
 
-/// Shared context the passes run under.
+/// Shared context the optimizer runs under.
 pub struct PassCtx<'a> {
     /// Optimiser switches.
     pub cfg: OptConfig,
@@ -228,23 +225,9 @@ pub struct PassCtx<'a> {
     pub top_k: Option<usize>,
 }
 
-/// One plan-to-plan transformation. Passes must preserve the executed
-/// result (bit-identical under the documented operator contracts) — the
-/// workspace property tests hold every registered pass to that.
-pub trait Pass: Send + Sync {
-    /// Short name, reported in EXPLAIN when the pass changed the plan.
-    fn name(&self) -> &'static str;
-    /// Whether the pass applies under this context (default: always).
-    fn enabled(&self, _ctx: &PassCtx) -> bool {
-        true
-    }
-    /// Transform the plan.
-    fn apply(&self, plan: &Plan, ctx: &PassCtx) -> Plan;
-}
-
 /// Side-channel produced by [`Pipeline::optimize`]: per-node cardinality
 /// estimates and degree caps (keyed by plan fingerprint, the kernel's
-/// trace key), plus which passes changed the plan.
+/// trace key), plus which rewrites changed the plan.
 #[derive(Debug, Default, Clone)]
 pub struct PlanHints {
     /// Estimated output rows per plan node.
@@ -252,65 +235,39 @@ pub struct PlanHints {
     /// Parallel-degree cap per plan node (estimate-driven; the executor
     /// only ever lowers its configured degree by these).
     pub degree_cap: FxHashMap<u64, usize>,
-    /// Names of the passes that changed the plan, in pipeline order.
+    /// Names of the rewrites that changed the plan, in cascade order.
     pub passes_fired: Vec<&'static str>,
 }
 
-/// A registered sequence of optimizer passes.
-pub struct Pipeline {
-    passes: Vec<Box<dyn Pass>>,
-}
+/// The optimizer: the fixed rewrite cascade every compiled plan runs
+/// through (see the [module docs](self)).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Pipeline;
 
 impl Pipeline {
-    /// The standard pipeline: peephole → selection_order → push_domain →
-    /// topk_fuse.
-    pub fn standard() -> Pipeline {
-        Pipeline {
-            passes: vec![
-                Box::new(PeepholePass),
-                Box::new(SelectionOrderPass),
-                Box::new(PushDomainPass),
-                Box::new(TopKFusePass),
-            ],
-        }
-    }
-
-    /// An empty pipeline (register passes with [`Pipeline::register`]).
-    pub fn empty() -> Pipeline {
-        Pipeline { passes: Vec::new() }
-    }
-
-    /// Append a pass to the pipeline.
-    pub fn register(&mut self, pass: Box<dyn Pass>) -> &mut Self {
-        self.passes.push(pass);
-        self
-    }
-
-    /// Names of the registered passes, in order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Run every enabled pass in order, then annotate the final plan with
+    /// Run `selection_order` (statistics-driven), then `topk_fuse` (when
+    /// the request carries a budget), then annotate the final plan with
     /// cardinality estimates and degree caps (when statistics exist and
     /// [`OptConfig::stats_driven`] is on).
     pub fn optimize(&self, plan: &Plan, ctx: &PassCtx) -> (Plan, PlanHints) {
-        let mut current = plan.clone();
         let mut hints = PlanHints::default();
-        for pass in &self.passes {
-            if !pass.enabled(ctx) {
-                continue;
+        let stats_driven = ctx.cfg.stats_driven && !ctx.stats.is_empty();
+        let mut plan = plan.clone();
+        if stats_driven {
+            let reordered = reorder_chains(&plan, &ctx.stats);
+            if reordered.fingerprint() != plan.fingerprint() {
+                hints.passes_fired.push("selection_order");
+                plan = reordered;
             }
-            let next = pass.apply(&current, ctx);
-            if next.fingerprint() != current.fingerprint() {
-                hints.passes_fired.push(pass.name());
-            }
-            current = next;
         }
-        if ctx.cfg.stats_driven && !ctx.stats.is_empty() {
-            annotate(&current, ctx, &mut hints);
+        if let Some(fused) = ctx.top_k.and_then(|k| topk_fuse(&plan, k, ctx)) {
+            hints.passes_fired.push("topk_fuse");
+            plan = fused;
         }
-        (current, hints)
+        if stats_driven {
+            annotate(&plan, ctx, &mut hints);
+        }
+        (plan, hints)
     }
 }
 
@@ -330,33 +287,8 @@ fn annotate(plan: &Plan, ctx: &PassCtx, hints: &mut PlanHints) {
     }
 }
 
-/// The classic peephole rewrites, as a pass.
-pub struct PeepholePass;
-
-impl Pass for PeepholePass {
-    fn name(&self) -> &'static str {
-        "peephole"
-    }
-    fn apply(&self, plan: &Plan, ctx: &PassCtx) -> Plan {
-        rewrite_physical(plan, ctx.cfg) // gated by cfg.peephole internally
-    }
-}
-
-/// Statistics-driven selection ordering over semijoin filter chains.
-pub struct SelectionOrderPass;
-
-impl Pass for SelectionOrderPass {
-    fn name(&self) -> &'static str {
-        "selection_order"
-    }
-    fn enabled(&self, ctx: &PassCtx) -> bool {
-        ctx.cfg.stats_driven && !ctx.stats.is_empty()
-    }
-    fn apply(&self, plan: &Plan, ctx: &PassCtx) -> Plan {
-        reorder_chains(plan, &ctx.stats)
-    }
-}
-
+/// `selection_order`: reorder every semijoin filter chain most selective
+/// filter first.
 fn reorder_chains(plan: &Plan, stats: &StatsCatalog) -> Plan {
     let node = map_children(plan, &|c| reorder_chains(c, stats));
     if !matches!(node, Plan::Semijoin { .. }) {
@@ -392,123 +324,121 @@ fn reorder_chains(plan: &Plan, stats: &StatsCatalog) -> Plan {
         .fold(base, |acc, f| Plan::Semijoin { left: Box::new(acc), right: Box::new(f) })
 }
 
-/// Does a custom operator follow the belief-operator domain convention:
-/// its first BAT input (if present) restricts scoring to that domain's
-/// oids, and per-document output is independent of the domain? The
-/// CONTREP structure's `*.getbl` operators are the registered case.
-fn op_accepts_domain(op: &str) -> bool {
-    op.ends_with(".getbl")
+/// Rebuild a plan node with its children transformed.
+fn map_children(plan: &Plan, f: &dyn Fn(&Plan) -> Plan) -> Plan {
+    use Plan::*;
+    match plan {
+        Load(n) => Load(n.clone()),
+        Const(b) => Const(b.clone()),
+        Select { input, pred } => Select { input: Box::new(f(input)), pred: pred.clone() },
+        Join { left, right } => Join { left: Box::new(f(left)), right: Box::new(f(right)) },
+        Semijoin { left, right } => Semijoin { left: Box::new(f(left)), right: Box::new(f(right)) },
+        Reverse(p) => Reverse(Box::new(f(p))),
+        Mirror(p) => Mirror(Box::new(f(p))),
+        Mark { input, base } => Mark { input: Box::new(f(input)), base: *base },
+        ProjectConst { input, val } => ProjectConst { input: Box::new(f(input)), val: val.clone() },
+        Aggr { input, agg } => Aggr { input: Box::new(f(input)), agg: *agg },
+        GroupedAggr { values, groups, agg } => {
+            GroupedAggr { values: Box::new(f(values)), groups: Box::new(f(groups)), agg: *agg }
+        }
+        SortTail { input, desc } => SortTail { input: Box::new(f(input)), desc: *desc },
+        TopN { input, k, desc } => TopN { input: Box::new(f(input)), k: *k, desc: *desc },
+        Slice { input, lo, hi } => Slice { input: Box::new(f(input)), lo: *lo, hi: *hi },
+        Distinct(p) => Distinct(Box::new(f(p))),
+        KUnion { left, right } => KUnion { left: Box::new(f(left)), right: Box::new(f(right)) },
+        KDiff { left, right } => KDiff { left: Box::new(f(left)), right: Box::new(f(right)) },
+        Arith { left, right, op } => {
+            Arith { left: Box::new(f(left)), right: Box::new(f(right)), op: *op }
+        }
+        ArithConst { input, op, val } => {
+            ArithConst { input: Box::new(f(input)), op: *op, val: val.clone() }
+        }
+        Custom { op, inputs, params } => Custom {
+            op: op.clone(),
+            inputs: inputs.iter().map(f).collect(),
+            params: params.clone(),
+        },
+    }
 }
 
-/// Semijoin placement: push a selective domain into a belief operator.
+/// `topk_fuse`: rewrite a compiled ranking plan into its belief
+/// operator's fused top-k counterpart with budget `k`, or `None` —
+/// execute the plan as it is — when the shape does not match or no fused
+/// operator is registered.
 ///
-/// `semijoin(grouped_sum(getbl(∅), groups=identity), D)` scores the whole
-/// corpus and then discards non-`D` rows. When statistics say `D` is
-/// smaller than the corpus, rewrite to
-/// `semijoin(grouped_sum(getbl(D), groups=D), D)`: the operator scores
-/// only `D`'s documents (bit-identical per-document sums — same addends in
-/// the same order), the grouped sum zero-fills exactly as before, and the
-/// resulting shape is the fusable domain-restricted ranking.
-pub struct PushDomainPass;
-
-impl Pass for PushDomainPass {
-    fn name(&self) -> &'static str {
-        "push_domain"
+/// A single ranking channel ([`ranking_channel`]) — the shape the
+/// paper's `map[sum(THIS)](map[getBL(…)](C))` compiles to — fuses under
+/// every configuration, into one channel of weight `1.0`. The dual-coding
+/// shape ([`fuse_dual`]) fuses only under [`OptConfig::stats_driven`], so
+/// that [`OptConfig::none`] keeps it unfused as the reference plan.
+///
+/// The fused plan implements the *top-k budget* contract, not row-for-row
+/// plan equivalence: the grouped sum emits a `0.0` row for every document
+/// that matches no query term, while the fused operator omits those
+/// zero-mass rows entirely (a ranking drops them anyway) and keeps only
+/// the k best of the rest. The surviving `(oid, score)` pairs are
+/// bit-identical to materialise-then-sort.
+fn topk_fuse(plan: &Plan, k: usize, ctx: &PassCtx) -> Option<Plan> {
+    if let Some(ch) = ranking_channel(plan) {
+        return fuse_channels(ch.op, &[(ch.params, 1.0)], ch.inputs, k, ctx.ops);
     }
-    fn enabled(&self, ctx: &PassCtx) -> bool {
-        ctx.cfg.stats_driven && !ctx.stats.is_empty()
-    }
-    fn apply(&self, plan: &Plan, ctx: &PassCtx) -> Plan {
-        push_domains(plan, &ctx.stats)
+    if ctx.cfg.stats_driven {
+        fuse_dual(plan, k, ctx.ops)
+    } else {
+        None
     }
 }
 
-fn push_domains(plan: &Plan, stats: &StatsCatalog) -> Plan {
-    let node = map_children(plan, &|c| push_domains(c, stats));
-    let Plan::Semijoin { left, right } = node else { return node };
-    let pushed = (|| {
-        let Plan::GroupedAggr { values, groups, agg: Agg::Sum } = &*left else { return None };
-        let Plan::Custom { op, inputs, params } = &**values else { return None };
-        if !inputs.is_empty() || !op_accepts_domain(op) {
-            return None;
-        }
-        let Plan::Load(gname) = &**groups else { return None };
-        if !gname.ends_with("__self") {
-            return None;
-        }
-        let corpus = stats.column(gname)?.rows;
-        let domain_est = estimate(&right, stats)?;
-        if domain_est >= corpus {
-            return None;
-        }
-        Some(Plan::Semijoin {
-            left: Box::new(Plan::GroupedAggr {
-                values: Box::new(Plan::Custom {
-                    op: op.clone(),
-                    inputs: vec![(*right).clone()],
-                    params: params.clone(),
-                }),
-                groups: right.clone(),
-                agg: Agg::Sum,
-            }),
-            right: right.clone(),
-        })
-    })();
-    pushed.unwrap_or(Plan::Semijoin { left, right })
+/// One ranking channel of a compiled plan: `grouped_aggr[sum]` over a
+/// custom belief operator `op(inputs…; params)`, grouped by `groups`.
+struct RankingChannel<'a> {
+    /// The belief operator.
+    op: &'a str,
+    /// Its domain input, if it is restricted to one.
+    inputs: &'a [Plan],
+    /// Its parameters (`[prefix, (term, weight)*]` for `contrep.getbl`).
+    params: &'a [Val],
+    /// The grouping: the collection identity, or the operator's domain.
+    groups: &'a Plan,
 }
 
-/// Top-k fusion as a pass: the single-channel shapes of
-/// [`crate::rewrite::rewrite_topk`] fuse unconditionally (kept identical to
-/// the pre-pass-framework behaviour); under [`OptConfig::stats_driven`]
-/// two more shapes fuse into the same multi-channel operator:
-///
-/// * the late-filter variant — a semijoin against a domain the operator
-///   does not know about — by handing the domain to the fused operator as
-///   its input;
-/// * the dual-coding shape `sum(getBL(a))·w₀ + sum(getBL(b))·w₁` that
-///   dual and relevance-feedback requests compile to, into one
-///   two-channel fused operator.
-///
-/// [`OptConfig::none`] leaves both unfused: it is the reference plan the
-/// fused ones are tested against.
-pub struct TopKFusePass;
-
-impl Pass for TopKFusePass {
-    fn name(&self) -> &'static str {
-        "topk_fuse"
-    }
-    fn enabled(&self, ctx: &PassCtx) -> bool {
-        ctx.top_k.is_some()
-    }
-    fn apply(&self, plan: &Plan, ctx: &PassCtx) -> Plan {
-        let k = ctx.top_k.expect("enabled() checked");
-        let fused = rewrite_topk(plan, k, ctx.ops).or_else(|| {
-            if !ctx.cfg.stats_driven {
+/// Match one ranking channel, seeing through the domain semijoin the
+/// aggregate compiler adds (it is redundant iff the operator restricts
+/// itself to the same domain).
+fn ranking_channel(plan: &Plan) -> Option<RankingChannel<'_>> {
+    let (inner, outer_domain) = match plan {
+        Plan::Semijoin { left, right } => (&**left, Some(&**right)),
+        p => (p, None),
+    };
+    let Plan::GroupedAggr { values, groups, agg: Agg::Sum } = inner else {
+        return None;
+    };
+    let Plan::Custom { op, inputs, params } = &**values else {
+        return None;
+    };
+    match (inputs.first(), outer_domain) {
+        // unrestricted ranking: groups must be the collection identity
+        (None, None) => match &**groups {
+            Plan::Load(name) if name.ends_with("__self") => {}
+            _ => return None,
+        },
+        // domain-restricted ranking: the operator input, the group mapping
+        // and the outer semijoin must all be that same domain
+        (Some(d), outer) => {
+            if groups.fingerprint() != d.fingerprint() {
                 return None;
             }
-            fuse_late_filter(plan, k, ctx.ops).or_else(|| fuse_dual(plan, k, ctx.ops))
-        });
-        fused.unwrap_or_else(|| plan.clone())
+            if let Some(o) = outer {
+                if o.fingerprint() != d.fingerprint() {
+                    return None;
+                }
+            }
+        }
+        // a semijoin against a domain the operator does not know about
+        // cannot be folded into it
+        (None, Some(_)) => return None,
     }
-}
-
-/// Fuse `semijoin(grouped_sum(getbl(∅), groups=identity), S)` — ranking
-/// late-filtered by an arbitrary survivor set `S` — into
-/// `getbl.topk(S, …, k)`: the fused operator restricted to `S` computes
-/// the k best nonzero-mass survivors, which is exactly the top-k budget
-/// contract of the unfused plan (rank, drop zero rows, truncate to k).
-fn fuse_late_filter(plan: &Plan, k: usize, ops: &OpRegistry) -> Option<Plan> {
-    let Plan::Semijoin { left, right } = plan else { return None };
-    let Plan::GroupedAggr { values, groups, agg: Agg::Sum } = &**left else { return None };
-    let Plan::Custom { op, inputs, params } = &**values else { return None };
-    if !inputs.is_empty() || !op_accepts_domain(op) {
-        return None;
-    }
-    match &**groups {
-        Plan::Load(name) if name.ends_with("__self") => {}
-        _ => return None,
-    }
-    fuse_channels(op, &[(params, 1.0)], std::slice::from_ref(&**right), k, ops)
+    Some(RankingChannel { op, inputs, params, groups })
 }
 
 /// Fuse the compiled dual-coding shape
@@ -539,6 +469,61 @@ fn fuse_dual(plan: &Plan, k: usize, ops: &OpRegistry) -> Option<Plan> {
         return None;
     }
     fuse_channels(a.op, &[(a.params, wa), (b.params, wb)], a.inputs, k, ops)
+}
+
+/// Build the fused `<op>.topk` operator over weighted channels of the
+/// belief operator `op`, restricted to `inputs` (the shared domain, if
+/// any). `None` when no fused counterpart is registered.
+///
+/// The kernel convention: an extension that registers `X` may also
+/// register `X.topk`, returning the k best `[oid, Σ weight·sum(X rows)]`
+/// rows in rank order (the IR crate registers `contrep.getbl.topk`, the
+/// `topk_bl` operator). Its parameters are one group per channel — the
+/// channel weight, the number of `X` parameters that follow, then `X`'s
+/// own parameters — and the budget last ([`topk_params`]).
+fn fuse_channels(
+    op: &str,
+    channels: &[ChannelParams<'_>],
+    inputs: &[Plan],
+    k: usize,
+    ops: &OpRegistry,
+) -> Option<Plan> {
+    let fused = format!("{op}.topk");
+    if !ops.contains(&fused) {
+        return None;
+    }
+    Some(Plan::Custom { op: fused, inputs: inputs.to_vec(), params: topk_params(channels, k) })
+}
+
+/// One channel of fused top-k parameters: the belief operator's own
+/// parameters and the channel weight.
+pub type ChannelParams<'a> = (&'a [Val], f64);
+
+/// Encode fused top-k parameters:
+/// `[(weight: Float, len: Int, <len channel parameters>)+, k: Int]`.
+pub fn topk_params(channels: &[ChannelParams<'_>], k: usize) -> Vec<Val> {
+    let mut out = Vec::new();
+    for (params, weight) in channels {
+        out.push(Val::Float(*weight));
+        out.push(Val::Int(params.len() as i64));
+        out.extend_from_slice(params);
+    }
+    out.push(Val::Int(k as i64));
+    out
+}
+
+/// Decode [`topk_params`]: the `(channel parameters, weight)` groups and
+/// the budget, or `None` when the layout is malformed.
+pub fn split_topk_params(params: &[Val]) -> Option<(Vec<ChannelParams<'_>>, usize)> {
+    let (Val::Int(k), mut rest) = params.split_last()? else { return None };
+    let k = usize::try_from(*k).ok()?;
+    let mut channels = Vec::new();
+    while let [Val::Float(weight), Val::Int(len), tail @ ..] = rest {
+        let len = usize::try_from(*len).ok().filter(|&l| l <= tail.len())?;
+        channels.push((&tail[..len], *weight));
+        rest = &tail[len..];
+    }
+    (rest.is_empty() && !channels.is_empty()).then_some((channels, k))
 }
 
 #[cfg(test)]
@@ -592,6 +577,15 @@ mod tests {
         }))
     }
 
+    /// `sum(getBL(∅))` grouped by `groups`.
+    fn ranking(groups: &str) -> Plan {
+        Plan::GroupedAggr {
+            values: Box::new(getbl(vec![])),
+            groups: Box::new(Plan::load(groups)),
+            agg: Agg::Sum,
+        }
+    }
+
     #[test]
     fn estimates_select_by_ndv_and_range_span() {
         let stats = catalog();
@@ -628,100 +622,114 @@ mod tests {
         assert_eq!(estimate(&Plan::load("nope"), &stats), None);
     }
 
-    fn ctx_parts() -> (StatsCatalog, OpRegistry) {
-        (catalog(), ops_with_fused())
-    }
-
-    #[test]
-    fn selection_order_puts_selective_filter_first() {
-        let (stats, ops) = ctx_parts();
-        let ctx =
-            PassCtx { cfg: OptConfig::default(), stats: Arc::new(stats), ops: &ops, top_k: None };
-        // base ⋉ wide(StrContains ≈ 100) ⋉ narrow(Eq ≈ 10)
+    /// `Lib__self ⋉ wide(StrContains ≈ 100) ⋉ narrow(Eq ≈ 10)`, and the
+    /// same chain with the narrow filter first.
+    fn filter_chain() -> (Plan, Plan) {
         let wide = Plan::Mirror(Box::new(Plan::Select {
             input: Box::new(Plan::load("Lib__size")),
             pred: Pred::StrContains("x".into()),
         }));
         let narrow = eq_filter("Lib__size", 3);
-        let plan = Plan::Semijoin {
+        let chain = |first: &Plan, second: &Plan| Plan::Semijoin {
             left: Box::new(Plan::Semijoin {
                 left: Box::new(Plan::load("Lib__self")),
-                right: Box::new(wide.clone()),
+                right: Box::new(first.clone()),
             }),
-            right: Box::new(narrow.clone()),
+            right: Box::new(second.clone()),
         };
-        let out = SelectionOrderPass.apply(&plan, &ctx);
-        let expect = Plan::Semijoin {
-            left: Box::new(Plan::Semijoin {
-                left: Box::new(Plan::load("Lib__self")),
-                right: Box::new(narrow),
-            }),
-            right: Box::new(wide),
-        };
+        (chain(&wide, &narrow), chain(&narrow, &wide))
+    }
+
+    #[test]
+    fn selection_order_puts_selective_filter_first() {
+        let (plan, expect) = filter_chain();
+        let out = reorder_chains(&plan, &catalog());
         assert_eq!(out.fingerprint(), expect.fingerprint());
     }
 
     #[test]
     fn selection_order_is_stable_without_stats() {
-        let (_, ops) = ctx_parts();
+        let ops = ops_with_fused();
         let ctx = PassCtx {
             cfg: OptConfig::default(),
             stats: Arc::new(StatsCatalog::new()),
             ops: &ops,
             top_k: None,
         };
-        assert!(!SelectionOrderPass.enabled(&ctx));
+        let (plan, _) = filter_chain();
+        let (out, hints) = Pipeline.optimize(&plan, &ctx);
+        assert_eq!(out.fingerprint(), plan.fingerprint());
+        assert!(hints.passes_fired.is_empty(), "{:?}", hints.passes_fired);
+        assert!(hints.est_rows.is_empty());
+    }
+
+    fn fuse_ctx(ops: &OpRegistry, cfg: OptConfig) -> PassCtx<'_> {
+        PassCtx { cfg, stats: Arc::new(catalog()), ops, top_k: Some(10) }
     }
 
     #[test]
-    fn push_domain_moves_selective_domain_into_the_operator() {
-        let (stats, ops) = ctx_parts();
-        let ctx =
-            PassCtx { cfg: OptConfig::default(), stats: Arc::new(stats), ops: &ops, top_k: None };
-        let domain = eq_filter("Lib__size", 3); // est 10 ≪ 1000
-        let plan = Plan::Semijoin {
-            left: Box::new(Plan::GroupedAggr {
-                values: Box::new(getbl(vec![])),
-                groups: Box::new(Plan::load("Lib__self")),
-                agg: Agg::Sum,
-            }),
-            right: Box::new(domain.clone()),
-        };
-        let out = PushDomainPass.apply(&plan, &ctx);
-        let Plan::Semijoin { left, .. } = &out else { panic!("semijoin kept") };
-        let Plan::GroupedAggr { values, groups, .. } = &**left else { panic!("grouped sum kept") };
-        assert_eq!(groups.fingerprint(), domain.fingerprint());
-        let Plan::Custom { inputs, .. } = &**values else { panic!("custom kept") };
-        assert_eq!(inputs.len(), 1, "domain became the operator input");
-        // and the result now fuses under the legacy domain-restricted rule
-        assert!(rewrite_topk(&out, 5, &ops).is_some());
+    fn topk_fuses_the_unrestricted_ranking_shape() {
+        let ops = ops_with_fused();
+        // single-channel fusion holds under every configuration
+        for cfg in [OptConfig::default(), OptConfig::none()] {
+            let fused = topk_fuse(&ranking("Lib__self"), 10, &fuse_ctx(&ops, cfg)).unwrap();
+            let Plan::Custom { op, params, .. } = fused else { panic!("expected custom") };
+            assert_eq!(op, "contrep.getbl.topk");
+            let Plan::Custom { params: getbl, .. } = getbl(vec![]) else { unreachable!() };
+            assert_eq!(split_topk_params(&params), Some((vec![(&getbl[..], 1.0)], 10)));
+        }
     }
 
     #[test]
-    fn push_domain_refuses_unselective_or_unknown_domains() {
-        let (stats, ops) = ctx_parts();
-        let ctx =
-            PassCtx { cfg: OptConfig::default(), stats: Arc::new(stats), ops: &ops, top_k: None };
-        // whole-corpus "domain": not selective
+    fn topk_fuses_the_domain_restricted_shape() {
+        let ops = ops_with_fused();
+        let domain = Plan::Mirror(Box::new(Plan::Select {
+            input: Box::new(Plan::load("Lib__source")),
+            pred: monet::Pred::StrContains("x".into()),
+        }));
         let plan = Plan::Semijoin {
             left: Box::new(Plan::GroupedAggr {
-                values: Box::new(getbl(vec![])),
-                groups: Box::new(Plan::load("Lib__self")),
+                values: Box::new(getbl(vec![domain.clone()])),
+                groups: Box::new(domain.clone()),
                 agg: Agg::Sum,
             }),
-            right: Box::new(Plan::load("Lib__self")),
+            right: Box::new(domain),
         };
-        assert_eq!(PushDomainPass.apply(&plan, &ctx).fingerprint(), plan.fingerprint());
-        // unknown domain size: refuse
-        let plan2 = Plan::Semijoin {
-            left: Box::new(Plan::GroupedAggr {
-                values: Box::new(getbl(vec![])),
-                groups: Box::new(Plan::load("Lib__self")),
-                agg: Agg::Sum,
-            }),
-            right: Box::new(Plan::load("mystery")),
+        assert!(topk_fuse(&plan, 5, &fuse_ctx(&ops, OptConfig::none())).is_some());
+    }
+
+    #[test]
+    fn topk_params_round_trip_and_reject_malformed_layouts() {
+        let a = [Val::Str("A".into()), Val::Str("t".into()), Val::Float(1.0)];
+        let b = [Val::Str("B".into())];
+        let enc = topk_params(&[(&a, 0.25), (&b, 0.75)], 7);
+        assert_eq!(split_topk_params(&enc), Some((vec![(&a[..], 0.25), (&b[..], 0.75)], 7)));
+        let mut past_end = enc.clone();
+        past_end[1] = Val::Int(99);
+        let mut negative_k = enc.clone();
+        *negative_k.last_mut().unwrap() = Val::Int(-1);
+        for bad in [&enc[..enc.len() - 1], &enc[1..], &[Val::Int(3)], &past_end, &negative_k] {
+            assert_eq!(split_topk_params(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn topk_refuses_unsafe_shapes() {
+        let ops = ops_with_fused();
+        let ctx = fuse_ctx(&ops, OptConfig::default());
+        // groups that are not the identity / operator domain
+        assert!(topk_fuse(&ranking("Other__map"), 10, &ctx).is_none());
+        // a late-filter semijoin the operator knows nothing about
+        let late = Plan::Semijoin {
+            left: Box::new(ranking("Lib__self")),
+            right: Box::new(Plan::load("survivors")),
         };
-        assert_eq!(PushDomainPass.apply(&plan2, &ctx).fingerprint(), plan2.fingerprint());
+        assert!(topk_fuse(&late, 10, &ctx).is_none());
+        // no fused operator registered
+        let none = OpRegistry::new();
+        assert!(
+            topk_fuse(&ranking("Lib__self"), 10, &fuse_ctx(&none, OptConfig::default())).is_none()
+        );
     }
 
     /// The compiled dual-coding shape over `getbl(inputs)` on two channels,
@@ -749,17 +757,15 @@ mod tests {
         }
     }
 
-    fn fuse_ctx(stats: StatsCatalog, ops: &OpRegistry, cfg: OptConfig) -> PassCtx<'_> {
-        PassCtx { cfg, stats: Arc::new(stats), ops, top_k: Some(10) }
-    }
-
     #[test]
     fn topk_pass_fuses_the_dual_shape() {
-        let (stats, ops) = ctx_parts();
-        let ctx = fuse_ctx(stats, &ops, OptConfig::default());
+        let ops = ops_with_fused();
+        let ctx = fuse_ctx(&ops, OptConfig::default());
         let plan = dual(vec![], Plan::load("Lib__self"), Val::Float(0.6), Val::Float(0.4));
-        let out = TopKFusePass.apply(&plan, &ctx);
-        let Plan::Custom { op, inputs, params } = &out else { panic!("expected fused: {out:?}") };
+        let out = topk_fuse(&plan, 10, &ctx);
+        let Some(Plan::Custom { op, inputs, params }) = &out else {
+            panic!("expected fused: {out:?}")
+        };
         assert_eq!(op, "contrep.getbl.topk");
         assert!(inputs.is_empty());
         let (channels, k) = split_topk_params(params).unwrap();
@@ -772,7 +778,7 @@ mod tests {
         // both channels restricted to one domain: the domain is the input
         let d = eq_filter("Lib__size", 3);
         let filtered = dual(vec![d.clone()], d.clone(), Val::Float(0.5), Val::Float(0.5));
-        let Plan::Custom { inputs, .. } = TopKFusePass.apply(&filtered, &ctx) else {
+        let Some(Plan::Custom { inputs, .. }) = topk_fuse(&filtered, 10, &ctx) else {
             panic!("filtered dual did not fuse")
         };
         assert_eq!(inputs.iter().map(Plan::fingerprint).collect::<Vec<_>>(), vec![d.fingerprint()]);
@@ -780,8 +786,8 @@ mod tests {
 
     #[test]
     fn topk_pass_refuses_unsafe_dual_shapes() {
-        let (stats, ops) = ctx_parts();
-        let ctx = fuse_ctx(stats, &ops, OptConfig::default());
+        let ops = ops_with_fused();
+        let ctx = fuse_ctx(&ops, OptConfig::default());
         let self_ = || Plan::load("Lib__self");
         let refused = [
             // a negative or non-finite channel weight would break the bound
@@ -790,7 +796,7 @@ mod tests {
             dual(vec![], self_(), Val::Float(0.5), Val::Float(f64::INFINITY)),
         ];
         for plan in refused {
-            assert_eq!(TopKFusePass.apply(&plan, &ctx).fingerprint(), plan.fingerprint());
+            assert!(topk_fuse(&plan, 10, &ctx).is_none(), "{plan:?}");
         }
         // channels over different domains
         let mixed_domains = {
@@ -808,78 +814,42 @@ mod tests {
             };
             Plan::Arith { left, right, op: ArithOp::Add }
         };
-        assert_eq!(
-            TopKFusePass.apply(&mixed_domains, &ctx).fingerprint(),
-            mixed_domains.fingerprint()
-        );
+        assert!(topk_fuse(&mixed_domains, 10, &ctx).is_none());
         // OptConfig::none() keeps the dual plan unfused: it is the oracle
-        let (stats, ops) = ctx_parts();
-        let none = fuse_ctx(stats, &ops, OptConfig::none());
+        let none = fuse_ctx(&ops, OptConfig::none());
         let plan = dual(vec![], self_(), Val::Float(0.5), Val::Float(0.5));
-        assert_eq!(TopKFusePass.apply(&plan, &none).fingerprint(), plan.fingerprint());
+        assert!(topk_fuse(&plan, 10, &none).is_none());
     }
 
     #[test]
     fn fused_dual_estimate_counts_both_channels_up_to_k() {
-        let (mut stats, ops) = ctx_parts();
+        let ops = ops_with_fused();
+        let mut stats = catalog();
         stats.set_index("Lib__image", 1000, [("gabor_3".to_string(), 30u32)]);
-        let ctx = fuse_ctx(stats.clone(), &ops, OptConfig::default());
+        let ctx = fuse_ctx(&ops, OptConfig::default());
         let plan = dual(vec![], Plan::load("Lib__self"), Val::Float(0.5), Val::Float(0.5));
-        let fused = TopKFusePass.apply(&plan, &ctx);
+        let fused = topk_fuse(&plan, 10, &ctx).unwrap();
         // sunset (40) + gabor_3 (30), capped by the budget of 10
         assert_eq!(estimate(&fused, &stats), Some(10));
         let Plan::Custom { op, inputs, params } = fused else { unreachable!() };
         let (channels, _) = split_topk_params(&params).unwrap();
-        let wide = Plan::Custom { op, inputs, params: crate::rewrite::topk_params(&channels, 500) };
+        let wide = Plan::Custom { op, inputs, params: topk_params(&channels, 500) };
         assert_eq!(estimate(&wide, &stats), Some(70));
     }
 
     #[test]
-    fn topk_pass_fuses_the_late_filter_variant() {
-        let (stats, ops) = ctx_parts();
-        let ctx = PassCtx {
-            cfg: OptConfig::default(),
-            stats: Arc::new(stats),
-            ops: &ops,
-            top_k: Some(10),
-        };
-        let late = Plan::Semijoin {
-            left: Box::new(Plan::GroupedAggr {
-                values: Box::new(getbl(vec![])),
-                groups: Box::new(Plan::load("Lib__self")),
-                agg: Agg::Sum,
-            }),
-            right: Box::new(Plan::load("survivors")),
-        };
-        let out = TopKFusePass.apply(&late, &ctx);
-        let Plan::Custom { op, inputs, params } = &out else { panic!("expected fused custom") };
-        assert_eq!(op, "contrep.getbl.topk");
-        assert_eq!(inputs.len(), 1);
-        assert_eq!(params.last(), Some(&Val::Int(10)));
-        // without stats_driven the late variant stays unfused (legacy none())
-        let ctx_off = PassCtx { cfg: OptConfig::none(), top_k: Some(10), ..ctx };
-        assert_eq!(TopKFusePass.apply(&late, &ctx_off).fingerprint(), late.fingerprint());
-    }
-
-    #[test]
     fn pipeline_reports_fired_passes_and_annotates() {
-        let (stats, ops) = ctx_parts();
-        let ctx =
-            PassCtx { cfg: OptConfig::default(), stats: Arc::new(stats), ops: &ops, top_k: None };
-        let plan = Plan::Semijoin {
-            left: Box::new(Plan::Semijoin {
-                left: Box::new(Plan::load("Lib__self")),
-                right: Box::new(Plan::Mirror(Box::new(Plan::Select {
-                    input: Box::new(Plan::load("Lib__size")),
-                    pred: Pred::StrContains("x".into()),
-                }))),
-            }),
-            right: Box::new(eq_filter("Lib__size", 3)),
-        };
-        let (out, hints) = Pipeline::standard().optimize(&plan, &ctx);
-        assert!(hints.passes_fired.contains(&"selection_order"), "{:?}", hints.passes_fired);
+        let ops = ops_with_fused();
+        let (plan, _) = filter_chain();
+        let ctx = PassCtx { top_k: None, ..fuse_ctx(&ops, OptConfig::default()) };
+        let (out, hints) = Pipeline.optimize(&plan, &ctx);
+        assert_eq!(hints.passes_fired, ["selection_order"]);
         assert!(hints.est_rows.contains_key(&out.fingerprint()));
         // every annotated node has a degree cap too
         assert_eq!(hints.est_rows.len(), hints.degree_cap.len());
+        // a ranking with a budget reports its fusion
+        let (_, hints) =
+            Pipeline.optimize(&ranking("Lib__self"), &fuse_ctx(&ops, OptConfig::default()));
+        assert_eq!(hints.passes_fired, ["topk_fuse"]);
     }
 }

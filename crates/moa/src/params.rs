@@ -10,11 +10,11 @@
 //! environment, and vanish when the request does.
 //!
 //! `QueryParams` also carries the request's **top-k budget**: when set, the
-//! optimizer's `topk_fuse` pass ([`crate::opt::TopKFusePass`]) tries to
-//! fuse the compiled ranking plan into a streaming top-k operator — a
-//! single-channel ranking ([`crate::rewrite::rewrite_topk`]) or the
-//! dual-coding weighted sum of two channels; plans that do not match a
-//! fusable shape execute unchanged and the caller truncates.
+//! optimizer's `topk_fuse` rewrite ([`crate::opt`]) tries to fuse the
+//! compiled ranking plan into a streaming top-k operator — a
+//! single-channel ranking or the dual-coding weighted sum of two channels;
+//! plans that do not match a fusable shape execute unchanged and the
+//! caller truncates.
 
 /// Per-request bindings and execution budget.
 #[derive(Debug, Clone, Default)]
@@ -42,7 +42,7 @@ impl QueryParams {
     }
 
     /// Set the top-k budget: the query only needs its k best rows. When
-    /// the plan fuses ([`crate::opt::TopKFusePass`]), rows with zero
+    /// the plan fuses ([`crate::opt`]'s `topk_fuse`), rows with zero
     /// belief mass (documents matching no query term, which the grouped
     /// sum would emit as `0.0`) are omitted and only the k best remaining
     /// rows are returned, in rank order.

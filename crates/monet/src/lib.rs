@@ -52,7 +52,6 @@ pub mod fragment;
 pub mod fxhash;
 pub mod group;
 pub mod join;
-pub mod persist;
 pub mod plan;
 pub mod props;
 pub mod select;

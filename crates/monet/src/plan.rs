@@ -4,8 +4,7 @@
 //! these by flattening logical object-algebra expressions. The [`Executor`]
 //! interprets a plan against a [`Catalog`] and an [`OpRegistry`], recording
 //! per-operator statistics (operator invocations, rows produced, wall
-//! time) and optionally memoising common subexpressions — the mechanism
-//! behind the optimizer ablation experiment (E2).
+//! time) and optionally memoising common subexpressions.
 //!
 //! When [`Executor::degree`] is raised above 1 (directly, or via
 //! [`crate::fragment::ParallelExecutor`]), the fragment-parallelisable

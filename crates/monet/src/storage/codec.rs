@@ -281,11 +281,10 @@ pub fn unpack_u32_at(words: &[u64], start: usize, i: usize, width: u32) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Column codec — the single serialisation of kernel columns, shared by the
-// whole-BAT persistence layer (`crate::persist`) and the page store's
-// columnar values. String columns stay dictionary-encoded on disk — and the
-// codes themselves are bitpacked to the dictionary's width — with the
-// deduplicated heap after the codes (`crate::strdict`).
+// Column codec — the single serialisation of kernel columns, used by every
+// layer that persists columns. String columns stay dictionary-encoded on
+// disk — and the codes themselves are bitpacked to the dictionary's width —
+// with the deduplicated heap after the codes (`crate::strdict`).
 // ---------------------------------------------------------------------------
 
 /// Column type tags of the on-disk format.

@@ -16,8 +16,8 @@
 //!   generation checkpoints, WAL replay on open, checksum-verified page
 //!   reads.
 //!
-//! Higher layers (`monet::persist`, the `mirror` core's `durable`
-//! module) serialize BATs, indexes and metadata through this tier. The
+//! Higher layers (the `mirror` core's `durable` module) serialize BAT
+//! columns, indexes and metadata through this tier. The
 //! [`FaultFs`] backend makes crash consistency a tested property: the
 //! crash-recovery suite kills ingest at every reachable write and
 //! asserts recovery.

@@ -1,10 +1,8 @@
 //! Additional property-based tests on the kernel: join-strategy
-//! equivalence, persistence round-trips, plan-executor consistency, and
-//! group/aggregate laws.
+//! equivalence, plan-executor consistency, and group/aggregate laws.
 
 use mirror::monet::{
-    bat::{bat_of_floats, bat_of_ints},
-    Agg, Bat, Catalog, Column, Executor, OpRegistry, Plan, Pred, Val,
+    bat::bat_of_ints, Agg, Bat, Catalog, Column, Executor, OpRegistry, Plan, Pred, Val,
 };
 use proptest::prelude::*;
 
@@ -53,36 +51,6 @@ proptest! {
         let once = a.semijoin(&b).unwrap();
         let twice = once.semijoin(&b).unwrap();
         prop_assert_eq!(once.to_pairs(), twice.to_pairs());
-    }
-
-    /// catalog persistence round-trips arbitrary int/float/string BATs.
-    #[test]
-    fn prop_persist_roundtrip(
-        ints in proptest::collection::vec(-1000i64..1000, 0..50),
-        floats in proptest::collection::vec(-1e6f64..1e6, 0..50),
-        words in proptest::collection::vec("[a-z]{1,8}", 0..30),
-    ) {
-        let dir = std::env::temp_dir().join(format!(
-            "mirror_prop_persist_{}_{}",
-            std::process::id(),
-            ints.len() * 1000 + floats.len() * 10 + words.len()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cat = Catalog::new();
-        cat.register("i", bat_of_ints(ints));
-        cat.register("f", bat_of_floats(floats));
-        cat.register("s", Bat::dense(words.iter().map(String::as_str).collect()));
-        cat.save_dir(&dir).unwrap();
-        let restored = Catalog::new();
-        restored.load_dir(&dir).unwrap();
-        for name in ["i", "f", "s"] {
-            prop_assert_eq!(
-                cat.get(name).unwrap().to_pairs(),
-                restored.get(name).unwrap().to_pairs(),
-                "BAT {} diverged", name
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// the plan executor computes the same result as direct operator calls.

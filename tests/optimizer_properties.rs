@@ -1,10 +1,10 @@
-//! Property tests for the statistics-driven optimizer pass pipeline
-//! (`moa::opt`): for any query, any top-k budget in {1, 10, all}, and any
+//! Property tests for the statistics-driven optimizer (`moa::rewrite`'s
+//! logical pushdown, `moa::opt`'s rewrite cascade): for any query, any top-k budget in {1, 10, all}, and any
 //! shard count in {1, 2, 4}, the optimized pipeline must return results
 //! bit-identical to the unoptimized plan (`OptConfig::none()`) — same
-//! documents, same float scores, same tie-breaks. The passes are allowed
-//! to change *how* a plan runs (selection ordering, semijoin placement,
-//! top-k fusion, parallel-degree capping), never *what* it returns.
+//! documents, same float scores, same tie-breaks. The rewrites are allowed
+//! to change *how* a plan runs (selection pushdown and ordering, top-k
+//! fusion, parallel-degree capping), never *what* it returns.
 
 use mirror::core::serve::RetrievalRequest;
 use mirror::core::shard::MirrorCluster;
