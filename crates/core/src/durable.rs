@@ -1,6 +1,6 @@
 //! Durable instances: save an ingested [`MirrorDbms`] (or a whole
-//! [`MirrorCluster`]) into the kernel's page-granular storage tier and
-//! cold-open it later without re-ingesting.
+//! [`MirrorCluster`], its pending writes folded first) into the kernel's
+//! page-granular storage tier and cold-open it later without re-ingesting.
 //!
 //! ## What is persisted
 //!
@@ -31,11 +31,11 @@
 //! ## Bit-identity
 //!
 //! `open` rebuilds the collection from the rows through the same
-//! deterministic path ingest used, then *overwrites* the CONTREP indexes
-//! with the serialised ones — so a reopened shard keeps its pinned
-//! global statistics and every reopened instance ranks bit-identically
-//! to the instance that saved. The crash-recovery suite asserts exactly
-//! that, for arbitrary injected crash points.
+//! deterministic path ingest used, then installs the serialised CONTREP
+//! indexes in place of the rebuilt ones (they are identical), so every
+//! reopened instance ranks bit-identically to the instance that saved.
+//! The crash-recovery suite asserts exactly that, for arbitrary injected
+//! crash points.
 //!
 //! ## Live layout
 //!
@@ -65,8 +65,8 @@
 
 use crate::live::WriteOp;
 use crate::retriever::{RetrievalError, RetrievalResult};
-use crate::shard::{ClusterConfig, MirrorCluster, Partitioning};
-use crate::{Clustering, DocMeta, LibraryRow, MirrorConfig, MirrorDbms, INTERNAL};
+use crate::shard::{ClusterConfig, MirrorCluster, Partitioning, Routing};
+use crate::{Clustering, LibraryRow, MirrorConfig, MirrorDbms, INTERNAL};
 use cluster::vocab::SpaceModel;
 use cluster::{KMeansResult, MixtureModel, VisualVocabulary};
 use ir::InvertedIndex;
@@ -77,9 +77,10 @@ use std::sync::Arc;
 use thesaurus::{AssocMeasure, AssociationThesaurus};
 
 /// Version of the durable store layout this build reads and writes.
-/// v2 carries the block-compressed inverted-index blobs
-/// ([`ir::INDEX_FORMAT_VERSION`] 2); v1 stores are rejected on open.
-pub const STORE_FORMAT: u32 = 2;
+/// v3 carries index blobs without pinned statistics
+/// ([`ir::INDEX_FORMAT_VERSION`] 3) and the cluster layout of a routing
+/// table plus write counters; older stores are rejected on open.
+pub const STORE_FORMAT: u32 = 3;
 
 /// Library rows per columnar batch.
 const BATCH: usize = 512;
@@ -529,9 +530,7 @@ pub(crate) fn open_instance(store: &Store, prefix: &str) -> RetrievalResult<Mirr
 
     let mut db = MirrorDbms::new(config);
     db.load_library_rows(rows)?;
-    // overwrite the deterministically rebuilt indexes with the saved
-    // ones: identical for a self-contained node, and required for a
-    // shard, whose indexes pin the parent collection's statistics
+    // install the saved indexes over the deterministically rebuilt ones
     let ann_key = format!("{INTERNAL}__annotation");
     let img_key = format!("{INTERNAL}__image");
     if let Some(idx) =
@@ -682,7 +681,6 @@ fn encode_cluster_config(c: &ClusterConfig) -> Vec<u8> {
     w.u64(c.replicas as u64);
     w.u8(match c.partitioning {
         Partitioning::Hash => 0,
-        Partitioning::Content => 1,
     });
     w.bytes(&encode_config(&c.node));
     w.into_bytes()
@@ -694,71 +692,64 @@ fn decode_cluster_config(bytes: &[u8]) -> Result<ClusterConfig, MonetError> {
     let replicas = r.u64()? as usize;
     let partitioning = match r.u8()? {
         0 => Partitioning::Hash,
-        1 => Partitioning::Content,
         t => return Err(corrupt(cluster_key::CONFIG, format!("bad partitioning tag {t}"))),
     };
     let node = decode_config(r.take(r.remaining())?)?;
     Ok(ClusterConfig { shards, replicas, partitioning, node })
 }
 
-/// Layout: per shard the ascending global doc ids, plus the global
-/// per-document metadata.
-fn encode_layout(global_ids: &[Vec<Oid>], docs: &[DocMeta]) -> Vec<u8> {
+/// Layout: the write counters, then per shard the ascending global ids of
+/// its documents in local oid order.
+fn encode_layout(routing: &Routing) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.u64(global_ids.len() as u64);
-    for ids in global_ids {
+    w.u32(routing.next_global);
+    w.u64(routing.writes);
+    w.u64(routing.table.len() as u64);
+    for ids in routing.table.iter() {
         w.u64(ids.len() as u64);
         for &id in ids {
             w.u32(id);
         }
     }
-    w.u64(docs.len() as u64);
-    for d in docs {
-        w.str(&d.url);
-        w.u8(d.annotated as u8);
-        w.u64(d.theme as u64);
-    }
     w.into_bytes()
 }
 
-type Layout = (Vec<Vec<Oid>>, Vec<DocMeta>);
-
-fn decode_layout(bytes: &[u8]) -> Result<Layout, MonetError> {
+fn decode_layout(bytes: &[u8]) -> Result<Routing, MonetError> {
     let mut r = ByteReader::new(bytes, cluster_key::LAYOUT);
+    let next_global = r.u32()?;
+    let writes = r.u64()?;
     let n_shards = r.len64(r.remaining())?;
-    let mut global_ids = Vec::with_capacity(n_shards);
+    let mut table = Vec::with_capacity(n_shards);
     for _ in 0..n_shards {
         let n = r.len64(r.remaining() / 4)?;
         let ids: Vec<Oid> = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
-        if !ids.windows(2).all(|w| w[0] < w[1]) {
-            return Err(corrupt(cluster_key::LAYOUT, "shard doc ids not strictly ascending"));
+        if !ids.windows(2).all(|w| w[0] < w[1]) || ids.last().is_some_and(|&id| id >= next_global) {
+            return Err(corrupt(cluster_key::LAYOUT, "shard doc ids not ascending below next id"));
         }
-        global_ids.push(ids);
+        table.push(ids);
     }
-    let n_docs = r.len64(r.remaining())?;
-    let mut docs = Vec::with_capacity(n_docs);
-    for _ in 0..n_docs {
-        docs.push(DocMeta { url: r.str()?, annotated: r.u8()? != 0, theme: r.u64()? as usize });
-    }
-    Ok((global_ids, docs))
+    Ok(Routing { table: Arc::new(table), next_global, writes })
 }
 
 impl MirrorCluster {
-    /// Persist the whole cluster under `dir`: the layout and
-    /// configuration in `dir/cluster`, and each shard as an independent
-    /// durable store in `dir/shard-{i:03}` — a shard directory is a
-    /// complete store of its own (rows, statistics-pinned indexes,
-    /// vocabulary, thesaurus) that any node can open without the others.
+    /// Persist the whole cluster under `dir`: pending writes are folded
+    /// first ([`merge_all`](MirrorCluster::merge_all)), then each shard's
+    /// generation is saved as an independent durable store in
+    /// `dir/shard-{i:03}` — a complete store of its own (rows, indexes,
+    /// vocabulary, thesaurus) that any node can open without the others —
+    /// and the configuration and routing table in `dir/cluster`. Writes
+    /// wait until the save is done.
     pub fn save(&self, dir: impl AsRef<Path>) -> RetrievalResult<()> {
         let dir = dir.as_ref();
-        for (i, node) in self.nodes().iter().enumerate() {
-            node.save(dir.join(format!("shard-{i:03}")))?;
+        let routing = self.merge_locked()?;
+        for (i, shard) in self.shards().iter().enumerate() {
+            shard.pin().generation_db().save(dir.join(format!("shard-{i:03}")))?;
         }
         let backend: Arc<dyn StorageBackend> = Arc::new(DiskFs::new(dir.join("cluster"))?);
         let store = Store::open(backend, StoreOptions::default())?;
         store.put(cluster_key::FORMAT, encode_format());
         store.put(cluster_key::CONFIG, encode_cluster_config(self.config()));
-        store.put(cluster_key::LAYOUT, encode_layout(self.global_ids(), self.docs()));
+        store.put(cluster_key::LAYOUT, encode_layout(&routing));
         store.commit()?;
         let mut done = ByteWriter::new();
         done.u8(1);
@@ -769,9 +760,10 @@ impl MirrorCluster {
     }
 
     /// Cold-open a persisted cluster from `dir`: shards reopen
-    /// independently (each runs its own kernel-level recovery) and are
-    /// stood back up behind fresh replica routers. Rankings are
-    /// bit-identical to the cluster that saved.
+    /// independently (each runs its own kernel-level recovery), each as
+    /// generation 0 of its live corpus behind fresh replica routers.
+    /// Rankings are bit-identical to the cluster that saved, and the
+    /// reopened cluster takes writes where it left off.
     pub fn open(dir: impl AsRef<Path>) -> RetrievalResult<Self> {
         let dir = dir.as_ref();
         let backend: Arc<dyn StorageBackend> = Arc::new(DiskFs::new(dir.join("cluster"))?);
@@ -783,25 +775,30 @@ impl MirrorCluster {
         }
         check_format(&must_get(&store, cluster_key::FORMAT)?)?;
         let config = decode_cluster_config(&must_get(&store, cluster_key::CONFIG)?)?;
-        let (global_ids, docs) = decode_layout(&must_get(&store, cluster_key::LAYOUT)?)?;
-        if global_ids.len() != config.shards {
+        let routing = decode_layout(&must_get(&store, cluster_key::LAYOUT)?)?;
+        if routing.table.len() != config.shards {
             return Err(RetrievalError::Storage(corrupt(
                 cluster_key::LAYOUT,
-                format!("{} shard lists for {} shards", global_ids.len(), config.shards),
+                format!("{} shard lists for {} shards", routing.table.len(), config.shards),
             )));
         }
-        let mut nodes = Vec::with_capacity(config.shards);
-        for i in 0..config.shards {
-            let node =
-                MirrorDbms::open(dir.join(format!("shard-{i:03}"))).map_err(|e| match e {
-                    RetrievalError::IncompleteState { detail } => {
-                        RetrievalError::IncompleteState { detail: format!("shard {i}: {detail}") }
-                    }
-                    other => other,
-                })?;
-            nodes.push(Arc::new(node));
+        let mut dbs = Vec::with_capacity(config.shards);
+        for (i, ids) in routing.table.iter().enumerate() {
+            let db = MirrorDbms::open(dir.join(format!("shard-{i:03}"))).map_err(|e| match e {
+                RetrievalError::IncompleteState { detail } => {
+                    RetrievalError::IncompleteState { detail: format!("shard {i}: {detail}") }
+                }
+                other => other,
+            })?;
+            if db.n_docs() != ids.len() {
+                return Err(RetrievalError::Storage(corrupt(
+                    cluster_key::LAYOUT,
+                    format!("shard {i} holds {} docs, its routing row {}", db.n_docs(), ids.len()),
+                )));
+            }
+            dbs.push(db);
         }
-        Ok(MirrorCluster::from_parts(config, nodes, global_ids, docs))
+        Ok(MirrorCluster::from_shards(config, dbs, routing))
     }
 }
 

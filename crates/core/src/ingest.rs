@@ -29,13 +29,33 @@ use thesaurus::ThesaurusBuilder;
 pub(crate) type Extraction = (usize, usize, String, Vec<f64>);
 
 /// Everything the shared ingest pipeline produces besides the collection
-/// itself — reused by [`crate::shard::MirrorCluster`], which runs the
-/// pipeline once globally and then loads each shard from it.
+/// itself — reused by [`crate::shard::MirrorCluster`], which runs these
+/// stages once globally and then loads each shard's rows.
 pub(crate) struct IngestArtifacts {
     pub(crate) vocab: VisualVocabulary,
     pub(crate) thesaurus: thesaurus::AssociationThesaurus,
     /// Per-document visual terms (one visual term per segment × space).
     pub(crate) visual_docs: Vec<Vec<String>>,
+}
+
+/// The library rows of a corpus and its visual documents, in corpus order —
+/// what `ImageLibraryInternal` (the internal schema of Section 5.2) is
+/// loaded from.
+pub(crate) fn library_rows(
+    corpus: &[CrawledImage],
+    visual_docs: &[Vec<String>],
+) -> Vec<LibraryRow> {
+    debug_assert_eq!(corpus.len(), visual_docs.len());
+    corpus
+        .iter()
+        .zip(visual_docs)
+        .map(|(c, vterms)| LibraryRow {
+            url: c.url.clone(),
+            annotation: c.annotation.clone(),
+            vterms: vterms.join(" "),
+            theme: c.theme,
+        })
+        .collect()
 }
 
 impl MirrorDbms {
@@ -110,7 +130,7 @@ impl MirrorDbms {
         extractions: Vec<Extraction>,
     ) -> moa::Result<()> {
         let artifacts = self.cluster_and_tokenize(corpus, &extractions);
-        self.load_library(corpus, &artifacts.visual_docs)?;
+        self.load_library_rows(library_rows(corpus, &artifacts.visual_docs))?;
         self.set_ingest_outputs(artifacts.vocab, artifacts.thesaurus);
         Ok(())
     }
@@ -155,29 +175,6 @@ impl MirrorDbms {
         }
         let thesaurus = th.build(self.config().assoc);
         IngestArtifacts { vocab, thesaurus, visual_docs }
-    }
-
-    /// Load (or reload) `ImageLibraryInternal` on this node from a corpus
-    /// and its visual documents — the internal schema of Section 5.2. Also
-    /// records per-document metadata in oid order. For a shard this is
-    /// called with the shard's subset of the global corpus.
-    pub(crate) fn load_library(
-        &mut self,
-        corpus: &[CrawledImage],
-        visual_docs: &[Vec<String>],
-    ) -> moa::Result<()> {
-        debug_assert_eq!(corpus.len(), visual_docs.len());
-        let rows: Vec<LibraryRow> = corpus
-            .iter()
-            .zip(visual_docs)
-            .map(|(c, vterms)| LibraryRow {
-                url: c.url.clone(),
-                annotation: c.annotation.clone(),
-                vterms: vterms.join(" "),
-                theme: c.theme,
-            })
-            .collect();
-        self.load_library_rows(rows)
     }
 
     /// Load (or reload) `ImageLibraryInternal` from already-extracted

@@ -21,10 +21,10 @@
 //!   [`serve::RetrievalRequest`]s over an immutable snapshot, executed
 //!   directly or through the [`serve::MirrorServer`] worker pool, with the
 //!   ranking plan fused into a streaming top-k operator;
-//! * scale-out ([`shard`]): a [`shard::MirrorCluster`] that partitions the
-//!   corpus across shards, scatters requests through per-shard replica
-//!   routers, and gathers per-shard heaps into the bit-identical global
-//!   top-k;
+//! * scale-out ([`shard`]): a [`shard::MirrorCluster`] of hash-routed
+//!   [`LiveMirror`] shards that takes writes, pins one replica per shard
+//!   through its router, and scores every shard with the cluster-wide
+//!   union statistics into the bit-identical global top-k;
 //! * relevance feedback ([`feedback`]) and retrieval evaluation
 //!   ([`eval`]).
 
@@ -40,7 +40,7 @@ pub mod retriever;
 pub mod serve;
 pub mod shard;
 
-pub use live::{GenerationStats, LiveCluster, LiveMirror, LiveReader, MergePolicy, MutableCorpus};
+pub use live::{GenerationStats, LiveMirror, LiveReader, MergePolicy, MutableCorpus};
 pub use retriever::{RetrievalError, RetrievalResult, Retriever};
 
 use cluster::VisualVocabulary;

@@ -37,18 +37,16 @@
 //!   torn hybrid. After the flip the merge sweeps the superseded
 //!   generation and the folded ops out of the store and checkpoints, so
 //!   the store holds one generation plus the ops since its base.
-//! * **Scale-out** — [`LiveCluster`] routes inserts/deletes to shards by
-//!   URL hash and scores every shard's segments with the *cluster-wide*
-//!   union statistics, so a quiesced cluster ranks bit-identically to a
-//!   single-node [`LiveMirror`] fed the same operations, and returns
-//!   global arrival oids at every shard count.
+//! * **Scale-out** — a [`MirrorCluster`](crate::shard::MirrorCluster)
+//!   is N [`LiveMirror`] shards; it pins one snapshot per shard and ranks
+//!   them with the same scorer a single mirror ranks its one snapshot
+//!   with, over the *cluster-wide* union statistics — so a cluster ranks
+//!   bit-identically to a single [`LiveMirror`] fed the same operations.
 
 use crate::query::RankedResult;
 use crate::retriever::{RetrievalError, RetrievalResult, Retriever};
 use crate::serve::{Channel, ResolvedChannels, RetrievalRequest};
-use crate::shard::hash_shard;
 use crate::{durable, LibraryRow, MirrorConfig, MirrorDbms, INTERNAL};
-use cluster::VisualVocabulary;
 use ir::text::tokenize_stemmed;
 use ir::{
     topk_channels, CollectionStats, IndexBuilder, InvertedIndex, Tombstones, TopKAccumulator,
@@ -63,10 +61,10 @@ use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use thesaurus::AssociationThesaurus;
 
 /// A backend that accepts online mutation alongside the [`Retriever`]
-/// query surface: single-node [`LiveMirror`] and sharded [`LiveCluster`].
+/// query surface: single-node [`LiveMirror`] and sharded
+/// [`MirrorCluster`](crate::shard::MirrorCluster).
 pub trait MutableCorpus: Retriever {
     /// Append documents; returns the write sequence number assigned.
     fn insert_rows(&self, rows: Vec<LibraryRow>) -> RetrievalResult<u64>;
@@ -438,29 +436,62 @@ impl LiveReader {
         self.snap.survivors().map(|(oid, _)| oid).collect()
     }
 
-    /// Execute a request against this snapshot (single-node statistics).
-    /// With an empty delta and no tombstones the request is delegated to
-    /// the pinned generation's engine — the fused `topk_bl` fast path;
-    /// otherwise the generation and every delta batch are walked as
-    /// segments of one top-k pass with the snapshot's union statistics.
+    /// The pinned generation's instance, without the delta.
+    pub(crate) fn generation_db(&self) -> &MirrorDbms {
+        &self.snap.gen.db
+    }
+
+    /// Execute a request against this snapshot. With an empty delta and
+    /// no tombstones the request is delegated to the pinned generation's
+    /// engine — the fused `topk_bl` fast path; otherwise it is the
+    /// one-snapshot case of the scorer a cluster ranks its shards with:
+    /// the generation and every delta batch walked as segments of one
+    /// top-k pass with the snapshot's union statistics.
     pub fn retrieve(&self, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>> {
         req.validate()?;
         let snap = &*self.snap;
         if snap.batches.is_empty() && snap.tombstones.is_empty() {
             return snap.gen.db.retrieve(req);
         }
-        let channels = snap.gen.db.resolve_channels(req)?;
-        let stats = union_stats(&[snap], &channels);
-        Ok(snap
-            .topk(&channels, &stats, req.filter.as_deref(), req.k)
-            .into_iter()
-            .map(|(oid, score)| RankedResult {
-                oid,
-                url: snap.row(oid).expect("scored doc exists").url.clone(),
-                score,
-            })
-            .collect())
+        rank_pinned(std::slice::from_ref(self), req, |_, oid| oid)
     }
+}
+
+/// Rank a validated request over pinned snapshots as one collection — a
+/// single mirror's one snapshot, or one per shard of a cluster. The
+/// request is resolved once; every snapshot is scored serially by
+/// [`topk_channels`] with the union statistics of them all, so each
+/// document scores exactly as in a batch index of every surviving row;
+/// the hits are gathered in one [`TopKAccumulator`] under the ids
+/// `global(i, local)` gives snapshot `i`'s local oids. `global` must be
+/// ascending in `local` for each snapshot, so local tie-breaks are the
+/// global ones.
+pub(crate) fn rank_pinned(
+    pins: &[LiveReader],
+    req: &RetrievalRequest,
+    global: impl Fn(usize, Oid) -> Oid,
+) -> RetrievalResult<Vec<RankedResult>> {
+    let snaps: Vec<&LiveSnapshot> = pins.iter().map(|p| &*p.snap).collect();
+    let channels = snaps[0].gen.db.resolve_channels(req)?;
+    let stats = union_stats(&snaps, &channels);
+    let mut acc = TopKAccumulator::new(req.k);
+    let mut origin: FxHashMap<Oid, (usize, Oid)> = FxHashMap::default();
+    for (i, snap) in snaps.iter().enumerate() {
+        for (local, score) in snap.topk(&channels, &stats, req.filter.as_deref(), req.k) {
+            let oid = global(i, local);
+            origin.insert(oid, (i, local));
+            acc.push(oid, score);
+        }
+    }
+    Ok(acc
+        .into_ranked()
+        .into_iter()
+        .map(|(oid, score)| {
+            let (i, local) = origin[&oid];
+            let url = snaps[i].row(local).expect("scored doc exists").url.clone();
+            RankedResult { oid, url, score }
+        })
+        .collect())
 }
 
 /// One logged write — the unit of the delta WAL and of merge replay.
@@ -864,169 +895,5 @@ impl MutableCorpus for LiveMirror {
 
     fn delete(&self, url: &str) -> RetrievalResult<Option<u64>> {
         LiveMirror::delete(self, url)
-    }
-}
-
-struct ClusterWriteState {
-    /// Per shard, the global arrival id of each local document.
-    local_to_global: Vec<Vec<Oid>>,
-    next_global: Oid,
-    writes: u64,
-}
-
-/// A sharded live corpus: per-shard [`LiveMirror`]s behind URL-hash
-/// routing, queried scatter-gather with *global* union statistics and
-/// document frequencies, so a quiesced cluster ranks bit-identically to
-/// a single [`LiveMirror`] fed the same operations — for any shard
-/// count. Under concurrent writes each query sees a consistent snapshot
-/// *per shard* (cross-shard skew of in-flight writes is possible, as in
-/// any scatter-gather system without a global commit point).
-pub struct LiveCluster {
-    shards: Vec<Arc<LiveMirror>>,
-    inner: Mutex<ClusterWriteState>,
-}
-
-impl LiveCluster {
-    /// Stand up an empty live cluster whose shards share a vocabulary
-    /// and thesaurus (built by a previous batch ingest — the online
-    /// pipeline quantises against a fixed vocabulary, like the paper's
-    /// incremental WebRobot feeding a trained clustering).
-    pub fn new(
-        shards: usize,
-        config: MirrorConfig,
-        vocab: Option<VisualVocabulary>,
-        thesaurus: Option<AssociationThesaurus>,
-    ) -> RetrievalResult<Self> {
-        assert!(shards >= 1, "a cluster needs at least one shard");
-        let mut nodes = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let db =
-                MirrorDbms::from_rows(config.clone(), Vec::new(), vocab.clone(), thesaurus.clone())
-                    .map_err(RetrievalError::from)?;
-            nodes.push(Arc::new(LiveMirror::new(db)));
-        }
-        Ok(LiveCluster {
-            shards: nodes,
-            inner: Mutex::new(ClusterWriteState {
-                local_to_global: vec![Vec::new(); shards],
-                next_global: 0,
-                writes: 0,
-            }),
-        })
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Direct access to a shard (inspection and tests). Do not *write*
-    /// through this handle — cluster routing only tracks writes that go
-    /// through the cluster's own [`MutableCorpus`] surface.
-    pub fn shard(&self, i: usize) -> &Arc<LiveMirror> {
-        &self.shards[i]
-    }
-
-    /// Merge every shard's delta into a fresh generation. Holds the
-    /// routing lock, so cluster writes quiesce while each shard folds and
-    /// the routing table is compacted to the surviving local ids.
-    pub fn merge_all(&self) -> RetrievalResult<()> {
-        let mut inner = self.inner.lock();
-        for (s, shard) in self.shards.iter().enumerate() {
-            let live = shard.pin().surviving_local_ids();
-            shard.merge()?;
-            let old = std::mem::take(&mut inner.local_to_global[s]);
-            inner.local_to_global[s] = live.iter().map(|&l| old[l as usize]).collect();
-        }
-        Ok(())
-    }
-}
-
-impl Retriever for LiveCluster {
-    fn retrieve(&self, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>> {
-        req.validate()?;
-        // pin every shard and read the routing table under one critical
-        // section: writes hold this lock across their shard appends and
-        // merge_all holds it while compacting local_to_global, so the
-        // pinned snapshots and the routing rows are a consistent cut —
-        // every local oid a pin can surface has a routing entry in the
-        // same (pre- or post-merge) oid space
-        let (pins, routing) = {
-            let inner = self.inner.lock();
-            let pins: Vec<LiveReader> = self.shards.iter().map(|s| s.pin()).collect();
-            let routing = inner.local_to_global.clone();
-            (pins, routing)
-        };
-        // resolve once at the cluster edge and score every shard with the
-        // cluster-wide union statistics, so each shard's hits carry the
-        // scores a single node over all surviving rows would give them
-        let snaps: Vec<&LiveSnapshot> = pins.iter().map(|p| &*p.snap).collect();
-        let channels = snaps[0].gen.db.resolve_channels(req)?;
-        let stats = union_stats(&snaps, &channels);
-        let mut acc = TopKAccumulator::new(req.k);
-        let mut origin: FxHashMap<Oid, (usize, Oid)> = FxHashMap::default();
-        for (s, snap) in snaps.iter().enumerate() {
-            for (local, score) in snap.topk(&channels, &stats, req.filter.as_deref(), req.k) {
-                let global = routing[s][local as usize];
-                origin.insert(global, (s, local));
-                acc.push(global, score);
-            }
-        }
-        Ok(acc
-            .into_ranked()
-            .into_iter()
-            .map(|(oid, score)| {
-                let (s, local) = origin[&oid];
-                let url = snaps[s].row(local).expect("scored doc exists").url.clone();
-                RankedResult { oid, url, score }
-            })
-            .collect())
-    }
-
-    fn n_docs(&self) -> usize {
-        self.shards.iter().map(|s| s.pin().n_live()).sum()
-    }
-}
-
-impl MutableCorpus for LiveCluster {
-    fn insert_rows(&self, rows: Vec<LibraryRow>) -> RetrievalResult<u64> {
-        let n = self.shards.len();
-        let mut inner = self.inner.lock();
-        let mut per_shard: Vec<Vec<LibraryRow>> = vec![Vec::new(); n];
-        let mut added: Vec<Vec<Oid>> = vec![Vec::new(); n];
-        let mut g = inner.next_global;
-        for r in rows {
-            let s = hash_shard(&r.url, n);
-            added[s].push(g);
-            g += 1;
-            per_shard[s].push(r);
-        }
-        // global ids are assigned up front (gaps from a failed batch are
-        // harmless — ids only need to be unique and monotonic), but each
-        // shard's routing entries commit only after its append succeeds,
-        // so a failed shard insert never leaves phantom routing rows.
-        // The routing lock is held across the shard appends so concurrent
-        // cluster writes cannot interleave shard-local arrival order.
-        inner.next_global = g;
-        for (s, batch) in per_shard.into_iter().enumerate() {
-            if !batch.is_empty() {
-                self.shards[s].insert_rows(batch)?;
-                inner.local_to_global[s].append(&mut added[s]);
-            }
-        }
-        inner.writes += 1;
-        Ok(inner.writes)
-    }
-
-    fn delete(&self, url: &str) -> RetrievalResult<Option<u64>> {
-        let mut inner = self.inner.lock();
-        let s = hash_shard(url, self.shards.len());
-        match self.shards[s].delete(url)? {
-            Some(_) => {
-                inner.writes += 1;
-                Ok(Some(inner.writes))
-            }
-            None => Ok(None),
-        }
     }
 }

@@ -123,8 +123,8 @@ pub type RetrievalResult<T> = std::result::Result<T, RetrievalError>;
 /// [`MirrorDbms`] implements it by compiling the request to a Moa plan and
 /// running it on the embedded engine;
 /// [`MirrorCluster`](crate::shard::MirrorCluster) implements it by
-/// scattering the request across shards (through each shard's replica
-/// router) and merging the per-shard top-k heaps. Every facade query
+/// pinning one replica of every shard and scoring each shard's snapshot
+/// with the cluster-wide statistics into one top-k. Every facade query
 /// method is a provided method over [`retrieve`](Retriever::retrieve), so
 /// backends get the whole query surface for free:
 ///

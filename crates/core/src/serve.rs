@@ -1,5 +1,5 @@
-//! The concurrent serving layer: typed retrieval requests over an
-//! immutable snapshot, executed by a worker pool.
+//! The concurrent serving layer: typed retrieval requests over a shared
+//! backend, executed by a worker pool.
 //!
 //! The paper's closing argument is that putting IR inside the DBMS lets
 //! set-at-a-time execution carry interactive retrieval at scale; the
@@ -18,19 +18,22 @@
 //!   The top-k budget lets the engine fuse the ranking plan into the
 //!   streaming `topk_bl` operator (`ir::topk`), which skips documents that
 //!   provably cannot enter the result;
-//! * [`ReplicaRouter`] — a shard-local router over a replica set: spreads
-//!   requests by least-outstanding (round-robin on ties), suspects a
-//!   replica whose call fails, and retries exactly once on a different
-//!   replica before surfacing
+//! * [`ReplicaRouter`] — a shard-local router over a replica set: its
+//!   generic [`route`](ReplicaRouter::route) runs one call (a cluster
+//!   read pins a snapshot through it) on the least-outstanding replica
+//!   (round-robin on ties), suspects a replica whose call fails, and
+//!   retries exactly once on a different replica before surfacing
 //!   [`RetrievalError::ShardUnavailable`];
 //! * [`MirrorServer`] — a worker pool over any `Arc<R: Retriever>` (a
-//!   single node or a whole [`MirrorCluster`](crate::shard::MirrorCluster))
-//!   behind a *bounded* admission queue: a request arriving while the
-//!   queue is full is shed immediately with a typed
-//!   [`RetrievalError::Overloaded`] instead of buffering into unbounded
-//!   queueing latency. Throughput and latency counters use a fixed-bucket
-//!   histogram, so p50/p99 are exact over the whole run and deterministic
-//!   (the repo's benchmark, `benchmark/`, drives it open- and closed-loop).
+//!   single node, a [`LiveMirror`](crate::LiveMirror) or a whole
+//!   [`MirrorCluster`](crate::shard::MirrorCluster); the mutable two also
+//!   take writes through it) behind a *bounded* admission queue: a
+//!   request arriving while the queue is full is shed immediately with a
+//!   typed [`RetrievalError::Overloaded`] instead of buffering into
+//!   unbounded queueing latency. Throughput and latency counters use a
+//!   fixed-bucket histogram, so p50/p99 are exact over the whole run and
+//!   deterministic (the repo's benchmark, `benchmark/`, drives it open-
+//!   and closed-loop).
 
 use crate::query::{weighted_terms, RankedResult};
 use crate::retriever::{RetrievalError, RetrievalResult, Retriever};
@@ -218,8 +221,8 @@ fn ranking_expr(attr: &str, binding: &str, input: Expr) -> Expr {
 
 impl MirrorDbms {
     /// Execute a typed retrieval request on this node — the engine behind
-    /// [`Retriever::retrieve`] for the single-node backend, and the
-    /// per-shard executor for the cluster. Compiles the request to a Moa
+    /// [`Retriever::retrieve`] for the single-node backend and for a live
+    /// snapshot without pending writes. Compiles the request to a Moa
     /// AST with request-scoped bindings (never mutating the shared
     /// environment) and a top-k budget the engine fuses into the streaming
     /// top-k operator where the plan shape allows.
@@ -479,9 +482,9 @@ struct ServerJob {
 pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
 
 /// A concurrent retrieval server: a fixed worker pool draining a request
-/// queue against one shared, immutable [`Retriever`] backend — a
-/// single-node [`MirrorDbms`] snapshot (the default) or a sharded
-/// [`MirrorCluster`](crate::shard::MirrorCluster).
+/// queue against one shared [`Retriever`] backend — a single-node
+/// [`MirrorDbms`] snapshot (the default), a [`LiveMirror`](crate::LiveMirror)
+/// or a sharded [`MirrorCluster`](crate::shard::MirrorCluster).
 ///
 /// ```no_run
 /// # use std::sync::Arc;
@@ -661,15 +664,14 @@ struct Replica<R> {
 /// the replica suspected and is retried exactly once on a different
 /// replica; a second failure (or no replica left) surfaces
 /// [`RetrievalError::ShardUnavailable`].
-pub struct ReplicaRouter<R: Retriever> {
+pub struct ReplicaRouter<R> {
     shard: usize,
     replicas: Vec<Replica<R>>,
     cursor: AtomicUsize,
 }
 
-impl<R: Retriever> ReplicaRouter<R> {
-    /// Build a router for `shard` over its replica set (all replicas share
-    /// the same immutable shard snapshot).
+impl<R> ReplicaRouter<R> {
+    /// Build a router for `shard` over its replica set.
     pub fn new(shard: usize, backends: Vec<Arc<R>>) -> Self {
         assert!(!backends.is_empty(), "a shard needs at least one replica");
         let replicas = backends
@@ -737,7 +739,7 @@ impl<R: Retriever> ReplicaRouter<R> {
     }
 
     /// Execute one call on `replica`, maintaining its load gauge.
-    fn call(&self, replica: usize, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>> {
+    fn call<T>(&self, replica: usize, f: &impl Fn(&R) -> RetrievalResult<T>) -> RetrievalResult<T> {
         let r = &self.replicas[replica];
         if !r.up.load(Ordering::Relaxed) {
             return Err(RetrievalError::ShardUnavailable {
@@ -746,24 +748,25 @@ impl<R: Retriever> ReplicaRouter<R> {
             });
         }
         r.outstanding.fetch_add(1, Ordering::Relaxed);
-        let result = r.backend.retrieve(req);
+        let result = f(&r.backend);
         r.outstanding.fetch_sub(1, Ordering::Relaxed);
         result
     }
 
-    /// Route a request: try the selected replica, fail over once.
-    pub fn retrieve(&self, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>> {
+    /// Route a call: run `f` on the selected replica's backend, and fail
+    /// over once to another replica if it fails retryably.
+    pub fn route<T>(&self, f: impl Fn(&R) -> RetrievalResult<T>) -> RetrievalResult<T> {
         let Some(first) = self.select(None) else {
             return Err(RetrievalError::ShardUnavailable {
                 shard: self.shard,
                 detail: "no replicas configured".into(),
             });
         };
-        match self.call(first, req) {
+        match self.call(first, &f) {
             Err(e) if e.is_retryable() => {
                 self.replicas[first].suspected.store(true, Ordering::Relaxed);
                 match self.select(Some(first)) {
-                    Some(second) => self.call(second, req).map_err(|e2| match e2 {
+                    Some(second) => self.call(second, &f).map_err(|e2| match e2 {
                         RetrievalError::ShardUnavailable { shard, detail } => {
                             RetrievalError::ShardUnavailable {
                                 shard,

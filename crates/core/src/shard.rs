@@ -1,52 +1,56 @@
-//! Scale-out: sharded scatter-gather retrieval over a cluster of
-//! [`MirrorDbms`] nodes.
+//! Scale-out: a sharded, writable Mirror deployment answered as one
+//! collection.
 //!
-//! The fused `topk_bl` operator (`ir::topk`) merges per-fragment bounded
-//! heaps bit-identically; this module extends the same merge discipline
-//! from cores to shards. A [`MirrorCluster`] partitions the corpus across
-//! N single-node shards — by URL hash or by content (k-means over each
-//! document's feature centroid, reusing `cluster::kmeans`) — runs the
-//! fused top-k per shard through that shard's replica router
-//! ([`ReplicaRouter`]), and folds the per-shard heaps into one
-//! [`TopKAccumulator`] exactly as the fragment-parallel executor folds
-//! per-fragment heaps.
+//! A [`MirrorCluster`] places every document on a shard by the FNV-1a hash
+//! of its URL ([`hash_shard`]) — at build time and for every later insert
+//! or delete, so a document is always found where its URL routes. Each
+//! shard is a [`LiveMirror`]; its replicas share it behind a
+//! [`ReplicaRouter`]. A request, in order:
+//!
+//! 1. pins one replica of every shard through that shard's router — a
+//!    down replica fails over once, a shard with none left surfaces
+//!    [`RetrievalError::ShardUnavailable`](crate::RetrievalError);
+//! 2. is resolved once, at the cluster edge;
+//! 3. scores every pinned snapshot serially with the cluster-wide union
+//!    statistics — the scorer a single [`LiveMirror`] ranks its one
+//!    snapshot with (`live::rank_pinned`);
+//! 4. gathers the hits in one [`ir::TopKAccumulator`] under global oids.
 //!
 //! Two invariants make the cluster's answers *bit-identical* to a single
-//! node over the same corpus:
+//! node over the same documents:
 //!
-//! 1. **Global statistics, local postings.** Belief scores depend on
-//!    collection statistics (df, cf, collection size, average document
-//!    length). The cluster runs the ingest pipeline once globally and
-//!    derives each shard's indexes with
-//!    [`ir::InvertedIndex::shard_projection`], which keeps only the
-//!    shard's postings but pins the *parent's* statistics — so every
-//!    shard scores every document exactly as the single node would.
-//! 2. **Order-preserving document ids.** Each shard's documents keep
-//!    their ascending global order, so shard-local oid tie-breaking is the
-//!    global tie-breaking restricted to the shard, and the cross-shard
-//!    merge (score descending, global oid ascending) reproduces the
-//!    single-node ranking term for term.
+//! 1. **Union statistics at query time.** Belief scores depend on
+//!    collection statistics (df, collection size, average document
+//!    length). Each shard's indexes hold only its own documents and
+//!    statistics; the request is scored with their sums over every
+//!    pinned shard, so every shard scores every document exactly as one
+//!    index over the whole collection would.
+//! 2. **Order-preserving document ids.** Global oids are arrival order;
+//!    each shard holds its documents in ascending global order, so
+//!    shard-local oid tie-breaking is the global tie-breaking restricted
+//!    to the shard, and the gather (score descending, global oid
+//!    ascending) reproduces the single-node ranking term for term.
 
+use crate::ingest::library_rows;
+use crate::live::{rank_pinned, LiveMirror, LiveReader, MutableCorpus};
 use crate::query::RankedResult;
 use crate::retriever::{RetrievalResult, Retriever};
 use crate::serve::{ReplicaRouter, RetrievalRequest};
-use crate::{DocMeta, LibraryRow, MirrorConfig, MirrorDbms, INTERNAL};
-use ir::TopKAccumulator;
+use crate::{LibraryRow, MirrorConfig, MirrorDbms};
+use cluster::VisualVocabulary;
 use media::CrawledImage;
 use monet::Oid;
-use std::collections::BTreeMap;
+use parking_lot::{RwLock, RwLockWriteGuard};
 use std::sync::Arc;
+use thesaurus::AssociationThesaurus;
 
 /// How documents are placed onto shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Partitioning {
     /// FNV-1a hash of the document URL modulo the shard count — cheap,
     /// stateless, and balanced (see the shard-balance property test).
+    /// Writes route the same way, so every document stays deletable.
     Hash,
-    /// Content-aware: k-means (k = shard count) over each document's
-    /// concatenated per-space feature centroids, so visually similar
-    /// documents land on the same shard (theme partitioning).
-    Content,
 }
 
 /// Configuration of a [`MirrorCluster`].
@@ -54,8 +58,8 @@ pub enum Partitioning {
 pub struct ClusterConfig {
     /// Number of shards the corpus is partitioned into (≥ 1).
     pub shards: usize,
-    /// Replicas per shard (≥ 1); replicas share the immutable shard
-    /// snapshot and exist for routing/failover.
+    /// Replicas per shard (≥ 1); replicas share the shard's live corpus
+    /// and exist for routing/failover.
     pub replicas: usize,
     /// Placement policy.
     pub partitioning: Partitioning,
@@ -82,7 +86,7 @@ pub struct ClusterStats {
     pub shards: usize,
     /// Replicas per shard.
     pub replicas_per_shard: usize,
-    /// Documents held by each shard.
+    /// Live documents held by each shard.
     pub docs_per_shard: Vec<usize>,
     /// Replicas currently believed healthy, per shard.
     pub healthy_per_shard: Vec<usize>,
@@ -99,9 +103,24 @@ pub fn hash_shard(url: &str, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
-/// A sharded Mirror deployment: N single-node shards behind replica
+/// The cluster's routing state. Readers pin every shard and take a
+/// refcounted snapshot of `table` under the read lock; writers hold the
+/// write lock across their shard appends (and `merge_all` across its
+/// compaction), so a reader's pins and routing rows are a consistent cut.
+pub(crate) struct Routing {
+    /// Per shard: local oid → global oid (strictly ascending), including
+    /// tombstoned documents until a merge compacts them away.
+    pub(crate) table: Arc<Vec<Vec<Oid>>>,
+    /// The global oid the next inserted document gets.
+    pub(crate) next_global: Oid,
+    /// Cluster writes acknowledged so far — the write sequence number.
+    pub(crate) writes: u64,
+}
+
+/// A sharded Mirror deployment: N [`LiveMirror`] shards behind replica
 /// routers, answering the same typed [`RetrievalRequest`]s as a single
-/// [`MirrorDbms`] — and, by construction, with the same answers.
+/// [`MirrorDbms`] — and, by construction, with the same answers — and
+/// taking inserts and deletes through [`MutableCorpus`].
 ///
 /// ```no_run
 /// # use mirror_core::{shard::MirrorCluster, Retriever};
@@ -111,147 +130,98 @@ pub fn hash_shard(url: &str, shards: usize) -> usize {
 /// ```
 pub struct MirrorCluster {
     config: ClusterConfig,
-    routers: Vec<ReplicaRouter<MirrorDbms>>,
-    /// The shard snapshots behind the routers (replicas share one
-    /// snapshot) — kept so the durable layer can persist each shard.
-    nodes: Vec<Arc<MirrorDbms>>,
-    /// Per shard: local oid → global oid (strictly ascending).
-    global_ids: Vec<Vec<Oid>>,
-    /// Global per-document metadata in global oid order.
-    docs: Vec<DocMeta>,
+    /// The shards' live corpora, in shard order — where writes land.
+    shards: Vec<Arc<LiveMirror>>,
+    /// One router per shard over its replicas — where reads pin.
+    routers: Vec<ReplicaRouter<LiveMirror>>,
+    routing: RwLock<Routing>,
 }
 
 impl MirrorCluster {
     /// Build a cluster with hash partitioning and default node
-    /// configuration: ingest the corpus once, project it onto `shards`
-    /// shards, and stand up `replicas` replicas per shard.
+    /// configuration: run the corpus-global ingest stages once, place
+    /// every document on one of `shards` shards, and stand up `replicas`
+    /// replicas per shard.
     pub fn build(corpus: &[CrawledImage], shards: usize, replicas: usize) -> RetrievalResult<Self> {
         Self::build_with(corpus, ClusterConfig { shards, replicas, ..ClusterConfig::default() })
     }
 
     /// Build a cluster with full control over placement and node config.
+    /// Only the ingest stages every shard shares run globally —
+    /// extraction, the visual vocabulary and the thesaurus; each shard
+    /// then loads its own rows.
     pub fn build_with(corpus: &[CrawledImage], config: ClusterConfig) -> RetrievalResult<Self> {
-        assert!(config.shards >= 1, "a cluster needs at least one shard");
-        assert!(config.replicas >= 1, "a shard needs at least one replica");
-
-        // Run the ingest pipeline ONCE, globally: extraction, feature
-        // clustering, visual documents, thesaurus, and the global CONTREP
-        // indexes every shard projection pins its statistics to.
-        let mut global = MirrorDbms::new(config.node.clone());
+        let global = MirrorDbms::new(config.node.clone());
         let extractions = global.extract_inline(corpus);
         let artifacts = global.cluster_and_tokenize(corpus, &extractions);
-        global.load_library(corpus, &artifacts.visual_docs)?;
-        global.set_ingest_outputs(artifacts.vocab, artifacts.thesaurus);
-
-        // Place every document on a shard.
-        let assignment = match config.partitioning {
-            Partitioning::Hash => {
-                corpus.iter().map(|c| hash_shard(&c.url, config.shards)).collect()
-            }
-            Partitioning::Content => {
-                content_assignment(corpus.len(), &extractions, config.shards, config.node.seed)
-            }
-        };
-        Self::from_global(config, &global, assignment)
+        let rows = library_rows(corpus, &artifacts.visual_docs);
+        Self::from_rows(config, rows, Some(artifacts.vocab), Some(artifacts.thesaurus))
     }
 
-    /// Build a hash-partitioned cluster with default node configuration
-    /// over already-extracted library rows — the cluster counterpart of
-    /// [`MirrorDbms::from_rows`] (no vocabulary or thesaurus, so dual
-    /// requests need explicit visual terms).
+    /// Stand a cluster up over already-extracted library rows, in arrival
+    /// (global oid) order, with a shared vocabulary and thesaurus (without
+    /// them, dual requests need explicit visual terms). `rows` may be
+    /// empty: a cluster fed only by writes.
     pub fn from_rows(
+        config: ClusterConfig,
         rows: Vec<LibraryRow>,
-        shards: usize,
-        replicas: usize,
+        vocab: Option<VisualVocabulary>,
+        thesaurus: Option<AssociationThesaurus>,
     ) -> RetrievalResult<Self> {
-        let config = ClusterConfig { shards, replicas, ..ClusterConfig::default() };
         assert!(config.shards >= 1, "a cluster needs at least one shard");
-        assert!(config.replicas >= 1, "a shard needs at least one replica");
-        let global = MirrorDbms::from_rows(config.node.clone(), rows, None, None)?;
-        let assignment =
-            global.library_rows().iter().map(|r| hash_shard(&r.url, config.shards)).collect();
-        Self::from_global(config, &global, assignment)
-    }
-
-    /// Stand the shards of `assignment` up from a globally loaded node:
-    /// each shard gets its subset of the library rows, with its store
-    /// indexes swapped for statistics-pinned projections of the global
-    /// ones, and the shared vocabulary/thesaurus cloned in.
-    fn from_global(
-        config: ClusterConfig,
-        global: &MirrorDbms,
-        assignment: Vec<usize>,
-    ) -> RetrievalResult<Self> {
-        let ann_key = format!("{INTERNAL}__annotation");
-        let img_key = format!("{INTERNAL}__image");
-        let global_ann = global.store().get(&ann_key).expect("ingest built the annotation index");
-        let global_img = global.store().get(&img_key).expect("ingest built the image index");
-        let rows = global.library_rows();
-        let global_ids = shard_doc_lists(assignment, config.shards, rows.len());
-        let mut routers = Vec::with_capacity(config.shards);
-        let mut nodes = Vec::with_capacity(config.shards);
-        for (shard, docs) in global_ids.iter().enumerate() {
-            let node = MirrorDbms::from_rows(
-                config.node.clone(),
-                docs.iter().map(|&d| rows[d as usize].clone()).collect(),
-                global.vocabulary().cloned(),
-                global.thesaurus().cloned(),
-            )?;
-            node.store().insert(ann_key.clone(), global_ann.shard_projection(docs));
-            node.store().insert(img_key.clone(), global_img.shard_projection(docs));
-            let snapshot = Arc::new(node);
-            let backends = (0..config.replicas).map(|_| Arc::clone(&snapshot)).collect();
-            routers.push(ReplicaRouter::new(shard, backends));
-            nodes.push(snapshot);
+        let next_global = rows.len() as Oid;
+        let mut per_shard: Vec<Vec<LibraryRow>> = vec![Vec::new(); config.shards];
+        let mut table: Vec<Vec<Oid>> = vec![Vec::new(); config.shards];
+        for (oid, row) in rows.into_iter().enumerate() {
+            let shard = hash_shard(&row.url, config.shards);
+            table[shard].push(oid as Oid);
+            per_shard[shard].push(row);
         }
-        let docs = global.docs().to_vec();
-        Ok(MirrorCluster { config, routers, nodes, global_ids, docs })
+        let mut dbs = Vec::with_capacity(config.shards);
+        for rows in per_shard {
+            dbs.push(MirrorDbms::from_rows(
+                config.node.clone(),
+                rows,
+                vocab.clone(),
+                thesaurus.clone(),
+            )?);
+        }
+        let routing = Routing { table: Arc::new(table), next_global, writes: 0 };
+        Ok(Self::from_shards(config, dbs, routing))
     }
 
-    /// Assemble a cluster from already-built shard nodes — the durable
-    /// layer's reopen path. `global_ids` must partition `0..docs.len()`
-    /// into strictly ascending per-shard lists matching each node's local
-    /// document order.
-    pub(crate) fn from_parts(
+    /// Wrap one instance per shard as generation 0 of its live corpus and
+    /// stand up the replica routers — shared by [`from_rows`](Self::from_rows)
+    /// and the durable layer's reopen path.
+    pub(crate) fn from_shards(
         config: ClusterConfig,
-        nodes: Vec<Arc<MirrorDbms>>,
-        global_ids: Vec<Vec<Oid>>,
-        docs: Vec<DocMeta>,
+        dbs: Vec<MirrorDbms>,
+        routing: Routing,
     ) -> Self {
-        let routers = nodes
+        assert!(config.replicas >= 1, "a shard needs at least one replica");
+        let shards: Vec<Arc<LiveMirror>> =
+            dbs.into_iter().map(|db| Arc::new(LiveMirror::new(db))).collect();
+        let routers = shards
             .iter()
             .enumerate()
-            .map(|(shard, node)| {
-                let backends = (0..config.replicas).map(|_| Arc::clone(node)).collect();
-                ReplicaRouter::new(shard, backends)
+            .map(|(i, shard)| {
+                ReplicaRouter::new(i, (0..config.replicas).map(|_| Arc::clone(shard)).collect())
             })
             .collect();
-        MirrorCluster { config, routers, nodes, global_ids, docs }
-    }
-
-    /// The shard snapshots, in shard order (replicas share a snapshot).
-    pub(crate) fn nodes(&self) -> &[Arc<MirrorDbms>] {
-        &self.nodes
-    }
-
-    /// All per-shard global-id lists — the durable layer persists these.
-    pub(crate) fn global_ids(&self) -> &[Vec<Oid>] {
-        &self.global_ids
-    }
-
-    /// Global per-document metadata in global oid order.
-    pub fn docs(&self) -> &[DocMeta] {
-        &self.docs
+        MirrorCluster { config, shards, routers, routing: RwLock::new(routing) }
     }
 
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
-        self.routers.len()
+        self.shards.len()
     }
 
-    /// The global document ids held by `shard`, in ascending order.
-    pub fn shard_docs(&self, shard: usize) -> &[Oid] {
-        &self.global_ids[shard]
+    /// The global ids of the live documents on `shard`, ascending.
+    pub fn shard_docs(&self, shard: usize) -> Vec<Oid> {
+        let routing = self.routing.read();
+        let ids = &routing.table[shard];
+        let live = self.shards[shard].pin().surviving_local_ids();
+        live.into_iter().map(|local| ids[local as usize]).collect()
     }
 
     /// The cluster configuration.
@@ -273,128 +243,97 @@ impl MirrorCluster {
     /// Layout and replica health.
     pub fn stats(&self) -> ClusterStats {
         ClusterStats {
-            shards: self.routers.len(),
+            shards: self.shards.len(),
             replicas_per_shard: self.config.replicas,
-            docs_per_shard: self.global_ids.iter().map(Vec::len).collect(),
+            docs_per_shard: self.shards.iter().map(|s| s.n_docs()).collect(),
             healthy_per_shard: self.routers.iter().map(ReplicaRouter::n_healthy).collect(),
         }
     }
 
-    /// Rewrite a shard's local result oids to global oids (URLs are
-    /// already global — every shard stores real URLs).
-    fn globalize(&self, shard: usize, hits: Vec<RankedResult>) -> Vec<RankedResult> {
-        let ids = &self.global_ids[shard];
-        hits.into_iter()
-            .map(|h| RankedResult { oid: ids[h.oid as usize], url: h.url, score: h.score })
-            .collect()
+    /// Fold every shard's pending writes into a fresh generation. Holds
+    /// the routing write lock, so cluster writes and reads wait while
+    /// each shard folds and its routing rows are compacted to the
+    /// surviving local ids. Shards without pending writes are left alone.
+    pub fn merge_all(&self) -> RetrievalResult<()> {
+        self.merge_locked().map(drop)
+    }
+
+    /// [`merge_all`](Self::merge_all), returning the held routing lock so
+    /// the durable layer can persist the merged state before any write.
+    pub(crate) fn merge_locked(&self) -> RetrievalResult<RwLockWriteGuard<'_, Routing>> {
+        let mut routing = self.routing.write();
+        for (s, shard) in self.shards.iter().enumerate() {
+            if shard.delta_pressure() == (0, 0, 0) {
+                continue;
+            }
+            let live = shard.pin().surviving_local_ids();
+            shard.merge()?;
+            let table = Arc::make_mut(&mut routing.table);
+            table[s] = live.iter().map(|&local| table[s][local as usize]).collect();
+        }
+        Ok(routing)
+    }
+
+    /// The shards' live corpora, in shard order.
+    pub(crate) fn shards(&self) -> &[Arc<LiveMirror>] {
+        &self.shards
     }
 }
 
 impl Retriever for MirrorCluster {
     fn retrieve(&self, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>> {
         req.validate()?;
-        // One shard degenerates to a routed single node: execute inline,
-        // no scatter threads, no re-merge allocation beyond the remap.
-        if self.routers.len() == 1 {
-            let hits = self.routers[0].retrieve(req)?;
-            return Ok(self.globalize(0, hits));
-        }
-        // Scatter: every shard ranks its fragment of the corpus in
-        // parallel (each through its replica router) …
-        let per_shard: Vec<RetrievalResult<Vec<RankedResult>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
+        let (pins, table) = {
+            let routing = self.routing.read();
+            let pins = self
                 .routers
                 .iter()
-                .enumerate()
-                .map(|(shard, router)| {
-                    s.spawn(move || router.retrieve(req).map(|hits| self.globalize(shard, hits)))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard scatter thread panicked")).collect()
-        });
-        // … gather: fold the per-shard heaps into one bounded accumulator,
-        // the same merge the fragment-parallel executor applies per core.
-        let mut acc = TopKAccumulator::new(req.k);
-        for result in per_shard {
-            for hit in result? {
-                acc.push(hit.oid, hit.score);
-            }
-        }
-        Ok(acc
-            .into_ranked()
-            .into_iter()
-            .map(|(oid, score)| RankedResult {
-                oid,
-                url: self.docs[oid as usize].url.clone(),
-                score,
-            })
-            .collect())
+                .map(|router| router.route(|live| Ok(live.pin())))
+                .collect::<RetrievalResult<Vec<LiveReader>>>()?;
+            (pins, Arc::clone(&routing.table))
+        };
+        rank_pinned(&pins, req, |shard, local| table[shard][local as usize])
     }
 
     fn n_docs(&self) -> usize {
-        self.docs.len()
+        self.shards.iter().map(|s| s.n_docs()).sum()
     }
 }
 
-/// Content-aware placement: k-means over each document's concatenated
-/// per-space feature centroid. Falls back to round-robin on degenerate
-/// input (no documents, or no features).
-fn content_assignment(
-    n_docs: usize,
-    extractions: &[crate::ingest::Extraction],
-    shards: usize,
-    seed: u64,
-) -> Vec<usize> {
-    // mean feature vector per (document, space), spaces in sorted order so
-    // concatenation is consistent across documents
-    let mut sums: Vec<BTreeMap<&str, (Vec<f64>, usize)>> = vec![BTreeMap::new(); n_docs];
-    for (doc, _, space, vector) in extractions {
-        let (sum, count) =
-            sums[*doc].entry(space.as_str()).or_insert_with(|| (vec![0.0; vector.len()], 0));
-        for (s, v) in sum.iter_mut().zip(vector) {
-            *s += v;
+impl MutableCorpus for MirrorCluster {
+    fn insert_rows(&self, rows: Vec<LibraryRow>) -> RetrievalResult<u64> {
+        let n = self.shards.len();
+        let mut routing = self.routing.write();
+        let mut per_shard: Vec<Vec<LibraryRow>> = vec![Vec::new(); n];
+        let mut added: Vec<Vec<Oid>> = vec![Vec::new(); n];
+        for row in rows {
+            let s = hash_shard(&row.url, n);
+            added[s].push(routing.next_global);
+            routing.next_global += 1;
+            per_shard[s].push(row);
         }
-        *count += 1;
+        // global ids are assigned up front (gaps from a failed batch are
+        // harmless — ids only need to be unique and ascending), but each
+        // shard's routing rows commit only after its append succeeds, so
+        // a failed shard insert never leaves phantom routing rows
+        for (s, batch) in per_shard.into_iter().enumerate() {
+            if !batch.is_empty() {
+                self.shards[s].insert_rows(batch)?;
+                Arc::make_mut(&mut routing.table)[s].append(&mut added[s]);
+            }
+        }
+        routing.writes += 1;
+        Ok(routing.writes)
     }
-    let points: Vec<Vec<f64>> = sums
-        .iter()
-        .map(|spaces| {
-            spaces
-                .values()
-                .flat_map(|(sum, count)| {
-                    let n = (*count).max(1) as f64;
-                    sum.iter().map(move |s| s / n)
-                })
-                .collect()
-        })
-        .collect();
-    match cluster::kmeans(&points, shards, seed, 50) {
-        Some(result) => result.assignment,
-        None => (0..n_docs).map(|d| d % shards).collect(),
-    }
-}
 
-/// Turn a per-document shard assignment into per-shard ascending doc-id
-/// lists, rebalancing so no shard is left empty while another has spares
-/// (k-means can collapse clusters; an empty shard would waste a node).
-fn shard_doc_lists(assignment: Vec<usize>, shards: usize, n_docs: usize) -> Vec<Vec<Oid>> {
-    debug_assert_eq!(assignment.len(), n_docs);
-    let mut lists: Vec<Vec<Oid>> = vec![Vec::new(); shards];
-    for (doc, shard) in assignment.into_iter().enumerate() {
-        lists[shard].push(doc as Oid);
+    fn delete(&self, url: &str) -> RetrievalResult<Option<u64>> {
+        let mut routing = self.routing.write();
+        let s = hash_shard(url, self.shards.len());
+        Ok(self.shards[s].delete(url)?.map(|_| {
+            routing.writes += 1;
+            routing.writes
+        }))
     }
-    while let Some(empty) = lists.iter().position(Vec::is_empty) {
-        let largest = (0..shards).max_by_key(|&s| lists[s].len()).expect("shards >= 1");
-        if lists[largest].len() <= 1 {
-            break; // fewer documents than shards; empties are unavoidable
-        }
-        let moved = lists[largest].pop().expect("largest shard is non-empty");
-        lists[empty].push(moved);
-    }
-    for list in &mut lists {
-        list.sort_unstable();
-    }
-    lists
 }
 
 #[cfg(test)]
@@ -421,24 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_doc_lists_rebalance_empties() {
-        // everything assigned to shard 0 of 3: rebalance must feed 1 and 2
-        let lists = shard_doc_lists(vec![0; 9], 3, 9);
-        assert!(lists.iter().all(|l| !l.is_empty()), "{lists:?}");
-        assert_eq!(lists.iter().map(Vec::len).sum::<usize>(), 9);
-        for l in &lists {
-            assert!(l.windows(2).all(|w| w[0] < w[1]), "doc lists must stay ascending");
-        }
-    }
-
-    #[test]
-    fn shard_doc_lists_allow_empties_when_docs_are_scarce() {
-        let lists = shard_doc_lists(vec![0, 0], 4, 2);
-        assert_eq!(lists.iter().map(Vec::len).sum::<usize>(), 2);
-        assert_eq!(lists.iter().filter(|l| l.is_empty()).count(), 2);
-    }
-
-    #[test]
     fn cluster_partitions_the_whole_corpus() {
         let corpus = corpus(30, 5);
         let cluster = MirrorCluster::build(&corpus, 3, 1).unwrap();
@@ -446,7 +367,7 @@ mod tests {
         assert_eq!(stats.shards, 3);
         assert_eq!(stats.docs_per_shard.iter().sum::<usize>(), 30);
         // every document appears on exactly one shard
-        let mut seen: Vec<Oid> = (0..3).flat_map(|s| cluster.shard_docs(s).to_vec()).collect();
+        let mut seen: Vec<Oid> = (0..3).flat_map(|s| cluster.shard_docs(s)).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..30).collect::<Vec<Oid>>());
         assert_eq!(cluster.n_docs(), 30);
@@ -471,22 +392,6 @@ mod tests {
             let got = cluster.query_text_filtered("sunset", "/sunset/", 10).unwrap();
             assert_eq!(got, want, "filtered shards={shards}");
         }
-    }
-
-    #[test]
-    fn content_partitioning_also_matches_single_node() {
-        let corpus = corpus(24, 9);
-        let mut single = MirrorDbms::with_defaults();
-        single.ingest(&corpus).unwrap();
-        let cluster = MirrorCluster::build_with(
-            &corpus,
-            ClusterConfig { shards: 3, partitioning: Partitioning::Content, ..Default::default() },
-        )
-        .unwrap();
-        assert!(cluster.stats().docs_per_shard.iter().all(|&n| n > 0));
-        let want = single.query_text("sunset glow evening", 12).unwrap();
-        let got = cluster.query_text("sunset glow evening", 12).unwrap();
-        assert_eq!(got, want);
     }
 
     #[test]

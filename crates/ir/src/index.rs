@@ -33,8 +33,9 @@ const INDEX_MAGIC: &[u8; 7] = b"MIRRIDX";
 
 /// On-disk format version of [`InvertedIndex::to_bytes`] this build reads
 /// and writes. v1 was the unversioned raw-posting layout (no magic); v2
-/// stores the block-compressed postings directly.
-pub const INDEX_FORMAT_VERSION: u8 = 2;
+/// added the block-compressed postings and an optional pinned-statistics
+/// trailer; v3 drops the trailer — an index's statistics are its own.
+pub const INDEX_FORMAT_VERSION: u8 = 3;
 
 /// Global collection statistics (the paper's `stats` structure).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,12 +65,6 @@ pub struct InvertedIndex {
     max_tf: Vec<u32>,
     /// Token count per document.
     doc_len: Vec<u32>,
-    /// Pinned collection statistics of the *parent* collection when this
-    /// index is a shard projection; `None` for a self-contained index.
-    /// Beliefs scored against a projection use these instead of locally
-    /// recomputed statistics, so every shard of a partitioned corpus ranks
-    /// with the same `n_docs`/`avg_dl` as the unpartitioned collection.
-    pinned_stats: Option<CollectionStats>,
 }
 
 impl InvertedIndex {
@@ -136,14 +131,10 @@ impl InvertedIndex {
         self.postings_list(term).map_or(0, |posts| posts.tf_of(doc))
     }
 
-    /// Collection statistics. For a [shard projection](Self::shard_projection)
-    /// these are the pinned statistics of the parent collection, not the
-    /// local fragment's — the property that makes sharded ranking
-    /// bit-identical to single-node ranking.
+    /// Collection statistics of this index's own documents. A collection
+    /// held in several indexes (live segments, cluster shards) is scored
+    /// with union statistics passed to [`crate::topk_channels`] instead.
     pub fn stats(&self) -> CollectionStats {
-        if let Some(pinned) = self.pinned_stats {
-            return pinned;
-        }
         let total: u64 = self.doc_len.iter().map(|&l| l as u64).sum();
         let n = self.doc_len.len();
         CollectionStats {
@@ -165,64 +156,6 @@ impl InvertedIndex {
     /// (8 bytes per posting) — the pre-compression baseline.
     pub fn raw_postings_bytes(&self) -> usize {
         self.postings.iter().map(|p| p.len() * std::mem::size_of::<Posting>()).sum()
-    }
-
-    /// Project the index onto a subset of its documents (ascending global
-    /// doc ids), remapping them to dense local oids `0..docs.len()` —
-    /// the index a corpus shard serves in a scatter-gather deployment.
-    ///
-    /// The projection keeps the parent's *global* term statistics: the
-    /// dictionary, `df`, `cf` and `max_tf` arrays are inherited unchanged,
-    /// and [`stats`](Self::stats) is pinned to the parent's values. Only
-    /// postings and document lengths are restricted — each surviving
-    /// posting run is re-cut into fresh compressed blocks over the local
-    /// oids. A belief scored for a document through the projection is
-    /// therefore the same floating-point value the parent index produces,
-    /// and per-shard top-k heaps merge into exactly the single-node
-    /// ranking ([`crate::topk::TopKAccumulator::merge`]).
-    ///
-    /// # Panics
-    /// Panics if `docs` is not strictly ascending or contains an id
-    /// outside the collection.
-    pub fn shard_projection(&self, docs: &[Oid]) -> InvertedIndex {
-        assert!(docs.windows(2).all(|w| w[0] < w[1]), "shard doc ids must be strictly ascending");
-        if let Some(&last) = docs.last() {
-            assert!(
-                (last as usize) < self.n_docs(),
-                "doc id {last} outside collection of {} docs",
-                self.n_docs()
-            );
-        }
-        // global doc id → local oid (dense because `docs` is ascending)
-        let mut local = vec![Oid::MAX; self.n_docs()];
-        for (i, &d) in docs.iter().enumerate() {
-            local[d as usize] = i as Oid;
-        }
-        let mut scratch = Vec::new();
-        let postings = self
-            .postings
-            .iter()
-            .map(|posts| {
-                scratch.clear();
-                scratch.extend(
-                    posts
-                        .to_vec()
-                        .into_iter()
-                        .filter(|p| local[p.doc as usize] != Oid::MAX)
-                        .map(|p| Posting { doc: local[p.doc as usize], tf: p.tf }),
-                );
-                PostingList::from_postings(&scratch)
-            })
-            .collect();
-        InvertedIndex {
-            dict: self.dict.clone(),
-            postings,
-            df: self.df.clone(),
-            cf: self.cf.clone(),
-            max_tf: self.max_tf.clone(),
-            doc_len: docs.iter().map(|&d| self.doc_len(d)).collect(),
-            pinned_stats: Some(self.stats()),
-        }
     }
 
     /// Number of documents.
@@ -264,14 +197,11 @@ impl InvertedIndex {
         );
     }
 
-    /// Serialise the whole index — dictionary, postings, statistics and
-    /// any pinned parent statistics — into a self-contained versioned byte
-    /// blob (the storage tier's little-endian codec). The compressed
-    /// posting blocks are written verbatim: nothing is decoded on the way
-    /// to disk, so the on-disk and in-RAM representations shrink together.
-    /// Shard projections stay projections across a save/open cycle: the
-    /// pinned global statistics travel with the blob, so a reopened shard
-    /// ranks bit-identically to the original.
+    /// Serialise the whole index — dictionary, postings and statistics —
+    /// into a self-contained versioned byte blob (the storage tier's
+    /// little-endian codec). The compressed posting blocks are written
+    /// verbatim: nothing is decoded on the way to disk, so the on-disk and
+    /// in-RAM representations shrink together.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.bytes(INDEX_MAGIC);
@@ -290,16 +220,6 @@ impl InvertedIndex {
             w.u64(self.cf[tid]);
             w.u32(self.max_tf[tid]);
             self.postings[tid].write_to(&mut w);
-        }
-        match &self.pinned_stats {
-            None => w.u8(0),
-            Some(s) => {
-                w.u8(1);
-                w.u64(s.n_docs as u64);
-                w.u64(s.n_terms as u64);
-                w.f64(s.avg_dl);
-                w.u64(s.total_tokens);
-            }
         }
         w.into_bytes()
     }
@@ -361,29 +281,11 @@ impl InvertedIndex {
             max_tf.push(r.u32()?);
             postings.push(PostingList::read_from(&mut r, n_docs)?);
         }
-        let pinned_stats = match r.u8()? {
-            0 => None,
-            1 => Some(CollectionStats {
-                n_docs: r.u64()? as usize,
-                n_terms: r.u64()? as usize,
-                avg_dl: r.f64()?,
-                total_tokens: r.u64()?,
-            }),
-            other => return Err(corrupt(format!("bad pinned-stats marker {other}"))),
-        };
         if !r.is_exhausted() {
             return Err(corrupt(format!("{} trailing bytes", r.remaining())));
         }
-        // a self-contained index must have df == postings; a shard
-        // projection's df is the parent's global count, so only the
-        // inequality direction holds there
         for (tid, posts) in postings.iter().enumerate() {
-            let ok = if pinned_stats.is_some() {
-                posts.len() <= df[tid] as usize
-            } else {
-                posts.len() == df[tid] as usize
-            };
-            if !ok {
+            if posts.len() != df[tid] as usize {
                 return Err(corrupt(format!(
                     "term {tid}: {} postings but df {}",
                     posts.len(),
@@ -391,7 +293,7 @@ impl InvertedIndex {
                 )));
             }
         }
-        Ok(InvertedIndex { dict, postings, df, cf, max_tf, doc_len, pinned_stats })
+        Ok(InvertedIndex { dict, postings, df, cf, max_tf, doc_len })
     }
 }
 
@@ -450,15 +352,7 @@ impl IndexBuilder {
         let max_tf =
             self.postings.iter().map(|p| p.iter().map(|post| post.tf).max().unwrap_or(0)).collect();
         let postings = self.postings.iter().map(|p| PostingList::from_postings(p)).collect();
-        InvertedIndex {
-            dict: self.dict,
-            postings,
-            df,
-            cf: self.cf,
-            max_tf,
-            doc_len: self.doc_len,
-            pinned_stats: None,
-        }
+        InvertedIndex { dict: self.dict, postings, df, cf: self.cf, max_tf, doc_len: self.doc_len }
     }
 }
 
@@ -592,69 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_projection_keeps_global_statistics() {
-        let idx = small_index();
-        let shard = idx.shard_projection(&[1, 3]);
-        // global statistics are pinned, not recomputed from the fragment
-        assert_eq!(shard.stats(), idx.stats());
-        assert_eq!(shard.df("sunset"), idx.df("sunset"));
-        assert_eq!(shard.cf("forest"), idx.cf("forest"));
-        assert_eq!(shard.max_tf("forest"), idx.max_tf("forest"));
-        // local data is restricted and remapped: global 1 → local 0, 3 → 1
-        assert_eq!(shard.n_docs(), 2);
-        assert_eq!(shard.doc_len(0), idx.doc_len(1));
-        assert_eq!(shard.doc_len(1), idx.doc_len(3));
-        assert_eq!(shard.tf("forest", 0), idx.tf("forest", 1));
-        assert_eq!(shard.tf("sunset", 1), idx.tf("sunset", 3));
-        // a term whose postings all live on other shards keeps its global
-        // df but has no local postings ("forest" occurs only in doc 1)
-        let other = idx.shard_projection(&[0, 2]);
-        assert_eq!(other.postings("forest").map(|p| p.len()), Some(0));
-        assert_eq!(other.df("forest"), 1);
-    }
-
-    #[test]
-    fn shard_projections_cover_the_parent() {
-        let idx = small_index();
-        let a = idx.shard_projection(&[0, 2]);
-        let b = idx.shard_projection(&[1, 3]);
-        assert_eq!(a.n_docs() + b.n_docs(), idx.n_docs());
-        // every posting of every term lands on exactly one shard
-        for term in ["sunset", "beach", "forest", "mist"] {
-            let total = idx.postings(term).map_or(0, |p| p.len());
-            let split =
-                a.postings(term).map_or(0, |p| p.len()) + b.postings(term).map_or(0, |p| p.len());
-            assert_eq!(split, total, "{term}");
-        }
-    }
-
-    #[test]
-    fn shard_projection_recuts_blocks_over_local_oids() {
-        // 400 docs, every one containing the term: the projection must
-        // re-cut the compressed blocks over local ids, not keep global ids
-        let mut b = IndexBuilder::new();
-        for d in 0..400u32 {
-            b.add_tokens(&["every", if d % 2 == 0 { "even" } else { "odd" }]);
-        }
-        let idx = b.build();
-        let docs: Vec<Oid> = (0..400).filter(|d| d % 2 == 0).collect();
-        let shard = idx.shard_projection(&docs);
-        let list = shard.postings_list("even").unwrap();
-        assert_eq!(list.len(), 200);
-        assert_eq!(list.blocks().len(), 200usize.div_ceil(crate::postings::BLOCK_LEN));
-        let decoded = list.to_vec();
-        // local oids are dense over the shard: 0, 1, 2, …
-        assert!(decoded.iter().enumerate().all(|(i, p)| p.doc == i as Oid));
-        assert!(list.blocks().last().unwrap().last_doc < 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn shard_projection_rejects_unsorted_docs() {
-        small_index().shard_projection(&[2, 1]);
-    }
-
-    #[test]
     fn bytes_roundtrip_preserves_everything() {
         let idx = small_index();
         let back = InvertedIndex::from_bytes(&idx.to_bytes()).unwrap();
@@ -669,17 +500,6 @@ mod tests {
         for d in 0..idx.n_docs() as Oid {
             assert_eq!(back.doc_len(d), idx.doc_len(d));
         }
-    }
-
-    #[test]
-    fn bytes_roundtrip_keeps_pinned_shard_stats() {
-        let idx = small_index();
-        let shard = idx.shard_projection(&[1, 3]);
-        let back = InvertedIndex::from_bytes(&shard.to_bytes()).unwrap();
-        // the reopened shard still ranks with the parent's statistics
-        assert_eq!(back.stats(), idx.stats());
-        assert_eq!(back.n_docs(), 2);
-        assert_eq!(back.postings("forest"), shard.postings("forest"));
     }
 
     #[test]
@@ -709,7 +529,7 @@ mod tests {
         w.u64(1);
         w.str("sunset");
         let err = InvertedIndex::from_bytes(&w.into_bytes()).unwrap_err();
-        assert_eq!(err, MonetError::FormatVersion { found: 1, expected: 2 });
+        assert_eq!(err, MonetError::FormatVersion { found: 1, expected: 3 });
     }
 
     #[test]
@@ -718,7 +538,7 @@ mod tests {
         blob[INDEX_MAGIC.len()] = 9;
         assert_eq!(
             InvertedIndex::from_bytes(&blob).unwrap_err(),
-            MonetError::FormatVersion { found: 9, expected: 2 }
+            MonetError::FormatVersion { found: 9, expected: 3 }
         );
     }
 
@@ -729,8 +549,7 @@ mod tests {
             assert!(InvertedIndex::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }
         // a posting pointing outside the collection is rejected
-        let shard = small_index().shard_projection(&[0]);
-        let mut blob = shard.to_bytes();
+        let mut blob = bytes;
         // flip high bits somewhere in the postings region; either the
         // decode fails structurally or the range check rejects it —
         // silence is the only wrong answer

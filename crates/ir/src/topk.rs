@@ -196,7 +196,7 @@ pub struct TopKChannel<'a> {
 
 impl<'a> TopKChannel<'a> {
     /// A channel over one self-contained index, scored with the index's
-    /// own statistics and dfs (a shard projection's are its parent's).
+    /// own statistics and dfs.
     pub fn whole(index: &'a InvertedIndex, query: &[(&'a str, f64)], weight: f64) -> Self {
         TopKChannel {
             segments: vec![(0, index)],

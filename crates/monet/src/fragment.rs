@@ -24,11 +24,11 @@
 //! Selection and join fragments produce *global row positions*, which are
 //! concatenated and gathered with a single `take` — the exact code path the
 //! serial operator uses, so results are bit-identical. Scalar and grouped
-//! aggregates use partial accumulators merged associatively; for integer
-//! inputs (and floats holding integer values) this is also bit-identical.
-//! For general floating-point sums the merge reassociates additions, so the
-//! result may differ from serial in the last ulp — the same caveat every
-//! parallel DBMS documents.
+//! aggregates merge per-fragment partials only where the merge is exact:
+//! integer partials, counts, and float minima/maxima. A float sum (or
+//! average) merged from partials would reassociate its additions and
+//! depend on the degree in the last bits, so it runs the serial kernel
+//! (`merges_exactly`) — every result is bit-identical at every degree.
 //!
 //! Threads are spawned per fragmented operator via [`std::thread::scope`];
 //! fragments borrow the input columns, so no data is copied for selection,
@@ -184,16 +184,22 @@ fn concat_pairs(parts: Vec<Result<(Vec<u32>, Vec<u32>)>>) -> Result<(Vec<u32>, V
     Ok((left, right))
 }
 
+/// Whether `agg` over `col` merges bit-identically from per-fragment
+/// partials. Float `Sum`/`Avg` do not: adding span partials reassociates
+/// the serial left-to-right sum, so the result would depend on the degree.
+pub(crate) fn merges_exactly(col: &Column, agg: Agg) -> bool {
+    !(matches!(col, Column::Float(_)) && matches!(agg, Agg::Sum | Agg::Avg))
+}
+
 /// Fragment-parallel scalar aggregation: each fragment folds its span into
-/// `(sum, min, max)` partials, merged associatively. `Count` needs no scan
-/// at all; empty BATs keep the serial identity/error semantics. Integer
-/// partials stay in `i64` end-to-end, so integer results are bit-identical
-/// to serial; float sums reassociate (see the module docs).
+/// partials, merged exactly — `(sum, min, max)` in `i64` for integers,
+/// `(min, max)` for floats. `Count` needs no scan at all; float sums and
+/// averages, and empty BATs, run the serial kernel.
 pub fn par_agg_tail(b: &Bat, agg: Agg, degree: usize) -> Result<Val> {
     if agg == Agg::Count {
         return Ok(Val::Int(b.count() as i64));
     }
-    if b.is_empty() {
+    if b.is_empty() || !merges_exactly(b.tail(), agg) {
         return b.agg_tail(agg);
     }
     let spans = bounds(b.count(), degree);
@@ -220,21 +226,17 @@ pub fn par_agg_tail(b: &Bat, agg: Agg, degree: usize) -> Result<Val> {
             })
         }
         Column::Float(v) => {
-            let partials: Vec<(f64, f64, f64)> = par_spans(&spans, |(lo, hi)| {
+            let partials: Vec<(f64, f64)> = par_spans(&spans, |(lo, hi)| {
                 let s = &v[lo..hi];
                 (
-                    s.iter().sum(),
                     s.iter().fold(f64::INFINITY, |a, &b| a.min(b)),
                     s.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)),
                 )
             });
-            let sum: f64 = partials.iter().map(|p| p.0).sum();
             Ok(match agg {
-                Agg::Sum => Val::Float(sum),
-                Agg::Min => Val::Float(partials.iter().fold(f64::INFINITY, |a, p| a.min(p.1))),
-                Agg::Max => Val::Float(partials.iter().fold(f64::NEG_INFINITY, |a, p| a.max(p.2))),
-                Agg::Avg => Val::Float(sum / v.len() as f64),
-                Agg::Count => unreachable!("handled above"),
+                Agg::Min => Val::Float(partials.iter().fold(f64::INFINITY, |a, p| a.min(p.0))),
+                Agg::Max => Val::Float(partials.iter().fold(f64::NEG_INFINITY, |a, p| a.max(p.1))),
+                _ => unreachable!("float sums run serially, counts are handled above"),
             })
         }
         other => Err(MonetError::TypeMismatch {
@@ -246,13 +248,13 @@ pub fn par_agg_tail(b: &Bat, agg: Agg, degree: usize) -> Result<Val> {
 }
 
 /// Fragment-parallel grouped aggregation for the mergeable aggregates
-/// (`Sum`, `Count`): each fragment of `values` aggregates against the full
-/// group mapping, producing aligned `[gid(void), partial]` BATs that merge
-/// by element-wise addition. Non-mergeable aggregates (`Min`/`Max`/`Avg`
-/// use an empty-group sentinel that addition would corrupt) fall back to
-/// the serial operator.
+/// (`Sum` over integers, `Count`): each fragment of `values` aggregates
+/// against the full group mapping, producing aligned `[gid(void), partial]`
+/// integer BATs that merge by element-wise addition. Everything else —
+/// `Min`/`Max`/`Avg` (an empty-group sentinel that addition would corrupt)
+/// and float sums (see `merges_exactly`) — runs the serial operator.
 pub fn par_grouped_agg(values: &Bat, groups: &Bat, agg: Agg, degree: usize) -> Result<Bat> {
-    if !matches!(agg, Agg::Sum | Agg::Count) {
+    if !matches!(agg, Agg::Sum | Agg::Count) || !merges_exactly(values.tail(), agg) {
         return values.grouped_agg(groups, agg);
     }
     let spans = bounds(values.count(), degree);
@@ -261,45 +263,25 @@ pub fn par_grouped_agg(values: &Bat, groups: &Bat, agg: Agg, degree: usize) -> R
     }
     let parts: Vec<Result<Bat>> =
         par_spans(&spans, |(lo, hi)| values.slice(lo, hi).grouped_agg(groups, agg));
-    let mut acc_i: Option<Vec<i64>> = None;
-    let mut acc_f: Option<Vec<f64>> = None;
+    let mut acc: Option<Vec<i64>> = None;
     for part in parts {
-        match part?.tail() {
-            Column::Int(v) => match &mut acc_i {
-                Some(acc) => {
-                    for (a, &x) in acc.iter_mut().zip(v) {
-                        *a += x;
-                    }
+        match (part?.tail(), &mut acc) {
+            (Column::Int(v), Some(acc)) => {
+                for (a, &x) in acc.iter_mut().zip(v) {
+                    *a += x;
                 }
-                None => acc_i = Some(v.clone()),
-            },
-            Column::Float(v) => match &mut acc_f {
-                Some(acc) => {
-                    for (a, &x) in acc.iter_mut().zip(v) {
-                        *a += x;
-                    }
-                }
-                None => acc_f = Some(v.clone()),
-            },
-            other => {
+            }
+            (Column::Int(v), None) => acc = Some(v.clone()),
+            (other, _) => {
                 return Err(MonetError::TypeMismatch {
                     op: "par_grouped_agg",
-                    expected: "int|float",
+                    expected: "int",
                     found: other.ty_str(),
                 })
             }
         }
     }
-    let col = match (acc_i, acc_f) {
-        (Some(v), None) => Column::Int(v),
-        (None, Some(v)) => Column::Float(v),
-        _ => {
-            return Err(MonetError::BadValue(
-                "grouped-aggregate fragments disagreed on output type".into(),
-            ))
-        }
-    };
-    Ok(Bat::dense(col))
+    Ok(Bat::dense(Column::Int(acc.expect("at least two fragments"))))
 }
 
 /// Concatenate same-typed columns in a single pass — unlike a pairwise
@@ -478,6 +460,19 @@ mod tests {
     use super::*;
     use crate::bat::{bat_of_floats, bat_of_ints, bat_of_strs};
 
+    /// Non-integer floats whose sum rounds differently when reassociated.
+    fn fractional(n: usize) -> Vec<f64> {
+        (0..n).map(|i| 0.1 * ((37 * i) % 101) as f64 + 1e-3 / (1 + i) as f64).collect()
+    }
+
+    /// A value with floats keyed by their bits, so equality is bit-for-bit.
+    fn float_bits(v: Val) -> String {
+        match v {
+            Val::Float(f) => format!("{:#018x}", f.to_bits()),
+            other => format!("{other:?}"),
+        }
+    }
+
     #[test]
     fn bounds_cover_and_partition() {
         assert_eq!(bounds(10, 3), vec![(0, 4), (4, 7), (7, 10)]);
@@ -548,8 +543,9 @@ mod tests {
     fn par_agg_matches_serial_for_all_kinds() {
         let ints = bat_of_ints((0..777).map(|i| (i * 13) % 97 - 48).collect());
         let floats = bat_of_floats((0..777).map(|i| ((i * 13) % 97) as f64).collect());
+        let fractions = bat_of_floats(fractional(3_000));
         for agg in [Agg::Sum, Agg::Count, Agg::Min, Agg::Max, Agg::Avg] {
-            for d in [2, 5] {
+            for d in [2, 4, 5, 7] {
                 assert_eq!(
                     par_agg_tail(&ints, agg, d).unwrap(),
                     ints.agg_tail(agg).unwrap(),
@@ -559,6 +555,11 @@ mod tests {
                     par_agg_tail(&floats, agg, d).unwrap(),
                     floats.agg_tail(agg).unwrap(),
                     "{agg} floats degree {d}"
+                );
+                assert_eq!(
+                    float_bits(par_agg_tail(&fractions, agg, d).unwrap()),
+                    float_bits(fractions.agg_tail(agg).unwrap()),
+                    "{agg} non-integer floats degree {d}"
                 );
             }
         }
@@ -572,6 +573,17 @@ mod tests {
             let serial = vals.grouped_agg(&groups, agg).unwrap();
             let par = par_grouped_agg(&vals, &groups, agg, 4).unwrap();
             assert_eq!(par.to_pairs(), serial.to_pairs(), "{agg}");
+        }
+        // non-integer float sums, bit for bit at every degree
+        let fvals = bat_of_floats(fractional(3_000));
+        let fgroups = Bat::dense(Column::Oid((0..3_000).map(|i| (i % 5) as Oid).collect()));
+        let serial = fvals.grouped_agg(&fgroups, Agg::Sum).unwrap().to_pairs();
+        for d in [2, 4, 7] {
+            let par = par_grouped_agg(&fvals, &fgroups, Agg::Sum, d).unwrap().to_pairs();
+            let bits = |pairs: Vec<(Val, Val)>| -> Vec<String> {
+                pairs.into_iter().map(|(_, v)| float_bits(v)).collect()
+            };
+            assert_eq!(bits(par), bits(serial.clone()), "float sum degree {d}");
         }
         // non-mergeable aggregates fall back to serial
         let mins = par_grouped_agg(&vals, &groups, Agg::Min, 4).unwrap();

@@ -646,7 +646,10 @@ impl<'a> Executor<'a> {
             Plan::Aggr { input, agg } => {
                 let b = self.eval(input, stats, memo)?;
                 let d = self.frag_degree(fp, b.count());
-                let v = if d > 1 && *agg != Agg::Count {
+                let v = if d > 1
+                    && *agg != Agg::Count
+                    && crate::fragment::merges_exactly(b.tail(), *agg)
+                {
                     frag = d;
                     crate::fragment::par_agg_tail(&b, *agg, d)?
                 } else {
@@ -658,7 +661,10 @@ impl<'a> Executor<'a> {
                 let v = self.eval(values, stats, memo)?;
                 let g = self.eval(groups, stats, memo)?;
                 let d = self.frag_degree(fp, v.count());
-                if d > 1 && matches!(agg, Agg::Sum | Agg::Count) {
+                if d > 1
+                    && matches!(agg, Agg::Sum | Agg::Count)
+                    && crate::fragment::merges_exactly(v.tail(), *agg)
+                {
                     frag = d;
                     Arc::new(crate::fragment::par_grouped_agg(&v, &g, *agg, d)?)
                 } else {

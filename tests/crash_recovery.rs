@@ -14,7 +14,7 @@
 
 use mirror::core::query::RankedResult;
 use mirror::core::shard::MirrorCluster;
-use mirror::core::{LibraryRow, LiveMirror, MirrorDbms, RetrievalError, Retriever};
+use mirror::core::{LibraryRow, LiveMirror, MirrorDbms, MutableCorpus, RetrievalError, Retriever};
 use mirror::media::{CrawledImage, RobotConfig, WebRobot};
 use mirror::monet::storage::BitFlip;
 use mirror::monet::{FaultFs, FaultPlan, MemFs, StorageBackend, Store, StoreOptions};
@@ -233,12 +233,25 @@ fn flip_during_write_is_caught_on_reopen() {
 fn cluster_shards_persist_and_reopen_independently() {
     let corpus = corpus();
     let cluster = MirrorCluster::build(&corpus, 2, 2).unwrap();
+    // written to before the save: an insert and a delete, still un-merged
+    let mut copy = baseline().db.library_rows()[3].clone();
+    copy.url = format!("{}#copy", copy.url);
+    copy.annotation = Some("sunset over the water, a forest city".into());
+    cluster.insert_rows(vec![copy.clone()]).unwrap();
+    cluster.delete(&corpus[0].url).unwrap().expect("victim is live");
+    let written = probe(&cluster);
+    assert!(written.iter().flatten().any(|h| h.url == copy.url), "the insert ranks");
     let dir = scratch_dir("cluster");
     cluster.save(&dir).unwrap();
+    assert_eq!(probe(&cluster), written, "saving folds writes without changing answers");
 
     let reopened = MirrorCluster::open(&dir).unwrap();
-    assert_eq!(probe(&reopened), probe(&cluster));
+    assert_eq!(probe(&reopened), written);
     assert_eq!(reopened.stats().shards, 2);
+    assert_eq!(reopened.n_docs(), corpus.len());
+    // the reopened routing table still finds every document's shard
+    assert!(reopened.delete(&copy.url).unwrap().is_some());
+    assert!(reopened.delete(&corpus[0].url).unwrap().is_none(), "deleted before the save");
 
     // a shard directory is a complete store of its own: open one without
     // its siblings and it serves its slice of the corpus

@@ -19,10 +19,10 @@ use common::{assert_fused, block_scale_requests, block_scale_rows};
 use mirror::core::feedback::FeedbackQuery;
 use mirror::core::query::weighted_terms;
 use mirror::core::serve::{MirrorServer, RetrievalRequest};
+use mirror::core::shard::{ClusterConfig, MirrorCluster};
 use mirror::core::{LibraryRow, RetrievalResult};
 use mirror::core::{
-    LiveCluster, LiveMirror, LiveReader, MergePolicy, MirrorConfig, MirrorDbms, MutableCorpus,
-    Retriever,
+    LiveMirror, LiveReader, MergePolicy, MirrorConfig, MirrorDbms, MutableCorpus, Retriever,
 };
 use mirror::media::{RobotConfig, WebRobot};
 use mirror::{cluster::VisualVocabulary, thesaurus::AssociationThesaurus};
@@ -34,7 +34,7 @@ use std::sync::{Arc, OnceLock};
 // ---------------------------------------------------------------------------
 
 /// Plain data shared by every test below. Read-only: each test seeds its
-/// own `LiveMirror`/`LiveCluster` from clones of these rows.
+/// own `LiveMirror`/`MirrorCluster` from clones of these rows.
 struct Fixture {
     config: MirrorConfig,
     /// All ingested rows: a prefix seeds live instances, the rest is the
@@ -107,6 +107,18 @@ fn reference(f: &Fixture, rows: Vec<LibraryRow>) -> MirrorDbms {
 
 fn seed_live(f: &Fixture, n_base: usize) -> LiveMirror {
     LiveMirror::new(reference(f, f.rows[..n_base].to_vec()))
+}
+
+/// A `shards`-shard cluster over `rows`, sharing a vocabulary and thesaurus.
+fn seed_cluster(
+    shards: usize,
+    node: MirrorConfig,
+    rows: Vec<LibraryRow>,
+    vocab: Option<VisualVocabulary>,
+    thes: Option<AssociationThesaurus>,
+) -> MirrorCluster {
+    let config = ClusterConfig { shards, replicas: 1, node, ..ClusterConfig::default() };
+    MirrorCluster::from_rows(config, rows, vocab, thes).unwrap()
 }
 
 // ---------------------------------------------------------------------------
@@ -274,52 +286,58 @@ fn deleted_docs_never_surface_on_any_query_surface() {
 #[test]
 fn clusters_of_1_2_4_shards_mask_tombstones_and_match_single_node() {
     let f = fixture();
-
-    // ground truth: a single live node fed the same op sequence
-    let single = LiveMirror::new(reference(f, Vec::new()));
-    for chunk in f.rows.chunks(5) {
-        single.insert_rows(chunk.to_vec()).unwrap();
-    }
-    let victims = urls_in(&probe(&single, f));
-    assert!(!victims.is_empty());
-    for url in &victims {
-        single.delete(url).unwrap().expect("victim is live");
-    }
-    let expect_delta = probe(&single, f);
-    single.merge().unwrap();
-    let expect_merged = probe(&single, f);
-    assert_eq!(expect_delta, expect_merged);
-
-    for n_shards in [1usize, 2, 4] {
-        let cluster = LiveCluster::new(
-            n_shards,
-            f.config.clone(),
-            Some(f.vocab.clone()),
-            Some(f.thes.clone()),
-        )
-        .unwrap();
-        for chunk in f.rows.chunks(5) {
-            cluster.insert_rows(chunk.to_vec()).unwrap();
+    // an empty start fed every row, and a seeded start — built over the
+    // first rows of the crawl — fed the rest
+    for n_seed in [0, 20] {
+        // ground truth: a single live node seeded with the same rows and
+        // fed the same op sequence
+        let single = seed_live(f, n_seed);
+        for chunk in f.rows[n_seed..].chunks(5) {
+            single.insert_rows(chunk.to_vec()).unwrap();
         }
+        let victims = urls_in(&probe(&single, f));
+        assert!(!victims.is_empty());
         for url in &victims {
-            cluster.delete(url).unwrap().expect("victim is live on its shard");
+            single.delete(url).unwrap().expect("victim is live");
         }
-        assert_eq!(cluster.n_docs(), single.n_docs());
-        let got = probe(&cluster, f);
-        assert_eq!(
-            got, expect_delta,
-            "{n_shards}-shard cluster diverged from single node (delta view)"
-        );
-        for url in &victims {
-            assert!(!urls_in(&got).contains(url), "{n_shards} shards: deleted {url} surfaced");
+        let expect_delta = probe(&single, f);
+        single.merge().unwrap();
+        let expect_merged = probe(&single, f);
+        assert_eq!(expect_delta, expect_merged);
+
+        for n_shards in [1usize, 2, 4] {
+            let cluster = seed_cluster(
+                n_shards,
+                f.config.clone(),
+                f.rows[..n_seed].to_vec(),
+                Some(f.vocab.clone()),
+                Some(f.thes.clone()),
+            );
+            for chunk in f.rows[n_seed..].chunks(5) {
+                cluster.insert_rows(chunk.to_vec()).unwrap();
+            }
+            for url in &victims {
+                cluster.delete(url).unwrap().expect("victim is live on its shard");
+            }
+            assert_eq!(cluster.n_docs(), single.n_docs());
+            let got = probe(&cluster, f);
+            assert_eq!(
+                got, expect_delta,
+                "{n_shards}-shard cluster seeded with {n_seed} rows diverged from single node \
+                 (delta view)"
+            );
+            for url in &victims {
+                assert!(!urls_in(&got).contains(url), "{n_shards} shards: deleted {url} surfaced");
+            }
+            cluster.merge_all().unwrap();
+            let got = probe(&cluster, f);
+            assert_eq!(
+                got, expect_merged,
+                "{n_shards}-shard cluster seeded with {n_seed} rows diverged from single node \
+                 (merged view)"
+            );
+            assert!(cluster.delete("no-such-url").unwrap().is_none());
         }
-        cluster.merge_all().unwrap();
-        let got = probe(&cluster, f);
-        assert_eq!(
-            got, expect_merged,
-            "{n_shards}-shard cluster diverged from single node (merged view)"
-        );
-        assert!(cluster.delete("no-such-url").unwrap().is_none());
     }
 }
 
@@ -374,7 +392,7 @@ fn duplicate_url_deletes_retarget_next_latest_across_merges() {
 fn cluster_retrieve_races_merge_all_without_desync() {
     let f = fixture();
     let cluster =
-        LiveCluster::new(2, f.config.clone(), Some(f.vocab.clone()), Some(f.thes.clone())).unwrap();
+        seed_cluster(2, f.config.clone(), Vec::new(), Some(f.vocab.clone()), Some(f.thes.clone()));
     cluster.insert_rows(f.rows[..24].to_vec()).unwrap();
     let stop = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -578,7 +596,7 @@ fn assert_send_sync<T: Send + Sync>() {}
 #[test]
 fn live_types_are_send_and_sync() {
     assert_send_sync::<LiveMirror>();
-    assert_send_sync::<LiveCluster>();
+    assert_send_sync::<MirrorCluster>();
     assert_send_sync::<LiveReader>();
 }
 
@@ -641,15 +659,15 @@ fn mutable_corpus_is_object_safe_behind_the_server() {
 fn cluster_oids_are_global_arrival_ids_at_every_shard_count() {
     let f = fixture();
     let run = |n_shards: usize| {
-        let cluster = LiveCluster::new(
+        let cluster = seed_cluster(
             n_shards,
             f.config.clone(),
+            Vec::new(),
             Some(f.vocab.clone()),
             Some(f.thes.clone()),
-        )
-        .unwrap();
+        );
         let mut snapshots = Vec::new();
-        let mut probe_oids = |cluster: &LiveCluster| {
+        let mut probe_oids = |cluster: &MirrorCluster| {
             snapshots.push(
                 probe_requests(f)
                     .iter()
@@ -691,7 +709,7 @@ fn block_scale_segments_match_a_batch_reingest_on_node_and_cluster() {
     let config = MirrorConfig::default();
     let base = MirrorDbms::from_rows(config.clone(), rows[..N_BASE].to_vec(), None, None).unwrap();
     let live = LiveMirror::new(base);
-    let cluster = LiveCluster::new(2, config.clone(), None, None).unwrap();
+    let cluster = seed_cluster(2, config.clone(), Vec::new(), None, None);
     cluster.insert_rows(rows[..N_BASE].to_vec()).unwrap();
     cluster.merge_all().unwrap();
     for chunk in rows[N_BASE..].chunks(64) {

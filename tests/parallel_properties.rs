@@ -3,11 +3,10 @@
 //! executor must be **value-identical** to the serial path at parallelism
 //! degrees 1, 2 and 7.
 //!
-//! Floating-point inputs are drawn as integer-valued `f64`s so that
-//! partial-sum merging is exactly associative and equality can be exact —
-//! the same contract the kernel documents for bit-identical results
-//! (general float sums may differ in the last ulp between serial and
-//! fragmented evaluation, like any parallel DBMS).
+//! Floating-point inputs are drawn as integer-valued `f64`s. Non-integer
+//! float sums run the serial kernel at every degree (the kernel never
+//! merges float partial sums); `monet::fragment`'s unit tests check them
+//! bit for bit.
 
 use mirror::monet::fragment;
 use mirror::monet::{

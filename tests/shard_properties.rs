@@ -6,10 +6,11 @@
 mod common;
 
 use common::{assert_fused, block_scale_requests, block_scale_rows};
-use mirror::core::shard::{hash_shard, MirrorCluster};
+use mirror::core::shard::{hash_shard, ClusterConfig, MirrorCluster};
 use mirror::core::{MirrorConfig, MirrorDbms, RetrievalError, Retriever};
 use mirror::ir::{
-    topk_beliefs, topk_beliefs_raw, BeliefParams, IndexBuilder, RawPostings, TopKAccumulator,
+    topk_beliefs, topk_beliefs_raw, topk_channels, BeliefParams, IndexBuilder, RawPostings,
+    TopKAccumulator, TopKChannel,
 };
 use mirror::media::{CrawledImage, RobotConfig, WebRobot};
 use mirror::monet::Oid;
@@ -151,10 +152,11 @@ proptest! {
         }
     }
 
-    /// Shard projections re-cut the compressed posting blocks over local
-    /// oids; on every shard the block-max-skipping evaluation must match
-    /// the raw-vec reference, and the merged per-shard top-k heaps must be
-    /// bit-identical to the single unsharded index — for 1/2/4 shards.
+    /// Each shard indexes only its own documents (compressed blocks over
+    /// local oids, which must match the raw-vec reference on the shard's
+    /// own statistics); scored with the parent's statistics and dfs, the
+    /// merged per-shard top-k heaps must be bit-identical to the single
+    /// unsharded index — for 1/2/4 shards.
     #[test]
     fn prop_shard_projections_compressed_equals_raw(
         docs in proptest::collection::vec(
@@ -162,11 +164,12 @@ proptest! {
         query in proptest::collection::vec((0usize..QUERY_POOL.len(), 0.25f64..2.0), 1..4),
         k in 1usize..12,
     ) {
+        let tokens = |words: &Vec<usize>| -> Vec<&str> {
+            words.iter().map(|&w| QUERY_POOL[w % QUERY_POOL.len()]).collect()
+        };
         let mut b = IndexBuilder::new();
         for words in &docs {
-            let toks: Vec<&str> =
-                words.iter().map(|&w| QUERY_POOL[w % QUERY_POOL.len()]).collect();
-            b.add_tokens(&toks);
+            b.add_tokens(&tokens(words));
         }
         let index = b.build();
         let q: Vec<(String, f64)> =
@@ -174,17 +177,31 @@ proptest! {
         let qr: Vec<(&str, f64)> = q.iter().map(|(t, w)| (t.as_str(), *w)).collect();
         let params = BeliefParams::default();
         let expected = topk_beliefs(&index, params, &qr, None, k, 1).hits;
+        let raw = RawPostings::from_index(&index);
+        prop_assert_eq!(&topk_beliefs_raw(&index, &raw, params, &qr, None, k, 1).hits, &expected);
+        let parent_dfs: Vec<(&str, f64, u32)> =
+            qr.iter().map(|&(t, w)| (t, w, index.df(t))).collect();
         for shards in [1usize, 2, 4] {
             let mut merged = TopKAccumulator::new(k);
             for s in 0..shards {
                 let local: Vec<Oid> =
                     (0..docs.len() as Oid).filter(|d| (*d as usize) % shards == s).collect();
-                let shard = index.shard_projection(&local);
+                let mut b = IndexBuilder::new();
+                for &d in &local {
+                    b.add_tokens(&tokens(&docs[d as usize]));
+                }
+                let shard = b.build();
                 let raw = RawPostings::from_index(&shard);
                 let fast = topk_beliefs(&shard, params, &qr, None, k, 1);
                 let slow = topk_beliefs_raw(&shard, &raw, params, &qr, None, k, 1);
                 prop_assert_eq!(&fast.hits, &slow.hits, "shard {}/{} k={}", s, shards, k);
-                for (oid, score) in fast.hits {
+                let channel = TopKChannel {
+                    segments: vec![(0, &shard)],
+                    query: parent_dfs.clone(),
+                    stats: index.stats(),
+                    weight: 1.0,
+                };
+                for (oid, score) in topk_channels(&[channel], params, None, None, k, 1).hits {
                     merged.push(local[oid as usize], score);
                 }
             }
@@ -193,10 +210,11 @@ proptest! {
     }
 }
 
-/// Fused dual requests at block scale through 1/2/4-shard clusters: every
-/// shard runs the two-channel fused operator over its projection, and the
-/// gathered answer equals the unfused `OptConfig::none()` single node bit
-/// for bit.
+/// Dual requests at block scale through 1/2/4-shard clusters: the single
+/// node fuses them into the two-channel top-k operator, every shard is
+/// scored by that operator's kernel with the cluster's union statistics,
+/// and the gathered answer equals the unfused `OptConfig::none()` single
+/// node bit for bit.
 #[test]
 fn fused_dual_requests_at_block_scale_match_across_shards() {
     let rows = block_scale_rows();
@@ -204,10 +222,13 @@ fn fused_dual_requests_at_block_scale_match_across_shards() {
         MirrorDbms::from_rows(MirrorConfig::default(), rows.clone(), None, None).unwrap();
     oracle.set_opt(mirror::moa::OptConfig::none());
     let fused = MirrorDbms::from_rows(MirrorConfig::default(), rows.clone(), None, None).unwrap();
-    let clusters: Vec<MirrorCluster> =
-        [1, 2, 4].map(|s| MirrorCluster::from_rows(rows.clone(), s, 1).unwrap()).into();
+    let clusters: Vec<MirrorCluster> = [1, 2, 4]
+        .map(|shards| {
+            let config = ClusterConfig { shards, replicas: 1, ..ClusterConfig::default() };
+            MirrorCluster::from_rows(config, rows.clone(), None, None).unwrap()
+        })
+        .into();
     for req in block_scale_requests() {
-        // shards compile requests exactly like a single node does
         assert_fused(&fused, &req);
         let expected = oracle.retrieve(&req).unwrap();
         for cluster in &clusters {
