@@ -14,7 +14,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e1_set_at_a_time");
     group.sample_size(10);
     for &n in &[1_000usize, 5_000, 20_000] {
-        let env = text_env(n, 42);
+        let (env, _) = text_env(n, 42);
         bind_bench_query(&env);
         let eng = engine(&env);
         group.bench_with_input(BenchmarkId::new("flattened", n), &n, |b, _| {

@@ -16,50 +16,25 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e3_getbl");
     group.sample_size(20);
     for &n in &[1_000usize, 10_000, 50_000] {
-        let env = text_env(n, 42);
+        let (env, store) = text_env(n, 42);
         bind_bench_query(&env);
         let eng = engine(&env);
         group.bench_with_input(BenchmarkId::new("moa_algebra", n), &n, |b, _| {
             b.iter(|| eng.query(RANKING_QUERY).unwrap())
         });
-        // the direct network evaluation over the same data: rebuild the
-        // index from the flattened BATs (they are the system of record)
+        // the direct network evaluation over the same index
         let query = QueryNode::wsum_of(&[
             ("sunset".to_string(), 1.0),
             ("ocean".to_string(), 1.0),
             ("glow".to_string(), 1.0),
         ]);
-        let rebuilt = rebuild_index(&env, n);
+        let index = store.get("TraditionalImgLib__annotation").expect("annotation index");
         group.bench_with_input(BenchmarkId::new("direct_network", n), &n, |b, _| {
-            let ranker = Ranker::new(&rebuilt);
+            let ranker = Ranker::new(&index);
             b.iter(|| ranker.rank(&query))
         });
     }
     group.finish();
-}
-
-/// Rebuild the annotation index from the flattened BATs — proving the BATs
-/// are the system of record.
-fn rebuild_index(env: &moa::Env, n: usize) -> ir::InvertedIndex {
-    let term = env.catalog().get("TraditionalImgLib__annotation__term").unwrap();
-    let post_t = env.catalog().get("TraditionalImgLib__annotation__post_t").unwrap();
-    let post_d = env.catalog().get("TraditionalImgLib__annotation__post_d").unwrap();
-    let post_tf = env.catalog().get("TraditionalImgLib__annotation__post_tf").unwrap();
-    let mut docs: Vec<Vec<String>> = vec![Vec::new(); n];
-    for i in 0..post_t.count() {
-        let tid = post_t.fetch(i).unwrap().1.as_oid().unwrap();
-        let doc = post_d.fetch(i).unwrap().1.as_oid().unwrap() as usize;
-        let tf = post_tf.fetch(i).unwrap().1.as_int().unwrap();
-        let word = term.fetch(tid as usize).unwrap().1;
-        for _ in 0..tf {
-            docs[doc].push(word.as_str().unwrap().to_string());
-        }
-    }
-    let mut b = ir::IndexBuilder::new();
-    for d in &docs {
-        b.add_tokens(d);
-    }
-    b.build()
 }
 
 criterion_group!(benches, bench);

@@ -25,11 +25,12 @@ const WORD_POOL: &[&str] = &[
 
 /// Build a text-only environment (`TraditionalImgLib` at scale): `n`
 /// annotated documents with 5–12 word annotations drawn from the pool.
-/// Returns the environment (with raw rows kept for the naive baseline).
-pub fn text_env(n: usize, seed: u64) -> Arc<Env> {
+/// Returns the environment (with raw rows kept for the naive baseline) and
+/// the store holding its annotation index.
+pub fn text_env(n: usize, seed: u64) -> (Arc<Env>, Arc<ir::ContrepStore>) {
     let mut env = Env::new();
     env.keep_raw = true;
-    ir::register_contrep(&env);
+    let store = ir::register_contrep(&env);
     let (name, ty) = moa::parse_define(
         "define TraditionalImgLib as
            SET< TUPLE< Atomic<URL>: source, Atomic<int>: year,
@@ -50,7 +51,7 @@ pub fn text_env(n: usize, seed: u64) -> Arc<Env> {
         })
         .collect();
     env.create_collection(name, ty, rows).expect("collection loads");
-    Arc::new(env)
+    (Arc::new(env), store)
 }
 
 /// The paper's ranking query over the scaled library.
@@ -111,7 +112,7 @@ mod tests {
 
     #[test]
     fn text_env_scales_and_queries() {
-        let env = text_env(100, 1);
+        let (env, _) = text_env(100, 1);
         bind_bench_query(&env);
         let out = engine(&env).query(RANKING_QUERY).unwrap();
         assert_eq!(out.len(), 100);
@@ -119,8 +120,8 @@ mod tests {
 
     #[test]
     fn text_env_is_deterministic() {
-        let a = text_env(50, 9);
-        let b = text_env(50, 9);
+        let (a, _) = text_env(50, 9);
+        let (b, _) = text_env(50, 9);
         let qa = engine(&a);
         let qb = engine(&b);
         bind_bench_query(&a);

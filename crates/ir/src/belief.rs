@@ -104,13 +104,12 @@ impl BeliefParams {
     pub fn belief_list(&self, index: &InvertedIndex, term: &str) -> Vec<(Oid, f64)> {
         let stats = index.stats();
         let df = index.df(term);
-        let Some(posts) = index.postings(term) else { return Vec::new() };
-        posts
-            .iter()
-            .map(|p| {
-                (p.doc, self.belief(p.tf, df, index.doc_len(p.doc), stats.n_docs, stats.avg_dl))
-            })
-            .collect()
+        let Some(list) = index.postings_list(term) else { return Vec::new() };
+        let mut out = Vec::with_capacity(list.len());
+        list.for_each(|doc, tf| {
+            out.push((doc, self.belief(tf, df, index.doc_len(doc), stats.n_docs, stats.avg_dl)));
+        });
+        out
     }
 }
 

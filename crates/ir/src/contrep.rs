@@ -10,8 +10,9 @@
 //!   tokenises the payloads (`CONTREP<Text>` stems natural language; any
 //!   other parameter keeps raw whitespace-separated tokens, which is how
 //!   `CONTREP<Image>` holds AutoClass cluster names like `gabor_21`),
-//!   constructs an [`InvertedIndex`], materialises it as BATs, and parks a
-//!   fast handle in a shared [`ContrepStore`];
+//!   constructs a block-compressed [`InvertedIndex`] and parks it in a
+//!   shared [`ContrepStore`] — the attribute's one physical representation
+//!   (it leaves no BATs in the catalog);
 //! * **compilation** — `getBL(THIS.attr, query, stats)` compiles to the
 //!   custom kernel operator `contrep.getbl`, with the enclosing domain
 //!   restriction passed through so ranking composes with relational
@@ -24,7 +25,6 @@
 
 use crate::belief::BeliefParams;
 use crate::index::{IndexBuilder, InvertedIndex};
-use crate::net::{QueryNode, Ranker};
 use moa::{CallArgs, MoaError, MoaType, Structure};
 use monet::{Bat, Catalog, Column, MonetError, Oid, OpRegistry, Plan, Val};
 use parking_lot::RwLock;
@@ -44,19 +44,19 @@ pub const GETBL_OP: &str = "contrep.getbl";
 /// [`moa::opt::topk_params`].
 pub const TOPK_BL_OP: &str = "contrep.getbl.topk";
 
-/// Shared store of built content representations, keyed by BAT prefix.
+/// Shared store of built content representations, keyed by attribute
+/// prefix (`{collection}__{attribute}`).
 ///
-/// The BATs in the catalog are the system of record (anything could be
-/// recomputed from them); the store is the hash-index the physical
-/// operator uses, playing the role of Monet's accelerator structures.
+/// Each index is the only physical form of its `CONTREP` attribute: the
+/// belief operators read it directly, and durable saves persist it as a
+/// blob.
 #[derive(Default)]
 pub struct ContrepStore {
     map: RwLock<HashMap<String, Arc<InvertedIndex>>>,
-    params: RwLock<BeliefParams>,
 }
 
 impl ContrepStore {
-    /// Create an empty store with InQuery-default belief parameters.
+    /// Create an empty store.
     pub fn new() -> Self {
         Self::default()
     }
@@ -78,21 +78,9 @@ impl ContrepStore {
         v
     }
 
-    /// The belief parameters used by `getBL`.
+    /// The belief parameters used by `getBL`: InQuery's defaults.
     pub fn params(&self) -> BeliefParams {
-        *self.params.read()
-    }
-
-    /// Replace the belief parameters (affects subsequent queries).
-    pub fn set_params(&self, p: BeliefParams) {
-        *self.params.write() = p;
-    }
-
-    /// Rank documents of `prefix` with the full inference network — the
-    /// API used by callers that bypass Moa (daemons, thesaurus).
-    pub fn rank(&self, prefix: &str, query: &QueryNode) -> Option<Vec<(Oid, f64)>> {
-        let idx = self.get(prefix)?;
-        Some(Ranker::with_params(&idx, self.params()).rank(query))
+        BeliefParams::default()
     }
 }
 
@@ -108,7 +96,8 @@ pub struct Contrep {
 }
 
 impl Contrep {
-    /// Create a CONTREP structure over a store.
+    /// Create a CONTREP structure over a store. Its belief operators read
+    /// the same store; [`register_contrep`] registers both.
     pub fn new(store: Arc<ContrepStore>) -> Self {
         Contrep { store }
     }
@@ -134,8 +123,7 @@ impl Structure for Contrep {
         &self,
         values: &[Option<String>],
         param: &MoaType,
-        catalog: &Catalog,
-        ops: &OpRegistry,
+        _catalog: &Catalog,
         prefix: &str,
     ) -> moa::Result<()> {
         let stem = matches!(param, MoaType::Atomic(moa::AtomicType::Text));
@@ -150,11 +138,7 @@ impl Structure for Contrep {
                 None => builder.add_text(None),
             }
         }
-        let index = builder.build();
-        index.register_bats(catalog, prefix);
-        self.store.insert(prefix, index);
-        register_getbl_op(ops, Arc::clone(&self.store));
-        register_topk_bl_op(ops, Arc::clone(&self.store));
+        self.store.insert(prefix, builder.build());
         Ok(())
     }
 
@@ -264,7 +248,7 @@ fn decode_domain(inputs: &[Arc<Bat>]) -> Option<monet::fxhash::FxHashSet<Oid>> {
     inputs.first().map(|bat| (0..bat.count()).filter_map(|i| bat.head().oid_at(i).ok()).collect())
 }
 
-/// Register (or refresh) the `contrep.getbl` operator in a kernel registry.
+/// Register the `contrep.getbl` operator in a kernel registry.
 fn register_getbl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
     ops.register(GETBL_OP, move |_ctx, inputs, params| {
         let (index, query) = decode_bl_params(GETBL_OP, &store, params)?;
@@ -280,18 +264,16 @@ fn register_getbl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
             let stats = index.stats();
             for (t, w) in &query {
                 let df = index.df(t);
-                let Some(posts) = index.postings(t) else { continue };
-                for p in posts {
-                    if let Some(dom) = &domain {
-                        if !dom.contains(&p.doc) {
-                            continue;
-                        }
+                let Some(list) = index.postings_list(t) else { continue };
+                list.for_each(|doc, tf| {
+                    if domain.as_ref().is_some_and(|dom| !dom.contains(&doc)) {
+                        return;
                     }
-                    let b = bel.belief(p.tf, df, index.doc_len(p.doc), stats.n_docs, stats.avg_dl);
-                    docs.push(p.doc);
+                    let b = bel.belief(tf, df, index.doc_len(doc), stats.n_docs, stats.avg_dl);
+                    docs.push(doc);
                     beliefs.push(w * b / total_w);
-                    *matched_w.entry(p.doc).or_insert(0.0) += w;
-                }
+                    *matched_w.entry(doc).or_insert(0.0) += w;
+                });
             }
             // one default-belief row per document for its unmatched terms
             for (doc, mw) in matched_w {
@@ -305,7 +287,7 @@ fn register_getbl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
     });
 }
 
-/// Register (or refresh) the fused `topk_bl` operator. Its parameters
+/// Register the fused `topk_bl` operator. Its parameters
 /// are the kernel's multi-channel `<op>.topk` layout
 /// ([`moa::opt::topk_params`]): per channel a weight, a length and
 /// that channel's `getBL` parameters, then the budget — one channel for a
@@ -365,11 +347,15 @@ fn register_topk_bl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
     });
 }
 
-/// Create a store, register the CONTREP structure in `env`, and return the
-/// store handle. Idempotent per environment.
+/// Create a store, register the CONTREP structure and its two belief
+/// operators (`contrep.getbl`, `contrep.getbl.topk`) in `env`, and return
+/// the store handle. Calling it again on the same environment replaces the
+/// store the structure and operators use.
 pub fn register_contrep(env: &moa::Env) -> Arc<ContrepStore> {
     let store = Arc::new(ContrepStore::new());
     env.structures().register(Arc::new(Contrep::new(Arc::clone(&store))));
+    register_getbl_op(env.ops(), Arc::clone(&store));
+    register_topk_bl_op(env.ops(), Arc::clone(&store));
     store
 }
 
@@ -410,13 +396,15 @@ mod tests {
     }
 
     #[test]
-    fn build_registers_bats_and_store() {
+    fn build_registers_index_and_operators() {
         let (env, store) = mirror_env();
-        assert!(store.get("TraditionalImgLib__annotation").is_some());
-        let names = env.catalog().names();
-        assert!(names.contains(&"TraditionalImgLib__annotation__term".to_string()));
-        assert!(names.contains(&"TraditionalImgLib__annotation__post_d".to_string()));
+        assert_eq!(store.prefixes(), ["TraditionalImgLib__annotation"]);
+        // the compressed index is the attribute's only physical form
+        let mut names = env.catalog().names();
+        names.retain(|n| n.starts_with("TraditionalImgLib__"));
+        assert_eq!(names, ["TraditionalImgLib__self", "TraditionalImgLib__source"]);
         assert!(env.ops().contains(GETBL_OP));
+        assert!(env.ops().contains(TOPK_BL_OP));
     }
 
     #[test]
@@ -452,8 +440,8 @@ mod tests {
             .query("map[sum(THIS)](map[getBL(THIS.annotation, query, stats)](TraditionalImgLib))")
             .unwrap();
         let pairs = out.pairs().unwrap().to_vec();
-        let network =
-            store.rank("TraditionalImgLib__annotation", &QueryNode::wsum_of(&terms)).unwrap();
+        let index = store.get("TraditionalImgLib__annotation").unwrap();
+        let network = crate::Ranker::new(&index).rank(&crate::QueryNode::wsum_of(&terms));
         for (doc, expected) in network {
             let got = pairs.iter().find(|(o, _)| *o == doc).unwrap().1.as_float().unwrap();
             assert!(

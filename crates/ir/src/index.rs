@@ -1,23 +1,22 @@
 //! The inverted index and collection statistics.
 //!
-//! The index is the flattened form of a `CONTREP<Text>` column: term
-//! dictionary, postings (term → (document, tf) pairs), document lengths and
-//! global statistics. [`InvertedIndex::register_bats`] materialises all of
-//! it as BATs, which is what "implementing an IR model on a binary
-//! relational physical data model" means in practice — the ranking
-//! operators are then ordinary (custom) kernel operators over columns.
+//! The index is the flattened form of a `CONTREP` column and its only
+//! physical representation: term dictionary, postings (term → (document,
+//! tf) pairs), document lengths and global statistics. The CONTREP belief
+//! operators (`contrep.getbl`, `contrep.getbl.topk`) are custom kernel
+//! operators that read it in place, as Monet's accelerator structures are
+//! read beside the BATs.
 //!
 //! Postings are held block-compressed ([`crate::postings::PostingList`]):
 //! delta-encoded doc ids and bitpacked tfs in fixed-size blocks, each
-//! carrying block-max metadata. Consumers that stream postings use the
-//! block API ([`InvertedIndex::postings_list`]); [`InvertedIndex::postings`]
-//! keeps the decoded raw-vec shape as a compatibility path.
+//! carrying block-max metadata. Every consumer walks them through the
+//! block API ([`InvertedIndex::postings_list`]).
 
 use crate::dict::TermDict;
 use crate::postings::PostingList;
 use crate::text::tokenize_stemmed;
 use monet::storage::{ByteReader, ByteWriter, ENDIAN_SENTINEL};
-use monet::{Bat, Catalog, Column, MonetError, Oid};
+use monet::{MonetError, Oid};
 
 /// One posting: a document and the term's frequency within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,14 +70,6 @@ impl InvertedIndex {
     /// The term dictionary.
     pub fn dict(&self) -> &TermDict {
         &self.dict
-    }
-
-    /// Postings of a term decoded into the raw-vec shape, if the term
-    /// occurs — the compatibility path for tuple- and set-at-a-time
-    /// consumers. Streaming consumers should use
-    /// [`postings_list`](Self::postings_list) and decode block-at-a-time.
-    pub fn postings(&self, term: &str) -> Option<Vec<Posting>> {
-        Some(self.postings_list(term)?.to_vec())
     }
 
     /// The block-compressed postings of a term, if the term occurs.
@@ -161,40 +152,6 @@ impl InvertedIndex {
     /// Number of documents.
     pub fn n_docs(&self) -> usize {
         self.doc_len.len()
-    }
-
-    /// Materialise the index as BATs under `prefix`:
-    ///
-    /// * `{prefix}__term`    — `[tid, term]`
-    /// * `{prefix}__df`      — `[tid, document frequency]`
-    /// * `{prefix}__post_t`  — `[pid, tid]` (posting → term)
-    /// * `{prefix}__post_d`  — `[pid, doc]` (posting → document)
-    /// * `{prefix}__post_tf` — `[pid, tf]`
-    /// * `{prefix}__dl`      — `[doc, length]`
-    pub fn register_bats(&self, catalog: &Catalog, prefix: &str) {
-        let terms: Column = self.dict.iter().map(|(_, t)| t).collect();
-        catalog.register(format!("{prefix}__term"), Bat::dense(terms));
-        catalog.register(
-            format!("{prefix}__df"),
-            Bat::dense(Column::Int(self.df.iter().map(|&d| d as i64).collect())),
-        );
-        let mut post_t = Vec::new();
-        let mut post_d = Vec::new();
-        let mut post_tf = Vec::new();
-        for (tid, posts) in self.postings.iter().enumerate() {
-            for p in posts.to_vec() {
-                post_t.push(tid as Oid);
-                post_d.push(p.doc);
-                post_tf.push(p.tf as i64);
-            }
-        }
-        catalog.register(format!("{prefix}__post_t"), Bat::dense(Column::Oid(post_t)));
-        catalog.register(format!("{prefix}__post_d"), Bat::dense(Column::Oid(post_d)));
-        catalog.register(format!("{prefix}__post_tf"), Bat::dense(Column::Int(post_tf)));
-        catalog.register(
-            format!("{prefix}__dl"),
-            Bat::dense(Column::Int(self.doc_len.iter().map(|&l| l as i64).collect())),
-        );
     }
 
     /// Serialise the whole index — dictionary, postings and statistics —
@@ -375,14 +332,12 @@ mod tests {
         assert_eq!(idx.df("sunset"), 2);
         assert_eq!(idx.df("forest"), 1);
         assert_eq!(idx.df("nothere"), 0);
-        let posts = idx.postings("sunset").unwrap();
+        let list = idx.postings_list("sunset").unwrap();
+        assert_eq!(list.len(), 2);
+        let posts = list.to_vec();
         assert_eq!(posts.len(), 2);
         assert_eq!(posts[0].doc, 0);
         assert_eq!(posts[1].doc, 3);
-        // the block view agrees with the decoded view
-        let list = idx.postings_list("sunset").unwrap();
-        assert_eq!(list.len(), 2);
-        assert_eq!(list.to_vec(), posts);
     }
 
     #[test]
@@ -451,24 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn bats_mirror_the_index() {
-        let idx = small_index();
-        let cat = Catalog::new();
-        idx.register_bats(&cat, "Lib__annotation");
-        let terms = cat.get("Lib__annotation__term").unwrap();
-        assert_eq!(terms.count(), idx.dict().len());
-        let post_d = cat.get("Lib__annotation__post_d").unwrap();
-        let post_tf = cat.get("Lib__annotation__post_tf").unwrap();
-        assert_eq!(post_d.count(), post_tf.count());
-        let dl = cat.get("Lib__annotation__dl").unwrap();
-        assert_eq!(dl.count(), 4);
-        // postings count = sum of dfs
-        let df = cat.get("Lib__annotation__df").unwrap();
-        let total_df: i64 = df.tail().int_slice().unwrap().iter().sum();
-        assert_eq!(total_df as usize, post_d.count());
-    }
-
-    #[test]
     fn tokens_api_for_visual_terms() {
         let mut b = IndexBuilder::new();
         b.add_tokens(&["rgb_3", "rgb_3", "gabor_21"]);
@@ -482,7 +419,7 @@ mod tests {
         let idx = IndexBuilder::new().build();
         assert_eq!(idx.n_docs(), 0);
         assert_eq!(idx.stats().avg_dl, 0.0);
-        assert!(idx.postings("x").is_none());
+        assert!(idx.postings_list("x").is_none());
     }
 
     #[test]
@@ -492,7 +429,8 @@ mod tests {
         assert_eq!(back.n_docs(), idx.n_docs());
         assert_eq!(back.stats(), idx.stats());
         for term in ["sunset", "beach", "forest", "mist"] {
-            assert_eq!(back.postings(term), idx.postings(term), "{term}");
+            let posts = |i: &InvertedIndex| i.postings_list(term).map(PostingList::to_vec);
+            assert_eq!(posts(&back), posts(&idx), "{term}");
             assert_eq!(back.df(term), idx.df(term));
             assert_eq!(back.cf(term), idx.cf(term));
             assert_eq!(back.max_tf(term), idx.max_tf(term));
@@ -519,7 +457,10 @@ mod tests {
             idx.raw_postings_bytes()
         );
         let back = InvertedIndex::from_bytes(&blob).unwrap();
-        assert_eq!(back.postings("w0"), idx.postings("w0"));
+        assert_eq!(
+            back.postings_list("w0").map(PostingList::to_vec),
+            idx.postings_list("w0").map(PostingList::to_vec)
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! 1. *representation* — documents and queries are bags of terms; the text
 //!    pipeline ([`text`]) tokenises, drops stopwords and Porter-stems; the
-//!    index ([`index`]) keeps postings, document lengths and collection
-//!    statistics, and can materialise all of them as BATs;
+//!    index ([`index`]) keeps block-compressed postings, document lengths
+//!    and collection statistics;
 //! 2. *ranking* — per-term beliefs `bel(t,d) = α + (1−α)·ntf·nidf`
 //!    ([`belief`]) combined through inference-network operators
 //!    (`#sum #wsum #and #or #not #max`, [`net`]);

@@ -6,7 +6,7 @@
 //! why the Mirror paper chose the model: text beliefs and visual-term
 //! beliefs combine through the same operators (dual coding).
 
-use crate::belief::BeliefParams;
+use crate::belief::DEFAULT_BELIEF;
 use crate::index::InvertedIndex;
 use monet::Oid;
 use std::collections::HashMap;
@@ -129,18 +129,12 @@ impl QueryNode {
 /// term-at-a-time accumulation over postings.
 pub struct Ranker<'a> {
     index: &'a InvertedIndex,
-    params: BeliefParams,
 }
 
 impl<'a> Ranker<'a> {
     /// Create a ranker with InQuery-default parameters.
     pub fn new(index: &'a InvertedIndex) -> Self {
-        Ranker { index, params: BeliefParams::default() }
-    }
-
-    /// Create a ranker with explicit parameters.
-    pub fn with_params(index: &'a InvertedIndex, params: BeliefParams) -> Self {
-        Ranker { index, params }
+        Ranker { index }
     }
 
     /// Rank all documents that match at least one query term. Returns
@@ -150,13 +144,13 @@ impl<'a> Ranker<'a> {
         // gather per-document term beliefs sparsely
         let mut per_doc: HashMap<Oid, HashMap<&str, f64>> = HashMap::new();
         for t in &terms {
-            for (doc, b) in self.params.belief_list(self.index, t) {
+            for (doc, b) in DEFAULT_BELIEF.belief_list(self.index, t) {
                 per_doc.entry(doc).or_default().insert(*t, b);
             }
         }
         let mut out: Vec<(Oid, f64)> = per_doc
             .into_iter()
-            .map(|(doc, beliefs)| (doc, query.eval(&beliefs, self.params.alpha)))
+            .map(|(doc, beliefs)| (doc, query.eval(&beliefs, DEFAULT_BELIEF.alpha)))
             .collect();
         out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         out

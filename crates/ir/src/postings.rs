@@ -150,16 +150,25 @@ impl PostingList {
         }
     }
 
-    /// Decode the whole list back into a posting vector — the
-    /// compatibility path for consumers that want the raw-vec shape.
-    pub fn to_vec(&self) -> Vec<Posting> {
-        let mut out = Vec::with_capacity(self.len);
+    /// Visit every `(doc, tf)` posting in document order, decoding one
+    /// block at a time into reused scratch buffers — the walk of scorers
+    /// that need every posting of a term.
+    pub fn for_each(&self, mut f: impl FnMut(Oid, u32)) {
         let mut docs = Vec::with_capacity(BLOCK_LEN);
         let mut tfs = Vec::with_capacity(BLOCK_LEN);
         for i in 0..self.blocks.len() {
             self.decode_block_into(i, &mut docs, &mut tfs);
-            out.extend(docs.iter().zip(&tfs).map(|(&doc, &tf)| Posting { doc, tf }));
+            for (&doc, &tf) in docs.iter().zip(&tfs) {
+                f(doc, tf);
+            }
         }
+    }
+
+    /// Decode the whole list back into a posting vector — for comparing
+    /// lists whole.
+    pub fn to_vec(&self) -> Vec<Posting> {
+        let mut out = Vec::with_capacity(self.len);
+        self.for_each(|doc, tf| out.push(Posting { doc, tf }));
         out
     }
 

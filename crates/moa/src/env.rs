@@ -349,13 +349,7 @@ impl Env {
                             _ => None,
                         })
                         .collect();
-                    s.build(
-                        &payloads,
-                        param,
-                        &self.catalog,
-                        &self.ops,
-                        &format!("{prefix}__{fname}"),
-                    )?;
+                    s.build(&payloads, param, &self.catalog, &format!("{prefix}__{fname}"))?;
                 }
             }
         }

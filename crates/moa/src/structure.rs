@@ -4,8 +4,10 @@
 //! can be registered at run time, with three responsibilities:
 //!
 //! 1. **typing** — validate their parameter type;
-//! 2. **flattening** — decompose a column of raw payloads into BATs in the
-//!    kernel catalog (and register any physical operators they need);
+//! 2. **flattening** — decompose a column of raw payloads into the
+//!    structure's physical representation: BATs in the kernel catalog, or
+//!    a structure-owned index that its own physical operators read (those
+//!    operators are registered once, with the structure, not per build);
 //! 3. **compilation** — translate method calls appearing in Moa
 //!    expressions (the paper's `getBL`) into physical plans.
 //!
@@ -15,7 +17,7 @@
 
 use crate::types::MoaType;
 use crate::{MoaError, Result};
-use monet::{Catalog, Oid, OpRegistry, Plan, Val};
+use monet::{Catalog, Oid, Plan, Val};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -44,16 +46,18 @@ pub trait Structure: Send + Sync {
     fn check_param(&self, param: &MoaType) -> Result<()>;
 
     /// Flatten a column of raw payloads (one `Option<String>` per object,
-    /// `None` = absent) into BATs registered under `prefix` in `catalog`,
-    /// and register any physical operators into `ops`. `param` is the
-    /// structure's type parameter, letting one structure support several
-    /// payload interpretations (e.g. `CONTREP<Text>` vs `CONTREP<Image>`).
+    /// `None` = absent) under `prefix`: into BATs registered in `catalog`
+    /// (as the toy `LENREP` of the tests does), or into a structure-owned
+    /// representation (as `CONTREP` builds its compressed index). `param`
+    /// is the structure's type parameter, letting one structure support
+    /// several payload interpretations (e.g. `CONTREP<Text>` vs
+    /// `CONTREP<Image>`). Physical operators a structure needs are
+    /// registered alongside the structure itself, not here.
     fn build(
         &self,
         values: &[Option<String>],
         param: &MoaType,
         catalog: &Catalog,
-        ops: &OpRegistry,
         prefix: &str,
     ) -> Result<()>;
 
@@ -154,7 +158,6 @@ pub(crate) mod test_support {
             values: &[Option<String>],
             _param: &MoaType,
             catalog: &Catalog,
-            _ops: &OpRegistry,
             prefix: &str,
         ) -> Result<()> {
             let lens: Vec<i64> = values
@@ -225,13 +228,11 @@ mod tests {
         let reg = StructRegistry::new();
         reg.register(Arc::new(LenRep));
         let cat = Catalog::new();
-        let ops = OpRegistry::new();
         let s = reg.get("LENREP").unwrap();
         s.build(
             &[Some("abc".into()), None, Some("hello".into())],
             &MoaType::Atomic(AtomicType::Text),
             &cat,
-            &ops,
             "C__notes",
         )
         .unwrap();

@@ -12,7 +12,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A fresh logical environment with the CONTREP structure registered —
     // this is "the Mirror DBMS" at its smallest.
     let env = Env::new();
-    mirror::ir::register_contrep(&env);
+    let store = mirror::ir::register_contrep(&env);
 
     // The schema, verbatim from Section 3 of the paper.
     let (name, ty) = parse_define(
@@ -46,12 +46,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = Arc::new(env);
     env.create_collection(name, ty, rows)?;
 
-    // Flattening registered one BAT per column plus the inverted-index
-    // BATs of the CONTREP attribute:
+    // Flattening registered one BAT per relational column; the CONTREP
+    // attribute became a compressed inverted index in the ContrepStore:
     println!("catalog after flattening:");
     for bat in env.catalog().names() {
         println!("  {bat}");
     }
+    println!("content indexes: {:?}", store.prefixes());
 
     // "query refers to a set of query terms"
     env.bind_query("query", vec![("sunset".into(), 1.0), ("beach".into(), 1.0)]);
