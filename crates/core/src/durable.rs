@@ -77,10 +77,11 @@ use std::sync::Arc;
 use thesaurus::{AssocMeasure, AssociationThesaurus};
 
 /// Version of the durable store layout this build reads and writes.
-/// v3 carries index blobs without pinned statistics
+/// v4 drops the parallelism field from the stored configuration; v3
+/// carries index blobs without pinned statistics
 /// ([`ir::INDEX_FORMAT_VERSION`] 3) and the cluster layout of a routing
-/// table plus write counters; older stores are rejected on open.
-pub const STORE_FORMAT: u32 = 3;
+/// table plus write counters. Older stores are rejected on open.
+pub const STORE_FORMAT: u32 = 4;
 
 /// Library rows per columnar batch.
 const BATCH: usize = 512;
@@ -155,7 +156,6 @@ fn encode_config(c: &MirrorConfig) -> Vec<u8> {
     w.u64(c.expand_per_term as u64);
     w.u64(c.expand_max_terms as u64);
     w.u8(c.keep_raw as u8);
-    w.u64(c.parallelism as u64);
     w.u64(c.seed);
     w.into_bytes()
 }
@@ -181,7 +181,6 @@ fn decode_config(bytes: &[u8]) -> Result<MirrorConfig, MonetError> {
         expand_per_term: r.u64()? as usize,
         expand_max_terms: r.u64()? as usize,
         keep_raw: r.u8()? != 0,
-        parallelism: r.u64()? as usize,
         seed: r.u64()?,
     })
 }
@@ -817,7 +816,6 @@ mod tests {
                 expand_per_term: 2,
                 expand_max_terms: 3,
                 keep_raw: true,
-                parallelism: 4,
                 seed: 99,
             },
         ] {

@@ -38,6 +38,39 @@ pub(crate) struct IngestArtifacts {
     pub(crate) visual_docs: Vec<Vec<String>>,
 }
 
+/// Inline segmentation + extraction (no daemons): every segment of a
+/// `grid`×`grid` cut of each image through every standard extractor, in
+/// document, segment, extractor order.
+pub(crate) fn extract_inline(corpus: &[CrawledImage], grid: usize) -> Vec<Extraction> {
+    let extractors = standard_extractors();
+    let mut out = Vec::new();
+    for (doc, c) in corpus.iter().enumerate() {
+        for (seg_idx, seg) in grid_segments(&c.image, grid).iter().enumerate() {
+            for ex in &extractors {
+                let v = ex.extract(&seg.image);
+                out.push((doc, seg_idx, ex.space().to_string(), v.into_values()));
+            }
+        }
+    }
+    out
+}
+
+/// The visual document of each of `n_docs` images: the vocabulary's term
+/// for each of its extractions, in extraction order.
+pub(crate) fn visual_docs(
+    vocab: &VisualVocabulary,
+    n_docs: usize,
+    extractions: &[Extraction],
+) -> Vec<Vec<String>> {
+    let mut docs: Vec<Vec<String>> = vec![Vec::new(); n_docs];
+    for (doc, _, space, vector) in extractions {
+        if let Some(term) = vocab.term_of(space, vector) {
+            docs[*doc].push(term);
+        }
+    }
+    docs
+}
+
 /// The library rows of a corpus and its visual documents, in corpus order —
 /// what `ImageLibraryInternal` (the internal schema of Section 5.2) is
 /// loaded from.
@@ -61,7 +94,7 @@ pub(crate) fn library_rows(
 impl MirrorDbms {
     /// Ingest a crawled corpus in-process.
     pub fn ingest(&mut self, corpus: &[CrawledImage]) -> moa::Result<()> {
-        let extractions = self.extract_inline(corpus);
+        let extractions = extract_inline(corpus, self.config().grid);
         self.finish_ingest(corpus, extractions)
     }
 
@@ -106,22 +139,6 @@ impl MirrorDbms {
         self.finish_ingest(corpus, extractions)
     }
 
-    /// Inline segmentation + extraction (no daemons).
-    pub(crate) fn extract_inline(&self, corpus: &[CrawledImage]) -> Vec<Extraction> {
-        let extractors = standard_extractors();
-        let mut out = Vec::new();
-        for (doc, c) in corpus.iter().enumerate() {
-            let segments = grid_segments(&c.image, self.config().grid);
-            for (seg_idx, seg) in segments.iter().enumerate() {
-                for ex in &extractors {
-                    let v = ex.extract(&seg.image);
-                    out.push((doc, seg_idx, ex.space().to_string(), v.into_values()));
-                }
-            }
-        }
-        out
-    }
-
     /// Shared tail of both ingest routes: cluster, build visual documents,
     /// flatten the internal schema, and mine the thesaurus.
     fn finish_ingest(
@@ -158,12 +175,7 @@ impl MirrorDbms {
         };
 
         // 2. visual document per image: the terms of all its segments
-        let mut visual_docs: Vec<Vec<String>> = vec![Vec::new(); corpus.len()];
-        for (doc, _, space, vector) in extractions {
-            if let Some(term) = vocab.term_of(space, vector) {
-                visual_docs[*doc].push(term);
-            }
-        }
+        let visual_docs = visual_docs(&vocab, corpus.len(), extractions);
 
         // 3. the association thesaurus over the *annotated* subset
         let mut th = ThesaurusBuilder::new();

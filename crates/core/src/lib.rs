@@ -73,10 +73,6 @@ pub struct MirrorConfig {
     pub expand_max_terms: usize,
     /// Keep raw rows for the naive-interpreter baseline (costs memory).
     pub keep_raw: bool,
-    /// Fragment-parallel execution degree for query plans: `0` = auto (one
-    /// thread per available core), `1` = serial, `n` = exactly `n` threads
-    /// per fragmented operator.
-    pub parallelism: usize,
     /// Seed for all stochastic stages.
     pub seed: u64,
 }
@@ -90,7 +86,6 @@ impl Default for MirrorConfig {
             expand_per_term: 4,
             expand_max_terms: 12,
             keep_raw: false,
-            parallelism: 0,
             seed: 42,
         }
     }
@@ -152,8 +147,7 @@ impl MirrorDbms {
         env.keep_raw = config.keep_raw;
         let store = ir::register_contrep(&env);
         let env = Arc::new(env);
-        let opt = OptConfig { parallelism: config.parallelism, ..OptConfig::default() };
-        let engine = MoaEngine::with_opt(Arc::clone(&env), opt);
+        let engine = MoaEngine::with_opt(Arc::clone(&env), OptConfig::default());
         MirrorDbms {
             env,
             store,

@@ -13,14 +13,13 @@
 //! * **Delta** — each insert batch becomes a *segment*: the raw
 //!   [`LibraryRow`]s plus, per evidence channel, an ordinary
 //!   block-compressed [`InvertedIndex`] built by the same
-//!   [`IndexBuilder`] pipelines as the generation, placed at the batch's
-//!   first live doc id; deletes add to a tombstone set. A query resolves
-//!   through [`MirrorDbms`]'s one request resolver and runs as one
-//!   [`ir::topk_channels`] pass over the generation's index and every
-//!   batch's, in doc order, with the snapshot's union statistics and the
-//!   tombstones as a mask — the kernel's own scorer, so every snapshot
-//!   ranks bit-identically to a batch re-ingest of its surviving rows,
-//!   and the threshold learned on the generation prunes the delta.
+//!   [`IndexBuilder`] pipelines, at the batch's first live doc id; deletes
+//!   add to a tombstone set. A query is the node's compiled plan over the
+//!   snapshot as one [`CorpusView`] part: the fused operator walks the
+//!   generation's index and every batch's in doc order, with the
+//!   snapshot's union statistics and the tombstones as a mask, so every
+//!   snapshot ranks bit-identically to a batch re-ingest of its surviving
+//!   rows.
 //! * **Merge** — [`LiveMirror::merge`] folds a snapshot's survivors into
 //!   a fresh compressed generation LSM-style (re-cutting posting blocks,
 //!   recomputing collection statistics through
@@ -38,29 +37,27 @@
 //!   generation and the folded ops out of the store and checkpoints, so
 //!   the store holds one generation plus the ops since its base.
 //! * **Scale-out** — a [`MirrorCluster`](crate::shard::MirrorCluster)
-//!   is N [`LiveMirror`] shards; it pins one snapshot per shard and ranks
-//!   them with the same scorer a single mirror ranks its one snapshot
-//!   with, over the *cluster-wide* union statistics — so a cluster ranks
-//!   bit-identically to a single [`LiveMirror`] fed the same operations.
+//!   is N [`LiveMirror`] shards ranked as one view of N pinned snapshots,
+//!   with *cluster-wide* union statistics — so it ranks bit-identically to
+//!   a single [`LiveMirror`] fed the same operations.
 
-use crate::query::RankedResult;
+use crate::ingest::{extract_inline, library_rows, visual_docs};
+use crate::query::{ranked, RankedResult};
 use crate::retriever::{RetrievalError, RetrievalResult, Retriever};
-use crate::serve::{Channel, ResolvedChannels, RetrievalRequest};
+use crate::serve::RetrievalRequest;
 use crate::{durable, LibraryRow, MirrorConfig, MirrorDbms, INTERNAL};
 use ir::text::tokenize_stemmed;
-use ir::{
-    topk_channels, CollectionStats, IndexBuilder, InvertedIndex, Tombstones, TopKAccumulator,
-    TopKChannel,
-};
-use media::{grid_segments, standard_extractors, CrawledImage};
-use moa::MoaError;
-use monet::fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-use monet::{MonetError, Oid, Store};
+use ir::{CorpusView, IndexBuilder, InvertedIndex, Tombstones, ViewPart};
+use media::CrawledImage;
+use moa::{Expr, MoaError, QueryParams};
+use monet::column::StrCol;
+use monet::fxhash::{FxBuildHasher, FxHashMap};
+use monet::{Bat, Column, MonetError, Oid, RequestView, Store};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A backend that accepts online mutation alongside the [`Retriever`]
 /// query surface: single-node [`LiveMirror`] and sharded
@@ -126,10 +123,14 @@ impl Generation {
     }
 }
 
-/// Position of an evidence channel in the live tier's per-channel arrays:
-/// the annotation (text) channel, then the image channel.
-fn slot(ch: Channel) -> usize {
-    usize::from(ch == Channel::Visual)
+/// Position of a content representation in the live tier's per-channel
+/// arrays: the annotation (text) channel, then the image channel.
+fn slot(prefix: &str) -> Option<usize> {
+    match prefix.strip_prefix(INTERNAL)?.strip_prefix("__")? {
+        "annotation" => Some(0),
+        "image" => Some(1),
+        _ => None,
+    }
 }
 
 impl Drop for Generation {
@@ -234,6 +235,9 @@ struct LiveSnapshot {
     /// Surviving token totals per channel.
     totals: [u64; 2],
     seq: u64,
+    /// Every row's URL by live oid ([`url_column`]), built for the first
+    /// filtered request.
+    source: OnceLock<Arc<Bat>>,
 }
 
 impl LiveSnapshot {
@@ -246,6 +250,7 @@ impl LiveSnapshot {
             tombstones: Tombstones::new(),
             df_minus: Default::default(),
             seq,
+            source: OnceLock::new(),
         }
     }
 
@@ -302,6 +307,7 @@ impl LiveSnapshot {
             n_live,
             totals,
             seq,
+            source: OnceLock::new(),
         }
     }
 
@@ -326,78 +332,96 @@ impl LiveSnapshot {
             n_live: self.n_live - 1,
             totals: std::array::from_fn(|c| self.totals[c] - tokens[c].len() as u64),
             seq,
+            source: OnceLock::new(),
         }
     }
+}
 
-    /// One evidence channel's index segments: the generation's at 0, then
-    /// every delta batch's at its first doc.
-    fn segments(&self, ch: Channel) -> Vec<(Oid, &InvertedIndex)> {
-        let c = slot(ch);
+/// The URL column of the pinned snapshots' rows laid end to end, by view
+/// id ([`CorpusView`]) — what a filtered request selects over.
+pub(crate) fn url_column(pins: &[LiveReader]) -> Bat {
+    let urls = pins.iter().flat_map(|p| p.snap.rows().map(|(_, r)| r.url.as_str()));
+    Bat::dense(Column::Str(StrCol::from_strs(urls)))
+}
+
+/// A snapshot is one part of a corpus view: the generation's index at 0,
+/// then every delta batch's at its first doc, scored with its surviving
+/// statistics and its tombstones as a mask.
+impl ViewPart for LiveSnapshot {
+    fn segments(&self, prefix: &str) -> Vec<(Oid, &InvertedIndex)> {
+        let Some(c) = slot(prefix) else { return Vec::new() };
         let base = self.gen.indexes[c].as_deref().map(|index| (0, index));
         base.into_iter().chain(self.batches.iter().map(|b| (b.first_doc, &b.indexes[c]))).collect()
     }
 
-    /// Union document frequency: Σ segment dfs − tombstoned docs.
-    fn df(&self, ch: Channel, term: &str) -> u32 {
-        let total: u32 = self.segments(ch).iter().map(|(_, index)| index.df(term)).sum();
-        let minus = self.df_minus[slot(ch)].get(term);
-        debug_assert!(minus <= total, "df underflow for {term:?}");
-        total.saturating_sub(minus)
+    fn live_stats(&self, prefix: &str) -> (usize, u64) {
+        (self.n_live, slot(prefix).map_or(0, |c| self.totals[c]))
     }
 
-    /// The k best positive `(oid, score)` pairs of a resolved request over
-    /// this snapshot's segments — tombstones masked, the URL filter as the
-    /// domain — scored with `stats` in one [`topk_channels`] pass.
-    fn topk(
-        &self,
-        channels: &ResolvedChannels,
-        stats: &[UnionStats],
-        filter: Option<&str>,
-        k: usize,
-    ) -> Vec<(Oid, f64)> {
-        let domain: Option<FxHashSet<Oid>> = filter.map(|pattern| {
-            self.rows().filter(|(_, r)| r.url.contains(pattern)).map(|(oid, _)| oid).collect()
-        });
-        let channels: Vec<TopKChannel<'_>> = channels
-            .iter()
-            .zip(stats)
-            .map(|((ch, terms, weight), (stats, dfs))| TopKChannel {
-                segments: self.segments(*ch),
-                query: terms.iter().zip(dfs).map(|((t, w), &df)| (t.as_str(), *w, df)).collect(),
-                stats: *stats,
-                weight: *weight,
-            })
-            .collect();
-        let params = self.gen.db.store().params();
-        let out = topk_channels(&channels, params, domain.as_ref(), Some(&self.tombstones), k, 1);
-        out.hits.into_iter().filter(|&(_, score)| score > 0.0).collect()
+    fn deleted_df(&self, prefix: &str, term: &str) -> u32 {
+        slot(prefix).map_or(0, |c| self.df_minus[c].get(term))
+    }
+
+    fn tombstones(&self) -> Option<&Tombstones> {
+        (!self.tombstones.is_empty()).then_some(&self.tombstones)
+    }
+
+    fn end_doc(&self) -> Oid {
+        LiveSnapshot::end_doc(self)
     }
 }
 
-/// What one resolved channel is scored with: collection statistics and
-/// one df per query term.
-type UnionStats = (CollectionStats, Vec<u32>);
+/// Pinned snapshots ranked as one corpus view: a single mirror's one
+/// snapshot, or one per shard of a cluster with its local → global ids.
+pub(crate) struct PinnedView {
+    snaps: Vec<Arc<LiveSnapshot>>,
+    view: Arc<CorpusView>,
+}
 
-/// The union statistics of a resolved request over `snaps` — one
-/// snapshot's segments, or every shard's of a cluster — so each scores
-/// exactly like a batch index of all their surviving documents.
-fn union_stats(snaps: &[&LiveSnapshot], channels: &ResolvedChannels) -> Vec<UnionStats> {
-    let n_docs: usize = snaps.iter().map(|s| s.n_live).sum();
-    channels
-        .iter()
-        .map(|(ch, terms, _)| {
-            let total_tokens: u64 = snaps.iter().map(|s| s.totals[slot(*ch)]).sum();
-            let stats = CollectionStats {
-                n_docs,
-                // distinct survivor terms are not tracked; nothing scores with them
-                n_terms: 0,
-                avg_dl: if n_docs == 0 { 0.0 } else { total_tokens as f64 / n_docs as f64 },
-                total_tokens,
-            };
-            let dfs = terms.iter().map(|(t, _)| snaps.iter().map(|s| s.df(*ch, t)).sum()).collect();
-            (stats, dfs)
-        })
-        .collect()
+impl PinnedView {
+    /// The view of `pins` (`ids`: row `i` maps pin `i`'s local oids to
+    /// global ones; `None` for one pin, whose oids are global). A filtered
+    /// `req` selects over the URL column `source` returns.
+    pub(crate) fn new(
+        pins: &[LiveReader],
+        ids: Option<Arc<Vec<Vec<Oid>>>>,
+        req: &RetrievalRequest,
+        source: impl FnOnce() -> Arc<Bat>,
+    ) -> Self {
+        let snaps: Vec<Arc<LiveSnapshot>> = pins.iter().map(|p| Arc::clone(&p.snap)).collect();
+        let parts = snaps.iter().map(|s| Arc::clone(s) as Arc<dyn ViewPart>).collect();
+        let mut view = CorpusView::new(parts, ids);
+        if req.filter.is_some() {
+            view = view.with_bat(format!("{INTERNAL}__source"), source());
+        }
+        PinnedView { snaps, view: Arc::new(view) }
+    }
+
+    /// The request's plan on the first pin's generation, over the view.
+    fn compile(&self, req: &RetrievalRequest) -> RetrievalResult<(&MirrorDbms, Expr, QueryParams)> {
+        let db = &self.snaps[0].gen.db;
+        let view: Arc<dyn RequestView> = self.view.clone();
+        let (expr, params) = db.compile_request(req, Some(view))?;
+        Ok((db, expr, params))
+    }
+
+    /// Execute a validated request over the view, materialising the URLs
+    /// from the pinned rows.
+    pub(crate) fn retrieve(&self, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>> {
+        let (db, expr, params) = self.compile(req)?;
+        let (out, _) = db.engine().query_expr_params(&expr, &params)?;
+        let url = |oid| {
+            let (part, local) = self.view.locate(oid)?;
+            self.snaps[part].row(local).map(|r| r.url.as_str())
+        };
+        Ok(ranked(out, req.k, url)?)
+    }
+
+    /// EXPLAIN ANALYZE of a validated request over the view.
+    pub(crate) fn explain_analyze(&self, req: &RetrievalRequest) -> RetrievalResult<String> {
+        let (db, expr, params) = self.compile(req)?;
+        Ok(db.engine().explain_analyze_expr(&expr, &params)?)
+    }
 }
 
 /// A pinned MVCC snapshot: the epoch guard handed to readers. Queries on
@@ -441,57 +465,26 @@ impl LiveReader {
         &self.snap.gen.db
     }
 
-    /// Execute a request against this snapshot. With an empty delta and
-    /// no tombstones the request is delegated to the pinned generation's
-    /// engine — the fused `topk_bl` fast path; otherwise it is the
-    /// one-snapshot case of the scorer a cluster ranks its shards with:
-    /// the generation and every delta batch walked as segments of one
-    /// top-k pass with the snapshot's union statistics.
+    /// Execute a request against this snapshot: the node's compiled plan
+    /// over the generation and every delta batch as segments of one
+    /// corpus view, scored with the snapshot's union statistics.
     pub fn retrieve(&self, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>> {
         req.validate()?;
-        let snap = &*self.snap;
-        if snap.batches.is_empty() && snap.tombstones.is_empty() {
-            return snap.gen.db.retrieve(req);
-        }
-        rank_pinned(std::slice::from_ref(self), req, |_, oid| oid)
+        self.view(req).retrieve(req)
     }
-}
 
-/// Rank a validated request over pinned snapshots as one collection — a
-/// single mirror's one snapshot, or one per shard of a cluster. The
-/// request is resolved once; every snapshot is scored serially by
-/// [`topk_channels`] with the union statistics of them all, so each
-/// document scores exactly as in a batch index of every surviving row;
-/// the hits are gathered in one [`TopKAccumulator`] under the ids
-/// `global(i, local)` gives snapshot `i`'s local oids. `global` must be
-/// ascending in `local` for each snapshot, so local tie-breaks are the
-/// global ones.
-pub(crate) fn rank_pinned(
-    pins: &[LiveReader],
-    req: &RetrievalRequest,
-    global: impl Fn(usize, Oid) -> Oid,
-) -> RetrievalResult<Vec<RankedResult>> {
-    let snaps: Vec<&LiveSnapshot> = pins.iter().map(|p| &*p.snap).collect();
-    let channels = snaps[0].gen.db.resolve_channels(req)?;
-    let stats = union_stats(&snaps, &channels);
-    let mut acc = TopKAccumulator::new(req.k);
-    let mut origin: FxHashMap<Oid, (usize, Oid)> = FxHashMap::default();
-    for (i, snap) in snaps.iter().enumerate() {
-        for (local, score) in snap.topk(&channels, &stats, req.filter.as_deref(), req.k) {
-            let oid = global(i, local);
-            origin.insert(oid, (i, local));
-            acc.push(oid, score);
-        }
+    /// EXPLAIN ANALYZE of a request against this snapshot: the fused
+    /// operator's work per delta segment.
+    pub fn explain_analyze(&self, req: &RetrievalRequest) -> RetrievalResult<String> {
+        req.validate()?;
+        self.view(req).explain_analyze(req)
     }
-    Ok(acc
-        .into_ranked()
-        .into_iter()
-        .map(|(oid, score)| {
-            let (i, local) = origin[&oid];
-            let url = snaps[i].row(local).expect("scored doc exists").url.clone();
-            RankedResult { oid, url, score }
-        })
-        .collect())
+
+    fn view(&self, req: &RetrievalRequest) -> PinnedView {
+        let pins = std::slice::from_ref(self);
+        let source = || Arc::clone(self.snap.source.get_or_init(|| Arc::new(url_column(pins))));
+        PinnedView::new(pins, None, req, source)
+    }
 }
 
 /// One logged write — the unit of the delta WAL and of merge replay.
@@ -570,8 +563,12 @@ pub struct LiveMirror {
 
 impl LiveMirror {
     /// Wrap an ingested (or cold-opened) instance as generation 0 of a
-    /// live corpus.
-    pub fn new(db: MirrorDbms) -> Self {
+    /// live corpus; a never-loaded instance starts as an empty collection,
+    /// which requests over its inserts compile against.
+    pub fn new(mut db: MirrorDbms) -> Self {
+        if db.env().collection(INTERNAL).is_err() {
+            db.load_library_rows(Vec::new()).expect("the internal schema loads");
+        }
         Self::from_generation(db, 0, 0)
     }
 
@@ -735,28 +732,8 @@ impl LiveMirror {
                 ))
             })?
         };
-        let extractors = standard_extractors();
-        let rows: Vec<LibraryRow> = images
-            .iter()
-            .map(|c| {
-                let mut vterms: Vec<String> = Vec::new();
-                for seg in grid_segments(&c.image, self.config.grid) {
-                    for ex in &extractors {
-                        let v = ex.extract(&seg.image).into_values();
-                        if let Some(term) = vocab.term_of(ex.space(), &v) {
-                            vterms.push(term);
-                        }
-                    }
-                }
-                LibraryRow {
-                    url: c.url.clone(),
-                    annotation: c.annotation.clone(),
-                    vterms: vterms.join(" "),
-                    theme: c.theme,
-                }
-            })
-            .collect();
-        self.insert_rows(rows)
+        let extractions = extract_inline(images, self.config.grid);
+        self.insert_rows(library_rows(images, &visual_docs(&vocab, images.len(), &extractions)))
     }
 
     /// Tombstone the latest live document with this URL; returns its
@@ -881,6 +858,10 @@ impl LiveMirror {
 impl Retriever for LiveMirror {
     fn retrieve(&self, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>> {
         self.pin().retrieve(req)
+    }
+
+    fn explain_analyze(&self, req: &RetrievalRequest) -> RetrievalResult<String> {
+        self.pin().explain_analyze(req)
     }
 
     fn n_docs(&self) -> usize {

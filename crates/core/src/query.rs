@@ -4,12 +4,11 @@
 //! [`Retriever`](crate::retriever::Retriever) trait as provided methods
 //! over the typed serving path ([`crate::serve::RetrievalRequest`] →
 //! [`Retriever::retrieve`](crate::retriever::Retriever::retrieve)), so
-//! they work identically against a single [`MirrorDbms`] node and a
+//! they work identically against a single [`MirrorDbms`](crate::MirrorDbms) node and a
 //! sharded [`MirrorCluster`](crate::shard::MirrorCluster). This module
 //! keeps the result type and the node's ranking post-pass; raw Moa
-//! queries go through [`MirrorDbms::engine`].
+//! queries go through [`MirrorDbms::engine`](crate::MirrorDbms::engine).
 
-use crate::MirrorDbms;
 use ir::text::tokenize_stemmed;
 use ir::TopKAccumulator;
 use moa::{MoaError, QueryOutput};
@@ -26,29 +25,34 @@ pub struct RankedResult {
     pub score: f64,
 }
 
-impl MirrorDbms {
-    /// Turn a belief column into ranked results: the k best positive
-    /// scores (ties by oid), then their URLs.
-    pub(crate) fn ranked(&self, out: QueryOutput, k: usize) -> moa::Result<Vec<RankedResult>> {
-        let pairs = match out {
-            QueryOutput::Pairs(p) => p,
-            other => return Err(MoaError::Type(format!("ranking query returned {other:?}"))),
-        };
-        let docs = self.docs();
-        // select on the bare pairs, so URLs are cloned for the ≤ k
-        // survivors only (late materialisation)
-        let mut acc = TopKAccumulator::new(k);
-        for (oid, v) in pairs {
-            if let Some(score) = v.as_float().filter(|&s| s > 0.0 && (oid as usize) < docs.len()) {
-                acc.push(oid, score);
-            }
+/// Turn a belief column into ranked results: the k best positive scores
+/// (ties by oid), then their URLs from `url` — a node's documents, or a
+/// pinned corpus view's rows.
+pub(crate) fn ranked<'a>(
+    out: QueryOutput,
+    k: usize,
+    url: impl Fn(Oid) -> Option<&'a str>,
+) -> moa::Result<Vec<RankedResult>> {
+    let pairs = match out {
+        QueryOutput::Pairs(p) => p,
+        other => return Err(MoaError::Type(format!("ranking query returned {other:?}"))),
+    };
+    // select on the bare pairs, so URLs are cloned for the ≤ k survivors
+    // only (late materialisation)
+    let mut acc = TopKAccumulator::new(k);
+    for (oid, v) in pairs {
+        if let Some(score) = v.as_float().filter(|&s| s > 0.0) {
+            acc.push(oid, score);
         }
-        Ok(acc
-            .into_ranked()
-            .into_iter()
-            .map(|(oid, score)| RankedResult { oid, url: docs[oid as usize].url.clone(), score })
-            .collect())
     }
+    acc.into_ranked()
+        .into_iter()
+        .map(|(oid, score)| {
+            let url =
+                url(oid).ok_or_else(|| MoaError::Unknown(format!("URL of document {oid}")))?;
+            Ok(RankedResult { oid, url: url.to_string(), score })
+        })
+        .collect()
 }
 
 /// Tokenise free text into unit-weight query terms.
@@ -60,7 +64,7 @@ pub fn weighted_terms(text: &str) -> Vec<(String, f64)> {
 mod tests {
     use super::*;
     use crate::retriever::Retriever;
-    use crate::INTERNAL;
+    use crate::{MirrorDbms, INTERNAL};
     use media::{RobotConfig, WebRobot};
     use monet::Val;
 
@@ -193,11 +197,12 @@ mod tests {
             (0, 0.0),
         ];
         let out = || QueryOutput::Pairs(pairs.iter().map(|&(o, s)| (o, Val::Float(s))).collect());
+        let url = |oid: Oid| db.docs().get(oid as usize).map(|d| d.url.as_str());
         for k in [0usize, 1, 2, 4, 6, 100] {
-            assert_eq!(db.ranked(out(), k).unwrap(), old(&pairs, k), "k={k}");
+            assert_eq!(ranked(out(), k, url).unwrap(), old(&pairs, k), "k={k}");
         }
         // k beyond the positive hits returns all of them, best first
-        let all = db.ranked(out(), 100).unwrap();
+        let all = ranked(out(), 100, url).unwrap();
         let oids: Vec<Oid> = all.iter().map(|r| r.oid).collect();
         assert_eq!(oids, vec![9, 1, 7, 22, 4, 12]);
     }

@@ -1,16 +1,15 @@
-//! The unified retrieval API: one [`Retriever`] trait over every backend.
+//! The unified retrieval API: one [`Retriever`] trait over every backend —
+//! a single [`MirrorDbms`] node, a [`LiveMirror`](crate::LiveMirror) or a
+//! sharded [`MirrorCluster`](crate::shard::MirrorCluster). All three run a
+//! request the same way, as the node's compiled and optimized Moa plan
+//! over a pinned corpus view, so each also answers
+//! [`Retriever::explain_analyze`]. The facade query methods
+//! (`query_text`, `query_dual`, …) are *provided* methods, so the serving
+//! layer, the examples and relevance feedback run unchanged against any
+//! backend.
 //!
-//! PR 3 made retrieval request-scoped; this module makes it
-//! *backend-scoped*: a [`Retriever`] is anything that can execute a typed
-//! [`RetrievalRequest`] — a single [`MirrorDbms`] node, a sharded
-//! [`MirrorCluster`](crate::shard::MirrorCluster) with replica routing, or
-//! any future backend. The facade query methods (`query_text`,
-//! `query_dual`, …) are *provided* methods of the trait, so the serving
-//! layer ([`crate::serve::MirrorServer`]), the examples and the relevance
-//! feedback loop run unchanged against either backend.
-//!
-//! Errors on this path are structured ([`RetrievalError`]) so callers —
-//! the replica router above all — can match on error *kind*: only a
+//! Errors are structured ([`RetrievalError`]) so callers — the replica
+//! router above all — can match on error *kind*: only
 //! [`RetrievalError::ShardUnavailable`] is worth retrying on another
 //! replica; a compile error would fail identically everywhere.
 
@@ -118,13 +117,7 @@ impl RetrievalError {
 pub type RetrievalResult<T> = std::result::Result<T, RetrievalError>;
 
 /// A retrieval backend: anything that executes typed
-/// [`RetrievalRequest`]s over an ingested corpus.
-///
-/// [`MirrorDbms`] implements it by compiling the request to a Moa plan and
-/// running it on the embedded engine;
-/// [`MirrorCluster`](crate::shard::MirrorCluster) implements it by
-/// pinning one replica of every shard and scoring each shard's snapshot
-/// with the cluster-wide statistics into one top-k. Every facade query
+/// [`RetrievalRequest`]s over an ingested corpus. Every facade query
 /// method is a provided method over [`retrieve`](Retriever::retrieve), so
 /// backends get the whole query surface for free:
 ///
@@ -136,6 +129,13 @@ pub type RetrievalResult<T> = std::result::Result<T, RetrievalError>;
 pub trait Retriever: Send + Sync {
     /// Execute a typed retrieval request.
     fn retrieve(&self, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>>;
+
+    /// EXPLAIN ANALYZE of a typed request: the plan it compiles to after
+    /// the optimizer passes, executed, with the passes that fired,
+    /// estimated and actual rows per operator, and the fused top-k
+    /// operator's work — per channel, and per shard and delta segment on
+    /// a cluster or a live snapshot.
+    fn explain_analyze(&self, req: &RetrievalRequest) -> RetrievalResult<String>;
 
     /// Number of documents in the (whole) corpus this backend serves.
     fn n_docs(&self) -> usize;
@@ -203,6 +203,12 @@ impl Retriever for MirrorDbms {
     fn retrieve(&self, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>> {
         req.validate()?;
         self.retrieve_local(req).map_err(RetrievalError::from)
+    }
+
+    fn explain_analyze(&self, req: &RetrievalRequest) -> RetrievalResult<String> {
+        req.validate()?;
+        let (expr, params) = self.compile_request(req, None)?;
+        Ok(self.engine().explain_analyze_expr(&expr, &params)?)
     }
 
     fn n_docs(&self) -> usize {

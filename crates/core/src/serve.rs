@@ -14,7 +14,9 @@
 //!   their bindings travel as request-scoped [`moa::QueryParams`] — no
 //!   request ever writes to the shared [`moa::Env`];
 //! * [`Retriever::retrieve`] — the one retrieval entry point every facade
-//!   query method now goes through.
+//!   query method goes through. Every backend compiles the request with
+//!   the node's one compiler and runs it as one plan over a pinned corpus
+//!   view, serially: the worker pool, not the request, is the parallelism.
 //!   The top-k budget lets the engine fuse the ranking plan into the
 //!   streaming `topk_bl` operator (`ir::topk`), which skips documents that
 //!   provably cannot enter the result;
@@ -35,12 +37,13 @@
 //!   deterministic (the repo's benchmark, `benchmark/`, drives it open-
 //!   and closed-loop).
 
-use crate::query::{weighted_terms, RankedResult};
+use crate::query::{ranked, weighted_terms, RankedResult};
 use crate::retriever::{RetrievalError, RetrievalResult, Retriever};
 use crate::{MirrorDbms, INTERNAL};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use moa::expr::Lit;
 use moa::{Expr, MoaError, QueryParams};
+use monet::RequestView;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -221,32 +224,18 @@ fn ranking_expr(attr: &str, binding: &str, input: Expr) -> Expr {
 
 impl MirrorDbms {
     /// Execute a typed retrieval request on this node — the engine behind
-    /// [`Retriever::retrieve`] for the single-node backend and for a live
-    /// snapshot without pending writes. Compiles the request to a Moa
-    /// AST with request-scoped bindings (never mutating the shared
-    /// environment) and a top-k budget the engine fuses into the streaming
-    /// top-k operator where the plan shape allows.
+    /// [`Retriever::retrieve`] for the single-node backend.
     pub(crate) fn retrieve_local(&self, req: &RetrievalRequest) -> moa::Result<Vec<RankedResult>> {
-        let (expr, params) = self.compile_request(req)?;
+        let (expr, params) = self.compile_request(req, None)?;
         let (out, _) = self.engine().query_expr_params(&expr, &params)?;
-        self.ranked(out, req.k)
-    }
-
-    /// EXPLAIN ANALYZE of a typed request on this node: the plan the
-    /// request compiles to after the optimizer passes, executed, with the
-    /// passes that fired, estimated and actual rows per operator, and the
-    /// fused top-k operator's work per channel.
-    pub fn explain_analyze(&self, req: &RetrievalRequest) -> RetrievalResult<String> {
-        req.validate()?;
-        let (expr, params) = self.compile_request(req)?;
-        Ok(self.engine().explain_analyze_expr(&expr, &params)?)
+        ranked(out, req.k, |oid| self.docs().get(oid as usize).map(|d| d.url.as_str()))
     }
 
     /// Resolve a request to the channels it ranks with — the one home of
     /// the channel → terms mapping, thesaurus expansion (a dual request
     /// without explicit visual terms), the empty-visual fallback to text
-    /// ranking, and the mix weights. Moa plans ([`Self::compile_request`])
-    /// and live snapshots (`crate::live`) are both built from it.
+    /// ranking, and the mix weights. Every request plan
+    /// ([`Self::compile_request`]) is built from it.
     pub(crate) fn resolve_channels(&self, req: &RetrievalRequest) -> moa::Result<ResolvedChannels> {
         if req.channel != Channel::Dual {
             return Ok(vec![(req.channel, req.terms.clone(), 1.0)]);
@@ -270,8 +259,16 @@ impl MirrorDbms {
         ])
     }
 
-    /// Compile a request into its Moa AST and request-scoped parameters.
-    fn compile_request(&self, req: &RetrievalRequest) -> moa::Result<(Expr, QueryParams)> {
+    /// Compile a request into its Moa AST and request-scoped parameters —
+    /// the one request compiler of every backend: a node runs the plan
+    /// over its own index, a live snapshot or a cluster over the `view`
+    /// of its pinned segments or shards. The top-k budget lets the
+    /// optimizer fuse the ranking into the streaming top-k operator.
+    pub(crate) fn compile_request(
+        &self,
+        req: &RetrievalRequest,
+        view: Option<Arc<dyn RequestView>>,
+    ) -> moa::Result<(Expr, QueryParams)> {
         let input = match &req.filter {
             Some(pattern) => Expr::select(
                 Expr::call(
@@ -313,7 +310,7 @@ impl MirrorDbms {
             .fold(QueryParams::new().with_top_k(req.k), |params, (channel, terms, _)| {
                 params.bind(channel.attr_binding().1, terms)
             });
-        Ok((expr, params))
+        Ok((expr, view.into_iter().fold(params, QueryParams::with_view)))
     }
 }
 
@@ -958,6 +955,10 @@ mod tests {
             let _ = self.entered.send(());
             let _ = self.release.recv();
             Ok(Vec::new())
+        }
+
+        fn explain_analyze(&self, _req: &RetrievalRequest) -> RetrievalResult<String> {
+            Ok(String::new())
         }
 
         fn n_docs(&self) -> usize {

@@ -5,42 +5,32 @@
 //! of its URL ([`hash_shard`]) — at build time and for every later insert
 //! or delete, so a document is always found where its URL routes. Each
 //! shard is a [`LiveMirror`]; its replicas share it behind a
-//! [`ReplicaRouter`]. A request, in order:
+//! [`ReplicaRouter`]. A request pins one replica of every shard through
+//! that shard's router (a down replica fails over once; a shard with none
+//! left surfaces [`RetrievalError::ShardUnavailable`](crate::RetrievalError))
+//! and runs as the node's one compiled plan over those snapshots as one
+//! [`ir::CorpusView`]: the fused operator scores every shard serially and
+//! gathers the hits in one top-k under global oids. Two invariants make
+//! the answers *bit-identical* to a single node over the same documents:
 //!
-//! 1. pins one replica of every shard through that shard's router — a
-//!    down replica fails over once, a shard with none left surfaces
-//!    [`RetrievalError::ShardUnavailable`](crate::RetrievalError);
-//! 2. is resolved once, at the cluster edge;
-//! 3. scores every pinned snapshot serially with the cluster-wide union
-//!    statistics — the scorer a single [`LiveMirror`] ranks its one
-//!    snapshot with (`live::rank_pinned`);
-//! 4. gathers the hits in one [`ir::TopKAccumulator`] under global oids.
-//!
-//! Two invariants make the cluster's answers *bit-identical* to a single
-//! node over the same documents:
-//!
-//! 1. **Union statistics at query time.** Belief scores depend on
-//!    collection statistics (df, collection size, average document
-//!    length). Each shard's indexes hold only its own documents and
-//!    statistics; the request is scored with their sums over every
-//!    pinned shard, so every shard scores every document exactly as one
-//!    index over the whole collection would.
-//! 2. **Order-preserving document ids.** Global oids are arrival order;
-//!    each shard holds its documents in ascending global order, so
-//!    shard-local oid tie-breaking is the global tie-breaking restricted
-//!    to the shard, and the gather (score descending, global oid
-//!    ascending) reproduces the single-node ranking term for term.
+//! 1. **Union statistics at query time.** Every shard is scored with the
+//!    sums of the shards' collection statistics and dfs, exactly as one
+//!    index over the whole collection would score it.
+//! 2. **Order-preserving document ids.** Global oids are arrival order and
+//!    each shard holds its documents in ascending global order, so shard
+//!    tie-breaks are the global ones and the gather (score descending,
+//!    global oid ascending) reproduces the single-node ranking.
 
-use crate::ingest::library_rows;
-use crate::live::{rank_pinned, LiveMirror, LiveReader, MutableCorpus};
+use crate::ingest::{extract_inline, library_rows};
+use crate::live::{url_column, LiveMirror, LiveReader, MutableCorpus, PinnedView};
 use crate::query::RankedResult;
 use crate::retriever::{RetrievalResult, Retriever};
 use crate::serve::{ReplicaRouter, RetrievalRequest};
 use crate::{LibraryRow, MirrorConfig, MirrorDbms};
 use cluster::VisualVocabulary;
 use media::CrawledImage;
-use monet::Oid;
-use parking_lot::{RwLock, RwLockWriteGuard};
+use monet::{Bat, Oid};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::sync::Arc;
 use thesaurus::AssociationThesaurus;
 
@@ -117,6 +107,9 @@ pub(crate) struct Routing {
     pub(crate) writes: u64,
 }
 
+/// A pinned cut's `(generation, seq)` per shard and its URL column.
+type CutColumn = (Vec<(u64, u64)>, Arc<Bat>);
+
 /// A sharded Mirror deployment: N [`LiveMirror`] shards behind replica
 /// routers, answering the same typed [`RetrievalRequest`]s as a single
 /// [`MirrorDbms`] — and, by construction, with the same answers — and
@@ -135,6 +128,9 @@ pub struct MirrorCluster {
     /// One router per shard over its replicas — where reads pin.
     routers: Vec<ReplicaRouter<LiveMirror>>,
     routing: RwLock<Routing>,
+    /// The URL column of the last cut a filtered request pinned, keyed by
+    /// each shard's `(generation, seq)`.
+    source: Mutex<Option<CutColumn>>,
 }
 
 impl MirrorCluster {
@@ -152,7 +148,7 @@ impl MirrorCluster {
     /// then loads its own rows.
     pub fn build_with(corpus: &[CrawledImage], config: ClusterConfig) -> RetrievalResult<Self> {
         let global = MirrorDbms::new(config.node.clone());
-        let extractions = global.extract_inline(corpus);
+        let extractions = extract_inline(corpus, config.node.grid);
         let artifacts = global.cluster_and_tokenize(corpus, &extractions);
         let rows = library_rows(corpus, &artifacts.visual_docs);
         Self::from_rows(config, rows, Some(artifacts.vocab), Some(artifacts.thesaurus))
@@ -208,7 +204,13 @@ impl MirrorCluster {
                 ReplicaRouter::new(i, (0..config.replicas).map(|_| Arc::clone(shard)).collect())
             })
             .collect();
-        MirrorCluster { config, shards, routers, routing: RwLock::new(routing) }
+        MirrorCluster {
+            config,
+            shards,
+            routers,
+            routing: RwLock::new(routing),
+            source: Mutex::default(),
+        }
     }
 
     /// Number of shards.
@@ -280,8 +282,10 @@ impl MirrorCluster {
     }
 }
 
-impl Retriever for MirrorCluster {
-    fn retrieve(&self, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>> {
+impl MirrorCluster {
+    /// Pin one replica of every shard and the routing rows of that cut,
+    /// as one corpus view.
+    fn pin_view(&self, req: &RetrievalRequest) -> RetrievalResult<PinnedView> {
         req.validate()?;
         let (pins, table) = {
             let routing = self.routing.read();
@@ -292,7 +296,28 @@ impl Retriever for MirrorCluster {
                 .collect::<RetrievalResult<Vec<LiveReader>>>()?;
             (pins, Arc::clone(&routing.table))
         };
-        rank_pinned(&pins, req, |shard, local| table[shard][local as usize])
+        Ok(PinnedView::new(&pins, Some(table), req, || self.source_column(&pins)))
+    }
+
+    /// The URL column of a pinned cut, built once per cut: every shard's
+    /// rows laid end to end.
+    fn source_column(&self, pins: &[LiveReader]) -> Arc<Bat> {
+        let cut: Vec<(u64, u64)> = pins.iter().map(|p| (p.generation(), p.seq())).collect();
+        let mut cached = self.source.lock();
+        match &*cached {
+            Some((key, bat)) if *key == cut => Arc::clone(bat),
+            _ => Arc::clone(&cached.insert((cut, Arc::new(url_column(pins)))).1),
+        }
+    }
+}
+
+impl Retriever for MirrorCluster {
+    fn retrieve(&self, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>> {
+        self.pin_view(req)?.retrieve(req)
+    }
+
+    fn explain_analyze(&self, req: &RetrievalRequest) -> RetrievalResult<String> {
+        self.pin_view(req)?.explain_analyze(req)
     }
 
     fn n_docs(&self) -> usize {

@@ -25,8 +25,10 @@
 
 use crate::belief::BeliefParams;
 use crate::index::{IndexBuilder, InvertedIndex};
+use crate::topk::TopKOutcome;
+use crate::view::{CorpusView, ViewChannel, ViewPart};
 use moa::{CallArgs, MoaError, MoaType, Structure};
-use monet::{Bat, Catalog, Column, MonetError, Oid, OpRegistry, Plan, Val};
+use monet::{Bat, Catalog, Column, MonetError, Oid, OpCtx, OpRegistry, Plan, Val};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -209,26 +211,17 @@ impl Structure for Contrep {
     }
 }
 
-/// A resolved index plus the decoded weighted query borrowed from the
-/// operator parameters.
-type DecodedBlCall<'a> = (Arc<InvertedIndex>, Vec<(&'a str, f64)>);
-
 /// Decode the `[prefix, (term, weight)*]` parameter layout shared by the
-/// belief operators, resolving the index through the store.
+/// belief operators.
 fn decode_bl_params<'a>(
     op: &'static str,
-    store: &ContrepStore,
     params: &'a [Val],
-) -> monet::Result<DecodedBlCall<'a>> {
+) -> monet::Result<(&'a str, Vec<(&'a str, f64)>)> {
     let prefix =
         params.first().and_then(Val::as_str).ok_or_else(|| MonetError::BadOpInvocation {
             op: op.into(),
             msg: "first parameter must be the prefix".into(),
         })?;
-    let index = store.get(prefix).ok_or_else(|| MonetError::BadOpInvocation {
-        op: op.into(),
-        msg: format!("no content representation at '{prefix}'"),
-    })?;
     let mut query: Vec<(&str, f64)> = Vec::new();
     let mut it = params[1..].iter();
     while let (Some(t), Some(w)) = (it.next(), it.next()) {
@@ -240,20 +233,68 @@ fn decode_bl_params<'a>(
         };
         query.push((t, w));
     }
-    Ok((index, query))
+    Ok((prefix, query))
 }
 
-/// Decode an optional domain restriction from the first BAT input.
-fn decode_domain(inputs: &[Arc<Bat>]) -> Option<monet::fxhash::FxHashSet<Oid>> {
-    inputs.first().map(|bat| (0..bat.count()).filter_map(|i| bat.head().oid_at(i).ok()).collect())
+/// The index stored at `prefix`.
+fn stored(op: &str, store: &ContrepStore, prefix: &str) -> monet::Result<Arc<InvertedIndex>> {
+    let msg = format!("no content representation at '{prefix}'");
+    store.get(prefix).ok_or_else(|| MonetError::BadOpInvocation { op: op.into(), msg })
 }
 
-/// Register the `contrep.getbl` operator in a kernel registry.
+/// The request's pinned corpus view, if it has one.
+fn corpus_view<'a>(ctx: &OpCtx<'a>) -> Option<&'a CorpusView> {
+    ctx.view.and_then(|view| (view as &dyn std::any::Any).downcast_ref::<CorpusView>())
+}
+
+/// A node's one index per representation, by prefix: the one part of the
+/// view a request without a pinned [`CorpusView`] ranks.
+struct NodePart(Vec<(String, Arc<InvertedIndex>)>);
+
+impl NodePart {
+    fn index(&self, prefix: &str) -> Option<&InvertedIndex> {
+        self.0.iter().find(|(p, _)| p == prefix).map(|(_, index)| &**index)
+    }
+}
+
+impl ViewPart for NodePart {
+    fn segments(&self, prefix: &str) -> Vec<(Oid, &InvertedIndex)> {
+        self.index(prefix).map(|index| (0, index)).into_iter().collect()
+    }
+
+    fn live_stats(&self, prefix: &str) -> (usize, u64) {
+        self.index(prefix).map_or((0, 0), |index| (index.n_docs(), index.stats().total_tokens))
+    }
+
+    fn end_doc(&self) -> Oid {
+        self.0.iter().map(|(_, index)| index.n_docs() as Oid).max().unwrap_or(0)
+    }
+}
+
+/// Register the `contrep.getbl` operator in a kernel registry. It reads
+/// one index: the store's, or the pinned view's when that view is one
+/// undeleted segment — any other view is a typed error, because one
+/// segment's belief list is not the view's answer.
 fn register_getbl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
-    ops.register(GETBL_OP, move |_ctx, inputs, params| {
-        let (index, query) = decode_bl_params(GETBL_OP, &store, params)?;
+    ops.register(GETBL_OP, move |ctx, inputs, params| {
+        let (prefix, query) = decode_bl_params(GETBL_OP, params)?;
+        let node;
+        let index = match corpus_view(ctx) {
+            Some(view) => view.whole_index(prefix).ok_or_else(|| MonetError::BadOpInvocation {
+                op: GETBL_OP.into(),
+                msg: format!(
+                    "'{prefix}' is pinned with deletes, segments or shards: only {TOPK_BL_OP} ranks it"
+                ),
+            })?,
+            None => {
+                node = stored(GETBL_OP, &store, prefix)?;
+                &*node
+            }
+        };
         let bel = store.params();
-        let domain = decode_domain(inputs);
+        let domain: Option<monet::fxhash::FxHashSet<Oid>> = inputs
+            .first()
+            .map(|bat| (0..bat.count()).filter_map(|i| bat.head().oid_at(i).ok()).collect());
         let total_w: f64 = query.iter().map(|(_, w)| w).sum();
         let mut docs: Vec<Oid> = Vec::new();
         let mut beliefs: Vec<f64> = Vec::new();
@@ -292,10 +333,13 @@ fn register_getbl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
 /// ([`moa::opt::topk_params`]): per channel a weight, a length and
 /// that channel's `getBL` parameters, then the budget — one channel for a
 /// plain ranking, two (text, image) for dual coding and relevance
-/// feedback. The output is the k best `[doc, Σ weight·belief-sum]` rows in
-/// rank order. Runs the streaming evaluation of [`crate::topk`] at the
-/// executor's parallel degree and reports its work, per channel, through
-/// the EXPLAIN note channel.
+/// feedback. It ranks the request's pinned [`CorpusView`] (without one,
+/// the store's indexes as a one-part view), restricted to its optional
+/// domain input in view ids. The output is the k best `[global doc, Σ
+/// weight·belief-sum]` rows in rank order. Each part runs the streaming
+/// evaluation of [`crate::topk`] at the executor's degree and reports its
+/// work — per channel, per part and per segment — through the EXPLAIN
+/// note channel.
 fn register_topk_bl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
     ops.register(TOPK_BL_OP, move |ctx, inputs, params| {
         let bad =
@@ -303,48 +347,70 @@ fn register_topk_bl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
         let (groups, k) = moa::opt::split_topk_params(params).ok_or_else(|| {
             bad("parameters must be (weight, len, getBL params)+ then the budget")
         })?;
-        let mut decoded = Vec::with_capacity(groups.len());
+        let mut channels = Vec::with_capacity(groups.len());
         for (channel, weight) in groups {
             if !(weight.is_finite() && weight >= 0.0) {
                 return Err(bad("channel weights must be finite and non-negative"));
             }
-            let (index, query) = decode_bl_params(TOPK_BL_OP, &store, channel)?;
-            let label = channel[0].as_str().map_or("", |p| p.rsplit("__").next().unwrap_or(p));
-            decoded.push((index, query, weight, label));
+            let (prefix, query) = decode_bl_params(TOPK_BL_OP, channel)?;
+            channels.push(ViewChannel { prefix, query, weight });
         }
-        let channels: Vec<crate::topk::TopKChannel<'_>> = decoded
-            .iter()
-            .map(|(index, query, weight, _)| crate::topk::TopKChannel::whole(index, query, *weight))
-            .collect();
-        let domain = decode_domain(inputs);
-        // fragment the doc-id space only when it is large enough to pay
-        // for the scoped threads — the executor's threshold, like the
+        let node;
+        let view = match corpus_view(ctx) {
+            Some(view) => view,
+            None => {
+                let indexes = channels
+                    .iter()
+                    .map(|ch| Ok((ch.prefix.to_string(), stored(TOPK_BL_OP, &store, ch.prefix)?)));
+                let part = NodePart(indexes.collect::<monet::Result<_>>()?);
+                node = CorpusView::new(vec![Arc::new(part)], None);
+                &node
+            }
+        };
+        let domain = inputs.first().map(|bat| &**bat);
+        // fragment a part's doc-id space only when it is large enough to
+        // pay for the scoped threads — the executor's threshold, like the
         // built-in operators (so `min_fragment_rows` overrides apply here)
-        let n_docs = decoded.iter().map(|(index, ..)| index.n_docs()).max().unwrap_or(0);
-        let degree = ctx.frag_degree(n_docs);
-        let out =
-            crate::topk::topk_channels(&channels, store.params(), domain.as_ref(), None, k, degree);
-        let mut note = format!(
-            "topk ×{k} (pruned {} docs, skipped {} blocks / {} postings)",
-            out.pruned, out.blocks_skipped, out.skipped_postings
-        );
-        if decoded.len() > 1 {
-            let per_channel: Vec<String> = decoded
-                .iter()
-                .zip(&out.channels)
-                .map(|((.., label), w)| {
-                    format!(
-                        "{label}: scored {} postings, pruned {}, skipped {} blocks",
-                        w.scored_postings, w.pruned, w.blocks_skipped
-                    )
-                })
-                .collect();
-            note = format!("{note} [{}]", per_channel.join("; "));
-        }
-        ctx.set_note(note);
+        let (out, scored) = view
+            .topk(&channels, store.params(), domain, k, |n_docs| ctx.frag_degree(n_docs))
+            .ok_or_else(|| bad("a ranked document has no global id in the pinned view"))?;
+        ctx.set_note(topk_note(k, &channels, &out, &scored));
         let (docs, scores): (Vec<Oid>, Vec<f64>) = out.hits.into_iter().unzip();
         Bat::new(Column::Oid(docs), Column::Float(scores))
     });
+}
+
+/// The fused operator's EXPLAIN note: its work, split per channel when it
+/// ranks several, and the documents scored per part and segment when the
+/// view has several.
+fn topk_note(
+    k: usize,
+    channels: &[ViewChannel<'_>],
+    out: &TopKOutcome,
+    scored: &[Vec<u64>],
+) -> String {
+    let mut note = format!(
+        "topk ×{k} (pruned {} docs, skipped {} blocks / {} postings)",
+        out.pruned, out.blocks_skipped, out.skipped_postings
+    );
+    if channels.len() > 1 {
+        let per_channel: Vec<String> = (channels.iter().zip(&out.channels))
+            .map(|(ch, w)| {
+                format!(
+                    "{}: scored {} postings, pruned {}, skipped {} blocks",
+                    ch.prefix.rsplit("__").next().unwrap_or(ch.prefix),
+                    w.scored_postings,
+                    w.pruned,
+                    w.blocks_skipped
+                )
+            })
+            .collect();
+        note = format!("{note} [{}]", per_channel.join("; "));
+    }
+    if scored.len() > 1 || scored.iter().any(|segments| segments.len() > 1) {
+        note = format!("{note} docs scored by part and segment: {scored:?}");
+    }
+    note
 }
 
 /// Create a store, register the CONTREP structure and its two belief

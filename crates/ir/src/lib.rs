@@ -20,7 +20,9 @@
 //! [`contrep`] registers the `CONTREP` structure with Moa and the `getBL`
 //! probabilistic operator with the kernel — the extensibility showcase of
 //! the paper: *new structures in Moa, supported by new probabilistic
-//! operators at the physical level*.
+//! operators at the physical level*. Its fused top-k operator ranks a
+//! request's pinned [`view::CorpusView`]: a node's index, a live
+//! snapshot's segments, or a cluster's shards.
 
 #![warn(missing_docs)]
 
@@ -33,6 +35,7 @@ pub mod postings;
 pub mod text;
 pub mod tombstones;
 pub mod topk;
+pub mod view;
 
 pub use belief::{BeliefParams, DEFAULT_BELIEF};
 pub use contrep::{register_contrep, Contrep, ContrepStore};
@@ -46,3 +49,4 @@ pub use topk::{
     topk_beliefs, topk_beliefs_raw, topk_channels, ChannelWork, RawPostings, TopKAccumulator,
     TopKChannel, TopKOutcome,
 };
+pub use view::{CorpusView, ViewChannel, ViewHits, ViewPart};

@@ -251,10 +251,12 @@ pub struct TopKOutcome {
     pub skipped_postings: u64,
     /// The work split by channel, in channel order.
     pub channels: Vec<ChannelWork>,
+    /// Candidate documents fully scored, per segment in segment order.
+    pub segments: Vec<u64>,
 }
 
 impl TopKOutcome {
-    fn empty(n_channels: usize) -> TopKOutcome {
+    pub(crate) fn empty(n_channels: usize, n_segments: usize) -> TopKOutcome {
         TopKOutcome {
             hits: Vec::new(),
             pruned: 0,
@@ -262,6 +264,22 @@ impl TopKOutcome {
             blocks_skipped: 0,
             skipped_postings: 0,
             channels: vec![ChannelWork::default(); n_channels],
+            segments: vec![0; n_segments],
+        }
+    }
+
+    /// Add another run's work — by channel, and by segment where both
+    /// cut the same segments — to this one's.
+    pub(crate) fn absorb(&mut self, other: &TopKOutcome) {
+        self.pruned += other.pruned;
+        self.scored += other.scored;
+        self.blocks_skipped += other.blocks_skipped;
+        self.skipped_postings += other.skipped_postings;
+        for (total, w) in self.channels.iter_mut().zip(&other.channels) {
+            total.add(w);
+        }
+        for (total, n) in self.segments.iter_mut().zip(&other.segments) {
+            *total += n;
         }
     }
 }
@@ -525,8 +543,9 @@ pub fn topk_channels(
             })
         })
         .collect();
+    let n_segments = channels.first().map_or(0, |c| c.segments.len());
     if k == 0 || terms.is_empty() {
-        return TopKOutcome::empty(chans.len());
+        return TopKOutcome::empty(chans.len(), n_segments);
     }
     // every live channel's default-belief share of any document's bound
     let alpha: f64 = chans.iter().filter(|ch| live(ch)).map(|ch| ch.weight * params.alpha).sum();
@@ -551,9 +570,7 @@ pub fn topk_channels(
     let run_span = |(lo, hi): (usize, usize)| -> SpanOut {
         let mut out = SpanOut {
             acc: TopKAccumulator::new(k),
-            pruned: 0,
-            scored: 0,
-            work: vec![ChannelWork::default(); chans.len()],
+            work: TopKOutcome::empty(chans.len(), ranges.len()),
         };
         // the span's share of each segment, in doc order, into one
         // accumulator
@@ -561,9 +578,11 @@ pub fn topk_channels(
             let (lo, hi) = ((lo as Oid).max(first), (hi as Oid).min(end));
             if lo < hi {
                 let local = (lo - first, hi - first);
+                let before = out.work.scored;
                 segment_topk(
                     &chans, &terms, params, alpha, seg, local, domain, tombstones, &mut out,
                 );
+                out.work.segments[seg] += out.work.scored - before;
             }
         }
         out
@@ -578,14 +597,10 @@ pub fn topk_channels(
         })
     };
     let mut acc = TopKAccumulator::new(k);
-    let mut out = TopKOutcome::empty(chans.len());
+    let mut out = TopKOutcome::empty(chans.len(), n_segments);
     for part in parts {
         acc.merge(part.acc);
-        out.pruned += part.pruned;
-        out.scored += part.scored;
-        for (total, w) in out.channels.iter_mut().zip(&part.work) {
-            total.add(w);
-        }
+        out.absorb(&part.work);
     }
     out.blocks_skipped = out.channels.iter().map(|c| c.blocks_skipped).sum();
     out.skipped_postings = out.channels.iter().map(|c| c.skipped_postings).sum();
@@ -596,9 +611,7 @@ pub fn topk_channels(
 /// One document-id span's share of a top-k run.
 struct SpanOut {
     acc: TopKAccumulator,
-    pruned: u64,
-    scored: u64,
-    work: Vec<ChannelWork>,
+    work: TopKOutcome,
 }
 
 /// Block-max WAND accumulation over segment `seg`, restricted to its
@@ -706,8 +719,8 @@ fn segment_topk(
                 }
             }
             if ub + PRUNE_MARGIN < theta {
-                out.pruned += 1;
-                for (w, range) in out.work.iter_mut().zip(&ranges) {
+                out.work.pruned += 1;
+                for (w, range) in out.work.channels.iter_mut().zip(&ranges) {
                     let on_pivot = |c: &Cursor<'_>| !c.exhausted && c.cur_doc == pivot_doc;
                     w.pruned += u64::from(cursors[range.clone()].iter().any(on_pivot));
                 }
@@ -742,7 +755,7 @@ fn segment_topk(
             let part = s * ch.weight;
             score = if chan == 0 { part } else { score + part };
         }
-        out.scored += 1;
+        out.work.scored += 1;
         acc.push(doc, score);
         // stepping past a scored posting consumes it rather than skipping
         // it, and passes nothing else, so it is not counted
@@ -753,7 +766,7 @@ fn segment_topk(
         }
     }
     for c in &cursors {
-        out.work[c.chan].add(&c.work);
+        out.work.channels[c.chan].add(&c.work);
     }
 }
 
@@ -810,7 +823,7 @@ pub fn topk_beliefs_raw(
 ) -> TopKOutcome {
     let total_w: f64 = query.iter().map(|(_, w)| w).sum();
     if total_w <= 0.0 || k == 0 {
-        return TopKOutcome::empty(1);
+        return TopKOutcome::empty(1, 1);
     }
     let stats = index.stats();
     let terms: Vec<RawTermCtx<'_>> = query
@@ -840,13 +853,14 @@ pub fn topk_beliefs_raw(
         })
     };
     let mut acc = TopKAccumulator::new(k);
-    let mut out = TopKOutcome::empty(1);
+    let mut out = TopKOutcome::empty(1, 1);
     for (part, pruned, scored) in parts {
         acc.merge(part);
         out.pruned += pruned;
         out.scored += scored;
     }
     out.channels[0].pruned = out.pruned;
+    out.segments[0] = out.scored;
     out.hits = acc.into_ranked();
     out
 }

@@ -114,7 +114,7 @@ impl MoaEngine {
         params: &QueryParams,
     ) -> Result<(QueryOutput, ExecStats)> {
         let (rep, plan, hints) = self.compile_params(expr, params)?;
-        let exec = self.executor(hints);
+        let exec = self.executor(hints, params);
         let (bat, stats) = exec.run(&plan).map_err(MoaError::from)?;
         let out = match rep {
             Rep::Rows { .. } => {
@@ -186,16 +186,18 @@ impl MoaEngine {
         } else {
             format!("-- passes: {} --\n", hints.passes_fired.join(", "))
         };
-        let exec = self.executor(hints);
+        let exec = self.executor(hints, params);
         let text = exec.explain(&plan).map_err(MoaError::from)?;
         Ok(format!("-- logical --\n{rewritten}\n{passes}{text}"))
     }
 
-    /// Build a kernel executor configured from the optimiser switches and a
-    /// compiled plan's hints (estimates and per-node degree caps).
-    fn executor(&self, hints: PlanHints) -> Executor<'_> {
+    /// Build a kernel executor configured from the optimiser switches, a
+    /// compiled plan's hints (estimates and per-node degree caps) and the
+    /// request's pinned view.
+    fn executor(&self, hints: PlanHints, params: &QueryParams) -> Executor<'_> {
         let mut exec = Executor::new(self.env.catalog(), self.env.ops());
         exec.memoize = self.opt.memoize;
+        exec.view = params.view().cloned();
         exec.degree = monet::fragment::resolve_degree(self.opt.parallelism);
         if self.opt.stats_driven {
             if !hints.est_rows.is_empty() {

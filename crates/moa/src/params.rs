@@ -15,12 +15,18 @@
 //! single-channel ranking or the dual-coding weighted sum of two channels;
 //! plans that do not match a fusable shape execute unchanged and the
 //! caller truncates.
+//! Finally it carries the request's pinned **view** (a live snapshot's
+//! segments, a cluster's shards), opaque to the algebra.
 
-/// Per-request bindings and execution budget.
+use monet::RequestView;
+use std::sync::Arc;
+
+/// Per-request bindings, execution budget and pinned view.
 #[derive(Debug, Clone, Default)]
 pub struct QueryParams {
     bindings: Vec<(String, Vec<(String, f64)>)>,
     top_k: Option<usize>,
+    view: Option<Arc<dyn RequestView>>,
 }
 
 impl QueryParams {
@@ -49,6 +55,18 @@ impl QueryParams {
     pub fn with_top_k(mut self, k: usize) -> Self {
         self.top_k = Some(k);
         self
+    }
+
+    /// Pin the request to `view`: the executor's loads and custom
+    /// operators see it.
+    pub fn with_view(mut self, view: Arc<dyn RequestView>) -> Self {
+        self.view = Some(view);
+        self
+    }
+
+    /// The pinned view, if one is set.
+    pub fn view(&self) -> Option<&Arc<dyn RequestView>> {
+        self.view.as_ref()
     }
 
     /// Look up a binding.

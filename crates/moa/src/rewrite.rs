@@ -13,14 +13,15 @@
 use crate::expr::Expr;
 use crate::Env;
 
-/// Optimiser switches (all on by default).
+/// Optimiser switches (all on by default, execution serial).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptConfig {
     /// Memoise common subexpressions during execution.
     pub memoize: bool,
     /// Fragment-parallel execution degree for the kernel executor:
-    /// `0` = auto (one thread per available core), `1` = serial,
-    /// `n` = exactly `n` threads per fragmented operator.
+    /// `1` (the default) = serial, `0` = one thread per available core,
+    /// `n` = exactly `n` threads per fragmented operator. A server already
+    /// runs one worker per core, so a request gains nothing from more.
     pub parallelism: usize,
     /// Run the rewrites beyond single-channel top-k fusion: logical
     /// selection pushdown ([`rewrite_logical`]), and in [`crate::opt`]
@@ -31,7 +32,7 @@ pub struct OptConfig {
 
 impl Default for OptConfig {
     fn default() -> Self {
-        OptConfig { memoize: true, parallelism: 0, stats_driven: true }
+        OptConfig { memoize: true, parallelism: 1, stats_driven: true }
     }
 }
 

@@ -12,16 +12,28 @@ use crate::error::{MonetError, Result};
 use crate::fxhash::FxHashMap;
 use crate::value::Val;
 use parking_lot::{Mutex, RwLock};
+use std::any::Any;
 use std::sync::Arc;
+
+/// A request's pinned view of the data a plan reads, opaque to the
+/// kernel: loads ask it before the catalog, and custom operators downcast
+/// it (`view as &dyn Any`) to the type their layer defines.
+pub trait RequestView: Any + Send + Sync + std::fmt::Debug {
+    /// The BAT supplied under `name` in place of the catalog's, if any.
+    fn bat(&self, name: &str) -> Option<Arc<Bat>>;
+}
 
 /// Execution context handed to custom operators: access to the catalog so
 /// operators can consult auxiliary BATs (statistics, dictionaries), the
-/// executor's fragment-parallel degree (so operators can parallelise their
-/// own work the same way the built-in operators do), and a note channel
-/// that surfaces operator-specific diagnostics in EXPLAIN output.
+/// request's [`RequestView`], the executor's fragment-parallel degree (so
+/// operators can parallelise their own work the same way the built-in
+/// operators do), and a note channel that surfaces operator-specific
+/// diagnostics in EXPLAIN output.
 pub struct OpCtx<'a> {
     /// The catalog of named BATs.
     pub catalog: &'a Catalog,
+    /// The request's pinned view, if the caller supplied one.
+    pub view: Option<&'a dyn RequestView>,
     /// Fragment-parallel degree the executor runs at (1 = serial). Custom
     /// operators may split their own work into that many spans.
     pub degree: usize,
@@ -38,6 +50,7 @@ impl<'a> OpCtx<'a> {
     pub fn new(catalog: &'a Catalog, degree: usize) -> Self {
         OpCtx {
             catalog,
+            view: None,
             degree,
             min_fragment_rows: crate::fragment::DEFAULT_MIN_FRAGMENT_ROWS,
             note: Mutex::new(None),

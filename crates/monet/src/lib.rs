@@ -66,7 +66,7 @@ pub use bat::Bat;
 pub use catalog::Catalog;
 pub use column::Column;
 pub use error::{MonetError, Result};
-pub use ext::{OpCtx, OpRegistry};
+pub use ext::{OpCtx, OpRegistry, RequestView};
 pub use fragment::ParallelExecutor;
 pub use plan::{ArithOp, ExecStats, Executor, NodeTrace, Plan, Pred};
 pub use props::{summarize, ColSummary, Props};

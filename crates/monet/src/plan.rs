@@ -20,7 +20,7 @@ use crate::bat::Bat;
 use crate::catalog::Catalog;
 use crate::column::Column;
 use crate::error::{MonetError, Result};
-use crate::ext::{OpCtx, OpRegistry};
+use crate::ext::{OpCtx, OpRegistry, RequestView};
 use crate::fxhash::FxHashMap;
 use crate::value::{Oid, Val};
 use std::fmt::Write as _;
@@ -518,6 +518,9 @@ pub struct Executor<'a> {
     /// "don't bother parallelising a tiny intermediate"), never raise it
     /// above [`Executor::degree`].
     pub degree_hints: Option<Arc<FxHashMap<u64, usize>>>,
+    /// The request's pinned view: loads read the BATs it supplies before
+    /// the catalog, and custom operators see it in their [`OpCtx`].
+    pub view: Option<Arc<dyn RequestView>>,
 }
 
 impl<'a> Executor<'a> {
@@ -532,6 +535,7 @@ impl<'a> Executor<'a> {
             min_fragment_rows: crate::fragment::DEFAULT_MIN_FRAGMENT_ROWS,
             est_rows: None,
             degree_hints: None,
+            view: None,
         }
     }
 
@@ -602,7 +606,10 @@ impl<'a> Executor<'a> {
         // Diagnostic note a custom operator attached to this invocation.
         let mut note: Option<String> = None;
         let out: Arc<Bat> = match plan {
-            Plan::Load(name) => self.catalog.get(name)?,
+            Plan::Load(name) => match self.view.as_ref().and_then(|v| v.bat(name)) {
+                Some(bat) => bat,
+                None => self.catalog.get(name)?,
+            },
             Plan::Const(b) => Arc::clone(b),
             Plan::Select { input, pred } => {
                 let b = self.eval(input, stats, memo)?;
@@ -707,6 +714,7 @@ impl<'a> Executor<'a> {
                 }
                 let f = self.registry.get(op)?;
                 let mut ctx = OpCtx::new(self.catalog, self.degree);
+                ctx.view = self.view.as_deref();
                 ctx.min_fragment_rows = self.min_fragment_rows;
                 let out = Arc::new(f(&ctx, &ins, params)?);
                 note = ctx.take_note();

@@ -4,7 +4,7 @@
 //! 2 and 4 (the executor fragments at ≥ 4096 documents).
 
 use mirror::core::serve::RetrievalRequest;
-use mirror::core::{LibraryRow, MirrorDbms};
+use mirror::core::{LibraryRow, MirrorDbms, Retriever};
 
 /// Rows in the block-scale library.
 pub const BLOCK_SCALE_DOCS: usize = 4_500;

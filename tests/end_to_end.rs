@@ -4,7 +4,7 @@
 use mirror::core::eval::{average_precision, precision_at_k};
 use mirror::core::{Clustering, MirrorConfig, MirrorDbms, Retriever, INTERNAL};
 use mirror::media::{RobotConfig, WebRobot};
-use mirror::moa::QueryOutput;
+use mirror::moa::{OptConfig, QueryOutput};
 use std::sync::OnceLock;
 
 fn corpus() -> &'static Vec<mirror::media::CrawledImage> {
@@ -173,12 +173,14 @@ fn average_precision_of_theme_queries_is_reasonable() {
 
 #[test]
 fn parallel_facade_matches_serial_retrieval() {
-    // the parallelism knob routes from MirrorConfig through the Moa engine
+    // the parallelism knob routes from OptConfig through the Moa engine
     // into the kernel executor; results must not depend on the degree
     let corpus = corpus();
-    let mut serial_db = MirrorDbms::new(MirrorConfig { parallelism: 1, ..Default::default() });
+    let mut serial_db = MirrorDbms::with_defaults();
+    serial_db.set_opt(OptConfig { parallelism: 1, ..Default::default() });
     serial_db.ingest(corpus).unwrap();
-    let mut par_db = MirrorDbms::new(MirrorConfig { parallelism: 7, ..Default::default() });
+    let mut par_db = MirrorDbms::with_defaults();
+    par_db.set_opt(OptConfig { parallelism: 7, ..Default::default() });
     par_db.ingest(corpus).unwrap();
     for q in ["sunset glow", "ocean wave surf"] {
         let a = serial_db.query_text(q, 20).unwrap();
@@ -268,4 +270,83 @@ fn explain_analyze_shows_the_fused_dual_request() {
     // and the fused answer is the facade's
     let fused_rows = db.retrieve(&req).unwrap();
     assert!(physical.contains(&format!("rows={}", fused_rows.len())), "{analyzed}");
+}
+
+/// A live mirror over the first `base` documents of the shared node, with
+/// the rest inserted as one pending batch and one base document deleted.
+fn live_with_pending_writes(base: usize, opt: OptConfig) -> mirror::core::LiveMirror {
+    let db = db();
+    let rows = db.library_rows();
+    let vocab = db.vocabulary().cloned();
+    let mut gen = MirrorDbms::from_rows(
+        db.config().clone(),
+        rows[..base].to_vec(),
+        vocab,
+        db.thesaurus().cloned(),
+    )
+    .unwrap();
+    gen.set_opt(opt);
+    let live = mirror::core::LiveMirror::new(gen);
+    live.insert_rows(rows[base..].to_vec()).unwrap();
+    live.delete(&rows[3].url).unwrap().unwrap();
+    live
+}
+
+/// Segments per part in an EXPLAIN note's "docs scored by part and
+/// segment: [[…], …]" list.
+fn segments_per_part(analyzed: &str) -> Vec<usize> {
+    let label = "docs scored by part and segment: [[";
+    let list = analyzed.split_once(label).unwrap_or_else(|| panic!("no {label:?}:\n{analyzed}")).1;
+    let list = list.split_once("]]").expect("closing brackets").0;
+    list.split("], [").map(|part| part.split(", ").count()).collect()
+}
+
+#[test]
+fn explain_analyze_shows_per_segment_and_per_shard_work() {
+    use mirror::core::serve::RetrievalRequest;
+    use mirror::core::shard::MirrorCluster;
+    let live = live_with_pending_writes(40, OptConfig::default());
+    let cluster = MirrorCluster::build(corpus(), 2, 1).unwrap();
+    for req in
+        [RetrievalRequest::text("sunset glow", 10), RetrievalRequest::dual("ocean wave", 0.4, 10)]
+    {
+        // a live snapshot with a pending insert and delete runs the fused
+        // operator over the generation and its delta batch
+        let analyzed = live.explain_analyze(&req).unwrap();
+        let physical = analyzed.split_once("-- degree").expect("executor header").1;
+        assert!(physical.contains("custom[contrep.getbl.topk]"), "{analyzed}");
+        for unfused in ["arith", "grouped_aggr", "custom[contrep.getbl]"] {
+            assert!(!physical.contains(unfused), "{unfused} survived fusion:\n{analyzed}");
+        }
+        assert_eq!(segments_per_part(physical), [2], "generation + one batch:\n{analyzed}");
+        let hits = live.retrieve(&req).unwrap();
+        assert!(physical.contains(&format!("rows={}", hits.len())), "{analyzed}");
+        // a 2-shard cluster reports each shard's work
+        let analyzed = cluster.explain_analyze(&req).unwrap();
+        assert!(analyzed.contains("custom[contrep.getbl.topk]"), "{analyzed}");
+        assert_eq!(segments_per_part(&analyzed), [1, 1], "one segment per shard:\n{analyzed}");
+    }
+}
+
+#[test]
+fn unfused_plan_over_a_multi_segment_view_is_a_typed_error() {
+    use mirror::core::serve::RetrievalRequest;
+    use mirror::core::{RetrievalError, Retriever};
+    let live = live_with_pending_writes(40, OptConfig::none());
+    // OptConfig::none() fuses single-channel rankings only: a dual request
+    // stays an unfused getBL plan, which reads one index — not a generation
+    // plus a delta batch minus a tombstone
+    let err = live.retrieve(&RetrievalRequest::dual("ocean wave", 0.4, 10)).unwrap_err();
+    assert!(matches!(err, RetrievalError::Compile(_)), "{err}");
+    assert!(err.to_string().contains("contrep.getbl.topk"), "{err}");
+    // the fused text request answers like the batch re-ingest
+    let req = RetrievalRequest::text("sunset glow", 10);
+    let pin = live.pin();
+    let db = db();
+    let merged =
+        MirrorDbms::from_rows(db.config().clone(), pin.surviving_rows(), None, None).unwrap();
+    let key = |hits: Vec<mirror::core::query::RankedResult>| -> Vec<(String, f64)> {
+        hits.into_iter().map(|h| (h.url, h.score)).collect()
+    };
+    assert_eq!(key(pin.retrieve(&req).unwrap()), key(merged.retrieve(&req).unwrap()));
 }

@@ -235,6 +235,38 @@ fn concurrent_writers_and_readers_observe_only_quiesced_prefix_states() {
     assert_eq!(live.pin().surviving_rows(), survivors(&history));
 }
 
+/// A filtered read on a snapshot with delta rows and tombstones is the
+/// plan's `select` over the snapshot's URL column — generation and delta
+/// rows alike, deleted rows masked — and ranks exactly like a batch
+/// re-ingest of the surviving rows.
+#[test]
+fn filtered_reads_on_a_delta_snapshot_match_a_batch_reingest() {
+    let f = fixture();
+    let live = seed_live(f, 30);
+    live.insert_rows(f.rows[30..40].to_vec()).unwrap();
+    live.insert_rows(f.rows[40..].to_vec()).unwrap();
+    for row in [&f.rows[2], &f.rows[31], &f.rows[44]] {
+        live.delete(&row.url).unwrap().unwrap();
+    }
+    let pin = live.pin();
+    let merged = reference(f, pin.surviving_rows());
+    let patterns = ["/sunset/", "/forest/", "/ocean/", ".png", &f.rows[42].url, &f.rows[31].url];
+    let mut ranked = 0;
+    for pattern in patterns {
+        for req in [
+            RetrievalRequest::text("sunset glow forest ocean wave city", 48),
+            RetrievalRequest::dual("forest tree", 0.5, 48),
+        ] {
+            let req = req.with_filter(pattern);
+            let got = keyed(vec![pin.retrieve(&req).unwrap()]);
+            assert_eq!(got, keyed(vec![merged.retrieve(&req).unwrap()]), "filter {pattern:?}");
+            assert!(got[0].iter().all(|(url, _)| url.contains(pattern)));
+            ranked += usize::from(!got[0].is_empty());
+        }
+    }
+    assert!(ranked >= 6, "too few filtered reads rank anything: {ranked}");
+}
+
 // ---------------------------------------------------------------------------
 // Satellite 2 — tombstones never surface, on any query surface
 // ---------------------------------------------------------------------------
@@ -269,7 +301,7 @@ fn deleted_docs_never_surface_on_any_query_surface() {
     check(&live, "delta tombstones");
 
     // fold and re-check: the merged generation has no tombstone set, and
-    // with an empty delta queries take the fused topk_bl fast path
+    // with an empty delta queries rank its one segment
     live.merge().unwrap();
     check(&live, "post-merge (fused topk_bl)");
 
@@ -636,6 +668,19 @@ fn merge_policy_auto_triggers_and_preserves_rankings() {
     assert_eq!(probe(&live, f), before);
     // and the merged corpus still equals a batch re-ingest of survivors
     assert_eq!(probe(&live, f), probe(&reference(f, live.pin().surviving_rows()), f));
+}
+
+/// A live mirror over an instance that never loaded a corpus ranks its
+/// inserts like a batch ingest of them.
+#[test]
+fn never_loaded_instance_serves_its_inserts() {
+    let f = fixture();
+    let live = LiveMirror::new(MirrorDbms::new(f.config.clone()));
+    live.insert_rows(f.rows[..12].to_vec()).unwrap();
+    let req = RetrievalRequest::text("sunset over the water", 10);
+    let got = keyed(vec![live.retrieve(&req).unwrap()]);
+    assert!(!got[0].is_empty());
+    assert_eq!(got, keyed(vec![reference(f, f.rows[..12].to_vec()).retrieve(&req).unwrap()]));
 }
 
 #[test]

@@ -228,8 +228,8 @@ fn negative_channel_weights_stay_unfused() {
     use mirror::moa::Expr;
     let rows = block_scale_rows()[..600].to_vec();
     // serial, so the unfused grouped sums add in the oracle's order
-    let config = MirrorConfig { parallelism: 1, ..MirrorConfig::default() };
-    let db = MirrorDbms::from_rows(config, rows, None, None).unwrap();
+    let mut db = MirrorDbms::from_rows(MirrorConfig::default(), rows, None, None).unwrap();
+    db.set_opt(OptConfig { parallelism: 1, ..OptConfig::default() });
     let weighted = |attr: &str, binding: &str, w: f64| Expr::Arith {
         op: ArithKind::Mul,
         left: Box::new(Expr::call(
