@@ -72,20 +72,59 @@ impl BeliefParams {
         self.alpha + (1.0 - self.alpha) * self.ntf(tf, dl, avg_dl) * nidf
     }
 
-    /// Upper bound on the belief any single document can reach for a term
-    /// with the given `max_tf` (greatest within-document frequency) and
-    /// `df`. Sound because `ntf(tf, dl) = tf / (tf + k_tf + k_len·dl/avg)`
-    /// is monotone in tf and the length term only shrinks it:
-    /// `ntf ≤ max_tf / (max_tf + k_tf)`. Top-k evaluation uses this to
-    /// skip documents that provably cannot enter the result
-    /// ([`crate::topk`]).
+    /// Upper bound on the belief of every posting whose term frequency is
+    /// at most `max_tf` and whose `dl/tf` (document length over term
+    /// frequency) is at least `min_dl_per_tf`, for a term of document
+    /// frequency `df` scored with `n_docs` and `avg_dl`. Top-k evaluation
+    /// feeds it a block's or a whole list's metadata
+    /// ([`crate::postings::BlockMeta`]) to skip documents that provably
+    /// cannot enter the result ([`crate::topk`]).
+    ///
+    /// Sound for non-negative `k_tf` and `k_len` (InQuery's are 0.5 and
+    /// 1.5). Divided through by tf,
+    /// `ntf = 1 / (1 + k_tf/tf + (k_len/avg_dl)·(dl/tf))`, which grows with
+    /// tf and shrinks as `dl/tf` grows. So raising tf to `max_tf` and
+    /// lowering `dl/tf` to `min_dl_per_tf` can only raise it — even when
+    /// the two extremes belong to different postings, since each factor is
+    /// bounded on its own:
+    /// `ntf ≤ 1 / (1 + k_tf/max_tf + (k_len/avg_dl)·min_dl_per_tf)`, and
+    /// the belief is monotone in ntf. The argument holds for any positive
+    /// `avg_dl`, so a bound derived from one segment's postings stays sound
+    /// under the union statistics a live snapshot or a cluster scores
+    /// with. For `avg_dl ≤ 0`, [`Self::ntf`] uses a length ratio of 1, and
+    /// the bound is `max_tf / (max_tf + k_tf + k_len)` to match.
     #[inline]
-    pub fn belief_bound(&self, max_tf: u32, df: u32, n_docs: usize) -> f64 {
+    pub fn belief_bound(
+        &self,
+        max_tf: u32,
+        df: u32,
+        min_dl_per_tf: f64,
+        n_docs: usize,
+        avg_dl: f64,
+    ) -> f64 {
+        self.belief_bound_nidf(max_tf, min_dl_per_tf, avg_dl, self.nidf(df, n_docs))
+    }
+
+    /// [`Self::belief_bound`] from the term's precomputed [`Self::nidf`],
+    /// for callers that bound many blocks of one term.
+    #[inline]
+    pub fn belief_bound_nidf(
+        &self,
+        max_tf: u32,
+        min_dl_per_tf: f64,
+        avg_dl: f64,
+        nidf: f64,
+    ) -> f64 {
         if max_tf == 0 {
             return self.alpha;
         }
-        let sat = max_tf as f64 / (max_tf as f64 + self.k_tf);
-        let lift = (1.0 - self.alpha) * sat * self.nidf(df, n_docs);
+        let tf = max_tf as f64;
+        let sat = if avg_dl > 0.0 {
+            1.0 / (1.0 + self.k_tf / tf + self.k_len / avg_dl * min_dl_per_tf)
+        } else {
+            tf / (tf + self.k_tf + self.k_len)
+        };
+        let lift = (1.0 - self.alpha) * sat * nidf;
         // a pathological α > 1 makes the lift negative; the bound is then α
         self.alpha + lift.max(0.0)
     }
@@ -203,14 +242,38 @@ mod tests {
         let i = idx();
         let stats = i.stats();
         for term in ["sunset", "beach", "forest", "mist", "waves", "horizon"] {
-            let bound = p.belief_bound(i.max_tf(term), i.df(term), stats.n_docs);
+            // a term stemmed away ("waves") has no list and bounds to α
+            let min_dl_tf = i.postings_list(term).map_or(0.0, |l| l.min_dl_per_tf());
+            let bound =
+                p.belief_bound(i.max_tf(term), i.df(term), min_dl_tf, stats.n_docs, stats.avg_dl);
             for doc in 0..stats.n_docs as u32 {
                 let b = p.belief_in(&i, term, doc);
                 assert!(b <= bound, "{term} doc {doc}: belief {b} above bound {bound}");
             }
         }
         // absent terms bound to α
-        assert_eq!(p.belief_bound(0, 0, stats.n_docs), p.alpha);
+        assert_eq!(p.belief_bound(0, 0, 0.0, stats.n_docs, stats.avg_dl), p.alpha);
+    }
+
+    #[test]
+    fn belief_bound_takes_tf_and_length_from_different_postings() {
+        let p = DEFAULT_BELIEF;
+        // tf 6 in a 60-token document (dl/tf 10), tf 1 in a 2-token one
+        // (dl/tf 2): neither posting reaches the bound's (6, 2) corner
+        let posts = [(6u32, 60u32), (1, 2)];
+        let bound = |avg_dl: f64| p.belief_bound(6, 2, 2.0, 100, avg_dl);
+        for avg_dl in [0.5, 2.0, 12.0, 400.0, 0.0, -3.0] {
+            for &(tf, dl) in &posts {
+                let b = p.belief(tf, 2, dl, 100, avg_dl);
+                assert!(b <= bound(avg_dl), "tf {tf} dl {dl} avg {avg_dl}");
+            }
+        }
+        // the length term tightens the bound below the length-blind one
+        let blind = p.alpha + (1.0 - p.alpha) * (6.0 / 6.5) * p.nidf(2, 100);
+        assert!(bound(12.0) < blind);
+        // a non-positive average length matches ntf's ratio-1 fallback
+        let fallback = p.alpha + (1.0 - p.alpha) * p.ntf(6, 7, 0.0) * p.nidf(2, 100);
+        assert_eq!(bound(0.0), fallback);
     }
 
     #[test]

@@ -390,7 +390,7 @@ fn topk_note(
     scored: &[Vec<u64>],
 ) -> String {
     let mut note = format!(
-        "topk ×{k} (pruned {} docs, skipped {} blocks / {} postings)",
+        "topk ×{k} (pruned {} ranges, skipped {} blocks / {} postings)",
         out.pruned, out.blocks_skipped, out.skipped_postings
     );
     if channels.len() > 1 {

@@ -59,9 +59,6 @@ pub struct InvertedIndex {
     df: Vec<u32>,
     /// Collection frequency per term id.
     cf: Vec<u64>,
-    /// Greatest within-document frequency per term id — the raw statistic
-    /// behind the per-term belief upper bounds that top-k pruning uses.
-    max_tf: Vec<u32>,
     /// Token count per document.
     doc_len: Vec<u32>,
 }
@@ -102,12 +99,14 @@ impl InvertedIndex {
     }
 
     /// Greatest term frequency of `term` within any single document
-    /// (0 when absent). Because the belief function is monotone in tf and
-    /// the length normalisation only shrinks it, `max_tf` yields a sound
-    /// per-term belief upper bound — see
-    /// [`crate::belief::BeliefParams::belief_bound`].
+    /// (0 when absent), read from the term's posting list, which derives
+    /// it from its blocks ([`PostingList::max_tf`]). With the list's least
+    /// `dl/tf` it yields a sound per-term belief upper bound — see
+    /// [`crate::belief::BeliefParams::belief_bound`]. The index blob
+    /// carries it per term, and [`from_bytes`](Self::from_bytes) rejects a
+    /// stored value that disagrees with the blocks.
     pub fn max_tf(&self, term: &str) -> u32 {
-        self.dict.lookup(term).map_or(0, |t| self.max_tf[t as usize])
+        self.postings_list(term).map_or(0, PostingList::max_tf)
     }
 
     /// Length (token count) of document `doc`.
@@ -175,7 +174,7 @@ impl InvertedIndex {
         for tid in 0..self.dict.len() {
             w.u32(self.df[tid]);
             w.u64(self.cf[tid]);
-            w.u32(self.max_tf[tid]);
+            w.u32(self.postings[tid].max_tf());
             self.postings[tid].write_to(&mut w);
         }
         w.into_bytes()
@@ -186,9 +185,10 @@ impl InvertedIndex {
     /// A blob carrying any other format version — including the legacy v1
     /// raw-posting layout, which had no magic prefix — is rejected with a
     /// typed [`monet::MonetError::FormatVersion`] before any payload is
-    /// decoded. Every length is validated before allocation and every
-    /// posting block is cross-checked against its block-max metadata;
-    /// torn or corrupted blobs come back as [`monet::MonetError::Corrupt`].
+    /// decoded. Every length is validated before allocation, every
+    /// posting block is cross-checked against its block-max metadata, and
+    /// every term's stored `max_tf` against its blocks; torn or corrupted
+    /// blobs come back as [`monet::MonetError::Corrupt`].
     pub fn from_bytes(bytes: &[u8]) -> monet::Result<InvertedIndex> {
         let corrupt =
             |detail: String| MonetError::Corrupt { what: "inverted index".to_string(), detail };
@@ -231,12 +231,20 @@ impl InvertedIndex {
         let mut postings = Vec::with_capacity(n_terms);
         let mut df = Vec::with_capacity(n_terms);
         let mut cf = Vec::with_capacity(n_terms);
-        let mut max_tf = Vec::with_capacity(n_terms);
-        for _ in 0..n_terms {
+        for tid in 0..n_terms {
             df.push(r.u32()?);
             cf.push(r.u64()?);
-            max_tf.push(r.u32()?);
-            postings.push(PostingList::read_from(&mut r, n_docs)?);
+            let max_tf = r.u32()?;
+            let posts = PostingList::read_from(&mut r, n_docs, |d| doc_len[d as usize])?;
+            // a lowered max_tf would shrink the list-level pruning bound
+            // and silently drop qualifying documents
+            if max_tf != posts.max_tf() {
+                return Err(corrupt(format!(
+                    "term {tid}: stored max_tf {max_tf}, blocks say {}",
+                    posts.max_tf()
+                )));
+            }
+            postings.push(posts);
         }
         if !r.is_exhausted() {
             return Err(corrupt(format!("{} trailing bytes", r.remaining())));
@@ -250,7 +258,7 @@ impl InvertedIndex {
                 )));
             }
         }
-        Ok(InvertedIndex { dict, postings, df, cf, max_tf, doc_len })
+        Ok(InvertedIndex { dict, postings, df, cf, doc_len })
     }
 }
 
@@ -306,10 +314,10 @@ impl IndexBuilder {
     /// blocks.
     pub fn build(self) -> InvertedIndex {
         let df = self.postings.iter().map(|p| p.len() as u32).collect();
-        let max_tf =
-            self.postings.iter().map(|p| p.iter().map(|post| post.tf).max().unwrap_or(0)).collect();
-        let postings = self.postings.iter().map(|p| PostingList::from_postings(p)).collect();
-        InvertedIndex { dict: self.dict, postings, df, cf: self.cf, max_tf, doc_len: self.doc_len }
+        let doc_len = |d: Oid| self.doc_len[d as usize];
+        let postings =
+            self.postings.iter().map(|p| PostingList::from_postings(p, doc_len)).collect();
+        InvertedIndex { dict: self.dict, postings, df, cf: self.cf, doc_len: self.doc_len }
     }
 }
 
@@ -481,6 +489,44 @@ mod tests {
             InvertedIndex::from_bytes(&blob).unwrap_err(),
             MonetError::FormatVersion { found: 9, expected: 3 }
         );
+    }
+
+    #[test]
+    fn stored_max_tf_that_disagrees_with_the_blocks_is_corrupt() {
+        // term 0 ("a") occurs twice in doc 0: its stored max_tf is 2
+        let mut b = IndexBuilder::new();
+        b.add_tokens(&["a", "a", "b"]);
+        b.add_tokens(&["a", "c"]);
+        let idx = b.build();
+        assert_eq!(idx.dict().lookup("a"), Some(0));
+        assert_eq!(idx.max_tf("a"), 2);
+        let blob = idx.to_bytes();
+        // the offset of term 0's stored max_tf: the header, the document
+        // lengths, the dictionary, then term 0's df and cf
+        let mut w = ByteWriter::new();
+        w.bytes(INDEX_MAGIC);
+        w.u8(INDEX_FORMAT_VERSION);
+        w.u16(ENDIAN_SENTINEL);
+        w.u64(idx.n_docs() as u64);
+        for d in 0..idx.n_docs() as Oid {
+            w.u32(idx.doc_len(d));
+        }
+        w.u64(idx.dict().len() as u64);
+        for (_, term) in idx.dict().iter() {
+            w.str(term);
+        }
+        w.u32(idx.df("a"));
+        w.u64(idx.cf("a"));
+        let at = w.into_bytes().len();
+        assert_eq!(blob[at..at + 4], 2u32.to_le_bytes());
+        assert!(InvertedIndex::from_bytes(&blob).is_ok());
+        // lowered, the list bound would drop doc 0; raised, it is a lie too
+        for stored in [1u32, 3] {
+            let mut bad = blob.clone();
+            bad[at..at + 4].copy_from_slice(&stored.to_le_bytes());
+            let err = InvertedIndex::from_bytes(&bad).unwrap_err();
+            assert!(matches!(err, MonetError::Corrupt { .. }), "stored {stored}: {err:?}");
+        }
     }
 
     #[test]

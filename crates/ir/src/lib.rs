@@ -46,7 +46,6 @@ pub use postings::{BlockMeta, PostingList, BLOCK_LEN};
 pub use text::{is_stopword, porter_stem, tokenize, tokenize_stemmed};
 pub use tombstones::Tombstones;
 pub use topk::{
-    topk_beliefs, topk_beliefs_raw, topk_channels, ChannelWork, RawPostings, TopKAccumulator,
-    TopKChannel, TopKOutcome,
+    topk_beliefs, topk_channels, ChannelWork, TopKAccumulator, TopKChannel, TopKOutcome,
 };
 pub use view::{CorpusView, ViewChannel, ViewHits, ViewPart};

@@ -6,11 +6,19 @@
 //! strictly ascending) and term frequencies are stored as `tf − 1`; both
 //! streams are bitpacked at the block's own width through the storage
 //! codec's packing primitives ([`monet::storage`]). Each block carries
-//! block-max metadata — its first and last document id and its greatest
-//! `tf` — which is what lets the top-k evaluator ([`crate::topk`]) skip
-//! whole blocks without decoding them: the block's `max_tf` yields a sound
-//! belief upper bound for every posting inside, and `last_doc` lets a
-//! cursor seek past the block entirely.
+//! block-max metadata — its first and last document id, its greatest `tf`
+//! and its least `dl/tf` (document length over term frequency) — which is
+//! what lets the top-k evaluator ([`crate::topk`]) skip whole blocks
+//! without decoding them: `max_tf` and the least `dl/tf` together yield a
+//! sound, length-aware belief upper bound for every posting inside
+//! ([`crate::belief::BeliefParams::belief_bound`]), and `last_doc` lets a
+//! cursor seek past the block entirely. The list keeps the same two
+//! statistics over all its blocks for the list-level bound.
+//!
+//! The least `dl/tf` is *derived, never stored*: [`PostingList::from_postings`]
+//! and [`PostingList::read_from`] compute it from the collection's
+//! document lengths while they walk each block, so nothing on disk can
+//! disagree with those lengths.
 //!
 //! The raw-vec representation cost 8 bytes per posting; on natural-language
 //! term distributions blocks typically land between 1 and 2 bytes per
@@ -29,6 +37,15 @@ use monet::{MonetError, Oid};
 /// a bit per posting.
 pub const BLOCK_LEN: usize = 128;
 
+/// Fixed-point scale of the least `dl/tf` ([`BlockMeta::min_dl_tf`]).
+const DL_TF_SCALE: u64 = 256;
+
+/// `⌊256·dl/tf⌋`, saturating at `u32::MAX`: never above the exact ratio,
+/// so a belief bound computed from it can only be looser. `tf ≥ 1`.
+fn dl_tf_fixed(dl: u32, tf: u64) -> u32 {
+    u32::try_from(u64::from(dl) * DL_TF_SCALE / tf).unwrap_or(u32::MAX)
+}
+
 /// Per-block metadata: the skip index entry the evaluator reads *instead
 /// of* the block payload when deciding whether to decode it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,19 +54,35 @@ pub struct BlockMeta {
     pub first_doc: Oid,
     /// Last document id in the block — the seek key.
     pub last_doc: Oid,
-    /// Greatest term frequency in the block — the block-max bound input.
+    /// Greatest term frequency in the block — a block-max bound input.
     pub max_tf: u32,
+    /// Least `dl/tf` over the block's postings — the other block-max
+    /// bound input — in fixed point `⌊256·dl/tf⌋`, saturating. Derived
+    /// from the document lengths when the list is built or read, never
+    /// serialised; [`min_dl_per_tf`](Self::min_dl_per_tf) is its value.
+    pub min_dl_tf: u32,
+    /// Index of the block's first word in the list's word array.
+    pub offset: u32,
     /// Postings in this block (≤ [`BLOCK_LEN`]).
-    pub count: u32,
+    pub count: u16,
     /// Bits per doc-id delta.
     pub doc_bits: u8,
     /// Bits per `tf − 1` value.
     pub tf_bits: u8,
-    /// Index of the block's first word in the list's word array.
-    pub offset: u32,
 }
 
+// the skip index costs 24 bytes per block, as `ir.postings.bytes_per_doc`
+// has always counted it
+const _: () = assert!(std::mem::size_of::<BlockMeta>() == 24);
+
 impl BlockMeta {
+    /// The least `dl/tf` of the block's postings, rounded down to the
+    /// stored fixed point — at most the exact ratio.
+    #[inline]
+    pub fn min_dl_per_tf(&self) -> f64 {
+        f64::from(self.min_dl_tf) / DL_TF_SCALE as f64
+    }
+
     /// Word index of the block's tf stream (the doc deltas come first).
     #[inline]
     fn tf_offset(&self) -> usize {
@@ -70,15 +103,21 @@ pub struct PostingList {
     blocks: Vec<BlockMeta>,
     words: Vec<u64>,
     len: usize,
+    /// Greatest `max_tf` over the blocks (0 when empty).
+    max_tf: u32,
+    /// Least `min_dl_tf` over the blocks (0 when empty).
+    min_dl_tf: u32,
 }
 
 impl PostingList {
-    /// Compress a document-ordered posting slice into blocks.
+    /// Compress a document-ordered posting slice into blocks; `doc_len`
+    /// gives each posting's document length, from which every block's
+    /// least `dl/tf` is derived.
     ///
     /// # Panics
     /// Debug-asserts that doc ids are strictly ascending and every tf is
     /// nonzero — the invariants the index builder maintains.
-    pub fn from_postings(posts: &[Posting]) -> PostingList {
+    pub fn from_postings(posts: &[Posting], doc_len: impl Fn(Oid) -> u32) -> PostingList {
         debug_assert!(posts.windows(2).all(|w| w[0].doc < w[1].doc), "postings must be ascending");
         debug_assert!(posts.iter().all(|p| p.tf > 0), "postings must have nonzero tf");
         let mut blocks = Vec::with_capacity(posts.len().div_ceil(BLOCK_LEN));
@@ -89,12 +128,14 @@ impl PostingList {
             deltas.clear();
             tfs.clear();
             let mut max_tf = 0u32;
+            let mut min_dl_tf = u32::MAX;
             for (j, p) in chunk.iter().enumerate() {
                 if j > 0 {
                     deltas.push(p.doc - chunk[j - 1].doc - 1);
                 }
                 tfs.push(p.tf - 1);
                 max_tf = max_tf.max(p.tf);
+                min_dl_tf = min_dl_tf.min(dl_tf_fixed(doc_len(p.doc), u64::from(p.tf)));
             }
             let doc_bits = bits_for(deltas.iter().copied().max().unwrap_or(0)) as u8;
             let tf_bits = bits_for(max_tf - 1) as u8;
@@ -105,13 +146,35 @@ impl PostingList {
                 first_doc: chunk[0].doc,
                 last_doc: chunk[chunk.len() - 1].doc,
                 max_tf,
-                count: chunk.len() as u32,
+                min_dl_tf,
+                offset,
+                count: chunk.len() as u16,
                 doc_bits,
                 tf_bits,
-                offset,
             });
         }
-        PostingList { blocks, words, len: posts.len() }
+        PostingList::with_list_bounds(blocks, words, posts.len())
+    }
+
+    /// Assemble a list, deriving its list-level bound inputs from its
+    /// blocks.
+    fn with_list_bounds(blocks: Vec<BlockMeta>, words: Vec<u64>, len: usize) -> PostingList {
+        let max_tf = blocks.iter().map(|b| b.max_tf).max().unwrap_or(0);
+        let min_dl_tf = blocks.iter().map(|b| b.min_dl_tf).min().unwrap_or(0);
+        PostingList { blocks, words, len, max_tf, min_dl_tf }
+    }
+
+    /// Greatest term frequency in the list — with
+    /// [`min_dl_per_tf`](Self::min_dl_per_tf), the input of the list-level
+    /// belief bound.
+    pub fn max_tf(&self) -> u32 {
+        self.max_tf
+    }
+
+    /// Least `dl/tf` over the list's postings, rounded down to the block
+    /// metadata's fixed point (0 when empty).
+    pub fn min_dl_per_tf(&self) -> f64 {
+        f64::from(self.min_dl_tf) / DL_TF_SCALE as f64
     }
 
     /// Number of postings (the term's document frequency).
@@ -205,7 +268,7 @@ impl PostingList {
     /// Serialise the compressed form directly — blocks are *not* decoded
     /// on the way to disk. Layout: posting count, payload words, then per
     /// block `first_doc, last_doc, max_tf, doc_bits, tf_bits` (`count` and
-    /// `offset` are recomputed on read).
+    /// `offset` are recomputed on read, `min_dl_tf` is derived).
     pub fn write_to(&self, w: &mut ByteWriter) {
         w.u64(self.len as u64);
         w.u64(self.words.len() as u64);
@@ -221,18 +284,21 @@ impl PostingList {
         }
     }
 
-    /// Deserialise a list written by [`write_to`](Self::write_to) and
-    /// validate it exhaustively against the collection size: block bounds
-    /// must be ascending and inside the collection, recomputed offsets
-    /// must cover the payload exactly, and every decoded posting must
-    /// match its block's metadata (ascending doc ids ending on `last_doc`,
-    /// greatest tf equal to `max_tf`) — a corrupt block-max would silently
-    /// break pruning soundness, so it is rejected here instead.
-    pub fn read_from(r: &mut ByteReader<'_>, n_docs: usize) -> monet::Result<PostingList> {
-        let corrupt = |detail: String| MonetError::Corrupt {
-            what: "compressed posting list".to_string(),
-            detail,
-        };
+    /// Deserialise a list written by [`write_to`](Self::write_to) over a
+    /// collection of `n_docs` documents whose lengths `doc_len` gives, and
+    /// validate it exhaustively: block bounds must be ascending and inside
+    /// the collection, recomputed offsets must cover the payload exactly,
+    /// and every decoded posting must match its block's metadata
+    /// (ascending doc ids ending on `last_doc`, greatest tf equal to
+    /// `max_tf`) — a corrupt block-max would silently break pruning
+    /// soundness, so it is rejected here instead. The same decode derives
+    /// each block's least `dl/tf`; `doc_len` is only asked about documents
+    /// below `n_docs`.
+    pub fn read_from(
+        r: &mut ByteReader<'_>,
+        n_docs: usize,
+        doc_len: impl Fn(Oid) -> u32,
+    ) -> monet::Result<PostingList> {
         let len = r.len64(r.remaining().saturating_mul(64))?;
         let n_words = r.len64(r.remaining() / 8)?;
         let mut words = Vec::with_capacity(n_words);
@@ -251,16 +317,16 @@ impl PostingList {
             if doc_bits > 32 || tf_bits > 32 {
                 return Err(corrupt(format!("block {i}: widths {doc_bits}/{tf_bits} exceed 32")));
             }
-            let count = (len - i * BLOCK_LEN).min(BLOCK_LEN) as u32;
             let meta = BlockMeta {
                 first_doc,
                 last_doc,
                 max_tf,
-                count,
-                doc_bits,
-                tf_bits,
+                min_dl_tf: 0, // derived from the payload below
                 offset: u32::try_from(offset)
                     .map_err(|_| corrupt(format!("block {i}: word offset overflows u32")))?,
+                count: (len - i * BLOCK_LEN).min(BLOCK_LEN) as u16,
+                doc_bits,
+                tf_bits,
             };
             if first_doc > last_doc || last_doc as usize >= n_docs {
                 return Err(corrupt(format!(
@@ -279,45 +345,65 @@ impl PostingList {
         if offset != n_words {
             return Err(corrupt(format!("blocks cover {offset} words, payload has {n_words}")));
         }
-        let list = PostingList { blocks, words, len };
-        list.validate_payload()?;
-        Ok(list)
+        derive_block_bounds(&mut blocks, &words, doc_len)?;
+        Ok(PostingList::with_list_bounds(blocks, words, len))
     }
+}
 
-    /// Decode every block and cross-check it against its metadata.
-    fn validate_payload(&self) -> monet::Result<()> {
-        let corrupt = |detail: String| MonetError::Corrupt {
-            what: "compressed posting list".to_string(),
-            detail,
-        };
-        let mut deltas = Vec::with_capacity(BLOCK_LEN);
-        let mut tfs = Vec::with_capacity(BLOCK_LEN);
-        for (i, b) in self.blocks.iter().enumerate() {
-            let n = b.count as usize;
-            unpack_u32s(&self.words, b.offset as usize, n - 1, b.doc_bits as u32, &mut deltas);
-            // accumulate in u64 so corrupt deltas cannot wrap past the check
-            let mut doc = u64::from(b.first_doc);
-            for &d in &deltas {
-                doc += u64::from(d) + 1;
+/// A typed error for a posting list that fails validation.
+fn corrupt(detail: String) -> MonetError {
+    MonetError::Corrupt { what: "compressed posting list".to_string(), detail }
+}
+
+/// Decode every block, cross-check it against its metadata, and derive its
+/// least `dl/tf` from the same decode. A block's documents are checked to
+/// stay within `last_doc` before their length is looked up.
+fn derive_block_bounds(
+    blocks: &mut [BlockMeta],
+    words: &[u64],
+    doc_len: impl Fn(Oid) -> u32,
+) -> monet::Result<()> {
+    let mut deltas = Vec::with_capacity(BLOCK_LEN);
+    let mut tfs = Vec::with_capacity(BLOCK_LEN);
+    for (i, b) in blocks.iter_mut().enumerate() {
+        let n = b.count as usize;
+        unpack_u32s(words, b.offset as usize, n - 1, b.doc_bits as u32, &mut deltas);
+        unpack_u32s(words, b.tf_offset(), n, b.tf_bits as u32, &mut tfs);
+        // accumulate docs in u64 so corrupt deltas cannot wrap past the
+        // check; widen tfs before the +1 so a corrupt all-ones tf cannot
+        // overflow
+        let mut doc = u64::from(b.first_doc);
+        let mut max_tf = 0u64;
+        let mut min_dl_tf = u32::MAX;
+        for (j, &t) in tfs.iter().enumerate() {
+            if j > 0 {
+                doc += u64::from(deltas[j - 1]) + 1;
+                if doc > u64::from(b.last_doc) {
+                    return Err(corrupt(format!(
+                        "block {i}: deltas pass doc {doc}, beyond metadata's last doc {}",
+                        b.last_doc
+                    )));
+                }
             }
-            if doc != u64::from(b.last_doc) {
-                return Err(corrupt(format!(
-                    "block {i}: deltas end at doc {doc}, metadata says {}",
-                    b.last_doc
-                )));
-            }
-            unpack_u32s(&self.words, b.tf_offset(), n, b.tf_bits as u32, &mut tfs);
-            // widen before the +1 so a corrupt all-ones tf cannot overflow
-            let max = tfs.iter().map(|&t| u64::from(t) + 1).max().unwrap_or(0);
-            if max != u64::from(b.max_tf) {
-                return Err(corrupt(format!(
-                    "block {i}: greatest decoded tf {max} does not match block-max {}",
-                    b.max_tf
-                )));
-            }
+            let tf = u64::from(t) + 1;
+            max_tf = max_tf.max(tf);
+            min_dl_tf = min_dl_tf.min(dl_tf_fixed(doc_len(doc as Oid), tf));
         }
-        Ok(())
+        if doc != u64::from(b.last_doc) {
+            return Err(corrupt(format!(
+                "block {i}: deltas end at doc {doc}, metadata says {}",
+                b.last_doc
+            )));
+        }
+        if max_tf != u64::from(b.max_tf) {
+            return Err(corrupt(format!(
+                "block {i}: greatest decoded tf {max_tf} does not match block-max {}",
+                b.max_tf
+            )));
+        }
+        b.min_dl_tf = min_dl_tf;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -326,6 +412,12 @@ mod tests {
 
     fn posts(pairs: &[(u32, u32)]) -> Vec<Posting> {
         pairs.iter().map(|&(doc, tf)| Posting { doc, tf }).collect()
+    }
+
+    /// Document lengths of the synthetic collections: uneven, so the
+    /// least `dl/tf` varies across blocks.
+    fn doc_len(doc: Oid) -> u32 {
+        4 + doc % 29
     }
 
     fn synthetic(n: usize) -> Vec<Posting> {
@@ -339,7 +431,7 @@ mod tests {
     fn roundtrip_to_vec() {
         for n in [0usize, 1, 2, 127, 128, 129, 500] {
             let original = synthetic(n);
-            let list = PostingList::from_postings(&original);
+            let list = PostingList::from_postings(&original, doc_len);
             assert_eq!(list.len(), n);
             assert_eq!(list.to_vec(), original, "n={n}");
             assert_eq!(list.blocks().len(), n.div_ceil(BLOCK_LEN));
@@ -349,7 +441,7 @@ mod tests {
     #[test]
     fn tf_of_finds_every_posting_and_misses_gaps() {
         let original = synthetic(300);
-        let list = PostingList::from_postings(&original);
+        let list = PostingList::from_postings(&original, doc_len);
         for p in &original {
             assert_eq!(list.tf_of(p.doc), p.tf, "doc {}", p.doc);
         }
@@ -365,7 +457,7 @@ mod tests {
     #[test]
     fn block_metadata_is_sound() {
         let original = synthetic(400);
-        let list = PostingList::from_postings(&original);
+        let list = PostingList::from_postings(&original, doc_len);
         let mut docs = Vec::new();
         let mut tfs = Vec::new();
         for (i, b) in list.blocks().iter().enumerate() {
@@ -376,14 +468,47 @@ mod tests {
             assert!(docs.windows(2).all(|w| w[0] < w[1]));
             assert_eq!(tfs.iter().copied().max().unwrap(), b.max_tf);
             assert!(tfs.iter().all(|&t| t >= 1 && t <= b.max_tf));
+            // the least dl/tf is the floor of the block's exact least
+            // ratio at the 1/256 fixed point, so never above any posting's
+            let ratios = docs.iter().zip(&tfs).map(|(&d, &t)| f64::from(doc_len(d)) / f64::from(t));
+            let least = ratios.fold(f64::INFINITY, f64::min);
+            assert_eq!(b.min_dl_per_tf(), (least * 256.0).floor() / 256.0, "block {i}");
         }
+        let blocks = list.blocks();
+        assert_eq!(list.max_tf(), blocks.iter().map(|b| b.max_tf).max().unwrap());
+        let least = blocks.iter().map(BlockMeta::min_dl_per_tf).fold(f64::INFINITY, f64::min);
+        assert_eq!(list.min_dl_per_tf(), least);
+    }
+
+    #[test]
+    fn least_dl_per_tf_is_derived_from_the_document_lengths() {
+        // the same blob read against other document lengths derives other
+        // bounds: nothing on disk carries them
+        let original = synthetic(300);
+        let list = PostingList::from_postings(&original, doc_len);
+        let n_docs = original.last().unwrap().doc as usize + 1;
+        let mut w = ByteWriter::new();
+        list.write_to(&mut w);
+        let bytes = w.into_bytes();
+        let longer = |doc: Oid| 2 * doc_len(doc);
+        let mut r = ByteReader::new(&bytes, "postings");
+        let back = PostingList::read_from(&mut r, n_docs, longer).unwrap();
+        assert_eq!(back, PostingList::from_postings(&original, longer));
+        assert_eq!(back.to_vec(), original);
+        assert!(back.min_dl_per_tf() > list.min_dl_per_tf());
+        // a ratio beyond the fixed point's range saturates, a length below
+        // the tf stays exact in sixteenths
+        let huge = PostingList::from_postings(&posts(&[(0, 1)]), |_| u32::MAX);
+        assert_eq!(huge.blocks()[0].min_dl_tf, u32::MAX);
+        let short = PostingList::from_postings(&posts(&[(0, 16)]), |_| 1);
+        assert_eq!(short.min_dl_per_tf(), 1.0 / 16.0);
     }
 
     #[test]
     fn dense_runs_compress_hard() {
         // consecutive docs with tf = 1: both streams pack at width 0
         let original = posts(&(0..256).map(|d| (d, 1)).collect::<Vec<_>>());
-        let list = PostingList::from_postings(&original);
+        let list = PostingList::from_postings(&original, doc_len);
         assert_eq!(list.heap_bytes(), 2 * std::mem::size_of::<BlockMeta>());
         assert!(list.heap_bytes() < original.len() * 8 / 10);
         assert_eq!(list.to_vec(), original);
@@ -392,13 +517,13 @@ mod tests {
     #[test]
     fn serialisation_roundtrips_compressed() {
         let original = synthetic(300);
-        let list = PostingList::from_postings(&original);
+        let list = PostingList::from_postings(&original, doc_len);
         let n_docs = original.last().unwrap().doc as usize + 1;
         let mut w = ByteWriter::new();
         list.write_to(&mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes, "postings");
-        let back = PostingList::read_from(&mut r, n_docs).unwrap();
+        let back = PostingList::read_from(&mut r, n_docs, doc_len).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(back, list);
         // the serialised form is the compressed form: no 8-byte postings
@@ -408,7 +533,7 @@ mod tests {
     #[test]
     fn corrupt_blobs_are_typed_errors() {
         let original = synthetic(200);
-        let list = PostingList::from_postings(&original);
+        let list = PostingList::from_postings(&original, doc_len);
         let n_docs = original.last().unwrap().doc as usize + 1;
         let mut w = ByteWriter::new();
         list.write_to(&mut w);
@@ -416,18 +541,18 @@ mod tests {
         // truncations
         for cut in [0usize, 4, bytes.len() / 2, bytes.len() - 1] {
             let mut r = ByteReader::new(&bytes[..cut], "postings");
-            assert!(PostingList::read_from(&mut r, n_docs).is_err(), "cut {cut}");
+            assert!(PostingList::read_from(&mut r, n_docs, doc_len).is_err(), "cut {cut}");
         }
         // a shrunk collection makes the last block out of range
         let mut r = ByteReader::new(&bytes, "postings");
-        assert!(PostingList::read_from(&mut r, n_docs / 2).is_err());
+        assert!(PostingList::read_from(&mut r, n_docs / 2, doc_len).is_err());
         // flipped payload bits must not survive metadata cross-checks
         let mut rejected = 0;
         for byte in (16..bytes.len()).step_by(7) {
             let mut bad = bytes.clone();
             bad[byte] ^= 0x55;
             let mut r = ByteReader::new(&bad, "postings");
-            match PostingList::read_from(&mut r, n_docs) {
+            match PostingList::read_from(&mut r, n_docs, doc_len) {
                 Err(_) => rejected += 1,
                 Ok(back) => {
                     // a surviving flip may only change tfs *below* the
@@ -443,7 +568,7 @@ mod tests {
 
     #[test]
     fn empty_list_is_empty_everywhere() {
-        let list = PostingList::from_postings(&[]);
+        let list = PostingList::from_postings(&[], doc_len);
         assert!(list.is_empty());
         assert_eq!(list.to_vec(), Vec::new());
         assert_eq!(list.tf_of(0), 0);
@@ -452,20 +577,20 @@ mod tests {
         list.write_to(&mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes, "postings");
-        assert_eq!(PostingList::read_from(&mut r, 0).unwrap(), list);
+        assert_eq!(PostingList::read_from(&mut r, 0, doc_len).unwrap(), list);
     }
 
     #[test]
     fn wide_gaps_and_wide_tfs_still_roundtrip() {
         let original = posts(&[(0, 1), (1 << 30, 1 << 20), (u32::MAX - 1, 3)]);
-        let list = PostingList::from_postings(&original);
+        let list = PostingList::from_postings(&original, doc_len);
         assert_eq!(list.to_vec(), original);
         assert_eq!(list.tf_of(1 << 30), 1 << 20);
         let mut w = ByteWriter::new();
         list.write_to(&mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes, "postings");
-        let back = PostingList::read_from(&mut r, u32::MAX as usize).unwrap();
+        let back = PostingList::read_from(&mut r, u32::MAX as usize, doc_len).unwrap();
         assert_eq!(back, list);
     }
 }

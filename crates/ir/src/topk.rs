@@ -18,16 +18,21 @@
 //!   relevance feedback, `sum(getBL(text))·(1−mix) + sum(getBL(image))·mix`.
 //!   Cursors of all channels stay sorted by their current document; the
 //!   prefix sum of channel-weighted per-term belief upper bounds
-//!   ([`BeliefParams::belief_bound`]), on top of every channel's
-//!   `weight·α`, picks the pivot — the first document that could still
-//!   enter the top k — and every cursor before it leaps forward. A leap
-//!   that clears a whole block skips its decode entirely (the block
-//!   metadata carries the last doc id), and at the pivot the
-//!   block-max `max_tf` refines the upper bound once more before any tf
-//!   is unpacked. Documents that survive are scored **in the same
-//!   floating-point order as the materialise path** — each channel's
-//!   grouped sum in query order, times its weight, channels added left to
-//!   right — so results are bit-identical;
+//!   ([`BeliefParams::belief_bound`], from each list's greatest tf and
+//!   least `dl/tf`), on top of every channel's `weight·α`, picks the
+//!   pivot — the first document that could still enter the top k — and
+//!   every cursor before it leaps forward. A leap that clears a whole
+//!   block skips its decode entirely (the block metadata carries the last
+//!   doc id). At the pivot, the block-max bound of each matching cursor's
+//!   current block (its `max_tf` and least `dl/tf`) refines the upper
+//!   bound once more before any tf is unpacked; when it fails, the
+//!   matching cursors leap to the first of their blocks' ends or the
+//!   nearest other cursor, whichever comes first — Ding & Suel's
+//!   block-max WAND — so a block whose bound cannot reach the threshold
+//!   is passed without decoding. Documents that survive are scored **in
+//!   the same floating-point order as the materialise path** — each
+//!   channel's grouped sum in query order, times its weight, channels
+//!   added left to right — so results are bit-identical;
 //! * segments: a channel's index is an ordered list of ordinary
 //!   block-compressed indexes over disjoint doc-id ranges (a live
 //!   snapshot's base generation, then one per delta batch). The walk
@@ -38,9 +43,6 @@
 //!   shard), and a tombstone mask drops deleted documents beside the
 //!   domain filter;
 //! * [`topk_beliefs`] — the one-channel, one-segment case (weight `1.0`);
-//! * [`topk_beliefs_raw`] — the pre-compression reference evaluator over
-//!   decoded posting vectors ([`RawPostings`]), kept as a baseline and the
-//!   property-test oracle;
 //! * fragment-parallel accumulation: the document-id space splits into
 //!   [`monet::fragment::bounds`] spans, each span fills its own
 //!   accumulator on a scoped thread, and the per-fragment heaps merge at
@@ -48,7 +50,7 @@
 //!   parallel result is bit-identical to serial at every degree.
 
 use crate::belief::BeliefParams;
-use crate::index::{CollectionStats, InvertedIndex, Posting};
+use crate::index::{CollectionStats, InvertedIndex};
 use crate::postings::PostingList;
 use crate::tombstones::Tombstones;
 use monet::fxhash::FxHashSet;
@@ -213,8 +215,9 @@ pub struct ChannelWork {
     /// This channel's postings scored: one per matching query term of
     /// every fully scored document.
     pub scored_postings: u64,
-    /// Pivot documents that matched this channel and were pruned by the
-    /// block-max refinement.
+    /// Ranges pruned by the block-max refinement whose pivot document
+    /// matched this channel — one count per pruned range, however many
+    /// documents it spans.
     pub pruned: u64,
     /// This channel's compressed blocks passed over without decoding.
     pub blocks_skipped: u64,
@@ -238,9 +241,10 @@ impl ChannelWork {
 pub struct TopKOutcome {
     /// The k best `(oid, score)` pairs in rank order.
     pub hits: Vec<(Oid, f64)>,
-    /// Pivot candidates discarded by the block-max refinement — the
-    /// per-block `max_tf` bound proved them under the threshold without
-    /// unpacking a single tf.
+    /// Ranges of candidates discarded by the block-max refinement — the
+    /// per-block bound proved every document from the pivot to the leap
+    /// target under the threshold without unpacking a single tf. One count
+    /// per pruned range, however many documents it spans.
     pub pruned: u64,
     /// Candidate documents fully scored.
     pub scored: u64,
@@ -321,7 +325,6 @@ struct Cursor<'a> {
     list: &'a PostingList,
     chan: usize,
     w: f64,
-    df: u32,
     nidf: f64,
     /// List-level score-contribution bound (the WAND pivot currency).
     cbound: f64,
@@ -352,7 +355,6 @@ impl<'a> Cursor<'a> {
             list,
             chan: info.chan,
             w: info.w,
-            df: info.df,
             nidf: info.nidf,
             cbound,
             block: 0,
@@ -445,15 +447,23 @@ impl<'a> Cursor<'a> {
     }
 
     /// Block-level contribution bound of the current block, from its
-    /// `max_tf` metadata — computable without decoding, memoised per block.
+    /// `max_tf` and least `dl/tf` metadata — computable without decoding,
+    /// memoised per block.
     fn block_cbound(&mut self, params: BeliefParams, chan: &ChanInfo<'_>) -> f64 {
         if self.cached_block != self.block {
-            let max_tf = self.list.blocks()[self.block].max_tf;
-            let bound = params.belief_bound(max_tf, self.df, chan.stats.n_docs);
+            let b = &self.list.blocks()[self.block];
+            let avg_dl = chan.stats.avg_dl;
+            let bound = params.belief_bound_nidf(b.max_tf, b.min_dl_per_tf(), avg_dl, self.nidf);
             self.cached_cb = chan.cbound(params, self.w, bound);
             self.cached_block = self.block;
         }
         self.cached_cb
+    }
+
+    /// One past the current block's last document: the end of the doc-id
+    /// range [`block_cbound`](Self::block_cbound) covers for this cursor.
+    fn block_end(&self) -> Oid {
+        self.list.blocks()[self.block].last_doc.saturating_add(1)
     }
 
     /// The tf under the cursor, decoding the current block on demand.
@@ -640,7 +650,9 @@ fn segment_topk(
         .filter_map(|t| {
             let (ch, index) = (&chans[t.chan], indexes[t.chan]);
             let list = index.postings_list(t.term)?;
-            let bound = params.belief_bound(index.max_tf(t.term), t.df, ch.stats.n_docs);
+            let (n_docs, avg_dl) = (ch.stats.n_docs, ch.stats.avg_dl);
+            let bound =
+                params.belief_bound(list.max_tf(), t.df, list.min_dl_per_tf(), n_docs, avg_dl);
             Some(Cursor::new(t, list, ch.cbound(params, t.w, bound), (lo, hi)))
         })
         .collect();
@@ -708,15 +720,24 @@ fn segment_topk(
             }
             continue;
         }
-        // block-max refinement: tighten the bound with the per-block
-        // max_tf of each matching cursor's current block — still no decode
+        // block-max refinement: tighten the bound with the metadata of
+        // each matching cursor's current block — still no decode. The
+        // matching cursors lead the sorted order, so before the first of
+        // their blocks ends and before the nearest other cursor's document
+        // a document can only match their terms, inside those blocks: a
+        // failed refinement prunes that whole range, and the matching
+        // cursors leap to its end
         if acc.is_full() {
             let mut ub = alpha;
+            let mut leap = Oid::MAX;
             for &c in &order[..alive] {
-                if cursors[c].cur_doc == pivot_doc {
-                    let chan = &chans[cursors[c].chan];
-                    ub += cursors[c].block_cbound(params, chan);
+                if cursors[c].cur_doc != pivot_doc {
+                    leap = leap.min(cursors[c].cur_doc);
+                    break;
                 }
+                let chan = &chans[cursors[c].chan];
+                ub += cursors[c].block_cbound(params, chan);
+                leap = leap.min(cursors[c].block_end());
             }
             if ub + PRUNE_MARGIN < theta {
                 out.work.pruned += 1;
@@ -726,7 +747,7 @@ fn segment_topk(
                 }
                 for &c in &order[..alive] {
                     if cursors[c].cur_doc == pivot_doc {
-                        cursors[c].seek(pivot_doc + 1, true);
+                        cursors[c].seek(leap, true);
                     }
                 }
                 continue;
@@ -770,182 +791,11 @@ fn segment_topk(
     }
 }
 
-/// Every term's postings decoded into raw vectors — the pre-compression
-/// representation, pinned as a baseline. [`topk_beliefs_raw`] evaluates
-/// over it with the original document-at-a-time merge, so benchmarks
-/// compare pure evaluation strategies without timing block decodes, and
-/// property tests have an independent oracle.
-#[derive(Debug, Clone)]
-pub struct RawPostings {
-    lists: Vec<Vec<Posting>>,
-}
-
-impl RawPostings {
-    /// Decode every posting list of `index`.
-    pub fn from_index(index: &InvertedIndex) -> RawPostings {
-        let lists = (0..index.dict().len() as u32)
-            .map(|tid| index.postings_by_id(tid).map_or_else(Vec::new, PostingList::to_vec))
-            .collect();
-        RawPostings { lists }
-    }
-
-    /// Total number of postings held.
-    pub fn total_postings(&self) -> usize {
-        self.lists.iter().map(Vec::len).sum()
-    }
-
-    fn get(&self, tid: Option<u32>) -> &[Posting] {
-        tid.and_then(|t| self.lists.get(t as usize)).map_or(&[], Vec::as_slice)
-    }
-}
-
-/// Per-query-term evaluation context of the raw reference path.
-struct RawTermCtx<'a> {
-    posts: &'a [Posting],
-    w: f64,
-    df: u32,
-    cbound: f64,
-}
-
-/// The pre-compression reference evaluator: a document-at-a-time merge over
-/// decoded posting vectors with list-level threshold pruning only — no
-/// blocks, no block-max bounds, no cursor leaps. Produces the same hits as
-/// [`topk_beliefs`] (both are bit-identical to materialise-then-sort);
-/// `blocks_skipped` and `skipped_postings` are always 0 here.
-pub fn topk_beliefs_raw(
-    index: &InvertedIndex,
-    raw: &RawPostings,
-    params: BeliefParams,
-    query: &[(&str, f64)],
-    domain: Option<&FxHashSet<Oid>>,
-    k: usize,
-    degree: usize,
-) -> TopKOutcome {
-    let total_w: f64 = query.iter().map(|(_, w)| w).sum();
-    if total_w <= 0.0 || k == 0 {
-        return TopKOutcome::empty(1, 1);
-    }
-    let stats = index.stats();
-    let terms: Vec<RawTermCtx<'_>> = query
-        .iter()
-        .map(|(t, w)| {
-            let df = index.df(t);
-            let bound = params.belief_bound(index.max_tf(t), df, stats.n_docs);
-            RawTermCtx {
-                posts: raw.get(index.dict().lookup(t)),
-                w: *w,
-                df,
-                cbound: (w * (bound - params.alpha) / total_w).max(0.0),
-            }
-        })
-        .collect();
-    let spans = monet::fragment::bounds(index.n_docs(), degree.max(1));
-    let run_span = |span: (usize, usize)| -> (TopKAccumulator, u64, u64) {
-        span_topk_raw(index, params, stats, &terms, total_w, span, domain, k)
-    };
-    let parts: Vec<(TopKAccumulator, u64, u64)> = if spans.len() <= 1 {
-        spans.into_iter().map(run_span).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                spans.iter().map(|&span| scope.spawn(move || run_span(span))).collect();
-            handles.into_iter().map(|h| h.join().expect("top-k span worker panicked")).collect()
-        })
-    };
-    let mut acc = TopKAccumulator::new(k);
-    let mut out = TopKOutcome::empty(1, 1);
-    for (part, pruned, scored) in parts {
-        acc.merge(part);
-        out.pruned += pruned;
-        out.scored += scored;
-    }
-    out.channels[0].pruned = out.pruned;
-    out.segments[0] = out.scored;
-    out.hits = acc.into_ranked();
-    out
-}
-
-/// Score-at-a-time accumulation over one document-id span `[lo, hi)` of the
-/// raw reference path.
-#[allow(clippy::too_many_arguments)]
-fn span_topk_raw(
-    index: &InvertedIndex,
-    params: BeliefParams,
-    stats: CollectionStats,
-    terms: &[RawTermCtx<'_>],
-    total_w: f64,
-    (lo, hi): (usize, usize),
-    domain: Option<&FxHashSet<Oid>>,
-    k: usize,
-) -> (TopKAccumulator, u64, u64) {
-    let mut pos: Vec<usize> =
-        terms.iter().map(|t| t.posts.partition_point(|p| (p.doc as usize) < lo)).collect();
-    let ends: Vec<usize> =
-        terms.iter().map(|t| t.posts.partition_point(|p| (p.doc as usize) < hi)).collect();
-    let mut acc = TopKAccumulator::new(k);
-    let mut pruned = 0u64;
-    let mut scored = 0u64;
-    loop {
-        // the next document is the least doc id under any cursor
-        let mut doc = Oid::MAX;
-        for (i, t) in terms.iter().enumerate() {
-            if pos[i] < ends[i] {
-                doc = doc.min(t.posts[pos[i]].doc);
-            }
-        }
-        if doc == Oid::MAX {
-            break;
-        }
-        if domain.is_some_and(|d| !d.contains(&doc)) {
-            advance_past(terms, &mut pos, &ends, doc);
-            continue;
-        }
-        // upper bound: default belief plus every matching term's best case
-        let mut ub = params.alpha;
-        for (i, t) in terms.iter().enumerate() {
-            if pos[i] < ends[i] && t.posts[pos[i]].doc == doc {
-                ub += t.cbound;
-            }
-        }
-        if acc.is_full() && ub + PRUNE_MARGIN < acc.threshold() {
-            pruned += 1;
-            advance_past(terms, &mut pos, &ends, doc);
-            continue;
-        }
-        // exact score: matched terms in query order, then the default row
-        let mut score = 0.0;
-        let mut mw = 0.0;
-        for (i, t) in terms.iter().enumerate() {
-            if pos[i] < ends[i] && t.posts[pos[i]].doc == doc {
-                let p = t.posts[pos[i]];
-                let b = params.belief(p.tf, t.df, index.doc_len(doc), stats.n_docs, stats.avg_dl);
-                score += t.w * b / total_w;
-                mw += t.w;
-                pos[i] += 1;
-            }
-        }
-        if mw < total_w {
-            score += params.alpha * (total_w - mw) / total_w;
-        }
-        scored += 1;
-        acc.push(doc, score);
-    }
-    (acc, pruned, scored)
-}
-
-/// Advance every raw cursor currently parked on `doc`.
-fn advance_past(terms: &[RawTermCtx<'_>], pos: &mut [usize], ends: &[usize], doc: Oid) {
-    for (i, t) in terms.iter().enumerate() {
-        if pos[i] < ends[i] && t.posts[pos[i]].doc == doc {
-            pos[i] += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::IndexBuilder;
+    use crate::postings::BLOCK_LEN;
 
     /// Text tokens of document `d`: 2–7 words from a small pool.
     fn text_doc(d: usize) -> Vec<&'static str> {
@@ -1188,23 +1038,28 @@ mod tests {
     }
 
     #[test]
-    fn raw_reference_path_matches_compressed() {
-        let index = idx(700);
-        let raw = RawPostings::from_index(&index);
-        assert_eq!(raw.total_postings(), index.raw_postings_bytes() / 8);
+    fn single_term_refinement_leaps_whole_blocks() {
+        // one term in every document, tf 1: only the length term tells
+        // blocks apart. Every fourth block holds short documents (1–5
+        // tokens), the rest long ones (6–14), so once the heap holds short
+        // documents a long block's bound fails and the cursor leaps to its
+        // end without decoding it
+        let mut b = IndexBuilder::new();
+        for d in 0..3000usize {
+            let len = if (d / BLOCK_LEN).is_multiple_of(4) { 1 + d % 5 } else { 6 + d % 9 };
+            let mut toks = vec!["t"];
+            toks.resize(len, "filler");
+            b.add_tokens(&toks);
+        }
+        let index = b.build();
+        assert!(index.postings_list("t").unwrap().blocks().len() > 20);
         let params = BeliefParams::default();
-        for query in [
-            vec![("sunset", 1.0), ("wave", 1.0), ("glow", 0.5)],
-            vec![("mist", 2.0)],
-            vec![("city", 1.0), ("zzz", 1.0)],
-        ] {
-            for k in [1usize, 10, 700] {
-                for degree in [1usize, 4] {
-                    let fast = topk_beliefs(&index, params, &query, None, k, degree);
-                    let slow = topk_beliefs_raw(&index, &raw, params, &query, None, k, degree);
-                    assert_eq!(fast.hits, slow.hits, "{query:?} k={k} degree={degree}");
-                }
-            }
+        let query = [("t", 1.0)];
+        for degree in [1usize, 3] {
+            let out = topk_beliefs(&index, params, &query, None, 10, degree);
+            assert_eq!(out.hits, baseline(&index, params, &query, None, 10), "degree {degree}");
+            assert!(out.blocks_skipped > 0, "no block leapt at degree {degree}: {out:?}");
+            assert!(out.scored < index.n_docs() as u64 / 2, "degree {degree}: {out:?}");
         }
     }
 

@@ -70,7 +70,7 @@ impl<'a> OpCtx<'a> {
 
     /// Attach a diagnostic note to this invocation; the executor records it
     /// in the node trace and [`crate::Executor::explain`] renders it next
-    /// to the operator (e.g. `topk ×10 (pruned 840 docs)`).
+    /// to the operator (e.g. `topk ×10 (pruned 840 ranges)`).
     pub fn set_note(&self, note: impl Into<String>) {
         *self.note.lock() = Some(note.into());
     }

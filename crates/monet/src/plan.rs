@@ -479,7 +479,7 @@ pub struct ExecStats {
 
 impl ExecStats {
     /// Notes attached by custom operators during execution (e.g. the fused
-    /// top-k operator's `topk ×k (pruned N docs)`), in no particular order.
+    /// top-k operator's `topk ×k (pruned N ranges)`), in no particular order.
     pub fn notes(&self) -> Vec<String> {
         self.node_trace.values().filter_map(|t| t.note.clone()).collect()
     }

@@ -1,10 +1,14 @@
 //! A block-scale library shared by the top-k and shard property suites:
 //! thousands of synthetic rows, so the visual channel's posting lists span
 //! tens of 128-posting blocks and the fused operator fragments at degree
-//! 2 and 4 (the executor fragments at ≥ 4096 documents).
+//! 2 and 4 (the executor fragments at ≥ 4096 documents). Also the
+//! exhaustive top-k oracle those suites hold the pruning evaluator to.
 
 use mirror::core::serve::RetrievalRequest;
 use mirror::core::{LibraryRow, MirrorDbms, Retriever};
+use mirror::ir::index::Posting;
+use mirror::ir::{BeliefParams, InvertedIndex, PostingList};
+use mirror::monet::Oid;
 
 /// Rows in the block-scale library.
 pub const BLOCK_SCALE_DOCS: usize = 4_500;
@@ -91,4 +95,80 @@ pub fn assert_fused(db: &MirrorDbms, req: &RetrievalRequest) {
     for unfused in ["grouped_aggr", "arith"] {
         assert!(!physical.contains(unfused), "{unfused} left unfused: {req:?}\n{analyzed}");
     }
+}
+
+/// Every term's postings decoded into raw vectors — the pre-compression
+/// representation the exhaustive oracle [`topk_beliefs_raw`] reads.
+// not every suite that includes `common` ranks through the oracle
+#[allow(dead_code)]
+pub struct RawPostings {
+    lists: Vec<Vec<Posting>>,
+}
+
+#[allow(dead_code)]
+impl RawPostings {
+    /// Decode every posting list of `index`.
+    pub fn from_index(index: &InvertedIndex) -> RawPostings {
+        let lists = (0..index.dict().len() as u32)
+            .map(|tid| index.postings_by_id(tid).map_or_else(Vec::new, PostingList::to_vec))
+            .collect();
+        RawPostings { lists }
+    }
+
+    /// Total number of postings held.
+    pub fn total_postings(&self) -> usize {
+        self.lists.iter().map(Vec::len).sum()
+    }
+
+    /// The tf of `term` in `doc`, 0 when absent.
+    fn tf(&self, index: &InvertedIndex, term: &str, doc: Oid) -> u32 {
+        let Some(posts) = index.dict().lookup(term).and_then(|t| self.lists.get(t as usize)) else {
+            return 0;
+        };
+        posts.binary_search_by_key(&doc, |p| p.doc).map_or(0, |i| posts[i].tf)
+    }
+}
+
+/// The exhaustive top-k oracle over decoded postings: every document that
+/// matches a query term is scored — no bounds, no pruning, no blocks, no
+/// fragments — in the materialise path's float order (matched terms'
+/// `w·belief/Σw` in query order, then the default row for the unmatched
+/// weight), then ranked by score descending, ties by ascending oid, and
+/// cut to `k`. A query without positive total weight ranks nothing.
+#[allow(dead_code)]
+pub fn topk_beliefs_raw(
+    index: &InvertedIndex,
+    raw: &RawPostings,
+    params: BeliefParams,
+    query: &[(&str, f64)],
+    k: usize,
+) -> Vec<(Oid, f64)> {
+    let total_w: f64 = query.iter().map(|(_, w)| w).sum();
+    if total_w <= 0.0 {
+        return Vec::new();
+    }
+    let stats = index.stats();
+    let mut ranked: Vec<(Oid, f64)> = Vec::new();
+    for doc in 0..index.n_docs() as Oid {
+        let (mut score, mut mw, mut hit) = (0.0, 0.0, false);
+        for &(term, w) in query {
+            let tf = raw.tf(index, term, doc);
+            if tf > 0 {
+                let dl = index.doc_len(doc);
+                let b = params.belief(tf, index.df(term), dl, stats.n_docs, stats.avg_dl);
+                score += w * b / total_w;
+                mw += w;
+                hit = true;
+            }
+        }
+        if hit {
+            if mw < total_w {
+                score += params.alpha * (total_w - mw) / total_w;
+            }
+            ranked.push((doc, score));
+        }
+    }
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked.truncate(k);
+    ranked
 }

@@ -5,12 +5,11 @@
 
 mod common;
 
-use common::{assert_fused, block_scale_requests, block_scale_rows};
+use common::{assert_fused, block_scale_requests, block_scale_rows, topk_beliefs_raw, RawPostings};
 use mirror::core::shard::{hash_shard, ClusterConfig, MirrorCluster};
 use mirror::core::{MirrorConfig, MirrorDbms, RetrievalError, Retriever};
 use mirror::ir::{
-    topk_beliefs, topk_beliefs_raw, topk_channels, BeliefParams, IndexBuilder, RawPostings,
-    TopKAccumulator, TopKChannel,
+    topk_beliefs, topk_channels, BeliefParams, IndexBuilder, TopKAccumulator, TopKChannel,
 };
 use mirror::media::{CrawledImage, RobotConfig, WebRobot};
 use mirror::monet::Oid;
@@ -178,7 +177,7 @@ proptest! {
         let params = BeliefParams::default();
         let expected = topk_beliefs(&index, params, &qr, None, k, 1).hits;
         let raw = RawPostings::from_index(&index);
-        prop_assert_eq!(&topk_beliefs_raw(&index, &raw, params, &qr, None, k, 1).hits, &expected);
+        prop_assert_eq!(&topk_beliefs_raw(&index, &raw, params, &qr, k), &expected);
         let parent_dfs: Vec<(&str, f64, u32)> =
             qr.iter().map(|&(t, w)| (t, w, index.df(t))).collect();
         for shards in [1usize, 2, 4] {
@@ -193,8 +192,8 @@ proptest! {
                 let shard = b.build();
                 let raw = RawPostings::from_index(&shard);
                 let fast = topk_beliefs(&shard, params, &qr, None, k, 1);
-                let slow = topk_beliefs_raw(&shard, &raw, params, &qr, None, k, 1);
-                prop_assert_eq!(&fast.hits, &slow.hits, "shard {}/{} k={}", s, shards, k);
+                let slow = topk_beliefs_raw(&shard, &raw, params, &qr, k);
+                prop_assert_eq!(&fast.hits, &slow, "shard {}/{} k={}", s, shards, k);
                 let channel = TopKChannel {
                     segments: vec![(0, &shard)],
                     query: parent_dfs.clone(),

@@ -7,10 +7,11 @@
 
 mod common;
 
-use common::{assert_fused, block_scale_requests, block_scale_rows};
+use common::{assert_fused, block_scale_requests, block_scale_rows, topk_beliefs_raw, RawPostings};
 use mirror::core::{MirrorConfig, MirrorDbms, Retriever};
+use mirror::ir::index::Posting;
 use mirror::ir::{
-    self, porter_stem, topk_beliefs, topk_beliefs_raw, BeliefParams, IndexBuilder, RawPostings,
+    self, porter_stem, topk_beliefs, BeliefParams, IndexBuilder, InvertedIndex, PostingList,
 };
 use mirror::moa::{parse_define, Env, MoaEngine, MoaVal, OptConfig, QueryParams};
 use mirror::monet::Oid;
@@ -124,7 +125,7 @@ proptest! {
     }
 
     /// Block-compressed evaluation with block-max skipping returns exactly
-    /// the raw-vec reference ranking — same docs, bit-identical scores —
+    /// the exhaustive oracle's ranking — same docs, bit-identical scores —
     /// for k ∈ {1, 10, all} at degrees 1 and 4.
     #[test]
     fn prop_compressed_skipping_equals_raw_path(
@@ -144,10 +145,133 @@ proptest! {
         let qr: Vec<(&str, f64)> = q.iter().map(|(t, w)| (t.as_str(), *w)).collect();
         let params = BeliefParams::default();
         for k in [1usize, 10, docs.len()] {
+            let slow = topk_beliefs_raw(&index, &raw, params, &qr, k);
             for degree in [1usize, 4] {
                 let fast = topk_beliefs(&index, params, &qr, None, k, degree);
-                let slow = topk_beliefs_raw(&index, &raw, params, &qr, None, k, degree);
-                prop_assert_eq!(&fast.hits, &slow.hits, "k={} degree={}", k, degree);
+                prop_assert_eq!(&fast.hits, &slow, "k={} degree={}", k, degree);
+            }
+        }
+    }
+
+    /// The same at block scale: hundreds to thousands of documents with
+    /// skewed tfs and lengths, so lists span many blocks whose bounds
+    /// differ, and failed refinements leap whole blocks.
+    #[test]
+    fn prop_block_scale_skipping_equals_exhaustive(
+        seed in 0u64..1_000_000,
+        n_docs in 300usize..2_500,
+        query in proptest::collection::vec((0usize..POOL.len(), 0.25f64..2.0), 1..4),
+    ) {
+        let index = skewed_index(seed, n_docs);
+        let raw = RawPostings::from_index(&index);
+        let q: Vec<(String, f64)> =
+            query.iter().map(|(w, wt)| (POOL[w % POOL.len()].to_string(), *wt)).collect();
+        let qr: Vec<(&str, f64)> = q.iter().map(|(t, w)| (t.as_str(), *w)).collect();
+        let params = BeliefParams::default();
+        for k in [1usize, 10, 100] {
+            let slow = topk_beliefs_raw(&index, &raw, params, &qr, k);
+            for degree in [1usize, 3] {
+                let fast = topk_beliefs(&index, params, &qr, None, k, degree);
+                prop_assert_eq!(&fast.hits, &slow, "k={} degree={}", k, degree);
+            }
+        }
+    }
+
+    /// The block-level and list-level bounds dominate the belief of every
+    /// posting they cover, for any average length and collection size the
+    /// caller scores with — union statistics that are not the segment's
+    /// own included, and blocks whose greatest tf and least `dl/tf` come
+    /// from different postings.
+    #[test]
+    fn prop_block_and_list_bounds_dominate_every_posting(
+        posts in proptest::collection::vec((1u32..4, 1u32..12, 0u32..40), 1..400),
+        avg_pick in 0u32..8,
+        avg_any in 0.01f64..80.0,
+        extra_docs in 0usize..5_000,
+        df_cut in 1u32..400,
+    ) {
+        // ntf's fallback for a non-positive average length is covered too
+        let avg_dl = match avg_pick {
+            0 => 0.0,
+            1 => -2.0,
+            _ => avg_any,
+        };
+        // (gap, tf, extra length): dl = tf + extra, so short documents with
+        // a low tf and long ones with a high tf mix within a block
+        let mut doc = 0;
+        let mut lens = Vec::new();
+        let mut list = Vec::new();
+        for &(gap, tf, extra) in &posts {
+            doc += gap;
+            lens.resize(doc as usize + 1, 0);
+            lens[doc as usize] = tf + extra;
+            list.push(Posting { doc, tf });
+        }
+        let compressed = PostingList::from_postings(&list, |d| lens[d as usize]);
+        let params = BeliefParams::default();
+        let n_docs = lens.len() + extra_docs;
+        let df = df_cut.min(list.len() as u32);
+        let list_bound = params.belief_bound(
+            compressed.max_tf(), df, compressed.min_dl_per_tf(), n_docs, avg_dl,
+        );
+        let mut at = 0;
+        for b in compressed.blocks() {
+            let block_bound =
+                params.belief_bound(b.max_tf, df, b.min_dl_per_tf(), n_docs, avg_dl);
+            prop_assert!(block_bound <= list_bound);
+            for p in &list[at..at + b.count as usize] {
+                let belief = params.belief(p.tf, df, lens[p.doc as usize], n_docs, avg_dl);
+                // the evaluator skips on `bound + 1e-9 < θ`; the bound must
+                // hold far inside that margin
+                prop_assert!(belief <= block_bound + 1e-12, "{:?}: {} > {}", p, belief, block_bound);
+            }
+            at += b.count as usize;
+        }
+    }
+}
+
+/// A seeded corpus over [`POOL`]: skewed word frequencies and document
+/// lengths from 1 to 40 tokens, so tfs and `dl/tf` vary within a list.
+fn skewed_index(seed: u64, n_docs: usize) -> InvertedIndex {
+    let mut x = seed;
+    let mut next = move || {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        x >> 33
+    };
+    let mut b = IndexBuilder::new();
+    for _ in 0..n_docs {
+        let len = 1 + next() % 40;
+        let toks: Vec<&str> = (0..len)
+            .map(|_| {
+                let r = next() % 100;
+                POOL[(r * r / 1000) as usize % POOL.len()]
+            })
+            .collect();
+        b.add_tokens(&toks);
+    }
+    b.build()
+}
+
+/// The compressed, pruning evaluator returns exactly the exhaustive
+/// oracle's ranking over a corpus whose lists span several blocks, for
+/// k ∈ {1, 10, all} at degrees 1 and 4.
+#[test]
+fn raw_reference_path_matches_compressed() {
+    let index = skewed_index(7, 700);
+    let raw = RawPostings::from_index(&index);
+    assert_eq!(raw.total_postings(), index.raw_postings_bytes() / 8);
+    assert!(index.postings_list("sunset").unwrap().blocks().len() > 1);
+    let params = BeliefParams::default();
+    for query in [
+        vec![("sunset", 1.0), ("wave", 1.0), ("glow", 0.5)],
+        vec![("mist", 2.0)],
+        vec![("dune", 1.0), ("zzz", 1.0)],
+    ] {
+        for k in [1usize, 10, 700] {
+            let slow = topk_beliefs_raw(&index, &raw, params, &query, k);
+            for degree in [1usize, 4] {
+                let fast = topk_beliefs(&index, params, &query, None, k, degree);
+                assert_eq!(fast.hits, slow, "{query:?} k={k} degree={degree}");
             }
         }
     }
