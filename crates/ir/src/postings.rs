@@ -199,14 +199,17 @@ impl PostingList {
     pub fn decode_block_into(&self, i: usize, docs: &mut Vec<Oid>, tfs: &mut Vec<u32>) {
         let b = &self.blocks[i];
         let n = b.count as usize;
-        // docs temporarily holds the deltas, then prefix-sums in place
-        unpack_u32s(&self.words, b.offset as usize, n - 1, b.doc_bits as u32, docs);
+        // the doc deltas pass through `tfs`, so `docs` is written once,
+        // front to back: the first doc, then the running prefix sums
+        unpack_u32s(&self.words, b.offset as usize, n - 1, b.doc_bits as u32, tfs);
+        docs.clear();
+        docs.reserve(n);
+        docs.push(b.first_doc);
         let mut prev = b.first_doc;
-        for d in docs.iter_mut() {
-            prev += *d + 1;
-            *d = prev;
-        }
-        docs.insert(0, b.first_doc);
+        docs.extend(tfs.iter().map(|&d| {
+            prev += d + 1;
+            prev
+        }));
         unpack_u32s(&self.words, b.tf_offset(), n, b.tf_bits as u32, tfs);
         for t in tfs.iter_mut() {
             *t += 1;

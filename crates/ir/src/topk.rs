@@ -9,30 +9,60 @@
 //!   `(oid, score)` pairs (score descending, ties broken by ascending oid,
 //!   exactly like the facade's sort) and exposes the current admission
 //!   threshold;
-//! * [`topk_channels`] — a WAND-style document-at-a-time merge over the
-//!   *compressed* postings ([`crate::postings::PostingList`]) of every
-//!   query term of N weighted **channels**, each a list of
+//! * [`topk_channels`] — a block-max MaxScore document-at-a-time merge
+//!   over the *compressed* postings ([`crate::postings::PostingList`]) of
+//!   every query term of N weighted **channels**, each a list of
 //!   [`InvertedIndex`] *segments* over the same collection with its own
 //!   terms and channel weight. One channel is the paper's
 //!   `map[sum(THIS)](map[getBL(…)])` ranking; two are dual coding and
 //!   relevance feedback, `sum(getBL(text))·(1−mix) + sum(getBL(image))·mix`.
-//!   Cursors of all channels stay sorted by their current document; the
-//!   prefix sum of channel-weighted per-term belief upper bounds
-//!   ([`BeliefParams::belief_bound`], from each list's greatest tf and
-//!   least `dl/tf`), on top of every channel's `weight·α`, picks the
-//!   pivot — the first document that could still enter the top k — and
-//!   every cursor before it leaps forward. A leap that clears a whole
-//!   block skips its decode entirely (the block metadata carries the last
-//!   doc id). At the pivot, the block-max bound of each matching cursor's
-//!   current block (its `max_tf` and least `dl/tf`) refines the upper
-//!   bound once more before any tf is unpacked; when it fails, the
-//!   matching cursors leap to the first of their blocks' ends or the
-//!   nearest other cursor, whichever comes first — Ding & Suel's
-//!   block-max WAND — so a block whose bound cannot reach the threshold
-//!   is passed without decoding. Documents that survive are scored **in
-//!   the same floating-point order as the materialise path** — each
-//!   channel's grouped sum in query order, times its weight, channels
-//!   added left to right — so results are bit-identical;
+//!
+//!   **Bounds are channel-aware.** A term's contribution bound is its
+//!   channel-weighted belief lift over α ([`BeliefParams::belief_bound`],
+//!   from a list's or a block's greatest tf and least `dl/tf`). A
+//!   document that matches no term of channel `c` gets exactly `0.0` from
+//!   it (the grouped sum's zero fill), so its bound carries `weight_c·α`
+//!   only for the channels whose lists it may match. For dual coding this
+//!   takes `(1−mix)·α` off every visual-only document.
+//!
+//!   **The MaxScore split** (Turtle & Flood). Lists are sorted by their
+//!   list-level bound; whenever the threshold θ rises, the longest prefix
+//!   whose combined bound stays below θ becomes *non-essential*. A
+//!   document that matches only non-essential lists cannot enter the top
+//!   k, so candidates come from the essential lists alone — the dense,
+//!   low-idf visual lists of a dual request stop driving the walk once θ
+//!   passes their combined bound, and they are probed by seek, not
+//!   walked. Each candidate faces three checks before it is scored: (1)
+//!   the block-max bound (Ding & Suel) of the essential cursors on it,
+//!   with the non-essential lists by their list bound and then, tighter,
+//!   by the block that may hold the candidate (found from metadata, with
+//!   no decode; a list already past the candidate adds nothing) — a
+//!   failure prunes the whole range up to the first block end or next
+//!   list document, and the cursors leap there, so blocks are passed
+//!   undecoded; (2) the exact beliefs of the essential cursors plus those
+//!   non-essential block bounds — a failure steps past the candidate
+//!   without decoding a non-essential block; (3) the non-essential
+//!   cursors seek to the candidate and it is scored **in the same
+//!   floating-point order as the materialise path** — each channel's
+//!   grouped sum in query order, times its weight, channels added left to
+//!   right, never in bound order — so results are bit-identical.
+//!
+//!   **A seeded threshold.** Until the accumulator holds k documents, a
+//!   segment's walk over at least `SEED_MIN_SPAN` (2 048) documents first
+//!   scores, exactly and by seek, the documents of the query lists that
+//!   fit in one block — rarest list first, until k of them are in hand —
+//!   and takes the k-th best as a floor under θ. Every skip still needs
+//!   `bound + margin < θ`, and the floor is a real k-th score, so no
+//!   document that belongs in the top k is skipped; the walk then starts
+//!   with its rare-term hits already known instead of scoring its way up
+//!   from `-∞`.
+//!
+//!   **Work counters** ([`TopKOutcome`]): `scored` counts fully scored
+//!   documents, the seeds included; `blocks_skipped` counts blocks passed
+//!   without decoding; `pruned` counts candidate ranges discarded by a
+//!   bound — one per range a failed block-max check leaps over, and one
+//!   per candidate failed by its essential lists' exact beliefs (a
+//!   one-document range);
 //! * segments: a channel's index is an ordered list of ordinary
 //!   block-compressed indexes over disjoint doc-id ranges (a live
 //!   snapshot's base generation, then one per delta batch). The walk
@@ -51,7 +81,7 @@
 
 use crate::belief::BeliefParams;
 use crate::index::{CollectionStats, InvertedIndex};
-use crate::postings::PostingList;
+use crate::postings::{PostingList, BLOCK_LEN};
 use crate::tombstones::Tombstones;
 use monet::fxhash::FxHashSet;
 use monet::Oid;
@@ -63,6 +93,11 @@ use std::collections::BinaryHeap;
 /// arithmetic, and the margin dwarfs the worst-case floating-point rounding
 /// of the few dozen operations behind each score.
 const PRUNE_MARGIN: f64 = 1e-9;
+
+/// Spans shorter than this many documents are walked without a seeded
+/// threshold: over a few blocks the walk's own threshold arrives within a
+/// few candidates, and seeding would only score documents twice.
+const SEED_MIN_SPAN: usize = 16 * BLOCK_LEN;
 
 /// A ranked entry; `Ord` is "better": greater score first, ties broken by
 /// the smaller oid (the facade's ranking order).
@@ -215,9 +250,9 @@ pub struct ChannelWork {
     /// This channel's postings scored: one per matching query term of
     /// every fully scored document.
     pub scored_postings: u64,
-    /// Ranges pruned by the block-max refinement whose pivot document
-    /// matched this channel — one count per pruned range, however many
-    /// documents it spans.
+    /// Candidates (or candidate ranges) pruned by a bound while one of
+    /// this channel's essential lists was on the candidate — see
+    /// [`TopKOutcome::pruned`].
     pub pruned: u64,
     /// This channel's compressed blocks passed over without decoding.
     pub blocks_skipped: u64,
@@ -241,12 +276,15 @@ impl ChannelWork {
 pub struct TopKOutcome {
     /// The k best `(oid, score)` pairs in rank order.
     pub hits: Vec<(Oid, f64)>,
-    /// Ranges of candidates discarded by the block-max refinement — the
-    /// per-block bound proved every document from the pivot to the leap
-    /// target under the threshold without unpacking a single tf. One count
-    /// per pruned range, however many documents it spans.
+    /// Ranges of candidates discarded by a bound before scoring: one count
+    /// per range pruned by the block-max check (the block bounds proved
+    /// every document from the candidate to the leap target under the
+    /// threshold without unpacking a tf, however many documents it spans),
+    /// and one per candidate pruned by the exact beliefs of its essential
+    /// lists — a one-document range.
     pub pruned: u64,
-    /// Candidate documents fully scored.
+    /// Candidate documents fully scored, the seeds of the threshold floor
+    /// included (a seed the walk scores again counts twice).
     pub scored: u64,
     /// Compressed blocks passed over without decoding, over all channels.
     pub blocks_skipped: u64,
@@ -313,6 +351,65 @@ struct TermInfo<'a> {
     df: u32,
     /// The term's [`BeliefParams::nidf`], computed once per request.
     nidf: f64,
+    /// `weight·w/Σw`: what a belief lift `b − α` is worth in the combined
+    /// score.
+    scale: f64,
+}
+
+/// A request resolved once and shared by every span and segment: its
+/// channels and terms, and what deciding a skip needs.
+struct Request<'a, 'r> {
+    chans: Vec<ChanInfo<'a>>,
+    terms: Vec<TermInfo<'a>>,
+    params: BeliefParams,
+    /// Per [`Part`] channel bit: the `max(0, weight·α)` shares of its
+    /// channels.
+    shares: Vec<f64>,
+    domain: Option<&'r FxHashSet<Oid>>,
+    tombstones: Option<&'r Tombstones>,
+}
+
+impl Request<'_, '_> {
+    /// True when global document `doc` is outside the domain or deleted.
+    fn dropped(&self, doc: Oid) -> bool {
+        self.domain.is_some_and(|d| !d.contains(&doc))
+            || self.tombstones.is_some_and(|t| t.contains(doc))
+    }
+
+    /// The channel-aware bound of a document from two parts: their sums,
+    /// plus the `weight·α` share of every channel the document may match
+    /// through them. One it cannot match adds exactly the zero fill.
+    /// Every sum is at least 0, so a share below 0 (a negative α) can be
+    /// counted as 0 and the bound stays sound.
+    #[inline]
+    fn bound(&self, a: Part, b: Part) -> f64 {
+        let mut bound = a.sum + b.sum;
+        let mut live = a.live | b.live;
+        while live != 0 {
+            bound += self.shares[live.trailing_zeros() as usize];
+            live &= live - 1;
+        }
+        bound
+    }
+}
+
+/// Contributions to a document's bound from some of its lists: their
+/// summed contribution bounds (each at least 0), and the channels whose
+/// lists they are — the channels the document may match through them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Part {
+    sum: f64,
+    /// Channel `c` is bit `min(c, 63)`: channels past 62 share the last
+    /// bit, whose α share is all of theirs.
+    live: u64,
+}
+
+impl Part {
+    #[inline]
+    fn add(&mut self, chan: usize, bound: f64) {
+        self.sum += bound;
+        self.live |= 1 << chan.min(63);
+    }
 }
 
 /// A streaming cursor over one term's compressed postings in one segment,
@@ -326,7 +423,8 @@ struct Cursor<'a> {
     chan: usize,
     w: f64,
     nidf: f64,
-    /// List-level score-contribution bound (the WAND pivot currency).
+    scale: f64,
+    /// List-level score-contribution bound (the MaxScore split's currency).
     cbound: f64,
     block: usize,
     idx: usize,
@@ -356,6 +454,7 @@ impl<'a> Cursor<'a> {
             chan: info.chan,
             w: info.w,
             nidf: info.nidf,
+            scale: info.scale,
             cbound,
             block: 0,
             idx: 0,
@@ -385,70 +484,83 @@ impl<'a> Cursor<'a> {
         if self.exhausted {
             return;
         }
-        if self.cur_doc >= target {
-            if self.cur_doc >= self.hi {
-                self.exhausted = true;
-            }
-            return;
-        }
-        let blocks = self.list.blocks();
-        let mut passed = 0u64;
-        if self.decoded && blocks[self.block].last_doc >= target {
-            // stays inside the current decoded block; the single-step
-            // advance past a just-scored document is the hot case, so try
-            // it before binary-searching the tail
-            let rel = if self.docs[self.idx + 1] >= target {
-                1
-            } else {
-                1 + self.docs[self.idx + 1..].partition_point(|&d| d < target)
-            };
-            passed += rel as u64;
-            self.idx += rel;
-            self.cur_doc = self.docs[self.idx];
-        } else {
-            // abandon the rest of the current block…
-            let mut b = self.block;
-            if self.decoded {
-                passed += (self.docs.len() - self.idx) as u64;
-                b += 1;
-            }
-            // …then leap over whole undecoded blocks
-            let first_skipped = b;
-            while b < blocks.len() && blocks[b].last_doc < target {
-                passed += blocks[b].count as u64;
-                b += 1;
-            }
-            if count {
-                self.work.blocks_skipped += (b - first_skipped) as u64;
-            }
-            if b >= blocks.len() {
-                self.exhausted = true;
-            } else {
-                self.block = b;
-                if blocks[b].first_doc >= target {
-                    // park on the block start — exact without decoding
-                    self.decoded = false;
-                    self.cur_doc = blocks[b].first_doc;
+        if self.cur_doc < target {
+            if self.decoded && self.list.blocks()[self.block].last_doc >= target {
+                // stays inside the current decoded block; the single-step
+                // advance past a just-scored document is the hot case, so
+                // try it before binary-searching the tail
+                let rel = if self.docs[self.idx + 1] >= target {
+                    1
                 } else {
-                    self.list.decode_block_into(b, &mut self.docs, &mut self.tfs);
+                    1 + self.docs[self.idx + 1..].partition_point(|&d| d < target)
+                };
+                if count {
+                    self.work.skipped_postings += rel as u64;
+                }
+                self.idx += rel;
+                self.cur_doc = self.docs[self.idx];
+            } else {
+                self.shallow(target, count);
+                if !self.exhausted && self.cur_doc < target {
+                    // parked on the block that may hold `target`: decode it
+                    self.list.decode_block_into(self.block, &mut self.docs, &mut self.tfs);
                     self.decoded = true;
                     self.idx = self.docs.partition_point(|&d| d < target);
-                    passed += self.idx as u64;
+                    if count {
+                        self.work.skipped_postings += self.idx as u64;
+                    }
                     self.cur_doc = self.docs[self.idx];
                 }
             }
-        }
-        if count {
-            self.work.skipped_postings += passed;
         }
         if self.cur_doc >= self.hi {
             self.exhausted = true;
         }
     }
 
+    /// Move onto the block that may hold `target` without decoding it:
+    /// abandon the rest of the current block if it ends before `target`,
+    /// leap over every block whose `last_doc` falls short, and park on the
+    /// first document of the block reached. A cursor on or past `target`,
+    /// or on a block that reaches it, stays. With `count`, what the move
+    /// passes over is counted as skipped.
+    fn shallow(&mut self, target: Oid, count: bool) {
+        let blocks = self.list.blocks();
+        if self.exhausted || self.cur_doc >= target || blocks[self.block].last_doc >= target {
+            return;
+        }
+        let mut b = self.block;
+        let mut passed = if self.decoded {
+            b += 1;
+            (self.docs.len() - self.idx) as u64
+        } else {
+            0
+        };
+        let first_skipped = b;
+        while b < blocks.len() && blocks[b].last_doc < target {
+            passed += blocks[b].count as u64;
+            b += 1;
+        }
+        if count {
+            self.work.blocks_skipped += (b - first_skipped) as u64;
+            self.work.skipped_postings += passed;
+        }
+        if b >= blocks.len() {
+            self.exhausted = true;
+        } else {
+            self.block = b;
+            self.decoded = false;
+            self.cur_doc = blocks[b].first_doc;
+            if self.cur_doc >= self.hi {
+                self.exhausted = true;
+            }
+        }
+    }
+
     /// Block-level contribution bound of the current block, from its
     /// `max_tf` and least `dl/tf` metadata — computable without decoding,
     /// memoised per block.
+    #[inline]
     fn block_cbound(&mut self, params: BeliefParams, chan: &ChanInfo<'_>) -> f64 {
         if self.cached_block != self.block {
             let b = &self.list.blocks()[self.block];
@@ -462,6 +574,7 @@ impl<'a> Cursor<'a> {
 
     /// One past the current block's last document: the end of the doc-id
     /// range [`block_cbound`](Self::block_cbound) covers for this cursor.
+    #[inline]
     fn block_end(&self) -> Oid {
         self.list.blocks()[self.block].last_doc.saturating_add(1)
     }
@@ -494,8 +607,8 @@ pub fn topk_beliefs(
 
 /// Evaluate a weighted mix of belief sums — the dual-coding ranking
 /// `sum(getBL(text))·w₀ + sum(getBL(image))·w₁`, or any number of
-/// channels — for the k best documents only, in one block-max WAND pass
-/// over every channel's compressed postings, segment after segment.
+/// channels — for the k best documents only, in one block-max MaxScore
+/// pass over every channel's compressed postings, segment after segment.
 ///
 /// Scores are computed with the exact floating-point operation order of
 /// the materialise path: each channel's `contrep.getbl` rows summed per
@@ -514,10 +627,13 @@ pub fn topk_beliefs(
 /// which score 0 too.
 ///
 /// Skipping is sound: a document is only leapt over or pruned when its
-/// upper bound `Σ_c weight_c·(α + Σ cbound)` plus a tiny float-safety
-/// margin is *strictly below* the admission threshold, and the threshold
-/// only rises — so a skipped document can never displace an admitted one,
-/// not even on a tie.
+/// upper bound — `weight_c·α + Σ cbound` summed over the channels whose
+/// lists it may match — plus a tiny float-safety margin is *strictly
+/// below* the admission threshold. The threshold is the accumulator's
+/// k-th score or, before it fills, the k-th exact score of a set of
+/// seeded documents, and it only rises — so a skipped document can never
+/// displace an admitted one, not even on a tie. Queries of any length
+/// are walked the same way; nothing caps the number of terms.
 pub fn topk_channels(
     channels: &[TopKChannel<'_>],
     params: BeliefParams,
@@ -550,6 +666,7 @@ pub fn topk_channels(
                 w,
                 df,
                 nidf: params.nidf(df, ch.stats.n_docs),
+                scale: ch.weight * w / ch.total_w,
             })
         })
         .collect();
@@ -557,8 +674,12 @@ pub fn topk_channels(
     if k == 0 || terms.is_empty() {
         return TopKOutcome::empty(chans.len(), n_segments);
     }
-    // every live channel's default-belief share of any document's bound
-    let alpha: f64 = chans.iter().filter(|ch| live(ch)).map(|ch| ch.weight * params.alpha).sum();
+    let mut shares = vec![0.0; chans.len().min(64)];
+    for (c, ch) in chans.iter().enumerate() {
+        shares[c.min(63)] += (ch.weight * params.alpha).max(0.0);
+    }
+    let req = Request { chans, terms, params, shares, domain, tombstones };
+    let chans = &req.chans;
     let cut = &channels[0].segments;
     assert!(
         channels.iter().all(|c| c.segments.len() == cut.len()
@@ -589,9 +710,7 @@ pub fn topk_channels(
             if lo < hi {
                 let local = (lo - first, hi - first);
                 let before = out.work.scored;
-                segment_topk(
-                    &chans, &terms, params, alpha, seg, local, domain, tombstones, &mut out,
-                );
+                segment_topk(&req, seg, local, &mut out);
                 out.work.segments[seg] += out.work.scored - before;
             }
         }
@@ -624,145 +743,288 @@ struct SpanOut {
     work: TopKOutcome,
 }
 
-/// Block-max WAND accumulation over segment `seg`, restricted to its
-/// local doc ids `[lo, hi)`; `alpha` is `Σ weight·α` over the channels
-/// with cursors. Cursors walk local ids; the domain, the tombstones and
-/// the accumulator see global ones.
-#[allow(clippy::too_many_arguments)]
-fn segment_topk(
-    chans: &[ChanInfo<'_>],
-    terms: &[TermInfo<'_>],
-    params: BeliefParams,
-    alpha: f64,
-    seg: usize,
-    (lo, hi): (Oid, Oid),
-    domain: Option<&FxHashSet<Oid>>,
-    tombstones: Option<&Tombstones>,
-    out: &mut SpanOut,
-) {
+/// Block-max MaxScore accumulation over segment `seg`, restricted to its
+/// local doc ids `[lo, hi)`. Cursors walk local ids; the domain, the
+/// tombstones and the accumulator see global ones.
+fn segment_topk(req: &Request<'_, '_>, seg: usize, span: (Oid, Oid), out: &mut SpanOut) {
+    let (chans, params) = (&req.chans, req.params);
     let first = chans[0].segments[seg].0;
-    let indexes: Vec<&InvertedIndex> = chans.iter().map(|ch| ch.segments[seg].1).collect();
-    // cursors are channel-major and in query order within a channel, so
-    // scoring a channel's cursor range in order reproduces the
-    // materialise path's float-addition order
-    let mut cursors: Vec<Cursor<'_>> = terms
-        .iter()
-        .filter_map(|t| {
-            let (ch, index) = (&chans[t.chan], indexes[t.chan]);
-            let list = index.postings_list(t.term)?;
-            let (n_docs, avg_dl) = (ch.stats.n_docs, ch.stats.avg_dl);
-            let bound =
-                params.belief_bound(list.max_tf(), t.df, list.min_dl_per_tf(), n_docs, avg_dl);
-            Some(Cursor::new(t, list, ch.cbound(params, t.w, bound), (lo, hi)))
-        })
-        .collect();
-    let ranges: Vec<std::ops::Range<usize>> = (0..chans.len())
+    let mut segment = Segment {
+        req,
+        indexes: chans.iter().map(|ch| ch.segments[seg].1).collect(),
+        ranges: Vec::new(),
+        span,
+    };
+    let mut cursors = segment.open();
+    if cursors.is_empty() {
+        return;
+    }
+    segment.ranges = (0..chans.len())
         .map(|chan| {
             let start = cursors.partition_point(|c| c.chan < chan);
             start..cursors.partition_point(|c| c.chan <= chan)
         })
         .collect();
+    // a floor under the k-th best score, from the documents of the short
+    // lists, until the accumulator holds k documents of its own
+    let floor = if out.acc.is_full() || ((span.1 - span.0) as usize) < SEED_MIN_SPAN {
+        f64::NEG_INFINITY
+    } else {
+        seed_floor(&segment, &cursors, first, out)
+    };
     let acc = &mut out.acc;
-    let n = cursors.len();
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut theta = acc.threshold().max(floor);
+    // lists in ascending order of their bound; a prefix of them is
+    // non-essential once its combined bound falls below θ
+    let mut by_bound: Vec<usize> = (0..cursors.len()).collect();
+    by_bound.sort_by(|&a, &b| cursors[a].cbound.total_cmp(&cursors[b].cbound));
+    let mut split = Split { len: 0, bound: Part::default() };
+    split.grow(&by_bound, &cursors, req, theta);
+    // the essential cursors on the candidate
+    let mut hits: Vec<usize> = Vec::new();
+    // the non-essential lists' block part of the bound: it holds for
+    // candidates below `pos_until`, and bounds them up to `pos_leap`
+    let (mut pos, mut pos_until, mut pos_leap) = (Part::default(), 0, 0);
     loop {
-        // keep cursors sorted by current document, exhausted last; the
-        // order is nearly sorted between rounds, so insertion sort
-        for i in 1..n {
-            let mut j = i;
-            while j > 0 {
-                let (a, b) = (&cursors[order[j - 1]], &cursors[order[j]]);
-                if (a.exhausted, a.cur_doc) <= (b.exhausted, b.cur_doc) {
-                    break;
-                }
-                order.swap(j - 1, j);
-                j -= 1;
+        // the candidate is the least document of the essential cursors: a
+        // document that matches non-essential lists alone cannot reach θ.
+        // One pass finds it, the cursors on it, and the next document
+        // after it
+        let (mut cand, mut next) = (Oid::MAX, Oid::MAX);
+        hits.clear();
+        for &i in &by_bound[split.len..] {
+            let c = &cursors[i];
+            if c.exhausted {
+                continue;
+            }
+            if c.cur_doc < cand {
+                (cand, next) = (c.cur_doc, cand);
+                hits.clear();
+                hits.push(i);
+            } else if c.cur_doc == cand {
+                hits.push(i);
+            } else {
+                next = next.min(c.cur_doc);
             }
         }
-        let alive = order.iter().take_while(|&&c| !cursors[c].exhausted).count();
-        if alive == 0 {
+        if hits.is_empty() {
             break;
         }
-        let theta = acc.threshold();
-        // pivot: the first cursor whose prefix of contribution bounds could
-        // still reach the threshold — no document before it can qualify
-        let mut bound = alpha;
-        let mut pivot = None;
-        for (i, &c) in order[..alive].iter().enumerate() {
-            bound += cursors[c].cbound;
-            if bound + PRUNE_MARGIN >= theta {
-                pivot = Some(i);
-                break;
-            }
-        }
-        let Some(p) = pivot else {
-            break; // even matching every remaining term cannot beat θ
-        };
-        let pivot_doc = cursors[order[p]].cur_doc;
-        if cursors[order[0]].cur_doc < pivot_doc {
-            // leap every pre-pivot cursor forward; whole blocks whose
-            // last_doc falls short are skipped without decoding
-            for &c in &order[..p] {
-                if cursors[c].cur_doc < pivot_doc {
-                    cursors[c].seek(pivot_doc, true);
-                }
+        let doc = first + cand;
+        if req.dropped(doc) {
+            for &i in &hits {
+                cursors[i].seek(cand + 1, true);
             }
             continue;
         }
-        // candidate: every cursor in order[..=p] sits on pivot_doc
-        let doc = first + pivot_doc;
-        if domain.is_some_and(|d| !d.contains(&doc)) || tombstones.is_some_and(|t| t.contains(doc))
-        {
-            for &c in &order[..alive] {
-                if cursors[c].cur_doc == pivot_doc {
-                    cursors[c].seek(pivot_doc + 1, true);
-                }
+        if theta > f64::NEG_INFINITY {
+            // (1) block-max bound: the essential cursors on the candidate
+            // by their current block, the non-essential lists by their
+            // list bound — no decode. Before the first of those blocks
+            // ends and before the next essential document, a document can
+            // only match these essential lists inside these blocks, so a
+            // failed bound prunes that whole range
+            let mut blk = Part::default();
+            let mut leap = next;
+            for &i in &hits {
+                let c = &mut cursors[i];
+                blk.add(c.chan, c.block_cbound(params, &chans[c.chan]));
+                leap = leap.min(c.block_end());
             }
-            continue;
-        }
-        // block-max refinement: tighten the bound with the metadata of
-        // each matching cursor's current block — still no decode. The
-        // matching cursors lead the sorted order, so before the first of
-        // their blocks ends and before the nearest other cursor's document
-        // a document can only match their terms, inside those blocks: a
-        // failed refinement prunes that whole range, and the matching
-        // cursors leap to its end
-        if acc.is_full() {
-            let mut ub = alpha;
-            let mut leap = Oid::MAX;
-            for &c in &order[..alive] {
-                if cursors[c].cur_doc != pivot_doc {
-                    leap = leap.min(cursors[c].cur_doc);
-                    break;
-                }
-                let chan = &chans[cursors[c].chan];
-                ub += cursors[c].block_cbound(params, chan);
-                leap = leap.min(cursors[c].block_end());
-            }
-            if ub + PRUNE_MARGIN < theta {
-                out.work.pruned += 1;
-                for (w, range) in out.work.channels.iter_mut().zip(&ranges) {
-                    let on_pivot = |c: &Cursor<'_>| !c.exhausted && c.cur_doc == pivot_doc;
-                    w.pruned += u64::from(cursors[range.clone()].iter().any(on_pivot));
-                }
-                for &c in &order[..alive] {
-                    if cursors[c].cur_doc == pivot_doc {
-                        cursors[c].seek(leap, true);
+            let mut pass = req.bound(blk, split.bound) + PRUNE_MARGIN >= theta;
+            if pass && split.len > 0 {
+                // tighter: each non-essential list moved, without a
+                // decode, onto the block that may hold the candidate. One
+                // already past it cannot match before its next document,
+                // and a block bounds the others up to the block's end —
+                // the range the failed bound then prunes shrinks to match
+                if cand >= pos_until {
+                    (pos, pos_until, pos_leap) = (Part::default(), Oid::MAX, Oid::MAX);
+                    for &i in &by_bound[..split.len] {
+                        let c = &mut cursors[i];
+                        c.shallow(cand, true);
+                        if c.decoded {
+                            // the block is decoded already: the exact
+                            // position costs no decode
+                            c.seek(cand, true);
+                        }
+                        if c.exhausted {
+                            continue;
+                        }
+                        let (until, end) = if c.cur_doc > cand {
+                            (c.cur_doc, c.cur_doc)
+                        } else {
+                            pos.add(c.chan, c.block_cbound(params, &chans[c.chan]));
+                            // a decoded cursor's position holds for this
+                            // candidate only
+                            (if c.decoded { cand + 1 } else { c.block_end() }, c.block_end())
+                        };
+                        pos_until = pos_until.min(until);
+                        pos_leap = pos_leap.min(end);
                     }
+                }
+                leap = leap.min(pos_leap);
+                pass = req.bound(blk, pos) + PRUNE_MARGIN >= theta;
+            }
+            if !pass {
+                prune(&mut out.work, &cursors, &hits);
+                for &i in &hits {
+                    cursors[i].seek(leap, true);
                 }
                 continue;
             }
+            // (2) exact beliefs of the essential cursors: a failure steps
+            // past the candidate without decoding a non-essential list.
+            // Without non-essential lists this would be the score itself
+            if split.len > 0 {
+                let mut exact = Part::default();
+                for &i in &hits {
+                    let c = &mut cursors[i];
+                    let ch = &chans[c.chan];
+                    let dl = segment.indexes[c.chan].doc_len(cand);
+                    let b = params.belief_nidf(c.current_tf(), dl, ch.stats.avg_dl, c.nidf);
+                    exact.add(c.chan, (c.scale * (b - params.alpha)).max(0.0));
+                }
+                if req.bound(exact, pos) + PRUNE_MARGIN < theta {
+                    prune(&mut out.work, &cursors, &hits);
+                    for &i in &hits {
+                        cursors[i].seek(cand + 1, true);
+                    }
+                    continue;
+                }
+            }
         }
-        // exact score: per channel, matched terms in query order, then the
-        // default row — the same float-addition order as getbl rows under
-        // a grouped sum — times the channel weight, channels added left to
-        // right like the compiled arith_const[mul]/arith[add] plan
+        // (3) probe the non-essential lists and score exactly
+        for &i in &by_bound[..split.len] {
+            cursors[i].seek(cand, true);
+        }
+        pos_until = 0;
+        let score = segment.score(&mut cursors, cand);
+        out.work.scored += 1;
+        acc.push(doc, score);
+        // stepping past a scored posting consumes it rather than skipping
+        // it, and passes nothing else, so it is not counted
+        for c in cursors.iter_mut() {
+            if !c.exhausted && c.cur_doc == cand {
+                c.seek(cand + 1, false);
+            }
+        }
+        let raised = acc.threshold().max(floor);
+        if raised > theta {
+            theta = raised;
+            split.grow(&by_bound, &cursors, req, theta);
+            pos_until = 0;
+        }
+    }
+    for c in &cursors {
+        out.work.channels[c.chan].add(&c.work);
+    }
+}
+
+/// Count one candidate, or one range of candidates, discarded by a bound:
+/// once in the total, once for every channel with an essential cursor on
+/// it.
+fn prune(work: &mut TopKOutcome, cursors: &[Cursor<'_>], hits: &[usize]) {
+    work.pruned += 1;
+    for (chan, w) in work.channels.iter_mut().enumerate() {
+        w.pruned += u64::from(hits.iter().any(|&i| cursors[i].chan == chan));
+    }
+}
+
+/// The threshold floor of a segment's walk, from the documents of the
+/// query lists short enough to fit one block, minus the dropped ones,
+/// scored exactly by seek on fresh cursors with the walk's own scoring.
+/// The lists are taken in descending order of their bound — the rarest,
+/// most promising first — until at least k seeds are in hand: the k-th
+/// best of any k real scores is a sound floor, and more seeds would only
+/// be scored twice. With fewer than k seeds over all short lists, nothing
+/// is scored and the floor is `-∞`. The seeds count as scored; the walk
+/// scores them again.
+fn seed_floor(
+    segment: &Segment<'_, '_>,
+    cursors: &[Cursor<'_>],
+    first: Oid,
+    out: &mut SpanOut,
+) -> f64 {
+    let (k, (lo, hi)) = (out.acc.k, segment.span);
+    let mut short: Vec<&Cursor<'_>> =
+        cursors.iter().filter(|c| c.list.len() <= BLOCK_LEN).collect();
+    short.sort_by(|a, b| b.cbound.total_cmp(&a.cbound));
+    let (mut seeds, mut docs, mut tfs) = (Vec::new(), Vec::new(), Vec::new());
+    for c in short {
+        c.list.decode_block_into(0, &mut docs, &mut tfs);
+        seeds.extend(docs.iter().copied().filter(|&d| lo <= d && d < hi));
+        if seeds.len() >= k {
+            seeds.sort_unstable();
+            seeds.dedup();
+            seeds.retain(|&d| !segment.req.dropped(first + d));
+            if seeds.len() >= k {
+                break;
+            }
+        }
+    }
+    if seeds.len() < k {
+        return f64::NEG_INFINITY;
+    }
+    let mut probes = segment.open();
+    let mut best = TopKAccumulator::new(k);
+    for &d in &seeds {
+        for p in probes.iter_mut() {
+            p.seek(d, false);
+        }
+        best.push(d, segment.score(&mut probes, d));
+    }
+    out.work.scored += seeds.len() as u64;
+    for p in &probes {
+        out.work.channels[p.chan].scored_postings += p.work.scored_postings;
+    }
+    best.threshold()
+}
+
+/// One segment of a request, restricted to a span of its local doc ids:
+/// the channels' indexes in it, and each channel's range of the cursor
+/// list.
+struct Segment<'a, 'q> {
+    req: &'q Request<'a, 'q>,
+    indexes: Vec<&'a InvertedIndex>,
+    ranges: Vec<std::ops::Range<usize>>,
+    span: (Oid, Oid),
+}
+
+impl<'a> Segment<'a, '_> {
+    /// Cursors on the span start for every query term present in the
+    /// segment: channel-major and in query order within a channel, so
+    /// scoring a channel's cursor range in order reproduces the
+    /// materialise path's float-addition order.
+    fn open(&self) -> Vec<Cursor<'a>> {
+        let params = self.req.params;
+        self.req
+            .terms
+            .iter()
+            .filter_map(|t| {
+                let ch = &self.req.chans[t.chan];
+                let list = self.indexes[t.chan].postings_list(t.term)?;
+                let (n_docs, avg_dl) = (ch.stats.n_docs, ch.stats.avg_dl);
+                let bound =
+                    params.belief_bound(list.max_tf(), t.df, list.min_dl_per_tf(), n_docs, avg_dl);
+                Some(Cursor::new(t, list, ch.cbound(params, t.w, bound), self.span))
+            })
+            .collect()
+    }
+
+    /// The exact score of local document `doc`, every cursor that matches
+    /// it sitting on it: per channel, matched terms in query order, then
+    /// the default row — the same float-addition order as getbl rows
+    /// under a grouped sum — times the channel weight, channels added left
+    /// to right like the compiled arith_const[mul]/arith[add] plan.
+    fn score(&self, cursors: &mut [Cursor<'_>], doc: Oid) -> f64 {
+        let params = self.req.params;
         let mut score = 0.0;
-        for (chan, ch) in chans.iter().enumerate() {
-            let dl = indexes[chan].doc_len(pivot_doc);
+        for (chan, ch) in self.req.chans.iter().enumerate() {
             let (mut s, mut mw, mut hit) = (0.0, 0.0, false);
-            for c in &mut cursors[ranges[chan].clone()] {
-                if !c.exhausted && c.cur_doc == pivot_doc {
+            for c in &mut cursors[self.ranges[chan].clone()] {
+                if !c.exhausted && c.cur_doc == doc {
+                    let dl = self.indexes[chan].doc_len(doc);
                     let b = params.belief_nidf(c.current_tf(), dl, ch.stats.avg_dl, c.nidf);
                     s += c.w * b / ch.total_w;
                     mw += c.w;
@@ -776,18 +1038,38 @@ fn segment_topk(
             let part = s * ch.weight;
             score = if chan == 0 { part } else { score + part };
         }
-        out.work.scored += 1;
-        acc.push(doc, score);
-        // stepping past a scored posting consumes it rather than skipping
-        // it, and passes nothing else, so it is not counted
-        for c in cursors.iter_mut() {
-            if !c.exhausted && c.cur_doc == pivot_doc {
-                c.seek(pivot_doc + 1, false);
-            }
-        }
+        score
     }
-    for c in &cursors {
-        out.work.channels[c.chan].add(&c.work);
+}
+
+/// The MaxScore split of a segment's lists: the non-essential prefix of
+/// the lists in bound order, and its bound.
+struct Split {
+    /// Lists in the non-essential prefix.
+    len: usize,
+    /// The prefix's list bounds.
+    bound: Part,
+}
+
+impl Split {
+    /// Grow the prefix while its bound stays below `theta` by more than
+    /// the margin; it never shrinks, because θ only rises.
+    fn grow(
+        &mut self,
+        by_bound: &[usize],
+        cursors: &[Cursor<'_>],
+        req: &Request<'_, '_>,
+        theta: f64,
+    ) {
+        while let Some(&i) = by_bound.get(self.len) {
+            let mut grown = self.bound;
+            grown.add(cursors[i].chan, cursors[i].cbound);
+            if req.bound(grown, Part::default()) + PRUNE_MARGIN >= theta {
+                return;
+            }
+            self.bound = grown;
+            self.len += 1;
+        }
     }
 }
 
@@ -795,7 +1077,6 @@ fn segment_topk(
 mod tests {
     use super::*;
     use crate::index::IndexBuilder;
-    use crate::postings::BLOCK_LEN;
 
     /// Text tokens of document `d`: 2–7 words from a small pool.
     fn text_doc(d: usize) -> Vec<&'static str> {
@@ -978,7 +1259,7 @@ mod tests {
         let out = topk_beliefs(&index, params, &query, None, 5, 1);
         assert_eq!(out.hits.len(), 5);
         assert_eq!(out.hits, baseline(&index, params, &query, None, 5));
-        // the pivot walk must leave most matching documents unscored
+        // the walk must leave most matching documents unscored
         let candidates = baseline(&index, params, &query, None, index.n_docs()).len() as u64;
         assert!(
             out.scored < candidates,
@@ -1014,8 +1295,9 @@ mod tests {
     fn blockmax_skips_whole_blocks_for_selective_terms() {
         // "common" appears in every even document (a block of 128 postings
         // spans ~256 doc ids); "rare" appears every 600. Once the heap
-        // holds k common+rare documents, the pivot jumps the common cursor
-        // in ~600-doc leaps, clearing whole blocks without decoding them.
+        // holds k common+rare documents, "common" is non-essential and is
+        // only probed at "rare"'s documents, in ~600-doc leaps, clearing
+        // whole blocks without decoding them.
         let mut b = IndexBuilder::new();
         for d in 0..5000u32 {
             let mut toks = vec!["filler"];
@@ -1142,6 +1424,41 @@ mod tests {
         let one = topk_channels(&one_channel, BeliefParams::default(), None, None, 5, 1);
         let plain = topk_beliefs(&text, BeliefParams::default(), &tq, None, 5, 1);
         assert_eq!(one, plain);
+    }
+
+    #[test]
+    fn dense_visual_lists_are_probed_not_walked() {
+        // a rare text term in 15 of 5 000 documents carries the query; the
+        // visual channel's 4 terms each sit in 70 % of the documents with a
+        // near-zero idf. Once the rare term's hits set θ, the visual lists
+        // are non-essential: only the rare term's documents are candidates,
+        // and the visual cursors leap between them over undecoded blocks
+        let n = 5000;
+        let text = build((0..n).map(|d| {
+            let mut toks = text_doc(d);
+            if d % 333 == 7 {
+                toks.push("rare");
+            }
+            toks
+        }));
+        let vis = build((0..n).map(|d| {
+            ["v0", "v1", "v2", "v3"]
+                .into_iter()
+                .enumerate()
+                .filter(|&(i, _)| (d * 7 + i * 13) % 10 < 7)
+                .map(|(_, t)| t)
+                .collect()
+        }));
+        let df = text.df("rare");
+        assert_eq!(df, 15);
+        assert!(["v0", "v1", "v2", "v3"].iter().all(|t| vis.df(t) as usize >= n * 6 / 10));
+        let tq = [("rare", 1.0)];
+        let vq = [("v0", 1.0), ("v1", 1.0), ("v2", 1.0), ("v3", 1.0)];
+        let channels = [TopKChannel::whole(&text, &tq, 0.5), TopKChannel::whole(&vis, &vq, 0.5)];
+        let out = topk_channels(&channels, BeliefParams::default(), None, None, 10, 1);
+        assert_eq!(out.hits, multi_baseline(&channels, 10));
+        assert!(out.scored <= 2 * u64::from(df), "scored {} of {df}: {out:?}", out.scored);
+        assert!(out.channels[1].blocks_skipped > 0, "visual blocks all decoded: {out:?}");
     }
 
     #[test]

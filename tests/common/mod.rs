@@ -2,12 +2,14 @@
 //! thousands of synthetic rows, so the visual channel's posting lists span
 //! tens of 128-posting blocks and the fused operator fragments at degree
 //! 2 and 4 (the executor fragments at ≥ 4096 documents). Also the
-//! exhaustive top-k oracle those suites hold the pruning evaluator to.
+//! exhaustive top-k oracles those suites hold the pruning evaluator to,
+//! for one channel and for N.
 
 use mirror::core::serve::RetrievalRequest;
 use mirror::core::{LibraryRow, MirrorDbms, Retriever};
 use mirror::ir::index::Posting;
-use mirror::ir::{BeliefParams, InvertedIndex, PostingList};
+use mirror::ir::{BeliefParams, InvertedIndex, PostingList, Tombstones, TopKChannel};
+use mirror::monet::fxhash::FxHashSet;
 use mirror::monet::Oid;
 
 /// Rows in the block-scale library.
@@ -168,6 +170,77 @@ pub fn topk_beliefs_raw(
             ranked.push((doc, score));
         }
     }
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked.truncate(k);
+    ranked
+}
+
+/// The N-channel twin of [`topk_beliefs_raw`]: the exhaustive oracle of
+/// `topk_channels` over decoded postings, where `raw[c][s]` holds segment
+/// `s` of channel `c`. Every document inside `domain` and not in `dead`
+/// is scored — no bounds, no pruning, no blocks, no fragments. A channel's
+/// grouped sum is read from the segment holding the document, in the
+/// materialise path's float order, with the channel's explicit statistics
+/// and dfs; a channel the document does not match, or whose query has no
+/// positive total weight, adds its zero fill `0.0`. The sums are
+/// multiplied by their channel weights and added left to right, and the
+/// positive scores are ranked by score descending, ties by ascending oid,
+/// and cut to `k`.
+#[allow(dead_code)]
+pub fn topk_channels_raw(
+    channels: &[TopKChannel<'_>],
+    raw: &[Vec<RawPostings>],
+    params: BeliefParams,
+    domain: Option<&FxHashSet<Oid>>,
+    dead: Option<&Tombstones>,
+    k: usize,
+) -> Vec<(Oid, f64)> {
+    let n_docs = channels
+        .iter()
+        .flat_map(|c| c.segments.iter().map(|&(first, index)| first as usize + index.n_docs()))
+        .max()
+        .unwrap_or(0);
+    let grouped_sum = |c: &TopKChannel<'_>, raw: &[RawPostings], doc: Oid| -> f64 {
+        let total_w: f64 = c.query.iter().map(|q| q.1).sum();
+        let s = c.segments.partition_point(|&(first, _)| first <= doc);
+        if total_w <= 0.0 || s == 0 {
+            return 0.0;
+        }
+        let (first, index) = c.segments[s - 1];
+        let local = doc - first;
+        if local as usize >= index.n_docs() {
+            return 0.0;
+        }
+        let (mut sum, mut mw, mut hit) = (0.0, 0.0, false);
+        for &(term, w, df) in &c.query {
+            let tf = raw[s - 1].tf(index, term, local);
+            if tf > 0 {
+                let dl = index.doc_len(local);
+                let b = params.belief(tf, df, dl, c.stats.n_docs, c.stats.avg_dl);
+                sum += w * b / total_w;
+                mw += w;
+                hit = true;
+            }
+        }
+        if hit && mw < total_w {
+            sum += params.alpha * (total_w - mw) / total_w;
+        }
+        sum
+    };
+    let mut ranked: Vec<(Oid, f64)> = (0..n_docs as Oid)
+        .filter(|d| {
+            domain.is_none_or(|dom| dom.contains(d)) && dead.is_none_or(|t| !t.contains(*d))
+        })
+        .map(|doc| {
+            let mut score = 0.0;
+            for (c, (channel, raw)) in channels.iter().zip(raw).enumerate() {
+                let part = grouped_sum(channel, raw, doc) * channel.weight;
+                score = if c == 0 { part } else { score + part };
+            }
+            (doc, score)
+        })
+        .filter(|&(_, score)| score > 0.0)
+        .collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     ranked.truncate(k);
     ranked

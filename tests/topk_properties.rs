@@ -7,15 +7,21 @@
 
 mod common;
 
-use common::{assert_fused, block_scale_requests, block_scale_rows, topk_beliefs_raw, RawPostings};
+use common::{
+    assert_fused, block_scale_requests, block_scale_rows, topk_beliefs_raw, topk_channels_raw,
+    RawPostings,
+};
 use mirror::core::{MirrorConfig, MirrorDbms, Retriever};
 use mirror::ir::index::Posting;
 use mirror::ir::{
-    self, porter_stem, topk_beliefs, BeliefParams, IndexBuilder, InvertedIndex, PostingList,
+    self, porter_stem, topk_beliefs, topk_channels, BeliefParams, IndexBuilder, InvertedIndex,
+    PostingList, Tombstones, TopKChannel,
 };
 use mirror::moa::{parse_define, Env, MoaEngine, MoaVal, OptConfig, QueryParams};
+use mirror::monet::fxhash::FxHashSet;
 use mirror::monet::Oid;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
 
 const POOL: &[&str] =
@@ -177,6 +183,20 @@ proptest! {
         }
     }
 
+    /// N channels at block scale against the exhaustive N-channel oracle:
+    /// 1–3 channels, one of them dense with a near-zero idf like a visual
+    /// vocabulary, random channel weights (0 included), random segment
+    /// cuts with tombstones and an optional domain, for k ∈ {1, 10, 100}
+    /// at degrees 1 and 3.
+    #[test]
+    fn prop_channels_equal_the_exhaustive_oracle(
+        seed in 0u64..1_000_000,
+        n_docs in 300usize..2_500,
+        n_chans in 1usize..4,
+    ) {
+        channels_match_the_oracle(seed, n_docs, n_chans, 1)?;
+    }
+
     /// The block-level and list-level bounds dominate the belief of every
     /// posting they cover, for any average length and collection size the
     /// caller scores with — union statistics that are not the segment's
@@ -230,6 +250,86 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The same at the scale where a segment's walk is seeded: the first
+    /// segment holds at least half of 4 200–6 000 documents, so at degree
+    /// 1 it starts from the exact k-th score of its short lists' documents.
+    #[test]
+    fn prop_seeded_channels_equal_the_exhaustive_oracle(
+        seed in 0u64..1_000_000,
+        n_docs in 4_200usize..6_000,
+        n_chans in 1usize..4,
+    ) {
+        channels_match_the_oracle(seed, n_docs, n_chans, n_docs / 2)?;
+    }
+}
+
+/// One multi-channel case drawn from `seed` — channel kinds, weights,
+/// segment cuts at or after `first_cut`, tombstones, a domain and
+/// queries — held to [`topk_channels_raw`] at k ∈ {1, 10, 100} and degrees
+/// 1 and 3.
+fn channels_match_the_oracle(
+    seed: u64,
+    n_docs: usize,
+    n_chans: usize,
+    first_cut: usize,
+) -> Result<(), TestCaseError> {
+    let mut rng = Mix(seed);
+    let kinds: Vec<Kind> = (0..n_chans)
+        .map(|c| [Kind::Text, Kind::Dense, Kind::Flat][(c + seed as usize) % 3])
+        .collect();
+    let weights: Vec<f64> = (0..n_chans)
+        .map(|_| [0.0, 0.3, 0.5, 1.0, 0.05 + rng.unit() * 2.0][rng.below(5) as usize])
+        .collect();
+    let span = (n_docs - first_cut) as u64;
+    let mut cuts: Vec<usize> =
+        (0..rng.below(4)).map(|_| first_cut + rng.below(span) as usize).collect();
+    cuts.extend([0, n_docs]);
+    cuts.sort_unstable();
+    cuts.dedup();
+    let dead: Option<Tombstones> = (rng.below(2) == 0).then(|| {
+        let m = 3 + rng.below(18);
+        (0..n_docs as Oid).filter(|&d| Mix(seed ^ u64::from(d)).below(m) == 0).collect()
+    });
+    let domain: Option<FxHashSet<Oid>> = (rng.below(2) == 0)
+        .then(|| (0..n_docs as Oid).filter(|&d| Mix(!seed ^ u64::from(d)).below(10) < 7).collect());
+    let queries: Vec<Vec<(String, f64)>> = kinds
+        .iter()
+        .map(|kind| {
+            let vocab = kind.vocab();
+            (0..1 + rng.below(4))
+                .map(|_| {
+                    let term = vocab[rng.below(vocab.len() as u64) as usize];
+                    (term.to_string(), 0.25 + rng.unit() * 1.75)
+                })
+                .collect()
+        })
+        .collect();
+    let case = Channels::build(seed, n_docs, &kinds, &cuts);
+    let params = BeliefParams::default();
+    let channels = case.channels(&queries, &weights);
+    for k in [1usize, 10, 100] {
+        let slow =
+            topk_channels_raw(&channels, &case.raw, params, domain.as_ref(), dead.as_ref(), k);
+        for degree in [1usize, 3] {
+            let fast = topk_channels(&channels, params, domain.as_ref(), dead.as_ref(), k, degree);
+            prop_assert_eq!(
+                &fast.hits,
+                &slow,
+                "{:?} weights {:?} cuts {:?} k={} degree={}",
+                kinds,
+                weights,
+                cuts,
+                k,
+                degree
+            );
+        }
+    }
+    Ok(())
+}
+
 /// A seeded corpus over [`POOL`]: skewed word frequencies and document
 /// lengths from 1 to 40 tokens, so tfs and `dl/tf` vary within a list.
 fn skewed_index(seed: u64, n_docs: usize) -> InvertedIndex {
@@ -250,6 +350,172 @@ fn skewed_index(seed: u64, n_docs: usize) -> InvertedIndex {
         b.add_tokens(&toks);
     }
     b.build()
+}
+
+/// splitmix64 over a seed: the multi-channel cases' own random numbers.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE5_E9B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// 70 distinct terms, `t0`…`t69`, for queries longer than 64 lists.
+const WIDE: [&str; 70] = [
+    "t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "t11", "t12", "t13", "t14",
+    "t15", "t16", "t17", "t18", "t19", "t20", "t21", "t22", "t23", "t24", "t25", "t26", "t27",
+    "t28", "t29", "t30", "t31", "t32", "t33", "t34", "t35", "t36", "t37", "t38", "t39", "t40",
+    "t41", "t42", "t43", "t44", "t45", "t46", "t47", "t48", "t49", "t50", "t51", "t52", "t53",
+    "t54", "t55", "t56", "t57", "t58", "t59", "t60", "t61", "t62", "t63", "t64", "t65", "t66",
+    "t67", "t68", "t69",
+];
+
+/// The dense channel's vocabulary: every term in 60–90 % of documents.
+const DENSE: [&str; 6] = ["v0", "v1", "v2", "v3", "v4", "v5"];
+
+/// How a channel's documents are drawn.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// 1–40 tokens over [`POOL`], skewed: tfs and `dl/tf` vary.
+    Text,
+    /// Each [`DENSE`] term with probability 60–90 %, sometimes twice: long
+    /// lists with a near-zero idf, like a visual vocabulary.
+    Dense,
+    /// 1–12 tokens over [`WIDE`], Zipf-like: many lists, most of them short.
+    Flat,
+}
+
+impl Kind {
+    fn vocab(self) -> &'static [&'static str] {
+        match self {
+            Kind::Text => POOL,
+            Kind::Dense => &DENSE,
+            Kind::Flat => &WIDE,
+        }
+    }
+
+    /// The tokens of document `d`, a pure function of `(seed, d)`.
+    fn doc(self, seed: u64, d: usize) -> Vec<&'static str> {
+        let mut r = Mix(seed.wrapping_mul(31) ^ (d as u64) << 20 ^ self as u64);
+        match self {
+            Kind::Text => (0..1 + r.below(40))
+                .map(|_| {
+                    let x = r.below(100);
+                    POOL[(x * x / 1000) as usize % POOL.len()]
+                })
+                .collect(),
+            Kind::Dense => {
+                let mut toks = Vec::new();
+                for (i, t) in DENSE.iter().enumerate() {
+                    if r.below(100) < 60 + 6 * i as u64 {
+                        toks.push(*t);
+                        if r.below(8) == 0 {
+                            toks.push(*t);
+                        }
+                    }
+                }
+                toks
+            }
+            Kind::Flat => (0..1 + r.below(12))
+                .map(|_| WIDE[(WIDE.len() as f64 * r.unit().powi(3)) as usize])
+                .collect(),
+        }
+    }
+}
+
+/// Channels over one collection cut into segments at the same points,
+/// with each channel's whole-collection index for union statistics and
+/// every segment's decoded postings for the oracle.
+struct Channels {
+    segments: Vec<Vec<(Oid, InvertedIndex)>>,
+    whole: Vec<InvertedIndex>,
+    raw: Vec<Vec<RawPostings>>,
+}
+
+impl Channels {
+    fn build(seed: u64, n_docs: usize, kinds: &[Kind], cuts: &[usize]) -> Channels {
+        let index = |docs: std::ops::Range<usize>, kind: Kind| {
+            let mut b = IndexBuilder::new();
+            for d in docs {
+                b.add_tokens(&kind.doc(seed, d));
+            }
+            b.build()
+        };
+        let segments: Vec<Vec<(Oid, InvertedIndex)>> = kinds
+            .iter()
+            .map(|&kind| cuts.windows(2).map(|w| (w[0] as Oid, index(w[0]..w[1], kind))).collect())
+            .collect();
+        let whole = kinds.iter().map(|&kind| index(0..n_docs, kind)).collect();
+        let raw = segments
+            .iter()
+            .map(|segs| segs.iter().map(|(_, index)| RawPostings::from_index(index)).collect())
+            .collect();
+        Channels { segments, whole, raw }
+    }
+
+    /// The evaluator's channels: segments, the query scored with the
+    /// whole collection's dfs and statistics, and the weight.
+    fn channels<'a>(
+        &'a self,
+        queries: &'a [Vec<(String, f64)>],
+        weights: &[f64],
+    ) -> Vec<TopKChannel<'a>> {
+        (0..self.whole.len())
+            .map(|c| TopKChannel {
+                segments: self.segments[c].iter().map(|(first, index)| (*first, index)).collect(),
+                query: queries[c]
+                    .iter()
+                    .map(|(t, w)| (t.as_str(), *w, self.whole[c].df(t)))
+                    .collect(),
+                stats: self.whole[c].stats(),
+                weight: weights[c],
+            })
+            .collect()
+    }
+}
+
+/// A 70-term query — more lists than a 64-bit mask holds — beside a dense
+/// channel, over segments with tombstones: the evaluator still equals the
+/// exhaustive oracle. The first segment is long enough for the seeded
+/// threshold at degree 1; its thirds at degree 3 are walked unseeded.
+#[test]
+fn seventy_term_query_equals_the_exhaustive_oracle() {
+    let (seed, n_docs) = (11, 3_000);
+    let kinds = [Kind::Flat, Kind::Dense];
+    let case = Channels::build(seed, n_docs, &kinds, &[0, 2_300, 2_800, 2_850, n_docs]);
+    let wide: Vec<(String, f64)> = WIDE
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (t.to_string(), 0.5 + (i % 7) as f64 * 0.25))
+        .collect();
+    let dense: Vec<(String, f64)> = DENSE[..4].iter().map(|t| (t.to_string(), 1.0)).collect();
+    let queries = [wide, dense];
+    let dead: Tombstones = (0..n_docs as Oid).filter(|d| d % 13 == 5).collect();
+    let params = BeliefParams::default();
+    let channels = case.channels(&queries, &[0.6, 0.4]);
+    assert_eq!(channels[0].query.len(), 70);
+    assert!(channels[0].query.iter().all(|q| q.2 > 0), "every wide term occurs");
+    for k in [1usize, 10, 100] {
+        let slow = topk_channels_raw(&channels, &case.raw, params, None, Some(&dead), k);
+        assert_eq!(slow.len(), k);
+        for degree in [1usize, 3] {
+            let fast = topk_channels(&channels, params, None, Some(&dead), k, degree);
+            assert_eq!(fast.hits, slow, "k={k} degree={degree}");
+        }
+    }
 }
 
 /// The compressed, pruning evaluator returns exactly the exhaustive
