@@ -14,8 +14,6 @@
 //! | `meta/config`      | the [`MirrorConfig`]                            |
 //! | `meta/library`     | document count, row-batch count                 |
 //! | `rows/{i:06}`      | library rows, dictionary-encoded columnar batch |
-//! | `idx/annotation`   | serialised text-channel [`ir::InvertedIndex`]   |
-//! | `idx/image`        | serialised image-channel index                  |
 //! | `aux/vocab`        | the visual vocabulary (per-space models)        |
 //! | `aux/thesaurus`    | the association thesaurus entries               |
 //! | `meta/complete`    | save-completion marker — written **last**       |
@@ -30,10 +28,10 @@
 //!
 //! ## Bit-identity
 //!
-//! `open` rebuilds the collection from the rows through the same
-//! deterministic path ingest used, then installs the serialised CONTREP
-//! indexes in place of the rebuilt ones (they are identical), so every
-//! reopened instance ranks bit-identically to the instance that saved.
+//! The rows are the only persisted form of an instance: no CONTREP index
+//! is stored. `open` derives both indexes from the rows through the same
+//! deterministic path ingest used, so every reopened instance ranks
+//! bit-identically to the instance that saved.
 //! The crash-recovery suite asserts exactly that, for arbitrary injected
 //! crash points.
 //!
@@ -66,10 +64,9 @@
 use crate::live::WriteOp;
 use crate::retriever::{RetrievalError, RetrievalResult};
 use crate::shard::{ClusterConfig, MirrorCluster, Partitioning, Routing};
-use crate::{Clustering, LibraryRow, MirrorConfig, MirrorDbms, INTERNAL};
+use crate::{Clustering, LibraryRow, MirrorConfig, MirrorDbms};
 use cluster::vocab::SpaceModel;
 use cluster::{KMeansResult, MixtureModel, VisualVocabulary};
-use ir::InvertedIndex;
 use monet::storage::{ByteReader, ByteWriter, ENDIAN_SENTINEL};
 use monet::{DiskFs, MonetError, Oid, StorageBackend, Store, StoreOptions};
 use std::path::Path;
@@ -77,11 +74,11 @@ use std::sync::Arc;
 use thesaurus::{AssocMeasure, AssociationThesaurus};
 
 /// Version of the durable store layout this build reads and writes.
-/// v4 drops the parallelism field from the stored configuration; v3
-/// carries index blobs without pinned statistics
-/// ([`ir::INDEX_FORMAT_VERSION`] 3) and the cluster layout of a routing
-/// table plus write counters. Older stores are rejected on open.
-pub const STORE_FORMAT: u32 = 4;
+/// v5 drops the index blobs; open derives the indexes from the rows. v4
+/// dropped the parallelism field from the stored configuration; v3
+/// carried the cluster layout of a routing table plus write counters.
+/// Older stores are rejected on open.
+pub const STORE_FORMAT: u32 = 5;
 
 /// Library rows per columnar batch.
 const BATCH: usize = 512;
@@ -91,8 +88,6 @@ mod key {
     pub const CONFIG: &str = "meta/config";
     pub const LIBRARY: &str = "meta/library";
     pub const COMPLETE: &str = "meta/complete";
-    pub const IDX_ANNOTATION: &str = "idx/annotation";
-    pub const IDX_IMAGE: &str = "idx/image";
     pub const VOCAB: &str = "aux/vocab";
     pub const THESAURUS: &str = "aux/thesaurus";
 
@@ -389,30 +384,6 @@ fn decode_thesaurus(bytes: &[u8]) -> Result<Option<AssociationThesaurus>, MonetE
     Ok(Some(AssociationThesaurus::from_entries(measure, entries)))
 }
 
-/// Serialise an optional index with a presence byte.
-fn encode_index(idx: Option<&InvertedIndex>) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    match idx {
-        None => w.u8(0),
-        Some(idx) => {
-            w.u8(1);
-            w.bytes(&idx.to_bytes());
-        }
-    }
-    w.into_bytes()
-}
-
-fn decode_index(bytes: &[u8], what: &str) -> Result<Option<InvertedIndex>, MonetError> {
-    if bytes.is_empty() {
-        return Err(corrupt(what, "empty index value"));
-    }
-    match bytes[0] {
-        0 => Ok(None),
-        1 => InvertedIndex::from_bytes(&bytes[1..]).map(Some),
-        t => Err(corrupt(what, format!("bad presence byte {t}"))),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // MirrorDbms save / open
 // ---------------------------------------------------------------------------
@@ -441,8 +412,8 @@ impl MirrorDbms {
 
     /// Cold-open a persisted instance from `dir` without re-ingest:
     /// kernel-level recovery (newest valid checkpoint + WAL replay) runs
-    /// first, then the instance is rebuilt from the stored rows and the
-    /// serialised indexes. Ranks bit-identically to the saved instance.
+    /// first, then the instance and its indexes are rebuilt from the
+    /// stored rows. Ranks bit-identically to the saved instance.
     pub fn open(dir: impl AsRef<Path>) -> RetrievalResult<Self> {
         let backend: Arc<dyn StorageBackend> = Arc::new(DiskFs::new(dir.as_ref())?);
         Self::open_from(&Store::open(backend, StoreOptions::default())?)
@@ -469,12 +440,6 @@ pub(crate) fn save_instance(db: &MirrorDbms, store: &Store, prefix: &str) -> Ret
         store.put(k(&key::rows(i)), encode_rows(chunk));
         store.commit()?;
     }
-
-    let ann = db.store().get(&format!("{INTERNAL}__annotation"));
-    let img = db.store().get(&format!("{INTERNAL}__image"));
-    store.put(k(key::IDX_ANNOTATION), encode_index(ann.as_deref()));
-    store.put(k(key::IDX_IMAGE), encode_index(img.as_deref()));
-    store.commit()?;
 
     store.put(k(key::VOCAB), encode_vocab(db.vocabulary()));
     store.put(k(key::THESAURUS), encode_thesaurus(db.thesaurus()));
@@ -529,17 +494,6 @@ pub(crate) fn open_instance(store: &Store, prefix: &str) -> RetrievalResult<Mirr
 
     let mut db = MirrorDbms::new(config);
     db.load_library_rows(rows)?;
-    // install the saved indexes over the deterministically rebuilt ones
-    let ann_key = format!("{INTERNAL}__annotation");
-    let img_key = format!("{INTERNAL}__image");
-    if let Some(idx) =
-        decode_index(&must_get(store, &k(key::IDX_ANNOTATION))?, key::IDX_ANNOTATION)?
-    {
-        db.store().insert(ann_key, idx);
-    }
-    if let Some(idx) = decode_index(&must_get(store, &k(key::IDX_IMAGE))?, key::IDX_IMAGE)? {
-        db.store().insert(img_key, idx);
-    }
     let vocab = decode_vocab(&must_get(store, &k(key::VOCAB))?)?;
     let thesaurus = decode_thesaurus(&must_get(store, &k(key::THESAURUS))?)?;
     if let (Some(v), Some(t)) = (vocab, thesaurus) {
@@ -734,8 +688,8 @@ impl MirrorCluster {
     /// Persist the whole cluster under `dir`: pending writes are folded
     /// first ([`merge_all`](MirrorCluster::merge_all)), then each shard's
     /// generation is saved as an independent durable store in
-    /// `dir/shard-{i:03}` — a complete store of its own (rows, indexes,
-    /// vocabulary, thesaurus) that any node can open without the others —
+    /// `dir/shard-{i:03}` — a complete store of its own (rows, vocabulary,
+    /// thesaurus) that any node can open without the others —
     /// and the configuration and routing table in `dir/cluster`. Writes
     /// wait until the save is done.
     pub fn save(&self, dir: impl AsRef<Path>) -> RetrievalResult<()> {
@@ -858,13 +812,16 @@ mod tests {
 
     #[test]
     fn format_check_rejects_other_versions() {
-        let mut w = ByteWriter::new();
-        w.u32(STORE_FORMAT + 1);
-        w.u16(ENDIAN_SENTINEL);
-        assert_eq!(
-            check_format(&w.into_bytes()).unwrap_err(),
-            MonetError::FormatVersion { found: STORE_FORMAT + 1, expected: STORE_FORMAT }
-        );
+        // 4 is the last layout that stored index blobs beside the rows
+        for found in [4, STORE_FORMAT + 1] {
+            let mut w = ByteWriter::new();
+            w.u32(found);
+            w.u16(ENDIAN_SENTINEL);
+            assert_eq!(
+                check_format(&w.into_bytes()).unwrap_err(),
+                MonetError::FormatVersion { found, expected: STORE_FORMAT }
+            );
+        }
     }
 
     #[test]

@@ -15,22 +15,19 @@
 //! cursor seek past the block entirely. The list keeps the same two
 //! statistics over all its blocks for the list-level bound.
 //!
-//! The least `dl/tf` is *derived, never stored*: [`PostingList::from_postings`]
-//! and [`PostingList::read_from`] compute it from the collection's
-//! document lengths while they walk each block, so nothing on disk can
-//! disagree with those lengths.
+//! The least `dl/tf` is *derived*: [`PostingList::from_postings`] computes
+//! it from the collection's document lengths while it fills each block.
+//! Lists are never stored — every index is built in-process from the
+//! library rows — so nothing outside the builder can disagree with them.
 //!
 //! The raw-vec representation cost 8 bytes per posting; on natural-language
 //! term distributions blocks typically land between 1 and 2 bytes per
 //! posting (the benchmark's `ir.postings.bytes_per_doc` row measures it),
-//! so the same corpus moves less memory per query — on disk, at cold open,
-//! and on every scan.
+//! so the same corpus holds and moves less memory on every scan.
 
 use crate::index::Posting;
-use monet::storage::{
-    bits_for, pack_u32s, packed_words, unpack_u32_at, unpack_u32s, ByteReader, ByteWriter,
-};
-use monet::{MonetError, Oid};
+use monet::storage::{bits_for, pack_u32s, packed_words, unpack_u32_at, unpack_u32s};
+use monet::Oid;
 
 /// Maximum postings per block. 128 keeps a decoded block inside two cache
 /// lines per stream while amortising the per-block metadata to well under
@@ -58,8 +55,8 @@ pub struct BlockMeta {
     pub max_tf: u32,
     /// Least `dl/tf` over the block's postings — the other block-max
     /// bound input — in fixed point `⌊256·dl/tf⌋`, saturating. Derived
-    /// from the document lengths when the list is built or read, never
-    /// serialised; [`min_dl_per_tf`](Self::min_dl_per_tf) is its value.
+    /// from the document lengths when the list is built;
+    /// [`min_dl_per_tf`](Self::min_dl_per_tf) is its value.
     pub min_dl_tf: u32,
     /// Index of the block's first word in the list's word array.
     pub offset: u32,
@@ -87,13 +84,6 @@ impl BlockMeta {
     #[inline]
     fn tf_offset(&self) -> usize {
         self.offset as usize + packed_words(self.count as usize - 1, self.doc_bits as u32)
-    }
-
-    /// Words occupied by the block payload.
-    #[inline]
-    fn words(&self) -> usize {
-        let n = self.count as usize;
-        packed_words(n - 1, self.doc_bits as u32) + packed_words(n, self.tf_bits as u32)
     }
 }
 
@@ -153,15 +143,10 @@ impl PostingList {
                 tf_bits,
             });
         }
-        PostingList::with_list_bounds(blocks, words, posts.len())
-    }
-
-    /// Assemble a list, deriving its list-level bound inputs from its
-    /// blocks.
-    fn with_list_bounds(blocks: Vec<BlockMeta>, words: Vec<u64>, len: usize) -> PostingList {
+        // the list-level bound inputs, over all blocks
         let max_tf = blocks.iter().map(|b| b.max_tf).max().unwrap_or(0);
         let min_dl_tf = blocks.iter().map(|b| b.min_dl_tf).min().unwrap_or(0);
-        PostingList { blocks, words, len, max_tf, min_dl_tf }
+        PostingList { blocks, words, len: posts.len(), max_tf, min_dl_tf }
     }
 
     /// Greatest term frequency in the list — with
@@ -267,146 +252,6 @@ impl PostingList {
     pub fn heap_bytes(&self) -> usize {
         self.words.len() * 8 + self.blocks.len() * std::mem::size_of::<BlockMeta>()
     }
-
-    /// Serialise the compressed form directly — blocks are *not* decoded
-    /// on the way to disk. Layout: posting count, payload words, then per
-    /// block `first_doc, last_doc, max_tf, doc_bits, tf_bits` (`count` and
-    /// `offset` are recomputed on read, `min_dl_tf` is derived).
-    pub fn write_to(&self, w: &mut ByteWriter) {
-        w.u64(self.len as u64);
-        w.u64(self.words.len() as u64);
-        for word in &self.words {
-            w.u64(*word);
-        }
-        for b in &self.blocks {
-            w.u32(b.first_doc);
-            w.u32(b.last_doc);
-            w.u32(b.max_tf);
-            w.u8(b.doc_bits);
-            w.u8(b.tf_bits);
-        }
-    }
-
-    /// Deserialise a list written by [`write_to`](Self::write_to) over a
-    /// collection of `n_docs` documents whose lengths `doc_len` gives, and
-    /// validate it exhaustively: block bounds must be ascending and inside
-    /// the collection, recomputed offsets must cover the payload exactly,
-    /// and every decoded posting must match its block's metadata
-    /// (ascending doc ids ending on `last_doc`, greatest tf equal to
-    /// `max_tf`) — a corrupt block-max would silently break pruning
-    /// soundness, so it is rejected here instead. The same decode derives
-    /// each block's least `dl/tf`; `doc_len` is only asked about documents
-    /// below `n_docs`.
-    pub fn read_from(
-        r: &mut ByteReader<'_>,
-        n_docs: usize,
-        doc_len: impl Fn(Oid) -> u32,
-    ) -> monet::Result<PostingList> {
-        let len = r.len64(r.remaining().saturating_mul(64))?;
-        let n_words = r.len64(r.remaining() / 8)?;
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            words.push(r.u64()?);
-        }
-        let n_blocks = len.div_ceil(BLOCK_LEN);
-        let mut blocks = Vec::with_capacity(n_blocks);
-        let mut offset = 0usize;
-        for i in 0..n_blocks {
-            let first_doc = r.u32()?;
-            let last_doc = r.u32()?;
-            let max_tf = r.u32()?;
-            let doc_bits = r.u8()?;
-            let tf_bits = r.u8()?;
-            if doc_bits > 32 || tf_bits > 32 {
-                return Err(corrupt(format!("block {i}: widths {doc_bits}/{tf_bits} exceed 32")));
-            }
-            let meta = BlockMeta {
-                first_doc,
-                last_doc,
-                max_tf,
-                min_dl_tf: 0, // derived from the payload below
-                offset: u32::try_from(offset)
-                    .map_err(|_| corrupt(format!("block {i}: word offset overflows u32")))?,
-                count: (len - i * BLOCK_LEN).min(BLOCK_LEN) as u16,
-                doc_bits,
-                tf_bits,
-            };
-            if first_doc > last_doc || last_doc as usize >= n_docs {
-                return Err(corrupt(format!(
-                    "block {i}: doc range [{first_doc}, {last_doc}] outside collection of {n_docs}"
-                )));
-            }
-            if let Some(prev) = blocks.last() {
-                let p: &BlockMeta = prev;
-                if p.last_doc >= first_doc {
-                    return Err(corrupt(format!("block {i} overlaps its predecessor")));
-                }
-            }
-            offset += meta.words();
-            blocks.push(meta);
-        }
-        if offset != n_words {
-            return Err(corrupt(format!("blocks cover {offset} words, payload has {n_words}")));
-        }
-        derive_block_bounds(&mut blocks, &words, doc_len)?;
-        Ok(PostingList::with_list_bounds(blocks, words, len))
-    }
-}
-
-/// A typed error for a posting list that fails validation.
-fn corrupt(detail: String) -> MonetError {
-    MonetError::Corrupt { what: "compressed posting list".to_string(), detail }
-}
-
-/// Decode every block, cross-check it against its metadata, and derive its
-/// least `dl/tf` from the same decode. A block's documents are checked to
-/// stay within `last_doc` before their length is looked up.
-fn derive_block_bounds(
-    blocks: &mut [BlockMeta],
-    words: &[u64],
-    doc_len: impl Fn(Oid) -> u32,
-) -> monet::Result<()> {
-    let mut deltas = Vec::with_capacity(BLOCK_LEN);
-    let mut tfs = Vec::with_capacity(BLOCK_LEN);
-    for (i, b) in blocks.iter_mut().enumerate() {
-        let n = b.count as usize;
-        unpack_u32s(words, b.offset as usize, n - 1, b.doc_bits as u32, &mut deltas);
-        unpack_u32s(words, b.tf_offset(), n, b.tf_bits as u32, &mut tfs);
-        // accumulate docs in u64 so corrupt deltas cannot wrap past the
-        // check; widen tfs before the +1 so a corrupt all-ones tf cannot
-        // overflow
-        let mut doc = u64::from(b.first_doc);
-        let mut max_tf = 0u64;
-        let mut min_dl_tf = u32::MAX;
-        for (j, &t) in tfs.iter().enumerate() {
-            if j > 0 {
-                doc += u64::from(deltas[j - 1]) + 1;
-                if doc > u64::from(b.last_doc) {
-                    return Err(corrupt(format!(
-                        "block {i}: deltas pass doc {doc}, beyond metadata's last doc {}",
-                        b.last_doc
-                    )));
-                }
-            }
-            let tf = u64::from(t) + 1;
-            max_tf = max_tf.max(tf);
-            min_dl_tf = min_dl_tf.min(dl_tf_fixed(doc_len(doc as Oid), tf));
-        }
-        if doc != u64::from(b.last_doc) {
-            return Err(corrupt(format!(
-                "block {i}: deltas end at doc {doc}, metadata says {}",
-                b.last_doc
-            )));
-        }
-        if max_tf != u64::from(b.max_tf) {
-            return Err(corrupt(format!(
-                "block {i}: greatest decoded tf {max_tf} does not match block-max {}",
-                b.max_tf
-            )));
-        }
-        b.min_dl_tf = min_dl_tf;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -485,20 +330,15 @@ mod tests {
 
     #[test]
     fn least_dl_per_tf_is_derived_from_the_document_lengths() {
-        // the same blob read against other document lengths derives other
-        // bounds: nothing on disk carries them
+        // the same postings built against other document lengths derive
+        // other bounds, and only the bounds differ
         let original = synthetic(300);
         let list = PostingList::from_postings(&original, doc_len);
-        let n_docs = original.last().unwrap().doc as usize + 1;
-        let mut w = ByteWriter::new();
-        list.write_to(&mut w);
-        let bytes = w.into_bytes();
-        let longer = |doc: Oid| 2 * doc_len(doc);
-        let mut r = ByteReader::new(&bytes, "postings");
-        let back = PostingList::read_from(&mut r, n_docs, longer).unwrap();
-        assert_eq!(back, PostingList::from_postings(&original, longer));
-        assert_eq!(back.to_vec(), original);
-        assert!(back.min_dl_per_tf() > list.min_dl_per_tf());
+        let longer = PostingList::from_postings(&original, |doc| 2 * doc_len(doc));
+        assert_eq!(longer.to_vec(), original);
+        assert_eq!(longer.max_tf(), list.max_tf());
+        assert!(longer.min_dl_per_tf() > list.min_dl_per_tf());
+        assert_ne!(longer, list);
         // a ratio beyond the fixed point's range saturates, a length below
         // the tf stays exact in sixteenths
         let huge = PostingList::from_postings(&posts(&[(0, 1)]), |_| u32::MAX);
@@ -518,69 +358,15 @@ mod tests {
     }
 
     #[test]
-    fn serialisation_roundtrips_compressed() {
-        let original = synthetic(300);
-        let list = PostingList::from_postings(&original, doc_len);
-        let n_docs = original.last().unwrap().doc as usize + 1;
-        let mut w = ByteWriter::new();
-        list.write_to(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes, "postings");
-        let back = PostingList::read_from(&mut r, n_docs, doc_len).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(back, list);
-        // the serialised form is the compressed form: no 8-byte postings
-        assert!(bytes.len() < original.len() * 8 / 2, "{} bytes", bytes.len());
-    }
-
-    #[test]
-    fn corrupt_blobs_are_typed_errors() {
-        let original = synthetic(200);
-        let list = PostingList::from_postings(&original, doc_len);
-        let n_docs = original.last().unwrap().doc as usize + 1;
-        let mut w = ByteWriter::new();
-        list.write_to(&mut w);
-        let bytes = w.into_bytes();
-        // truncations
-        for cut in [0usize, 4, bytes.len() / 2, bytes.len() - 1] {
-            let mut r = ByteReader::new(&bytes[..cut], "postings");
-            assert!(PostingList::read_from(&mut r, n_docs, doc_len).is_err(), "cut {cut}");
-        }
-        // a shrunk collection makes the last block out of range
-        let mut r = ByteReader::new(&bytes, "postings");
-        assert!(PostingList::read_from(&mut r, n_docs / 2, doc_len).is_err());
-        // flipped payload bits must not survive metadata cross-checks
-        let mut rejected = 0;
-        for byte in (16..bytes.len()).step_by(7) {
-            let mut bad = bytes.clone();
-            bad[byte] ^= 0x55;
-            let mut r = ByteReader::new(&bad, "postings");
-            match PostingList::read_from(&mut r, n_docs, doc_len) {
-                Err(_) => rejected += 1,
-                Ok(back) => {
-                    // a surviving flip may only change tfs *below* the
-                    // block-max; doc structure and bounds must still hold
-                    let decoded = back.to_vec();
-                    assert!(decoded.windows(2).all(|w| w[0].doc < w[1].doc));
-                    assert!(decoded.iter().all(|p| (p.doc as usize) < n_docs && p.tf > 0));
-                }
-            }
-        }
-        assert!(rejected > 0, "no flip was ever rejected");
-    }
-
-    #[test]
     fn empty_list_is_empty_everywhere() {
         let list = PostingList::from_postings(&[], doc_len);
         assert!(list.is_empty());
         assert_eq!(list.to_vec(), Vec::new());
         assert_eq!(list.tf_of(0), 0);
         assert_eq!(list.heap_bytes(), 0);
-        let mut w = ByteWriter::new();
-        list.write_to(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes, "postings");
-        assert_eq!(PostingList::read_from(&mut r, 0, doc_len).unwrap(), list);
+        assert!(list.blocks().is_empty());
+        assert_eq!((list.max_tf(), list.min_dl_per_tf()), (0, 0.0));
+        assert_eq!(list, PostingList::default());
     }
 
     #[test]
@@ -588,12 +374,15 @@ mod tests {
         let original = posts(&[(0, 1), (1 << 30, 1 << 20), (u32::MAX - 1, 3)]);
         let list = PostingList::from_postings(&original, doc_len);
         assert_eq!(list.to_vec(), original);
-        assert_eq!(list.tf_of(1 << 30), 1 << 20);
-        let mut w = ByteWriter::new();
-        list.write_to(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes, "postings");
-        let back = PostingList::read_from(&mut r, u32::MAX as usize, doc_len).unwrap();
-        assert_eq!(back, list);
+        for p in &original {
+            assert_eq!(list.tf_of(p.doc), p.tf, "doc {}", p.doc);
+        }
+        assert_eq!(list.tf_of(1 << 29), 0);
+        assert_eq!(list.tf_of(u32::MAX), 0);
+        // one block whose gaps and tfs need the full 32-bit widths
+        let b = list.blocks()[0];
+        assert_eq!((b.doc_bits, b.tf_bits, list.max_tf()), (32, 20, 1 << 20));
+        // two 32-bit gaps fill one word, three 20-bit tfs another
+        assert_eq!(list.heap_bytes(), 2 * 8 + std::mem::size_of::<BlockMeta>());
     }
 }

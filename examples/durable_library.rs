@@ -2,10 +2,10 @@
 //!
 //! Ingest is the expensive half of the Mirror pipeline — segmentation,
 //! feature extraction, clustering, thesaurus mining. The durable storage
-//! tier saves its *output* (library rows, inverted indexes, vocabulary,
-//! thesaurus) into WAL-protected, checksummed 4 KiB pages so a later
-//! process cold-opens the instance in milliseconds and ranks
-//! bit-identically — no pixels needed.
+//! tier saves its *output* (library rows, vocabulary, thesaurus) into
+//! WAL-protected, checksummed 4 KiB pages so a later process cold-opens
+//! the instance — deriving the inverted indexes from the rows — in
+//! milliseconds and ranks bit-identically, no pixels needed.
 //!
 //! ```sh
 //! cargo run --release --example durable_library

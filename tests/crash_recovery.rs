@@ -17,7 +17,7 @@ use mirror::core::shard::MirrorCluster;
 use mirror::core::{LibraryRow, LiveMirror, MirrorDbms, MutableCorpus, RetrievalError, Retriever};
 use mirror::media::{CrawledImage, RobotConfig, WebRobot};
 use mirror::monet::storage::BitFlip;
-use mirror::monet::{FaultFs, FaultPlan, MemFs, StorageBackend, Store, StoreOptions};
+use mirror::monet::{FaultFs, FaultPlan, MemFs, MonetError, StorageBackend, Store, StoreOptions};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::{Arc, OnceLock};
@@ -262,44 +262,64 @@ fn cluster_shards_persist_and_reopen_independently() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Keys of a store's instance layout under `prefix` that hold a
+/// serialised index rather than rows — there must be none.
+fn index_keys(store: &Store, prefix: &str) -> Vec<String> {
+    assert!(
+        store.get(&format!("{prefix}meta/complete")).unwrap().is_some(),
+        "no complete instance under {prefix:?}"
+    );
+    store.keys().into_iter().filter(|k| k.starts_with(&format!("{prefix}idx/"))).collect()
+}
+
 #[test]
-fn bumped_index_format_roundtrips_through_save_and_open() {
+fn saved_generations_hold_rows_not_indexes() {
     let b = baseline();
+    // a saved instance: rows, vocabulary and thesaurus; open derives the
+    // indexes from the rows and ranks bit-identically
     let store = reopen(&b.saved);
-    // the persisted annotation index is the versioned block-compressed
-    // blob (presence byte, then magic + version), stored compressed —
-    // nothing is decoded on the way to disk
-    let blob = store.get("idx/annotation").unwrap().expect("annotation index present");
-    assert_eq!(blob[0], 1, "presence byte");
-    assert_eq!(&blob[1..8], b"MIRRIDX");
-    assert_eq!(u32::from(blob[8]), u32::from(mirror::ir::INDEX_FORMAT_VERSION));
-    let idx = mirror::ir::InvertedIndex::from_bytes(&blob[1..]).unwrap();
-    assert!(idx.n_docs() > 0);
-    // and the reopened instance ranks bit-identically through it
-    let db = MirrorDbms::open_from(&store).unwrap();
-    assert_eq!(probe(&db), b.probes);
+    assert_eq!(index_keys(&store, ""), Vec::<String>::new());
+    assert!(store.get("rows/000000").unwrap().is_some());
+    assert_eq!(probe(&MirrorDbms::open_from(&store).unwrap()), b.probes);
+
+    // a live instance's first generation, then the one a merge writes
+    let fs = MemFs::new();
+    let store = Arc::new(reopen(&fs));
+    let live = LiveMirror::create_durable(live_base(b), Arc::clone(&store)).unwrap();
+    assert_eq!(index_keys(&store, "live/gen-000000/"), Vec::<String>::new());
+    let reopened = LiveMirror::open_durable(Arc::new(reopen(&fs))).unwrap();
+    assert_eq!(keyed(probe(&reopened)), keyed(probe(&live)));
+
+    let rows = b.db.library_rows();
+    live.insert_rows(rows[10..12].to_vec()).unwrap();
+    live.merge().unwrap();
+    assert_eq!(live_pointer(&store).map(|(gen, _)| gen), Some(1));
+    assert_eq!(index_keys(&store, "live/gen-000001/"), Vec::<String>::new());
+    let reopened = LiveMirror::open_durable(Arc::new(reopen(&fs))).unwrap();
+    assert_eq!(keyed(probe(&reopened)), keyed(probe(&live)));
 }
 
 #[test]
 fn store_with_previous_format_version_is_rejected_typed() {
     let b = baseline();
-    let fs = b.saved.fork();
-    {
-        let store = reopen(&fs);
-        // rewrite the format cell as the pre-compression v1 layout
-        let mut stale = 1u32.to_le_bytes().to_vec();
-        stale.extend_from_slice(&0xFEFFu16.to_le_bytes());
-        store.put("meta/format", stale);
-        store.commit().unwrap();
-    }
-    let store = reopen(&fs);
-    match MirrorDbms::open_from(&store) {
-        Err(RetrievalError::Storage(e)) => {
-            let msg = e.to_string();
-            assert!(msg.contains("version") && msg.contains('1'), "untyped rejection: {msg}");
+    // the pre-compression v1 layout, and v4, the last to store index blobs
+    for found in [1u32, 4] {
+        let fs = b.saved.fork();
+        {
+            let store = reopen(&fs);
+            let mut stale = found.to_le_bytes().to_vec();
+            stale.extend_from_slice(&0xFEFFu16.to_le_bytes());
+            store.put("meta/format", stale);
+            store.commit().unwrap();
         }
-        Ok(_) => panic!("v1 store opened silently"),
-        Err(other) => panic!("expected a format-version error, got {other}"),
+        let store = reopen(&fs);
+        match MirrorDbms::open_from(&store) {
+            Err(RetrievalError::Storage(MonetError::FormatVersion { found: got, .. })) => {
+                assert_eq!(got, found)
+            }
+            Ok(_) => panic!("v{found} store opened silently"),
+            Err(other) => panic!("expected a format-version error for v{found}, got {other}"),
+        }
     }
 }
 
