@@ -74,11 +74,12 @@ use std::sync::Arc;
 use thesaurus::{AssocMeasure, AssociationThesaurus};
 
 /// Version of the durable store layout this build reads and writes.
-/// v5 drops the index blobs; open derives the indexes from the rows. v4
-/// dropped the parallelism field from the stored configuration; v3
-/// carried the cluster layout of a routing table plus write counters.
-/// Older stores are rejected on open.
-pub const STORE_FORMAT: u32 = 5;
+/// v6 drops the raw-row flag byte from the stored configuration. v5 dropped
+/// the index blobs; open derives the indexes from the rows. v4 dropped
+/// the parallelism field from the stored configuration; v3 carried the
+/// cluster layout of a routing table plus write counters. Older stores
+/// are rejected on open.
+pub const STORE_FORMAT: u32 = 6;
 
 /// Library rows per columnar batch.
 const BATCH: usize = 512;
@@ -150,7 +151,6 @@ fn encode_config(c: &MirrorConfig) -> Vec<u8> {
     });
     w.u64(c.expand_per_term as u64);
     w.u64(c.expand_max_terms as u64);
-    w.u8(c.keep_raw as u8);
     w.u64(c.seed);
     w.into_bytes()
 }
@@ -175,7 +175,6 @@ fn decode_config(bytes: &[u8]) -> Result<MirrorConfig, MonetError> {
         assoc,
         expand_per_term: r.u64()? as usize,
         expand_max_terms: r.u64()? as usize,
-        keep_raw: r.u8()? != 0,
         seed: r.u64()?,
     })
 }
@@ -769,7 +768,6 @@ mod tests {
                 assoc: AssocMeasure::ChiSquare,
                 expand_per_term: 2,
                 expand_max_terms: 3,
-                keep_raw: true,
                 seed: 99,
             },
         ] {
@@ -812,8 +810,9 @@ mod tests {
 
     #[test]
     fn format_check_rejects_other_versions() {
-        // 4 is the last layout that stored index blobs beside the rows
-        for found in [4, STORE_FORMAT + 1] {
+        // 4 is the last layout that stored index blobs beside the rows,
+        // 5 the last whose configuration carried the raw-row flag byte
+        for found in [4, 5, STORE_FORMAT + 1] {
             let mut w = ByteWriter::new();
             w.u32(found);
             w.u16(ENDIAN_SENTINEL);

@@ -123,7 +123,8 @@ impl MirrorDbms {
                 },
             );
         }
-        rt.wait_quiescent(std::time::Duration::from_millis(20), 5);
+        // shutdown drains each stage before stopping the next, so every
+        // extraction is published before the collection below
         rt.shutdown();
         let mut extractions: Vec<Extraction> = Vec::new();
         while let Ok(env) = features_rx.try_recv() {

@@ -71,8 +71,6 @@ pub struct MirrorConfig {
     pub expand_per_term: usize,
     /// Maximum visual terms per expanded query.
     pub expand_max_terms: usize,
-    /// Keep raw rows for the naive-interpreter baseline (costs memory).
-    pub keep_raw: bool,
     /// Seed for all stochastic stages.
     pub seed: u64,
 }
@@ -85,7 +83,6 @@ impl Default for MirrorConfig {
             assoc: AssocMeasure::Emim,
             expand_per_term: 4,
             expand_max_terms: 12,
-            keep_raw: false,
             seed: 42,
         }
     }
@@ -143,8 +140,7 @@ pub const INTERNAL: &str = "ImageLibraryInternal";
 impl MirrorDbms {
     /// Create an empty instance.
     pub fn new(config: MirrorConfig) -> Self {
-        let mut env = Env::new();
-        env.keep_raw = config.keep_raw;
+        let env = Env::new();
         let store = ir::register_contrep(&env);
         let env = Arc::new(env);
         let engine = MoaEngine::with_opt(Arc::clone(&env), OptConfig::default());

@@ -84,15 +84,16 @@ impl DaemonRuntime {
         self.processed.lock().values().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
-    /// Send `Shutdown` to every daemon inbox and join the threads. The
+    /// Drain the pipeline and stop it: in spawn order, send `Shutdown` to
+    /// a daemon's inbox and join its thread before the next one is told.
+    /// A daemon handles every envelope queued ahead of its `Shutdown`, so
+    /// everything an earlier stage published reaches the later stages
+    /// before they stop, when stages are spawned upstream first. The
     /// runtime can keep being used afterwards (daemons list is emptied).
     pub fn shutdown(&self) {
         let mut daemons = self.daemons.lock();
-        for (name, tx, _) in daemons.iter() {
+        for (_, tx, handle) in daemons.drain(..) {
             let _ = tx.send(Envelope { from: "runtime".into(), msg: Message::Shutdown });
-            let _ = name;
-        }
-        for (_, _, handle) in daemons.drain(..) {
             let _ = handle.join();
         }
     }
@@ -207,6 +208,70 @@ mod tests {
         assert!(rt.daemon_names().is_empty());
         // idempotent
         rt.shutdown();
+    }
+
+    /// A slow first stage: forwards each crawled image to a second topic
+    /// after a pause, so its inbox is still full when shutdown begins.
+    struct Slow;
+
+    impl Daemon for Slow {
+        fn name(&self) -> String {
+            "slow".to_string()
+        }
+
+        fn subscriptions(&self) -> Vec<String> {
+            vec!["in".to_string()]
+        }
+
+        fn handle(&mut self, envelope: Envelope, bus: &Bus) {
+            std::thread::sleep(Duration::from_millis(5));
+            bus.publish("mid", &self.name(), envelope.msg);
+        }
+    }
+
+    /// The second stage: echoes what the slow stage forwarded.
+    struct Relay;
+
+    impl Daemon for Relay {
+        fn name(&self) -> String {
+            "relay".to_string()
+        }
+
+        fn subscriptions(&self) -> Vec<String> {
+            vec!["mid".to_string()]
+        }
+
+        fn handle(&mut self, envelope: Envelope, bus: &Bus) {
+            if let Message::ImageCrawled { url, .. } = envelope.msg {
+                bus.publish("out", &self.name(), Message::ImageSegmented { url, segments: vec![] });
+            }
+        }
+    }
+
+    #[test]
+    fn shutdown_drains_the_pipeline_in_spawn_order() {
+        let rt = DaemonRuntime::new();
+        let out = rt.bus().subscribe("out");
+        rt.spawn(Box::new(Slow));
+        rt.spawn(Box::new(Relay));
+        for i in 0..20 {
+            rt.bus().publish(
+                "in",
+                "t",
+                Message::ImageCrawled { url: format!("u{i}"), blob: vec![], annotation: None },
+            );
+        }
+        // no barrier: shutdown alone must let every forwarded image through
+        rt.shutdown();
+        let urls: Vec<String> = std::iter::from_fn(|| out.try_recv().ok())
+            .filter_map(|env| match env.msg {
+                Message::ImageSegmented { url, .. } => Some(url),
+                _ => None,
+            })
+            .collect();
+        let expected: Vec<String> = (0..20).map(|i| format!("u{i}")).collect();
+        assert_eq!(urls, expected);
+        assert_eq!(rt.processed_counts()["relay"], 20);
     }
 
     #[test]

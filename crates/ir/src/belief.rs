@@ -129,14 +129,6 @@ impl BeliefParams {
         self.alpha + lift.max(0.0)
     }
 
-    /// Belief in `term` given document `doc` of `index` — the
-    /// tuple-at-a-time evaluation path.
-    pub fn belief_in(&self, index: &InvertedIndex, term: &str, doc: Oid) -> f64 {
-        let stats = index.stats();
-        let tf = index.tf(term, doc);
-        self.belief(tf, index.df(term), index.doc_len(doc), stats.n_docs, stats.avg_dl)
-    }
-
     /// Set-at-a-time belief list for one term: `(doc, belief)` for every
     /// document in the term's postings (documents without the term are
     /// *not* emitted; their belief is α by definition).
@@ -165,12 +157,19 @@ mod tests {
         b.build()
     }
 
+    /// Belief in `term` given `doc`, read from the index one posting at a
+    /// time.
+    fn doc_belief(p: &BeliefParams, i: &InvertedIndex, term: &str, doc: Oid) -> f64 {
+        let stats = i.stats();
+        p.belief(i.tf(term, doc), i.df(term), i.doc_len(doc), stats.n_docs, stats.avg_dl)
+    }
+
     #[test]
     fn belief_is_alpha_for_absent_terms() {
         let p = DEFAULT_BELIEF;
         let i = idx();
-        assert_eq!(p.belief_in(&i, "sunset", 1), 0.4);
-        assert_eq!(p.belief_in(&i, "notaterm", 0), 0.4);
+        assert_eq!(doc_belief(&p, &i, "sunset", 1), 0.4);
+        assert_eq!(doc_belief(&p, &i, "notaterm", 0), 0.4);
     }
 
     #[test]
@@ -178,8 +177,8 @@ mod tests {
         let p = DEFAULT_BELIEF;
         let i = idx();
         // doc 0 has sunset twice, doc 2 once (and is longer)
-        let b0 = p.belief_in(&i, "sunset", 0);
-        let b2 = p.belief_in(&i, "sunset", 2);
+        let b0 = doc_belief(&p, &i, "sunset", 0);
+        let b2 = doc_belief(&p, &i, "sunset", 2);
         assert!(b0 > b2, "{b0} vs {b2}");
         assert!(b0 > 0.4 && b0 < 1.0);
     }
@@ -189,8 +188,8 @@ mod tests {
         let p = DEFAULT_BELIEF;
         let i = idx();
         // mist occurs in 1 doc, forest in 2: same tf=1 in doc 1
-        let rare = p.belief_in(&i, "mist", 1);
-        let common = p.belief_in(&i, "forest", 1);
+        let rare = doc_belief(&p, &i, "mist", 1);
+        let common = doc_belief(&p, &i, "forest", 1);
         assert!(rare > common, "{rare} vs {common}");
     }
 
@@ -231,7 +230,7 @@ mod tests {
         let bl = p.belief_list(&i, "sunset");
         assert_eq!(bl.len(), 2);
         for (doc, b) in bl {
-            assert!((b - p.belief_in(&i, "sunset", doc)).abs() < 1e-12);
+            assert!((b - doc_belief(&p, &i, "sunset", doc)).abs() < 1e-12);
         }
         assert!(p.belief_list(&i, "nothere").is_empty());
     }
@@ -247,7 +246,7 @@ mod tests {
             let bound =
                 p.belief_bound(i.max_tf(term), i.df(term), min_dl_tf, stats.n_docs, stats.avg_dl);
             for doc in 0..stats.n_docs as u32 {
-                let b = p.belief_in(&i, term, doc);
+                let b = doc_belief(&p, &i, term, doc);
                 assert!(b <= bound, "{term} doc {doc}: belief {b} above bound {bound}");
             }
         }

@@ -167,48 +167,6 @@ impl Structure for Contrep {
             Err(MoaError::Unknown(format!("CONTREP method '{method}'")))
         }
     }
-
-    /// Tuple-at-a-time `getBL`: evaluate the belief of every query term for
-    /// one document with per-term postings lookups. This is the baseline
-    /// execution model (used by the naive interpreter); it returns exactly
-    /// the rows the set-at-a-time operator would emit for this document.
-    fn eval_object(
-        &self,
-        prefix: &str,
-        oid: Oid,
-        method: &str,
-        args: &CallArgs<'_>,
-    ) -> moa::Result<Vec<f64>> {
-        if method != "getBL" {
-            return Err(MoaError::Unknown(format!("CONTREP method '{method}'")));
-        }
-        let index = self
-            .store
-            .get(prefix)
-            .ok_or_else(|| MoaError::Unknown(format!("content representation '{prefix}'")))?;
-        let params = self.store.params();
-        let query = Self::weighted_query(args);
-        let total_w: f64 = query.iter().map(|(_, w)| w).sum();
-        if total_w == 0.0 {
-            return Ok(Vec::new());
-        }
-        let mut rows = Vec::new();
-        let mut matched_w = 0.0;
-        let mut any = false;
-        for (t, w) in &query {
-            let tf = index.tf(t, oid);
-            if tf > 0 {
-                let b = params.belief_in(&index, t, oid);
-                rows.push(w * b / total_w);
-                matched_w += w;
-                any = true;
-            }
-        }
-        if any && matched_w < total_w {
-            rows.push(params.alpha * (total_w - matched_w) / total_w);
-        }
-        Ok(rows)
-    }
 }
 
 /// Decode the `[prefix, (term, weight)*]` parameter layout shared by the
@@ -428,12 +386,11 @@ pub fn register_contrep(env: &moa::Env) -> Arc<ContrepStore> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moa::{parse_define, Env, MoaEngine, MoaVal, QueryOutput};
+    use moa::{parse_define, Env, MoaEngine, MoaVal};
 
     /// Build the paper's TraditionalImgLib with a CONTREP annotation.
     fn mirror_env() -> (Arc<Env>, Arc<ContrepStore>) {
-        let mut env = Env::new();
-        env.keep_raw = true;
+        let env = Env::new();
         let store = register_contrep(&env);
         let (name, ty) = parse_define(
             "define TraditionalImgLib as
@@ -494,45 +451,6 @@ mod tests {
         assert!(score(2) > score(1));
         assert_eq!(score(1), 0.0);
         assert_eq!(score(3), 0.0);
-    }
-
-    #[test]
-    fn flattened_ranking_matches_inference_network() {
-        let (env, store) = mirror_env();
-        let terms = vec![("sunset".to_string(), 2.0), ("mist".to_string(), 1.0)];
-        env.bind_query("query", terms.clone());
-        let engine = MoaEngine::new(Arc::clone(&env));
-        let out = engine
-            .query("map[sum(THIS)](map[getBL(THIS.annotation, query, stats)](TraditionalImgLib))")
-            .unwrap();
-        let pairs = out.pairs().unwrap().to_vec();
-        let index = store.get("TraditionalImgLib__annotation").unwrap();
-        let network = crate::Ranker::new(&index).rank(&crate::QueryNode::wsum_of(&terms));
-        for (doc, expected) in network {
-            let got = pairs.iter().find(|(o, _)| *o == doc).unwrap().1.as_float().unwrap();
-            assert!(
-                (got - expected).abs() < 1e-9,
-                "doc {doc}: flattened {got} vs network {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn naive_and_flattened_getbl_agree() {
-        let (env, _) = mirror_env();
-        env.bind_query("query", vec![("sunset".into(), 1.0), ("beach".into(), 1.0)]);
-        let q = "map[sum(THIS)](map[getBL(THIS.annotation, query, stats)](TraditionalImgLib))";
-        let flat = MoaEngine::new(Arc::clone(&env)).query(q).unwrap();
-        let naive = moa::naive::NaiveEngine::new(&env).query(q).unwrap();
-        // naive emits only docs it visits; compare shared docs
-        let (QueryOutput::Pairs(f), QueryOutput::Pairs(n)) = (&flat, &naive) else {
-            panic!("expected pairs");
-        };
-        for (doc, v) in n {
-            let fv = f.iter().find(|(o, _)| o == doc).unwrap().1.as_float().unwrap();
-            let nv = v.as_float().unwrap();
-            assert!((fv - nv).abs() < 1e-9, "doc {doc}: {fv} vs {nv}");
-        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!    index ([`index`]) keeps block-compressed postings, document lengths
 //!    and collection statistics;
 //! 2. *ranking* — per-term beliefs `bel(t,d) = α + (1−α)·ntf·nidf`
-//!    ([`belief`]) combined through inference-network operators
-//!    (`#sum #wsum #and #or #not #max`, [`net`]);
+//!    ([`belief`]) combined by the inference network's weighted sum
+//!    (`#wsum`), which `getBL` and a grouped sum compute set-at-a-time;
 //! 3. *query formulation* — weighted term sets, produced upstream (by the
 //!    user, or by the thesaurus during dual-coding retrieval).
 //!
@@ -30,7 +30,6 @@ pub mod belief;
 pub mod contrep;
 pub mod dict;
 pub mod index;
-pub mod net;
 pub mod postings;
 pub mod text;
 pub mod tombstones;
@@ -41,7 +40,6 @@ pub use belief::{BeliefParams, DEFAULT_BELIEF};
 pub use contrep::{register_contrep, Contrep, ContrepStore};
 pub use dict::TermDict;
 pub use index::{CollectionStats, IndexBuilder, InvertedIndex};
-pub use net::{QueryNode, Ranker};
 pub use postings::{BlockMeta, PostingList, BLOCK_LEN};
 pub use text::{is_stopword, porter_stem, tokenize, tokenize_stemmed};
 pub use tombstones::Tombstones;

@@ -37,8 +37,9 @@ pub struct CollectionMeta {
     pub count: usize,
 }
 
-/// The logical environment shared by the compiler, executor and naive
-/// interpreter.
+/// The logical environment shared by the compiler and the executor. It
+/// keeps no logical rows: a loaded collection exists only in its flattened
+/// form.
 pub struct Env {
     catalog: Arc<Catalog>,
     ops: Arc<OpRegistry>,
@@ -46,11 +47,7 @@ pub struct Env {
     collections: RwLock<HashMap<String, CollectionMeta>>,
     declared: RwLock<HashMap<String, MoaType>>,
     queries: RwLock<HashMap<String, Vec<(String, f64)>>>,
-    raw: RwLock<HashMap<String, Arc<Vec<MoaVal>>>>,
     stats: RwLock<Arc<StatsCatalog>>,
-    /// Keep object-at-a-time copies of ingested rows for the naive
-    /// interpreter (costs memory; disabled by default).
-    pub keep_raw: bool,
 }
 
 impl Env {
@@ -63,9 +60,7 @@ impl Env {
             collections: RwLock::new(HashMap::new()),
             declared: RwLock::new(HashMap::new()),
             queries: RwLock::new(HashMap::new()),
-            raw: RwLock::new(HashMap::new()),
             stats: RwLock::new(Arc::new(StatsCatalog::new())),
-            keep_raw: false,
         }
     }
 
@@ -178,7 +173,7 @@ impl Env {
     /// panic between bind and use can no longer leak it into the shared
     /// environment. Prefer request-scoped [`crate::QueryParams`] (which
     /// never touch the environment at all); the guard exists for callers
-    /// that still need an environment binding (e.g. the naive interpreter).
+    /// that still need an environment binding.
     #[must_use = "dropping the guard immediately unbinds the query"]
     pub fn bind_query_scoped(
         &self,
@@ -188,11 +183,6 @@ impl Env {
         let name = name.into();
         self.bind_query(name.clone(), terms);
         QueryBindingGuard { env: self, name }
-    }
-
-    /// Raw rows of a collection (only if `keep_raw` was set at load time).
-    pub fn raw_rows(&self, coll: &str) -> Option<Arc<Vec<MoaVal>>> {
-        self.raw.read().get(coll).cloned()
     }
 
     /// Create (or replace) a collection: validate rows against the declared
@@ -232,9 +222,6 @@ impl Env {
         let meta = CollectionMeta { name: name.clone(), elem_ty, count: n };
         self.collections.write().insert(name.clone(), meta.clone());
         self.collect_column_stats(&name);
-        if self.keep_raw {
-            self.raw.write().insert(name, Arc::new(rows));
-        }
         Ok(meta)
     }
 
@@ -532,15 +519,6 @@ mod tests {
         }));
         assert!(result.is_err());
         assert!(env.query_binding("qp").is_none(), "panic leaked the binding");
-    }
-
-    #[test]
-    fn keep_raw_stores_rows() {
-        let mut env = Env::new();
-        env.keep_raw = true;
-        let (ty, rows) = simple_rows();
-        env.create_collection("Lib", ty, rows).unwrap();
-        assert_eq!(env.raw_rows("Lib").unwrap().len(), 2);
     }
 
     #[test]

@@ -21,9 +21,12 @@
 //! * the optimiser switches and logical selection pushdown ([`rewrite`]),
 //!   and the optimizer ([`opt`]): one fixed cascade of statistics-driven
 //!   plan rewrites and top-k fusion, with cardinality estimates;
-//! * a deliberately naive **object-at-a-time interpreter** ([`naive`]) that
-//!   serves as the baseline for the set-at-a-time scalability experiment;
 //! * the execution facade ([`exec::MoaEngine`]).
+//!
+//! Every query runs set-at-a-time through that one compiler. The
+//! object-at-a-time interpretation that flattening replaces \[BWK98\]
+//! lives only in the integration tests, as the oracle the flattened plans
+//! are held to.
 
 #![warn(missing_docs)]
 
@@ -31,7 +34,6 @@ pub mod env;
 pub mod exec;
 pub mod expr;
 pub mod flatten;
-pub mod naive;
 pub mod opt;
 pub mod params;
 pub mod parser;

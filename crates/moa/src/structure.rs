@@ -17,7 +17,7 @@
 
 use crate::types::MoaType;
 use crate::{MoaError, Result};
-use monet::{Catalog, Oid, Plan, Val};
+use monet::{Catalog, Plan, Val};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -69,17 +69,6 @@ pub trait Structure: Send + Sync {
     /// `getBL` yields `SET<Atomic<float>>` per object, so this returns
     /// `Atomic<float>`).
     fn method_result_elem(&self, method: &str) -> Result<MoaType>;
-
-    /// Object-at-a-time evaluation of `method` for a single object — the
-    /// baseline execution model. Returns the member values of the result
-    /// set for that object. Used by [`crate::naive::NaiveEngine`] only.
-    fn eval_object(
-        &self,
-        prefix: &str,
-        oid: Oid,
-        method: &str,
-        args: &CallArgs<'_>,
-    ) -> Result<Vec<f64>>;
 }
 
 /// A thread-safe registry of structures.
@@ -185,16 +174,6 @@ pub(crate) mod test_support {
             } else {
                 Err(MoaError::Unknown(format!("LENREP method '{method}'")))
             }
-        }
-
-        fn eval_object(
-            &self,
-            _prefix: &str,
-            _oid: Oid,
-            _method: &str,
-            _args: &CallArgs<'_>,
-        ) -> Result<Vec<f64>> {
-            Err(MoaError::Unsupported("LENREP naive evaluation".into()))
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Logical values — the object-at-a-time view of Moa data.
 //!
 //! [`MoaVal`] trees are used for ingestion (rows handed to
-//! [`crate::env::Env::create_collection`]) and by the naive interpreter.
-//! The flattening compiler never materialises them during query execution;
-//! that is the whole point of the architecture.
+//! [`crate::env::Env::create_collection`]). The flattening compiler never
+//! materialises them during query execution; that is the whole point of
+//! the architecture.
 
 use crate::types::{AtomicType, MoaType};
 use crate::{MoaError, Result};
@@ -70,7 +70,7 @@ impl MoaVal {
         }
     }
 
-    /// Numeric view of an atomic value (used by the naive interpreter).
+    /// Numeric view of an atomic value.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             MoaVal::Int(i) => Some(*i as f64),

@@ -39,8 +39,7 @@ impl Bat {
         Ok(self.take_ordered(&positions))
     }
 
-    /// Rows whose tail satisfies an arbitrary predicate (slow path — used
-    /// by the naive object-at-a-time interpreter and tests).
+    /// Rows whose tail satisfies an arbitrary predicate (slow path).
     pub fn select_where<F: FnMut(&Val) -> bool>(&self, mut pred: F) -> Result<Bat> {
         let mut positions = Vec::new();
         for i in 0..self.count() {

@@ -7,7 +7,6 @@
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::props::Props;
-use crate::value::Val;
 use std::cmp::Ordering;
 
 /// Compare two rows of a column with a total order.
@@ -80,24 +79,11 @@ impl Bat {
     }
 }
 
-/// Sort `(Val, Val)` pairs by tail — helper for comparing against BAT
-/// results in tests and the naive interpreter.
-pub fn sort_pairs_by_tail(mut pairs: Vec<(Val, Val)>, desc: bool) -> Vec<(Val, Val)> {
-    pairs.sort_by(|x, y| {
-        let o = x.1.total_cmp(&y.1);
-        if desc {
-            o.reverse()
-        } else {
-            o
-        }
-    });
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bat::{bat_of_floats, bat_of_ints, bat_of_strs};
+    use crate::value::Val;
 
     #[test]
     fn sort_ascending_and_descending() {

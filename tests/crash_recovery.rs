@@ -302,8 +302,9 @@ fn saved_generations_hold_rows_not_indexes() {
 #[test]
 fn store_with_previous_format_version_is_rejected_typed() {
     let b = baseline();
-    // the pre-compression v1 layout, and v4, the last to store index blobs
-    for found in [1u32, 4] {
+    // the pre-compression v1 layout, v4, the last to store index blobs,
+    // and v5, the last to store the raw-row configuration flag
+    for found in [1u32, 4, 5] {
         let fs = b.saved.fork();
         {
             let store = reopen(&fs);

@@ -1,10 +1,13 @@
 //! End-to-end integration tests spanning every crate: the full Section 5
 //! demo pipeline, the paper's queries, and the cross-layer invariants.
 
+mod naive;
+
 use mirror::core::eval::{average_precision, precision_at_k};
 use mirror::core::{Clustering, MirrorConfig, MirrorDbms, Retriever, INTERNAL};
 use mirror::media::{RobotConfig, WebRobot};
-use mirror::moa::{OptConfig, QueryOutput};
+use mirror::moa::{MoaVal, OptConfig, QueryOutput};
+use naive::NaiveEngine;
 use std::sync::OnceLock;
 
 fn corpus() -> &'static Vec<mirror::media::CrawledImage> {
@@ -26,7 +29,7 @@ fn corpus() -> &'static Vec<mirror::media::CrawledImage> {
 fn db() -> &'static MirrorDbms {
     static DB: OnceLock<MirrorDbms> = OnceLock::new();
     DB.get_or_init(|| {
-        let mut db = MirrorDbms::new(MirrorConfig { keep_raw: true, ..Default::default() });
+        let mut db = MirrorDbms::with_defaults();
         db.ingest(corpus()).unwrap();
         db
     })
@@ -117,7 +120,19 @@ fn naive_interpreter_agrees_with_flattened_engine_end_to_end() {
     db.env().bind_query("e2enaive", vec![("sunset".into(), 1.0), ("glow".into(), 1.0)]);
     let q = format!("map[sum(THIS)](map[getBL(THIS.annotation, e2enaive, stats)]({INTERNAL}))");
     let flat = db.engine().query(&q).unwrap();
-    let naive = mirror::moa::naive::NaiveEngine::new(db.env()).query(&q).unwrap();
+    // the collection's rows as ingest loads them: source, annotation, image
+    let rows: Vec<MoaVal> = db
+        .library_rows()
+        .iter()
+        .map(|r| {
+            MoaVal::Tuple(vec![
+                MoaVal::Str(r.url.clone()),
+                r.annotation.clone().map_or(MoaVal::Null, MoaVal::Str),
+                MoaVal::Str(r.vterms.clone()),
+            ])
+        })
+        .collect();
+    let naive = NaiveEngine::new(db.env(), &rows, Some(db.store())).query(&q).unwrap();
     let (QueryOutput::Pairs(f), QueryOutput::Pairs(n)) = (&flat, &naive) else {
         panic!("expected pairs");
     };

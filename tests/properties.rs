@@ -1,11 +1,14 @@
 //! Property-based tests over the core data structures and cross-layer
 //! invariants: the BAT algebra, the text pipeline, the belief functions,
-//! and naive-vs-flattened query equivalence on randomised data.
+//! and naive-vs-flattened query equivalence on randomised data (the
+//! object-at-a-time oracle is `tests/naive`).
+
+mod naive;
 
 use mirror::ir::{porter_stem, tokenize_stemmed, BeliefParams, IndexBuilder};
-use mirror::moa::naive::{outputs_equivalent, NaiveEngine};
 use mirror::moa::{parse_define, Env, MoaEngine, MoaVal};
 use mirror::monet::{bat::bat_of_ints, Agg, Bat, Column, Val};
+use naive::{outputs_equivalent, NaiveEngine};
 use proptest::prelude::*;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -198,30 +201,46 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// the flattened engine and the object-at-a-time interpreter agree on
-    /// randomised collections and select/map/aggregate queries.
+    /// randomised collections and select/map/aggregate queries: int and
+    /// float comparisons (`THIS.s` takes the literals' exact values),
+    /// conjunctions, arithmetic, a nested-set sum and counts.
     #[test]
     fn prop_naive_equals_flattened(
-        rows in proptest::collection::vec((0i64..100, 0i64..100), 1..40),
+        rows in proptest::collection::vec(
+            (0i64..100, 0i64..100, 0i64..100, proptest::collection::vec(0i64..100, 1..4)),
+            1..40,
+        ),
         threshold in 0i64..100,
     ) {
-        let mut env = Env::new();
-        env.keep_raw = true;
+        let env = Env::new();
         let (name, ty) = parse_define(
-            "define P as SET<TUPLE<Atomic<int>: x, Atomic<int>: y>>;",
+            "define P as SET<TUPLE<Atomic<int>: x, Atomic<int>: y, Atomic<float>: s,
+                                   SET<Atomic<float>>: ws>>;",
         ).unwrap();
         let data: Vec<MoaVal> = rows
             .iter()
-            .map(|(x, y)| MoaVal::Tuple(vec![MoaVal::Int(*x), MoaVal::Int(*y)]))
+            .map(|(x, y, s, ws)| {
+                MoaVal::Tuple(vec![
+                    MoaVal::Int(*x),
+                    MoaVal::Int(*y),
+                    MoaVal::Float(*s as f64 / 100.0),
+                    MoaVal::Set(ws.iter().map(|w| MoaVal::Float(*w as f64 / 10.0)).collect()),
+                ])
+            })
             .collect();
-        env.create_collection(name, ty, data).unwrap();
+        env.create_collection(name, ty, data.clone()).unwrap();
         let env = Arc::new(env);
         let engine = MoaEngine::new(Arc::clone(&env));
-        let naive = NaiveEngine::new(&env);
+        let naive = NaiveEngine::new(&env, &data, None);
         for q in [
             format!("select[THIS.x >= {threshold}](P)"),
             format!("map[THIS.y](select[THIS.x < {threshold}](P))"),
             "map[THIS.x + THIS.y * 2](P)".to_string(),
             format!("count(select[THIS.x = {threshold}](P))"),
+            format!("select[THIS.x > {threshold} and THIS.s < 0.35](P)"),
+            "map[THIS.y](select[THIS.s >= 0.2](P))".to_string(),
+            "map[sum(map[THIS](THIS.ws))](P)".to_string(),
+            "count(P)".to_string(),
         ] {
             let a = engine.query(&q).unwrap();
             let b = naive.query(&q).unwrap();

@@ -14,8 +14,8 @@ use common::{
 use mirror::core::{MirrorConfig, MirrorDbms, Retriever};
 use mirror::ir::index::Posting;
 use mirror::ir::{
-    self, porter_stem, topk_beliefs, topk_channels, BeliefParams, IndexBuilder, InvertedIndex,
-    PostingList, Tombstones, TopKChannel,
+    self, porter_stem, topk_beliefs, topk_channels, BeliefParams, ContrepStore, IndexBuilder,
+    InvertedIndex, PostingList, Tombstones, TopKChannel,
 };
 use mirror::moa::{parse_define, Env, MoaEngine, MoaVal, OptConfig, QueryParams};
 use mirror::monet::fxhash::FxHashSet;
@@ -27,10 +27,11 @@ use std::sync::Arc;
 const POOL: &[&str] =
     &["sunset", "beach", "forest", "mist", "wave", "glow", "stone", "river", "meadow", "dune"];
 
-/// A text library over CONTREP annotations built from pool-word indices.
-fn build_env(docs: &[Vec<usize>]) -> Arc<Env> {
+/// A text library over CONTREP annotations built from pool-word indices,
+/// and the store holding its annotation index.
+fn build_env(docs: &[Vec<usize>]) -> (Arc<Env>, Arc<ContrepStore>) {
     let env = Env::new();
-    ir::register_contrep(&env);
+    let store = ir::register_contrep(&env);
     let (name, ty) =
         parse_define("define Lib as SET<TUPLE< Atomic<URL>: source, CONTREP<Text>: annotation >>;")
             .unwrap();
@@ -43,7 +44,7 @@ fn build_env(docs: &[Vec<usize>]) -> Arc<Env> {
         })
         .collect();
     env.create_collection(name, ty, rows).unwrap();
-    Arc::new(env)
+    (Arc::new(env), store)
 }
 
 /// Stemmed, weighted query terms from pool indices.
@@ -85,14 +86,16 @@ fn fused(env: &Arc<Env>, terms: &[(String, f64)], k: usize, degree: usize) -> Ve
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fused top-k ≡ materialise+sort for k ∈ {1, 10, all}, degrees 1 and 4.
+    /// Fused top-k ≡ materialise+sort for k ∈ {1, 10, all}, degrees 1 and
+    /// 4; and at k = all, the unfused plan scores every document exactly
+    /// as the inference network's `#wsum` (the exhaustive oracle) does.
     #[test]
     fn prop_fused_topk_equals_materialise_then_sort(
         docs in proptest::collection::vec(
             proptest::collection::vec(0usize..POOL.len(), 1..8), 1..60),
         query in proptest::collection::vec((0usize..POOL.len(), 0.1f64..2.0), 1..4),
     ) {
-        let env = build_env(&docs);
+        let (env, store) = build_env(&docs);
         let terms = query_terms(&query);
         for k in [1usize, 10, docs.len()] {
             let expected = baseline(&env, &terms, k);
@@ -101,6 +104,12 @@ proptest! {
                 prop_assert_eq!(&got, &expected, "k={} degree={}", k, degree);
             }
         }
+        let index = store.get("Lib__annotation").unwrap();
+        let qr: Vec<(&str, f64)> = terms.iter().map(|(t, w)| (t.as_str(), *w)).collect();
+        let network = topk_beliefs_raw(
+            &index, &RawPostings::from_index(&index), BeliefParams::default(), &qr, docs.len(),
+        );
+        prop_assert_eq!(&baseline(&env, &terms, docs.len()), &network);
     }
 
     /// The ir-level streaming evaluation is degree-invariant and its k-cut
@@ -552,7 +561,7 @@ fn fused_parallel_on_large_corpus_matches_baseline() {
     let docs: Vec<Vec<usize>> = (0..4500)
         .map(|i| vec![i % 10, (i * 3 + 1) % 10, (i * 7 + 2) % 10, (i / 11) % 10])
         .collect();
-    let env = build_env(&docs);
+    let (env, _) = build_env(&docs);
     let terms = query_terms(&[(0, 1.0), (3, 1.0), (7, 0.5)]);
     for k in [1usize, 10, docs.len()] {
         let expected = baseline(&env, &terms, k);
@@ -568,7 +577,7 @@ fn fused_parallel_on_large_corpus_matches_baseline() {
 #[test]
 fn fusion_fires_and_finds_documents() {
     let docs: Vec<Vec<usize>> = (0..50).map(|i| vec![i % 10, (i * 3) % 10, (i * 7) % 10]).collect();
-    let env = build_env(&docs);
+    let (env, _) = build_env(&docs);
     let terms = query_terms(&[(0, 1.0), (4, 1.0)]);
     let eng = MoaEngine::new(Arc::clone(&env));
     let params = QueryParams::new().bind("pq", terms.clone()).with_top_k(5);
