@@ -454,6 +454,43 @@ mod tests {
     }
 
     #[test]
+    fn flattened_ranking_matches_inference_network() {
+        let (env, store) = mirror_env();
+        let terms = vec![("sunset".to_string(), 2.0), ("mist".to_string(), 1.0)];
+        env.bind_query("query", terms.clone());
+        let engine = MoaEngine::new(Arc::clone(&env));
+        let out = engine
+            .query("map[sum(THIS)](map[getBL(THIS.annotation, query, stats)](TraditionalImgLib))")
+            .unwrap();
+        let pairs = out.pairs().unwrap().to_vec();
+        // the network's #wsum node, evaluated per document from the term
+        // belief lists: Σ w·bel / Σ w, an absent term believed at alpha;
+        // a document matching no term scores 0
+        let index = store.get("TraditionalImgLib__annotation").unwrap();
+        let params = crate::belief::DEFAULT_BELIEF;
+        let total_w: f64 = terms.iter().map(|(_, w)| w).sum();
+        let mut matched: HashMap<Oid, (f64, f64)> = HashMap::new();
+        for (t, w) in &terms {
+            for (doc, b) in params.belief_list(&index, t) {
+                let (wb, mw) = matched.entry(doc).or_default();
+                *wb += w * b;
+                *mw += w;
+            }
+        }
+        assert_eq!(matched.len(), 4, "docs 0, 1, 2 and 4 match a term");
+        for (doc, got) in &pairs {
+            let got = got.as_float().unwrap();
+            let expected = matched
+                .get(doc)
+                .map_or(0.0, |(wb, mw)| (wb + params.alpha * (total_w - mw)) / total_w);
+            assert!(
+                (got - expected).abs() < 1e-9,
+                "doc {doc}: flattened {got} vs network {expected}"
+            );
+        }
+    }
+
+    #[test]
     fn selection_pushdown_restricts_ranking() {
         let (env, _) = mirror_env();
         env.bind_query("query", vec![("sunset".into(), 1.0)]);

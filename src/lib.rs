@@ -72,3 +72,18 @@ pub use media;
 pub use moa;
 pub use monet;
 pub use thesaurus;
+
+// The object-at-a-time oracle and its fixed-query checks are test support
+// (`tests/naive`), not part of the facade; the checks run as the facade's
+// unit tests, and reach the subsystems through `mirror::` as the
+// integration suites do.
+#[cfg(test)]
+extern crate self as mirror;
+
+#[cfg(test)]
+#[path = "../tests/naive/mod.rs"]
+mod oracle;
+
+#[cfg(test)]
+#[path = "../tests/naive/fixed_queries.rs"]
+mod naive;
