@@ -156,7 +156,7 @@ impl DeltaBatch {
         let [mut text, mut image] = [IndexBuilder::new(), IndexBuilder::new()];
         for r in &rows {
             text.add_text(r.annotation.as_deref());
-            image.add_tokens(&vis_tokens(r));
+            image.add_terms(r.vterms.split_whitespace());
         }
         DeltaBatch { first_doc, rows, indexes: [text.build(), image.build()] }
     }

@@ -11,9 +11,6 @@
 //! with default belief α = 0.4 (also the belief assigned when the term does
 //! not occur in the document at all).
 
-use crate::index::InvertedIndex;
-use monet::Oid;
-
 /// Parameters of the belief function.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BeliefParams {
@@ -131,8 +128,14 @@ impl BeliefParams {
 
     /// Set-at-a-time belief list for one term: `(doc, belief)` for every
     /// document in the term's postings (documents without the term are
-    /// *not* emitted; their belief is α by definition).
-    pub fn belief_list(&self, index: &InvertedIndex, term: &str) -> Vec<(Oid, f64)> {
+    /// *not* emitted; their belief is α by definition). The reference the
+    /// `#wsum` ranking checks score against.
+    #[cfg(test)]
+    pub(crate) fn belief_list(
+        &self,
+        index: &crate::InvertedIndex,
+        term: &str,
+    ) -> Vec<(monet::Oid, f64)> {
         let stats = index.stats();
         let df = index.df(term);
         let Some(list) = index.postings_list(term) else { return Vec::new() };
@@ -148,6 +151,8 @@ impl BeliefParams {
 mod tests {
     use super::*;
     use crate::index::IndexBuilder;
+    use crate::index::InvertedIndex;
+    use monet::Oid;
 
     fn idx() -> InvertedIndex {
         let mut b = IndexBuilder::new();

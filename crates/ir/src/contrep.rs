@@ -50,8 +50,8 @@ pub const TOPK_BL_OP: &str = "contrep.getbl.topk";
 /// prefix (`{collection}__{attribute}`).
 ///
 /// Each index is the only physical form of its `CONTREP` attribute: the
-/// belief operators read it directly, and durable saves persist it as a
-/// blob.
+/// belief operators read it directly. Durable saves store the library
+/// rows, not the index; `open` rebuilds it from them.
 #[derive(Default)]
 pub struct ContrepStore {
     map: RwLock<HashMap<String, Arc<InvertedIndex>>>,
@@ -123,21 +123,18 @@ impl Structure for Contrep {
 
     fn build(
         &self,
-        values: &[Option<String>],
+        values: &[Option<&str>],
         param: &MoaType,
         _catalog: &Catalog,
         prefix: &str,
     ) -> moa::Result<()> {
         let stem = matches!(param, MoaType::Atomic(moa::AtomicType::Text));
         let mut builder = IndexBuilder::new();
-        for v in values {
-            match v {
-                Some(text) if stem => builder.add_text(Some(text)),
-                Some(text) => {
-                    let toks: Vec<&str> = text.split_whitespace().collect();
-                    builder.add_tokens(&toks);
-                }
-                None => builder.add_text(None),
+        for &v in values {
+            if stem {
+                builder.add_text(v);
+            } else {
+                builder.add_terms(v.unwrap_or("").split_whitespace());
             }
         }
         self.store.insert(prefix, builder.build());

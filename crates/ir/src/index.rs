@@ -14,8 +14,9 @@
 
 use crate::dict::TermDict;
 use crate::postings::PostingList;
-use crate::text::tokenize_stemmed;
+use crate::text::{for_each_token, is_stopword, porter_stem_into};
 use monet::Oid;
+use std::collections::HashMap;
 
 /// One posting: a document and the term's frequency within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,8 +148,14 @@ impl InvertedIndex {
 pub struct IndexBuilder {
     dict: TermDict,
     postings: Vec<Vec<Posting>>,
-    cf: Vec<u64>,
     doc_len: Vec<u32>,
+    /// Raw token → term id (`None` for a stopword): each distinct token
+    /// is stopped, stemmed and interned once per builder.
+    memo: HashMap<String, Option<u32>>,
+    /// The current document's term ids, reused across documents.
+    ids: Vec<u32>,
+    /// Stemming scratch buffer.
+    stem: String,
 }
 
 impl IndexBuilder {
@@ -157,53 +164,72 @@ impl IndexBuilder {
         Self::default()
     }
 
-    /// Add the next document from raw text (tokenise + stem). Missing
+    /// Add the next document from raw text (tokenise, drop stopwords,
+    /// stem — [`crate::text::tokenize_stemmed`]'s pipeline). Missing
     /// documents (`None`) get an empty representation, keeping doc oids
     /// aligned with collection oids.
     pub fn add_text(&mut self, text: Option<&str>) {
-        match text {
-            Some(t) => self.add_tokens(&tokenize_stemmed(t)),
-            None => self.add_tokens::<&str>(&[]),
-        }
+        let Self { dict, memo, ids, stem, .. } = self;
+        for_each_token(text.unwrap_or(""), |tok| {
+            let id = match memo.get(tok) {
+                Some(&id) => id,
+                None => {
+                    let id = (!is_stopword(tok)).then(|| {
+                        porter_stem_into(tok, stem);
+                        dict.intern(stem)
+                    });
+                    memo.insert(tok.to_string(), id);
+                    id
+                }
+            };
+            ids.extend(id);
+        });
+        self.finish_doc();
     }
 
     /// Add the next document from pre-tokenised terms (used for visual
     /// "documents" whose terms are cluster names).
     pub fn add_tokens<S: AsRef<str>>(&mut self, tokens: &[S]) {
+        self.add_terms(tokens.iter().map(AsRef::as_ref));
+    }
+
+    /// Add the next document from a stream of terms, interned as given.
+    pub fn add_terms<'a>(&mut self, terms: impl IntoIterator<Item = &'a str>) {
+        for t in terms {
+            self.ids.push(self.dict.intern(t));
+        }
+        self.finish_doc();
+    }
+
+    /// Close the document whose term ids are in `ids`: its length, then
+    /// one posting per distinct term (sort and run-length count).
+    fn finish_doc(&mut self) {
         let doc = self.doc_len.len() as Oid;
-        self.doc_len.push(tokens.len() as u32);
-        // per-document tf accumulation
-        let mut counts: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        for t in tokens {
-            let tid = self.dict.intern(t.as_ref());
-            if tid as usize >= self.postings.len() {
-                self.postings.push(Vec::new());
-                self.cf.push(0);
-            }
-            *counts.entry(tid).or_insert(0) += 1;
-            self.cf[tid as usize] += 1;
+        self.doc_len.push(self.ids.len() as u32);
+        self.postings.resize_with(self.dict.len(), Vec::new);
+        self.ids.sort_unstable();
+        for run in self.ids.chunk_by(|a, b| a == b) {
+            self.postings[run[0] as usize].push(Posting { doc, tf: run.len() as u32 });
         }
-        let mut tids: Vec<_> = counts.into_iter().collect();
-        tids.sort_unstable();
-        for (tid, tf) in tids {
-            self.postings[tid as usize].push(Posting { doc, tf });
-        }
+        self.ids.clear();
     }
 
     /// Freeze into an immutable index, compressing each posting run into
     /// blocks.
     pub fn build(self) -> InvertedIndex {
         let df = self.postings.iter().map(|p| p.len() as u32).collect();
+        let cf = self.postings.iter().map(|p| p.iter().map(|x| u64::from(x.tf)).sum()).collect();
         let doc_len = |d: Oid| self.doc_len[d as usize];
         let postings =
             self.postings.iter().map(|p| PostingList::from_postings(p, doc_len)).collect();
-        InvertedIndex { dict: self.dict, postings, df, cf: self.cf, doc_len: self.doc_len }
+        InvertedIndex { dict: self.dict, postings, df, cf, doc_len: self.doc_len }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::text::tokenize_stemmed;
 
     fn small_index() -> InvertedIndex {
         let mut b = IndexBuilder::new();
@@ -308,5 +334,122 @@ mod tests {
         assert_eq!(idx.n_docs(), 0);
         assert_eq!(idx.stats().avg_dl, 0.0);
         assert!(idx.postings_list("x").is_none());
+    }
+
+    /// The text pipeline as a per-occurrence composition: a char-at-a-time
+    /// tokeniser (`char::is_alphanumeric`, `char::to_lowercase`, one
+    /// `String` per token), then stopword removal, then Porter stemming.
+    fn composed_terms(text: &str) -> Vec<String> {
+        let mut tokens = Vec::new();
+        let mut cur = String::new();
+        for ch in text.chars() {
+            if ch.is_alphanumeric() {
+                cur.extend(ch.to_lowercase());
+            } else if !cur.is_empty() {
+                tokens.push(std::mem::take(&mut cur));
+            }
+        }
+        if !cur.is_empty() {
+            tokens.push(cur);
+        }
+        tokens
+            .into_iter()
+            .filter(|t| !crate::text::is_stopword(t))
+            .map(|t| crate::text::porter_stem(&t))
+            .collect()
+    }
+
+    /// Generated annotation texts: mixed case, punctuation, digits,
+    /// stopwords, repeated tokens, missing documents and non-ASCII
+    /// letters (`É`, `ß`, and `İ`, whose lowercase is two chars).
+    fn generated_texts(n: usize, mut seed: u64) -> Vec<Option<String>> {
+        const WORDS: &[&str] = &[
+            "Sunset",
+            "sunsets",
+            "the",
+            "THE",
+            "and",
+            "running",
+            "Runner",
+            "beaches",
+            "relational",
+            "x1",
+            "2024",
+            "42nd",
+            "École",
+            "ÉTÉ",
+            "Straße",
+            "İstanbul",
+            "naïve",
+            "ß",
+            "of",
+            "is",
+            "hopping",
+            "Hopeful",
+            "a",
+            "sky",
+            "skies",
+            "ponies",
+            "CONDITIONAL",
+            "über",
+            "r2d2",
+        ];
+        const SEPS: &[&str] = &[" ", ", ", ". ", "!", " - ", "'", "\t", "  ", "/", "_"];
+        let mut next = move |m: usize| {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % m as u64) as usize
+        };
+        (0..n)
+            .map(|_| {
+                if next(8) == 0 {
+                    return None;
+                }
+                let mut text = String::new();
+                for _ in 0..next(14) {
+                    let word = WORDS[next(WORDS.len())];
+                    let repeats = if next(5) == 0 { 3 } else { 1 };
+                    for _ in 0..repeats {
+                        if next(4) == 0 {
+                            text.extend(word.chars().map(|c| c.to_ascii_uppercase()));
+                        } else {
+                            text.push_str(word);
+                        }
+                        text.push_str(SEPS[next(SEPS.len())]);
+                    }
+                }
+                Some(text)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn add_text_equals_the_composed_pipeline() {
+        let texts = generated_texts(400, 7);
+        let mut memoised = IndexBuilder::new();
+        let mut composed = IndexBuilder::new();
+        for t in &texts {
+            memoised.add_text(t.as_deref());
+            let terms = t.as_deref().map(composed_terms).unwrap_or_default();
+            composed.add_tokens(&terms);
+            assert_eq!(t.as_deref().map(tokenize_stemmed).unwrap_or_default(), terms, "{t:?}");
+        }
+        let (a, b) = (memoised.build(), composed.build());
+        let dict: Vec<(u32, &str)> = a.dict().iter().collect();
+        assert_eq!(dict, b.dict().iter().collect::<Vec<_>>());
+        assert!(dict.iter().any(|(_, t)| !t.is_ascii()), "non-ASCII terms are generated");
+        for (_, term) in dict {
+            assert_eq!(a.df(term), b.df(term), "{term}");
+            assert_eq!(a.cf(term), b.cf(term), "{term}");
+            assert_eq!(a.max_tf(term), b.max_tf(term), "{term}");
+            let (pa, pb) = (a.postings_list(term).unwrap(), b.postings_list(term).unwrap());
+            assert_eq!(pa.to_vec(), pb.to_vec(), "{term}");
+        }
+        assert_eq!(a.n_docs(), texts.len());
+        for d in 0..texts.len() as Oid {
+            assert_eq!(a.doc_len(d), b.doc_len(d), "doc {d}");
+        }
     }
 }

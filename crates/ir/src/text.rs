@@ -24,27 +24,43 @@ pub fn is_stopword(word: &str) -> bool {
     STOPWORDS.binary_search(&word).is_ok()
 }
 
-/// Split text into lowercase alphanumeric tokens. Purely ASCII-oriented —
-/// adequate for the synthetic corpus and annotation vocabularies.
-pub fn tokenize(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
+/// Stream the lowercase alphanumeric tokens of `text` to `f`, lowercasing
+/// into one reused buffer (no allocation per token). ASCII characters take
+/// a fast path; any other character follows `char::is_alphanumeric` and
+/// `char::to_lowercase`, which may emit several characters (`İ` → `i̇`).
+pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
+    let mut buf = String::new();
     for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            cur.extend(ch.to_lowercase());
-        } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
+        if ch.is_ascii_alphanumeric() {
+            buf.push(ch.to_ascii_lowercase());
+        } else if !ch.is_ascii() && ch.is_alphanumeric() {
+            buf.extend(ch.to_lowercase());
+        } else if !buf.is_empty() {
+            f(&buf);
+            buf.clear();
         }
     }
-    if !cur.is_empty() {
-        out.push(cur);
+    if !buf.is_empty() {
+        f(&buf);
     }
+}
+
+/// Split text into lowercase alphanumeric tokens.
+pub fn tokenize(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for_each_token(text, |t| out.push(t.to_string()));
     out
 }
 
 /// Tokenise, drop stopwords, and Porter-stem — the full indexing pipeline.
 pub fn tokenize_stemmed(text: &str) -> Vec<String> {
-    tokenize(text).into_iter().filter(|t| !is_stopword(t)).map(|t| porter_stem(&t)).collect()
+    let mut out = Vec::new();
+    for_each_token(text, |t| {
+        if !is_stopword(t) {
+            out.push(porter_stem(t));
+        }
+    });
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -118,12 +134,23 @@ fn ends_with(b: &[u8], len: usize, suffix: &str) -> bool {
 }
 
 /// Stem an English word with Porter's algorithm. Input should already be
-/// lowercase; words of length ≤ 2 are returned untouched.
+/// lowercase; words of length ≤ 2 and non-ASCII words are returned
+/// untouched.
 pub fn porter_stem(word: &str) -> String {
+    let mut out = String::new();
+    porter_stem_into(word, &mut out);
+    out
+}
+
+/// [`porter_stem`] into a caller's buffer, replacing its contents and
+/// reusing its allocation.
+pub fn porter_stem_into(word: &str, out: &mut String) {
+    out.clear();
+    out.push_str(word);
     if word.len() <= 2 || !word.is_ascii() {
-        return word.to_string();
+        return;
     }
-    let mut b = word.as_bytes().to_vec();
+    let mut b = std::mem::take(out).into_bytes();
     let mut len = b.len();
 
     // ---- step 1a ----
@@ -262,7 +289,7 @@ pub fn porter_stem(word: &str) -> String {
     }
 
     b.truncate(len);
-    String::from_utf8(b).expect("ascii input stays ascii")
+    *out = String::from_utf8(b).expect("ascii input stays ascii");
 }
 
 /// Apply the first matching (suffix, replacement) rule whose stem has

@@ -162,29 +162,6 @@ impl Env {
         self.queries.read().get(name).cloned()
     }
 
-    /// Remove a query binding (used by callers that bind per-request
-    /// variables to stay safe under concurrency).
-    pub fn unbind_query(&self, name: &str) {
-        self.queries.write().remove(name);
-    }
-
-    /// Bind a query variable for the lifetime of the returned guard: the
-    /// binding is removed when the guard drops, so an early return, `?`, or
-    /// panic between bind and use can no longer leak it into the shared
-    /// environment. Prefer request-scoped [`crate::QueryParams`] (which
-    /// never touch the environment at all); the guard exists for callers
-    /// that still need an environment binding.
-    #[must_use = "dropping the guard immediately unbinds the query"]
-    pub fn bind_query_scoped(
-        &self,
-        name: impl Into<String>,
-        terms: Vec<(String, f64)>,
-    ) -> QueryBindingGuard<'_> {
-        let name = name.into();
-        self.bind_query(name.clone(), terms);
-        QueryBindingGuard { env: self, name }
-    }
-
     /// Create (or replace) a collection: validate rows against the declared
     /// or supplied `SET<TUPLE<…>>` type and flatten them into the catalog.
     pub fn create_collection(
@@ -213,7 +190,7 @@ impl Env {
         // Drop any previous flattening of this collection.
         self.catalog.drop_prefix(&format!("{name}__"));
         let fields = elem_ty.fields().expect("tuple").to_vec();
-        self.flatten_tuples(&name, &fields, &rows)?;
+        self.flatten_tuples(&name, &fields, &rows.iter().collect::<Vec<_>>())?;
         let n = rows.len();
         self.catalog.register(
             format!("{name}__self"),
@@ -246,24 +223,25 @@ impl Env {
         });
     }
 
-    /// Flatten rows (each a `MoaVal::Tuple`) under `prefix`.
-    fn flatten_tuples(
+    /// Flatten rows (each a `MoaVal::Tuple`) under `prefix`, borrowing
+    /// every field: only atomic values are copied, into their BATs.
+    fn flatten_tuples<'r>(
         &self,
         prefix: &str,
         fields: &[(String, MoaType)],
-        rows: &[MoaVal],
+        rows: &[&'r MoaVal],
     ) -> Result<()> {
         for (fi, (fname, fty)) in fields.iter().enumerate() {
-            let field_of = |row: &MoaVal| -> MoaVal {
+            let field_of = |row: &'r MoaVal| -> &'r MoaVal {
                 match row {
-                    MoaVal::Tuple(vs) => vs.get(fi).cloned().unwrap_or(MoaVal::Null),
-                    _ => MoaVal::Null,
+                    MoaVal::Tuple(vs) => vs.get(fi).unwrap_or(&MoaVal::Null),
+                    _ => &MoaVal::Null,
                 }
             };
             match fty {
                 MoaType::Atomic(a) => {
                     let vals: Result<Vec<Val>> =
-                        rows.iter().map(|r| field_of(r).to_physical(fty)).collect();
+                        rows.iter().map(|&r| field_of(r).to_physical(fty)).collect();
                     let col = typed_column(a.physical(), vals?)?;
                     self.catalog.register(format!("{prefix}__{fname}"), Bat::dense(col));
                 }
@@ -271,19 +249,18 @@ impl Env {
                     let is_list = matches!(fty, MoaType::List(_));
                     let mut parents: Vec<Oid> = Vec::new();
                     let mut positions: Vec<i64> = Vec::new();
-                    let mut children: Vec<MoaVal> = Vec::new();
-                    for (oid, row) in rows.iter().enumerate() {
-                        let v = field_of(row);
-                        let elems = match &v {
-                            MoaVal::Set(e) | MoaVal::List(e) => e.clone(),
-                            MoaVal::Null => Vec::new(),
+                    let mut children: Vec<&MoaVal> = Vec::new();
+                    for (oid, &row) in rows.iter().enumerate() {
+                        let elems: &[MoaVal] = match field_of(row) {
+                            MoaVal::Set(e) | MoaVal::List(e) => e,
+                            MoaVal::Null => &[],
                             other => {
                                 return Err(MoaError::Type(format!(
                                     "field '{fname}' expected a set, got {other:?}"
                                 )))
                             }
                         };
-                        for (pos, e) in elems.into_iter().enumerate() {
+                        for (pos, e) in elems.iter().enumerate() {
                             parents.push(oid as Oid);
                             positions.push(pos as i64);
                             children.push(e);
@@ -324,18 +301,13 @@ impl Env {
                 }
                 MoaType::Tuple(sub) => {
                     // inline tuple: fields share the parent oids
-                    let sub_rows: Vec<MoaVal> = rows.iter().map(&field_of).collect();
+                    let sub_rows: Vec<&MoaVal> = rows.iter().map(|&r| field_of(r)).collect();
                     self.flatten_tuples(&format!("{prefix}__{fname}"), sub, &sub_rows)?;
                 }
                 MoaType::Ext { name: sname, param } => {
                     let s = self.structs.get(sname)?;
-                    let payloads: Vec<Option<String>> = rows
-                        .iter()
-                        .map(|r| match field_of(r) {
-                            MoaVal::Str(s) => Some(s),
-                            _ => None,
-                        })
-                        .collect();
+                    let payloads: Vec<Option<&str>> =
+                        rows.iter().map(|&r| field_of(r).as_str()).collect();
                     s.build(&payloads, param, &self.catalog, &format!("{prefix}__{fname}"))?;
                 }
             }
@@ -347,26 +319,6 @@ impl Env {
 impl Default for Env {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// RAII guard for a query binding created by [`Env::bind_query_scoped`];
-/// unbinds on drop, including during unwinding.
-pub struct QueryBindingGuard<'e> {
-    env: &'e Env,
-    name: String,
-}
-
-impl QueryBindingGuard<'_> {
-    /// The bound variable name (splice into the query text).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl Drop for QueryBindingGuard<'_> {
-    fn drop(&mut self) {
-        self.env.unbind_query(&self.name);
     }
 }
 
@@ -496,29 +448,6 @@ mod tests {
         env.bind_query("query", vec![("sunset".into(), 1.0)]);
         assert_eq!(env.query_binding("query").unwrap()[0].0, "sunset");
         assert!(env.query_binding("other").is_none());
-    }
-
-    #[test]
-    fn scoped_binding_unbinds_on_drop() {
-        let env = Env::new();
-        {
-            let guard = env.bind_query_scoped("q0", vec![("sunset".into(), 1.0)]);
-            assert_eq!(guard.name(), "q0");
-            assert!(env.query_binding("q0").is_some());
-        }
-        assert!(env.query_binding("q0").is_none());
-    }
-
-    #[test]
-    fn scoped_binding_survives_panics() {
-        let env = Env::new();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = env.bind_query_scoped("qp", vec![("sunset".into(), 1.0)]);
-            assert!(env.query_binding("qp").is_some());
-            panic!("executor error mid-query");
-        }));
-        assert!(result.is_err());
-        assert!(env.query_binding("qp").is_none(), "panic leaked the binding");
     }
 
     #[test]

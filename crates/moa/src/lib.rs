@@ -42,7 +42,7 @@ pub mod structure;
 pub mod types;
 pub mod value;
 
-pub use env::{Env, QueryBindingGuard};
+pub use env::Env;
 pub use exec::{MoaEngine, QueryOutput};
 pub use expr::{CmpOp, Expr};
 pub use flatten::Rep;

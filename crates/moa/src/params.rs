@@ -1,7 +1,7 @@
 //! Request-scoped query parameters.
 //!
 //! The original facade bound query-term variables into the shared
-//! [`crate::Env`] (`bind_query` … `unbind_query`) around every query —
+//! [`crate::Env`] around every query (bind, run, unbind) —
 //! which means every request takes a write lock on a shared map, leaks its
 //! binding if the executor errors between the two calls, and races other
 //! requests for names. [`QueryParams`] replaces that protocol for the

@@ -45,8 +45,8 @@ pub trait Structure: Send + Sync {
     /// Validate the parameter type (`CONTREP<Text>` accepts `Text`).
     fn check_param(&self, param: &MoaType) -> Result<()>;
 
-    /// Flatten a column of raw payloads (one `Option<String>` per object,
-    /// `None` = absent) under `prefix`: into BATs registered in `catalog`
+    /// Flatten a column of raw payloads (one `Option<&str>` per object,
+    /// `None` = absent, borrowed from the rows being loaded) under `prefix`: into BATs registered in `catalog`
     /// (as the toy `LENREP` of the tests does), or into a structure-owned
     /// representation (as `CONTREP` builds its compressed index). `param`
     /// is the structure's type parameter, letting one structure support
@@ -55,7 +55,7 @@ pub trait Structure: Send + Sync {
     /// registered alongside the structure itself, not here.
     fn build(
         &self,
-        values: &[Option<String>],
+        values: &[Option<&str>],
         param: &MoaType,
         catalog: &Catalog,
         prefix: &str,
@@ -144,15 +144,13 @@ pub(crate) mod test_support {
 
         fn build(
             &self,
-            values: &[Option<String>],
+            values: &[Option<&str>],
             _param: &MoaType,
             catalog: &Catalog,
             prefix: &str,
         ) -> Result<()> {
-            let lens: Vec<i64> = values
-                .iter()
-                .map(|v| v.as_deref().map_or(0, |s| s.chars().count() as i64))
-                .collect();
+            let lens: Vec<i64> =
+                values.iter().map(|v| v.map_or(0, |s| s.chars().count() as i64)).collect();
             catalog.register(format!("{prefix}__len"), Bat::dense(Column::Int(lens)));
             Ok(())
         }
@@ -209,7 +207,7 @@ mod tests {
         let cat = Catalog::new();
         let s = reg.get("LENREP").unwrap();
         s.build(
-            &[Some("abc".into()), None, Some("hello".into())],
+            &[Some("abc"), None, Some("hello")],
             &MoaType::Atomic(AtomicType::Text),
             &cat,
             "C__notes",

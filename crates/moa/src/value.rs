@@ -70,15 +70,6 @@ impl MoaVal {
         }
     }
 
-    /// Numeric view of an atomic value.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            MoaVal::Int(i) => Some(*i as f64),
-            MoaVal::Float(x) => Some(*x),
-            _ => None,
-        }
-    }
-
     /// String view of an atomic value.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -175,9 +166,9 @@ mod tests {
 
     #[test]
     fn numeric_views() {
-        assert_eq!(MoaVal::Int(3).as_f64(), Some(3.0));
-        assert_eq!(MoaVal::Float(0.5).as_f64(), Some(0.5));
-        assert_eq!(MoaVal::str("x").as_f64(), None);
         assert_eq!(MoaVal::str("x").as_str(), Some("x"));
+        assert_eq!(MoaVal::Int(3).as_str(), None);
+        assert_eq!(MoaVal::Set(vec![MoaVal::Int(3)]).elems(), Some(&[MoaVal::Int(3)][..]));
+        assert_eq!(MoaVal::Float(0.5).elems(), None);
     }
 }

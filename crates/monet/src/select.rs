@@ -39,17 +39,6 @@ impl Bat {
         Ok(self.take_ordered(&positions))
     }
 
-    /// Rows whose tail satisfies an arbitrary predicate (slow path).
-    pub fn select_where<F: FnMut(&Val) -> bool>(&self, mut pred: F) -> Result<Bat> {
-        let mut positions = Vec::new();
-        for i in 0..self.count() {
-            if pred(&self.tail().get(i)?) {
-                positions.push(i as u32);
-            }
-        }
-        Ok(self.take_ordered(&positions))
-    }
-
     /// Gather by strictly increasing positions, preserving order-derived
     /// properties of both columns.
     pub(crate) fn take_ordered(&self, positions: &[u32]) -> Bat {
@@ -303,13 +292,6 @@ mod tests {
         // any real bound rejects NaN (comparisons are false), as before
         let some = b.select_range(Bound::Included(&Val::Float(0.0)), Bound::Unbounded).unwrap();
         assert_eq!(some.count(), 2);
-    }
-
-    #[test]
-    fn select_where_arbitrary_predicate() {
-        let b = bat_of_ints(vec![1, 2, 3, 4]);
-        let r = b.select_where(|v| v.as_int().unwrap() % 2 == 0).unwrap();
-        assert_eq!(r.count(), 2);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Association scoring measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,10 +29,42 @@ pub enum AssocMeasure {
     JointCount,
 }
 
-/// Builder state: per-document term sets of both channels.
+/// One channel of the builder: term ↔ dense `u32` id in first-seen order,
+/// and the document frequency of each id.
+#[derive(Debug, Default)]
+struct Channel {
+    ids: HashMap<String, u32>,
+    terms: Vec<String>,
+    df: Vec<u32>,
+}
+
+impl Channel {
+    /// Intern one document's terms into its sorted, de-duplicated id set,
+    /// counting each id's document frequency once.
+    fn add<S: AsRef<str>>(&mut self, terms: &[S]) -> Vec<u32> {
+        let mut set = Vec::with_capacity(terms.len());
+        for t in terms.iter().map(AsRef::as_ref) {
+            let id = self.ids.get(t).copied().unwrap_or_else(|| {
+                self.ids.insert(t.to_string(), self.terms.len() as u32);
+                self.terms.push(t.to_string());
+                self.df.push(0);
+                self.terms.len() as u32 - 1
+            });
+            set.push(id);
+        }
+        set.sort_unstable();
+        set.dedup();
+        set.iter().for_each(|&id| self.df[id as usize] += 1);
+        set
+    }
+}
+
+/// Builder state: per-document term-id sets of both channels.
 #[derive(Debug, Default)]
 pub struct ThesaurusBuilder {
-    docs: Vec<(HashSet<String>, HashSet<String>)>,
+    text: Channel,
+    visual: Channel,
+    docs: Vec<(Vec<u32>, Vec<u32>)>,
 }
 
 impl ThesaurusBuilder {
@@ -48,10 +80,8 @@ impl ThesaurusBuilder {
         text_terms: &[S],
         visual_terms: &[T],
     ) {
-        self.docs.push((
-            text_terms.iter().map(|s| s.as_ref().to_string()).collect(),
-            visual_terms.iter().map(|s| s.as_ref().to_string()).collect(),
-        ));
+        let doc = (self.text.add(text_terms), self.visual.add(visual_terms));
+        self.docs.push(doc);
     }
 
     /// Number of documents added.
@@ -59,41 +89,43 @@ impl ThesaurusBuilder {
         self.docs.len()
     }
 
-    /// Mine associations and freeze the thesaurus.
+    /// Mine associations and freeze the thesaurus. One text term at a
+    /// time, the visual ids of its documents are sorted and run-length
+    /// counted into joint counts; strings are copied only for the
+    /// associations kept.
     pub fn build(&self, measure: AssocMeasure) -> AssociationThesaurus {
         let n = self.docs.len() as f64;
-        let mut text_df: HashMap<String, u32> = HashMap::new();
-        let mut vis_df: HashMap<String, u32> = HashMap::new();
-        let mut joint: HashMap<(String, String), u32> = HashMap::new();
-        for (text, vis) in &self.docs {
-            for t in text {
-                *text_df.entry(t.clone()).or_insert(0) += 1;
-            }
-            for v in vis {
-                *vis_df.entry(v.clone()).or_insert(0) += 1;
-            }
-            for t in text {
-                for v in vis {
-                    *joint.entry((t.clone(), v.clone())).or_insert(0) += 1;
-                }
-            }
+        let mut docs_of: Vec<Vec<u32>> = vec![Vec::new(); self.text.terms.len()];
+        for (d, (text, _)) in self.docs.iter().enumerate() {
+            text.iter().for_each(|&t| docs_of[t as usize].push(d as u32));
         }
-        // score every co-occurring pair
+        let vis_terms = &self.visual.terms;
         let mut assoc: HashMap<String, Vec<(String, f64)>> = HashMap::new();
-        for ((t, v), &jc) in &joint {
-            let nt = text_df[t] as f64;
-            let nv = vis_df[v] as f64;
-            let score = match measure {
-                AssocMeasure::Emim => emim(jc as f64, nt, nv, n),
-                AssocMeasure::ChiSquare => chi_square(jc as f64, nt, nv, n),
-                AssocMeasure::JointCount => jc as f64,
-            };
-            if score > 0.0 {
-                assoc.entry(t.clone()).or_default().push((v.clone(), score));
+        let mut vis_ids: Vec<u32> = Vec::new();
+        for (t, docs) in docs_of.iter().enumerate() {
+            vis_ids.clear();
+            docs.iter().for_each(|&d| vis_ids.extend(&self.docs[d as usize].1));
+            vis_ids.sort_unstable();
+            let nt = self.text.df[t] as f64;
+            let mut list: Vec<(usize, f64)> = vis_ids
+                .chunk_by(|a, b| a == b)
+                .filter_map(|run| {
+                    let v = run[0] as usize;
+                    let (jc, nv) = (run.len() as f64, self.visual.df[v] as f64);
+                    let score = match measure {
+                        AssocMeasure::Emim => emim(jc, nt, nv, n),
+                        AssocMeasure::ChiSquare => chi_square(jc, nt, nv, n),
+                        AssocMeasure::JointCount => jc,
+                    };
+                    (score > 0.0).then_some((v, score))
+                })
+                .collect();
+            if list.is_empty() {
+                continue;
             }
-        }
-        for list in assoc.values_mut() {
-            list.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            list.sort_by(|a, b| b.1.total_cmp(&a.1).then(vis_terms[a.0].cmp(&vis_terms[b.0])));
+            let list = list.into_iter().map(|(v, s)| (vis_terms[v].clone(), s)).collect();
+            assoc.insert(self.text.terms[t].clone(), list);
         }
         AssociationThesaurus { assoc, measure }
     }
@@ -223,6 +255,7 @@ impl AssociationThesaurus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     /// A corpus where "sunset" co-occurs with rgb_0, "forest" with rgb_1,
     /// and "photo" with everything (a stop-like word).
@@ -356,5 +389,76 @@ mod tests {
         let mut sorted = terms.clone();
         sorted.sort();
         assert_eq!(terms, sorted);
+    }
+
+    /// The builder over per-document `HashSet<String>`s, with string-keyed
+    /// document frequencies and joint counts.
+    fn reference_entries(
+        docs: &[(Vec<String>, Vec<String>)],
+        measure: AssocMeasure,
+    ) -> Vec<(String, String, f64)> {
+        let sets: Vec<(HashSet<&String>, HashSet<&String>)> =
+            docs.iter().map(|(t, v)| (t.iter().collect(), v.iter().collect())).collect();
+        let n = sets.len() as f64;
+        let mut text_df: HashMap<&String, u32> = HashMap::new();
+        let mut vis_df: HashMap<&String, u32> = HashMap::new();
+        let mut joint: HashMap<(&String, &String), u32> = HashMap::new();
+        for (text, vis) in &sets {
+            for &t in text {
+                *text_df.entry(t).or_insert(0) += 1;
+                for &v in vis {
+                    *joint.entry((t, v)).or_insert(0) += 1;
+                }
+            }
+            for &v in vis {
+                *vis_df.entry(v).or_insert(0) += 1;
+            }
+        }
+        let mut assoc: HashMap<String, Vec<(String, f64)>> = HashMap::new();
+        for (&(t, v), &jc) in &joint {
+            let (jc, nt, nv) = (jc as f64, text_df[t] as f64, vis_df[v] as f64);
+            let score = match measure {
+                AssocMeasure::Emim => emim(jc, nt, nv, n),
+                AssocMeasure::ChiSquare => chi_square(jc, nt, nv, n),
+                AssocMeasure::JointCount => jc,
+            };
+            if score > 0.0 {
+                assoc.entry(t.clone()).or_default().push((v.clone(), score));
+            }
+        }
+        for list in assoc.values_mut() {
+            list.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        }
+        AssociationThesaurus { assoc, measure }.entries()
+    }
+
+    #[test]
+    fn id_keyed_builder_equals_the_string_keyed_reference() {
+        let state = std::cell::Cell::new(11u64);
+        let next = |m: u64| {
+            let s = state.get().wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695);
+            state.set(s);
+            (s >> 33) % m
+        };
+        let docs: Vec<(Vec<String>, Vec<String>)> = (0..300)
+            .map(|_| {
+                // skewed draws, so terms repeat within and across documents
+                let text = (0..1 + next(10)).map(|_| format!("t{}", next(1 + next(40)))).collect();
+                let vis = (0..next(8)).map(|_| format!("v_{}", next(1 + next(25)))).collect();
+                (text, vis)
+            })
+            .collect();
+        let mut b = ThesaurusBuilder::new();
+        for (text, vis) in &docs {
+            b.add_document(text, vis);
+        }
+        for measure in [AssocMeasure::Emim, AssocMeasure::ChiSquare, AssocMeasure::JointCount] {
+            let (got, want) = (b.build(measure).entries(), reference_entries(&docs, measure));
+            assert!(want.len() > 100, "{measure:?}: {} associations", want.len());
+            let bits = |e: &[(String, String, f64)]| -> Vec<(String, String, u64)> {
+                e.iter().map(|(t, v, s)| (t.clone(), v.clone(), s.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "{measure:?}");
+        }
     }
 }

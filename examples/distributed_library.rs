@@ -25,6 +25,9 @@ use mirror::daemon::{
 use mirror::media::{standard_extractors, FeatureExtractor, Image, RobotConfig, WebRobot};
 use std::time::Duration;
 
+/// The segmenter's grid: every image is cut into `GRID × GRID` segments.
+const GRID: usize = 3;
+
 /// A later-added daemon: mean-luminance, attached at run time.
 struct LumaExtractor;
 
@@ -60,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rt = DaemonRuntime::new();
     let features = rt.bus().subscribe(mirror::daemon::TOPIC_FEATURES);
     rt.spawn(Box::new(MediaServer::new()));
-    rt.spawn(Box::new(SegmenterDaemon::new(SegmenterKind::Grid(3))));
+    rt.spawn(Box::new(SegmenterDaemon::new(SegmenterKind::Grid(GRID))));
     for ex in standard_extractors() {
         rt.spawn(Box::new(FeatureDaemon::new(ex)));
     }
@@ -88,7 +91,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     rt.spawn(Box::new(FeatureDaemon::new(Box::new(LumaExtractor))));
     println!("attached 'feature-luma' at run time");
 
-    rt.wait_quiescent(Duration::from_millis(20), 5);
+    // the media server answers fetches (the demo's image display path)
+    let blob = fetch_media(rt.bus(), &corpus[0].url, Duration::from_secs(2))
+        .expect("media server should hold the footage");
+    let img = Image::from_blob(&blob).unwrap();
+    println!("media server served {} ({}×{})", corpus[0].url, img.width(), img.height());
+
+    // stop the daemons stage by stage: each drains what the stages before
+    // it published, so the counts below are final
+    rt.shutdown();
     let counts = rt.processed_counts();
     println!("\nmessages processed per daemon:");
     let mut names: Vec<_> = counts.keys().collect();
@@ -112,12 +123,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nfeature vectors collected: {n_features} (of which {luma_features} from the late daemon)"
     );
 
-    // the media server answers fetches (the demo's image display path)
-    let blob = fetch_media(rt.bus(), &corpus[0].url, Duration::from_secs(2))
-        .expect("media server should hold the footage");
-    let img = Image::from_blob(&blob).unwrap();
-    println!("media server served {} ({}×{})", corpus[0].url, img.width(), img.height());
-    rt.shutdown();
+    // every image reached the segmenter and every feature daemon that ran
+    // from the start; the late daemon saw the segments published after it
+    // attached. Each image yields GRID² segments, one vector per extractor.
+    let n = corpus.len() as u64;
+    let extractors: Vec<String> =
+        standard_extractors().iter().map(|e| format!("feature-{}", e.space())).collect();
+    assert_eq!(counts["segmenter"], n);
+    for name in &extractors {
+        assert_eq!(counts[name], n, "{name}");
+    }
+    let late = counts["feature-luma"];
+    assert!(late <= n);
+    let per_image = (GRID * GRID) as u64;
+    assert_eq!(n_features as u64, per_image * (extractors.len() as u64 * n + late));
+    assert_eq!(luma_features as u64, per_image * late);
 
     // ---- the same pipeline drives a full ingest, for comparison ----
     let mut db = MirrorDbms::new(MirrorConfig::default());
