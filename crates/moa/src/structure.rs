@@ -46,7 +46,8 @@ pub trait Structure: Send + Sync {
     fn check_param(&self, param: &MoaType) -> Result<()>;
 
     /// Flatten a column of raw payloads (one `Option<&str>` per object,
-    /// `None` = absent, borrowed from the rows being loaded) under `prefix`: into BATs registered in `catalog`
+    /// `None` = absent, borrowed from the rows being loaded) under
+    /// `prefix`: into BATs registered in `catalog`
     /// (as the toy `LENREP` of the tests does), or into a structure-owned
     /// representation (as `CONTREP` builds its compressed index). `param`
     /// is the structure's type parameter, letting one structure support
