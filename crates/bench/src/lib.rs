@@ -2,8 +2,8 @@
 //!
 //! The repo's performance claims live in `mirror-benchmark` (root
 //! `BENCHMARK.json`, `benchmark/`). The criterion benches here (`benches/e*.rs`)
-//! time only what no benchmark workload executes: daemon ingest (E5), the
-//! AutoClass vocabulary build (E8) and the fragment-degree sweep (E9).
+//! time only what no benchmark workload executes: the AutoClass vocabulary
+//! build (E8) and the fragment-degree sweep (E9).
 
 #![warn(missing_docs)]
 

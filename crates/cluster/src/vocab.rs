@@ -104,11 +104,6 @@ impl VocabularyBuilder {
         self.samples.entry(space.to_string()).or_default().push(vector);
     }
 
-    /// Number of samples collected for a space.
-    pub fn sample_count(&self, space: &str) -> usize {
-        self.samples.get(space).map_or(0, Vec::len)
-    }
-
     /// Cluster every space with AutoClass (BIC-selected class counts).
     pub fn build_autoclass(&self, ac: &AutoClass) -> VisualVocabulary {
         let mut vocab = VisualVocabulary::new();
@@ -177,13 +172,6 @@ mod tests {
         let c = vocab.term_of("rgb", &[8.0, 8.1]).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn sample_counting() {
-        let b = builder();
-        assert_eq!(b.sample_count("rgb"), 75);
-        assert_eq!(b.sample_count("none"), 0);
     }
 
     #[test]

@@ -16,20 +16,6 @@ pub fn precision_at_k<F: Fn(Oid) -> bool>(ranked: &[Oid], relevant: F, k: usize)
     hits as f64 / k as f64
 }
 
-/// Recall@k given the total number of relevant documents.
-pub fn recall_at_k<F: Fn(Oid) -> bool>(
-    ranked: &[Oid],
-    relevant: F,
-    k: usize,
-    n_relevant: usize,
-) -> f64 {
-    if n_relevant == 0 {
-        return 0.0;
-    }
-    let hits = ranked.iter().take(k).filter(|&&o| relevant(o)).count();
-    hits as f64 / n_relevant as f64
-}
-
 /// Average precision of a ranking (uninterpolated), given the total number
 /// of relevant documents.
 pub fn average_precision<F: Fn(Oid) -> bool>(
@@ -73,15 +59,6 @@ mod tests {
         assert_eq!(precision_at_k(&ranked, rel, 0), 0.0);
         // short result list: missing entries are misses
         assert_eq!(precision_at_k(&[0], rel, 4), 0.25);
-    }
-
-    #[test]
-    fn recall_uses_relevant_total() {
-        let ranked = vec![0, 1, 2];
-        let rel = |o: Oid| o < 2;
-        assert_eq!(recall_at_k(&ranked, rel, 3, 4), 0.5);
-        assert_eq!(recall_at_k(&ranked, rel, 1, 4), 0.25);
-        assert_eq!(recall_at_k(&ranked, rel, 3, 0), 0.0);
     }
 
     #[test]

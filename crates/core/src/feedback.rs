@@ -167,7 +167,7 @@ mod tests {
         // pick annotated documents of the best-populated theme as relevant
         let theme = {
             let mut counts = std::collections::HashMap::new();
-            for d in db.docs().iter().filter(|d| d.annotated) {
+            for d in db.docs().iter().filter(|d| d.annotation.is_some()) {
                 *counts.entry(d.theme).or_insert(0usize) += 1;
             }
             *counts.iter().max_by_key(|(_, c)| **c).unwrap().0
@@ -176,7 +176,7 @@ mod tests {
             .docs()
             .iter()
             .enumerate()
-            .filter(|(_, d)| d.theme == theme && d.annotated)
+            .filter(|(_, d)| d.theme == theme && d.annotation.is_some())
             .map(|(i, _)| i as u32)
             .take(4)
             .collect();

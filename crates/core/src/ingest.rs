@@ -7,19 +7,13 @@
 //!       → association thesaurus
 //! ```
 //!
-//! Two routes produce identical state: [`MirrorDbms::ingest`] runs the
-//! stages in-process (deterministic, fast), and
-//! [`MirrorDbms::ingest_via_daemons`] routes segmentation and feature
-//! extraction through the open distributed architecture — one daemon per
-//! extractor — proving the metadata database is just another party on the
-//! bus.
+//! [`MirrorDbms::ingest`] is the one ingest route: it runs every stage
+//! in-process and deterministically, calling the same grid segmenter and
+//! feature extractors the daemons of Figure 1 wrap
+//! (`examples/distributed_library.rs` runs those daemons on the bus).
 
-use crate::{Clustering, DocMeta, LibraryRow, MirrorDbms, INTERNAL};
+use crate::{Clustering, LibraryRow, MirrorDbms, INTERNAL};
 use cluster::{AutoClass, AutoClassConfig, VisualVocabulary, VocabularyBuilder};
-use daemon::{
-    DaemonRuntime, FeatureDaemon, Message, SegmenterDaemon, SegmenterKind, TOPIC_CRAWLED,
-    TOPIC_FEATURES,
-};
 use ir::text::tokenize_stemmed;
 use media::{grid_segments, standard_extractors, CrawledImage};
 use moa::{parse_define, MoaVal};
@@ -92,61 +86,10 @@ pub(crate) fn library_rows(
 }
 
 impl MirrorDbms {
-    /// Ingest a crawled corpus in-process.
+    /// Ingest a crawled corpus in-process: extract, cluster, build visual
+    /// documents, flatten the internal schema, and mine the thesaurus.
     pub fn ingest(&mut self, corpus: &[CrawledImage]) -> moa::Result<()> {
         let extractions = extract_inline(corpus, self.config().grid);
-        self.finish_ingest(corpus, extractions)
-    }
-
-    /// Ingest a crawled corpus through the daemon architecture: a
-    /// segmentation daemon plus one feature daemon per extractor run on
-    /// their own threads; the facade collects `features.extracted`
-    /// messages like the metadata database of Figure 1.
-    pub fn ingest_via_daemons(&mut self, corpus: &[CrawledImage]) -> moa::Result<()> {
-        let rt = DaemonRuntime::new();
-        let features_rx = rt.bus().subscribe(TOPIC_FEATURES);
-        rt.spawn(Box::new(SegmenterDaemon::new(SegmenterKind::Grid(self.config().grid))));
-        for ex in standard_extractors() {
-            rt.spawn(Box::new(FeatureDaemon::new(ex)));
-        }
-        // url → document index for reassembling asynchronous results
-        let index_of: std::collections::HashMap<&str, usize> =
-            corpus.iter().enumerate().map(|(i, c)| (c.url.as_str(), i)).collect();
-        for c in corpus {
-            rt.bus().publish(
-                TOPIC_CRAWLED,
-                "web-robot",
-                Message::ImageCrawled {
-                    url: c.url.clone(),
-                    blob: c.image.to_blob(),
-                    annotation: c.annotation.clone(),
-                },
-            );
-        }
-        // shutdown drains each stage before stopping the next, so every
-        // extraction is published before the collection below
-        rt.shutdown();
-        let mut extractions: Vec<Extraction> = Vec::new();
-        while let Ok(env) = features_rx.try_recv() {
-            if let Message::FeaturesExtracted { url, segment, space, vector } = env.msg {
-                if let Some(&doc) = index_of.get(url.as_str()) {
-                    extractions.push((doc, segment, space, vector));
-                }
-            }
-        }
-        // asynchronous arrival order is nondeterministic; sort for
-        // reproducible clustering
-        extractions.sort_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
-        self.finish_ingest(corpus, extractions)
-    }
-
-    /// Shared tail of both ingest routes: cluster, build visual documents,
-    /// flatten the internal schema, and mine the thesaurus.
-    fn finish_ingest(
-        &mut self,
-        corpus: &[CrawledImage],
-        extractions: Vec<Extraction>,
-    ) -> moa::Result<()> {
         let artifacts = self.cluster_and_tokenize(corpus, &extractions);
         self.load_library_rows(library_rows(corpus, &artifacts.visual_docs))?;
         self.set_ingest_outputs(artifacts.vocab, artifacts.thesaurus);
@@ -192,8 +135,9 @@ impl MirrorDbms {
 
     /// Load (or reload) `ImageLibraryInternal` from already-extracted
     /// library rows — the pixel-free form the durable storage tier
-    /// persists. The collection, its CONTREP indexes and the per-document
-    /// metadata are rebuilt deterministically from the rows; a cold
+    /// persists. The collection and its CONTREP indexes are rebuilt
+    /// deterministically from the rows, which the instance keeps as its
+    /// per-document metadata; a cold
     /// [`crate::durable`] open goes through this exact path, so a
     /// reopened instance is state-identical to the instance that saved.
     pub(crate) fn load_library_rows(&mut self, rows: Vec<LibraryRow>) -> moa::Result<()> {
@@ -235,14 +179,6 @@ impl MirrorDbms {
                 stats.set_index(prefix, n_docs, dfs);
             }
         });
-        self.docs = rows
-            .iter()
-            .map(|r| DocMeta {
-                url: r.url.clone(),
-                annotated: r.annotation.is_some(),
-                theme: r.theme,
-            })
-            .collect();
         self.lib_rows = rows;
         Ok(())
     }
@@ -308,17 +244,44 @@ mod tests {
 
     #[test]
     fn daemon_ingest_matches_inline_ingest() {
+        // the Figure 1 daemons (a segmenter, one feature daemon per
+        // extractor) produce exactly the extractions ingest runs inline
+        use daemon::{
+            DaemonRuntime, FeatureDaemon, Message, SegmenterDaemon, SegmenterKind, TOPIC_CRAWLED,
+            TOPIC_FEATURES,
+        };
         let corpus = small_corpus();
-        let mut inline_db = MirrorDbms::with_defaults();
-        inline_db.ingest(&corpus).unwrap();
-        let mut daemon_db = MirrorDbms::with_defaults();
-        daemon_db.ingest_via_daemons(&corpus).unwrap();
-        // identical visual documents → identical index statistics
-        let a = inline_db.store().get("ImageLibraryInternal__image").unwrap();
-        let b = daemon_db.store().get("ImageLibraryInternal__image").unwrap();
-        assert_eq!(a.stats().n_docs, b.stats().n_docs);
-        assert_eq!(a.stats().total_tokens, b.stats().total_tokens);
-        assert_eq!(a.stats().n_terms, b.stats().n_terms);
+        let grid = MirrorConfig::default().grid;
+        let rt = DaemonRuntime::new();
+        let features = rt.bus().subscribe(TOPIC_FEATURES);
+        rt.spawn(Box::new(SegmenterDaemon::new(SegmenterKind::Grid(grid))));
+        for ex in standard_extractors() {
+            rt.spawn(Box::new(FeatureDaemon::new(ex)));
+        }
+        for c in &corpus {
+            let msg = Message::ImageCrawled {
+                url: c.url.clone(),
+                blob: c.image.to_blob(),
+                annotation: c.annotation.clone(),
+            };
+            rt.bus().publish(TOPIC_CRAWLED, "web-robot", msg);
+        }
+        rt.shutdown();
+        let doc_of = |url: &str| corpus.iter().position(|c| c.url == url).unwrap();
+        let mut via_daemons: Vec<Extraction> = std::iter::from_fn(|| features.try_recv().ok())
+            .filter_map(|env| match env.msg {
+                Message::FeaturesExtracted { url, segment, space, vector } => {
+                    Some((doc_of(&url), segment, space, vector))
+                }
+                _ => None,
+            })
+            .collect();
+        let mut inline = extract_inline(&corpus, grid);
+        let order = |a: &Extraction, b: &Extraction| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2));
+        via_daemons.sort_by(order);
+        inline.sort_by(order);
+        assert_eq!(via_daemons.len(), corpus.len() * grid * grid * standard_extractors().len());
+        assert_eq!(via_daemons, inline);
     }
 
     #[test]

@@ -88,19 +88,6 @@ impl Default for MirrorConfig {
     }
 }
 
-/// Per-document bookkeeping kept by the facade (URLs for display,
-/// ground-truth theme for evaluation only).
-#[derive(Debug, Clone)]
-pub struct DocMeta {
-    /// Source URL.
-    pub url: String,
-    /// Whether the document arrived with an annotation.
-    pub annotated: bool,
-    /// Ground-truth theme index (evaluation only — the system never ranks
-    /// with it).
-    pub theme: usize,
-}
-
 /// One row of `ImageLibraryInternal` in its ingested (post-extraction)
 /// form: everything needed to rebuild the internal collection *without*
 /// the original pixels. This is the unit the durable storage tier
@@ -126,10 +113,10 @@ pub struct MirrorDbms {
     config: MirrorConfig,
     vocab: Option<VisualVocabulary>,
     thesaurus: Option<AssociationThesaurus>,
-    docs: Vec<DocMeta>,
     /// The ingested library rows (URL, annotation, visual terms, theme) —
     /// the durable form of the collection, retained so [`durable`] can
-    /// persist the instance without the original images.
+    /// persist the instance without the original images, and the
+    /// per-document metadata (URLs for display, themes for evaluation).
     lib_rows: Vec<LibraryRow>,
 }
 
@@ -151,7 +138,6 @@ impl MirrorDbms {
             config,
             vocab: None,
             thesaurus: None,
-            docs: Vec::new(),
             lib_rows: Vec::new(),
         }
     }
@@ -216,9 +202,11 @@ impl MirrorDbms {
         self.thesaurus.as_ref()
     }
 
-    /// Document metadata in oid order.
-    pub fn docs(&self) -> &[DocMeta] {
-        &self.docs
+    /// Document metadata in oid order: the library rows, whose `url`
+    /// is for display and whose `theme` is for evaluation only (the
+    /// system never ranks with it).
+    pub fn docs(&self) -> &[LibraryRow] {
+        &self.lib_rows
     }
 
     /// The ingested library rows in oid order (empty before ingest) —
@@ -229,7 +217,7 @@ impl MirrorDbms {
 
     /// Number of ingested documents.
     pub fn n_docs(&self) -> usize {
-        self.docs.len()
+        self.lib_rows.len()
     }
 }
 

@@ -116,7 +116,7 @@ mod tests {
         let dual = db.query_dual("sunset glow", 0.6, 40).unwrap();
         // un-annotated sunset images are reachable only via the visual
         // channel; dual retrieval must surface at least one
-        let unannotated_hit = dual.iter().any(|r| !db.docs()[r.oid as usize].annotated);
+        let unannotated_hit = dual.iter().any(|r| db.docs()[r.oid as usize].annotation.is_none());
         assert!(unannotated_hit, "dual retrieval found no un-annotated documents");
     }
 

@@ -683,11 +683,6 @@ impl<R> ReplicaRouter<R> {
         ReplicaRouter { shard, replicas, cursor: AtomicUsize::new(0) }
     }
 
-    /// Number of replicas in the set.
-    pub fn n_replicas(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// Replicas currently believed healthy (up and not suspected).
     pub fn n_healthy(&self) -> usize {
         self.replicas

@@ -123,11 +123,6 @@ impl Bus {
         delivered
     }
 
-    /// Number of live subscriptions on a topic.
-    pub fn subscriber_count(&self, topic: &str) -> usize {
-        self.topics.read().get(topic).map_or(0, Vec::len)
-    }
-
     /// All topics with at least one subscriber, sorted.
     pub fn topics(&self) -> Vec<String> {
         let mut v: Vec<String> = self
@@ -175,11 +170,15 @@ mod tests {
         {
             let _dropped = bus.subscribe("t");
         }
+        {
+            let _dropped = bus.subscribe("gone");
+        }
         let live = bus.subscribe("t");
-        assert_eq!(bus.subscriber_count("t"), 2);
-        let n = bus.publish("t", "x", Message::Shutdown);
-        assert_eq!(n, 1);
-        assert_eq!(bus.subscriber_count("t"), 1);
+        // a dead inbox stays listed until a publish to its topic prunes it
+        assert_eq!(bus.topics(), vec!["gone".to_string(), "t".to_string()]);
+        assert_eq!(bus.publish("t", "x", Message::Shutdown), 1);
+        assert_eq!(bus.publish("gone", "x", Message::Shutdown), 0);
+        assert_eq!(bus.topics(), vec!["t".to_string()]);
         assert!(live.try_recv().is_ok());
     }
 

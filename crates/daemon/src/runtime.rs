@@ -79,11 +79,6 @@ impl DaemonRuntime {
         self.processed.lock().iter().map(|(n, c)| (n.clone(), c.load(Ordering::Relaxed))).collect()
     }
 
-    /// Total messages processed across all daemons.
-    pub fn total_processed(&self) -> u64 {
-        self.processed.lock().values().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
     /// Drain the pipeline and stop it: in spawn order, send `Shutdown` to
     /// a daemon's inbox and join its thread before the next one is told.
     /// A daemon handles every envelope queued ahead of its `Shutdown`, so
@@ -95,24 +90,6 @@ impl DaemonRuntime {
         for (_, tx, handle) in daemons.drain(..) {
             let _ = tx.send(Envelope { from: "runtime".into(), msg: Message::Shutdown });
             let _ = handle.join();
-        }
-    }
-
-    /// Block until the whole pipeline is quiescent: no daemon processed a
-    /// new message for `quiet` consecutive polls. A pragmatic barrier for
-    /// tests and benchmarks (the real system is openly asynchronous).
-    pub fn wait_quiescent(&self, poll: std::time::Duration, quiet: usize) {
-        let mut last = self.total_processed();
-        let mut stable = 0;
-        while stable < quiet {
-            std::thread::sleep(poll);
-            let now = self.total_processed();
-            if now == last {
-                stable += 1;
-            } else {
-                stable = 0;
-                last = now;
-            }
         }
     }
 }
@@ -272,21 +249,5 @@ mod tests {
         let expected: Vec<String> = (0..20).map(|i| format!("u{i}")).collect();
         assert_eq!(urls, expected);
         assert_eq!(rt.processed_counts()["relay"], 20);
-    }
-
-    #[test]
-    fn quiescence_barrier_settles() {
-        let rt = DaemonRuntime::new();
-        rt.spawn(Box::new(Echo { id: 0 }));
-        for i in 0..5 {
-            rt.bus().publish(
-                "in",
-                "t",
-                Message::ImageCrawled { url: format!("u{i}"), blob: vec![], annotation: None },
-            );
-        }
-        rt.wait_quiescent(Duration::from_millis(10), 3);
-        assert_eq!(rt.processed_counts()["echo-0"], 5);
-        rt.shutdown();
     }
 }

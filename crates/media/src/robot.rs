@@ -127,12 +127,6 @@ impl WebRobot {
         WebRobot { themes: default_themes(), config }
     }
 
-    /// A robot over custom themes.
-    pub fn with_themes(themes: Vec<Theme>, config: RobotConfig) -> WebRobot {
-        assert!(!themes.is_empty(), "need at least one theme");
-        WebRobot { themes, config }
-    }
-
     /// The theme list (for evaluation).
     pub fn themes(&self) -> &[Theme] {
         &self.themes

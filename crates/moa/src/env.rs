@@ -45,7 +45,6 @@ pub struct Env {
     ops: Arc<OpRegistry>,
     structs: Arc<StructRegistry>,
     collections: RwLock<HashMap<String, CollectionMeta>>,
-    declared: RwLock<HashMap<String, MoaType>>,
     queries: RwLock<HashMap<String, Vec<(String, f64)>>>,
     stats: RwLock<Arc<StatsCatalog>>,
 }
@@ -58,7 +57,6 @@ impl Env {
             ops: Arc::new(OpRegistry::new()),
             structs: Arc::new(StructRegistry::new()),
             collections: RwLock::new(HashMap::new()),
-            declared: RwLock::new(HashMap::new()),
             queries: RwLock::new(HashMap::new()),
             stats: RwLock::new(Arc::new(StatsCatalog::new())),
         }
@@ -94,28 +92,12 @@ impl Env {
         &self.structs
     }
 
-    /// Declare a schema (`define Name as TYPE;`) without loading data.
-    pub fn declare(&self, name: impl Into<String>, ty: MoaType) -> Result<()> {
-        let name = name.into();
-        match &ty {
-            MoaType::Set(elem) if matches!(**elem, MoaType::Tuple(_)) => {
-                self.check_ext_params(elem)?;
-                self.declared.write().insert(name, ty);
-                Ok(())
-            }
-            other => Err(MoaError::Type(format!("collections must be SET<TUPLE<…>>, got {other}"))),
-        }
-    }
-
-    /// The declared (or loaded) type of a collection element.
+    /// The type of a loaded collection's element.
     pub fn elem_type(&self, coll: &str) -> Result<MoaType> {
-        if let Some(meta) = self.collections.read().get(coll) {
-            return Ok(meta.elem_ty.clone());
+        match self.collections.read().get(coll) {
+            Some(meta) => Ok(meta.elem_ty.clone()),
+            None => Err(MoaError::Unknown(format!("collection '{coll}'"))),
         }
-        if let Some(ty) = self.declared.read().get(coll) {
-            return Ok(ty.elem().expect("declared is SET").clone());
-        }
-        Err(MoaError::Unknown(format!("collection '{coll}'")))
     }
 
     /// Collection metadata.
@@ -125,13 +107,6 @@ impl Env {
             .get(name)
             .cloned()
             .ok_or_else(|| MoaError::Unknown(format!("collection '{name}'")))
-    }
-
-    /// All loaded collection names, sorted.
-    pub fn collection_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.collections.read().keys().cloned().collect();
-        v.sort();
-        v
     }
 
     fn check_ext_params(&self, ty: &MoaType) -> Result<()> {
@@ -427,7 +402,8 @@ mod tests {
         let (name, ty) =
             parse_define("define Lib as SET<TUPLE< Atomic<URL>: source, Atomic<int>: size >>;")
                 .unwrap();
-        env.declare(name, ty).unwrap();
+        let rows = vec![MoaVal::Tuple(vec![MoaVal::Str("u".into()), MoaVal::Int(3)])];
+        env.create_collection(name, ty, rows).unwrap();
         let elem = env.elem_type("Lib").unwrap();
         assert!(elem.field("size").is_some());
         assert!(env.elem_type("Nope").is_err());

@@ -77,11 +77,6 @@ impl StatsCatalog {
         self.columns.get(name)
     }
 
-    /// Number of column summaries held.
-    pub fn columns_len(&self) -> usize {
-        self.columns.len()
-    }
-
     /// Drop every column and index entry under a name prefix (re-ingest).
     pub fn drop_prefix(&mut self, prefix: &str) {
         self.columns.retain(|k, _| !k.starts_with(prefix));

@@ -123,11 +123,6 @@ impl MoaType {
         self.fields()?.iter().find(|(n, _)| n == name).map(|(_, t)| t)
     }
 
-    /// True for `Atomic` of a numeric base type.
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, MoaType::Atomic(AtomicType::Int) | MoaType::Atomic(AtomicType::Float))
-    }
-
     /// Depth of structure nesting (an `Atomic` has depth 0).
     pub fn depth(&self) -> usize {
         match self {
@@ -204,8 +199,6 @@ mod tests {
 
     #[test]
     fn numeric_and_depth() {
-        assert!(MoaType::Atomic(AtomicType::Float).is_numeric());
-        assert!(!MoaType::Atomic(AtomicType::Text).is_numeric());
         let t = MoaType::set_of_tuple(vec![(
             "inner",
             MoaType::Set(Box::new(MoaType::Atomic(AtomicType::Float))),

@@ -46,16 +46,6 @@ impl Bat {
         }
     }
 
-    /// Create a dense-headed BAT whose head starts at `start`.
-    pub fn dense_from(start: Oid, tail: Column) -> Bat {
-        let len = tail.len();
-        Bat {
-            head: Arc::new(Column::void(start, len)),
-            tail: Arc::new(tail),
-            props: Props::dense_head(),
-        }
-    }
-
     /// Create a BAT from pre-shared columns (internal fast path).
     pub(crate) fn from_arcs(head: Arc<Column>, tail: Arc<Column>, props: Props) -> Bat {
         debug_assert_eq!(head.len(), tail.len());
@@ -90,11 +80,6 @@ impl Bat {
     /// Shared handle to the head column.
     pub fn head_arc(&self) -> Arc<Column> {
         Arc::clone(&self.head)
-    }
-
-    /// Shared handle to the tail column.
-    pub fn tail_arc(&self) -> Arc<Column> {
-        Arc::clone(&self.tail)
     }
 
     /// Property bits.
@@ -332,7 +317,7 @@ mod tests {
     #[test]
     fn append_merges() {
         let a = bat_of_ints(vec![1]);
-        let b = Bat::dense_from(1, Column::Int(vec![2]));
+        let b = bat_of_ints(vec![0, 2]).slice(1, 2); // void head starting at 1
         let c = a.append(&b).unwrap();
         assert_eq!(c.count(), 2);
         assert!(c.head().is_void()); // dense chains stay void

@@ -30,11 +30,6 @@ impl Catalog {
         arc
     }
 
-    /// Register a pre-shared BAT handle.
-    pub fn register_arc(&self, name: impl Into<String>, bat: Arc<Bat>) {
-        self.bats.write().insert(name.into(), bat);
-    }
-
     /// Look up a BAT by name.
     pub fn get(&self, name: &str) -> Result<Arc<Bat>> {
         self.bats.read().get(name).cloned().ok_or_else(|| MonetError::UnknownBat(name.to_string()))
@@ -43,11 +38,6 @@ impl Catalog {
     /// True if `name` is registered.
     pub fn contains(&self, name: &str) -> bool {
         self.bats.read().contains_key(name)
-    }
-
-    /// Remove a BAT; returns it if it existed.
-    pub fn drop_bat(&self, name: &str) -> Option<Arc<Bat>> {
-        self.bats.write().remove(name)
     }
 
     /// Names of all registered BATs, sorted.
@@ -65,12 +55,6 @@ impl Catalog {
     /// True if no BATs are registered.
     pub fn is_empty(&self) -> bool {
         self.bats.read().is_empty()
-    }
-
-    /// Total number of associations across all registered BATs — a cheap
-    /// size indicator for monitoring.
-    pub fn total_rows(&self) -> usize {
-        self.bats.read().values().map(|b| b.count()).sum()
     }
 
     /// Remove every BAT whose name starts with `prefix`; returns how many
@@ -122,8 +106,8 @@ mod tests {
         c.register("z", bat_of_ints(vec![]));
         c.register("a", bat_of_ints(vec![]));
         assert_eq!(c.names(), vec!["a".to_string(), "z".to_string()]);
-        assert!(c.drop_bat("a").is_some());
-        assert!(c.drop_bat("a").is_none());
+        assert_eq!(c.drop_prefix("a"), 1);
+        assert_eq!(c.drop_prefix("a"), 0);
         assert_eq!(c.len(), 1);
     }
 
@@ -135,14 +119,6 @@ mod tests {
         c.register("other", bat_of_ints(vec![]));
         assert_eq!(c.drop_prefix("lib_"), 2);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn total_rows_sums() {
-        let c = Catalog::new();
-        c.register("a", bat_of_ints(vec![1, 2]));
-        c.register("b", bat_of_ints(vec![3]));
-        assert_eq!(c.total_rows(), 3);
     }
 
     #[test]

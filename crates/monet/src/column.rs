@@ -409,12 +409,6 @@ impl Column {
             }
         }
     }
-
-    /// Iterate over the values as `Val`s (allocates for strings; use the
-    /// typed slices in hot paths).
-    pub fn iter_vals(&self) -> impl Iterator<Item = Val> + '_ {
-        (0..self.len()).map(move |i| self.get(i).expect("index in range"))
-    }
 }
 
 impl From<Vec<i64>> for Column {

@@ -57,11 +57,6 @@ impl Bat {
         let (_, groups) = self.group()?;
         Ok(groups)
     }
-
-    /// Number of distinct tail values.
-    pub fn tail_cardinality(&self) -> Result<usize> {
-        Ok(self.tail_distinct()?.count())
-    }
 }
 
 #[cfg(test)]
@@ -93,7 +88,6 @@ mod tests {
     #[test]
     fn distinct_and_cardinality() {
         let b = bat_of_ints(vec![4, 4, 4, 2]);
-        assert_eq!(b.tail_cardinality().unwrap(), 2);
         let d = b.tail_distinct().unwrap();
         let tails: Vec<_> = d.to_pairs().into_iter().map(|(_, t)| t).collect();
         assert_eq!(tails, vec![Val::Int(4), Val::Int(2)]);
@@ -110,6 +104,6 @@ mod tests {
     #[test]
     fn group_floats_by_bit_pattern() {
         let b = crate::bat::bat_of_floats(vec![0.5, 0.5, 1.5]);
-        assert_eq!(b.tail_cardinality().unwrap(), 2);
+        assert_eq!(b.tail_distinct().unwrap().count(), 2);
     }
 }

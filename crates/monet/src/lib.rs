@@ -30,7 +30,7 @@
 //!   and merge value-identically to the serial path — the
 //!   [`ParallelExecutor`] scales whole plans across cores;
 //! * a durable storage tier ([`storage`]): checksummed 4 KiB columnar
-//!   pages behind a clock-eviction buffer pool, a write-ahead log with
+//!   pages, each verified on every read, a write-ahead log with
 //!   recovery-on-open, shadow-generation checkpoints, and a
 //!   [`StorageBackend`] trait with disk, in-memory and fault-injecting
 //!   implementations so crash consistency is a tested property.
@@ -71,8 +71,7 @@ pub use fragment::ParallelExecutor;
 pub use plan::{ArithOp, ExecStats, Executor, NodeTrace, Plan, Pred};
 pub use props::{summarize, ColSummary, Props};
 pub use storage::{
-    BufferPool, DiskFs, FaultFs, FaultPlan, MemFs, RecoveryReport, StorageBackend, Store,
-    StoreOptions,
+    DiskFs, FaultFs, FaultPlan, MemFs, RecoveryReport, StorageBackend, Store, StoreOptions,
 };
-pub use strdict::{DictColumn, PackedCodes, StrDict};
+pub use strdict::StrDict;
 pub use value::{MonetType, Oid, Val};

@@ -70,13 +70,6 @@ impl Bat {
         let out = self.take(&idx);
         out.with_props(Props { tail_sorted: !desc, ..Props::default() })
     }
-
-    /// Rank order of the tails: `[head, rank]` where rank 0 is the best
-    /// (greatest tail when `desc`).
-    pub fn rank_tail(&self, desc: bool) -> Bat {
-        let sorted = self.sort_tail(desc);
-        sorted.mark(0)
-    }
 }
 
 #[cfg(test)]
@@ -140,14 +133,5 @@ mod tests {
         let b = bat_of_strs(["pear", "apple", "plum"]);
         let s = b.sort_tail(false);
         assert_eq!(s.fetch(0).unwrap().1, Val::from("apple"));
-    }
-
-    #[test]
-    fn rank_tail_assigns_dense_ranks() {
-        let b = bat_of_floats(vec![0.2, 0.8, 0.5]);
-        let r = b.rank_tail(true);
-        // best row (oid 1) gets rank 0
-        assert_eq!(r.fetch(0).unwrap(), (Val::Oid(1), Val::Oid(0)));
-        assert_eq!(r.fetch(2).unwrap(), (Val::Oid(0), Val::Oid(2)));
     }
 }

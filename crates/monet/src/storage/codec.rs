@@ -25,11 +25,12 @@ pub const ENDIAN_SENTINEL: u16 = 0xFEFF;
 
 /// 64-bit content checksum used by pages and WAL records (Fx hash — fast,
 /// non-cryptographic; we defend against torn writes and bit rot, not
-/// adversaries).
+/// adversaries). It is the hasher's unfolded state, so every stored
+/// checksum keeps its value.
 pub fn checksum64(bytes: &[u8]) -> u64 {
     let mut h = FxHasher::default();
     h.write(bytes);
-    h.finish()
+    h.state()
 }
 
 /// An append-only little-endian byte sink.
@@ -203,10 +204,9 @@ impl<'a> ByteReader<'a> {
 
 // ---------------------------------------------------------------------------
 // Bitpacking — fixed-width packing of u32 values into u64 words, the
-// primitive under compressed posting blocks (`ir::postings`), packed
-// dictionary codes (`crate::strdict::PackedCodes`) and the on-disk string
-// columns below. Values are laid out LSB-first; a width of 0 encodes a run
-// of zeros in zero words.
+// primitive under compressed posting blocks (`ir::postings`) and the
+// dictionary codes of the on-disk string columns below. Values are laid
+// out LSB-first; a width of 0 encodes a run of zeros in zero words.
 // ---------------------------------------------------------------------------
 
 /// Number of bits needed to represent `max` (0 for `max == 0`).
@@ -563,5 +563,15 @@ mod tests {
         assert_eq!(a, checksum64(b"hello world"));
         assert_ne!(a, checksum64(b"hello worle"));
         assert_ne!(a, checksum64(b"hello worl"));
+    }
+
+    #[test]
+    fn checksum_keeps_its_stored_values() {
+        // every page and WAL record on disk carries these: a change here
+        // makes every existing store read as corrupt
+        assert_eq!(checksum64(b""), 0);
+        assert_eq!(checksum64(b"hello world"), 0xe108_30d4_9dab_61ef);
+        let long = b"mirror page checksum golden value 0123456789";
+        assert_eq!(checksum64(long), 0x4251_bf35_fba0_d66f);
     }
 }

@@ -1,5 +1,6 @@
-//! Durable storage tier: checksummed columnar pages, a clock-eviction
-//! buffer pool, and a write-ahead log with recovery-on-open.
+//! Durable storage tier: checksummed columnar pages and a write-ahead log
+//! with recovery-on-open. There is no page cache: each page is read once
+//! per open or checkpoint, and every read verifies its checksum.
 //!
 //! The layering, bottom-up:
 //!
@@ -9,8 +10,6 @@
 //! * [`codec`] — shared little-endian scalar/column (de)serialization
 //!   with validated, allocation-bounded reads;
 //! * [`page`] — fixed 4096-byte checksummed pages, the unit of I/O;
-//! * [`pool`] — the clock (second-chance) buffer pool fronting page
-//!   files;
 //! * [`wal`] — CRC-framed, commit-terminated write-ahead logging;
 //! * [`Store`] — the durable key → bytes map tying it together: shadow
 //!   generation checkpoints, WAL replay on open, checksum-verified page
@@ -25,7 +24,6 @@
 pub mod backend;
 pub mod codec;
 pub mod page;
-pub mod pool;
 pub mod wal;
 
 mod store;
@@ -36,6 +34,5 @@ pub use codec::{
     ByteWriter, ENDIAN_SENTINEL,
 };
 pub use page::{PageKind, PAGE_HEADER, PAGE_PAYLOAD, PAGE_SIZE};
-pub use pool::{BufferPool, PageKey, PoolStats};
 pub use store::{RecoveryReport, Store, StoreOptions};
 pub use wal::{Wal, WalReplay, WAL_FILE};

@@ -1,5 +1,6 @@
 //! The page store: a durable key → bytes map built from checkpointed
-//! page files plus a write-ahead log, fronted by the buffer pool.
+//! page files plus a write-ahead log. Every read of a checkpointed value
+//! goes to the backend and verifies each page's checksum and kind.
 //!
 //! ## Layout
 //!
@@ -48,7 +49,6 @@ use crate::error::{MonetError, Result};
 use crate::fxhash::FxHashMap;
 use crate::storage::backend::StorageBackend;
 use crate::storage::page::{decode_page, encode_page, PageKind, PAGE_PAYLOAD, PAGE_SIZE};
-use crate::storage::pool::{BufferPool, PageKey, PoolStats};
 use crate::storage::wal::{Wal, WAL_FILE};
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -56,19 +56,11 @@ use std::sync::Arc;
 
 const FOOTER_MAGIC: u32 = 0x4D46_5431; // "MFT1"
 
-/// Tuning knobs for [`Store::open`].
-#[derive(Debug, Clone)]
-pub struct StoreOptions {
-    /// Buffer-pool capacity in pages; `0` = unbounded.
-    pub pool_pages: usize,
-}
-
-impl Default for StoreOptions {
-    fn default() -> Self {
-        // 4 MiB of 4 KiB pages by default
-        StoreOptions { pool_pages: 1024 }
-    }
-}
+/// The second argument of [`Store::open`]. It has no fields: the store
+/// has nothing to tune. It stays because the benchmark crate passes
+/// `StoreOptions::default()`.
+#[derive(Debug, Clone, Default)]
+pub struct StoreOptions {}
 
 /// What recovery found and did while opening a store.
 #[derive(Debug, Clone, Default)]
@@ -111,13 +103,12 @@ struct StoreInner {
     max_gen_seen: u64,
 }
 
-/// A durable key → bytes map: checkpointed page files + WAL, fronted by
-/// a clock-eviction buffer pool. All reads of checkpointed data are
-/// checksum-verified page reads; corrupt pages surface as
-/// [`MonetError::Corrupt`], never as silently wrong bytes.
+/// A durable key → bytes map: checkpointed page files + WAL. All reads
+/// of checkpointed data are checksum-verified page reads straight from
+/// the backend; corrupt pages surface as [`MonetError::Corrupt`], never
+/// as silently wrong bytes.
 pub struct Store {
     backend: Arc<dyn StorageBackend>,
-    pool: BufferPool,
     inner: Mutex<StoreInner>,
     /// Serialises [`Store::commit`] and [`Store::checkpoint`]: WAL records
     /// of two commits never interleave, and a checkpoint never resets the
@@ -133,7 +124,6 @@ impl std::fmt::Debug for Store {
             .field("generation", &inner.generation)
             .field("manifest_keys", &inner.manifest.len())
             .field("overlay_keys", &inner.overlay.len())
-            .field("pool", &self.pool)
             .finish()
     }
 }
@@ -154,7 +144,7 @@ impl Store {
     /// did, so later commits never land behind them. Never fails on a
     /// torn state — only on real I/O errors or an unreadable
     /// *valid-looking* structure.
-    pub fn open(backend: Arc<dyn StorageBackend>, options: StoreOptions) -> Result<Self> {
+    pub fn open(backend: Arc<dyn StorageBackend>, _options: StoreOptions) -> Result<Self> {
         let mut report = RecoveryReport::default();
         let mut gens: Vec<u64> = backend.list()?.iter().filter_map(|f| parse_gen(f)).collect();
         gens.sort_unstable_by(|a, b| b.cmp(a)); // newest first
@@ -186,7 +176,6 @@ impl Store {
 
         let discarded = report.records_discarded > 0 || report.bytes_discarded > 0;
         let store = Store {
-            pool: BufferPool::new(options.pool_pages),
             inner: Mutex::new(StoreInner {
                 generation,
                 manifest,
@@ -215,11 +204,6 @@ impl Store {
     /// What recovery found while opening this store.
     pub fn recovery(&self) -> &RecoveryReport {
         &self.recovery
-    }
-
-    /// Buffer-pool counters.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
     }
 
     /// The backend this store writes through.
@@ -251,8 +235,8 @@ impl Store {
 
     /// Read a value. Staged writes win over the WAL overlay, which wins
     /// over the checkpointed base; a delete hides the key from every
-    /// layer below it. Base reads go through the buffer pool page by
-    /// page, each page checksum-verified.
+    /// layer below it. Base reads go to the backend page by page, each
+    /// page checksum-verified.
     pub fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
         self.read(key, true)
     }
@@ -274,7 +258,7 @@ impl Store {
         let file = gen_file(generation);
         let mut page_no = entry.first_page;
         while value.len() < entry.byte_len as usize {
-            let payload = self.read_page(&file, generation, page_no, PageKind::Data)?;
+            let payload = self.read_page(&file, page_no, PageKind::Data)?;
             let need = entry.byte_len as usize - value.len();
             if payload.len() > need {
                 return Err(MonetError::Corrupt {
@@ -294,29 +278,17 @@ impl Store {
         Ok(Some(value))
     }
 
-    /// Read one page via the pool, verifying checksum and kind.
-    fn read_page(
-        &self,
-        file: &str,
-        generation: u64,
-        page_no: u64,
-        expect_kind: PageKind,
-    ) -> Result<Vec<u8>> {
-        let cached = self.pool.get_or_load(
-            PageKey { file: generation, page: page_no },
-            || -> Result<Vec<u8>> {
-                let raw = self.backend.read_at(file, page_no * PAGE_SIZE as u64, PAGE_SIZE)?;
-                let (kind, payload) = decode_page(&raw, page_no as u32)?;
-                if kind != expect_kind {
-                    return Err(MonetError::Corrupt {
-                        what: format!("page {page_no} of {file}"),
-                        detail: format!("expected {expect_kind:?} page, found {kind:?}"),
-                    });
-                }
-                Ok(payload)
-            },
-        )?;
-        Ok(cached.as_ref().clone())
+    /// Read one page from the backend, verifying checksum and kind.
+    fn read_page(&self, file: &str, page_no: u64, expect_kind: PageKind) -> Result<Vec<u8>> {
+        let raw = self.backend.read_at(file, page_no * PAGE_SIZE as u64, PAGE_SIZE)?;
+        let (kind, payload) = decode_page(&raw, page_no as u32)?;
+        if kind != expect_kind {
+            return Err(MonetError::Corrupt {
+                what: format!("page {page_no} of {file}"),
+                detail: format!("expected {expect_kind:?} page, found {kind:?}"),
+            });
+        }
+        Ok(payload)
     }
 
     /// Stage a put. Nothing is durable until [`commit`](Self::commit).
@@ -575,6 +547,7 @@ impl StoreInner {
 mod tests {
     use super::*;
     use crate::storage::backend::{FaultFs, FaultPlan, MemFs};
+    use crate::storage::page::PAGE_HEADER;
 
     fn mem_store(fs: &MemFs) -> Store {
         Store::open(Arc::new(fs.clone()), StoreOptions::default()).unwrap()
@@ -668,18 +641,23 @@ mod tests {
 
     #[test]
     fn flipped_page_byte_is_reported_never_served() {
-        let fs = MemFs::new();
-        {
-            let store = mem_store(&fs);
-            store.put("k", vec![7u8; 5000]);
-            store.commit().unwrap();
-            store.checkpoint().unwrap();
+        // (value length, data page to flip): a byte in the first page of
+        // a short value, and one in the last page of a value longer than
+        // 1 024 pages, so every page of a long run is verified
+        let long = 1_100 * PAGE_PAYLOAD + 17;
+        for (len, page) in [(5000, 0), (long, long.div_ceil(PAGE_PAYLOAD) - 1)] {
+            let fs = MemFs::new();
+            {
+                let store = mem_store(&fs);
+                store.put("k", vec![7u8; len]);
+                store.commit().unwrap();
+                store.checkpoint().unwrap();
+            }
+            assert_eq!(mem_store(&fs).get("k").unwrap().unwrap().len(), len);
+            fs.corrupt("pages-000001.dat", page * PAGE_SIZE + PAGE_HEADER + 5, 0x01).unwrap();
+            let err = mem_store(&fs).get("k").unwrap_err();
+            assert!(matches!(err, MonetError::Corrupt { .. }), "page {page}: got {err:?}");
         }
-        // corrupt a byte in the middle of the first data page's payload
-        fs.corrupt("pages-000001.dat", 100, 0x01).unwrap();
-        let store = mem_store(&fs);
-        let err = store.get("k").unwrap_err();
-        assert!(matches!(err, MonetError::Corrupt { .. }), "got {err:?}");
     }
 
     #[test]
@@ -904,24 +882,23 @@ mod tests {
     }
 
     #[test]
-    fn small_pool_and_unbounded_pool_read_identically() {
+    fn multi_page_values_read_back_after_reopen() {
+        let value =
+            |i: usize| -> Vec<u8> { (0..3000 + i * 1237).map(|j| (i * 31 + j) as u8).collect() };
         let fs = MemFs::new();
         {
             let store = mem_store(&fs);
             for i in 0..20 {
-                store.put(format!("key-{i:02}"), vec![i as u8; 3000 + i * 137]);
+                store.put(format!("key-{i:02}"), value(i));
             }
             store.commit().unwrap();
             store.checkpoint().unwrap();
         }
-        let tiny = Store::open(Arc::new(fs.clone()), StoreOptions { pool_pages: 2 }).unwrap();
-        let huge = Store::open(Arc::new(fs.clone()), StoreOptions { pool_pages: 0 }).unwrap();
+        let store = mem_store(&fs);
+        assert_eq!(store.recovery().wal_transactions, 0);
         for i in (0..20).chain((0..20).rev()) {
-            let key = format!("key-{i:02}");
-            assert_eq!(tiny.get(&key).unwrap(), huge.get(&key).unwrap(), "key {key}");
+            assert_eq!(store.get(&format!("key-{i:02}")).unwrap().unwrap(), value(i), "key {i}");
         }
-        assert!(tiny.pool_stats().evictions > 0, "tiny pool never evicted");
-        assert_eq!(huge.pool_stats().evictions, 0);
     }
 
     #[test]

@@ -4,21 +4,8 @@
 //! holding fixed-width references. We model that heap as a deduplicating
 //! string dictionary shared (via `Arc`) between columns derived from one
 //! another, so projections and selections never copy string data.
-//!
-//! On top of the plain `Vec<u32>` code vectors the kernel operates on,
-//! this module provides the fully compressed forms built on the storage
-//! codec's bitpacking primitives ([`crate::storage::codec`]):
-//! [`PackedCodes`] holds a code vector at the dictionary's bit width
-//! (a 9-entry dictionary costs 4 bits per row instead of 32), and
-//! [`DictColumn`] pairs packed codes with their dictionary into a
-//! self-contained dictionary-compressed column that serialises through
-//! the same codec the durable tier uses.
 
-use crate::error::{MonetError, Result};
 use crate::fxhash::FxHashMap;
-use crate::storage::codec::{
-    bits_for, pack_u32s, packed_words, unpack_u32_at, unpack_u32s, ByteReader, ByteWriter,
-};
 use std::sync::Arc;
 
 /// An immutable, deduplicated pool of strings.
@@ -62,10 +49,11 @@ impl StrDict {
     }
 }
 
-/// Incremental builder for [`StrDict`], deduplicating on insert.
+/// Incremental builder for [`StrDict`], deduplicating on insert. Each
+/// distinct string is allocated once: the index owns it until
+/// [`freeze`](Self::freeze) moves it into the dictionary.
 #[derive(Debug, Default)]
 pub struct StrDictBuilder {
-    strings: Vec<Box<str>>,
     index: FxHashMap<Box<str>, u32>,
 }
 
@@ -78,12 +66,7 @@ impl StrDictBuilder {
     /// Create a builder pre-seeded with the contents of an existing
     /// dictionary (codes are preserved).
     pub fn from_dict(dict: &StrDict) -> Self {
-        let mut b = Self::new();
-        for (code, s) in dict.iter() {
-            b.strings.push(s.into());
-            b.index.insert(s.into(), code);
-        }
-        b
+        StrDictBuilder { index: dict.iter().map(|(code, s)| (s.into(), code)).collect() }
     }
 
     /// Intern `s`, returning its (possibly pre-existing) code.
@@ -91,207 +74,28 @@ impl StrDictBuilder {
         if let Some(&code) = self.index.get(s) {
             return code;
         }
-        let code = self.strings.len() as u32;
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.index.insert(boxed, code);
+        let code = self.index.len() as u32;
+        self.index.insert(s.into(), code);
         code
     }
 
     /// Number of distinct strings interned so far.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.index.len()
     }
 
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.index.is_empty()
     }
 
     /// Freeze into an immutable shared dictionary.
     pub fn freeze(self) -> Arc<StrDict> {
-        Arc::new(StrDict { strings: self.strings })
-    }
-}
-
-/// A bitpacked vector of dictionary codes: every code occupies exactly
-/// `width` bits, where `width` is the smallest width that represents the
-/// greatest code present. Immutable once built.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PackedCodes {
-    words: Vec<u64>,
-    len: usize,
-    width: u32,
-}
-
-impl PackedCodes {
-    /// Pack a code vector at the width of its greatest value.
-    pub fn from_codes(codes: &[u32]) -> PackedCodes {
-        let width = bits_for(codes.iter().copied().max().unwrap_or(0));
-        let mut words = Vec::new();
-        pack_u32s(&mut words, codes, width);
-        PackedCodes { words, len: codes.len(), width }
-    }
-
-    /// Number of codes held.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no code is held.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Bits per code.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// The code at row `i`. Panics when `i` is out of range, like slice
-    /// indexing.
-    #[inline]
-    pub fn get(&self, i: usize) -> u32 {
-        assert!(i < self.len, "code index {i} out of range {}", self.len);
-        unpack_u32_at(&self.words, 0, i, self.width)
-    }
-
-    /// Decode every code back into a plain vector.
-    pub fn to_vec(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        unpack_u32s(&self.words, 0, self.len, self.width, &mut out);
-        out
-    }
-
-    /// Bytes of heap memory held by the packed representation.
-    pub fn heap_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-
-    /// Serialise into the storage codec.
-    pub fn write_to(&self, w: &mut ByteWriter) {
-        w.u64(self.len as u64);
-        w.u8(self.width as u8);
-        for word in &self.words {
-            w.u64(*word);
+        let mut strings: Vec<Box<str>> = (0..self.index.len()).map(|_| Box::default()).collect();
+        for (s, code) in self.index {
+            strings[code as usize] = s;
         }
-    }
-
-    /// Deserialise codes packed by [`write_to`](Self::write_to), validating
-    /// the width and word count before allocating.
-    pub fn read_from(r: &mut ByteReader<'_>) -> Result<PackedCodes> {
-        let len = r.len64(r.remaining().saturating_mul(64))?;
-        let width = r.u8()? as u32;
-        if width > 32 {
-            return Err(MonetError::Corrupt {
-                what: "packed codes".to_string(),
-                detail: format!("code width {width} exceeds 32 bits"),
-            });
-        }
-        let n_words = packed_words(len, width);
-        if n_words.saturating_mul(8) > r.remaining() {
-            return Err(MonetError::Corrupt {
-                what: "packed codes".to_string(),
-                detail: format!("{n_words} packed words exceed remaining bytes"),
-            });
-        }
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            words.push(r.u64()?);
-        }
-        Ok(PackedCodes { words, len, width })
-    }
-}
-
-/// A self-contained dictionary-compressed string column: bitpacked codes
-/// plus the shared dictionary they index. This is the fully compressed
-/// form of the kernel's `StrCol` — same dictionary sharing, but the code
-/// vector shrinks from 32 bits per row to the dictionary's width.
-#[derive(Debug, Clone)]
-pub struct DictColumn {
-    codes: PackedCodes,
-    dict: Arc<StrDict>,
-}
-
-impl DictColumn {
-    /// Build by interning `values` into a fresh dictionary.
-    pub fn from_strings<S: AsRef<str>>(values: impl IntoIterator<Item = S>) -> DictColumn {
-        let mut builder = StrDictBuilder::new();
-        let codes: Vec<u32> = values.into_iter().map(|s| builder.intern(s.as_ref())).collect();
-        DictColumn { codes: PackedCodes::from_codes(&codes), dict: builder.freeze() }
-    }
-
-    /// Build from an existing code vector and its dictionary. Panics when a
-    /// code escapes the dictionary (codes are minted by the builder, so an
-    /// escapee indicates kernel corruption).
-    pub fn from_parts(codes: &[u32], dict: Arc<StrDict>) -> DictColumn {
-        assert!(
-            codes.iter().all(|&c| (c as usize) < dict.len()),
-            "code outside dictionary of {} entries",
-            dict.len()
-        );
-        DictColumn { codes: PackedCodes::from_codes(codes), dict }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// True when the column has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
-    /// The packed code vector.
-    pub fn codes(&self) -> &PackedCodes {
-        &self.codes
-    }
-
-    /// The shared dictionary.
-    pub fn dict(&self) -> &Arc<StrDict> {
-        &self.dict
-    }
-
-    /// Resolve row `i` to its string.
-    #[inline]
-    pub fn get(&self, i: usize) -> &str {
-        self.dict.resolve(self.codes.get(i))
-    }
-
-    /// Bytes of heap memory held (packed codes + dictionary strings).
-    pub fn heap_bytes(&self) -> usize {
-        self.codes.heap_bytes() + self.dict.iter().map(|(_, s)| s.len()).sum::<usize>()
-    }
-
-    /// Serialise into the storage codec (codes, then dictionary strings).
-    pub fn write_to(&self, w: &mut ByteWriter) {
-        self.codes.write_to(w);
-        w.u64(self.dict.len() as u64);
-        for (_, s) in self.dict.iter() {
-            w.str(s);
-        }
-    }
-
-    /// Deserialise a column written by [`write_to`](Self::write_to),
-    /// rejecting codes that escape the dictionary.
-    pub fn read_from(r: &mut ByteReader<'_>) -> Result<DictColumn> {
-        let codes = PackedCodes::read_from(r)?;
-        let dict_len = r.len64(r.remaining())?;
-        let mut builder = StrDictBuilder::new();
-        for _ in 0..dict_len {
-            builder.intern(&r.str()?);
-        }
-        for i in 0..codes.len() {
-            let c = codes.get(i);
-            if c as usize >= dict_len {
-                return Err(MonetError::Corrupt {
-                    what: "dictionary column".to_string(),
-                    detail: format!("code {c} outside dictionary of {dict_len} entries"),
-                });
-            }
-        }
-        Ok(DictColumn { codes, dict: builder.freeze() })
+        Arc::new(StrDict { strings })
     }
 }
 
@@ -331,6 +135,8 @@ mod tests {
         let mut b2 = StrDictBuilder::from_dict(&d);
         assert_eq!(b2.intern("a"), 0);
         assert_eq!(b2.intern("c"), 2);
+        let d2 = b2.freeze();
+        assert_eq!(d2.iter().collect::<Vec<_>>(), vec![(0, "a"), (1, "b"), (2, "c")]);
     }
 
     #[test]
@@ -341,84 +147,5 @@ mod tests {
         let d = b.freeze();
         let all: Vec<_> = d.iter().collect();
         assert_eq!(all, vec![(0, "p"), (1, "q")]);
-    }
-
-    #[test]
-    fn packed_codes_roundtrip_and_width() {
-        let codes = [0u32, 5, 2, 7, 7, 0];
-        let packed = PackedCodes::from_codes(&codes);
-        assert_eq!(packed.width(), 3);
-        assert_eq!(packed.len(), codes.len());
-        assert_eq!(packed.to_vec(), codes);
-        for (i, &c) in codes.iter().enumerate() {
-            assert_eq!(packed.get(i), c);
-        }
-        // uniform columns pack to zero bits
-        let zeros = PackedCodes::from_codes(&[0, 0, 0, 0]);
-        assert_eq!(zeros.width(), 0);
-        assert_eq!(zeros.heap_bytes(), 0);
-        assert_eq!(zeros.to_vec(), vec![0; 4]);
-    }
-
-    #[test]
-    fn packed_codes_serialise_through_the_codec() {
-        let packed = PackedCodes::from_codes(&[9, 1, 4, 4, 0, 9]);
-        let mut w = ByteWriter::new();
-        packed.write_to(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes, "codes");
-        let back = PackedCodes::read_from(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(back, packed);
-        // truncation is a typed error, not a panic
-        let mut r = ByteReader::new(&bytes[..bytes.len() - 1], "codes");
-        assert!(PackedCodes::read_from(&mut r).is_err());
-    }
-
-    #[test]
-    fn dict_column_compresses_and_resolves() {
-        let values = ["sunset", "beach", "sunset", "mist", "beach", "sunset"];
-        let col = DictColumn::from_strings(values);
-        assert_eq!(col.len(), 6);
-        assert_eq!(col.dict().len(), 3);
-        assert_eq!(col.codes().width(), 2);
-        for (i, v) in values.iter().enumerate() {
-            assert_eq!(col.get(i), *v);
-        }
-        // 6 rows at 2 bits fit one word; the raw code vector took 24 bytes
-        assert!(col.codes().heap_bytes() < values.len() * 4);
-    }
-
-    #[test]
-    fn dict_column_roundtrips_and_rejects_escaping_codes() {
-        let col = DictColumn::from_strings(["a", "b", "c", "a"]);
-        let mut w = ByteWriter::new();
-        col.write_to(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes, "col");
-        let back = DictColumn::read_from(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(back.len(), col.len());
-        for i in 0..col.len() {
-            assert_eq!(back.get(i), col.get(i));
-        }
-        // a column whose codes escape its dictionary is corrupt
-        let mut w = ByteWriter::new();
-        PackedCodes::from_codes(&[3]).write_to(&mut w);
-        w.u64(1); // only one dictionary entry
-        w.str("only");
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes, "col");
-        assert!(matches!(DictColumn::read_from(&mut r), Err(MonetError::Corrupt { .. })));
-    }
-
-    #[test]
-    fn dict_column_from_parts_shares_the_dictionary() {
-        let mut b = StrDictBuilder::new();
-        let codes = vec![b.intern("x"), b.intern("y"), b.intern("x")];
-        let dict = b.freeze();
-        let col = DictColumn::from_parts(&codes, Arc::clone(&dict));
-        assert_eq!(col.get(2), "x");
-        assert!(Arc::ptr_eq(col.dict(), &dict));
     }
 }

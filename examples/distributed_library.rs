@@ -139,11 +139,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(n_features as u64, per_image * (extractors.len() as u64 * n + late));
     assert_eq!(luma_features as u64, per_image * late);
 
-    // ---- the same pipeline drives a full ingest, for comparison ----
+    // ---- the metadata database ingests the corpus: the same grid
+    // segmenter and feature extractors the daemons wrap, run in-process ----
     let mut db = MirrorDbms::new(MirrorConfig::default());
-    db.ingest_via_daemons(&corpus)?;
+    db.ingest(&corpus)?;
     println!(
-        "\ningest-via-daemons produced an internal library of {} documents, \
+        "\ningest produced an internal library of {} documents, \
          visual vocabulary of {} terms",
         db.n_docs(),
         db.vocabulary().unwrap().total_terms()

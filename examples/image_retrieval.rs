@@ -59,7 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let d = &db.docs()[r.oid as usize];
         println!(
             "  {:.4}  {:<42} theme={} annotated={}",
-            r.score, r.url, themes[d.theme].name, d.annotated
+            r.score,
+            r.url,
+            themes[d.theme].name,
+            d.annotation.is_some()
         );
     }
 
@@ -69,15 +72,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let d = &db.docs()[r.oid as usize];
         println!(
             "  {:.4}  {:<42} theme={} annotated={}",
-            r.score, r.url, themes[d.theme].name, d.annotated
+            r.score,
+            r.url,
+            themes[d.theme].name,
+            d.annotation.is_some()
         );
     }
 
-    let found_unannotated = dual.iter().filter(|r| !db.docs()[r.oid as usize].annotated).count();
+    let found_unannotated =
+        dual.iter().filter(|r| db.docs()[r.oid as usize].annotation.is_none()).count();
     println!(
         "\nun-annotated images surfaced by dual coding: {found_unannotated} \
          (text-only can never reach them: {})",
-        text_only.iter().filter(|r| !db.docs()[r.oid as usize].annotated).count()
+        text_only.iter().filter(|r| db.docs()[r.oid as usize].annotation.is_none()).count()
     );
 
     // precision against the simulator's ground truth

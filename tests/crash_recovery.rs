@@ -180,19 +180,6 @@ fn fresh_directory_reports_incomplete_state() {
 }
 
 #[test]
-fn pool_of_two_pages_and_unbounded_pool_rank_identically() {
-    let b = baseline();
-    let tiny = Store::open(Arc::new(b.saved.fork()), StoreOptions { pool_pages: 2 }).unwrap();
-    let unbounded = Store::open(Arc::new(b.saved.fork()), StoreOptions { pool_pages: 0 }).unwrap();
-    let db_tiny = MirrorDbms::open_from(&tiny).unwrap();
-    let db_unbounded = MirrorDbms::open_from(&unbounded).unwrap();
-    assert_eq!(probe(&db_tiny), b.probes);
-    assert_eq!(probe(&db_unbounded), b.probes);
-    let stats = tiny.pool_stats();
-    assert!(stats.evictions > 0, "a 2-page pool never evicting is not a pool: {stats:?}");
-}
-
-#[test]
 fn flip_during_write_is_caught_on_reopen() {
     // silent corruption *on the write path*: the checkpoint's first page
     // write lands with one bit flipped

@@ -83,7 +83,7 @@ fn dual_coding_reaches_unannotated_documents() {
     let db = db();
     let dual = db.query_dual("sunset glow", 0.6, 30).unwrap();
     assert!(
-        dual.iter().any(|r| !db.docs()[r.oid as usize].annotated),
+        dual.iter().any(|r| db.docs()[r.oid as usize].annotation.is_none()),
         "dual-coded retrieval should surface un-annotated images"
     );
 }
