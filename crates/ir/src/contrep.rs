@@ -292,9 +292,8 @@ fn register_getbl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
 /// the store's indexes as a one-part view), restricted to its optional
 /// domain input in view ids. The output is the k best `[global doc, Σ
 /// weight·belief-sum]` rows in rank order. Each part runs the streaming
-/// evaluation of [`crate::topk`] at the executor's degree and reports its
-/// work — per channel, per part and per segment — through the EXPLAIN
-/// note channel.
+/// evaluation of [`crate::topk`] and reports its work — per channel, per
+/// part and per segment — through the EXPLAIN note channel.
 fn register_topk_bl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
     ops.register(TOPK_BL_OP, move |ctx, inputs, params| {
         let bad =
@@ -323,11 +322,8 @@ fn register_topk_bl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
             }
         };
         let domain = inputs.first().map(|bat| &**bat);
-        // fragment a part's doc-id space only when it is large enough to
-        // pay for the scoped threads — the executor's threshold, like the
-        // built-in operators (so `min_fragment_rows` overrides apply here)
         let (out, scored) = view
-            .topk(&channels, store.params(), domain, k, |n_docs| ctx.frag_degree(n_docs))
+            .topk(&channels, store.params(), domain, k)
             .ok_or_else(|| bad("a ranked document has no global id in the pinned view"))?;
         ctx.set_note(topk_note(k, &channels, &out, &scored));
         let (docs, scores): (Vec<Oid>, Vec<f64>) = out.hits.into_iter().unzip();

@@ -72,12 +72,10 @@
 //!   layout (union statistics for a live snapshot, global ones for a
 //!   shard), and a tombstone mask drops deleted documents beside the
 //!   domain filter;
-//! * [`topk_beliefs`] — the one-channel, one-segment case (weight `1.0`);
-//! * fragment-parallel accumulation: the document-id space splits into
-//!   [`monet::fragment::bounds`] spans, each span fills its own
-//!   accumulator on a scoped thread, and the per-fragment heaps merge at
-//!   the end. Per-document scores never cross a fragment boundary, so the
-//!   parallel result is bit-identical to serial at every degree.
+//! * [`topk_beliefs`] — the one-channel, one-segment case (weight `1.0`).
+//!
+//! A walk runs on the thread that calls it: the serving layer's worker
+//! pool is the one level of parallelism.
 
 use crate::belief::BeliefParams;
 use crate::index::{CollectionStats, InvertedIndex};
@@ -94,7 +92,7 @@ use std::collections::BinaryHeap;
 /// of the few dozen operations behind each score.
 const PRUNE_MARGIN: f64 = 1e-9;
 
-/// Spans shorter than this many documents are walked without a seeded
+/// Segments shorter than this many documents are walked without a seeded
 /// threshold: over a few blocks the walk's own threshold arrives within a
 /// few candidates, and seeding would only score documents twice.
 const SEED_MIN_SPAN: usize = 16 * BLOCK_LEN;
@@ -181,23 +179,6 @@ impl TopKAccumulator {
                 true
             }
             _ => false,
-        }
-    }
-
-    /// Fold another accumulator's entries in (the per-fragment merge).
-    /// An empty donor is a no-op, and an empty receiver adopts the donor's
-    /// heap wholesale when it fits — the common scatter-gather shapes pay
-    /// nothing per element.
-    pub fn merge(&mut self, other: TopKAccumulator) {
-        if other.heap.is_empty() {
-            return;
-        }
-        if self.heap.is_empty() && other.heap.len() <= self.k {
-            self.heap = other.heap;
-            return;
-        }
-        for Reverse(e) in other.heap {
-            self.push(e.oid, e.score);
         }
     }
 
@@ -356,7 +337,7 @@ struct TermInfo<'a> {
     scale: f64,
 }
 
-/// A request resolved once and shared by every span and segment: its
+/// A request resolved once and shared by every segment: its
 /// channels and terms, and what deciding a skip needs.
 struct Request<'a, 'r> {
     chans: Vec<ChanInfo<'a>>,
@@ -413,10 +394,10 @@ impl Part {
 }
 
 /// A streaming cursor over one term's compressed postings in one segment,
-/// restricted to a span `[lo, hi)` of the segment's local doc ids. The
-/// cursor is either *parked* at the first document of an undecoded block
-/// (known exactly from the block metadata — no decode needed to stand
-/// still) or positioned inside a decoded block. Invariant: the list holds
+/// over the segment's local doc ids. The cursor is either *parked* at the
+/// first document of an undecoded block (known exactly from the block
+/// metadata — no decode needed to stand still) or positioned inside a
+/// decoded block. Invariant: the list holds
 /// no unconsumed document below `cur_doc`.
 struct Cursor<'a> {
     list: &'a PostingList,
@@ -433,7 +414,6 @@ struct Cursor<'a> {
     tfs: Vec<u32>,
     cur_doc: Oid,
     exhausted: bool,
-    hi: Oid,
     /// Lazily computed block-level contribution bound for `cached_block`.
     cached_block: usize,
     cached_cb: f64,
@@ -443,13 +423,9 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn new(
-        info: &TermInfo<'a>,
-        list: &'a PostingList,
-        cbound: f64,
-        (lo, hi): (Oid, Oid),
-    ) -> Cursor<'a> {
-        let mut c = Cursor {
+    fn new(info: &TermInfo<'a>, list: &'a PostingList, cbound: f64) -> Cursor<'a> {
+        let exhausted = list.is_empty();
+        Cursor {
             list,
             chan: info.chan,
             w: info.w,
@@ -461,20 +437,12 @@ impl<'a> Cursor<'a> {
             decoded: false,
             docs: Vec::new(),
             tfs: Vec::new(),
-            cur_doc: 0,
-            exhausted: list.is_empty(),
-            hi,
+            cur_doc: if exhausted { 0 } else { list.blocks()[0].first_doc },
+            exhausted,
             cached_block: usize::MAX,
             cached_cb: 0.0,
             work: ChannelWork::default(),
-        };
-        if !c.exhausted {
-            c.cur_doc = c.list.blocks()[0].first_doc;
-            // position on the span start; skips before `lo` belong to other
-            // fragments and are not counted
-            c.seek(lo, false);
         }
-        c
     }
 
     /// Advance to the first unconsumed document ≥ `target`, skipping the
@@ -513,9 +481,6 @@ impl<'a> Cursor<'a> {
                 }
             }
         }
-        if self.cur_doc >= self.hi {
-            self.exhausted = true;
-        }
     }
 
     /// Move onto the block that may hold `target` without decoding it:
@@ -551,9 +516,6 @@ impl<'a> Cursor<'a> {
             self.block = b;
             self.decoded = false;
             self.cur_doc = blocks[b].first_doc;
-            if self.cur_doc >= self.hi {
-                self.exhausted = true;
-            }
         }
     }
 
@@ -593,16 +555,17 @@ impl<'a> Cursor<'a> {
 /// Evaluate the paper's `map[sum(THIS)](map[getBL(…)])` ranking for the k
 /// best documents only, over the block-compressed postings — the
 /// one-channel case of [`topk_channels`] (weight `1.0`, which multiplies
-/// exactly, so scores are the plain belief sums).
+/// exactly, so scores are the plain belief sums). `_degree` is kept only
+/// because `benchmark/src` passes it (ROADMAP 1(h)); it is ignored.
 pub fn topk_beliefs(
     index: &InvertedIndex,
     params: BeliefParams,
     query: &[(&str, f64)],
     domain: Option<&FxHashSet<Oid>>,
     k: usize,
-    degree: usize,
+    _degree: usize,
 ) -> TopKOutcome {
-    topk_channels(&[TopKChannel::whole(index, query, 1.0)], params, domain, None, k, degree)
+    topk_channels(&[TopKChannel::whole(index, query, 1.0)], params, domain, None, k)
 }
 
 /// Evaluate a weighted mix of belief sums — the dual-coding ranking
@@ -618,9 +581,8 @@ pub fn topk_beliefs(
 /// added left to right. Beliefs use each channel's explicit statistics and
 /// term dfs, so segments scored with the statistics of their union rank
 /// bit-identically to one index built over the same documents — and the
-/// `(oid, score)` pairs are bit-identical to materialise-then-sort at
-/// every `degree`, because a document's score never crosses a fragment
-/// boundary. Documents outside `domain` or inside `tombstones` are never
+/// `(oid, score)` pairs are bit-identical to materialise-then-sort.
+/// Documents outside `domain` or inside `tombstones` are never
 /// scored. Documents that match no query term are not emitted (their
 /// score is 0 and the facade drops zero scores); nor are documents that
 /// match only channels of weight 0 or of non-positive total term weight,
@@ -640,7 +602,6 @@ pub fn topk_channels(
     domain: Option<&FxHashSet<Oid>>,
     tombstones: Option<&Tombstones>,
     k: usize,
-    degree: usize,
 ) -> TopKOutcome {
     let chans: Vec<ChanInfo<'_>> = channels
         .iter()
@@ -687,49 +648,17 @@ pub fn topk_channels(
         "every channel must be cut at the same segment boundaries"
     );
     // segment `s` of every channel covers the same doc ids, from the
-    // shared first doc to the end of the longest channel's index
-    let ranges: Vec<(Oid, Oid)> = cut
-        .iter()
-        .enumerate()
-        .map(|(s, &(first, _))| {
-            let len = chans.iter().map(|ch| ch.segments[s].1.n_docs()).max().unwrap_or(0);
-            (first, first + len as Oid)
-        })
-        .collect();
-    let n_docs = ranges.iter().map(|&(_, end)| end as usize).max().unwrap_or(0);
-    let spans = monet::fragment::bounds(n_docs, degree.max(1));
-    let run_span = |(lo, hi): (usize, usize)| -> SpanOut {
-        let mut out = SpanOut {
-            acc: TopKAccumulator::new(k),
-            work: TopKOutcome::empty(chans.len(), ranges.len()),
-        };
-        // the span's share of each segment, in doc order, into one
-        // accumulator
-        for (seg, &(first, end)) in ranges.iter().enumerate() {
-            let (lo, hi) = ((lo as Oid).max(first), (hi as Oid).min(end));
-            if lo < hi {
-                let local = (lo - first, hi - first);
-                let before = out.work.scored;
-                segment_topk(&req, seg, local, &mut out);
-                out.work.segments[seg] += out.work.scored - before;
-            }
-        }
-        out
-    };
-    let parts: Vec<SpanOut> = if spans.len() <= 1 {
-        spans.into_iter().map(run_span).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                spans.iter().map(|&span| scope.spawn(move || run_span(span))).collect();
-            handles.into_iter().map(|h| h.join().expect("top-k span worker panicked")).collect()
-        })
-    };
+    // shared first doc to the end of the longest channel's index; the
+    // segments are walked in doc order into one accumulator
     let mut acc = TopKAccumulator::new(k);
     let mut out = TopKOutcome::empty(chans.len(), n_segments);
-    for part in parts {
-        acc.merge(part.acc);
-        out.absorb(&part.work);
+    for seg in 0..cut.len() {
+        let len = chans.iter().map(|ch| ch.segments[seg].1.n_docs()).max().unwrap_or(0);
+        if len > 0 {
+            let before = out.scored;
+            segment_topk(&req, seg, len as Oid, &mut acc, &mut out);
+            out.segments[seg] = out.scored - before;
+        }
     }
     out.blocks_skipped = out.channels.iter().map(|c| c.blocks_skipped).sum();
     out.skipped_postings = out.channels.iter().map(|c| c.skipped_postings).sum();
@@ -737,23 +666,22 @@ pub fn topk_channels(
     out
 }
 
-/// One document-id span's share of a top-k run.
-struct SpanOut {
-    acc: TopKAccumulator,
-    work: TopKOutcome,
-}
-
-/// Block-max MaxScore accumulation over segment `seg`, restricted to its
-/// local doc ids `[lo, hi)`. Cursors walk local ids; the domain, the
-/// tombstones and the accumulator see global ones.
-fn segment_topk(req: &Request<'_, '_>, seg: usize, span: (Oid, Oid), out: &mut SpanOut) {
+/// Block-max MaxScore accumulation over segment `seg`, whose local doc ids
+/// are `[0, len)`. Cursors walk local ids; the domain, the tombstones and
+/// the accumulator see global ones.
+fn segment_topk(
+    req: &Request<'_, '_>,
+    seg: usize,
+    len: Oid,
+    acc: &mut TopKAccumulator,
+    work: &mut TopKOutcome,
+) {
     let (chans, params) = (&req.chans, req.params);
     let first = chans[0].segments[seg].0;
     let mut segment = Segment {
         req,
         indexes: chans.iter().map(|ch| ch.segments[seg].1).collect(),
         ranges: Vec::new(),
-        span,
     };
     let mut cursors = segment.open();
     if cursors.is_empty() {
@@ -767,12 +695,11 @@ fn segment_topk(req: &Request<'_, '_>, seg: usize, span: (Oid, Oid), out: &mut S
         .collect();
     // a floor under the k-th best score, from the documents of the short
     // lists, until the accumulator holds k documents of its own
-    let floor = if out.acc.is_full() || ((span.1 - span.0) as usize) < SEED_MIN_SPAN {
+    let floor = if acc.is_full() || (len as usize) < SEED_MIN_SPAN {
         f64::NEG_INFINITY
     } else {
-        seed_floor(&segment, &cursors, first, out)
+        seed_floor(&segment, &cursors, first, acc.k, work)
     };
-    let acc = &mut out.acc;
     let mut theta = acc.threshold().max(floor);
     // lists in ascending order of their bound; a prefix of them is
     // non-essential once its combined bound falls below θ
@@ -867,7 +794,7 @@ fn segment_topk(req: &Request<'_, '_>, seg: usize, span: (Oid, Oid), out: &mut S
                 pass = req.bound(blk, pos) + PRUNE_MARGIN >= theta;
             }
             if !pass {
-                prune(&mut out.work, &cursors, &hits);
+                prune(work, &cursors, &hits);
                 for &i in &hits {
                     cursors[i].seek(leap, true);
                 }
@@ -886,7 +813,7 @@ fn segment_topk(req: &Request<'_, '_>, seg: usize, span: (Oid, Oid), out: &mut S
                     exact.add(c.chan, (c.scale * (b - params.alpha)).max(0.0));
                 }
                 if req.bound(exact, pos) + PRUNE_MARGIN < theta {
-                    prune(&mut out.work, &cursors, &hits);
+                    prune(work, &cursors, &hits);
                     for &i in &hits {
                         cursors[i].seek(cand + 1, true);
                     }
@@ -900,7 +827,7 @@ fn segment_topk(req: &Request<'_, '_>, seg: usize, span: (Oid, Oid), out: &mut S
         }
         pos_until = 0;
         let score = segment.score(&mut cursors, cand);
-        out.work.scored += 1;
+        work.scored += 1;
         acc.push(doc, score);
         // stepping past a scored posting consumes it rather than skipping
         // it, and passes nothing else, so it is not counted
@@ -917,7 +844,7 @@ fn segment_topk(req: &Request<'_, '_>, seg: usize, span: (Oid, Oid), out: &mut S
         }
     }
     for c in &cursors {
-        out.work.channels[c.chan].add(&c.work);
+        work.channels[c.chan].add(&c.work);
     }
 }
 
@@ -944,16 +871,16 @@ fn seed_floor(
     segment: &Segment<'_, '_>,
     cursors: &[Cursor<'_>],
     first: Oid,
-    out: &mut SpanOut,
+    k: usize,
+    work: &mut TopKOutcome,
 ) -> f64 {
-    let (k, (lo, hi)) = (out.acc.k, segment.span);
     let mut short: Vec<&Cursor<'_>> =
         cursors.iter().filter(|c| c.list.len() <= BLOCK_LEN).collect();
     short.sort_by(|a, b| b.cbound.total_cmp(&a.cbound));
     let (mut seeds, mut docs, mut tfs) = (Vec::new(), Vec::new(), Vec::new());
     for c in short {
         c.list.decode_block_into(0, &mut docs, &mut tfs);
-        seeds.extend(docs.iter().copied().filter(|&d| lo <= d && d < hi));
+        seeds.extend_from_slice(&docs);
         if seeds.len() >= k {
             seeds.sort_unstable();
             seeds.dedup();
@@ -974,25 +901,23 @@ fn seed_floor(
         }
         best.push(d, segment.score(&mut probes, d));
     }
-    out.work.scored += seeds.len() as u64;
+    work.scored += seeds.len() as u64;
     for p in &probes {
-        out.work.channels[p.chan].scored_postings += p.work.scored_postings;
+        work.channels[p.chan].scored_postings += p.work.scored_postings;
     }
     best.threshold()
 }
 
-/// One segment of a request, restricted to a span of its local doc ids:
-/// the channels' indexes in it, and each channel's range of the cursor
-/// list.
+/// One segment of a request: the channels' indexes in it, and each
+/// channel's range of the cursor list.
 struct Segment<'a, 'q> {
     req: &'q Request<'a, 'q>,
     indexes: Vec<&'a InvertedIndex>,
     ranges: Vec<std::ops::Range<usize>>,
-    span: (Oid, Oid),
 }
 
 impl<'a> Segment<'a, '_> {
-    /// Cursors on the span start for every query term present in the
+    /// Cursors on the first posting of every query term present in the
     /// segment: channel-major and in query order within a channel, so
     /// scoring a channel's cursor range in order reproduces the
     /// materialise path's float-addition order.
@@ -1007,7 +932,7 @@ impl<'a> Segment<'a, '_> {
                 let (n_docs, avg_dl) = (ch.stats.n_docs, ch.stats.avg_dl);
                 let bound =
                     params.belief_bound(list.max_tf(), t.df, list.min_dl_per_tf(), n_docs, avg_dl);
-                Some(Cursor::new(t, list, ch.cbound(params, t.w, bound), self.span))
+                Some(Cursor::new(t, list, ch.cbound(params, t.w, bound)))
             })
             .collect()
     }
@@ -1192,7 +1117,7 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_threshold_and_merge() {
+    fn accumulator_threshold() {
         let mut a = TopKAccumulator::new(2);
         assert_eq!(a.threshold(), f64::NEG_INFINITY);
         a.push(0, 0.3);
@@ -1200,9 +1125,8 @@ mod tests {
         assert!(a.is_full());
         assert_eq!(a.threshold(), 0.3);
         assert!(!a.push(2, 0.1));
-        let mut b = TopKAccumulator::new(2);
-        b.push(9, 0.6);
-        a.merge(b);
+        assert!(a.push(9, 0.6));
+        assert_eq!(a.threshold(), 0.6);
         assert_eq!(a.into_ranked(), vec![(1, 0.8), (9, 0.6)]);
         // k = 0 never admits
         let mut z = TopKAccumulator::new(0);
@@ -1212,42 +1136,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_with_unequal_k() {
-        // donor holds more entries than the receiver keeps: element-wise
-        let mut small = TopKAccumulator::new(2);
-        let mut big = TopKAccumulator::new(5);
-        for (oid, s) in [(0, 0.1), (1, 0.9), (2, 0.5), (3, 0.7)] {
-            big.push(oid, s);
-        }
-        small.merge(big.clone());
-        assert_eq!(small.into_ranked(), vec![(1, 0.9), (3, 0.7)]);
-        // donor fits an empty receiver: adopted wholesale
-        let mut wide = TopKAccumulator::new(5);
-        let mut donor = TopKAccumulator::new(2);
-        donor.push(4, 0.3);
-        donor.push(6, 0.2);
-        wide.merge(donor);
-        assert_eq!(wide.len(), 2);
-        wide.push(7, 0.25);
-        assert_eq!(wide.into_ranked(), vec![(4, 0.3), (7, 0.25), (6, 0.2)]);
-        // merging an empty donor is a no-op
-        let mut a = TopKAccumulator::new(2);
-        a.push(1, 0.5);
-        a.merge(TopKAccumulator::new(2));
-        assert_eq!(a.into_ranked(), vec![(1, 0.5)]);
-    }
-
-    #[test]
     fn topk_matches_materialise_then_sort() {
         let index = idx(200);
         let params = BeliefParams::default();
         let query = [("sunset", 1.0), ("wave", 1.0), ("glow", 0.5)];
         for k in [1usize, 3, 10, 200] {
             let expected = baseline(&index, params, &query, None, k);
-            for degree in [1usize, 4] {
-                let got = topk_beliefs(&index, params, &query, None, k, degree);
-                assert_eq!(got.hits, expected, "k={k} degree={degree}");
-            }
+            let got = topk_beliefs(&index, params, &query, None, k, 1);
+            assert_eq!(got.hits, expected, "k={k}");
         }
     }
 
@@ -1337,12 +1233,10 @@ mod tests {
         assert!(index.postings_list("t").unwrap().blocks().len() > 20);
         let params = BeliefParams::default();
         let query = [("t", 1.0)];
-        for degree in [1usize, 3] {
-            let out = topk_beliefs(&index, params, &query, None, 10, degree);
-            assert_eq!(out.hits, baseline(&index, params, &query, None, 10), "degree {degree}");
-            assert!(out.blocks_skipped > 0, "no block leapt at degree {degree}: {out:?}");
-            assert!(out.scored < index.n_docs() as u64 / 2, "degree {degree}: {out:?}");
-        }
+        let out = topk_beliefs(&index, params, &query, None, 10, 1);
+        assert_eq!(out.hits, baseline(&index, params, &query, None, 10));
+        assert!(out.blocks_skipped > 0, "no block leapt: {out:?}");
+        assert!(out.scored < index.n_docs() as u64 / 2, "{out:?}");
     }
 
     #[test]
@@ -1351,7 +1245,7 @@ mod tests {
         let params = BeliefParams::default();
         let query = [("sunset", 1.0)];
         let domain: FxHashSet<Oid> = (0..50).collect();
-        let out = topk_beliefs(&index, params, &query, Some(&domain), 10, 2);
+        let out = topk_beliefs(&index, params, &query, Some(&domain), 10, 1);
         assert!(!out.hits.is_empty());
         assert!(out.hits.iter().all(|(oid, _)| *oid < 50));
         assert_eq!(out.hits, baseline(&index, params, &query, Some(&domain), 10));
@@ -1387,10 +1281,8 @@ mod tests {
             for k in [1usize, 10, 1500] {
                 let expected = multi_baseline(&channels, k);
                 assert!(!expected.is_empty());
-                for degree in [1usize, 4] {
-                    let got = topk_channels(&channels, params, None, None, k, degree);
-                    assert_eq!(got.hits, expected, "weights ({tw}, {vw}) k={k} degree={degree}");
-                }
+                let got = topk_channels(&channels, params, None, None, k);
+                assert_eq!(got.hits, expected, "weights ({tw}, {vw}) k={k}");
             }
         }
         // text terms absent from the corpus: the visual channel alone ranks
@@ -1398,7 +1290,7 @@ mod tests {
         let channels =
             [TopKChannel::whole(&text, &absent, 0.6), TopKChannel::whole(&vis, &vq, 0.4)];
         assert_eq!(
-            topk_channels(&channels, params, None, None, 10, 1).hits,
+            topk_channels(&channels, params, None, None, 10).hits,
             multi_baseline(&channels, 10)
         );
     }
@@ -1410,7 +1302,7 @@ mod tests {
         let tq = [("sunset", 1.0), ("mist", 1.0)];
         let vq = [("v0", 1.0), ("v2", 1.0)];
         let channels = [TopKChannel::whole(&text, &tq, 0.5), TopKChannel::whole(&vis, &vq, 0.5)];
-        let out = topk_channels(&channels, BeliefParams::default(), None, None, 5, 1);
+        let out = topk_channels(&channels, BeliefParams::default(), None, None, 5);
         assert_eq!(out.hits, multi_baseline(&channels, 5));
         assert_eq!(out.channels.len(), 2);
         let sum = |f: fn(&ChannelWork) -> u64| out.channels.iter().map(f).sum::<u64>();
@@ -1421,7 +1313,7 @@ mod tests {
         assert!(out.channels.iter().all(|w| w.pruned <= out.pruned));
         // the one-channel case is topk_beliefs, work included
         let one_channel = [TopKChannel { weight: 1.0, ..channels[0].clone() }];
-        let one = topk_channels(&one_channel, BeliefParams::default(), None, None, 5, 1);
+        let one = topk_channels(&one_channel, BeliefParams::default(), None, None, 5);
         let plain = topk_beliefs(&text, BeliefParams::default(), &tq, None, 5, 1);
         assert_eq!(one, plain);
     }
@@ -1455,7 +1347,7 @@ mod tests {
         let tq = [("rare", 1.0)];
         let vq = [("v0", 1.0), ("v1", 1.0), ("v2", 1.0), ("v3", 1.0)];
         let channels = [TopKChannel::whole(&text, &tq, 0.5), TopKChannel::whole(&vis, &vq, 0.5)];
-        let out = topk_channels(&channels, BeliefParams::default(), None, None, 10, 1);
+        let out = topk_channels(&channels, BeliefParams::default(), None, None, 10);
         assert_eq!(out.hits, multi_baseline(&channels, 10));
         assert!(out.scored <= 2 * u64::from(df), "scored {} of {df}: {out:?}", out.scored);
         assert!(out.channels[1].blocks_skipped > 0, "visual blocks all decoded: {out:?}");
@@ -1507,23 +1399,16 @@ mod tests {
                 for (live_dom, batch_dom) in
                     [(None, None), (Some(&live_domain), Some(&batch_domain))]
                 {
-                    let want: Vec<(Oid, f64)> =
-                        topk_channels(&whole, params, batch_dom, None, k, 1)
-                            .hits
-                            .into_iter()
-                            .map(|(i, score)| (survivors[i as usize], score))
-                            .collect();
+                    let want: Vec<(Oid, f64)> = topk_channels(&whole, params, batch_dom, None, k)
+                        .hits
+                        .into_iter()
+                        .map(|(i, score)| (survivors[i as usize], score))
+                        .collect();
                     assert!(!want.is_empty());
-                    for degree in [1usize, 3] {
-                        let got =
-                            topk_channels(&segmented, params, live_dom, Some(&dead), k, degree);
-                        let case = format!(
-                            "{} channels k={k} domain={}",
-                            weights.len(),
-                            live_dom.is_some()
-                        );
-                        assert_eq!(got.hits, want, "{case} degree={degree}");
-                    }
+                    let got = topk_channels(&segmented, params, live_dom, Some(&dead), k);
+                    let case =
+                        format!("{} channels k={k} domain={}", weights.len(), live_dom.is_some());
+                    assert_eq!(got.hits, want, "{case}");
                 }
             }
         }
@@ -1538,7 +1423,7 @@ mod tests {
         for query in [Vec::new(), vec![("sunset", 0.0, 90)]] {
             let ch =
                 TopKChannel { segments: segments.clone(), query, stats: base.stats(), weight: 1.0 };
-            let out = topk_channels(&[ch], BeliefParams::default(), None, Some(&dead), 10, 1);
+            let out = topk_channels(&[ch], BeliefParams::default(), None, Some(&dead), 10);
             assert!(out.hits.is_empty());
         }
     }
@@ -1559,8 +1444,8 @@ mod tests {
         let channel = |segments| TopKChannel { segments, query: query.clone(), stats, weight: 1.0 };
         let params = BeliefParams::default();
         let both =
-            topk_channels(&[channel(vec![(0, &base), (1000, &delta)])], params, None, None, 5, 1);
-        let base_only = topk_channels(&[channel(vec![(0, &base)])], params, None, None, 5, 1);
+            topk_channels(&[channel(vec![(0, &base), (1000, &delta)])], params, None, None, 5);
+        let base_only = topk_channels(&[channel(vec![(0, &base)])], params, None, None, 5);
         assert_eq!(both.hits, base_only.hits);
         assert!(both.hits.iter().all(|(oid, _)| oid % 10 == 0 && *oid < 1000));
         // the delta's thousand candidates cost no scoring at all

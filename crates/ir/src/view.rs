@@ -118,16 +118,15 @@ impl CorpusView {
 
     /// The k best `(global id, score)` pairs of the view, best first (ties
     /// by ascending global id), with the work of every part. Each part
-    /// runs one [`topk_channels`] pass at
-    /// `degree(end_doc)` under the union statistics, restricted to the
-    /// view ids in `domain`. `None` when a hit has no global id.
+    /// runs one [`topk_channels`] pass under the union statistics,
+    /// restricted to the view ids in `domain`. `None` when a hit has no
+    /// global id.
     pub fn topk(
         &self,
         channels: &[ViewChannel<'_>],
         params: BeliefParams,
         domain: Option<&Bat>,
         k: usize,
-        degree: impl Fn(usize) -> usize,
     ) -> Option<ViewHits> {
         let segments: Vec<Vec<Vec<(Oid, &InvertedIndex)>>> = (self.parts.iter())
             .map(|p| channels.iter().map(|c| p.segments(c.prefix)).collect())
@@ -173,8 +172,7 @@ impl CorpusView {
                 })
                 .collect();
             let domain = domains.as_ref().map(|sets| &sets[i]);
-            let degree = degree(part.end_doc() as usize);
-            let mut out = topk_channels(&chans, params, domain, part.tombstones(), k, degree);
+            let mut out = topk_channels(&chans, params, domain, part.tombstones(), k);
             for (local, score) in std::mem::take(&mut out.hits) {
                 let global = match &self.ids {
                     Some(ids) => *ids.get(i)?.get(local as usize)?,

@@ -16,8 +16,6 @@
 
 use crate::opt::StatsCatalog;
 use crate::structure::StructRegistry;
-#[cfg(test)]
-use crate::types::AtomicType;
 use crate::types::MoaType;
 use crate::value::MoaVal;
 use crate::{MoaError, Result};
@@ -310,6 +308,7 @@ pub(crate) fn typed_column(ty: MonetType, vals: Vec<Val>) -> Result<Column> {
 mod tests {
     use super::*;
     use crate::parser::parse_define;
+    use crate::types::AtomicType;
 
     fn simple_rows() -> (MoaType, Vec<MoaVal>) {
         let (_, ty) =

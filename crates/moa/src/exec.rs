@@ -192,20 +192,14 @@ impl MoaEngine {
     }
 
     /// Build a kernel executor configured from the optimiser switches, a
-    /// compiled plan's hints (estimates and per-node degree caps) and the
-    /// request's pinned view.
+    /// compiled plan's cardinality estimates and the request's pinned
+    /// view.
     fn executor(&self, hints: PlanHints, params: &QueryParams) -> Executor<'_> {
         let mut exec = Executor::new(self.env.catalog(), self.env.ops());
         exec.memoize = self.opt.memoize;
         exec.view = params.view().cloned();
-        exec.degree = monet::fragment::resolve_degree(self.opt.parallelism);
-        if self.opt.stats_driven {
-            if !hints.est_rows.is_empty() {
-                exec.est_rows = Some(Arc::new(hints.est_rows));
-            }
-            if !hints.degree_cap.is_empty() {
-                exec.degree_hints = Some(Arc::new(hints.degree_cap));
-            }
+        if self.opt.stats_driven && !hints.est_rows.is_empty() {
+            exec.est_rows = Some(Arc::new(hints.est_rows));
         }
         exec
     }

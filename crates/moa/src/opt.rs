@@ -26,9 +26,8 @@
 //! documented operator contracts), and each one that changes the plan is
 //! reported by name in [`PlanHints::passes_fired`]. Afterwards every node
 //! of the final plan is annotated with an estimated output cardinality
-//! ([`estimate`]) and an estimate-driven parallel-degree cap, which the
-//! kernel [`monet::Executor`] renders in EXPLAIN as `est≈N` next to actual
-//! row counts and consults when choosing fragmentation degrees.
+//! ([`estimate`]), which the kernel [`monet::Executor`] renders in EXPLAIN
+//! as `est≈N` next to actual row counts.
 
 use crate::rewrite::OptConfig;
 use monet::fxhash::FxHashMap;
@@ -221,14 +220,14 @@ pub struct PassCtx<'a> {
 }
 
 /// Side-channel produced by [`Pipeline::optimize`]: per-node cardinality
-/// estimates and degree caps (keyed by plan fingerprint, the kernel's
-/// trace key), plus which rewrites changed the plan.
+/// estimates (keyed by plan fingerprint, the kernel's trace key), plus
+/// which rewrites changed the plan.
 #[derive(Debug, Default, Clone)]
 pub struct PlanHints {
     /// Estimated output rows per plan node.
     pub est_rows: FxHashMap<u64, u64>,
-    /// Parallel-degree cap per plan node (estimate-driven; the executor
-    /// only ever lowers its configured degree by these).
+    /// Kept only because `benchmark/src` reads it (ROADMAP 1(h)); never
+    /// filled.
     pub degree_cap: FxHashMap<u64, usize>,
     /// Names of the rewrites that changed the plan, in cascade order.
     pub passes_fired: Vec<&'static str>,
@@ -242,7 +241,7 @@ pub struct Pipeline;
 impl Pipeline {
     /// Run `selection_order` (statistics-driven), then `topk_fuse` (when
     /// the request carries a budget), then annotate the final plan with
-    /// cardinality estimates and degree caps (when statistics exist and
+    /// cardinality estimates (when statistics exist and
     /// [`OptConfig::stats_driven`] is on).
     pub fn optimize(&self, plan: &Plan, ctx: &PassCtx) -> (Plan, PlanHints) {
         let mut hints = PlanHints::default();
@@ -266,16 +265,9 @@ impl Pipeline {
     }
 }
 
-/// Rows of estimated input an operator should have per thread before
-/// fragment-parallelism is worth its scoped-thread overhead; mirrors the
-/// kernel's `min_fragment_rows` default.
-const ROWS_PER_THREAD: usize = monet::fragment::DEFAULT_MIN_FRAGMENT_ROWS;
-
 fn annotate(plan: &Plan, ctx: &PassCtx, hints: &mut PlanHints) {
     if let Some(est) = estimate(plan, &ctx.stats) {
-        let fp = plan.fingerprint();
-        hints.est_rows.insert(fp, est);
-        hints.degree_cap.insert(fp, (est as usize / ROWS_PER_THREAD).max(1));
+        hints.est_rows.insert(plan.fingerprint(), est);
     }
     for child in plan.children() {
         annotate(child, ctx, hints);
@@ -840,8 +832,6 @@ mod tests {
         let (out, hints) = Pipeline.optimize(&plan, &ctx);
         assert_eq!(hints.passes_fired, ["selection_order"]);
         assert!(hints.est_rows.contains_key(&out.fingerprint()));
-        // every annotated node has a degree cap too
-        assert_eq!(hints.est_rows.len(), hints.degree_cap.len());
         // a ranking with a budget reports its fusion
         let (_, hints) =
             Pipeline.optimize(&ranking("Lib__self"), &fuse_ctx(&ops, OptConfig::default()));

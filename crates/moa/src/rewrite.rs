@@ -13,20 +13,16 @@
 use crate::expr::Expr;
 use crate::Env;
 
-/// Optimiser switches (all on by default, execution serial).
+/// Optimiser switches (all on by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptConfig {
     /// Memoise common subexpressions during execution.
     pub memoize: bool,
-    /// Fragment-parallel execution degree for the kernel executor:
-    /// `1` (the default) = serial, `0` = one thread per available core,
-    /// `n` = exactly `n` threads per fragmented operator. A server already
-    /// runs one worker per core, so a request gains nothing from more.
+    /// Kept only because `benchmark/src` reads it (ROADMAP 1(h)); ignored.
     pub parallelism: usize,
     /// Run the rewrites beyond single-channel top-k fusion: logical
     /// selection pushdown ([`rewrite_logical`]), and in [`crate::opt`]
-    /// statistics-driven selection ordering, dual-coding top-k fusion and
-    /// estimate-driven per-operator parallel-degree caps.
+    /// statistics-driven selection ordering and dual-coding top-k fusion.
     pub stats_driven: bool,
 }
 
@@ -37,7 +33,7 @@ impl Default for OptConfig {
 }
 
 impl OptConfig {
-    /// Everything off — the unoptimised, serial reference engine.
+    /// Everything off — the unoptimised reference engine.
     pub fn none() -> Self {
         OptConfig { memoize: false, parallelism: 1, stats_driven: false }
     }

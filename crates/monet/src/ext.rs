@@ -25,47 +25,20 @@ pub trait RequestView: Any + Send + Sync + std::fmt::Debug {
 
 /// Execution context handed to custom operators: access to the catalog so
 /// operators can consult auxiliary BATs (statistics, dictionaries), the
-/// request's [`RequestView`], the executor's fragment-parallel degree (so
-/// operators can parallelise their own work the same way the built-in
-/// operators do), and a note channel that surfaces operator-specific
-/// diagnostics in EXPLAIN output.
+/// request's [`RequestView`], and a note channel that surfaces
+/// operator-specific diagnostics in EXPLAIN output.
 pub struct OpCtx<'a> {
     /// The catalog of named BATs.
     pub catalog: &'a Catalog,
     /// The request's pinned view, if the caller supplied one.
     pub view: Option<&'a dyn RequestView>,
-    /// Fragment-parallel degree the executor runs at (1 = serial). Custom
-    /// operators may split their own work into that many spans.
-    pub degree: usize,
-    /// The executor's row threshold below which operators stay serial
-    /// ([`crate::Executor::min_fragment_rows`]); custom operators should
-    /// honour it like the built-in operators do.
-    pub min_fragment_rows: usize,
     note: Mutex<Option<String>>,
 }
 
 impl<'a> OpCtx<'a> {
-    /// Create a context over a catalog with an explicit parallel degree
-    /// and the default serial-fallback threshold.
-    pub fn new(catalog: &'a Catalog, degree: usize) -> Self {
-        OpCtx {
-            catalog,
-            view: None,
-            degree,
-            min_fragment_rows: crate::fragment::DEFAULT_MIN_FRAGMENT_ROWS,
-            note: Mutex::new(None),
-        }
-    }
-
-    /// The degree an operator over `rows` input rows should fragment at:
-    /// the configured degree when the input reaches the threshold, serial
-    /// otherwise — the same policy the built-in operators apply.
-    pub fn frag_degree(&self, rows: usize) -> usize {
-        if self.degree > 1 && rows >= self.min_fragment_rows.max(2) {
-            self.degree
-        } else {
-            1
-        }
+    /// Create a context over a catalog, without a view.
+    pub fn new(catalog: &'a Catalog) -> Self {
+        OpCtx { catalog, view: None, note: Mutex::new(None) }
     }
 
     /// Attach a diagnostic note to this invocation; the executor records it
@@ -159,7 +132,7 @@ mod tests {
         });
         assert!(reg.contains("double"));
         let out = reg
-            .invoke("double", &OpCtx::new(&cat, 1), &[Arc::new(bat_of_ints(vec![1, 2]))], &[])
+            .invoke("double", &OpCtx::new(&cat), &[Arc::new(bat_of_ints(vec![1, 2]))], &[])
             .unwrap();
         assert_eq!(out.tail().int_slice().unwrap(), &[2, 4]);
     }
@@ -168,7 +141,7 @@ mod tests {
     fn unknown_op_errors() {
         let reg = OpRegistry::new();
         let cat = Catalog::new();
-        let err = reg.invoke("nope", &OpCtx::new(&cat, 1), &[], &[]);
+        let err = reg.invoke("nope", &OpCtx::new(&cat), &[], &[]);
         assert!(matches!(err, Err(MonetError::UnknownOp(_))));
     }
 
@@ -182,7 +155,7 @@ mod tests {
             let n = stats.tail().int_slice()?[0];
             Ok(bat_of_ints(vec![n * 3]))
         });
-        let out = reg.invoke("scaled", &OpCtx::new(&cat, 1), &[], &[]).unwrap();
+        let out = reg.invoke("scaled", &OpCtx::new(&cat), &[], &[]).unwrap();
         assert_eq!(out.tail().int_slice().unwrap(), &[300]);
     }
 
@@ -197,7 +170,7 @@ mod tests {
             })?;
             Ok(bat_of_ints(vec![7; n as usize]))
         });
-        let out = reg.invoke("fill", &OpCtx::new(&cat, 1), &[], &[Val::Int(3)]).unwrap();
+        let out = reg.invoke("fill", &OpCtx::new(&cat), &[], &[Val::Int(3)]).unwrap();
         assert_eq!(out.count(), 3);
     }
 }

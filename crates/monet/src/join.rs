@@ -50,22 +50,15 @@ pub(crate) fn check_joinable(op: &'static str, a: &Column, b: &Column) -> Result
     }
 }
 
-/// Probe the row span `[span.0, span.1)` of an oid-typed probe column
-/// against a void build head `[start, start+len)`. Returns global
-/// `(left, right)` position pairs in probe-row order; both the serial fetch
-/// join and each parallel fragment funnel through here.
-pub(crate) fn fetch_probe_span(
-    lt: &Column,
-    start: Oid,
-    len: usize,
-    span: (usize, usize),
-) -> Result<(Vec<u32>, Vec<u32>)> {
-    let (lo, hi) = span;
-    let mut left_pos: Vec<u32> = Vec::with_capacity(hi - lo);
-    let mut right_pos: Vec<u32> = Vec::with_capacity(hi - lo);
+/// Probe an oid-typed probe column against a void build head
+/// `[start, start+len)`. Returns `(left, right)` position pairs in
+/// probe-row order.
+fn fetch_probe(lt: &Column, start: Oid, len: usize) -> Result<(Vec<u32>, Vec<u32>)> {
+    let mut left_pos: Vec<u32> = Vec::with_capacity(lt.len());
+    let mut right_pos: Vec<u32> = Vec::with_capacity(lt.len());
     match lt {
         Column::Void { start: s2, .. } => {
-            for i in lo..hi {
+            for i in 0..lt.len() {
                 let o = s2 + i as Oid;
                 if o >= start && ((o - start) as usize) < len {
                     left_pos.push(i as u32);
@@ -74,9 +67,9 @@ pub(crate) fn fetch_probe_span(
             }
         }
         Column::Oid(v) => {
-            for (i, &o) in v[lo..hi].iter().enumerate() {
+            for (i, &o) in v.iter().enumerate() {
                 if o >= start && ((o - start) as usize) < len {
-                    left_pos.push((lo + i) as u32);
+                    left_pos.push(i as u32);
                     right_pos.push(o - start);
                 }
             }
@@ -92,9 +85,9 @@ pub(crate) fn fetch_probe_span(
     Ok((left_pos, right_pos))
 }
 
-/// Build the hash-join table on a build-side head: key → positions (in
-/// ascending build order, which keeps fragment output identical to serial).
-pub(crate) fn build_hash_table(rh: &Column) -> FxHashMap<KeyRef<'_>, Vec<u32>> {
+/// Build the hash-join table on a build-side head: key → positions, in
+/// ascending build order.
+fn build_hash_table(rh: &Column) -> FxHashMap<KeyRef<'_>, Vec<u32>> {
     let mut table: FxHashMap<KeyRef<'_>, Vec<u32>> = FxHashMap::default();
     for j in 0..rh.len() {
         table.entry(key_at(rh, j)).or_default().push(j as u32);
@@ -102,16 +95,12 @@ pub(crate) fn build_hash_table(rh: &Column) -> FxHashMap<KeyRef<'_>, Vec<u32>> {
     table
 }
 
-/// Probe the row span `[span.0, span.1)` of a probe column against a
-/// prebuilt hash table; returns global `(left, right)` position pairs.
-pub(crate) fn hash_probe_span<'a>(
-    lt: &'a Column,
-    table: &FxHashMap<KeyRef<'a>, Vec<u32>>,
-    span: (usize, usize),
-) -> (Vec<u32>, Vec<u32>) {
+/// Probe a probe column against a prebuilt hash table; returns
+/// `(left, right)` position pairs in probe-row order.
+fn hash_probe<'a>(lt: &'a Column, table: &FxHashMap<KeyRef<'a>, Vec<u32>>) -> (Vec<u32>, Vec<u32>) {
     let mut left_pos = Vec::new();
     let mut right_pos = Vec::new();
-    for i in span.0..span.1 {
+    for i in 0..lt.len() {
         if let Some(matches) = table.get(&key_at(lt, i)) {
             for &j in matches {
                 left_pos.push(i as u32);
@@ -149,7 +138,7 @@ impl Bat {
     /// `other.tail[oid - start]`; oids outside the range simply do not
     /// match (inner-join semantics).
     pub fn fetch_join(&self, other: &Bat, start: Oid, len: usize) -> Result<Bat> {
-        let (left_pos, right_pos) = fetch_probe_span(self.tail(), start, len, (0, self.count()))?;
+        let (left_pos, right_pos) = fetch_probe(self.tail(), start, len)?;
         let head = self.head().take(&left_pos);
         let tail = other.tail().take(&right_pos);
         let props = Props {
@@ -197,7 +186,7 @@ impl Bat {
 
     fn hash_join(&self, other: &Bat) -> Result<Bat> {
         let table = build_hash_table(other.head());
-        let (left_pos, right_pos) = hash_probe_span(self.tail(), &table, (0, self.count()));
+        let (left_pos, right_pos) = hash_probe(self.tail(), &table);
         let head = self.head().take(&left_pos);
         let tail = other.tail().take(&right_pos);
         Ok(Bat::from_arcs(Arc::new(head), Arc::new(tail), Props::unknown()))

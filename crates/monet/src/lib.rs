@@ -24,11 +24,6 @@
 //!   layers register new *physical operators* — exactly how the Mirror
 //!   paper's probabilistic `getBL` operator is added without the kernel
 //!   knowing anything about information retrieval;
-//! * horizontal fragmentation and data-parallel operator execution
-//!   ([`fragment`]): `select`, `join` (probe side), aggregates and
-//!   projection split into oid-range fragments that run on scoped threads
-//!   and merge value-identically to the serial path — the
-//!   [`ParallelExecutor`] scales whole plans across cores;
 //! * a durable storage tier ([`storage`]): checksummed 4 KiB columnar
 //!   pages, each verified on every read, a write-ahead log with
 //!   recovery-on-open, shadow-generation checkpoints, and a
@@ -36,7 +31,9 @@
 //!   implementations so crash consistency is a tested property.
 //!
 //! Set-at-a-time execution over these operators is what the paper calls
-//! "design for scalability"; the Moa layer (crate `mirror-moa`) flattens
+//! "design for scalability". Every operator runs serially within a
+//! request: the serving layer's worker pool, one request per worker, is
+//! the one level of parallelism. The Moa layer (crate `mirror-moa`) flattens
 //! logical object-algebra expressions into [`plan::Plan`]s over this
 //! kernel.
 
@@ -67,7 +64,6 @@ pub use catalog::Catalog;
 pub use column::Column;
 pub use error::{MonetError, Result};
 pub use ext::{OpCtx, OpRegistry, RequestView};
-pub use fragment::ParallelExecutor;
 pub use plan::{ArithOp, ExecStats, Executor, NodeTrace, Plan, Pred};
 pub use props::{summarize, ColSummary, Props};
 pub use storage::{

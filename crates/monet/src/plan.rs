@@ -4,16 +4,10 @@
 //! these by flattening logical object-algebra expressions. The [`Executor`]
 //! interprets a plan against a [`Catalog`] and an [`OpRegistry`], recording
 //! per-operator statistics (operator invocations, rows produced, wall
-//! time) and optionally memoising common subexpressions.
-//!
-//! When [`Executor::degree`] is raised above 1 (directly, or via
-//! [`crate::fragment::ParallelExecutor`]), the fragment-parallelisable
-//! operators — `select`, `join` (probe side), `aggr` and `grouped_aggr`
-//! (`Sum`/`Count`) — execute per oid-range fragment on scoped threads and
-//! merge, as long as their input reaches [`Executor::min_fragment_rows`];
-//! `project` and `mark` stay serial because constant/void fills are pure
-//! memory bandwidth. [`Executor::explain`] shows, per operator, whether it
-//! actually ran fragmented and at what degree.
+//! time) and optionally memoising common subexpressions. Every operator
+//! runs serially over whole columns: a request's parallelism is the server
+//! worker that runs it. [`Executor::explain`] shows, per operator, the
+//! rows it produced.
 
 use crate::aggr::Agg;
 use crate::bat::Bat;
@@ -420,11 +414,7 @@ impl Plan {
         if let Some(stats) = trace {
             if let Some(t) = stats.node_trace.get(&self.fingerprint()) {
                 let est = t.est_rows.map(|e| format!("est≈{e}, ")).unwrap_or_default();
-                if t.degree > 1 {
-                    let _ = write!(out, "  [{est}rows={}, fragmented ×{}]", t.rows, t.degree);
-                } else {
-                    let _ = write!(out, "  [{est}rows={}, serial]", t.rows);
-                }
+                let _ = write!(out, "  [{est}rows={}]", t.rows);
                 if let Some(note) = &t.note {
                     let _ = write!(out, "  {note}");
                 }
@@ -437,9 +427,9 @@ impl Plan {
     }
 }
 
-/// What one plan node did during execution: rows it produced, the
-/// fragmentation degree it ran at (1 = serial), and any diagnostic note a
-/// custom operator attached via [`crate::OpCtx::set_note`].
+/// What one plan node did during execution: rows it produced, and any
+/// diagnostic note a custom operator attached via
+/// [`crate::OpCtx::set_note`].
 #[derive(Debug, Clone)]
 pub struct NodeTrace {
     /// Rows the operator produced.
@@ -448,10 +438,8 @@ pub struct NodeTrace {
     /// [`Executor::est_rows`] for this node — rendered by EXPLAIN as
     /// `est≈N` next to the actual count.
     pub est_rows: Option<u64>,
-    /// Fragmentation degree the operator actually used (1 = serial).
-    pub degree: usize,
     /// Operator-supplied note (custom operators only), rendered by
-    /// [`Executor::explain`] next to the row/fragmentation annotation.
+    /// [`Executor::explain`] next to the row annotation.
     pub note: Option<String>,
 }
 
@@ -466,10 +454,8 @@ pub struct ExecStats {
     pub memo_hits: u64,
     /// Total operators evaluated (memo hits excluded).
     pub ops_evaluated: u64,
-    /// Operators that ran fragment-parallel (degree > 1).
+    /// Kept only because `benchmark/src` reads it (ROADMAP 1(h)); always 0.
     pub fragmented_ops: u64,
-    /// The executor's configured parallelism degree.
-    pub degree: usize,
     /// Per-node execution trace, keyed by plan fingerprint — feeds
     /// [`Executor::explain`].
     pub node_trace: FxHashMap<u64, NodeTrace>,
@@ -487,9 +473,8 @@ impl ExecStats {
     /// Short single-line summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} ops ({} fragmented), {} rows, {} memo hits, {:.3} ms",
+            "{} ops, {} rows, {} memo hits, {:.3} ms",
             self.ops_evaluated,
-            self.fragmented_ops,
             self.rows_produced,
             self.memo_hits,
             self.wall_ns as f64 / 1e6
@@ -503,20 +488,13 @@ pub struct Executor<'a> {
     registry: &'a OpRegistry,
     /// Enable common-subexpression memoisation within one `run`.
     pub memoize: bool,
-    /// Fragment-parallel degree for the parallelisable operators; 1 (the
-    /// default) executes everything serially. Use
-    /// [`crate::fragment::resolve_degree`] to map 0/auto to the core count.
+    /// Kept only because `benchmark/src` sets it (ROADMAP 1(h)); ignored.
     pub degree: usize,
-    /// Inputs smaller than this stay serial regardless of `degree`.
-    pub min_fragment_rows: usize,
     /// Optimiser-estimated output cardinalities keyed by plan fingerprint
     /// (supplied by the logical layer's statistics catalog). Recorded into
     /// each [`NodeTrace`] so EXPLAIN shows estimated vs actual rows.
     pub est_rows: Option<Arc<FxHashMap<u64, u64>>>,
-    /// Per-node parallel-degree caps keyed by plan fingerprint. A hint can
-    /// only *lower* the degree an operator fragments at (estimate-driven
-    /// "don't bother parallelising a tiny intermediate"), never raise it
-    /// above [`Executor::degree`].
+    /// Kept only because `benchmark/src` sets it (ROADMAP 1(h)); ignored.
     pub degree_hints: Option<Arc<FxHashMap<u64, usize>>>,
     /// The request's pinned view: loads read the BATs it supplies before
     /// the catalog, and custom operators see it in their [`OpCtx`].
@@ -525,14 +503,13 @@ pub struct Executor<'a> {
 
 impl<'a> Executor<'a> {
     /// Create an executor over a catalog and operator registry; memoisation
-    /// defaults to on, execution to serial.
+    /// defaults to on.
     pub fn new(catalog: &'a Catalog, registry: &'a OpRegistry) -> Self {
         Executor {
             catalog,
             registry,
             memoize: true,
             degree: 1,
-            min_fragment_rows: crate::fragment::DEFAULT_MIN_FRAGMENT_ROWS,
             est_rows: None,
             degree_hints: None,
             view: None,
@@ -541,7 +518,7 @@ impl<'a> Executor<'a> {
 
     /// Execute a plan, returning the result BAT and execution statistics.
     pub fn run(&self, plan: &Plan) -> Result<(Arc<Bat>, ExecStats)> {
-        let mut stats = ExecStats { degree: self.degree, ..ExecStats::default() };
+        let mut stats = ExecStats::default();
         let mut memo: FxHashMap<u64, Arc<Bat>> = FxHashMap::default();
         let start = Instant::now();
         let out = self.eval(plan, &mut stats, &mut memo)?;
@@ -555,36 +532,13 @@ impl<'a> Executor<'a> {
     }
 
     /// EXPLAIN ANALYZE: execute the plan, then render the tree with each
-    /// operator annotated by the rows it produced and whether it ran
-    /// fragmented (`fragmented ×N`) or serially.
+    /// operator annotated by the rows it produced.
     pub fn explain(&self, plan: &Plan) -> Result<String> {
         let (_, stats) = self.run(plan)?;
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "-- degree {} · {} of {} ops fragmented --",
-            self.degree, stats.fragmented_ops, stats.ops_evaluated
-        );
+        let _ = writeln!(out, "-- physical plan · {} ops --", stats.ops_evaluated);
         plan.explain_into(&mut out, 0, Some(&stats));
         Ok(out)
-    }
-
-    /// The fragmentation degree the operator with fingerprint `fp` over
-    /// `rows` input rows should use: the configured degree — capped by any
-    /// per-node [`Executor::degree_hints`] entry — when parallelism is on
-    /// and the input is big enough, 1 (serial) otherwise.
-    fn frag_degree(&self, fp: u64, rows: usize) -> usize {
-        let mut degree = self.degree;
-        if let Some(hints) = &self.degree_hints {
-            if let Some(&cap) = hints.get(&fp) {
-                degree = degree.min(cap.max(1));
-            }
-        }
-        if degree > 1 && rows >= self.min_fragment_rows.max(2) {
-            degree
-        } else {
-            1
-        }
     }
 
     fn eval(
@@ -600,9 +554,6 @@ impl<'a> Executor<'a> {
                 return Ok(Arc::clone(hit));
             }
         }
-        // Degree this node actually fragments at; set by the parallelisable
-        // operator arms, recorded in the node trace below.
-        let mut frag = 1usize;
         // Diagnostic note a custom operator attached to this invocation.
         let mut note: Option<String> = None;
         let out: Arc<Bat> = match plan {
@@ -612,28 +563,12 @@ impl<'a> Executor<'a> {
             },
             Plan::Const(b) => Arc::clone(b),
             Plan::Select { input, pred } => {
-                let b = self.eval(input, stats, memo)?;
-                // sorted numeric tails binary-search in O(log n); scanning
-                // them in parallel fragments would only be slower
-                let scan_bound = b.props().tail_sorted && !matches!(b.tail(), Column::Str(_));
-                let d = self.frag_degree(fp, b.count());
-                if d > 1 && !scan_bound {
-                    frag = d;
-                    Arc::new(crate::fragment::par_select(&b, pred, d)?)
-                } else {
-                    Arc::new(apply_pred(&b, pred)?)
-                }
+                Arc::new(apply_pred(&*self.eval(input, stats, memo)?, pred)?)
             }
             Plan::Join { left, right } => {
                 let l = self.eval(left, stats, memo)?;
                 let r = self.eval(right, stats, memo)?;
-                let d = self.frag_degree(fp, l.count());
-                if d > 1 {
-                    frag = d;
-                    Arc::new(crate::fragment::par_join(&l, &r, d)?)
-                } else {
-                    Arc::new(l.join(&r)?)
-                }
+                Arc::new(l.join(&r)?)
             }
             Plan::Semijoin { left, right } => {
                 let l = self.eval(left, stats, memo)?;
@@ -643,40 +578,17 @@ impl<'a> Executor<'a> {
             Plan::Reverse(p) => Arc::new(self.eval(p, stats, memo)?.reverse()),
             Plan::Mirror(p) => Arc::new(self.eval(p, stats, memo)?.mirror()),
             Plan::Mark { input, base } => Arc::new(self.eval(input, stats, memo)?.mark(*base)),
-            // project (like mark) stays serial: a constant fill is pure
-            // memory bandwidth, so fragmenting it only adds merge copies —
-            // fragment::par_project exists for explicitly fragmented
-            // pipelines, not for this interpreter
             Plan::ProjectConst { input, val } => {
                 Arc::new(self.eval(input, stats, memo)?.project(val)?)
             }
             Plan::Aggr { input, agg } => {
-                let b = self.eval(input, stats, memo)?;
-                let d = self.frag_degree(fp, b.count());
-                let v = if d > 1
-                    && *agg != Agg::Count
-                    && crate::fragment::merges_exactly(b.tail(), *agg)
-                {
-                    frag = d;
-                    crate::fragment::par_agg_tail(&b, *agg, d)?
-                } else {
-                    b.agg_tail(*agg)?
-                };
+                let v = self.eval(input, stats, memo)?.agg_tail(*agg)?;
                 Arc::new(Bat::dense(Column::from_vals(&[v])?))
             }
             Plan::GroupedAggr { values, groups, agg } => {
                 let v = self.eval(values, stats, memo)?;
                 let g = self.eval(groups, stats, memo)?;
-                let d = self.frag_degree(fp, v.count());
-                if d > 1
-                    && matches!(agg, Agg::Sum | Agg::Count)
-                    && crate::fragment::merges_exactly(v.tail(), *agg)
-                {
-                    frag = d;
-                    Arc::new(crate::fragment::par_grouped_agg(&v, &g, *agg, d)?)
-                } else {
-                    Arc::new(v.grouped_agg(&g, *agg)?)
-                }
+                Arc::new(v.grouped_agg(&g, *agg)?)
             }
             Plan::SortTail { input, desc } => {
                 Arc::new(self.eval(input, stats, memo)?.sort_tail(*desc))
@@ -713,9 +625,8 @@ impl<'a> Executor<'a> {
                     ins.push(self.eval(i, stats, memo)?);
                 }
                 let f = self.registry.get(op)?;
-                let mut ctx = OpCtx::new(self.catalog, self.degree);
+                let mut ctx = OpCtx::new(self.catalog);
                 ctx.view = self.view.as_deref();
-                ctx.min_fragment_rows = self.min_fragment_rows;
                 let out = Arc::new(f(&ctx, &ins, params)?);
                 note = ctx.take_note();
                 out
@@ -724,13 +635,8 @@ impl<'a> Executor<'a> {
         stats.ops_evaluated += 1;
         stats.rows_produced += out.count() as u64;
         *stats.op_counts.entry(plan.op_name()).or_insert(0) += 1;
-        if frag > 1 {
-            stats.fragmented_ops += 1;
-        }
         let est_rows = self.est_rows.as_ref().and_then(|m| m.get(&fp).copied());
-        stats
-            .node_trace
-            .insert(fp, NodeTrace { rows: out.count() as u64, est_rows, degree: frag, note });
+        stats.node_trace.insert(fp, NodeTrace { rows: out.count() as u64, est_rows, note });
         if self.memoize {
             memo.insert(fp, Arc::clone(&out));
         }
@@ -738,7 +644,7 @@ impl<'a> Executor<'a> {
     }
 }
 
-pub(crate) fn apply_pred(b: &Bat, pred: &Pred) -> Result<Bat> {
+fn apply_pred(b: &Bat, pred: &Pred) -> Result<Bat> {
     match pred {
         Pred::Eq(v) => b.select_eq(v),
         Pred::Range { lo, lo_incl, hi, hi_incl } => {

@@ -49,8 +49,7 @@ impl Props {
 pub const SUMMARY_SAMPLE_CAP: usize = 65_536;
 
 /// Ingest-time statistical summary of one BAT's tail column, consumed by the
-/// logical layer's cost estimator (selection ordering, semijoin placement,
-/// parallel-degree choice).
+/// logical layer's cost estimator (selection ordering, semijoin placement).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ColSummary {
     /// Row count.

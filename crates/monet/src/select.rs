@@ -27,15 +27,22 @@ impl Bat {
             out = out.with_props(self.props());
             return Ok(out);
         }
-        let positions = scan_range_span(self.tail(), lo, hi, (0, self.count()))?;
+        let positions = scan_range(self.tail(), lo, hi)?;
         Ok(self.take_ordered(&positions))
     }
 
     /// Rows whose (string) tail contains `pat` as a substring.
     pub fn select_str_contains(&self, pat: &str) -> Result<Bat> {
         let s = self.tail().str_col()?;
-        let matching = str_matching_flags(s, pat);
-        let positions = scan_str_span(s, &matching, (0, s.len()));
+        // one substring test per distinct string, not per row
+        let mut matching = vec![false; s.dict.len()];
+        for (code, st) in s.dict.iter() {
+            matching[code as usize] = st.contains(pat);
+        }
+        let positions: Vec<u32> = (s.codes.iter().enumerate())
+            .filter(|(_, &c)| matching[c as usize])
+            .map(|(i, _)| i as u32)
+            .collect();
         Ok(self.take_ordered(&positions))
     }
 
@@ -87,41 +94,8 @@ fn sorted_window(c: &Column, lo: Bound<&Val>, hi: Bound<&Val>) -> Result<(usize,
     Ok((a, b.max(a)))
 }
 
-/// Substring-match flag per dictionary entry — evaluated once per distinct
-/// string, shared by every scan span.
-pub(crate) fn str_matching_flags(s: &crate::column::StrCol, pat: &str) -> Vec<bool> {
-    let mut matching = vec![false; s.dict.len()];
-    for (code, st) in s.dict.iter() {
-        matching[code as usize] = st.contains(pat);
-    }
-    matching
-}
-
-/// Scan the code span `[span.0, span.1)` of a string column for rows whose
-/// dictionary entry matched; positions are global row indices.
-pub(crate) fn scan_str_span(
-    s: &crate::column::StrCol,
-    matching: &[bool],
-    span: (usize, usize),
-) -> Vec<u32> {
-    s.codes[span.0..span.1]
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| matching[c as usize])
-        .map(|(i, _)| (span.0 + i) as u32)
-        .collect()
-}
-
-/// Scan the row span `[span.0, span.1)` of an arbitrary column for rows
-/// within bounds; positions are global row indices. The full-column serial
-/// scan and each parallel fragment both funnel through here, so fragmented
-/// selection is value-identical to serial by construction.
-pub(crate) fn scan_range_span(
-    c: &Column,
-    lo: Bound<&Val>,
-    hi: Bound<&Val>,
-    span: (usize, usize),
-) -> Result<Vec<u32>> {
+/// Scan an arbitrary column for the positions of rows within bounds.
+fn scan_range(c: &Column, lo: Bound<&Val>, hi: Bound<&Val>) -> Result<Vec<u32>> {
     let in_lo = |v: &Val| match lo {
         Bound::Unbounded => true,
         Bound::Included(b) => v.total_cmp(b).is_ge(),
@@ -132,7 +106,6 @@ pub(crate) fn scan_range_span(
         Bound::Included(b) => v.total_cmp(b).is_le(),
         Bound::Excluded(b) => v.total_cmp(b).is_lt(),
     };
-    let (start, end) = span;
     // Typed scans avoid constructing Vals in the common numeric cases; the
     // branchless accumulation (unconditional write, predicated advance)
     // sidesteps the branch mispredictions a push-per-match scan suffers at
@@ -157,10 +130,10 @@ pub(crate) fn scan_range_span(
             {
                 return Ok(Vec::new());
             }
-            let mut buf = vec![0u32; end - start];
+            let mut buf = vec![0u32; v.len()];
             let mut k = 0usize;
-            for (i, &x) in v[start..end].iter().enumerate() {
-                buf[k] = (start + i) as u32;
+            for (i, &x) in v.iter().enumerate() {
+                buf[k] = i as u32;
                 k += usize::from((x >= lo_eff) & (x <= hi_eff));
             }
             buf.truncate(k);
@@ -175,10 +148,10 @@ pub(crate) fn scan_range_span(
             let hi_any = hi_f.is_none();
             let (lo_v, lo_inc) = lo_f.unwrap_or((f64::NEG_INFINITY, true));
             let (hi_v, hi_inc) = hi_f.unwrap_or((f64::INFINITY, true));
-            let mut buf = vec![0u32; end - start];
+            let mut buf = vec![0u32; v.len()];
             let mut k = 0usize;
-            for (i, &x) in v[start..end].iter().enumerate() {
-                buf[k] = (start + i) as u32;
+            for (i, &x) in v.iter().enumerate() {
+                buf[k] = i as u32;
                 let above = lo_any | (x > lo_v) | (lo_inc & (x == lo_v));
                 let below = hi_any | (x < hi_v) | (hi_inc & (x == hi_v));
                 k += usize::from(above & below);
@@ -188,7 +161,7 @@ pub(crate) fn scan_range_span(
         }
         _ => {
             let mut positions = Vec::new();
-            for i in start..end {
+            for i in 0..c.len() {
                 let v = c.get(i)?;
                 if in_lo(&v) && in_hi(&v) {
                     positions.push(i as u32);

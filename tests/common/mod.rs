@@ -1,8 +1,7 @@
 //! A block-scale library shared by the top-k and shard property suites:
 //! thousands of synthetic rows, so the visual channel's posting lists span
-//! tens of 128-posting blocks and the fused operator fragments at degree
-//! 2 and 4 (the executor fragments at ≥ 4096 documents). Also the
-//! exhaustive top-k oracles those suites hold the pruning evaluator to,
+//! tens of 128-posting blocks and the fused operator seeds its threshold
+//! and leaps blocks. Also the exhaustive top-k oracles those suites hold the pruning evaluator to,
 //! for one channel and for N.
 
 use mirror::core::serve::RetrievalRequest;
@@ -92,7 +91,7 @@ pub fn block_scale_requests() -> Vec<RetrievalRequest> {
 /// unfused grouped sum or channel arithmetic left in the plan.
 pub fn assert_fused(db: &MirrorDbms, req: &RetrievalRequest) {
     let analyzed = db.explain_analyze(req).unwrap();
-    let physical = analyzed.split_once("-- degree").expect("executor header").1;
+    let physical = analyzed.split_once("-- physical plan").expect("executor header").1;
     assert!(physical.contains("custom[contrep.getbl.topk]"), "not fused: {req:?}\n{analyzed}");
     for unfused in ["grouped_aggr", "arith"] {
         assert!(!physical.contains(unfused), "{unfused} left unfused: {req:?}\n{analyzed}");
@@ -132,8 +131,8 @@ impl RawPostings {
 }
 
 /// The exhaustive top-k oracle over decoded postings: every document that
-/// matches a query term is scored — no bounds, no pruning, no blocks, no
-/// fragments — in the materialise path's float order (matched terms'
+/// matches a query term is scored — no bounds, no pruning, no blocks —
+/// in the materialise path's float order (matched terms'
 /// `w·belief/Σw` in query order, then the default row for the unmatched
 /// weight), then ranked by score descending, ties by ascending oid, and
 /// cut to `k`. A query without positive total weight ranks nothing.
@@ -178,7 +177,7 @@ pub fn topk_beliefs_raw(
 /// The N-channel twin of [`topk_beliefs_raw`]: the exhaustive oracle of
 /// `topk_channels` over decoded postings, where `raw[c][s]` holds segment
 /// `s` of channel `c`. Every document inside `domain` and not in `dead`
-/// is scored — no bounds, no pruning, no blocks, no fragments. A channel's
+/// is scored — no bounds, no pruning, no blocks. A channel's
 /// grouped sum is read from the segment holding the document, in the
 /// materialise path's float order, with the channel's explicit statistics
 /// and dfs; a channel the document does not match, or whose query has no

@@ -187,32 +187,8 @@ fn average_precision_of_theme_queries_is_reasonable() {
 }
 
 #[test]
-fn parallel_facade_matches_serial_retrieval() {
-    // the parallelism knob routes from OptConfig through the Moa engine
-    // into the kernel executor; results must not depend on the degree
-    let corpus = corpus();
-    let mut serial_db = MirrorDbms::with_defaults();
-    serial_db.set_opt(OptConfig { parallelism: 1, ..Default::default() });
-    serial_db.ingest(corpus).unwrap();
-    let mut par_db = MirrorDbms::with_defaults();
-    par_db.set_opt(OptConfig { parallelism: 7, ..Default::default() });
-    par_db.ingest(corpus).unwrap();
-    for q in ["sunset glow", "ocean wave surf"] {
-        let a = serial_db.query_text(q, 20).unwrap();
-        let b = par_db.query_text(q, 20).unwrap();
-        assert_eq!(a.len(), b.len(), "{q}");
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.oid, y.oid, "{q}");
-            assert!((x.score - y.score).abs() < 1e-12, "{q}: {} vs {}", x.score, y.score);
-        }
-    }
-}
-
-#[test]
-fn executor_explain_reports_fragmentation_per_operator() {
-    use mirror::monet::{
-        bat::bat_of_ints, Agg, Catalog, OpRegistry, ParallelExecutor, Plan, Pred, Val,
-    };
+fn executor_explain_reports_rows_per_operator() {
+    use mirror::monet::{bat::bat_of_ints, Agg, Catalog, Executor, OpRegistry, Plan, Pred, Val};
     let cat = Catalog::new();
     cat.register("sizes", bat_of_ints((0..10_000).map(|i| i % 500).collect()));
     let reg = OpRegistry::new();
@@ -223,35 +199,21 @@ fn executor_explain_reports_fragmentation_per_operator() {
         }),
         agg: Agg::Sum,
     };
-
-    // parallel executor: the scan-bound operators report their degree
-    let par = ParallelExecutor::new(&cat, &reg, 4);
-    let text = par.explain(&plan).unwrap();
+    let exec = Executor::new(&cat, &reg);
+    let text = exec.explain(&plan).unwrap();
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines[0], "-- degree 4 · 2 of 3 ops fragmented --");
+    assert_eq!(lines[0], "-- physical plan · 3 ops --");
+    assert_eq!(lines[1], "aggr[sum]  [rows=1]");
     assert!(
-        lines[1].starts_with("aggr[sum]") && lines[1].ends_with("[rows=1, fragmented ×4]"),
-        "aggr line: {:?}",
-        lines[1]
-    );
-    assert!(
-        lines[2].trim_start().starts_with("select[") && lines[2].ends_with("fragmented ×4]"),
+        lines[2].starts_with("  select[Range") && lines[2].ends_with("  [rows=8000]"),
         "select line: {:?}",
         lines[2]
     );
-    assert!(
-        lines[3].trim_start() == "load(sizes)  [rows=10000, serial]",
-        "load line: {:?}",
-        lines[3]
-    );
-
-    // serial executor over the same plan: every operator reports serial
-    let serial = ParallelExecutor::new(&cat, &reg, 1);
-    let text = serial.explain(&plan).unwrap();
-    assert!(text.starts_with("-- degree 1 · 0 of 3 ops fragmented --"), "{text}");
-    assert!(!text.contains("fragmented ×"), "{text}");
-    // and both executions agree on the result
-    assert_eq!(par.run_bat(&plan).unwrap().to_pairs(), serial.run_bat(&plan).unwrap().to_pairs());
+    assert_eq!(lines[3], "    load(sizes)  [rows=10000]");
+    // 20 rows per value, values 100..500
+    let sum: i64 = (100..500).map(|v| 20 * v).sum();
+    let out = exec.run_bat(&plan).unwrap();
+    assert_eq!(out.to_pairs(), vec![(Val::Oid(0), Val::Int(sum))]);
 }
 
 #[test]
@@ -274,7 +236,7 @@ fn explain_analyze_shows_the_fused_dual_request() {
     let req = RetrievalRequest::dual("sunset glow", 0.4, 10);
     let analyzed = db.explain_analyze(&req).unwrap();
     assert!(analyzed.contains("passes: topk_fuse"), "{analyzed}");
-    let physical = analyzed.split_once("-- degree").expect("executor header").1;
+    let physical = analyzed.split_once("-- physical plan").expect("executor header").1;
     assert!(physical.contains("custom[contrep.getbl.topk]"), "{analyzed}");
     for unfused in ["arith", "grouped_aggr", "custom[contrep.getbl]"] {
         assert!(!physical.contains(unfused), "{unfused} survived fusion:\n{analyzed}");
@@ -328,7 +290,7 @@ fn explain_analyze_shows_per_segment_and_per_shard_work() {
         // a live snapshot with a pending insert and delete runs the fused
         // operator over the generation and its delta batch
         let analyzed = live.explain_analyze(&req).unwrap();
-        let physical = analyzed.split_once("-- degree").expect("executor header").1;
+        let physical = analyzed.split_once("-- physical plan").expect("executor header").1;
         assert!(physical.contains("custom[contrep.getbl.topk]"), "{analyzed}");
         for unfused in ["arith", "grouped_aggr", "custom[contrep.getbl]"] {
             assert!(!physical.contains(unfused), "{unfused} survived fusion:\n{analyzed}");

@@ -4,7 +4,7 @@
 //! bit-identical to the unoptimized plan (`OptConfig::none()`) — same
 //! documents, same float scores, same tie-breaks. The rewrites are allowed
 //! to change *how* a plan runs (selection pushdown and ordering, top-k
-//! fusion, parallel-degree capping), never *what* it returns.
+//! fusion), never *what* it returns.
 
 use mirror::core::serve::RetrievalRequest;
 use mirror::core::shard::MirrorCluster;

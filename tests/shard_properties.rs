@@ -200,7 +200,7 @@ proptest! {
                     stats: index.stats(),
                     weight: 1.0,
                 };
-                for (oid, score) in topk_channels(&[channel], params, None, None, k, 1).hits {
+                for (oid, score) in topk_channels(&[channel], params, None, None, k).hits {
                     merged.push(local[oid as usize], score);
                 }
             }

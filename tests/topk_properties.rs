@@ -1,9 +1,9 @@
 //! Property tests for the fused streaming top-k retrieval path: for any
 //! corpus and query, `topk_bl` must return exactly the `(oid, score)`
 //! ranking that materialise-then-sort produces — same documents, same
-//! bit-identical scores, same tie-breaks — for k ∈ {1, 10, all} and at
-//! parallel degrees 1 and 4; and on a block-scale library, fused dual
-//! requests must equal the unfused `OptConfig::none()` plan bit for bit.
+//! bit-identical scores, same tie-breaks — for k ∈ {1, 10, all}; and on a
+//! block-scale library, fused dual requests must equal the unfused
+//! `OptConfig::none()` plan bit for bit.
 
 mod common;
 
@@ -54,10 +54,9 @@ fn query_terms(q: &[(usize, f64)]) -> Vec<(String, f64)> {
 
 const RANKING: &str = "map[sum(THIS)](map[getBL(THIS.annotation, pq, stats)](Lib))";
 
-/// The materialise-then-sort baseline, computed at serial degree.
+/// The materialise-then-sort baseline.
 fn baseline(env: &Arc<Env>, terms: &[(String, f64)], k: usize) -> Vec<(Oid, f64)> {
-    let eng =
-        MoaEngine::with_opt(Arc::clone(env), OptConfig { parallelism: 1, ..Default::default() });
+    let eng = MoaEngine::with_opt(Arc::clone(env), OptConfig::default());
     let params = QueryParams::new().bind("pq", terms.to_vec());
     let out = eng.query_with(RANKING, &params).unwrap();
     let mut pairs: Vec<(Oid, f64)> = out
@@ -72,12 +71,9 @@ fn baseline(env: &Arc<Env>, terms: &[(String, f64)], k: usize) -> Vec<(Oid, f64)
     pairs
 }
 
-/// The fused path at a given parallel degree.
-fn fused(env: &Arc<Env>, terms: &[(String, f64)], k: usize, degree: usize) -> Vec<(Oid, f64)> {
-    let eng = MoaEngine::with_opt(
-        Arc::clone(env),
-        OptConfig { parallelism: degree, ..Default::default() },
-    );
+/// The fused path.
+fn fused(env: &Arc<Env>, terms: &[(String, f64)], k: usize) -> Vec<(Oid, f64)> {
+    let eng = MoaEngine::with_opt(Arc::clone(env), OptConfig::default());
     let params = QueryParams::new().bind("pq", terms.to_vec()).with_top_k(k);
     let out = eng.query_with(RANKING, &params).unwrap();
     out.pairs().unwrap().iter().map(|(o, v)| (*o, v.as_float().unwrap())).collect()
@@ -86,8 +82,7 @@ fn fused(env: &Arc<Env>, terms: &[(String, f64)], k: usize, degree: usize) -> Ve
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fused top-k ≡ materialise+sort for k ∈ {1, 10, all}, degrees 1 and
-    /// 4; and at k = all, the unfused plan scores every document exactly
+    /// Fused top-k ≡ materialise+sort for k ∈ {1, 10, all}; and at k = all, the unfused plan scores every document exactly
     /// as the inference network's `#wsum` (the exhaustive oracle) does.
     #[test]
     fn prop_fused_topk_equals_materialise_then_sort(
@@ -98,11 +93,8 @@ proptest! {
         let (env, store) = build_env(&docs);
         let terms = query_terms(&query);
         for k in [1usize, 10, docs.len()] {
-            let expected = baseline(&env, &terms, k);
-            for degree in [1usize, 4] {
-                let got = fused(&env, &terms, k, degree);
-                prop_assert_eq!(&got, &expected, "k={} degree={}", k, degree);
-            }
+            let got = fused(&env, &terms, k);
+            prop_assert_eq!(&got, &baseline(&env, &terms, k), "k={}", k);
         }
         let index = store.get("Lib__annotation").unwrap();
         let qr: Vec<(&str, f64)> = terms.iter().map(|(t, w)| (t.as_str(), *w)).collect();
@@ -112,10 +104,10 @@ proptest! {
         prop_assert_eq!(&baseline(&env, &terms, docs.len()), &network);
     }
 
-    /// The ir-level streaming evaluation is degree-invariant and its k-cut
-    /// is a prefix of the full ranking.
+    /// The ir-level streaming evaluation's k-cut is a prefix of the full
+    /// ranking.
     #[test]
-    fn prop_topk_beliefs_degree_invariant(
+    fn prop_topk_beliefs_k_cut_is_a_prefix(
         docs in proptest::collection::vec(
             proptest::collection::vec(0usize..POOL.len(), 0..10), 1..80),
         query in proptest::collection::vec((0usize..POOL.len(), 0.25f64..2.0), 1..4),
@@ -132,16 +124,14 @@ proptest! {
         let qr: Vec<(&str, f64)> = q.iter().map(|(t, w)| (t.as_str(), *w)).collect();
         let params = BeliefParams::default();
         let full = topk_beliefs(&index, params, &qr, None, docs.len(), 1);
-        let serial = topk_beliefs(&index, params, &qr, None, k, 1);
-        let parallel = topk_beliefs(&index, params, &qr, None, k, 4);
-        prop_assert_eq!(&serial.hits, &parallel.hits);
+        let top = topk_beliefs(&index, params, &qr, None, k, 1);
         let cut = k.min(full.hits.len());
-        prop_assert_eq!(&serial.hits[..], &full.hits[..cut]);
+        prop_assert_eq!(&top.hits[..], &full.hits[..cut]);
     }
 
     /// Block-compressed evaluation with block-max skipping returns exactly
     /// the exhaustive oracle's ranking — same docs, bit-identical scores —
-    /// for k ∈ {1, 10, all} at degrees 1 and 4.
+    /// for k ∈ {1, 10, all}.
     #[test]
     fn prop_compressed_skipping_equals_raw_path(
         docs in proptest::collection::vec(
@@ -161,10 +151,8 @@ proptest! {
         let params = BeliefParams::default();
         for k in [1usize, 10, docs.len()] {
             let slow = topk_beliefs_raw(&index, &raw, params, &qr, k);
-            for degree in [1usize, 4] {
-                let fast = topk_beliefs(&index, params, &qr, None, k, degree);
-                prop_assert_eq!(&fast.hits, &slow, "k={} degree={}", k, degree);
-            }
+            let fast = topk_beliefs(&index, params, &qr, None, k, 1);
+            prop_assert_eq!(&fast.hits, &slow, "k={}", k);
         }
     }
 
@@ -185,18 +173,15 @@ proptest! {
         let params = BeliefParams::default();
         for k in [1usize, 10, 100] {
             let slow = topk_beliefs_raw(&index, &raw, params, &qr, k);
-            for degree in [1usize, 3] {
-                let fast = topk_beliefs(&index, params, &qr, None, k, degree);
-                prop_assert_eq!(&fast.hits, &slow, "k={} degree={}", k, degree);
-            }
+            let fast = topk_beliefs(&index, params, &qr, None, k, 1);
+            prop_assert_eq!(&fast.hits, &slow, "k={}", k);
         }
     }
 
     /// N channels at block scale against the exhaustive N-channel oracle:
     /// 1–3 channels, one of them dense with a near-zero idf like a visual
     /// vocabulary, random channel weights (0 included), random segment
-    /// cuts with tombstones and an optional domain, for k ∈ {1, 10, 100}
-    /// at degrees 1 and 3.
+    /// cuts with tombstones and an optional domain, for k ∈ {1, 10, 100}.
     #[test]
     fn prop_channels_equal_the_exhaustive_oracle(
         seed in 0u64..1_000_000,
@@ -263,8 +248,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The same at the scale where a segment's walk is seeded: the first
-    /// segment holds at least half of 4 200–6 000 documents, so at degree
-    /// 1 it starts from the exact k-th score of its short lists' documents.
+    /// segment holds at least half of 4 200–6 000 documents, so it starts
+    /// from the exact k-th score of its short lists' documents.
     #[test]
     fn prop_seeded_channels_equal_the_exhaustive_oracle(
         seed in 0u64..1_000_000,
@@ -277,8 +262,7 @@ proptest! {
 
 /// One multi-channel case drawn from `seed` — channel kinds, weights,
 /// segment cuts at or after `first_cut`, tombstones, a domain and
-/// queries — held to [`topk_channels_raw`] at k ∈ {1, 10, 100} and degrees
-/// 1 and 3.
+/// queries — held to [`topk_channels_raw`] at k ∈ {1, 10, 100}.
 fn channels_match_the_oracle(
     seed: u64,
     n_docs: usize,
@@ -322,19 +306,16 @@ fn channels_match_the_oracle(
     for k in [1usize, 10, 100] {
         let slow =
             topk_channels_raw(&channels, &case.raw, params, domain.as_ref(), dead.as_ref(), k);
-        for degree in [1usize, 3] {
-            let fast = topk_channels(&channels, params, domain.as_ref(), dead.as_ref(), k, degree);
-            prop_assert_eq!(
-                &fast.hits,
-                &slow,
-                "{:?} weights {:?} cuts {:?} k={} degree={}",
-                kinds,
-                weights,
-                cuts,
-                k,
-                degree
-            );
-        }
+        let fast = topk_channels(&channels, params, domain.as_ref(), dead.as_ref(), k);
+        prop_assert_eq!(
+            &fast.hits,
+            &slow,
+            "{:?} weights {:?} cuts {:?} k={}",
+            kinds,
+            weights,
+            cuts,
+            k
+        );
     }
     Ok(())
 }
@@ -499,7 +480,7 @@ impl Channels {
 /// A 70-term query — more lists than a 64-bit mask holds — beside a dense
 /// channel, over segments with tombstones: the evaluator still equals the
 /// exhaustive oracle. The first segment is long enough for the seeded
-/// threshold at degree 1; its thirds at degree 3 are walked unseeded.
+/// threshold.
 #[test]
 fn seventy_term_query_equals_the_exhaustive_oracle() {
     let (seed, n_docs) = (11, 3_000);
@@ -520,16 +501,14 @@ fn seventy_term_query_equals_the_exhaustive_oracle() {
     for k in [1usize, 10, 100] {
         let slow = topk_channels_raw(&channels, &case.raw, params, None, Some(&dead), k);
         assert_eq!(slow.len(), k);
-        for degree in [1usize, 3] {
-            let fast = topk_channels(&channels, params, None, Some(&dead), k, degree);
-            assert_eq!(fast.hits, slow, "k={k} degree={degree}");
-        }
+        let fast = topk_channels(&channels, params, None, Some(&dead), k);
+        assert_eq!(fast.hits, slow, "k={k}");
     }
 }
 
 /// The compressed, pruning evaluator returns exactly the exhaustive
 /// oracle's ranking over a corpus whose lists span several blocks, for
-/// k ∈ {1, 10, all} at degrees 1 and 4.
+/// k ∈ {1, 10, all}.
 #[test]
 fn raw_reference_path_matches_compressed() {
     let index = skewed_index(7, 700);
@@ -544,20 +523,17 @@ fn raw_reference_path_matches_compressed() {
     ] {
         for k in [1usize, 10, 700] {
             let slow = topk_beliefs_raw(&index, &raw, params, &query, k);
-            for degree in [1usize, 4] {
-                let fast = topk_beliefs(&index, params, &query, None, k, degree);
-                assert_eq!(fast.hits, slow, "{query:?} k={k} degree={degree}");
-            }
+            let fast = topk_beliefs(&index, params, &query, None, k, 1);
+            assert_eq!(fast.hits, slow, "{query:?} k={k}");
         }
     }
 }
 
-/// Engine-level parallel coverage: a corpus above the executor's
-/// `min_fragment_rows` threshold (4096) makes the fused operator actually
-/// fragment at degree 4 through the executor, and the result must still be
-/// bit-identical to the serial materialise+sort baseline.
+/// Engine-level coverage at scale: over 4 500 documents, long enough for
+/// the seeded threshold, the fused plan must stay bit-identical to the
+/// materialise+sort baseline.
 #[test]
-fn fused_parallel_on_large_corpus_matches_baseline() {
+fn fused_on_large_corpus_matches_baseline() {
     let docs: Vec<Vec<usize>> = (0..4500)
         .map(|i| vec![i % 10, (i * 3 + 1) % 10, (i * 7 + 2) % 10, (i / 11) % 10])
         .collect();
@@ -566,9 +542,7 @@ fn fused_parallel_on_large_corpus_matches_baseline() {
     for k in [1usize, 10, docs.len()] {
         let expected = baseline(&env, &terms, k);
         assert!(!expected.is_empty());
-        for degree in [1usize, 4] {
-            assert_eq!(fused(&env, &terms, k, degree), expected, "k={k} degree={degree}");
-        }
+        assert_eq!(fused(&env, &terms, k), expected, "k={k}");
     }
 }
 
@@ -583,16 +557,16 @@ fn fusion_fires_and_finds_documents() {
     let params = QueryParams::new().bind("pq", terms.clone()).with_top_k(5);
     let plan = eng.explain_with(RANKING, &params).unwrap();
     assert!(plan.contains("custom[contrep.getbl.topk]"), "{plan}");
-    let hits = fused(&env, &terms, 5, 1);
+    let hits = fused(&env, &terms, 5);
     assert_eq!(hits.len(), 5);
     assert_eq!(hits, baseline(&env, &terms, 5));
 }
 
 /// Dual-coded and feedback-shaped requests at block scale: thousands of
-/// documents, visual lists of tens of blocks, fragmented evaluation. Every
-/// request fuses into one two-channel top-k operator (or, with an empty
-/// visual side, the one-channel one) and must return exactly what the
-/// unfused, serial `OptConfig::none()` plan returns — at degree 1, 2 and 4.
+/// documents, visual lists of tens of blocks. Every request fuses into one
+/// two-channel top-k operator (or, with an empty visual side, the
+/// one-channel one) and must return exactly what the unfused
+/// `OptConfig::none()` plan returns.
 #[test]
 fn fused_dual_requests_at_block_scale_equal_the_unfused_plan() {
     let rows = block_scale_rows();
@@ -603,16 +577,13 @@ fn fused_dual_requests_at_block_scale_equal_the_unfused_plan() {
         db
     };
     let oracle = node(OptConfig::none());
-    let fused: Vec<MirrorDbms> =
-        [1, 2, 4].map(|d| node(OptConfig { parallelism: d, ..OptConfig::default() })).into();
+    let fused = node(OptConfig::default());
     let mut nonempty = 0;
     for req in block_scale_requests() {
-        assert_fused(&fused[0], &req);
+        assert_fused(&fused, &req);
         let expected = oracle.retrieve(&req).unwrap();
         nonempty += usize::from(!expected.is_empty());
-        for (db, degree) in fused.iter().zip([1, 2, 4]) {
-            assert_eq!(db.retrieve(&req).unwrap(), expected, "degree {degree}: {req:?}");
-        }
+        assert_eq!(fused.retrieve(&req).unwrap(), expected, "{req:?}");
     }
     assert!(nonempty > 30, "too few requests rank anything: {nonempty}");
 }
@@ -626,9 +597,7 @@ fn negative_channel_weights_stay_unfused() {
     use mirror::moa::expr::{ArithKind, Lit};
     use mirror::moa::Expr;
     let rows = block_scale_rows()[..600].to_vec();
-    // serial, so the unfused grouped sums add in the oracle's order
-    let mut db = MirrorDbms::from_rows(MirrorConfig::default(), rows, None, None).unwrap();
-    db.set_opt(OptConfig { parallelism: 1, ..OptConfig::default() });
+    let db = MirrorDbms::from_rows(MirrorConfig::default(), rows, None, None).unwrap();
     let weighted = |attr: &str, binding: &str, w: f64| Expr::Arith {
         op: ArithKind::Mul,
         left: Box::new(Expr::call(
