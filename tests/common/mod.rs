@@ -1,8 +1,8 @@
 //! A block-scale library shared by the top-k and shard property suites:
 //! thousands of synthetic rows, so the visual channel's posting lists span
 //! tens of 128-posting blocks and the fused operator seeds its threshold
-//! and leaps blocks. Also the exhaustive top-k oracles those suites hold the pruning evaluator to,
-//! for one channel and for N.
+//! and leaps blocks. Also the exhaustive top-k oracles those suites hold
+//! the pruning evaluator to, for one channel and for N.
 
 use mirror::core::serve::RetrievalRequest;
 use mirror::core::{LibraryRow, MirrorDbms, Retriever};

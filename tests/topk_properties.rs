@@ -82,8 +82,9 @@ fn fused(env: &Arc<Env>, terms: &[(String, f64)], k: usize) -> Vec<(Oid, f64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fused top-k ≡ materialise+sort for k ∈ {1, 10, all}; and at k = all, the unfused plan scores every document exactly
-    /// as the inference network's `#wsum` (the exhaustive oracle) does.
+    /// Fused top-k ≡ materialise+sort for k ∈ {1, 10, all}; and at k = all,
+    /// the unfused plan scores every document exactly as the inference
+    /// network's `#wsum` (the exhaustive oracle) does.
     #[test]
     fn prop_fused_topk_equals_materialise_then_sort(
         docs in proptest::collection::vec(
