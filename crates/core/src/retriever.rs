@@ -61,6 +61,9 @@ pub enum RetrievalError {
         /// Queue depth at the moment of rejection (the configured bound).
         queue_depth: usize,
     },
+    /// The backend panicked on this request; the serving worker answered
+    /// with the panic's message and kept serving. Not retryable.
+    Internal(String),
 }
 
 impl std::fmt::Display for RetrievalError {
@@ -79,6 +82,7 @@ impl std::fmt::Display for RetrievalError {
             RetrievalError::Overloaded { queue_depth } => {
                 write!(f, "server overloaded: admission queue full at depth {queue_depth}")
             }
+            RetrievalError::Internal(m) => write!(f, "internal error: {m}"),
         }
     }
 }

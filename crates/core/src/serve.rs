@@ -44,6 +44,7 @@ use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use moa::expr::Lit;
 use moa::{Expr, MoaError, QueryParams};
 use monet::RequestView;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -426,7 +427,8 @@ impl ServeCounters {
 pub struct ServerStats {
     /// Requests completed (including errors).
     pub served: u64,
-    /// Requests that returned an error.
+    /// Requests that returned an error, those whose backend panicked
+    /// ([`RetrievalError::Internal`]) included.
     pub errors: u64,
     /// Requests shed at admission because the queue was full — each one
     /// resolved to [`RetrievalError::Overloaded`] without touching a
@@ -463,6 +465,12 @@ impl PendingRetrieval {
             Err(RetrievalError::Compile(MoaError::Unknown("server shut down mid-request".into())))
         })
     }
+}
+
+/// The message a panic carried, when it is a string.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    let text = panic.downcast_ref::<&str>().copied();
+    text.or(panic.downcast_ref::<String>().map(String::as_str)).unwrap_or("panicked").into()
 }
 
 struct ServerJob {
@@ -530,7 +538,10 @@ impl<R: Retriever + 'static> MirrorServer<R> {
                 let counters = Arc::clone(&counters);
                 std::thread::spawn(move || {
                     while let Ok(job) = rx.recv() {
-                        let result = db.retrieve(&job.req);
+                        // a panicking request fails alone: the worker
+                        // answers it and keeps serving
+                        let result = catch_unwind(AssertUnwindSafe(|| db.retrieve(&job.req)))
+                            .unwrap_or_else(|p| Err(RetrievalError::Internal(panic_message(&*p))));
                         let ns = job.enqueued.elapsed().as_nanos() as u64;
                         counters.record(ns, result.is_err());
                         let _ = job.reply.send(result);
@@ -985,6 +996,39 @@ mod tests {
         assert_eq!(stats.served, 2, "shed requests never reach a worker");
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.queue_depth, 1);
+        server.shutdown();
+    }
+
+    /// A backend that panics on requests for the term `boom` and answers
+    /// every other request with no hits.
+    struct PanickingRetriever;
+
+    impl Retriever for PanickingRetriever {
+        fn retrieve(&self, req: &RetrievalRequest) -> RetrievalResult<Vec<RankedResult>> {
+            assert!(req.terms.iter().all(|(t, _)| t != "boom"), "bad row index");
+            Ok(Vec::new())
+        }
+
+        fn explain_analyze(&self, _req: &RetrievalRequest) -> RetrievalResult<String> {
+            Ok(String::new())
+        }
+
+        fn n_docs(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_fails_alone() {
+        let server = MirrorServer::start(Arc::new(PanickingRetriever), 1);
+        match server.query(&RetrievalRequest::text("boom", 1)) {
+            Err(RetrievalError::Internal(msg)) => assert!(msg.contains("bad row index"), "{msg}"),
+            other => panic!("expected Internal, got {other:?}"),
+        }
+        // the lone worker survived and serves the next request
+        assert_eq!(server.query(&RetrievalRequest::text("calm", 1)), Ok(Vec::new()));
+        let stats = server.stats();
+        assert_eq!((stats.served, stats.errors), (2, 1));
         server.shutdown();
     }
 

@@ -331,9 +331,9 @@ fn register_topk_bl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
     });
 }
 
-/// The fused operator's EXPLAIN note: its work, split per channel when it
-/// ranks several, and the documents scored per part and segment when the
-/// view has several.
+/// The fused operator's EXPLAIN note: its work, split per channel (with
+/// each channel's probe, tf rows or lists) when it ranks several, and the
+/// documents scored per part and segment when the view has several.
 fn topk_note(
     k: usize,
     channels: &[ViewChannel<'_>],
@@ -345,10 +345,17 @@ fn topk_note(
         out.pruned, out.blocks_skipped, out.skipped_postings
     );
     if channels.len() > 1 {
+        let segments: usize = scored.iter().map(Vec::len).sum();
         let per_channel: Vec<String> = (channels.iter().zip(&out.channels))
             .map(|(ch, w)| {
+                // how the channel's non-essential lists were probed
+                let probe = match w.row_segments as usize {
+                    0 => "lists".to_string(),
+                    r if r == segments => "rows".to_string(),
+                    r => format!("rows in {r} of {segments} segments"),
+                };
                 format!(
-                    "{}: scored {} postings, pruned {}, skipped {} blocks",
+                    "{} ({probe}): scored {} postings, pruned {}, skipped {} blocks",
                     ch.prefix.rsplit("__").next().unwrap_or(ch.prefix),
                     w.scored_postings,
                     w.pruned,

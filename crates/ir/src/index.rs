@@ -1,16 +1,19 @@
 //! The inverted index and collection statistics.
 //!
-//! The index is the flattened form of a `CONTREP` column and its only
-//! physical representation: term dictionary, postings (term → (document,
-//! tf) pairs), document lengths and global statistics. The CONTREP belief
-//! operators (`contrep.getbl`, `contrep.getbl.topk`) are custom kernel
-//! operators that read it in place, as Monet's accelerator structures are
-//! read beside the BATs.
+//! The index is the flattened form of a `CONTREP` column: term
+//! dictionary, postings (term → (document, tf) pairs), document lengths
+//! and global statistics. The CONTREP belief operators (`contrep.getbl`,
+//! `contrep.getbl.topk`) are custom kernel operators that read it in
+//! place, as Monet's accelerator structures are read beside the BATs.
 //!
 //! Postings are held block-compressed ([`crate::postings::PostingList`]):
 //! delta-encoded doc ids and bitpacked tfs in fixed-size blocks, each
-//! carrying block-max metadata. Every consumer walks them through the
-//! block API ([`InvertedIndex::postings_list`]).
+//! carrying block-max metadata. Every walk over documents goes through
+//! the block API ([`InvertedIndex::postings_list`]).
+//!
+//! A dense index also keeps its tfs document-major ([`TfRows`]), so the
+//! top k reads a document's tf from its row instead of decoding a block for
+//! it. That is a probe, not a second representation: walks read the lists.
 
 use crate::dict::TermDict;
 use crate::postings::PostingList;
@@ -52,7 +55,33 @@ pub struct InvertedIndex {
     cf: Vec<u64>,
     /// Token count per document.
     doc_len: Vec<u32>,
+    /// The tfs document-major, for a dense index.
+    rows: Option<TfRows>,
 }
+
+/// An index's tfs document-major: one `u8` cell per document and term id,
+/// 0 where the term is absent.
+#[derive(Debug, Clone)]
+pub struct TfRows {
+    /// Cells per document: the dictionary's size.
+    terms: usize,
+    cells: Vec<u8>,
+}
+
+impl TfRows {
+    /// The tf of term id `tid` in `doc`; 0 when absent or outside the
+    /// index.
+    #[inline]
+    pub fn tf(&self, doc: Oid, tid: u32) -> u32 {
+        let cell = doc as usize * self.terms + tid as usize;
+        self.cells.get(cell).map_or(0, |&tf| u32::from(tf))
+    }
+}
+
+/// An index keeps [`TfRows`] when its postings fill `1 / ROW_DENSITY` of its
+/// document × term cells and every tf fits a byte. The image channel fills
+/// 0.67 and the annotation channel 0.002: any cut from 0.01 to 0.5 agrees.
+pub const ROW_DENSITY: usize = 8;
 
 impl InvertedIndex {
     /// The term dictionary.
@@ -124,9 +153,15 @@ impl InvertedIndex {
         }
     }
 
+    /// The tfs document-major, in a dense index ([`ROW_DENSITY`]).
+    pub fn tf_rows(&self) -> Option<&TfRows> {
+        self.rows.as_ref()
+    }
+
     /// Heap bytes held by the compressed posting lists (payload words plus
     /// skip indexes) — the numerator of the benchmark's
-    /// `ir.postings.bytes_per_doc`.
+    /// `ir.postings.bytes_per_doc`. A dense index's [`TfRows`] are not
+    /// counted: they add one byte per document and term.
     pub fn postings_heap_bytes(&self) -> usize {
         self.postings.iter().map(PostingList::heap_bytes).sum()
     }
@@ -215,14 +250,28 @@ impl IndexBuilder {
     }
 
     /// Freeze into an immutable index, compressing each posting run into
-    /// blocks.
+    /// blocks (and keeping [`TfRows`] when dense).
     pub fn build(self) -> InvertedIndex {
         let df = self.postings.iter().map(|p| p.len() as u32).collect();
         let cf = self.postings.iter().map(|p| p.iter().map(|x| u64::from(x.tf)).sum()).collect();
         let doc_len = |d: Oid| self.doc_len[d as usize];
         let postings =
             self.postings.iter().map(|p| PostingList::from_postings(p, doc_len)).collect();
-        InvertedIndex { dict: self.dict, postings, df, cf, doc_len: self.doc_len }
+        // the postings document-major, when dense
+        let terms = self.postings.len();
+        let n_cells = self.doc_len.len() * terms;
+        let n_postings: usize = self.postings.iter().map(Vec::len).sum();
+        let fits = || self.postings.iter().flatten().all(|p| p.tf <= u32::from(u8::MAX));
+        let rows = (n_cells > 0 && n_postings * ROW_DENSITY >= n_cells && fits()).then(|| {
+            let mut cells = vec![0u8; n_cells];
+            for (tid, posts) in self.postings.iter().enumerate() {
+                for p in posts {
+                    cells[p.doc as usize * terms + tid] = p.tf as u8;
+                }
+            }
+            TfRows { terms, cells }
+        });
+        InvertedIndex { dict: self.dict, postings, df, cf, doc_len: self.doc_len, rows }
     }
 }
 
@@ -326,6 +375,51 @@ mod tests {
         let idx = b.build();
         assert_eq!(idx.tf("rgb_3", 0), 2);
         assert_eq!(idx.df("gabor_21"), 1);
+    }
+
+    #[test]
+    fn dense_indexes_keep_tf_rows_and_sparse_ones_do_not() {
+        // visual-shaped: 24 cluster words, 16 in each document
+        let mut b = IndexBuilder::new();
+        for d in 0..300usize {
+            let toks: Vec<String> = (0..16).map(|j| format!("c{}", (d + j * 5) % 24)).collect();
+            b.add_tokens(&toks);
+        }
+        b.add_tokens(&["c3"; 255]);
+        let visual = b.build();
+        let rows = visual.tf_rows().expect("a dense index keeps rows");
+        assert_eq!(visual.dict().len(), 24);
+        for (tid, term) in visual.dict().iter() {
+            let list = visual.postings_list(term).unwrap();
+            let mut n = 0;
+            list.for_each(|doc, tf| {
+                assert_eq!(rows.tf(doc, tid), tf, "{term} in {doc}");
+                n += 1;
+            });
+            let absent = (0..301).filter(|&doc| rows.tf(doc, tid) == 0).count();
+            assert_eq!(n + absent, 301, "{term}");
+            assert_eq!(rows.tf(301, tid), 0, "past the last document");
+        }
+        // text-shaped: a large vocabulary, a few words per document
+        let mut b = IndexBuilder::new();
+        for d in 0..300usize {
+            let toks: Vec<String> = (0..6).map(|j| format!("w{}", (d * 7 + j) % 500)).collect();
+            b.add_tokens(&toks);
+        }
+        assert!(b.build().tf_rows().is_none());
+        // dense, but a tf of 256 does not fit a cell
+        let mut b = IndexBuilder::new();
+        b.add_tokens(&["a", "b"]);
+        b.add_tokens(&["a"; 256]);
+        assert!(b.build().tf_rows().is_none());
+        let mut b = IndexBuilder::new();
+        b.add_tokens(&["a"; 255]);
+        assert!(b.build().tf_rows().is_some());
+        // nothing to keep
+        assert!(IndexBuilder::new().build().tf_rows().is_none());
+        let mut b = IndexBuilder::new();
+        b.add_text(None);
+        assert!(b.build().tf_rows().is_none());
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod view;
 pub use belief::{BeliefParams, DEFAULT_BELIEF};
 pub use contrep::{register_contrep, Contrep, ContrepStore};
 pub use dict::TermDict;
-pub use index::{CollectionStats, IndexBuilder, InvertedIndex};
+pub use index::{CollectionStats, IndexBuilder, InvertedIndex, TfRows};
 pub use postings::{BlockMeta, PostingList, BLOCK_LEN};
 pub use text::{is_stopword, porter_stem, tokenize, tokenize_stemmed};
 pub use tombstones::Tombstones;

@@ -177,28 +177,22 @@ impl PostingList {
         &self.blocks
     }
 
-    /// Decode block `i` into reused scratch buffers (cleared first):
-    /// absolute document ids into `docs`, raw term frequencies into `tfs`.
-    /// The unpack loops are the branch-light kernel every decoded block
-    /// goes through — no per-value branching beyond the word-straddle test.
+    /// Decode block `i` into reused scratch buffers, each resized to the
+    /// block's count: absolute document ids into `docs`, raw term
+    /// frequencies into `tfs`. One unpack pass per stream, the doc deltas
+    /// decoded together with their prefix sum and the tfs with their `+1`.
     pub fn decode_block_into(&self, i: usize, docs: &mut Vec<Oid>, tfs: &mut Vec<u32>) {
         let b = &self.blocks[i];
         let n = b.count as usize;
-        // the doc deltas pass through `tfs`, so `docs` is written once,
-        // front to back: the first doc, then the running prefix sums
-        unpack_u32s(&self.words, b.offset as usize, n - 1, b.doc_bits as u32, tfs);
-        docs.clear();
-        docs.reserve(n);
-        docs.push(b.first_doc);
+        docs.resize(n, 0);
+        tfs.resize(n, 0);
+        docs[0] = b.first_doc;
         let mut prev = b.first_doc;
-        docs.extend(tfs.iter().map(|&d| {
+        unpack_u32s(&self.words, b.offset as usize, b.doc_bits as u32, &mut docs[1..], |d| {
             prev += d + 1;
             prev
-        }));
-        unpack_u32s(&self.words, b.tf_offset(), n, b.tf_bits as u32, tfs);
-        for t in tfs.iter_mut() {
-            *t += 1;
-        }
+        });
+        unpack_u32s(&self.words, b.tf_offset(), b.tf_bits as u32, tfs, |t| t + 1);
     }
 
     /// Visit every `(doc, tf)` posting in document order, decoding one

@@ -31,14 +31,14 @@
 //!   document that matches only non-essential lists cannot enter the top
 //!   k, so candidates come from the essential lists alone — the dense,
 //!   low-idf visual lists of a dual request stop driving the walk once θ
-//!   passes their combined bound, and they are probed by seek, not
-//!   walked. Each candidate faces three checks before it is scored: (1)
-//!   the block-max bound (Ding & Suel) of the essential cursors on it,
-//!   with the non-essential lists by their list bound and then, tighter,
-//!   by the block that may hold the candidate (found from metadata, with
-//!   no decode; a list already past the candidate adds nothing) — a
-//!   failure prunes the whole range up to the first block end or next
-//!   list document, and the cursors leap there, so blocks are passed
+//!   passes their combined bound, and they are probed, not walked. Each
+//!   candidate faces three checks before it is scored: (1) the block-max
+//!   bound (Ding & Suel) of the essential cursors on it, with the
+//!   non-essential lists by their list bound and then, tighter, by the
+//!   block that may hold the candidate (found from metadata, with no
+//!   decode; a list already past the candidate adds nothing) — a failure
+//!   prunes the whole range up to the first block end or next list
+//!   document, and the cursors leap there, so blocks are passed
 //!   undecoded; (2) the exact beliefs of the essential cursors plus those
 //!   non-essential block bounds — a failure steps past the candidate
 //!   without decoding a non-essential block; (3) the non-essential
@@ -47,9 +47,16 @@
 //!   grouped sum in query order, times its weight, channels added left to
 //!   right, never in bound order — so results are bit-identical.
 //!
+//!   **Dense channels are probed through tf rows.** A seek decodes a
+//!   whole block to read one tf. In a segment whose index of a channel
+//!   keeps [`TfRows`], that channel's non-essential cursors never move:
+//!   check (1) takes their list bounds (keeping the range prune), then
+//!   their exact lifts read from the candidate's row, which check (2)
+//!   uses too; the seed pass and the scorer read their tfs from the row.
+//!
 //!   **A seeded threshold.** Until the accumulator holds k documents, a
 //!   segment's walk over at least `SEED_MIN_SPAN` (2 048) documents first
-//!   scores, exactly and by seek, the documents of the query lists that
+//!   scores exactly, by seek or from tf rows, the documents of the lists that
 //!   fit in one block — rarest list first, until k of them are in hand —
 //!   and takes the k-th best as a floor under θ. Every skip still needs
 //!   `bound + margin < θ`, and the floor is a real k-th score, so no
@@ -78,7 +85,7 @@
 //! pool is the one level of parallelism.
 
 use crate::belief::BeliefParams;
-use crate::index::{CollectionStats, InvertedIndex};
+use crate::index::{CollectionStats, InvertedIndex, TfRows};
 use crate::postings::{PostingList, BLOCK_LEN};
 use crate::tombstones::Tombstones;
 use monet::fxhash::FxHashSet;
@@ -241,6 +248,9 @@ pub struct ChannelWork {
     /// — cursor leaps inside decoded blocks plus everything inside skipped
     /// blocks.
     pub skipped_postings: u64,
+    /// Segments whose index of this channel keeps tf rows, which the walk
+    /// probes instead of seeking its lists ([`InvertedIndex::tf_rows`]).
+    pub row_segments: u64,
 }
 
 impl ChannelWork {
@@ -249,6 +259,7 @@ impl ChannelWork {
         self.pruned += other.pruned;
         self.blocks_skipped += other.blocks_skipped;
         self.skipped_postings += other.skipped_postings;
+        self.row_segments += other.row_segments;
     }
 }
 
@@ -391,6 +402,10 @@ impl Part {
         self.sum += bound;
         self.live |= 1 << chan.min(63);
     }
+
+    fn join(self, other: Part) -> Part {
+        Part { sum: self.sum + other.sum, live: self.live | other.live }
+    }
 }
 
 /// A streaming cursor over one term's compressed postings in one segment,
@@ -401,6 +416,8 @@ impl Part {
 /// no unconsumed document below `cur_doc`.
 struct Cursor<'a> {
     list: &'a PostingList,
+    /// The term's id in the segment's index: its cell in a tf row.
+    tid: u32,
     chan: usize,
     w: f64,
     nidf: f64,
@@ -423,10 +440,11 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn new(info: &TermInfo<'a>, list: &'a PostingList, cbound: f64) -> Cursor<'a> {
+    fn new(info: &TermInfo<'a>, tid: u32, list: &'a PostingList, cbound: f64) -> Cursor<'a> {
         let exhausted = list.is_empty();
         Cursor {
             list,
+            tid,
             chan: info.chan,
             w: info.w,
             nidf: info.nidf,
@@ -653,10 +671,16 @@ pub fn topk_channels(
     let mut acc = TopKAccumulator::new(k);
     let mut out = TopKOutcome::empty(chans.len(), n_segments);
     for seg in 0..cut.len() {
+        for (w, ch) in out.channels.iter_mut().zip(chans) {
+            w.row_segments += u64::from(ch.segments[seg].1.tf_rows().is_some());
+        }
         let len = chans.iter().map(|ch| ch.segments[seg].1.n_docs()).max().unwrap_or(0);
         if len > 0 {
             let before = out.scored;
-            segment_topk(&req, seg, len as Oid, &mut acc, &mut out);
+            // the text-only walk is compiled without the row probe
+            let rows = chans.iter().any(|ch| ch.segments[seg].1.tf_rows().is_some());
+            let walk = if rows { segment_topk::<true> } else { segment_topk::<false> };
+            walk(&req, seg, len as Oid, &mut acc, &mut out);
             out.segments[seg] = out.scored - before;
         }
     }
@@ -668,8 +692,9 @@ pub fn topk_channels(
 
 /// Block-max MaxScore accumulation over segment `seg`, whose local doc ids
 /// are `[0, len)`. Cursors walk local ids; the domain, the tombstones and
-/// the accumulator see global ones.
-fn segment_topk(
+/// the accumulator see global ones. With `ROWS`, channels whose index in
+/// the segment keeps tf rows are probed through them.
+fn segment_topk<const ROWS: bool>(
     req: &Request<'_, '_>,
     seg: usize,
     len: Oid,
@@ -678,11 +703,9 @@ fn segment_topk(
 ) {
     let (chans, params) = (&req.chans, req.params);
     let first = chans[0].segments[seg].0;
-    let mut segment = Segment {
-        req,
-        indexes: chans.iter().map(|ch| ch.segments[seg].1).collect(),
-        ranges: Vec::new(),
-    };
+    let indexes = chans.iter().map(|ch| ch.segments[seg].1);
+    let indexes = indexes.map(|index| (index, if ROWS { index.tf_rows() } else { None }));
+    let mut segment = Segment { req, indexes: indexes.collect(), ranges: Vec::new() };
     let mut cursors = segment.open();
     if cursors.is_empty() {
         return;
@@ -698,19 +721,25 @@ fn segment_topk(
     let floor = if acc.is_full() || (len as usize) < SEED_MIN_SPAN {
         f64::NEG_INFINITY
     } else {
-        seed_floor(&segment, &cursors, first, acc.k, work)
+        seed_floor::<ROWS>(&segment, &cursors, first, acc.k, work)
     };
     let mut theta = acc.threshold().max(floor);
     // lists in ascending order of their bound; a prefix of them is
     // non-essential once its combined bound falls below θ
     let mut by_bound: Vec<usize> = (0..cursors.len()).collect();
     by_bound.sort_by(|&a, &b| cursors[a].cbound.total_cmp(&cursors[b].cbound));
-    let mut split = Split { len: 0, bound: Part::default() };
-    split.grow(&by_bound, &cursors, req, theta);
+    let mut split = Split::default();
+    split.grow(&by_bound, &cursors, &segment, theta);
+    // a cursor's exact lift over α on a document where its tf is `tf`
+    let lift = |c: &Cursor<'_>, tf: u32, doc: Oid| {
+        let (dl, avg_dl) = (segment.indexes[c.chan].0.doc_len(doc), chans[c.chan].stats.avg_dl);
+        let b = params.belief_nidf(tf, dl, avg_dl, c.nidf);
+        (c.scale * (b - params.alpha)).max(0.0)
+    };
     // the essential cursors on the candidate
     let mut hits: Vec<usize> = Vec::new();
-    // the non-essential lists' block part of the bound: it holds for
-    // candidates below `pos_until`, and bounds them up to `pos_leap`
+    // the probed lists' block part of the bound: it holds for candidates
+    // below `pos_until`, and bounds them up to `pos_leap`
     let (mut pos, mut pos_until, mut pos_leap) = (Part::default(), 0, 0);
     loop {
         // the candidate is the least document of the essential cursors: a
@@ -759,15 +788,19 @@ fn segment_topk(
                 leap = leap.min(c.block_end());
             }
             let mut pass = req.bound(blk, split.bound) + PRUNE_MARGIN >= theta;
+            // the non-essential lists' exact or block part of the bound
+            let mut near = pos;
             if pass && split.len > 0 {
-                // tighter: each non-essential list moved, without a
-                // decode, onto the block that may hold the candidate. One
-                // already past it cannot match before its next document,
-                // and a block bounds the others up to the block's end —
-                // the range the failed bound then prunes shrinks to match
+                // tighter: each probed list moved, without a decode, onto
+                // the block that may hold the candidate. One already past
+                // it cannot match before its next document, and a block
+                // bounds the others up to the block's end — the range the
+                // failed bound then prunes shrinks to match. The lists of a
+                // row channel stay at their list bound, which holds over
+                // any range
                 if cand >= pos_until {
                     (pos, pos_until, pos_leap) = (Part::default(), Oid::MAX, Oid::MAX);
-                    for &i in &by_bound[..split.len] {
+                    for &i in &split.probed {
                         let c = &mut cursors[i];
                         c.shallow(cand, true);
                         if c.decoded {
@@ -791,7 +824,23 @@ fn segment_topk(
                     }
                 }
                 leap = leap.min(pos_leap);
-                pass = req.bound(blk, pos) + PRUNE_MARGIN >= theta;
+                near = pos;
+                if ROWS && !split.rowed.is_empty() {
+                    pass = req.bound(blk, pos.join(split.row_bound)) + PRUNE_MARGIN >= theta;
+                    if pass {
+                        // then their exact lifts, read from the rows: a
+                        // failure prunes the candidate alone
+                        for &i in &split.rowed {
+                            let c = &cursors[i];
+                            let tf = segment.indexes[c.chan].1.map_or(0, |r| r.tf(cand, c.tid));
+                            if tf > 0 {
+                                near.add(c.chan, lift(c, tf, cand));
+                            }
+                        }
+                        leap = cand + 1;
+                    }
+                }
+                pass = pass && req.bound(blk, near) + PRUNE_MARGIN >= theta;
             }
             if !pass {
                 prune(work, &cursors, &hits);
@@ -807,12 +856,10 @@ fn segment_topk(
                 let mut exact = Part::default();
                 for &i in &hits {
                     let c = &mut cursors[i];
-                    let ch = &chans[c.chan];
-                    let dl = segment.indexes[c.chan].doc_len(cand);
-                    let b = params.belief_nidf(c.current_tf(), dl, ch.stats.avg_dl, c.nidf);
-                    exact.add(c.chan, (c.scale * (b - params.alpha)).max(0.0));
+                    let tf = c.current_tf();
+                    exact.add(c.chan, lift(c, tf, cand));
                 }
-                if req.bound(exact, pos) + PRUNE_MARGIN < theta {
+                if req.bound(exact, near) + PRUNE_MARGIN < theta {
                     prune(work, &cursors, &hits);
                     for &i in &hits {
                         cursors[i].seek(cand + 1, true);
@@ -822,16 +869,17 @@ fn segment_topk(
             }
         }
         // (3) probe the non-essential lists and score exactly
-        for &i in &by_bound[..split.len] {
+        for &i in &split.probed {
             cursors[i].seek(cand, true);
         }
         pos_until = 0;
-        let score = segment.score(&mut cursors, cand);
+        let score = segment.score::<ROWS>(&mut cursors, cand);
         work.scored += 1;
         acc.push(doc, score);
         // stepping past a scored posting consumes it rather than skipping
         // it, and passes nothing else, so it is not counted
-        for c in cursors.iter_mut() {
+        for &i in hits.iter().chain(&split.probed) {
+            let c = &mut cursors[i];
             if !c.exhausted && c.cur_doc == cand {
                 c.seek(cand + 1, false);
             }
@@ -839,7 +887,7 @@ fn segment_topk(
         let raised = acc.threshold().max(floor);
         if raised > theta {
             theta = raised;
-            split.grow(&by_bound, &cursors, req, theta);
+            split.grow(&by_bound, &cursors, &segment, theta);
             pos_until = 0;
         }
     }
@@ -860,14 +908,14 @@ fn prune(work: &mut TopKOutcome, cursors: &[Cursor<'_>], hits: &[usize]) {
 
 /// The threshold floor of a segment's walk, from the documents of the
 /// query lists short enough to fit one block, minus the dropped ones,
-/// scored exactly by seek on fresh cursors with the walk's own scoring.
-/// The lists are taken in descending order of their bound — the rarest,
-/// most promising first — until at least k seeds are in hand: the k-th
-/// best of any k real scores is a sound floor, and more seeds would only
-/// be scored twice. With fewer than k seeds over all short lists, nothing
-/// is scored and the floor is `-∞`. The seeds count as scored; the walk
-/// scores them again.
-fn seed_floor(
+/// scored exactly on fresh cursors with the walk's own scoring — by seek,
+/// or from the tf rows of a channel probed through them. The lists are
+/// taken in descending order of their bound — the rarest, most promising
+/// first — until at least k seeds are in hand: the k-th best of any k real
+/// scores is a sound floor, and more seeds would only be scored twice.
+/// With fewer than k seeds over all short lists, nothing is scored and the
+/// floor is `-∞`. The seeds count as scored; the walk scores them again.
+fn seed_floor<const ROWS: bool>(
     segment: &Segment<'_, '_>,
     cursors: &[Cursor<'_>],
     first: Oid,
@@ -897,9 +945,11 @@ fn seed_floor(
     let mut best = TopKAccumulator::new(k);
     for &d in &seeds {
         for p in probes.iter_mut() {
-            p.seek(d, false);
+            if !(ROWS && segment.indexes[p.chan].1.is_some()) {
+                p.seek(d, false);
+            }
         }
-        best.push(d, segment.score(&mut probes, d));
+        best.push(d, segment.score::<ROWS>(&mut probes, d));
     }
     work.scored += seeds.len() as u64;
     for p in &probes {
@@ -908,11 +958,12 @@ fn seed_floor(
     best.threshold()
 }
 
-/// One segment of a request: the channels' indexes in it, and each
-/// channel's range of the cursor list.
+/// One segment of a request: the channels' indexes in it, each with its
+/// tf rows when the walk probes them, and each channel's range of the
+/// cursor list.
 struct Segment<'a, 'q> {
     req: &'q Request<'a, 'q>,
-    indexes: Vec<&'a InvertedIndex>,
+    indexes: Vec<(&'a InvertedIndex, Option<&'a TfRows>)>,
     ranges: Vec<std::ops::Range<usize>>,
 }
 
@@ -928,29 +979,38 @@ impl<'a> Segment<'a, '_> {
             .iter()
             .filter_map(|t| {
                 let ch = &self.req.chans[t.chan];
-                let list = self.indexes[t.chan].postings_list(t.term)?;
+                let index = self.indexes[t.chan].0;
+                let tid = index.dict().lookup(t.term)?;
+                let list = index.postings_by_id(tid)?;
                 let (n_docs, avg_dl) = (ch.stats.n_docs, ch.stats.avg_dl);
                 let bound =
                     params.belief_bound(list.max_tf(), t.df, list.min_dl_per_tf(), n_docs, avg_dl);
-                Some(Cursor::new(t, list, ch.cbound(params, t.w, bound)))
+                Some(Cursor::new(t, tid, list, ch.cbound(params, t.w, bound)))
             })
             .collect()
     }
 
     /// The exact score of local document `doc`, every cursor that matches
-    /// it sitting on it: per channel, matched terms in query order, then
+    /// it sitting on it, or its tf read from the row in a channel probed
+    /// through tf rows: per channel, matched terms in query order, then
     /// the default row — the same float-addition order as getbl rows
     /// under a grouped sum — times the channel weight, channels added left
     /// to right like the compiled arith_const[mul]/arith[add] plan.
-    fn score(&self, cursors: &mut [Cursor<'_>], doc: Oid) -> f64 {
+    fn score<const ROWS: bool>(&self, cursors: &mut [Cursor<'_>], doc: Oid) -> f64 {
         let params = self.req.params;
         let mut score = 0.0;
         for (chan, ch) in self.req.chans.iter().enumerate() {
+            let rows = if ROWS { self.indexes[chan].1 } else { None };
             let (mut s, mut mw, mut hit) = (0.0, 0.0, false);
             for c in &mut cursors[self.ranges[chan].clone()] {
-                if !c.exhausted && c.cur_doc == doc {
-                    let dl = self.indexes[chan].doc_len(doc);
-                    let b = params.belief_nidf(c.current_tf(), dl, ch.stats.avg_dl, c.nidf);
+                let tf = match rows {
+                    Some(rows) => rows.tf(doc, c.tid),
+                    None if !c.exhausted && c.cur_doc == doc => c.current_tf(),
+                    None => 0,
+                };
+                if tf > 0 {
+                    let dl = self.indexes[chan].0.doc_len(doc);
+                    let b = params.belief_nidf(tf, dl, ch.stats.avg_dl, c.nidf);
                     s += c.w * b / ch.total_w;
                     mw += c.w;
                     hit = true;
@@ -968,12 +1028,19 @@ impl<'a> Segment<'a, '_> {
 }
 
 /// The MaxScore split of a segment's lists: the non-essential prefix of
-/// the lists in bound order, and its bound.
+/// the lists in bound order, its bound, and how its lists are probed.
+#[derive(Default)]
 struct Split {
     /// Lists in the non-essential prefix.
     len: usize,
     /// The prefix's list bounds.
     bound: Part,
+    /// The prefix's lists probed by seek, in bound order.
+    probed: Vec<usize>,
+    /// The prefix's lists in row channels, which stand still, and their
+    /// list bounds.
+    rowed: Vec<usize>,
+    row_bound: Part,
 }
 
 impl Split {
@@ -983,17 +1050,24 @@ impl Split {
         &mut self,
         by_bound: &[usize],
         cursors: &[Cursor<'_>],
-        req: &Request<'_, '_>,
+        segment: &Segment<'_, '_>,
         theta: f64,
     ) {
         while let Some(&i) = by_bound.get(self.len) {
+            let c = &cursors[i];
             let mut grown = self.bound;
-            grown.add(cursors[i].chan, cursors[i].cbound);
-            if req.bound(grown, Part::default()) + PRUNE_MARGIN >= theta {
+            grown.add(c.chan, c.cbound);
+            if segment.req.bound(grown, Part::default()) + PRUNE_MARGIN >= theta {
                 return;
             }
             self.bound = grown;
             self.len += 1;
+            if segment.indexes[c.chan].1.is_some() {
+                self.rowed.push(i);
+                self.row_bound.add(c.chan, c.cbound);
+            } else {
+                self.probed.push(i);
+            }
         }
     }
 }
@@ -1193,10 +1267,12 @@ mod tests {
         // spans ~256 doc ids); "rare" appears every 600. Once the heap
         // holds k common+rare documents, "common" is non-essential and is
         // only probed at "rare"'s documents, in ~600-doc leaps, clearing
-        // whole blocks without decoding them.
+        // whole blocks without decoding them. One of 64 fillers per
+        // document keeps the index sparse, so it is probed by its lists.
         let mut b = IndexBuilder::new();
         for d in 0..5000u32 {
-            let mut toks = vec!["filler"];
+            let filler = format!("filler{}", d % 64);
+            let mut toks = vec![filler.as_str()];
             if d % 2 == 0 {
                 toks.push("common");
             }
@@ -1206,6 +1282,7 @@ mod tests {
             b.add_tokens(&toks);
         }
         let index = b.build();
+        assert!(index.tf_rows().is_none());
         let params = BeliefParams::default();
         let query = [("common", 1.0), ("rare", 1.0)];
         let out = topk_beliefs(&index, params, &query, None, 5, 1);
@@ -1324,7 +1401,8 @@ mod tests {
         // visual channel's 4 terms each sit in 70 % of the documents with a
         // near-zero idf. Once the rare term's hits set θ, the visual lists
         // are non-essential: only the rare term's documents are candidates,
-        // and the visual cursors leap between them over undecoded blocks
+        // and the dense visual channel is probed through its tf rows, so
+        // its cursors neither decode nor leap
         let n = 5000;
         let text = build((0..n).map(|d| {
             let mut toks = text_doc(d);
@@ -1350,7 +1428,9 @@ mod tests {
         let out = topk_channels(&channels, BeliefParams::default(), None, None, 10);
         assert_eq!(out.hits, multi_baseline(&channels, 10));
         assert!(out.scored <= 2 * u64::from(df), "scored {} of {df}: {out:?}", out.scored);
-        assert!(out.channels[1].blocks_skipped > 0, "visual blocks all decoded: {out:?}");
+        let visual = out.channels[1];
+        assert_eq!(visual.row_segments, 1, "{out:?}");
+        assert_eq!((visual.blocks_skipped, visual.skipped_postings), (0, 0), "{out:?}");
     }
 
     #[test]

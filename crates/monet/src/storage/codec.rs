@@ -243,24 +243,32 @@ pub fn pack_u32s(words: &mut Vec<u64>, values: &[u32], width: u32) {
     }
 }
 
-/// Decode `n` values of `width` bits each from `words[start..]` (packed by
-/// [`pack_u32s`]) into `out`, which is cleared first. The inner loop is
-/// branch-light: one shift, one conditional spill-word OR, one mask.
-pub fn unpack_u32s(words: &[u64], start: usize, n: usize, width: u32, out: &mut Vec<u32>) {
-    out.clear();
+/// Decode `out.len()` values of `width` bits each from `words[start..]`
+/// (packed by [`pack_u32s`]), passing each through `f` on its way into
+/// `out`, so a caller folds its own per-value step (a prefix sum, an
+/// offset) into the one decode pass. The inner loop is branch-light: one
+/// shift, one conditional spill-word OR, one mask.
+#[inline]
+pub fn unpack_u32s(
+    words: &[u64],
+    start: usize,
+    width: u32,
+    out: &mut [u32],
+    mut f: impl FnMut(u32) -> u32,
+) {
     if width == 0 {
-        out.resize(n, 0);
+        out.fill_with(|| f(0));
         return;
     }
-    out.reserve(n);
+    let words = &words[start..];
     let mask = if width == 32 { u64::MAX >> 32 } else { (1u64 << width) - 1 };
     let mut bit = 0usize;
-    for _ in 0..n {
-        let w = start + (bit >> 6);
+    for o in out {
+        let w = bit >> 6;
         let s = (bit & 63) as u32;
         let lo = words[w] >> s;
         let v = if s + width > 64 { lo | (words[w + 1] << (64 - s)) } else { lo };
-        out.push((v & mask) as u32);
+        *o = f((v & mask) as u32);
         bit += width as usize;
     }
 }
@@ -399,8 +407,8 @@ pub fn read_column(r: &mut ByteReader<'_>) -> Result<Column> {
             for _ in 0..n_words {
                 words.push(r.u64()?);
             }
-            let mut codes = Vec::new();
-            unpack_u32s(&words, 0, n, width, &mut codes);
+            let mut codes = vec![0; n];
+            unpack_u32s(&words, 0, width, &mut codes, |code| code);
             let dict_len = r.len64(r.remaining())?;
             let mut builder = StrDictBuilder::new();
             for _ in 0..dict_len {
@@ -521,8 +529,8 @@ mod tests {
             let mut words = Vec::new();
             pack_u32s(&mut words, &values, width);
             assert_eq!(words.len(), packed_words(values.len(), width));
-            let mut back = Vec::new();
-            unpack_u32s(&words, 0, values.len(), width, &mut back);
+            let mut back = vec![0; values.len()];
+            unpack_u32s(&words, 0, width, &mut back, |v| v);
             assert_eq!(back, values, "width {width}");
             for (i, &v) in values.iter().enumerate() {
                 assert_eq!(unpack_u32_at(&words, 0, i, width), v, "width {width} idx {i}");
@@ -539,11 +547,15 @@ mod tests {
         pack_u32s(&mut words, &a, 2);
         let b_start = words.len();
         pack_u32s(&mut words, &b, 3);
-        let mut out = Vec::new();
-        unpack_u32s(&words, 0, a.len(), 2, &mut out);
+        let mut out = [0; 3];
+        unpack_u32s(&words, 0, 2, &mut out, |v| v);
         assert_eq!(out, a);
-        unpack_u32s(&words, b_start, b.len(), 3, &mut out);
+        let mut out = [0; 4];
+        unpack_u32s(&words, b_start, 3, &mut out, |v| v);
         assert_eq!(out, b);
+        // the per-value step runs inside the one pass
+        unpack_u32s(&words, b_start, 3, &mut out, |v| v + 1);
+        assert_eq!(out, [8, 1, 8, 8]);
     }
 
     #[test]

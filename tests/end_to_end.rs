@@ -241,9 +241,10 @@ fn explain_analyze_shows_the_fused_dual_request() {
     for unfused in ["arith", "grouped_aggr", "custom[contrep.getbl]"] {
         assert!(!physical.contains(unfused), "{unfused} survived fusion:\n{analyzed}");
     }
-    // the operator's note splits its work by channel
-    assert!(analyzed.contains("annotation: scored"), "{analyzed}");
-    assert!(analyzed.contains("image: scored"), "{analyzed}");
+    // the operator's note splits its work by channel, and names how each
+    // channel was probed: the dense image channel through its tf rows
+    assert!(analyzed.contains("annotation (lists): scored"), "{analyzed}");
+    assert!(analyzed.contains("image (rows): scored"), "{analyzed}");
     // and the fused answer is the facade's
     let fused_rows = db.retrieve(&req).unwrap();
     assert!(physical.contains(&format!("rows={}", fused_rows.len())), "{analyzed}");

@@ -180,9 +180,11 @@ proptest! {
     }
 
     /// N channels at block scale against the exhaustive N-channel oracle:
-    /// 1–3 channels, one of them dense with a near-zero idf like a visual
-    /// vocabulary, random channel weights (0 included), random segment
-    /// cuts with tombstones and an optional domain, for k ∈ {1, 10, 100}.
+    /// 1–3 channels of the five [`Kind`]s — one dense with a near-zero idf
+    /// like a visual vocabulary, two just above and just below the density
+    /// at which an index keeps tf rows — random channel weights (0
+    /// included), random segment cuts with tombstones and an optional
+    /// domain, for k ∈ {1, 10, 100}.
     #[test]
     fn prop_channels_equal_the_exhaustive_oracle(
         seed in 0u64..1_000_000,
@@ -271,9 +273,8 @@ fn channels_match_the_oracle(
     first_cut: usize,
 ) -> Result<(), TestCaseError> {
     let mut rng = Mix(seed);
-    let kinds: Vec<Kind> = (0..n_chans)
-        .map(|c| [Kind::Text, Kind::Dense, Kind::Flat][(c + seed as usize) % 3])
-        .collect();
+    let kinds: Vec<Kind> =
+        (0..n_chans).map(|c| Kind::ALL[(c + seed as usize) % Kind::ALL.len()]).collect();
     let weights: Vec<f64> = (0..n_chans)
         .map(|_| [0.0, 0.3, 0.5, 1.0, 0.05 + rng.unit() * 2.0][rng.below(5) as usize])
         .collect();
@@ -377,6 +378,14 @@ const WIDE: [&str; 70] = [
 /// The dense channel's vocabulary: every term in 60–90 % of documents.
 const DENSE: [&str; 6] = ["v0", "v1", "v2", "v3", "v4", "v5"];
 
+/// The vocabulary of the channels drawn at the tf-row density cut: a
+/// document holds about two of its 16 terms, so its postings fill about
+/// an eighth of the cells.
+const CUT: [&str; 16] = [
+    "c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10", "c11", "c12", "c13", "c14",
+    "c15",
+];
+
 /// How a channel's documents are drawn.
 #[derive(Debug, Clone, Copy)]
 enum Kind {
@@ -387,14 +396,24 @@ enum Kind {
     Dense,
     /// 1–12 tokens over [`WIDE`], Zipf-like: many lists, most of them short.
     Flat,
+    /// Two distinct [`CUT`] terms per document, a third one time in
+    /// twenty, skewed: just above the density at which an index keeps tf
+    /// rows ([`mirror::ir::index::ROW_DENSITY`]).
+    Above,
+    /// Two distinct [`CUT`] terms per document, one only one time in ten:
+    /// just below it.
+    Below,
 }
 
 impl Kind {
+    const ALL: [Kind; 5] = [Kind::Text, Kind::Dense, Kind::Flat, Kind::Above, Kind::Below];
+
     fn vocab(self) -> &'static [&'static str] {
         match self {
             Kind::Text => POOL,
             Kind::Dense => &DENSE,
             Kind::Flat => &WIDE,
+            Kind::Above | Kind::Below => &CUT,
         }
     }
 
@@ -423,8 +442,40 @@ impl Kind {
             Kind::Flat => (0..1 + r.below(12))
                 .map(|_| WIDE[(WIDE.len() as f64 * r.unit().powi(3)) as usize])
                 .collect(),
+            Kind::Above | Kind::Below => {
+                let distinct = match self {
+                    Kind::Above => 2 + u64::from(r.below(20) == 0),
+                    _ => 2 - u64::from(r.below(10) == 0),
+                };
+                let mut toks: Vec<&str> = Vec::new();
+                while toks.len() < distinct as usize {
+                    let t = CUT[(CUT.len() as f64 * r.unit().powi(2)) as usize];
+                    if !toks.contains(&t) {
+                        toks.push(t);
+                    }
+                }
+                // a repeated term now and then, so tfs differ
+                if r.below(6) == 0 {
+                    toks.push(toks[0]);
+                }
+                toks
+            }
         }
     }
+}
+
+/// The two cut kinds fall on their sides of the tf-row density cut, and
+/// the dense and flat ones on theirs.
+#[test]
+fn cut_kinds_straddle_the_row_density() {
+    let rows = |kind: Kind| {
+        let mut b = IndexBuilder::new();
+        for d in 0..3_000 {
+            b.add_tokens(&kind.doc(5, d));
+        }
+        b.build().tf_rows().is_some()
+    };
+    assert_eq!(Kind::ALL.map(rows), [true, true, false, true, false]);
 }
 
 /// Channels over one collection cut into segments at the same points,
