@@ -114,9 +114,8 @@ impl Generation {
     fn new(db: MirrorDbms, number: u64, counters: Arc<LiveCounters>) -> Self {
         let indexes = ["annotation", "image"].map(|f| db.store().get(&format!("{INTERNAL}__{f}")));
         let totals = indexes.each_ref().map(|i| i.as_ref().map_or(0, |i| i.stats().total_tokens));
-        let heap_bytes =
-            indexes.iter().flatten().map(|i| i.postings_heap_bytes() as u64).sum::<u64>()
-                + db.library_rows().iter().map(row_bytes).sum::<u64>();
+        let heap_bytes = indexes.iter().flatten().map(|i| i.heap_bytes() as u64).sum::<u64>()
+            + db.library_rows().iter().map(row_bytes).sum::<u64>();
         counters.created.fetch_add(1, Ordering::Relaxed);
         counters.alive_bytes.fetch_add(heap_bytes, Ordering::Relaxed);
         Generation { db, number, indexes, totals, heap_bytes, counters }

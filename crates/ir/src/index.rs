@@ -79,8 +79,11 @@ impl TfRows {
 }
 
 /// An index keeps [`TfRows`] when its postings fill `1 / ROW_DENSITY` of its
-/// document × term cells and every tf fits a byte. The image channel fills
-/// 0.67 and the annotation channel 0.002: any cut from 0.01 to 0.5 agrees.
+/// document × term cells and every tf fits a byte, so its rows cost at most
+/// `ROW_DENSITY` bytes per posting. The rule is per index: a whole image
+/// index is ≈ 0.67 dense and a whole annotation index ≈ 0.002, but every
+/// term has a posting, so an index of at most `ROW_DENSITY` documents (a
+/// small live delta batch, of either channel) always keeps rows.
 pub const ROW_DENSITY: usize = 8;
 
 impl InvertedIndex {
@@ -164,6 +167,12 @@ impl InvertedIndex {
     /// counted: they add one byte per document and term.
     pub fn postings_heap_bytes(&self) -> usize {
         self.postings.iter().map(PostingList::heap_bytes).sum()
+    }
+
+    /// Heap bytes held by the posting lists and, in a dense index, its
+    /// [`TfRows`].
+    pub fn heap_bytes(&self) -> usize {
+        self.postings_heap_bytes() + self.rows.as_ref().map_or(0, |r| r.cells.len())
     }
 
     /// Bytes the same postings would occupy in the raw-vec representation
@@ -389,6 +398,7 @@ mod tests {
         let visual = b.build();
         let rows = visual.tf_rows().expect("a dense index keeps rows");
         assert_eq!(visual.dict().len(), 24);
+        assert_eq!(visual.heap_bytes(), visual.postings_heap_bytes() + 301 * 24);
         for (tid, term) in visual.dict().iter() {
             let list = visual.postings_list(term).unwrap();
             let mut n = 0;
@@ -406,7 +416,20 @@ mod tests {
             let toks: Vec<String> = (0..6).map(|j| format!("w{}", (d * 7 + j) % 500)).collect();
             b.add_tokens(&toks);
         }
-        assert!(b.build().tf_rows().is_none());
+        let text = b.build();
+        assert!(text.tf_rows().is_none());
+        assert_eq!(text.heap_bytes(), text.postings_heap_bytes());
+        // every term has a posting, so an index of at most ROW_DENSITY
+        // documents is dense whatever it holds: here 8 documents of 6
+        // distinct words fill exactly 1/8 of their cells, 9 fill 1/9
+        for (n, rows) in [(ROW_DENSITY, true), (ROW_DENSITY + 1, false)] {
+            let mut b = IndexBuilder::new();
+            for d in 0..n {
+                let toks: Vec<String> = (0..6).map(|j| format!("w{}", d * 6 + j)).collect();
+                b.add_tokens(&toks);
+            }
+            assert_eq!(b.build().tf_rows().is_some(), rows, "{n} documents");
+        }
         // dense, but a tf of 256 does not fit a cell
         let mut b = IndexBuilder::new();
         b.add_tokens(&["a", "b"]);

@@ -49,10 +49,10 @@
 //!
 //!   **Dense channels are probed through tf rows.** A seek decodes a
 //!   whole block to read one tf. In a segment whose index of a channel
-//!   keeps [`TfRows`], that channel's non-essential cursors never move:
-//!   check (1) takes their list bounds (keeping the range prune), then
-//!   their exact lifts read from the candidate's row, which check (2)
-//!   uses too; the seed pass and the scorer read their tfs from the row.
+//!   keeps [`TfRows`](crate::index::TfRows), that channel's non-essential
+//!   cursors never move: checks (1) and (2) take their list bounds, which
+//!   hold over any range, and the seed pass and the scorer read their tfs
+//!   from the candidate's row.
 //!
 //!   **A seeded threshold.** Until the accumulator holds k documents, a
 //!   segment's walk over at least `SEED_MIN_SPAN` (2 048) documents first
@@ -85,7 +85,7 @@
 //! pool is the one level of parallelism.
 
 use crate::belief::BeliefParams;
-use crate::index::{CollectionStats, InvertedIndex, TfRows};
+use crate::index::{CollectionStats, InvertedIndex};
 use crate::postings::{PostingList, BLOCK_LEN};
 use crate::tombstones::Tombstones;
 use monet::fxhash::FxHashSet;
@@ -402,10 +402,6 @@ impl Part {
         self.sum += bound;
         self.live |= 1 << chan.min(63);
     }
-
-    fn join(self, other: Part) -> Part {
-        Part { sum: self.sum + other.sum, live: self.live | other.live }
-    }
 }
 
 /// A streaming cursor over one term's compressed postings in one segment,
@@ -677,10 +673,7 @@ pub fn topk_channels(
         let len = chans.iter().map(|ch| ch.segments[seg].1.n_docs()).max().unwrap_or(0);
         if len > 0 {
             let before = out.scored;
-            // the text-only walk is compiled without the row probe
-            let rows = chans.iter().any(|ch| ch.segments[seg].1.tf_rows().is_some());
-            let walk = if rows { segment_topk::<true> } else { segment_topk::<false> };
-            walk(&req, seg, len as Oid, &mut acc, &mut out);
+            segment_topk(&req, seg, len as Oid, &mut acc, &mut out);
             out.segments[seg] = out.scored - before;
         }
     }
@@ -692,9 +685,9 @@ pub fn topk_channels(
 
 /// Block-max MaxScore accumulation over segment `seg`, whose local doc ids
 /// are `[0, len)`. Cursors walk local ids; the domain, the tombstones and
-/// the accumulator see global ones. With `ROWS`, channels whose index in
-/// the segment keeps tf rows are probed through them.
-fn segment_topk<const ROWS: bool>(
+/// the accumulator see global ones. Channels whose index in the segment
+/// keeps tf rows are probed through them.
+fn segment_topk(
     req: &Request<'_, '_>,
     seg: usize,
     len: Oid,
@@ -703,9 +696,8 @@ fn segment_topk<const ROWS: bool>(
 ) {
     let (chans, params) = (&req.chans, req.params);
     let first = chans[0].segments[seg].0;
-    let indexes = chans.iter().map(|ch| ch.segments[seg].1);
-    let indexes = indexes.map(|index| (index, if ROWS { index.tf_rows() } else { None }));
-    let mut segment = Segment { req, indexes: indexes.collect(), ranges: Vec::new() };
+    let indexes = chans.iter().map(|ch| ch.segments[seg].1).collect();
+    let mut segment = Segment { req, indexes, ranges: Vec::new() };
     let mut cursors = segment.open();
     if cursors.is_empty() {
         return;
@@ -721,7 +713,7 @@ fn segment_topk<const ROWS: bool>(
     let floor = if acc.is_full() || (len as usize) < SEED_MIN_SPAN {
         f64::NEG_INFINITY
     } else {
-        seed_floor::<ROWS>(&segment, &cursors, first, acc.k, work)
+        seed_floor(&segment, &cursors, first, acc.k, work)
     };
     let mut theta = acc.threshold().max(floor);
     // lists in ascending order of their bound; a prefix of them is
@@ -730,16 +722,11 @@ fn segment_topk<const ROWS: bool>(
     by_bound.sort_by(|&a, &b| cursors[a].cbound.total_cmp(&cursors[b].cbound));
     let mut split = Split::default();
     split.grow(&by_bound, &cursors, &segment, theta);
-    // a cursor's exact lift over α on a document where its tf is `tf`
-    let lift = |c: &Cursor<'_>, tf: u32, doc: Oid| {
-        let (dl, avg_dl) = (segment.indexes[c.chan].0.doc_len(doc), chans[c.chan].stats.avg_dl);
-        let b = params.belief_nidf(tf, dl, avg_dl, c.nidf);
-        (c.scale * (b - params.alpha)).max(0.0)
-    };
     // the essential cursors on the candidate
     let mut hits: Vec<usize> = Vec::new();
-    // the probed lists' block part of the bound: it holds for candidates
-    // below `pos_until`, and bounds them up to `pos_leap`
+    // the non-essential lists' part of the bound, the probed ones by
+    // block: it holds for candidates below `pos_until`, and bounds them up
+    // to `pos_leap`
     let (mut pos, mut pos_until, mut pos_leap) = (Part::default(), 0, 0);
     loop {
         // the candidate is the least document of the essential cursors: a
@@ -788,8 +775,6 @@ fn segment_topk<const ROWS: bool>(
                 leap = leap.min(c.block_end());
             }
             let mut pass = req.bound(blk, split.bound) + PRUNE_MARGIN >= theta;
-            // the non-essential lists' exact or block part of the bound
-            let mut near = pos;
             if pass && split.len > 0 {
                 // tighter: each probed list moved, without a decode, onto
                 // the block that may hold the candidate. One already past
@@ -799,7 +784,7 @@ fn segment_topk<const ROWS: bool>(
                 // row channel stay at their list bound, which holds over
                 // any range
                 if cand >= pos_until {
-                    (pos, pos_until, pos_leap) = (Part::default(), Oid::MAX, Oid::MAX);
+                    (pos, pos_until, pos_leap) = (split.row_bound, Oid::MAX, Oid::MAX);
                     for &i in &split.probed {
                         let c = &mut cursors[i];
                         c.shallow(cand, true);
@@ -824,23 +809,7 @@ fn segment_topk<const ROWS: bool>(
                     }
                 }
                 leap = leap.min(pos_leap);
-                near = pos;
-                if ROWS && !split.rowed.is_empty() {
-                    pass = req.bound(blk, pos.join(split.row_bound)) + PRUNE_MARGIN >= theta;
-                    if pass {
-                        // then their exact lifts, read from the rows: a
-                        // failure prunes the candidate alone
-                        for &i in &split.rowed {
-                            let c = &cursors[i];
-                            let tf = segment.indexes[c.chan].1.map_or(0, |r| r.tf(cand, c.tid));
-                            if tf > 0 {
-                                near.add(c.chan, lift(c, tf, cand));
-                            }
-                        }
-                        leap = cand + 1;
-                    }
-                }
-                pass = pass && req.bound(blk, near) + PRUNE_MARGIN >= theta;
+                pass = req.bound(blk, pos) + PRUNE_MARGIN >= theta;
             }
             if !pass {
                 prune(work, &cursors, &hits);
@@ -856,10 +825,12 @@ fn segment_topk<const ROWS: bool>(
                 let mut exact = Part::default();
                 for &i in &hits {
                     let c = &mut cursors[i];
-                    let tf = c.current_tf();
-                    exact.add(c.chan, lift(c, tf, cand));
+                    let ch = &chans[c.chan];
+                    let dl = segment.indexes[c.chan].doc_len(cand);
+                    let b = params.belief_nidf(c.current_tf(), dl, ch.stats.avg_dl, c.nidf);
+                    exact.add(c.chan, (c.scale * (b - params.alpha)).max(0.0));
                 }
-                if req.bound(exact, near) + PRUNE_MARGIN < theta {
+                if req.bound(exact, pos) + PRUNE_MARGIN < theta {
                     prune(work, &cursors, &hits);
                     for &i in &hits {
                         cursors[i].seek(cand + 1, true);
@@ -873,7 +844,7 @@ fn segment_topk<const ROWS: bool>(
             cursors[i].seek(cand, true);
         }
         pos_until = 0;
-        let score = segment.score::<ROWS>(&mut cursors, cand);
+        let score = segment.score(&mut cursors, cand);
         work.scored += 1;
         acc.push(doc, score);
         // stepping past a scored posting consumes it rather than skipping
@@ -915,7 +886,7 @@ fn prune(work: &mut TopKOutcome, cursors: &[Cursor<'_>], hits: &[usize]) {
 /// scores is a sound floor, and more seeds would only be scored twice.
 /// With fewer than k seeds over all short lists, nothing is scored and the
 /// floor is `-∞`. The seeds count as scored; the walk scores them again.
-fn seed_floor<const ROWS: bool>(
+fn seed_floor(
     segment: &Segment<'_, '_>,
     cursors: &[Cursor<'_>],
     first: Oid,
@@ -945,11 +916,11 @@ fn seed_floor<const ROWS: bool>(
     let mut best = TopKAccumulator::new(k);
     for &d in &seeds {
         for p in probes.iter_mut() {
-            if !(ROWS && segment.indexes[p.chan].1.is_some()) {
+            if segment.indexes[p.chan].tf_rows().is_none() {
                 p.seek(d, false);
             }
         }
-        best.push(d, segment.score::<ROWS>(&mut probes, d));
+        best.push(d, segment.score(&mut probes, d));
     }
     work.scored += seeds.len() as u64;
     for p in &probes {
@@ -958,12 +929,11 @@ fn seed_floor<const ROWS: bool>(
     best.threshold()
 }
 
-/// One segment of a request: the channels' indexes in it, each with its
-/// tf rows when the walk probes them, and each channel's range of the
-/// cursor list.
+/// One segment of a request: the channels' indexes in it, and each
+/// channel's range of the cursor list.
 struct Segment<'a, 'q> {
     req: &'q Request<'a, 'q>,
-    indexes: Vec<(&'a InvertedIndex, Option<&'a TfRows>)>,
+    indexes: Vec<&'a InvertedIndex>,
     ranges: Vec<std::ops::Range<usize>>,
 }
 
@@ -979,7 +949,7 @@ impl<'a> Segment<'a, '_> {
             .iter()
             .filter_map(|t| {
                 let ch = &self.req.chans[t.chan];
-                let index = self.indexes[t.chan].0;
+                let index = self.indexes[t.chan];
                 let tid = index.dict().lookup(t.term)?;
                 let list = index.postings_by_id(tid)?;
                 let (n_docs, avg_dl) = (ch.stats.n_docs, ch.stats.avg_dl);
@@ -996,11 +966,11 @@ impl<'a> Segment<'a, '_> {
     /// the default row — the same float-addition order as getbl rows
     /// under a grouped sum — times the channel weight, channels added left
     /// to right like the compiled arith_const[mul]/arith[add] plan.
-    fn score<const ROWS: bool>(&self, cursors: &mut [Cursor<'_>], doc: Oid) -> f64 {
+    fn score(&self, cursors: &mut [Cursor<'_>], doc: Oid) -> f64 {
         let params = self.req.params;
         let mut score = 0.0;
         for (chan, ch) in self.req.chans.iter().enumerate() {
-            let rows = if ROWS { self.indexes[chan].1 } else { None };
+            let rows = self.indexes[chan].tf_rows();
             let (mut s, mut mw, mut hit) = (0.0, 0.0, false);
             for c in &mut cursors[self.ranges[chan].clone()] {
                 let tf = match rows {
@@ -1009,7 +979,7 @@ impl<'a> Segment<'a, '_> {
                     None => 0,
                 };
                 if tf > 0 {
-                    let dl = self.indexes[chan].0.doc_len(doc);
+                    let dl = self.indexes[chan].doc_len(doc);
                     let b = params.belief_nidf(tf, dl, ch.stats.avg_dl, c.nidf);
                     s += c.w * b / ch.total_w;
                     mw += c.w;
@@ -1037,9 +1007,8 @@ struct Split {
     bound: Part,
     /// The prefix's lists probed by seek, in bound order.
     probed: Vec<usize>,
-    /// The prefix's lists in row channels, which stand still, and their
-    /// list bounds.
-    rowed: Vec<usize>,
+    /// The list bounds of the prefix's lists in row channels, which
+    /// stand still.
     row_bound: Part,
 }
 
@@ -1062,8 +1031,7 @@ impl Split {
             }
             self.bound = grown;
             self.len += 1;
-            if segment.indexes[c.chan].1.is_some() {
-                self.rowed.push(i);
+            if segment.indexes[c.chan].tf_rows().is_some() {
                 self.row_bound.add(c.chan, c.cbound);
             } else {
                 self.probed.push(i);

@@ -27,9 +27,9 @@ use std::sync::Arc;
 const POOL: &[&str] =
     &["sunset", "beach", "forest", "mist", "wave", "glow", "stone", "river", "meadow", "dune"];
 
-/// A text library over CONTREP annotations built from pool-word indices,
-/// and the store holding its annotation index.
-fn build_env(docs: &[Vec<usize>]) -> (Arc<Env>, Arc<ContrepStore>) {
+/// A text library over CONTREP annotations built from token lists, and
+/// the store holding its annotation index.
+fn build_env(docs: &[Vec<&str>]) -> (Arc<Env>, Arc<ContrepStore>) {
     let env = Env::new();
     let store = ir::register_contrep(&env);
     let (name, ty) =
@@ -39,12 +39,65 @@ fn build_env(docs: &[Vec<usize>]) -> (Arc<Env>, Arc<ContrepStore>) {
         .iter()
         .enumerate()
         .map(|(i, words)| {
-            let text: Vec<&str> = words.iter().map(|&w| POOL[w % POOL.len()]).collect();
-            MoaVal::Tuple(vec![MoaVal::Str(format!("http://lib/{i}")), MoaVal::Str(text.join(" "))])
+            MoaVal::Tuple(vec![
+                MoaVal::Str(format!("http://lib/{i}")),
+                MoaVal::Str(words.join(" ")),
+            ])
         })
         .collect();
     env.create_collection(name, ty, rows).unwrap();
     (Arc::new(env), store)
+}
+
+/// Documents of pool-word indices as tokens.
+fn pool_docs(docs: &[Vec<usize>]) -> Vec<Vec<&'static str>> {
+    docs.iter().map(|words| words.iter().map(|&w| POOL[w % POOL.len()]).collect()).collect()
+}
+
+/// An index over token lists.
+fn index_of(docs: &[Vec<&str>]) -> InvertedIndex {
+    let mut b = IndexBuilder::new();
+    for toks in docs {
+        b.add_tokens(toks);
+    }
+    b.build()
+}
+
+/// Two words outside [`POOL`] that no query asks for.
+const FILL: [&str; 2] = ["quartz", "zebra"];
+
+/// The side of the tf-row density cut ([`mirror::ir::index::ROW_DENSITY`],
+/// 1/8 of the cells) a single-channel property puts its [`POOL`] corpus
+/// on, so the walk is checked both reading rows and seeking lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    /// Every document also holds both [`FILL`] words: at least 2 of each
+    /// document's at most 12 cells are filled.
+    Rows,
+    /// 7n + 1 empty documents follow the n given ones: at most n of every
+    /// 8n + 1 documents' cells are filled.
+    Lists,
+}
+
+impl Side {
+    const BOTH: [Side; 2] = [Side::Rows, Side::Lists];
+
+    /// `docs` put on this side of the cut.
+    fn docs(self, docs: &[Vec<&'static str>]) -> Vec<Vec<&'static str>> {
+        match self {
+            Side::Rows => docs.iter().map(|d| d.iter().chain(&FILL).copied().collect()).collect(),
+            Side::Lists => {
+                let empty = std::iter::repeat_n(Vec::new(), 7 * docs.len() + 1);
+                docs.iter().cloned().chain(empty).collect()
+            }
+        }
+    }
+
+    /// Asserts that `index` fell on this side.
+    fn check(self, index: &InvertedIndex) -> Result<(), TestCaseError> {
+        prop_assert_eq!(index.tf_rows().is_some(), self == Side::Rows, "{:?}", self);
+        Ok(())
+    }
 }
 
 /// Stemmed, weighted query terms from pool indices.
@@ -84,29 +137,34 @@ proptest! {
 
     /// Fused top-k ≡ materialise+sort for k ∈ {1, 10, all}; and at k = all,
     /// the unfused plan scores every document exactly as the inference
-    /// network's `#wsum` (the exhaustive oracle) does.
+    /// network's `#wsum` (the exhaustive oracle) does. On both sides of the
+    /// tf-row density cut.
     #[test]
     fn prop_fused_topk_equals_materialise_then_sort(
         docs in proptest::collection::vec(
             proptest::collection::vec(0usize..POOL.len(), 1..8), 1..60),
         query in proptest::collection::vec((0usize..POOL.len(), 0.1f64..2.0), 1..4),
     ) {
-        let (env, store) = build_env(&docs);
         let terms = query_terms(&query);
-        for k in [1usize, 10, docs.len()] {
-            let got = fused(&env, &terms, k);
-            prop_assert_eq!(&got, &baseline(&env, &terms, k), "k={}", k);
-        }
-        let index = store.get("Lib__annotation").unwrap();
         let qr: Vec<(&str, f64)> = terms.iter().map(|(t, w)| (t.as_str(), *w)).collect();
-        let network = topk_beliefs_raw(
-            &index, &RawPostings::from_index(&index), BeliefParams::default(), &qr, docs.len(),
-        );
-        prop_assert_eq!(&baseline(&env, &terms, docs.len()), &network);
+        for side in Side::BOTH {
+            let docs = side.docs(&pool_docs(&docs));
+            let (env, store) = build_env(&docs);
+            let index = store.get("Lib__annotation").unwrap();
+            side.check(&index)?;
+            for k in [1usize, 10, docs.len()] {
+                let got = fused(&env, &terms, k);
+                prop_assert_eq!(&got, &baseline(&env, &terms, k), "{:?} k={}", side, k);
+            }
+            let network = topk_beliefs_raw(
+                &index, &RawPostings::from_index(&index), BeliefParams::default(), &qr, docs.len(),
+            );
+            prop_assert_eq!(&baseline(&env, &terms, docs.len()), &network, "{:?}", side);
+        }
     }
 
     /// The ir-level streaming evaluation's k-cut is a prefix of the full
-    /// ranking.
+    /// ranking, on both sides of the tf-row density cut.
     #[test]
     fn prop_topk_beliefs_k_cut_is_a_prefix(
         docs in proptest::collection::vec(
@@ -114,68 +172,68 @@ proptest! {
         query in proptest::collection::vec((0usize..POOL.len(), 0.25f64..2.0), 1..4),
         k in 1usize..12,
     ) {
-        let mut b = IndexBuilder::new();
-        for words in &docs {
-            let toks: Vec<&str> = words.iter().map(|&w| POOL[w % POOL.len()]).collect();
-            b.add_tokens(&toks);
-        }
-        let index = b.build();
         let q: Vec<(String, f64)> =
             query.iter().map(|(w, wt)| (POOL[w % POOL.len()].to_string(), *wt)).collect();
         let qr: Vec<(&str, f64)> = q.iter().map(|(t, w)| (t.as_str(), *w)).collect();
         let params = BeliefParams::default();
-        let full = topk_beliefs(&index, params, &qr, None, docs.len(), 1);
-        let top = topk_beliefs(&index, params, &qr, None, k, 1);
-        let cut = k.min(full.hits.len());
-        prop_assert_eq!(&top.hits[..], &full.hits[..cut]);
+        for side in Side::BOTH {
+            let index = index_of(&side.docs(&pool_docs(&docs)));
+            side.check(&index)?;
+            let full = topk_beliefs(&index, params, &qr, None, index.n_docs(), 1);
+            let top = topk_beliefs(&index, params, &qr, None, k, 1);
+            let cut = k.min(full.hits.len());
+            prop_assert_eq!(&top.hits[..], &full.hits[..cut], "{:?}", side);
+        }
     }
 
     /// Block-compressed evaluation with block-max skipping returns exactly
     /// the exhaustive oracle's ranking — same docs, bit-identical scores —
-    /// for k ∈ {1, 10, all}.
+    /// for k ∈ {1, 10, all}, on both sides of the tf-row density cut.
     #[test]
     fn prop_compressed_skipping_equals_raw_path(
         docs in proptest::collection::vec(
             proptest::collection::vec(0usize..POOL.len(), 0..10), 1..80),
         query in proptest::collection::vec((0usize..POOL.len(), 0.25f64..2.0), 1..4),
     ) {
-        let mut b = IndexBuilder::new();
-        for words in &docs {
-            let toks: Vec<&str> = words.iter().map(|&w| POOL[w % POOL.len()]).collect();
-            b.add_tokens(&toks);
-        }
-        let index = b.build();
-        let raw = RawPostings::from_index(&index);
         let q: Vec<(String, f64)> =
             query.iter().map(|(w, wt)| (POOL[w % POOL.len()].to_string(), *wt)).collect();
         let qr: Vec<(&str, f64)> = q.iter().map(|(t, w)| (t.as_str(), *w)).collect();
         let params = BeliefParams::default();
-        for k in [1usize, 10, docs.len()] {
-            let slow = topk_beliefs_raw(&index, &raw, params, &qr, k);
-            let fast = topk_beliefs(&index, params, &qr, None, k, 1);
-            prop_assert_eq!(&fast.hits, &slow, "k={}", k);
+        for side in Side::BOTH {
+            let index = index_of(&side.docs(&pool_docs(&docs)));
+            side.check(&index)?;
+            let raw = RawPostings::from_index(&index);
+            for k in [1usize, 10, index.n_docs()] {
+                let slow = topk_beliefs_raw(&index, &raw, params, &qr, k);
+                let fast = topk_beliefs(&index, params, &qr, None, k, 1);
+                prop_assert_eq!(&fast.hits, &slow, "{:?} k={}", side, k);
+            }
         }
     }
 
     /// The same at block scale: hundreds to thousands of documents with
     /// skewed tfs and lengths, so lists span many blocks whose bounds
-    /// differ, and failed refinements leap whole blocks.
+    /// differ. On the lists side, failed refinements leap whole blocks;
+    /// on the rows side, the non-essential lists stand still.
     #[test]
     fn prop_block_scale_skipping_equals_exhaustive(
         seed in 0u64..1_000_000,
         n_docs in 300usize..2_500,
         query in proptest::collection::vec((0usize..POOL.len(), 0.25f64..2.0), 1..4),
     ) {
-        let index = skewed_index(seed, n_docs);
-        let raw = RawPostings::from_index(&index);
         let q: Vec<(String, f64)> =
             query.iter().map(|(w, wt)| (POOL[w % POOL.len()].to_string(), *wt)).collect();
         let qr: Vec<(&str, f64)> = q.iter().map(|(t, w)| (t.as_str(), *w)).collect();
         let params = BeliefParams::default();
-        for k in [1usize, 10, 100] {
-            let slow = topk_beliefs_raw(&index, &raw, params, &qr, k);
-            let fast = topk_beliefs(&index, params, &qr, None, k, 1);
-            prop_assert_eq!(&fast.hits, &slow, "k={}", k);
+        for side in Side::BOTH {
+            let index = index_of(&side.docs(&skewed_docs(seed, n_docs)));
+            side.check(&index)?;
+            let raw = RawPostings::from_index(&index);
+            for k in [1usize, 10, 100] {
+                let slow = topk_beliefs_raw(&index, &raw, params, &qr, k);
+                let fast = topk_beliefs(&index, params, &qr, None, k, 1);
+                prop_assert_eq!(&fast.hits, &slow, "{:?} k={}", side, k);
+            }
         }
     }
 
@@ -324,24 +382,23 @@ fn channels_match_the_oracle(
 
 /// A seeded corpus over [`POOL`]: skewed word frequencies and document
 /// lengths from 1 to 40 tokens, so tfs and `dl/tf` vary within a list.
-fn skewed_index(seed: u64, n_docs: usize) -> InvertedIndex {
+fn skewed_docs(seed: u64, n_docs: usize) -> Vec<Vec<&'static str>> {
     let mut x = seed;
     let mut next = move || {
         x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
         x >> 33
     };
-    let mut b = IndexBuilder::new();
-    for _ in 0..n_docs {
-        let len = 1 + next() % 40;
-        let toks: Vec<&str> = (0..len)
-            .map(|_| {
-                let r = next() % 100;
-                POOL[(r * r / 1000) as usize % POOL.len()]
-            })
-            .collect();
-        b.add_tokens(&toks);
-    }
-    b.build()
+    (0..n_docs)
+        .map(|_| {
+            let len = 1 + next() % 40;
+            (0..len)
+                .map(|_| {
+                    let r = next() % 100;
+                    POOL[(r * r / 1000) as usize % POOL.len()]
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// splitmix64 over a seed: the multi-channel cases' own random numbers.
@@ -563,7 +620,7 @@ fn seventy_term_query_equals_the_exhaustive_oracle() {
 /// k ∈ {1, 10, all}.
 #[test]
 fn raw_reference_path_matches_compressed() {
-    let index = skewed_index(7, 700);
+    let index = index_of(&skewed_docs(7, 700));
     let raw = RawPostings::from_index(&index);
     assert_eq!(raw.total_postings(), index.raw_postings_bytes() / 8);
     assert!(index.postings_list("sunset").unwrap().blocks().len() > 1);
@@ -589,7 +646,7 @@ fn fused_on_large_corpus_matches_baseline() {
     let docs: Vec<Vec<usize>> = (0..4500)
         .map(|i| vec![i % 10, (i * 3 + 1) % 10, (i * 7 + 2) % 10, (i / 11) % 10])
         .collect();
-    let (env, _) = build_env(&docs);
+    let (env, _) = build_env(&pool_docs(&docs));
     let terms = query_terms(&[(0, 1.0), (3, 1.0), (7, 0.5)]);
     for k in [1usize, 10, docs.len()] {
         let expected = baseline(&env, &terms, k);
@@ -603,7 +660,7 @@ fn fused_on_large_corpus_matches_baseline() {
 #[test]
 fn fusion_fires_and_finds_documents() {
     let docs: Vec<Vec<usize>> = (0..50).map(|i| vec![i % 10, (i * 3) % 10, (i * 7) % 10]).collect();
-    let (env, _) = build_env(&docs);
+    let (env, _) = build_env(&pool_docs(&docs));
     let terms = query_terms(&[(0, 1.0), (4, 1.0)]);
     let eng = MoaEngine::new(Arc::clone(&env));
     let params = QueryParams::new().bind("pq", terms.clone()).with_top_k(5);
