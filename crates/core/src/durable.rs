@@ -37,29 +37,33 @@
 //!
 //! ## Live layout
 //!
-//! A *live* store (see [`crate::live`]) extends the layout with
-//! generations and a per-operation delta WAL:
+//! A *live* store (see [`crate::live`]) holds generations, a
+//! per-operation delta WAL, and its vocabulary and thesaurus once — a
+//! merge changes neither:
 //!
 //! | key                     | value                                      |
 //! |-------------------------|--------------------------------------------|
-//! | `live/gen-{n:06}/<key>` | a full instance layout under a gen prefix  |
+//! | `live/aux/*`            | vocabulary and thesaurus, written once     |
+//! | `live/gen-{n:06}/<key>` | a generation's `meta/*` and `rows/*`       |
 //! | `live/op-{seq:016}`     | one logged write (insert batch / delete)   |
 //! | `live/current`          | pointer: generation number + base sequence |
 //!
-//! Each op record is its own WAL transaction, committed *before* the
-//! write becomes visible in memory. A merge persists the whole new
-//! generation under its prefix first and flips `live/current` last, so
-//! the pointer only ever names a complete generation; ops with
-//! `seq > base_seq` replay on top of it at open.
+//! Initialisation writes the aux values, generation 0, then the pointer,
+//! so a crash before the pointer reports
+//! [`RetrievalError::IncompleteState`]. Each op record is its own WAL
+//! transaction, committed *before* the write becomes visible in memory. A
+//! merge persists the new generation under its prefix first and flips
+//! `live/current` last, so the pointer only ever names a complete
+//! generation; ops with `seq > base_seq` replay on top of it at open.
 //!
 //! Once the pointer has flipped, a *sweep* deletes everything it no
 //! longer names — every `live/gen-M/*` with `M ≠ gen`, every
-//! `live/op-S` with `S ≤ base_seq` — in one transaction, then
-//! checkpoints, so the store holds one generation plus the ops since its
-//! base and its size does not grow with the number of merges. The sweep
-//! only ever removes garbage: a crash before or during it leaves
-//! leftovers (a superseded generation, a partial one from a crashed
-//! merge, ops already folded in) that open ignores and sweeps.
+//! `live/op-S` with `S ≤ base_seq`, never `live/aux/*` — in one
+//! transaction, then checkpoints, so the store holds one generation plus
+//! the ops since its base and does not grow with the number of merges.
+//! The sweep only ever removes garbage: a crash before or during it
+//! leaves leftovers (a superseded generation, a partial one from a
+//! crashed merge, ops already folded in) that open ignores and sweeps.
 
 use crate::live::WriteOp;
 use crate::retriever::{RetrievalError, RetrievalResult};
@@ -74,12 +78,13 @@ use std::sync::Arc;
 use thesaurus::{AssocMeasure, AssociationThesaurus};
 
 /// Version of the durable store layout this build reads and writes.
-/// v6 drops the raw-row flag byte from the stored configuration. v5 dropped
+/// v7 keeps a live store's aux values once, out of its generations. v6
+/// dropped the raw-row flag byte from the stored configuration. v5 dropped
 /// the index blobs; open derives the indexes from the rows. v4 dropped
 /// the parallelism field from the stored configuration; v3 carried the
 /// cluster layout of a routing table plus write counters. Older stores
 /// are rejected on open.
-pub const STORE_FORMAT: u32 = 6;
+pub const STORE_FORMAT: u32 = 7;
 
 /// Library rows per columnar batch.
 const BATCH: usize = 512;
@@ -183,20 +188,15 @@ fn decode_config(bytes: &[u8]) -> Result<MirrorConfig, MonetError> {
 /// URLs, annotations and visual-term strings land dictionary-encoded on
 /// disk exactly like every other string column.
 fn encode_rows(rows: &[LibraryRow]) -> Vec<u8> {
-    use monet::strdict::StrDictBuilder;
+    use monet::column::StrCol;
     use monet::Column;
-    fn str_col(it: impl Iterator<Item = String>) -> Column {
-        let mut b = StrDictBuilder::new();
-        let codes: Vec<u32> = it.map(|s| b.intern(&s)).collect();
-        Column::Str(monet::column::StrCol { codes, dict: b.freeze() })
-    }
     let mut w = ByteWriter::new();
     w.u64(rows.len() as u64);
     let cols = [
-        str_col(rows.iter().map(|r| r.url.clone())),
-        str_col(rows.iter().map(|r| r.annotation.clone().unwrap_or_default())),
+        Column::Str(StrCol::from_strs(rows.iter().map(|r| r.url.as_str()))),
+        Column::Str(StrCol::from_strs(rows.iter().map(|r| r.annotation.as_deref().unwrap_or("")))),
         Column::Int(rows.iter().map(|r| r.annotation.is_some() as i64).collect()),
-        str_col(rows.iter().map(|r| r.vterms.clone())),
+        Column::Str(StrCol::from_strs(rows.iter().map(|r| r.vterms.as_str()))),
         Column::Int(rows.iter().map(|r| r.theme as i64).collect()),
     ];
     for col in &cols {
@@ -406,7 +406,7 @@ impl MirrorDbms {
     /// Re-running after a crash writes the same keys and converges.
     /// (The caller decides when to [`monet::Store::checkpoint`].)
     pub fn save_to(&self, store: &Store) -> RetrievalResult<()> {
-        save_instance(self, store, "")
+        save_instance(self, store, "", true)
     }
 
     /// Cold-open a persisted instance from `dir` without re-ingest:
@@ -420,14 +420,19 @@ impl MirrorDbms {
 
     /// Rebuild an instance from an already-open (recovered) store.
     pub fn open_from(store: &Store) -> RetrievalResult<Self> {
-        open_instance(store, "")
+        open_instance(store, "", "")
     }
 }
 
-/// Persist an instance's full layout under `prefix` (`""` is the legacy
-/// root layout; live generations use `live/gen-{n:06}/`). Every logical
-/// group is one WAL transaction, the completion marker commits last.
-pub(crate) fn save_instance(db: &MirrorDbms, store: &Store, prefix: &str) -> RetrievalResult<()> {
+/// Persist an instance's meta and rows under `prefix` (`""`, or a live
+/// generation's), with `aux` its vocabulary and thesaurus too. Every
+/// logical group is one WAL transaction, the completion marker last.
+pub(crate) fn save_instance(
+    db: &MirrorDbms,
+    store: &Store,
+    prefix: &str,
+    aux: bool,
+) -> RetrievalResult<()> {
     let k = |name: &str| format!("{prefix}{name}");
     store.put(k(key::FORMAT), encode_format());
     store.put(k(key::CONFIG), encode_config(db.config()));
@@ -440,9 +445,9 @@ pub(crate) fn save_instance(db: &MirrorDbms, store: &Store, prefix: &str) -> Ret
         store.commit()?;
     }
 
-    store.put(k(key::VOCAB), encode_vocab(db.vocabulary()));
-    store.put(k(key::THESAURUS), encode_thesaurus(db.thesaurus()));
-    store.commit()?;
+    if aux {
+        save_aux(db, store, prefix)?;
+    }
 
     let mut lib = ByteWriter::new();
     lib.u64(rows.len() as u64);
@@ -455,9 +460,23 @@ pub(crate) fn save_instance(db: &MirrorDbms, store: &Store, prefix: &str) -> Ret
     Ok(())
 }
 
+/// Persist the vocabulary and thesaurus under `prefix` in one
+/// transaction.
+pub(crate) fn save_aux(db: &MirrorDbms, store: &Store, prefix: &str) -> RetrievalResult<()> {
+    store.put(format!("{prefix}{}", key::VOCAB), encode_vocab(db.vocabulary()));
+    store.put(format!("{prefix}{}", key::THESAURUS), encode_thesaurus(db.thesaurus()));
+    store.commit()?;
+    Ok(())
+}
+
 /// Rebuild an instance from the layout under `prefix` in an already-open
-/// (recovered) store.
-pub(crate) fn open_instance(store: &Store, prefix: &str) -> RetrievalResult<MirrorDbms> {
+/// (recovered) store, with the vocabulary and thesaurus under
+/// `aux_prefix`.
+pub(crate) fn open_instance(
+    store: &Store,
+    prefix: &str,
+    aux_prefix: &str,
+) -> RetrievalResult<MirrorDbms> {
     let k = |name: &str| format!("{prefix}{name}");
     match store.get(&k(key::COMPLETE))? {
         Some(_) => {}
@@ -493,8 +512,9 @@ pub(crate) fn open_instance(store: &Store, prefix: &str) -> RetrievalResult<Mirr
 
     let mut db = MirrorDbms::new(config);
     db.load_library_rows(rows)?;
-    let vocab = decode_vocab(&must_get(store, &k(key::VOCAB))?)?;
-    let thesaurus = decode_thesaurus(&must_get(store, &k(key::THESAURUS))?)?;
+    let aux = |name: &str| must_get(store, &format!("{aux_prefix}{name}"));
+    let vocab = decode_vocab(&aux(key::VOCAB)?)?;
+    let thesaurus = decode_thesaurus(&aux(key::THESAURUS)?)?;
     if let (Some(v), Some(t)) = (vocab, thesaurus) {
         db.set_ingest_outputs(v, t);
     }
@@ -504,6 +524,9 @@ pub(crate) fn open_instance(store: &Store, prefix: &str) -> RetrievalResult<Mirr
 // ---------------------------------------------------------------------------
 // Live persistence: generation pointer + delta WAL
 // ---------------------------------------------------------------------------
+
+/// The prefix a live store's aux values are saved under, once.
+pub(crate) const LIVE_AUX: &str = "live/";
 
 mod live_key {
     pub const CURRENT: &str = "live/current";
@@ -515,7 +538,7 @@ mod live_key {
     }
 }
 
-/// Key prefix a live generation's instance layout is saved under.
+/// Key prefix a live generation's meta and rows are saved under.
 pub(crate) fn live_gen_prefix(gen_no: u64) -> String {
     format!("{}{gen_no:06}/", live_key::GEN_PREFIX)
 }
@@ -590,7 +613,8 @@ pub(crate) fn live_ops_after(store: &Store, base_seq: u64) -> RetrievalResult<Ve
 
 /// Delete what the pointer `(gen_no, base_seq)` no longer names — every
 /// `live/gen-M/*` with `M ≠ gen_no` and every `live/op-S` with
-/// `S ≤ base_seq` — in one transaction, then checkpoint so the bytes
+/// `S ≤ base_seq`, never the aux values — in one transaction, then
+/// checkpoint so the bytes
 /// leave the WAL, the overlay and the page files. A store with nothing to
 /// sweep is left untouched.
 pub(crate) fn live_sweep(store: &Store, gen_no: u64, base_seq: u64) -> RetrievalResult<()> {
@@ -811,8 +835,9 @@ mod tests {
     #[test]
     fn format_check_rejects_other_versions() {
         // 4 is the last layout that stored index blobs beside the rows,
-        // 5 the last whose configuration carried the raw-row flag byte
-        for found in [4, 5, STORE_FORMAT + 1] {
+        // 5 the last whose configuration carried the raw-row flag byte, 6
+        // the last to store a live store's aux values in every generation
+        for found in [4, 5, 6, STORE_FORMAT + 1] {
             let mut w = ByteWriter::new();
             w.u32(found);
             w.u16(ENDIAN_SENTINEL);
@@ -821,6 +846,68 @@ mod tests {
                 MonetError::FormatVersion { found, expected: STORE_FORMAT }
             );
         }
+    }
+
+    fn rows(n: usize) -> Vec<LibraryRow> {
+        let row = |i| LibraryRow {
+            url: format!("http://a/{i}"),
+            annotation: Some(format!("sunset number {i}")),
+            vterms: "rgb_0 gabor_2".into(),
+            theme: 0,
+        };
+        (0..n).map(row).collect()
+    }
+
+    fn live_store(fs: &monet::MemFs) -> Arc<Store> {
+        Arc::new(Store::open(Arc::new(fs.clone()), StoreOptions::default()).unwrap())
+    }
+
+    #[test]
+    fn v6_live_store_is_refused_typed() {
+        let fs = monet::MemFs::new();
+        let db = MirrorDbms::from_rows(MirrorConfig::default(), rows(3), None, None).unwrap();
+        let store = live_store(&fs);
+        crate::LiveMirror::create_durable(db, Arc::clone(&store)).unwrap();
+        let mut v6 = ByteWriter::new();
+        v6.u32(6);
+        v6.u16(ENDIAN_SENTINEL);
+        store.put(format!("{}{}", live_gen_prefix(0), key::FORMAT), v6.into_bytes());
+        store.commit().unwrap();
+        match crate::LiveMirror::open_durable(live_store(&fs)) {
+            Err(RetrievalError::Storage(MonetError::FormatVersion { found: 6, expected })) => {
+                assert_eq!(expected, STORE_FORMAT)
+            }
+            Ok(_) => panic!("a v6 live store opened silently"),
+            Err(other) => panic!("expected a format-version error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn live_store_keeps_one_aux_copy_and_one_generation_across_merges() {
+        let fs = monet::MemFs::new();
+        let db = MirrorDbms::from_rows(MirrorConfig::default(), rows(4), None, None).unwrap();
+        let live = crate::LiveMirror::create_durable(db, live_store(&fs)).unwrap();
+        for i in 0..3 {
+            live.insert_rows(vec![rows(5 + i).pop().unwrap()]).unwrap();
+            live.delete(&format!("http://a/{i}")).unwrap().unwrap();
+            live.merge().unwrap();
+        }
+        let mut keys = live_store(&fs).keys();
+        keys.sort();
+        let gen = live_gen_prefix(3);
+        let want = [
+            "live/aux/thesaurus".to_string(),
+            "live/aux/vocab".to_string(),
+            "live/current".to_string(),
+            format!("{gen}meta/complete"),
+            format!("{gen}meta/config"),
+            format!("{gen}meta/format"),
+            format!("{gen}meta/library"),
+            format!("{gen}rows/000000"),
+        ];
+        assert_eq!(keys, want);
+        let reopened = crate::LiveMirror::open_durable(live_store(&fs)).unwrap();
+        assert_eq!(reopened.pin().surviving_rows(), live.pin().surviving_rows());
     }
 
     #[test]

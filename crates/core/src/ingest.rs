@@ -15,8 +15,12 @@
 use crate::{Clustering, LibraryRow, MirrorDbms, INTERNAL};
 use cluster::{AutoClass, AutoClassConfig, VisualVocabulary, VocabularyBuilder};
 use ir::text::tokenize_stemmed;
+use ir::InvertedIndex;
 use media::{grid_segments, standard_extractors, CrawledImage};
-use moa::{parse_define, MoaVal};
+use moa::parse_define;
+use monet::column::StrCol;
+use monet::{Bat, Column};
+use std::sync::Arc;
 use thesaurus::ThesaurusBuilder;
 
 /// One extracted feature: (document index, segment index, space, vector).
@@ -63,6 +67,14 @@ pub(crate) fn visual_docs(
         }
     }
     docs
+}
+
+/// The annotation and image indexes of `rows`, built as `CONTREP<Text>`
+/// and `CONTREP<Image>` build them.
+pub(crate) fn channel_indexes(rows: &[LibraryRow]) -> [InvertedIndex; 2] {
+    let text = rows.iter().map(|r| r.annotation.as_deref());
+    let image = rows.iter().map(|r| Some(r.vterms.as_str()));
+    [InvertedIndex::from_payloads(text, true), InvertedIndex::from_payloads(image, false)]
 }
 
 /// The library rows of a corpus and its visual documents, in corpus order —
@@ -133,14 +145,23 @@ impl MirrorDbms {
         IngestArtifacts { vocab, thesaurus, visual_docs }
     }
 
-    /// Load (or reload) `ImageLibraryInternal` from already-extracted
-    /// library rows — the pixel-free form the durable storage tier
-    /// persists. The collection and its CONTREP indexes are rebuilt
-    /// deterministically from the rows, which the instance keeps as its
-    /// per-document metadata; a cold
-    /// [`crate::durable`] open goes through this exact path, so a
-    /// reopened instance is state-identical to the instance that saved.
+    /// Load (or reload) `ImageLibraryInternal` from library rows, building
+    /// both channel indexes the way `CONTREP` builds an attribute; a cold
+    /// [`crate::durable`] open loads here, state-identical to the saver.
     pub(crate) fn load_library_rows(&mut self, rows: Vec<LibraryRow>) -> moa::Result<()> {
+        let indexes = channel_indexes(&rows);
+        self.load(rows, indexes)
+    }
+
+    /// Load (or reload) `ImageLibraryInternal` from typed rows and their
+    /// two channel indexes (annotation, image), with no value trees: the
+    /// URL column, the `CONTREP` indexes, the statistics, and the rows as
+    /// per-document metadata. A live merge loads folded indexes here.
+    pub(crate) fn load(
+        &mut self,
+        rows: Vec<LibraryRow>,
+        indexes: [InvertedIndex; 2],
+    ) -> moa::Result<()> {
         let (name, ty) = parse_define(
             "define ImageLibraryInternal as
                SET< TUPLE<
@@ -149,31 +170,21 @@ impl MirrorDbms {
                  CONTREP<Image>: image >>;",
         )?;
         debug_assert_eq!(name, INTERNAL);
-        let moa_rows: Vec<MoaVal> = rows
-            .iter()
-            .map(|r| {
-                MoaVal::Tuple(vec![
-                    MoaVal::Str(r.url.clone()),
-                    r.annotation.clone().map_or(MoaVal::Null, MoaVal::Str),
-                    MoaVal::Str(r.vterms.clone()),
-                ])
-            })
-            .collect();
-        self.env().create_collection(name, ty, moa_rows)?;
-        // Feed per-term document frequencies from both content
-        // representations into the logical layer's statistics catalog
-        // (column summaries are collected by `create_collection` itself);
-        // the optimizer's belief-operator cardinality estimates need them.
-        type IndexStats = (String, u64, Vec<(String, u32)>);
-        let mut index_stats: Vec<IndexStats> = Vec::new();
-        for field in ["annotation", "image"] {
-            let prefix = format!("{INTERNAL}__{field}");
-            if let Some(index) = self.store().get(&prefix) {
+        debug_assert!(indexes.iter().all(|i| i.n_docs() == rows.len()));
+        // per-term dfs feed the optimizer's belief cardinality estimates
+        let mut index_stats = Vec::with_capacity(2);
+        self.env().register_collection(&name, ty, rows.len(), |catalog| {
+            let urls = StrCol::from_strs(rows.iter().map(|r| r.url.as_str()));
+            catalog.register(format!("{INTERNAL}__source"), Bat::dense(Column::Str(urls)));
+            for (field, index) in ["annotation", "image"].into_iter().zip(indexes) {
+                let prefix = format!("{INTERNAL}__{field}");
                 let dfs: Vec<(String, u32)> =
                     index.term_dfs().map(|(t, d)| (t.to_string(), d)).collect();
-                index_stats.push((prefix, index.n_docs() as u64, dfs));
+                index_stats.push((prefix.clone(), index.n_docs() as u64, dfs));
+                self.store.insert(prefix, index);
             }
-        }
+            Ok(())
+        })?;
         self.env().update_stats(move |stats| {
             for (prefix, n_docs, dfs) in index_stats {
                 stats.set_index(prefix, n_docs, dfs);
@@ -188,8 +199,8 @@ impl MirrorDbms {
         vocab: VisualVocabulary,
         thesaurus: thesaurus::AssociationThesaurus,
     ) {
-        self.vocab = Some(vocab);
-        self.thesaurus = Some(thesaurus);
+        self.vocab = Some(Arc::new(vocab));
+        self.thesaurus = Some(Arc::new(thesaurus));
     }
 }
 

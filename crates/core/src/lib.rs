@@ -111,8 +111,9 @@ pub struct MirrorDbms {
     store: Arc<ContrepStore>,
     engine: MoaEngine,
     config: MirrorConfig,
-    vocab: Option<VisualVocabulary>,
-    thesaurus: Option<AssociationThesaurus>,
+    // both shared with the generations a live merge builds from this one
+    vocab: Option<Arc<VisualVocabulary>>,
+    thesaurus: Option<Arc<AssociationThesaurus>>,
     /// The ingested library rows (URL, annotation, visual terms, theme) —
     /// the durable form of the collection, retained so [`durable`] can
     /// persist the instance without the original images, and the
@@ -148,11 +149,11 @@ impl MirrorDbms {
     }
 
     /// Build an instance directly from ingested library rows, reusing a
-    /// previously-built visual vocabulary / thesaurus. This is the
-    /// batch-rebuild primitive of the live-ingest tier: a delta merge
-    /// folds the surviving rows of a snapshot into a fresh compressed
-    /// generation through exactly the same loader the durable tier uses,
-    /// so the merged generation is bit-identical to a cold re-ingest.
+    /// previously-built visual vocabulary / thesaurus. This is the batch
+    /// re-ingest every live snapshot ranks bit-identically to, and the
+    /// loader the durable tier opens with: it builds both channel indexes
+    /// from the rows and loads rows and indexes through the one load a
+    /// live merge also uses.
     pub fn from_rows(
         config: MirrorConfig,
         rows: Vec<LibraryRow>,
@@ -194,12 +195,12 @@ impl MirrorDbms {
 
     /// The visual vocabulary (after ingest).
     pub fn vocabulary(&self) -> Option<&VisualVocabulary> {
-        self.vocab.as_ref()
+        self.vocab.as_deref()
     }
 
     /// The association thesaurus (after ingest).
     pub fn thesaurus(&self) -> Option<&AssociationThesaurus> {
-        self.thesaurus.as_ref()
+        self.thesaurus.as_deref()
     }
 
     /// Document metadata in oid order: the library rows, whose `url`

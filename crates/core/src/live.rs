@@ -13,7 +13,7 @@
 //! * **Delta** — each insert batch becomes a *segment*: the raw
 //!   [`LibraryRow`]s plus, per evidence channel, an ordinary
 //!   block-compressed [`InvertedIndex`] built by the same
-//!   [`IndexBuilder`] pipelines, at the batch's first live doc id; deletes
+//!   [`ir::IndexBuilder`] pipelines, at the batch's first live doc id; deletes
 //!   add to a tombstone set. A query is the node's compiled plan over the
 //!   snapshot as one [`CorpusView`] part: the fused operator walks the
 //!   generation's index and every batch's in doc order, with the
@@ -21,16 +21,19 @@
 //!   snapshot ranks bit-identically to a batch re-ingest of its surviving
 //!   rows.
 //! * **Merge** — [`LiveMirror::merge`] folds a snapshot's survivors into
-//!   a fresh compressed generation LSM-style (re-cutting posting blocks,
-//!   recomputing collection statistics through
-//!   [`MirrorDbms::from_rows`]), replays the writes that raced the
-//!   rebuild onto the new generation's delta, and swaps atomically.
-//!   Writers never block on the rebuild, only on the brief replay+swap.
+//!   a fresh compressed generation LSM-style: each channel's index is the
+//!   concatenation of its segments' postings, tombstoned documents
+//!   dropped and survivors renumbered ([`InvertedIndex::fold`], equal
+//!   value for value to the index [`MirrorDbms::from_rows`] builds), and
+//!   loads with the surviving rows through the same load. It then
+//!   replays the writes that raced the rebuild onto the new generation's
+//!   delta and swaps atomically. Writers never block on the rebuild, only
+//!   on the brief replay+swap.
 //! * **Durability** — with a store attached
 //!   ([`LiveMirror::create_durable`] / [`LiveMirror::open_durable`]),
 //!   every write is appended to a per-operation WAL record *before* it
-//!   is applied, and each merge persists the new generation under its
-//!   own key prefix before flipping the `live/current` pointer — so a
+//!   is applied, and each merge persists the new generation's rows under
+//!   its own key prefix before flipping the `live/current` pointer — so a
 //!   crash at any write reopens to a consistent state: the old
 //!   generation plus replayed delta ops, or the new generation, never a
 //!   torn hybrid. After the flip the merge sweeps the superseded
@@ -41,20 +44,20 @@
 //!   with *cluster-wide* union statistics — so it ranks bit-identically to
 //!   a single [`LiveMirror`] fed the same operations.
 
-use crate::ingest::{extract_inline, library_rows, visual_docs};
+use crate::ingest::{channel_indexes, extract_inline, library_rows, visual_docs};
 use crate::query::{ranked, RankedResult};
 use crate::retriever::{RetrievalError, RetrievalResult, Retriever};
 use crate::serve::RetrievalRequest;
 use crate::{durable, LibraryRow, MirrorConfig, MirrorDbms, INTERNAL};
-use ir::text::tokenize_stemmed;
-use ir::{CorpusView, IndexBuilder, InvertedIndex, Tombstones, ViewPart};
+use ir::text::{for_each_token, is_stopword, porter_stem_into};
+use ir::{CorpusView, InvertedIndex, Tombstones, ViewPart};
 use media::CrawledImage;
 use moa::{Expr, MoaError, QueryParams};
 use monet::column::StrCol;
 use monet::fxhash::{FxBuildHasher, FxHashMap};
 use monet::{Bat, Column, MonetError, Oid, RequestView, Store};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -141,7 +144,7 @@ impl Drop for Generation {
 
 /// One insert batch of the delta: the raw rows plus, per evidence channel,
 /// an ordinary block-compressed index over them built by the same
-/// [`IndexBuilder`] pipelines as `CONTREP<Text>` / `CONTREP<Image>` —
+/// [`ir::IndexBuilder`] pipelines as `CONTREP<Text>` / `CONTREP<Image>` —
 /// local doc `j` is live doc `first_doc + j`.
 struct DeltaBatch {
     first_doc: Oid,
@@ -152,12 +155,7 @@ struct DeltaBatch {
 
 impl DeltaBatch {
     fn new(first_doc: Oid, rows: Vec<LibraryRow>) -> Self {
-        let [mut text, mut image] = [IndexBuilder::new(), IndexBuilder::new()];
-        for r in &rows {
-            text.add_text(r.annotation.as_deref());
-            image.add_terms(r.vterms.split_whitespace());
-        }
-        DeltaBatch { first_doc, rows, indexes: [text.build(), image.build()] }
+        DeltaBatch { first_doc, indexes: channel_indexes(&rows), rows }
     }
 }
 
@@ -168,52 +166,70 @@ fn row_bytes(r: &LibraryRow) -> u64 {
     (r.url.len() + r.annotation.as_ref().map_or(0, String::len) + r.vterms.len() + 16) as u64
 }
 
-/// Tokens of a row's annotation channel — the exact pipeline
-/// `CONTREP<Text>` indexes with (`None` annotations index empty).
-fn text_tokens(row: &LibraryRow) -> Vec<String> {
-    row.annotation.as_deref().map(tokenize_stemmed).unwrap_or_default()
+/// Stream the terms a channel's `CONTREP` pipeline indexes a row with
+/// (stemmed text, or whitespace-split visual terms), stemming into one
+/// reused buffer.
+fn for_each_term(row: &LibraryRow, channel: usize, mut f: impl FnMut(&str)) {
+    if channel == 1 {
+        return row.vterms.split_whitespace().for_each(f);
+    }
+    let mut stem = String::new();
+    for_each_token(row.annotation.as_deref().unwrap_or(""), |tok| {
+        if !is_stopword(tok) {
+            porter_stem_into(tok, &mut stem);
+            f(&stem);
+        }
+    });
 }
 
-/// Tokens of a row's image channel (visual terms are whitespace-split,
-/// never stemmed — the `CONTREP<Image>` pipeline).
-fn vis_tokens(row: &LibraryRow) -> Vec<&str> {
-    row.vterms.split_whitespace().collect()
-}
-
-/// Hash chunks of a [`DfMinus`] map.
-const DF_CHUNKS: usize = 256;
+/// Counts per chunk of a [`DfMinus`]'s per-id arrays, and the number of
+/// hash chunks of its per-term map.
+const DF_CHUNK: usize = 256;
 
 /// One channel's document frequencies lost to tombstones — term → number
-/// of deleted docs containing it — split by term hash into
-/// [`DF_CHUNKS`] copy-on-write maps, so publishing a delete copies only
-/// the chunks its terms land in, not every earlier delete's counts.
+/// of deleted docs containing it — in copy-on-write chunks, so publishing
+/// a delete copies only the chunks its terms land in, not every earlier
+/// delete's counts. A generation document counts under its term ids,
+/// allocating no key; a delta document under its terms.
 #[derive(Clone, Default)]
 struct DfMinus {
-    /// Empty until the first delete.
-    chunks: Vec<Arc<FxHashMap<String, u32>>>,
+    /// By generation term id; empty until the first generation delete.
+    by_id: Vec<Arc<[u32; DF_CHUNK]>>,
+    /// By term, split by term hash; empty until the first delta delete.
+    by_term: Vec<Arc<FxHashMap<String, u32>>>,
 }
 
 impl DfMinus {
     fn chunk(term: &str) -> usize {
         // bits the chunk's own hash table does not index by
-        (FxBuildHasher::default().hash_one(term) >> 32) as usize % DF_CHUNKS
+        (FxBuildHasher::default().hash_one(term) >> 32) as usize % DF_CHUNK
     }
 
-    fn get(&self, term: &str) -> u32 {
-        self.chunks.get(Self::chunk(term)).and_then(|m| m.get(term)).copied().unwrap_or(0)
+    /// Deleted documents holding `term`; `gen` is the generation's index.
+    fn get(&self, gen: Option<&InvertedIndex>, term: &str) -> u32 {
+        let by_id = || {
+            let id = gen?.dict().lookup(term)? as usize;
+            self.by_id.get(id / DF_CHUNK).map(|counts| counts[id % DF_CHUNK])
+        };
+        let by_term = || self.by_term.get(Self::chunk(term))?.get(term).copied();
+        by_id().unwrap_or(0) + by_term().unwrap_or(0)
     }
 
-    fn add(&mut self, term: &str) {
-        if self.chunks.is_empty() {
-            self.chunks = vec![Arc::default(); DF_CHUNKS];
+    /// One more deleted document holds generation term `id` (of `n_ids`).
+    fn add_id(&mut self, id: usize, n_ids: usize) {
+        if self.by_id.is_empty() {
+            let zeros = Arc::new([0; DF_CHUNK]); // shared until written
+            self.by_id = vec![zeros; n_ids.div_ceil(DF_CHUNK)];
         }
-        let map = Arc::make_mut(&mut self.chunks[Self::chunk(term)]);
-        match map.get_mut(term) {
-            Some(n) => *n += 1,
-            None => {
-                map.insert(term.to_string(), 1);
-            }
+        Arc::make_mut(&mut self.by_id[id / DF_CHUNK])[id % DF_CHUNK] += 1;
+    }
+
+    /// One more deleted document holds `term`.
+    fn add_term(&mut self, term: String) {
+        if self.by_term.is_empty() {
+            self.by_term = vec![Arc::default(); DF_CHUNK];
         }
+        *Arc::make_mut(&mut self.by_term[Self::chunk(&term)]).entry(term).or_default() += 1;
     }
 }
 
@@ -310,29 +326,48 @@ impl LiveSnapshot {
         }
     }
 
+    /// Tombstone `oid`, streaming its terms from its row: the publish
+    /// costs about the document's distinct terms.
     fn with_delete(&self, oid: Oid, seq: u64) -> LiveSnapshot {
         let row = self.row(oid).expect("tombstoned doc exists in the snapshot");
-        let text = text_tokens(row);
-        let tokens: [Vec<&str>; 2] = [text.iter().map(String::as_str).collect(), vis_tokens(row)];
         let mut tombstones = self.tombstones.clone();
         tombstones.insert(oid);
-        let df_minus = std::array::from_fn(|c| {
-            let mut minus = self.df_minus[c].clone();
-            for t in tokens[c].iter().collect::<HashSet<_>>() {
-                minus.add(t);
-            }
-            minus
-        });
+        let mut df_minus = self.df_minus.clone();
+        let mut totals = self.totals;
+        for (c, minus) in df_minus.iter_mut().enumerate() {
+            let gen = self.gen.indexes[c].as_deref().filter(|_| oid < self.gen.db.n_docs() as Oid);
+            let (mut ids, mut terms) = (Vec::new(), Vec::new());
+            for_each_term(row, c, |t| match gen {
+                Some(gen) => ids.push(gen.dict().lookup(t).expect("a generation term is indexed")),
+                None => terms.push(t.to_string()),
+            });
+            totals[c] -= (ids.len() + terms.len()) as u64;
+            ids.sort_unstable();
+            ids.dedup();
+            terms.sort_unstable();
+            terms.dedup();
+            let n_ids = gen.map_or(0, |gen| gen.dict().len());
+            ids.into_iter().for_each(|id| minus.add_id(id as usize, n_ids));
+            terms.into_iter().for_each(|t| minus.add_term(t));
+        }
         LiveSnapshot {
             gen: Arc::clone(&self.gen),
             batches: self.batches.clone(),
             tombstones,
             df_minus,
             n_live: self.n_live - 1,
-            totals: std::array::from_fn(|c| self.totals[c] - tokens[c].len() as u64),
+            totals,
             seq,
             source: OnceLock::new(),
         }
+    }
+
+    /// Each document's id after a merge of this snapshot: the survivors
+    /// renumbered densely in arrival order, `None` for the tombstoned.
+    fn remap(&self) -> Vec<Option<Oid>> {
+        let mut kept = 0..;
+        let id = |oid| if self.tombstones.contains(oid) { None } else { kept.next() };
+        (0..self.end_doc()).map(id).collect()
     }
 }
 
@@ -358,7 +393,7 @@ impl ViewPart for LiveSnapshot {
     }
 
     fn deleted_df(&self, prefix: &str, term: &str) -> u32 {
-        slot(prefix).map_or(0, |c| self.df_minus[c].get(term))
+        slot(prefix).map_or(0, |c| self.df_minus[c].get(self.gen.indexes[c].as_deref(), term))
     }
 
     fn tombstones(&self) -> Option<&Tombstones> {
@@ -495,26 +530,22 @@ pub(crate) enum WriteOp {
     Delete(String),
 }
 
+/// A write as a racing merge replays it: rows, or the oid tombstoned.
+enum Logged {
+    Insert(Vec<LibraryRow>),
+    Delete(Oid),
+}
+
 struct WriterState {
     /// URL → live oids of every document with that URL, in arrival order
     /// (latest last). `delete` pops the latest; duplicate-URL inserts
     /// stack, so deleting one re-targets the next-latest — the same
-    /// answer before and after any merge. Updates are delete + insert.
+    /// answer before and after any merge (which renumbers the stacks).
+    /// Updates are delete + insert.
     url_to_oids: HashMap<String, Vec<Oid>>,
-    /// Writes since the state the current generation was folded from —
-    /// what a racing merge replays onto the new generation.
-    op_log: Vec<(u64, WriteOp)>,
-}
-
-/// Pop the latest live oid for `url` from a URL stack map, dropping the
-/// entry when its stack empties.
-fn pop_url(map: &mut HashMap<String, Vec<Oid>>, url: &str) -> Option<Oid> {
-    let stack = map.get_mut(url)?;
-    let oid = stack.pop();
-    if stack.is_empty() {
-        map.remove(url);
-    }
-    oid
+    /// Writes since the current generation's base — what a racing merge
+    /// replays onto the new generation.
+    op_log: Vec<(u64, Logged)>,
 }
 
 /// Thresholds that trigger an automatic LSM merge — the knobs a serving
@@ -600,7 +631,8 @@ impl LiveMirror {
                 detail: "store already holds a live instance — use open_durable".into(),
             }));
         }
-        durable::save_instance(&db, &store, &durable::live_gen_prefix(0))?;
+        durable::save_aux(&db, &store, durable::LIVE_AUX)?;
+        durable::save_instance(&db, &store, &durable::live_gen_prefix(0), false)?;
         durable::live_set_pointer(&store, 0, 0)?;
         let live = Self::from_generation(db, 0, 0);
         *live.store.lock() = Some(store);
@@ -620,7 +652,8 @@ impl LiveMirror {
                 detail: "no live/current pointer — the live store was never initialised".into(),
             });
         };
-        let db = durable::open_instance(&store, &durable::live_gen_prefix(gen_no))?;
+        let prefix = durable::live_gen_prefix(gen_no);
+        let db = durable::open_instance(&store, &prefix, durable::LIVE_AUX)?;
         let live = Self::from_generation(db, gen_no, base_seq);
         let ops = durable::live_ops_after(&store, base_seq)?;
         {
@@ -680,7 +713,7 @@ impl LiveMirror {
             w.url_to_oids.entry(r.url.clone()).or_default().push(first + i as Oid);
         }
         let next = snap.with_insert(rows.clone(), seq);
-        w.op_log.push((seq, WriteOp::Insert(rows)));
+        w.op_log.push((seq, Logged::Insert(rows)));
         *self.state.write() = Arc::new(next);
         Ok(seq)
     }
@@ -701,9 +734,13 @@ impl LiveMirror {
                 durable::live_append_op(store, seq, &WriteOp::Delete(url.to_string()))?;
             }
         }
-        pop_url(&mut w.url_to_oids, url);
+        let stack = w.url_to_oids.get_mut(url).expect("the URL has a live document");
+        stack.pop();
+        if stack.is_empty() {
+            w.url_to_oids.remove(url);
+        }
         let next = snap.with_delete(oid, seq);
-        w.op_log.push((seq, WriteOp::Delete(url.to_string())));
+        w.op_log.push((seq, Logged::Delete(oid)));
         *self.state.write() = Arc::new(next);
         Ok(Some(seq))
     }
@@ -742,72 +779,65 @@ impl LiveMirror {
         self.delete_locked(&mut w, url, true)
     }
 
-    /// Fold the delta into a fresh compressed generation (LSM merge):
-    /// pin a snapshot, rebuild a [`MirrorDbms`] from its survivors
-    /// (posting blocks re-cut, statistics recomputed) *without blocking
-    /// writers*, then briefly take the writer lock to replay the ops that
-    /// raced the rebuild and swap the new generation in. Old generations
-    /// retire as soon as the last reader unpins them. With a durable
-    /// store the new generation is persisted under its own prefix and
-    /// `live/current` flips only after it is complete — a crash before the
-    /// flip leaves the old generation (plus its WAL ops) authoritative.
-    /// After the flip the old generation and the folded ops are swept
-    /// from the store, which then checkpoints; an `Err` from that sweep
-    /// means the merge took effect but its garbage remains, for the next
-    /// merge or [`open_durable`](Self::open_durable) to sweep.
+    /// Fold the delta into a fresh compressed generation (LSM merge): pin
+    /// a snapshot and, *without blocking writers*, fold each channel's
+    /// segments into one index ([`InvertedIndex::fold`]; nothing is
+    /// re-tokenised) and load it with the surviving rows, then briefly
+    /// take the writer lock to replay the ops that raced the rebuild and
+    /// swap the new generation in. Old generations retire when the last
+    /// reader unpins them. With a durable store the new generation's rows
+    /// are persisted under its own prefix before `live/current` flips, so
+    /// a crash before the flip leaves the old generation (plus its WAL ops)
+    /// authoritative; after it the old generation and the folded ops are
+    /// swept and the store checkpoints. An `Err` from that sweep means the
+    /// merge took effect but its garbage remains, for the next merge or
+    /// [`open_durable`](Self::open_durable) to sweep.
     pub fn merge(&self) -> RetrievalResult<()> {
         let _serialise = self.merge_lock.lock();
         let snap = Arc::clone(&self.state.read());
-        let survivors = snap.surviving_rows();
-        let vocab = snap.gen.db.vocabulary().cloned();
-        let thes = snap.gen.db.thesaurus().cloned();
-        let new_db = MirrorDbms::from_rows(self.config.clone(), survivors, vocab, thes)
-            .map_err(RetrievalError::from)?;
+        let remap = snap.remap();
+        let fold = |f| InvertedIndex::fold(&snap.segments(&format!("{INTERNAL}__{f}")), &remap);
+        let indexes = [fold("annotation"), fold("image")];
+        let mut new_db = MirrorDbms::new(self.config.clone());
+        new_db.load(snap.surviving_rows(), indexes).map_err(RetrievalError::from)?;
+        // a merge changes neither the vocabulary nor the thesaurus
+        (new_db.vocab, new_db.thesaurus) =
+            (snap.gen.db.vocab.clone(), snap.gen.db.thesaurus.clone());
         let new_no = snap.gen.number + 1;
         if let Some(store) = self.store.lock().as_ref() {
-            durable::save_instance(&new_db, store, &durable::live_gen_prefix(new_no))?;
+            durable::save_instance(&new_db, store, &durable::live_gen_prefix(new_no), false)?;
         }
         let new_gen = Arc::new(Generation::new(new_db, new_no, Arc::clone(&self.counters)));
 
         let mut w = self.writer.lock();
         let cur = Arc::clone(&self.state.read());
-        let mut next = LiveSnapshot::fresh(Arc::clone(&new_gen), snap.seq);
-        let mut url_map: HashMap<String, Vec<Oid>> = HashMap::new();
-        for (i, r) in new_gen.db.library_rows().iter().enumerate() {
-            url_map.entry(r.url.clone()).or_default().push(i as Oid);
-        }
-        let mut kept = Vec::new();
-        for (seq, op) in &w.op_log {
-            let seq = *seq;
-            if seq <= snap.seq {
-                continue; // folded into the new generation
-            }
-            match op {
-                WriteOp::Insert(rows) => {
-                    let first = next.end_doc();
-                    for (j, r) in rows.iter().enumerate() {
-                        url_map.entry(r.url.clone()).or_default().push(first + j as Oid);
-                    }
-                    next = next.with_insert(rows.clone(), seq);
-                }
-                WriteOp::Delete(url) => {
-                    if let Some(oid) = pop_url(&mut url_map, url) {
-                        next = next.with_delete(oid, seq);
-                    }
-                }
-            }
-            kept.push((seq, op.clone()));
+        // a live oid's id in the new generation: folded documents by the
+        // remap, documents inserted since the snapshot shifted past them
+        let (end, n_new) = (snap.end_doc(), new_gen.db.n_docs() as Oid);
+        let renumber = |oid: Oid| match remap.get(oid as usize) {
+            Some(new) => new.expect("a live document survived the merge"),
+            None => oid - end + n_new,
+        };
+        let mut next = LiveSnapshot::fresh(new_gen, snap.seq);
+        for (seq, op) in w.op_log.iter().filter(|&&(seq, _)| seq > snap.seq) {
+            next = match op {
+                Logged::Insert(rows) => next.with_insert(rows.clone(), *seq),
+                Logged::Delete(oid) => next.with_delete(renumber(*oid), *seq),
+            };
         }
         debug_assert_eq!(next.seq, cur.seq, "merge replay must land on the current sequence");
         // the pointer flip is the last fallible step: only after it
-        // succeeds do we commit the remapped writer state and the new
+        // succeeds do we commit the renumbered writer state and the new
         // snapshot together — an Err return leaves writer + state
         // untouched and still mutually consistent on the old generation
         if let Some(store) = self.store.lock().as_ref() {
             durable::live_set_pointer(store, new_no, snap.seq)?;
         }
-        w.op_log = kept;
-        w.url_to_oids = url_map;
+        // every logged op is now at or below the next snapshot's base
+        w.op_log.clear();
+        for oid in w.url_to_oids.values_mut().flatten() {
+            *oid = renumber(*oid);
+        }
         *self.state.write() = Arc::new(next);
         drop(w);
         if let Some(store) = self.store.lock().as_ref() {
@@ -875,5 +905,125 @@ impl MutableCorpus for LiveMirror {
 
     fn delete(&self, url: &str) -> RetrievalResult<Option<u64>> {
         LiveMirror::delete(self, url)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Row `i`: a few words of a small vocabulary (every seventh row
+    /// unannotated) with a word of its own in every fifth row, so deleting
+    /// that row empties a term; visual terms of 24 cluster words; a URL of
+    /// its own, except every thirteenth row's, which share one.
+    fn row(i: usize) -> LibraryRow {
+        const WORDS: &[&str] = &["sunset", "beaches", "forest", "the", "running", "sky", "ocean"];
+        let words = (0..2 + i % 5).map(|j| WORDS[(i * 3 + j * 5) % WORDS.len()]);
+        let mut text: Vec<String> = words.map(str::to_string).collect();
+        if i.is_multiple_of(5) {
+            text.push(format!("only{i}"));
+        }
+        let vterms = (0..1 + i % 9).map(|j| format!("c{}", (i + j * 7) % 24));
+        LibraryRow {
+            url: if i.is_multiple_of(13) {
+                "http://live/dup".into()
+            } else {
+                format!("http://live/{i}")
+            },
+            annotation: (!i.is_multiple_of(7)).then(|| text.join(" ")),
+            vterms: vterms.collect::<Vec<_>>().join(" "),
+            theme: i % 4,
+        }
+    }
+
+    /// The merged generation's channel indexes and statistics catalog
+    /// equal a batch re-ingest's of the surviving rows, value for value —
+    /// over a base, insert batches of 1–64 rows (the small ones keep tf
+    /// rows), deletes in the base and the delta, a batch deleted whole,
+    /// a duplicate URL, and a second merge on top of the first.
+    #[test]
+    fn merge_folds_to_the_index_and_statistics_of_a_batch_reingest() {
+        let config = MirrorConfig::default();
+        let base = MirrorDbms::from_rows(config.clone(), (0..60).map(row).collect(), None, None);
+        let live = LiveMirror::new(base.unwrap());
+        let mut next = 60;
+        for round in 0..2 {
+            let mut whole = 0..0;
+            for size in [1, 7, 64, 3, 30] {
+                if size == 3 {
+                    whole = next..next + size;
+                }
+                live.insert_rows((next..next + size).map(row).collect()).unwrap();
+                next += size;
+            }
+            let base = [1, 5, 10, 41].map(|i| i + round);
+            let gone = base.into_iter().chain([next - 2, next - 9]).chain(whole);
+            for url in gone.map(|i| row(i).url).chain(["http://live/dup".into()]) {
+                live.delete(&url).unwrap().expect("a live document");
+            }
+            live.merge().unwrap();
+            let snap = live.pin().snap;
+            assert!(snap.batches.is_empty() && snap.tombstones.is_empty());
+            let reference =
+                MirrorDbms::from_rows(config.clone(), snap.surviving_rows(), None, None).unwrap();
+            for (c, field) in ["annotation", "image"].into_iter().enumerate() {
+                let want = reference.store().get(&format!("{INTERNAL}__{field}")).unwrap();
+                assert_eq!(snap.gen.indexes[c].as_deref(), Some(&*want), "round {round}, {field}");
+            }
+            assert_eq!(*snap.gen.db.env().stats(), *reference.env().stats(), "round {round}");
+            assert_eq!(snap.gen.db.library_rows(), reference.library_rows());
+        }
+    }
+
+    /// Writes that race a merge — landing after it pinned its snapshot,
+    /// before it takes the writer lock — replay onto the new generation by
+    /// the oids they tombstoned, renumbered: a delete in the folded part,
+    /// one in a batch inserted during the merge, and a duplicate URL whose
+    /// later deletes must keep re-targeting the next-latest copy.
+    #[test]
+    fn writes_racing_a_merge_replay_onto_the_new_generation() {
+        let config = MirrorConfig::default();
+        let base = MirrorDbms::from_rows(config.clone(), (0..20).map(row).collect(), None, None);
+        let live = LiveMirror::new(base.unwrap());
+        live.insert_rows((20..30).map(row).collect()).unwrap();
+        live.delete(&row(3).url).unwrap().expect("a live document");
+        std::thread::scope(|scope| {
+            let mut w = live.writer.lock();
+            let merge = scope.spawn(|| live.merge());
+            // the merge has pinned its snapshot once it has built a generation
+            while live.counters.created.load(Ordering::Relaxed) < 2 {
+                std::thread::yield_now();
+            }
+            live.insert_locked(&mut w, (30..34).map(row).collect(), false).unwrap();
+            for url in ["http://live/dup".to_string(), row(31).url, row(5).url] {
+                live.delete_locked(&mut w, &url, false).unwrap().expect("a live document");
+            }
+            drop(w);
+            merge.join().expect("the merge thread").unwrap();
+        });
+        let reference = |gone: &[usize]| {
+            let rows = (0..34).filter(|i| !gone.contains(i)).map(row).collect();
+            MirrorDbms::from_rows(config.clone(), rows, None, None).unwrap()
+        };
+        let hits = |r: &dyn Retriever| -> Vec<(String, f64)> {
+            let out = r.retrieve(&RetrievalRequest::text("sunset forest only0", 10)).unwrap();
+            out.into_iter().map(|h| (h.url, h.score)).collect()
+        };
+        let want = reference(&[3, 26, 31, 5]);
+        assert_eq!(live.pin().surviving_rows(), want.library_rows());
+        assert_eq!(hits(&live), hits(&want));
+        // the renumbered URL stacks: the next dup deletes are rows 13, then 0
+        live.delete("http://live/dup").unwrap().expect("a live document");
+        live.merge().unwrap();
+        let want = reference(&[3, 26, 31, 5, 13]);
+        assert_eq!(live.pin().surviving_rows(), want.library_rows());
+        let snap = live.pin().snap;
+        for (c, field) in ["annotation", "image"].into_iter().enumerate() {
+            let index = want.store().get(&format!("{INTERNAL}__{field}")).unwrap();
+            assert_eq!(snap.gen.indexes[c].as_deref(), Some(&*index), "{field}");
+        }
+        live.delete("http://live/dup").unwrap().expect("a live document");
+        assert_eq!(live.pin().surviving_rows(), reference(&[3, 26, 31, 5, 13, 0]).library_rows());
+        assert_eq!(live.delete("http://live/dup").unwrap(), None);
     }
 }

@@ -24,7 +24,7 @@
 //!   the inference network's `#wsum` belief.
 
 use crate::belief::BeliefParams;
-use crate::index::{IndexBuilder, InvertedIndex};
+use crate::index::InvertedIndex;
 use crate::topk::TopKOutcome;
 use crate::view::{CorpusView, ViewChannel, ViewPart};
 use moa::{CallArgs, MoaError, MoaType, Structure};
@@ -129,15 +129,7 @@ impl Structure for Contrep {
         prefix: &str,
     ) -> moa::Result<()> {
         let stem = matches!(param, MoaType::Atomic(moa::AtomicType::Text));
-        let mut builder = IndexBuilder::new();
-        for &v in values {
-            if stem {
-                builder.add_text(v);
-            } else {
-                builder.add_terms(v.unwrap_or("").split_whitespace());
-            }
-        }
-        self.store.insert(prefix, builder.build());
+        self.store.insert(prefix, InvertedIndex::from_payloads(values.iter().copied(), stem));
         Ok(())
     }
 

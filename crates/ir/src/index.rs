@@ -43,8 +43,10 @@ pub struct CollectionStats {
     pub total_tokens: u64,
 }
 
-/// An immutable inverted index over one document collection.
-#[derive(Debug, Clone)]
+/// An immutable inverted index over one document collection. Its term ids
+/// are canonical (byte order of the terms), so two indexes over the same
+/// documents are equal value for value however they were built.
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvertedIndex {
     dict: TermDict,
     /// Block-compressed postings per term id, document-ordered.
@@ -61,7 +63,7 @@ pub struct InvertedIndex {
 
 /// An index's tfs document-major: one `u8` cell per document and term id,
 /// 0 where the term is absent.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TfRows {
     /// Cells per document: the dictionary's size.
     terms: usize,
@@ -87,6 +89,58 @@ impl TfRows {
 pub const ROW_DENSITY: usize = 8;
 
 impl InvertedIndex {
+    /// The index of a `CONTREP` attribute's payloads, one document each:
+    /// [`IndexBuilder::add_text`] when `stem`, else whitespace-split terms.
+    pub fn from_payloads<'a>(
+        payloads: impl IntoIterator<Item = Option<&'a str>>,
+        stem: bool,
+    ) -> InvertedIndex {
+        let mut b = IndexBuilder::new();
+        for p in payloads {
+            if stem {
+                b.add_text(p);
+            } else {
+                b.add_terms(p.unwrap_or("").split_whitespace());
+            }
+        }
+        b.build()
+    }
+
+    /// The index of the documents of `segments` that `remap` keeps, by
+    /// concatenating their postings: segment `(first, index)` holds
+    /// documents `first..`, and `remap[doc]` renumbers a kept document
+    /// densely in segment order (`None` drops it), so every list stays
+    /// sorted. Equal, value for value, to [`IndexBuilder`] fed the kept
+    /// documents: lengths carry over, a term left without documents goes.
+    pub fn fold(segments: &[(Oid, &InvertedIndex)], remap: &[Option<Oid>]) -> InvertedIndex {
+        let mut b = IndexBuilder::new();
+        let (mut docs, mut tfs, mut kept) = (Vec::new(), Vec::new(), Vec::new());
+        for &(first, index) in segments {
+            let new = |doc: Oid| remap[(first + doc) as usize];
+            for (doc, &len) in index.doc_len.iter().enumerate() {
+                if let Some(id) = new(doc as Oid) {
+                    debug_assert_eq!(id as usize, b.doc_len.len(), "dense renumbering");
+                    b.doc_len.push(len);
+                }
+            }
+            for (tid, term) in index.dict.iter() {
+                let list = &index.postings[tid as usize];
+                kept.clear();
+                for block in 0..list.blocks().len() {
+                    list.decode_block_into(block, &mut docs, &mut tfs);
+                    let posts = docs.iter().zip(&tfs);
+                    kept.extend(posts.filter_map(|(&d, &tf)| Some(Posting { doc: new(d)?, tf })));
+                }
+                if !kept.is_empty() {
+                    let id = b.dict.intern(term) as usize;
+                    b.postings.resize_with(b.dict.len(), Vec::new);
+                    b.postings[id].extend_from_slice(&kept);
+                }
+            }
+        }
+        b.build()
+    }
+
     /// The term dictionary.
     pub fn dict(&self) -> &TermDict {
         &self.dict
@@ -258,9 +312,13 @@ impl IndexBuilder {
         self.ids.clear();
     }
 
-    /// Freeze into an immutable index, compressing each posting run into
-    /// blocks (and keeping [`TfRows`] when dense).
-    pub fn build(self) -> InvertedIndex {
+    /// Freeze into an immutable index: renumber the terms canonically (in
+    /// their byte order), compress each posting run into blocks, and keep
+    /// [`TfRows`] when dense.
+    pub fn build(mut self) -> InvertedIndex {
+        let order = self.dict.sort();
+        let mut old = std::mem::take(&mut self.postings);
+        self.postings = order.iter().map(|&id| std::mem::take(&mut old[id as usize])).collect();
         let df = self.postings.iter().map(|p| p.len() as u32).collect();
         let cf = self.postings.iter().map(|p| p.iter().map(|x| u64::from(x.tf)).sum()).collect();
         let doc_len = |d: Oid| self.doc_len[d as usize];
@@ -540,6 +598,93 @@ mod tests {
                 Some(text)
             })
             .collect()
+    }
+
+    /// Random segments (a base, then insert batches of 1–64 documents, one
+    /// of them wholly deleted), random tombstones, and one document whose
+    /// only copy of a term is deleted: folding the segments' postings must
+    /// equal building the index from the surviving documents, in both
+    /// pipelines (stemmed text, and dense raw terms that keep tf rows).
+    #[test]
+    fn fold_equals_a_build_of_the_surviving_documents() {
+        let mut seed = 0x51f0_1d00_u64;
+        let mut next = move |m: usize| {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % m as u64) as usize
+        };
+        for case in 0..40u64 {
+            let n_batches = next(5);
+            let mut sizes = vec![next(200)];
+            sizes.extend((0..n_batches).map(|_| 1 + next(64)));
+            let n: usize = sizes.iter().sum();
+            let mut texts = generated_texts(n, case);
+            let mut terms: Vec<Option<String>> = (0..n)
+                .map(|_| {
+                    let k = next(20);
+                    Some((0..k).map(|_| format!("c{}", next(24))).collect::<Vec<_>>().join(" "))
+                })
+                .collect();
+            let mut deleted: Vec<bool> = (0..n).map(|_| next(10) < 3).collect();
+            if n > 0 {
+                // a term whose one document is deleted leaves the dictionary
+                let d = next(n);
+                texts[d] = Some("zygote".into());
+                terms[d] = Some("only_here c1".into());
+                deleted[d] = true;
+            }
+            if n_batches > 1 {
+                // a batch deleted whole
+                let first = sizes[..2].iter().sum::<usize>();
+                deleted[first..first + sizes[2]].fill(true);
+            }
+            let mut remap = Vec::with_capacity(n);
+            let mut kept = 0;
+            for &gone in &deleted {
+                remap.push((!gone).then(|| {
+                    kept += 1;
+                    kept as Oid - 1
+                }));
+            }
+            for (stem, docs) in [(true, &texts), (false, &terms)] {
+                let mut segments = Vec::new();
+                let mut first = 0;
+                for &size in &sizes {
+                    let docs = docs[first..first + size].iter().map(Option::as_deref);
+                    segments.push((first as Oid, InvertedIndex::from_payloads(docs, stem)));
+                    first += size;
+                }
+                let segs: Vec<(Oid, &InvertedIndex)> =
+                    segments.iter().map(|(f, i)| (*f, i)).collect();
+                let survivors = docs.iter().zip(&deleted).filter(|(_, &gone)| !gone);
+                let expected =
+                    InvertedIndex::from_payloads(survivors.map(|(d, _)| d.as_deref()), stem);
+                let folded = InvertedIndex::fold(&segs, &remap);
+                assert_eq!(folded, expected, "case {case}, stem {stem}, batches {sizes:?}");
+                assert_eq!(folded.stats(), expected.stats());
+                assert!(folded.df("zygot") == 0 && folded.df("only_here") == 0);
+                if !stem && (1..=ROW_DENSITY).contains(&kept) {
+                    assert!(folded.tf_rows().is_some(), "a small index keeps rows");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn build_numbers_terms_in_byte_order_whatever_the_arrival_order() {
+        let mut a = IndexBuilder::new();
+        a.add_tokens(&["pear", "apple"]);
+        a.add_tokens(&["fig"]);
+        let mut b = IndexBuilder::new();
+        b.add_tokens(&["fig", "pear"]);
+        b.add_tokens(&["apple"]);
+        let (a, b) = (a.build(), b.build());
+        let order: Vec<&str> = a.dict().iter().map(|(_, t)| t).collect();
+        assert_eq!(order, ["apple", "fig", "pear"]);
+        assert_eq!(b.dict().iter().map(|(_, t)| t).collect::<Vec<_>>(), order);
+        assert_eq!(a.postings_list("apple").unwrap().to_vec(), vec![Posting { doc: 0, tf: 1 }]);
     }
 
     #[test]

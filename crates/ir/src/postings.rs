@@ -112,26 +112,25 @@ impl PostingList {
         debug_assert!(posts.iter().all(|p| p.tf > 0), "postings must have nonzero tf");
         let mut blocks = Vec::with_capacity(posts.len().div_ceil(BLOCK_LEN));
         let mut words = Vec::new();
-        let mut deltas = Vec::with_capacity(BLOCK_LEN);
-        let mut tfs = Vec::with_capacity(BLOCK_LEN);
+        // a block's streams, on the stack: no allocation per list
+        let (mut deltas, mut tfs) = ([0u32; BLOCK_LEN], [0u32; BLOCK_LEN]);
         for chunk in posts.chunks(BLOCK_LEN) {
-            deltas.clear();
-            tfs.clear();
             let mut max_tf = 0u32;
             let mut min_dl_tf = u32::MAX;
             for (j, p) in chunk.iter().enumerate() {
                 if j > 0 {
-                    deltas.push(p.doc - chunk[j - 1].doc - 1);
+                    deltas[j - 1] = p.doc - chunk[j - 1].doc - 1;
                 }
-                tfs.push(p.tf - 1);
+                tfs[j] = p.tf - 1;
                 max_tf = max_tf.max(p.tf);
                 min_dl_tf = min_dl_tf.min(dl_tf_fixed(doc_len(p.doc), u64::from(p.tf)));
             }
+            let (deltas, tfs) = (&deltas[..chunk.len() - 1], &tfs[..chunk.len()]);
             let doc_bits = bits_for(deltas.iter().copied().max().unwrap_or(0)) as u8;
             let tf_bits = bits_for(max_tf - 1) as u8;
             let offset = words.len() as u32;
-            pack_u32s(&mut words, &deltas, doc_bits as u32);
-            pack_u32s(&mut words, &tfs, tf_bits as u32);
+            pack_u32s(&mut words, deltas, doc_bits as u32);
+            pack_u32s(&mut words, tfs, tf_bits as u32);
             blocks.push(BlockMeta {
                 first_doc: chunk[0].doc,
                 last_doc: chunk[chunk.len() - 1].doc,

@@ -144,35 +144,51 @@ impl Env {
         rows: Vec<MoaVal>,
     ) -> Result<CollectionMeta> {
         let name = name.into();
-        let elem_ty = match &ty {
-            MoaType::Set(e) if matches!(**e, MoaType::Tuple(_)) => (**e).clone(),
-            other => {
-                return Err(MoaError::Type(format!(
-                    "collections must be SET<TUPLE<…>>, got {other}"
-                )))
-            }
-        };
-        self.check_ext_params(&elem_ty)?;
+        let elem_ty = Self::elem_of(&ty)?;
         for (i, row) in rows.iter().enumerate() {
-            if !row.conforms(&elem_ty) {
+            if !row.conforms(elem_ty) {
                 return Err(MoaError::Type(format!(
                     "row {i} of '{name}' does not conform to {elem_ty}"
                 )));
             }
         }
-        // Drop any previous flattening of this collection.
-        self.catalog.drop_prefix(&format!("{name}__"));
         let fields = elem_ty.fields().expect("tuple").to_vec();
-        self.flatten_tuples(&name, &fields, &rows.iter().collect::<Vec<_>>())?;
-        let n = rows.len();
+        self.register_collection(&name, ty, rows.len(), |_| {
+            self.flatten_tuples(&name, &fields, &rows.iter().collect::<Vec<_>>())
+        })
+    }
+
+    /// Register (or replace) a collection of `count` objects whose
+    /// flattened form `install` puts in place (BATs under `{name}__`,
+    /// structure stores): drops the old flattening, then adds `{name}__self`,
+    /// metadata and column statistics. [`Env::create_collection`] shares it.
+    pub fn register_collection(
+        &self,
+        name: &str,
+        ty: MoaType,
+        count: usize,
+        install: impl FnOnce(&Catalog) -> Result<()>,
+    ) -> Result<CollectionMeta> {
+        let elem_ty = Self::elem_of(&ty)?.clone();
+        self.check_ext_params(&elem_ty)?;
+        self.catalog.drop_prefix(&format!("{name}__"));
+        install(&self.catalog)?;
         self.catalog.register(
             format!("{name}__self"),
-            Bat::new(Column::void(0, n), Column::void(0, n)).expect("equal lengths"),
+            Bat::new(Column::void(0, count), Column::void(0, count)).expect("equal lengths"),
         );
-        let meta = CollectionMeta { name: name.clone(), elem_ty, count: n };
-        self.collections.write().insert(name.clone(), meta.clone());
-        self.collect_column_stats(&name);
+        let meta = CollectionMeta { name: name.to_string(), elem_ty, count };
+        self.collections.write().insert(name.to_string(), meta.clone());
+        self.collect_column_stats(name);
         Ok(meta)
+    }
+
+    /// The element type of a `SET<TUPLE<…>>`.
+    fn elem_of(ty: &MoaType) -> Result<&MoaType> {
+        match ty {
+            MoaType::Set(e) if matches!(**e, MoaType::Tuple(_)) => Ok(e),
+            other => Err(MoaError::Type(format!("collections must be SET<TUPLE<…>>, got {other}"))),
+        }
     }
 
     /// Summarise every flattened BAT of a collection into the statistics

@@ -38,7 +38,7 @@ use std::sync::Arc;
 /// Per-inverted-index statistics: corpus size and per-term document
 /// frequencies, keyed under the index's BAT-name prefix
 /// (e.g. `Lib__annotation`).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct IndexStats {
     /// Number of documents in the indexed collection.
     pub n_docs: u64,
@@ -49,7 +49,7 @@ pub struct IndexStats {
 /// The statistics catalog: ingest-time summaries that feed the
 /// cost estimator. Cheap to clone-on-write; the environment stores it
 /// behind an `Arc` swapped atomically on updates.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct StatsCatalog {
     columns: HashMap<String, ColSummary>,
     indexes: HashMap<String, IndexStats>,

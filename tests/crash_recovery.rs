@@ -495,6 +495,38 @@ fn live_session_crash_at_every_write_reopens_to_an_op_prefix() {
     }
 }
 
+/// A crash after `create_durable` wrote the store's aux values but before
+/// it first set `live/current` leaves no live instance: reopening reports
+/// `IncompleteState`, never a half-initialised mirror.
+#[test]
+fn live_crash_between_aux_and_first_pointer_reports_incomplete() {
+    let b = baseline();
+    let lb = live_baseline();
+    let mut between = 0;
+    for w in 0..lb.writes_at_init {
+        let fs = MemFs::new();
+        let plan = FaultPlan { crash_at_write: Some(w), torn_bytes: 0, flips: vec![] };
+        let fault = Arc::new(FaultFs::new(Arc::new(fs.clone()), plan));
+        let crashed = (|| -> Result<LiveMirror, RetrievalError> {
+            let store = Arc::new(Store::open(fault.clone(), StoreOptions::default())?);
+            LiveMirror::create_durable(live_base(b), store)
+        })();
+        assert!(crashed.is_err() && fault.crashed(), "crash at write {w} did not fire");
+        let store = reopen(&fs);
+        let aux = store.get("live/aux/thesaurus").unwrap().is_some();
+        if !aux || store.get("live/current").unwrap().is_some() {
+            continue;
+        }
+        between += 1;
+        match LiveMirror::open_durable(Arc::new(store)) {
+            Err(RetrievalError::IncompleteState { .. }) => {}
+            Ok(_) => panic!("crash at write {w}: a live store without a pointer opened"),
+            Err(other) => panic!("crash at write {w}: expected IncompleteState, got {other}"),
+        }
+    }
+    assert!(between > 0, "no crash point fell between the aux write and the pointer");
+}
+
 #[test]
 fn live_session_clean_reopen_resumes_writes_with_fresh_sequence_numbers() {
     let b = baseline();
