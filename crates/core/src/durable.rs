@@ -52,15 +52,17 @@
 //! so a crash before the pointer reports
 //! [`RetrievalError::IncompleteState`]. Each op record is its own WAL
 //! transaction, committed *before* the write becomes visible in memory. A
-//! merge persists the new generation under its prefix first and flips
+//! rebuild persists the new generation under its prefix first and flips
 //! `live/current` last, so the pointer only ever names a complete
 //! generation; ops with `seq > base_seq` replay on top of it at open.
+//! A seal writes nothing: the ops since the base are the durable form of
+//! the sealed segments, and open seals their replay into one.
 //!
 //! Once the pointer has flipped, a *sweep* deletes everything it no
 //! longer names — every `live/gen-M/*` with `M ≠ gen`, every
 //! `live/op-S` with `S ≤ base_seq`, never `live/aux/*` — in one
 //! transaction, then checkpoints, so the store holds one generation plus
-//! the ops since its base and does not grow with the number of merges.
+//! the ops since its base and does not grow with the number of rebuilds.
 //! The sweep only ever removes garbage: a crash before or during it
 //! leaves leftovers (a superseded generation, a partial one from a
 //! crashed merge, ops already folded in) that open ignores and sweeps.
@@ -908,6 +910,48 @@ mod tests {
         assert_eq!(keys, want);
         let reopened = crate::LiveMirror::open_durable(live_store(&fs)).unwrap();
         assert_eq!(reopened.pin().surviving_rows(), live.pin().surviving_rows());
+    }
+
+    /// A shard whose delta a policy sealed still folds in `merge_all`, so
+    /// a saved and reopened cluster keeps the sealed rows and ranks like a
+    /// batch re-ingest of the survivors.
+    #[test]
+    fn cluster_save_keeps_a_sealed_shards_rows() {
+        use crate::{MergePolicy, MutableCorpus, Retriever};
+        let config = ClusterConfig::default();
+        let cluster = MirrorCluster::from_rows(config.clone(), rows(20), None, None).unwrap();
+        let mut survivors = rows(26);
+        cluster.insert_rows(survivors.split_off(20)).unwrap();
+        survivors.extend(rows(26).split_off(20));
+        cluster.delete("http://a/3").unwrap().expect("a live document");
+        survivors.remove(3);
+        let policy = MergePolicy { max_delta_rows: 1, ..MergePolicy::default() };
+        let shard = cluster.shards().iter().find(|s| s.delta_pressure().0 > 0).unwrap();
+        assert!(shard.maybe_merge(&policy).unwrap());
+        assert_eq!(shard.generation_stats().current, 0, "the shard sealed");
+        assert_eq!(shard.delta_pressure().0, 0);
+        cluster.merge_all().unwrap();
+        let dir = std::env::temp_dir().join(format!("mirror-sealed-shard-{}", std::process::id()));
+        cluster.save(&dir).unwrap();
+        let reopened = MirrorCluster::open(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        let reopened = reopened.unwrap();
+        let reference = MirrorDbms::from_rows(config.node, survivors.clone(), None, None).unwrap();
+        let mut urls: Vec<String> = reopened
+            .shards()
+            .iter()
+            .flat_map(|s| s.pin().surviving_rows())
+            .map(|r| r.url)
+            .collect();
+        urls.sort();
+        let mut want: Vec<String> = survivors.into_iter().map(|r| r.url).collect();
+        want.sort();
+        assert_eq!(urls, want);
+        let hits = |r: &dyn Retriever| -> Vec<(String, f64)> {
+            let out = r.query_text("sunset number 21", 10).unwrap();
+            out.into_iter().map(|h| (h.url, h.score)).collect()
+        };
+        assert_eq!(hits(&reopened), hits(&reference));
     }
 
     #[test]

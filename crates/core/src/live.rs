@@ -20,25 +20,28 @@
 //!   snapshot's union statistics and the tombstones as a mask, so every
 //!   snapshot ranks bit-identically to a batch re-ingest of its surviving
 //!   rows.
-//! * **Merge** — [`LiveMirror::merge`] folds a snapshot's survivors into
-//!   a fresh compressed generation LSM-style: each channel's index is the
-//!   concatenation of its segments' postings, tombstoned documents
-//!   dropped and survivors renumbered ([`InvertedIndex::fold`], equal
-//!   value for value to the index [`MirrorDbms::from_rows`] builds), and
-//!   loads with the surviving rows through the same load. It then
-//!   replays the writes that raced the rebuild onto the new generation's
-//!   delta and swaps atomically. Writers never block on the rebuild, only
-//!   on the brief replay+swap.
+//! * **Merge** — a tripped policy ([`LiveMirror::maybe_merge`]) *seals*:
+//!   the batches since the last seal fold into one segment, with each
+//!   preceding one of no higher power-of-two size class (a binary counter,
+//!   O(log) segments), no document dropped and no oid moved. Once a
+//!   quarter of the documents are dead, or the delta outgrows the
+//!   generation, it rebuilds instead: [`LiveMirror::merge`] folds the
+//!   survivors into a fresh generation ([`InvertedIndex::fold`], equal
+//!   value for value to what [`MirrorDbms::from_rows`] builds) and loads
+//!   them through the same load. Both keep the writes that raced them
+//!   and swap atomically; writers block only on the brief swap.
 //! * **Durability** — with a store attached
 //!   ([`LiveMirror::create_durable`] / [`LiveMirror::open_durable`]),
 //!   every write is appended to a per-operation WAL record *before* it
-//!   is applied, and each merge persists the new generation's rows under
+//!   is applied, and each rebuild persists the new generation's rows under
 //!   its own key prefix before flipping the `live/current` pointer — so a
 //!   crash at any write reopens to a consistent state: the old
 //!   generation plus replayed delta ops, or the new generation, never a
-//!   torn hybrid. After the flip the merge sweeps the superseded
+//!   torn hybrid. After the flip the rebuild sweeps the superseded
 //!   generation and the folded ops out of the store and checkpoints, so
-//!   the store holds one generation plus the ops since its base.
+//!   the store holds one generation plus the ops since its base. A seal
+//!   writes nothing: those ops are the durable form of the sealed
+//!   segments, and [`LiveMirror::open_durable`] seals their replay once.
 //! * **Scale-out** — a [`MirrorCluster`](crate::shard::MirrorCluster)
 //!   is N [`LiveMirror`] shards ranked as one view of N pinned snapshots,
 //!   with *cluster-wide* union statistics — so it ranks bit-identically to
@@ -157,6 +160,21 @@ impl DeltaBatch {
     fn new(first_doc: Oid, rows: Vec<LibraryRow>) -> Self {
         DeltaBatch { first_doc, indexes: channel_indexes(&rows), rows }
     }
+
+    /// Consecutive batches as one: rows concatenated, each channel's
+    /// postings folded with the identity remap, so tombstoned documents
+    /// stay (masked) and every live oid keeps its meaning.
+    fn sealed(batches: &[Arc<DeltaBatch>]) -> Self {
+        let first_doc = batches[0].first_doc;
+        let rows: Vec<LibraryRow> = batches.iter().flat_map(|b| b.rows.iter().cloned()).collect();
+        let identity: Vec<Option<Oid>> = (0..rows.len() as Oid).map(Some).collect();
+        let indexes = std::array::from_fn(|c| {
+            let parts: Vec<_> =
+                batches.iter().map(|b| (b.first_doc - first_doc, &b.indexes[c])).collect();
+            InvertedIndex::fold(&parts, &identity)
+        });
+        DeltaBatch { first_doc, rows, indexes }
+    }
 }
 
 /// Approximate heap bytes of one library row — the same estimate
@@ -185,6 +203,12 @@ fn for_each_term(row: &LibraryRow, channel: usize, mut f: impl FnMut(&str)) {
 /// Counts per chunk of a [`DfMinus`]'s per-id arrays, and the number of
 /// hash chunks of its per-term map.
 const DF_CHUNK: usize = 256;
+
+/// A tripped [`MergePolicy`] rebuilds instead of sealing once
+/// `1 / REBUILD_DEAD_SHARE` of the snapshot's documents are dead (or the
+/// delta holds as many rows as the generation): geometric shares, so
+/// rebuilds cost O(1) per write, amortised.
+const REBUILD_DEAD_SHARE: usize = 4;
 
 /// One channel's document frequencies lost to tombstones — term → number
 /// of deleted docs containing it — in copy-on-write chunks, so publishing
@@ -239,6 +263,7 @@ impl DfMinus {
 /// batches, tombstone chunks and df-minus chunks are shared via [`Arc`]
 /// and copied only where written), so a pinned snapshot never observes
 /// later writes.
+#[derive(Clone)]
 struct LiveSnapshot {
     gen: Arc<Generation>,
     batches: Vec<Arc<DeltaBatch>>,
@@ -246,6 +271,12 @@ struct LiveSnapshot {
     /// Per-channel document frequencies lost to tombstones. Union df =
     /// Σ segment dfs − minus.
     df_minus: [DfMinus; 2],
+    /// Leading `batches` that are sealed segments; the rest are the
+    /// insert batches since the last seal.
+    sealed: usize,
+    /// Tombstones at the last seal (or rebuild): the ones past it are
+    /// merge pressure.
+    sealed_dead: usize,
     n_live: usize,
     /// Surviving token totals per channel.
     totals: [u64; 2],
@@ -264,6 +295,8 @@ impl LiveSnapshot {
             batches: Vec::new(),
             tombstones: Tombstones::new(),
             df_minus: Default::default(),
+            sealed: 0,
+            sealed_dead: 0,
             seq,
             source: OnceLock::new(),
         }
@@ -307,41 +340,37 @@ impl LiveSnapshot {
         self.survivors().map(|(_, r)| r.clone()).collect()
     }
 
+    /// This snapshot as of write `seq`, before the write changes it.
+    fn at(&self, seq: u64) -> LiveSnapshot {
+        LiveSnapshot { seq, source: OnceLock::new(), ..self.clone() }
+    }
+
     fn with_insert(&self, rows: Vec<LibraryRow>, seq: u64) -> LiveSnapshot {
         let batch = DeltaBatch::new(self.end_doc(), rows);
-        let n_live = self.n_live + batch.rows.len();
-        let totals =
-            std::array::from_fn(|c| self.totals[c] + batch.indexes[c].stats().total_tokens);
-        let mut batches = self.batches.clone();
-        batches.push(Arc::new(batch));
-        LiveSnapshot {
-            gen: Arc::clone(&self.gen),
-            batches,
-            tombstones: self.tombstones.clone(),
-            df_minus: self.df_minus.clone(),
-            n_live,
-            totals,
-            seq,
-            source: OnceLock::new(),
+        let mut next = self.at(seq);
+        next.n_live += batch.rows.len();
+        for (total, index) in next.totals.iter_mut().zip(&batch.indexes) {
+            *total += index.stats().total_tokens;
         }
+        next.batches.push(Arc::new(batch));
+        next
     }
 
     /// Tombstone `oid`, streaming its terms from its row: the publish
     /// costs about the document's distinct terms.
     fn with_delete(&self, oid: Oid, seq: u64) -> LiveSnapshot {
         let row = self.row(oid).expect("tombstoned doc exists in the snapshot");
-        let mut tombstones = self.tombstones.clone();
-        tombstones.insert(oid);
-        let mut df_minus = self.df_minus.clone();
-        let mut totals = self.totals;
-        for (c, minus) in df_minus.iter_mut().enumerate() {
+        let mut next = self.at(seq);
+        next.tombstones.insert(oid);
+        next.n_live -= 1;
+        for (c, minus) in next.df_minus.iter_mut().enumerate() {
             let gen = self.gen.indexes[c].as_deref().filter(|_| oid < self.gen.db.n_docs() as Oid);
             let (mut ids, mut terms) = (Vec::new(), Vec::new());
             for_each_term(row, c, |t| match gen {
                 Some(gen) => ids.push(gen.dict().lookup(t).expect("a generation term is indexed")),
                 None => terms.push(t.to_string()),
             });
-            totals[c] -= (ids.len() + terms.len()) as u64;
+            next.totals[c] -= (ids.len() + terms.len()) as u64;
             ids.sort_unstable();
             ids.dedup();
             terms.sort_unstable();
@@ -350,16 +379,16 @@ impl LiveSnapshot {
             ids.into_iter().for_each(|id| minus.add_id(id as usize, n_ids));
             terms.into_iter().for_each(|t| minus.add_term(t));
         }
-        LiveSnapshot {
-            gen: Arc::clone(&self.gen),
-            batches: self.batches.clone(),
-            tombstones,
-            df_minus,
-            n_live: self.n_live - 1,
-            totals,
-            seq,
-            source: OnceLock::new(),
-        }
+        next
+    }
+
+    /// Whether a tripped policy should rebuild rather than seal: dead
+    /// documents reach their share of the snapshot, or the delta's rows
+    /// the generation's (always, for an empty generation).
+    fn rebuild_due(&self) -> bool {
+        let delta: usize = self.batches.iter().map(|b| b.rows.len()).sum();
+        self.tombstones.len() * REBUILD_DEAD_SHARE >= self.end_doc() as usize
+            || delta >= self.gen.db.n_docs()
     }
 
     /// Each document's id after a merge of this snapshot: the survivors
@@ -488,6 +517,12 @@ impl LiveReader {
         self.snap.surviving_rows()
     }
 
+    /// Delta segments this snapshot reads beside its generation: the
+    /// sealed ones, then the insert batches since the last seal.
+    pub fn segments(&self) -> usize {
+        self.snap.batches.len()
+    }
+
     /// Local oids alive in this snapshot, ascending — exactly the
     /// arrival-order compaction a merge of this snapshot applies.
     pub(crate) fn surviving_local_ids(&self) -> Vec<Oid> {
@@ -543,25 +578,25 @@ struct WriterState {
     /// answer before and after any merge (which renumbers the stacks).
     /// Updates are delete + insert.
     url_to_oids: HashMap<String, Vec<Oid>>,
-    /// Writes since the current generation's base — what a racing merge
-    /// replays onto the new generation.
+    /// Writes since the last seal's or rebuild's pin — what a racing
+    /// rebuild replays onto the new generation.
     op_log: Vec<(u64, Logged)>,
 }
 
-/// Thresholds that trigger an automatic LSM merge — the knobs a serving
-/// deployment turns to trade write amplification (frequent merges) for
-/// query overhead (a deep uncompressed delta scanned on every request).
-/// A merge fires as soon as *any* threshold is met.
+/// Thresholds that trigger [`LiveMirror::maybe_merge`]'s seal or rebuild
+/// — the knobs a serving deployment turns to trade write amplification
+/// for query overhead (many small batches scanned on every request). Each
+/// counts from the last seal or rebuild; *any* one met fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergePolicy {
-    /// Merge once the delta holds at least this many inserted rows.
+    /// Merge once at least this many rows were inserted since.
     pub max_delta_rows: usize,
-    /// Merge once the delta's rows span at least this many (estimated)
-    /// heap bytes — the same per-row estimate
-    /// [`GenerationStats::alive_bytes`] accounts with.
+    /// Merge once those rows span at least this many (estimated) heap
+    /// bytes — the same per-row estimate [`GenerationStats::alive_bytes`]
+    /// accounts with.
     pub max_delta_bytes: u64,
-    /// Merge once at least this many documents are tombstoned (deletes
-    /// are pure query-time overhead until a merge compacts them away).
+    /// Merge once at least this many documents were tombstoned since
+    /// (deletes are query-time overhead until a rebuild drops them).
     pub max_tombstones: usize,
 }
 
@@ -580,8 +615,8 @@ impl Default for MergePolicy {
 pub struct LiveMirror {
     state: RwLock<Arc<LiveSnapshot>>,
     writer: Mutex<WriterState>,
-    /// Serialises merges (the rebuild itself runs without the writer
-    /// lock, so ingest streams during a merge).
+    /// Serialises seals and rebuilds (their folds run without the writer
+    /// lock, so ingest streams during them).
     merge_lock: Mutex<()>,
     /// Attached durable store, if any. The lock serialises WAL-record
     /// appends against a merge persisting a whole generation, so their
@@ -646,6 +681,7 @@ impl LiveMirror {
     /// still present); a crash mid-append reopens the committed prefix.
     /// Leftovers of a crashed merge or sweep — generations the pointer
     /// does not name, ops at or below its base — are swept on the way.
+    /// The replayed batches are sealed into one segment.
     pub fn open_durable(store: Arc<Store>) -> RetrievalResult<Self> {
         let Some((gen_no, base_seq)) = durable::live_pointer(&store)? else {
             return Err(RetrievalError::IncompleteState {
@@ -671,6 +707,7 @@ impl LiveMirror {
                 }
             }
         }
+        live.seal();
         durable::live_sweep(&store, gen_no, base_seq)?;
         *live.store.lock() = Some(store);
         Ok(live)
@@ -779,7 +816,8 @@ impl LiveMirror {
         self.delete_locked(&mut w, url, true)
     }
 
-    /// Fold the delta into a fresh compressed generation (LSM merge): pin
+    /// Fold the delta into a fresh compressed generation (the full LSM
+    /// rebuild, beside [`maybe_merge`](Self::maybe_merge)'s seals): pin
     /// a snapshot and, *without blocking writers*, fold each channel's
     /// segments into one index ([`InvertedIndex::fold`]; nothing is
     /// re-tokenised) and load it with the surviving rows, then briefly
@@ -794,6 +832,11 @@ impl LiveMirror {
     /// [`open_durable`](Self::open_durable) to sweep.
     pub fn merge(&self) -> RetrievalResult<()> {
         let _serialise = self.merge_lock.lock();
+        self.rebuild()
+    }
+
+    /// [`merge`](Self::merge) under the held merge lock.
+    fn rebuild(&self) -> RetrievalResult<()> {
         let snap = Arc::clone(&self.state.read());
         let remap = snap.remap();
         let fold = |f| InvertedIndex::fold(&snap.segments(&format!("{INTERNAL}__{f}")), &remap);
@@ -845,27 +888,75 @@ impl LiveMirror {
         }
         Ok(())
     }
+
+    /// Seal under the held merge lock (or before the mirror is shared):
+    /// fold the batches since the last seal into one segment, with each
+    /// preceding sealed one of no higher size class (`ilog2` of its rows),
+    /// so classes strictly fall: at most log2(rows) + 1 sealed segments.
+    /// Nothing is renumbered, so tombstones, df-minus, totals, the URL
+    /// stacks and every pin stay valid; nothing is written to the store,
+    /// whose ops since the generation's base replay to the same rows.
+    fn seal(&self) {
+        let snap = Arc::clone(&self.state.read());
+        let end = snap.batches.len();
+        let mut from = snap.sealed;
+        let mut rows: usize = snap.batches[from..].iter().map(|b| b.rows.len()).sum();
+        while rows > 0 && from > 0 && snap.batches[from - 1].rows.len().ilog2() <= rows.ilog2() {
+            from -= 1;
+            rows += snap.batches[from].rows.len();
+        }
+        let segment = match &snap.batches[from..] {
+            _ if rows == 0 => None, // empty batches hold no document
+            [one] => Some(Arc::clone(one)),
+            many => Some(Arc::new(DeltaBatch::sealed(many))),
+        };
+
+        let mut w = self.writer.lock();
+        let cur = Arc::clone(&self.state.read());
+        // keep the batches appended while the fold ran
+        let mut batches = snap.batches[..from].to_vec();
+        batches.extend(segment);
+        let sealed = batches.len();
+        batches.extend_from_slice(&cur.batches[end..]);
+        // a later rebuild replays only the ops past its own, later, pin
+        w.op_log.retain(|&(seq, _)| seq > snap.seq);
+        let sealed_dead = snap.tombstones.len();
+        *self.state.write() =
+            Arc::new(LiveSnapshot { batches, sealed, sealed_dead, ..LiveSnapshot::clone(&cur) });
+    }
+
+    /// Whether a cluster merge has anything to fold: a delta segment or
+    /// a tombstone.
+    pub(crate) fn has_delta(&self) -> bool {
+        let snap = self.state.read();
+        !snap.batches.is_empty() || !snap.tombstones.is_empty()
+    }
 }
 
 impl LiveMirror {
-    /// Current delta pressure: `(inserted_rows, estimated_bytes,
-    /// tombstones)` of the live snapshot — what [`maybe_merge`]
+    /// Delta pressure since the last seal or rebuild: `(inserted_rows,
+    /// estimated_bytes, tombstones)` — the unsealed batches' rows and
+    /// bytes, and the tombstones added since — what [`maybe_merge`]
     /// judges a [`MergePolicy`] against.
     ///
     /// [`maybe_merge`]: LiveMirror::maybe_merge
     pub fn delta_pressure(&self) -> (usize, u64, usize) {
-        let snap = Arc::clone(&self.state.read());
-        let rows: usize = snap.batches.iter().map(|b| b.rows.len()).sum();
-        let bytes: u64 = snap.batches.iter().flat_map(|b| b.rows.iter()).map(row_bytes).sum();
-        (rows, bytes, snap.tombstones.len())
+        let snap = self.state.read();
+        let unsealed = &snap.batches[snap.sealed..];
+        let rows: usize = unsealed.iter().map(|b| b.rows.len()).sum();
+        let bytes: u64 = unsealed.iter().flat_map(|b| b.rows.iter()).map(row_bytes).sum();
+        (rows, bytes, snap.tombstones.len() - snap.sealed_dead)
     }
 
-    /// Merge if (and only if) the delta has outgrown `policy` — the
-    /// auto-trigger a serving loop calls after its writes instead of
-    /// scheduling merges by hand. Returns whether a merge ran. Rankings
-    /// are unaffected either way: a merged generation is bit-identical
-    /// to the delta-evaluated snapshot it folded (the [`merge`]
-    /// contract).
+    /// Seal or rebuild if (and only if) the delta has outgrown `policy`
+    /// since the last seal — the auto-trigger a serving loop calls after
+    /// its writes instead of scheduling merges by hand. Returns whether
+    /// either ran. A seal folds the unsealed batches into a delta segment
+    /// (see the [module docs](self)); once a quarter of the snapshot's
+    /// documents are dead, or the delta holds as many rows as the
+    /// generation, it is a full [`merge`] instead. Rankings are unaffected
+    /// either way: every segment layout and every merged generation rank
+    /// bit-identically to a batch re-ingest of the surviving rows.
     ///
     /// [`merge`]: LiveMirror::merge
     pub fn maybe_merge(&self, policy: &MergePolicy) -> RetrievalResult<bool> {
@@ -877,7 +968,12 @@ impl LiveMirror {
             || bytes >= policy.max_delta_bytes
             || tombstones >= policy.max_tombstones
         {
-            self.merge()?;
+            let _serialise = self.merge_lock.lock();
+            if self.state.read().rebuild_due() {
+                self.rebuild()?;
+            } else {
+                self.seal();
+            }
             return Ok(true);
         }
         Ok(false)
@@ -1025,5 +1121,45 @@ mod tests {
         live.delete("http://live/dup").unwrap().expect("a live document");
         assert_eq!(live.pin().surviving_rows(), reference(&[3, 26, 31, 5, 13, 0]).library_rows());
         assert_eq!(live.delete("http://live/dup").unwrap(), None);
+    }
+
+    /// A seal keeps its batches' dead documents (masked, at their oids),
+    /// and writes that race it — landing after it pinned its snapshot,
+    /// before it takes the writer lock — stay in the delta: the batch as
+    /// an unsealed batch past the new segment, both as merge pressure.
+    #[test]
+    fn writes_racing_a_seal_stay_in_the_delta() {
+        let config = MirrorConfig::default();
+        let base = MirrorDbms::from_rows(config.clone(), (0..40).map(row).collect(), None, None);
+        let live = LiveMirror::new(base.unwrap());
+        live.insert_rows((40..44).map(row).collect()).unwrap();
+        live.insert_rows((44..50).map(row).collect()).unwrap();
+        live.delete(&row(42).url).unwrap().expect("a live document");
+        let policy = MergePolicy { max_delta_rows: 8, ..MergePolicy::default() };
+        std::thread::scope(|scope| {
+            let mut w = live.writer.lock();
+            let seal = scope.spawn(|| live.maybe_merge(&policy));
+            // the seal's pin is the only other reference to the snapshot
+            while Arc::strong_count(&live.state.read()) < 2 {
+                std::thread::yield_now();
+            }
+            live.insert_locked(&mut w, (50..53).map(row).collect(), false).unwrap();
+            live.delete_locked(&mut w, &row(41).url, false).unwrap().expect("a live document");
+            drop(w);
+            assert!(seal.join().expect("the seal thread").unwrap());
+        });
+        let snap = live.pin().snap;
+        assert_eq!((snap.gen.number, snap.sealed, snap.batches.len()), (0, 1, 2));
+        assert_eq!(snap.batches[0].rows.len(), 10);
+        let (rows, _, dead) = live.delta_pressure();
+        assert_eq!((rows, dead), (3, 1));
+        let rows: Vec<LibraryRow> = (0..53).filter(|i| ![41, 42].contains(i)).map(row).collect();
+        let want = MirrorDbms::from_rows(config, rows, None, None).unwrap();
+        assert_eq!(live.pin().surviving_rows(), want.library_rows());
+        let hits = |r: &dyn Retriever| -> Vec<(String, f64)> {
+            let out = r.retrieve(&RetrievalRequest::text("sunset forest only45", 10)).unwrap();
+            out.into_iter().map(|h| (h.url, h.score)).collect()
+        };
+        assert_eq!(hits(&live), hits(&want));
     }
 }

@@ -255,7 +255,8 @@ impl MirrorCluster {
     /// Fold every shard's pending writes into a fresh generation. Holds
     /// the routing write lock, so cluster writes and reads wait while
     /// each shard folds and its routing rows are compacted to the
-    /// surviving local ids. Shards without pending writes are left alone.
+    /// surviving local ids. Shards without a delta segment or tombstone
+    /// are left alone.
     pub fn merge_all(&self) -> RetrievalResult<()> {
         self.merge_locked().map(drop)
     }
@@ -265,7 +266,7 @@ impl MirrorCluster {
     pub(crate) fn merge_locked(&self) -> RetrievalResult<RwLockWriteGuard<'_, Routing>> {
         let mut routing = self.routing.write();
         for (s, shard) in self.shards.iter().enumerate() {
-            if shard.delta_pressure() == (0, 0, 0) {
+            if !shard.has_delta() {
                 continue;
             }
             let live = shard.pin().surviving_local_ids();

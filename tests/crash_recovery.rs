@@ -14,7 +14,9 @@
 
 use mirror::core::query::RankedResult;
 use mirror::core::shard::MirrorCluster;
-use mirror::core::{LibraryRow, LiveMirror, MirrorDbms, MutableCorpus, RetrievalError, Retriever};
+use mirror::core::{
+    LibraryRow, LiveMirror, MergePolicy, MirrorDbms, MutableCorpus, RetrievalError, Retriever,
+};
 use mirror::media::{CrawledImage, RobotConfig, WebRobot};
 use mirror::monet::storage::BitFlip;
 use mirror::monet::{FaultFs, FaultPlan, MemFs, MonetError, StorageBackend, Store, StoreOptions};
@@ -675,6 +677,111 @@ fn live_crash_between_pointer_flip_and_sweep_reopens_swept() {
         assert_eq!(keyed(probe(&again)), got, "crash at write {w}: sweep changed the state");
     }
     assert!(in_window > 0, "no crash point fell between a pointer flip and its sweep");
+}
+
+/// One write of the sealing session, or a `maybe_merge` of it.
+enum SealOp {
+    Insert(std::ops::Range<usize>),
+    Delete(usize),
+    Trip,
+}
+
+/// Four policy trips: three seals (a tombstone one included), the fourth
+/// a rebuild (4 of 16 documents dead), then a seal on the new generation.
+const SEAL_SCRIPT: &[SealOp] = &[
+    SealOp::Insert(10..12),
+    SealOp::Trip,
+    SealOp::Insert(12..14),
+    SealOp::Trip,
+    SealOp::Delete(0),
+    SealOp::Trip,
+    SealOp::Insert(14..16),
+    SealOp::Delete(1),
+    SealOp::Delete(11),
+    SealOp::Delete(2),
+    SealOp::Trip,
+    SealOp::Insert(16..18),
+    SealOp::Trip,
+];
+
+/// Run the sealing session, counting acknowledged writes and returning
+/// the generation number after each trip.
+fn run_seal_script(
+    b: &Baseline,
+    store: Arc<Store>,
+    acked: &mut usize,
+) -> Result<Vec<u64>, RetrievalError> {
+    let rows = b.db.library_rows();
+    let policy = MergePolicy { max_delta_rows: 2, max_delta_bytes: u64::MAX, max_tombstones: 1 };
+    let live = LiveMirror::create_durable(live_base(b), store)?;
+    let mut generations = Vec::new();
+    for op in SEAL_SCRIPT {
+        match op {
+            SealOp::Insert(range) => drop(live.insert_rows(rows[range.clone()].to_vec())?),
+            SealOp::Delete(i) => drop(live.delete(&rows[*i].url)?),
+            SealOp::Trip => {
+                assert!(live.maybe_merge(&policy)?, "every trip of the script fires");
+                generations.push(live.generation_stats().current);
+                continue;
+            }
+        }
+        *acked += 1;
+    }
+    Ok(generations)
+}
+
+/// Killed at every write of a session that seals three times around a
+/// rebuild, a live store reopens to exactly the acknowledged writes (or
+/// one more, whose record landed before the crash), with its replayed
+/// delta sealed into at most one segment.
+#[test]
+fn live_crash_at_every_write_across_seals_reopens_to_an_exact_prefix() {
+    let b = baseline();
+    let rows = b.db.library_rows();
+    let mut prefixes = vec![live_base(b).library_rows().to_vec()];
+    for op in SEAL_SCRIPT {
+        let mut state = prefixes.last().unwrap().clone();
+        match op {
+            SealOp::Insert(range) => state.extend_from_slice(&rows[range.clone()]),
+            SealOp::Delete(i) => state.retain(|r| r.url != rows[*i].url),
+            SealOp::Trip => continue,
+        }
+        prefixes.push(state);
+    }
+    let counter = Arc::new(FaultFs::new(Arc::new(MemFs::new()), FaultPlan::default()));
+    let store = Arc::new(Store::open(counter.clone(), StoreOptions::default()).unwrap());
+    let generations = run_seal_script(b, store, &mut 0).unwrap();
+    assert_eq!(generations, [0, 0, 0, 1, 1], "three seals, a rebuild, a seal");
+    for w in 0..counter.writes_issued() {
+        let fs = MemFs::new();
+        let plan = FaultPlan { crash_at_write: Some(w), torn_bytes: 0, flips: vec![] };
+        let fault = Arc::new(FaultFs::new(Arc::new(fs.clone()), plan));
+        let mut acked = 0;
+        let crashed = Store::open(fault, StoreOptions::default())
+            .map_err(RetrievalError::from)
+            .and_then(|store| run_seal_script(b, Arc::new(store), &mut acked));
+        assert!(crashed.is_err(), "crash at write {w} did not fire");
+        let live = match LiveMirror::open_durable(Arc::new(reopen(&fs))) {
+            Ok(live) => live,
+            Err(RetrievalError::IncompleteState { .. }) if acked == 0 => continue,
+            Err(other) => panic!("crash at write {w}: {other}"),
+        };
+        let got = live.pin().surviving_rows();
+        assert!(
+            got == prefixes[acked] || prefixes.get(acked + 1) == Some(&got),
+            "crash at write {w} after {acked} acknowledged writes: {} rows reopened",
+            got.len()
+        );
+        assert!(live.pin().segments() <= 1, "crash at write {w}: replay left unsealed batches");
+        let reference = MirrorDbms::from_rows(
+            b.db.config().clone(),
+            got,
+            b.db.vocabulary().cloned(),
+            b.db.thesaurus().cloned(),
+        )
+        .unwrap();
+        assert_eq!(keyed(probe(&live)), keyed(probe(&reference)), "crash at write {w}");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -597,6 +597,104 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Seals: random schedules under small merge policies
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Debug)]
+enum SealStep {
+    Insert(usize, usize), // pool offset, 1–64 rows (mostly ≤ 8); every fifth a duplicate URL
+    Delete(usize, bool),  // the nth live URL (from the newest?), its latest copy
+    Trip(MergePolicy),
+    Merge,
+}
+
+fn decode_seal_step((tag, a, b): (u8, usize, usize)) -> SealStep {
+    match tag {
+        0 => SealStep::Insert(a, 1 + b % 64),
+        1..=4 => SealStep::Insert(a, 1 + b % 8),
+        5..=7 => SealStep::Delete(a, b.is_multiple_of(2)),
+        8..=10 => SealStep::Trip(MergePolicy {
+            max_delta_rows: [6, 16, 40][b % 3],
+            max_delta_bytes: if b.is_multiple_of(5) { 2_000 } else { u64::MAX },
+            max_tombstones: [2, 4][b % 2],
+        }),
+        _ => SealStep::Merge,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Any schedule of inserts, deletes, policy trips (seals or rebuilds)
+    /// and merges ranks like a batch re-ingest of its survivors after
+    /// every step; a reader pinned before a step answers the same after
+    /// it; and sealed segments stay within log2 of the delta's rows.
+    #[test]
+    fn prop_seals_rank_like_a_batch_reingest_and_stay_logarithmic(
+        raw in proptest::collection::vec((0u8..12, 0usize..64, 0usize..64), 1..32)
+    ) {
+        let f = fixture();
+        let live = seed_live(f, f.rows.len());
+        let mut history: Vec<(LibraryRow, bool)> = f.rows.iter().cloned().map(|r| (r, true)).collect();
+        let pool = &f.rows;
+        let (mut inserted, mut unsealed, mut delta_rows) = (0, 0, 0usize);
+        let mut expect = probe(&live, f);
+        for step in raw.into_iter().map(decode_seal_step) {
+            let pin = live.pin();
+            match &step {
+                SealStep::Insert(offset, len) => {
+                    let rows: Vec<LibraryRow> = (inserted..inserted + len)
+                        .map(|i| {
+                            let mut r = pool[(offset + i) % pool.len()].clone();
+                            r.url = if i % 5 == 0 {
+                                format!("http://dup/{}", i % 3)
+                            } else {
+                                format!("{}#seal-{i}", r.url)
+                            };
+                            r
+                        })
+                        .collect();
+                    inserted += len;
+                    (unsealed, delta_rows) = (unsealed + 1, delta_rows + len);
+                    live.insert_rows(rows.clone()).unwrap();
+                    apply(&mut history, &Op::Insert(rows));
+                }
+                SealStep::Delete(n, newest) => {
+                    let alive: Vec<&LibraryRow> =
+                        history.iter().filter(|(_, a)| *a).map(|(r, _)| r).collect();
+                    if alive.is_empty() {
+                        continue;
+                    }
+                    let at = n % alive.len();
+                    let url = alive[if *newest { alive.len() - 1 - at } else { at }].url.clone();
+                    prop_assert!(live.delete(&url).unwrap().is_some());
+                    apply(&mut history, &Op::Delete(url));
+                }
+                SealStep::Trip(policy) => {
+                    if live.maybe_merge(policy).unwrap() {
+                        unsealed = 0;
+                        if live.pin().generation() != pin.generation() {
+                            delta_rows = 0;
+                        }
+                    }
+                }
+                SealStep::Merge => {
+                    live.merge().unwrap();
+                    (unsealed, delta_rows) = (0, 0);
+                }
+            }
+            prop_assert_eq!(&probe_reader(&pin, f), &expect, "pin moved under {:?}", step);
+            expect = probe(&reference(f, survivors(&history)), f);
+            prop_assert_eq!(&probe(&live, f), &expect, "diverged after {:?}", step);
+            prop_assert_eq!(live.pin().surviving_rows(), survivors(&history));
+            let sealed = delta_rows.checked_ilog2().map_or(0, |log| log as usize + 1);
+            let segments = live.pin().segments();
+            prop_assert!(segments <= unsealed + sealed, "{} segments after {:?}", segments, step);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Smoke: the image write path quantises through the pinned vocabulary
 // ---------------------------------------------------------------------------
 
@@ -632,6 +730,8 @@ fn live_types_are_send_and_sync() {
     assert_send_sync::<LiveReader>();
 }
 
+/// Below its shares a tripped policy seals (the generation number holds)
+/// and past them it rebuilds (the number bumps); rankings never move.
 #[test]
 fn merge_policy_auto_triggers_and_preserves_rankings() {
     let f = fixture();
@@ -642,20 +742,21 @@ fn merge_policy_auto_triggers_and_preserves_rankings() {
     live.insert_rows(f.rows[32..36].to_vec()).unwrap();
     assert!(!live.maybe_merge(&rows_policy).unwrap());
     assert_eq!(live.generation_stats().current, 0);
-    // crossing the row threshold fires exactly one merge…
+    // crossing the row threshold fires exactly one seal…
     live.insert_rows(f.rows[36..44].to_vec()).unwrap();
     let (rows, bytes, tombstones) = live.delta_pressure();
     assert_eq!((rows, tombstones), (12, 0));
     assert!(bytes > 0);
     let before = probe(&live, f);
     assert!(live.maybe_merge(&rows_policy).unwrap());
-    assert_eq!(live.generation_stats().current, 1);
+    assert_eq!(live.generation_stats().current, 0, "12 delta rows beside 32 seal");
+    assert_eq!(live.pin().segments(), 1);
     // …with rankings bit-identical across the fold
     assert_eq!(probe(&live, f), before);
-    // the folded delta leaves no pressure, so the policy is idle again
+    // the sealed delta leaves no pressure, so the policy is idle again
     assert_eq!(live.delta_pressure(), (0, 0, 0));
     assert!(!live.maybe_merge(&rows_policy).unwrap());
-    assert_eq!(live.generation_stats().current, 1);
+    assert_eq!(live.generation_stats().current, 0);
     // the tombstone threshold is an independent trigger
     let tomb_policy =
         MergePolicy { max_delta_rows: usize::MAX, max_delta_bytes: u64::MAX, max_tombstones: 2 };
@@ -664,7 +765,27 @@ fn merge_policy_auto_triggers_and_preserves_rankings() {
     live.delete(&f.rows[1].url).unwrap();
     let before = probe(&live, f);
     assert!(live.maybe_merge(&tomb_policy).unwrap());
-    assert_eq!(live.generation_stats().current, 2);
+    assert_eq!(live.generation_stats().current, 0, "2 dead of 44 seal");
+    assert_eq!(probe(&live, f), before);
+    assert_eq!(live.delta_pressure(), (0, 0, 0));
+    // a quarter of the documents dead: the seal becomes a rebuild
+    for row in &f.rows[2..11] {
+        live.delete(&row.url).unwrap();
+    }
+    let before = probe(&live, f);
+    assert!(live.maybe_merge(&tomb_policy).unwrap());
+    assert_eq!(live.generation_stats().current, 1, "11 dead of 44 rebuild");
+    assert_eq!(live.pin().segments(), 0);
+    assert_eq!(probe(&live, f), before);
+    // as many delta rows as the generation's 33 documents: a rebuild too
+    let again: Vec<LibraryRow> = f.rows[..33]
+        .iter()
+        .map(|r| LibraryRow { url: format!("{}#again", r.url), ..r.clone() })
+        .collect();
+    live.insert_rows(again).unwrap();
+    let before = probe(&live, f);
+    assert!(live.maybe_merge(&rows_policy).unwrap());
+    assert_eq!(live.generation_stats().current, 2, "33 delta rows beside 33 rebuild");
     assert_eq!(probe(&live, f), before);
     // and the merged corpus still equals a batch re-ingest of survivors
     assert_eq!(probe(&live, f), probe(&reference(f, live.pin().surviving_rows()), f));
