@@ -53,7 +53,7 @@ use crate::retriever::{RetrievalError, RetrievalResult, Retriever};
 use crate::serve::RetrievalRequest;
 use crate::{durable, LibraryRow, MirrorConfig, MirrorDbms, INTERNAL};
 use ir::text::{for_each_token, is_stopword, porter_stem_into};
-use ir::{CorpusView, InvertedIndex, Tombstones, ViewPart};
+use ir::{CorpusView, DocSet, InvertedIndex, ViewPart};
 use media::CrawledImage;
 use moa::{Expr, MoaError, QueryParams};
 use monet::column::StrCol;
@@ -267,7 +267,7 @@ impl DfMinus {
 struct LiveSnapshot {
     gen: Arc<Generation>,
     batches: Vec<Arc<DeltaBatch>>,
-    tombstones: Tombstones,
+    tombstones: DocSet,
     /// Per-channel document frequencies lost to tombstones. Union df =
     /// Σ segment dfs − minus.
     df_minus: [DfMinus; 2],
@@ -282,8 +282,9 @@ struct LiveSnapshot {
     totals: [u64; 2],
     seq: u64,
     /// Every row's URL by live oid ([`url_column`]), built for the first
-    /// filtered request.
-    source: OnceLock<Arc<Bat>>,
+    /// filtered request and shared by every snapshot with the same rows:
+    /// a delete or a seal keeps it, an insert starts a new one.
+    source: Arc<OnceLock<Arc<Bat>>>,
 }
 
 impl LiveSnapshot {
@@ -293,12 +294,12 @@ impl LiveSnapshot {
             totals: gen.totals,
             gen,
             batches: Vec::new(),
-            tombstones: Tombstones::new(),
+            tombstones: DocSet::new(),
             df_minus: Default::default(),
             sealed: 0,
             sealed_dead: 0,
             seq,
-            source: OnceLock::new(),
+            source: Arc::default(),
         }
     }
 
@@ -342,12 +343,12 @@ impl LiveSnapshot {
 
     /// This snapshot as of write `seq`, before the write changes it.
     fn at(&self, seq: u64) -> LiveSnapshot {
-        LiveSnapshot { seq, source: OnceLock::new(), ..self.clone() }
+        LiveSnapshot { seq, ..self.clone() }
     }
 
     fn with_insert(&self, rows: Vec<LibraryRow>, seq: u64) -> LiveSnapshot {
         let batch = DeltaBatch::new(self.end_doc(), rows);
-        let mut next = self.at(seq);
+        let mut next = LiveSnapshot { source: Arc::default(), ..self.at(seq) };
         next.n_live += batch.rows.len();
         for (total, index) in next.totals.iter_mut().zip(&batch.indexes) {
             *total += index.stats().total_tokens;
@@ -357,7 +358,8 @@ impl LiveSnapshot {
     }
 
     /// Tombstone `oid`, streaming its terms from its row: the publish
-    /// costs about the document's distinct terms.
+    /// costs about the document's distinct terms. The rows, and so the
+    /// URL column, stay.
     fn with_delete(&self, oid: Oid, seq: u64) -> LiveSnapshot {
         let row = self.row(oid).expect("tombstoned doc exists in the snapshot");
         let mut next = self.at(seq);
@@ -425,7 +427,7 @@ impl ViewPart for LiveSnapshot {
         slot(prefix).map_or(0, |c| self.df_minus[c].get(self.gen.indexes[c].as_deref(), term))
     }
 
-    fn tombstones(&self) -> Option<&Tombstones> {
+    fn tombstones(&self) -> Option<&DocSet> {
         (!self.tombstones.is_empty()).then_some(&self.tombstones)
     }
 
@@ -504,6 +506,12 @@ impl LiveReader {
     /// Number of the pinned (compressed) generation.
     pub fn generation(&self) -> u64 {
         self.snap.gen.number
+    }
+
+    /// `(generation, end doc)`: equal cuts pin the same rows, which only
+    /// an insert or a rebuild changes.
+    pub(crate) fn rows_cut(&self) -> (u64, Oid) {
+        (self.snap.gen.number, self.snap.end_doc())
     }
 
     /// Live (non-tombstoned) documents visible.
@@ -1069,6 +1077,47 @@ mod tests {
             assert_eq!(*snap.gen.db.env().stats(), *reference.env().stats(), "round {round}");
             assert_eq!(snap.gen.db.library_rows(), reference.library_rows());
         }
+    }
+
+    /// A delete keeps the snapshot's URL column — the rows do not change,
+    /// the tombstone masks the dead one — and so does a seal; a filtered
+    /// read on either still ranks like a batch re-ingest. An insert starts
+    /// a new column.
+    #[test]
+    fn deletes_and_seals_keep_the_url_column() {
+        let config = MirrorConfig::default();
+        let base = MirrorDbms::from_rows(config.clone(), (0..40).map(row).collect(), None, None);
+        let live = LiveMirror::new(base.unwrap());
+        live.insert_rows((40..50).map(row).collect()).unwrap();
+        // "e/4" spans the URLs' last '/': "http://live/" + "4…"
+        let req = RetrievalRequest::text("sunset forest ocean sky", 60).with_filter("e/4");
+        let keyed = |hits: Vec<RankedResult>| -> Vec<(String, f64)> {
+            hits.into_iter().map(|h| (h.url, h.score)).collect()
+        };
+        let read = || {
+            let pin = live.pin();
+            let rows = pin.surviving_rows();
+            let batch = MirrorDbms::from_rows(config.clone(), rows, None, None).unwrap();
+            let got = keyed(pin.retrieve(&req).unwrap());
+            assert_eq!(got, keyed(batch.retrieve(&req).unwrap()));
+            assert!(!got.is_empty() && got.iter().all(|(url, _)| url.contains("e/4")));
+            Arc::clone(pin.snap.source.get().expect("a filtered read builds the column"))
+        };
+        let column = read();
+        for i in [4, 41, 44] {
+            live.delete(&row(i).url).unwrap().expect("a live document");
+        }
+        let kept = |what| {
+            let now = live.pin().snap.source.get().map(Arc::clone);
+            assert!(now.is_some_and(|now| Arc::ptr_eq(&now, &column)), "{what} dropped the column");
+        };
+        kept("a delete");
+        assert!(Arc::ptr_eq(&read(), &column));
+        live.seal();
+        kept("a seal");
+        live.insert_rows(vec![row(50)]).unwrap();
+        assert!(live.pin().snap.source.get().is_none(), "an insert starts a new column");
+        assert!(!Arc::ptr_eq(&read(), &column));
     }
 
     /// Writes that race a merge — landing after it pinned its snapshot,

@@ -108,7 +108,7 @@ pub(crate) struct Routing {
 }
 
 /// A pinned cut's `(generation, seq)` per shard and its URL column.
-type CutColumn = (Vec<(u64, u64)>, Arc<Bat>);
+type CutColumn = (Vec<(u64, Oid)>, Arc<Bat>);
 
 /// A sharded Mirror deployment: N [`LiveMirror`] shards behind replica
 /// routers, answering the same typed [`RetrievalRequest`]s as a single
@@ -129,7 +129,7 @@ pub struct MirrorCluster {
     routers: Vec<ReplicaRouter<LiveMirror>>,
     routing: RwLock<Routing>,
     /// The URL column of the last cut a filtered request pinned, keyed by
-    /// each shard's `(generation, seq)`.
+    /// each shard's [`LiveReader::rows_cut`].
     source: Mutex<Option<CutColumn>>,
 }
 
@@ -303,7 +303,7 @@ impl MirrorCluster {
     /// The URL column of a pinned cut, built once per cut: every shard's
     /// rows laid end to end.
     fn source_column(&self, pins: &[LiveReader]) -> Arc<Bat> {
-        let cut: Vec<(u64, u64)> = pins.iter().map(|p| (p.generation(), p.seq())).collect();
+        let cut: Vec<(u64, Oid)> = pins.iter().map(LiveReader::rows_cut).collect();
         let mut cached = self.source.lock();
         match &*cached {
             Some((key, bat)) if *key == cut => Arc::clone(bat),

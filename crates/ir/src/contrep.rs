@@ -24,6 +24,7 @@
 //!   the inference network's `#wsum` belief.
 
 use crate::belief::BeliefParams;
+use crate::docset::DocSet;
 use crate::index::InvertedIndex;
 use crate::topk::TopKOutcome;
 use crate::view::{CorpusView, ViewChannel, ViewPart};
@@ -239,9 +240,8 @@ fn register_getbl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
             }
         };
         let bel = store.params();
-        let domain: Option<monet::fxhash::FxHashSet<Oid>> = inputs
-            .first()
-            .map(|bat| (0..bat.count()).filter_map(|i| bat.head().oid_at(i).ok()).collect());
+        let domain: Option<DocSet> =
+            inputs.first().map(|bat| bat.head().as_oids().unwrap_or_default().into_iter().collect());
         let total_w: f64 = query.iter().map(|(_, w)| w).sum();
         let mut docs: Vec<Oid> = Vec::new();
         let mut beliefs: Vec<f64> = Vec::new();
@@ -254,7 +254,7 @@ fn register_getbl_op(ops: &OpRegistry, store: Arc<ContrepStore>) {
                 let df = index.df(t);
                 let Some(list) = index.postings_list(t) else { continue };
                 list.for_each(|doc, tf| {
-                    if domain.as_ref().is_some_and(|dom| !dom.contains(&doc)) {
+                    if domain.as_ref().is_some_and(|dom| !dom.contains(doc)) {
                         return;
                     }
                     let b = bel.belief(tf, df, index.doc_len(doc), stats.n_docs, stats.avg_dl);

@@ -29,20 +29,20 @@
 pub mod belief;
 pub mod contrep;
 pub mod dict;
+pub mod docset;
 pub mod index;
 pub mod postings;
 pub mod text;
-pub mod tombstones;
 pub mod topk;
 pub mod view;
 
 pub use belief::{BeliefParams, DEFAULT_BELIEF};
 pub use contrep::{register_contrep, Contrep, ContrepStore};
 pub use dict::TermDict;
+pub use docset::DocSet;
 pub use index::{CollectionStats, IndexBuilder, InvertedIndex, TfRows};
 pub use postings::{BlockMeta, PostingList, BLOCK_LEN};
 pub use text::{is_stopword, porter_stem, tokenize, tokenize_stemmed};
-pub use tombstones::Tombstones;
 pub use topk::{
     topk_beliefs, topk_channels, ChannelWork, TopKAccumulator, TopKChannel, TopKOutcome,
 };

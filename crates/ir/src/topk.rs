@@ -78,17 +78,16 @@
 //!   per-term document frequencies are inputs, not properties of the
 //!   layout (union statistics for a live snapshot, global ones for a
 //!   shard), and a tombstone mask drops deleted documents beside the
-//!   domain filter;
+//!   domain filter — both [`DocSet`] bitmaps;
 //! * [`topk_beliefs`] — the one-channel, one-segment case (weight `1.0`).
 //!
 //! A walk runs on the thread that calls it: the serving layer's worker
 //! pool is the one level of parallelism.
 
 use crate::belief::BeliefParams;
+use crate::docset::DocSet;
 use crate::index::{CollectionStats, InvertedIndex};
 use crate::postings::{PostingList, BLOCK_LEN};
-use crate::tombstones::Tombstones;
-use monet::fxhash::FxHashSet;
 use monet::Oid;
 use std::cmp::Ordering;
 use std::cmp::Reverse;
@@ -357,14 +356,14 @@ struct Request<'a, 'r> {
     /// Per [`Part`] channel bit: the `max(0, weight·α)` shares of its
     /// channels.
     shares: Vec<f64>,
-    domain: Option<&'r FxHashSet<Oid>>,
-    tombstones: Option<&'r Tombstones>,
+    domain: Option<&'r DocSet>,
+    tombstones: Option<&'r DocSet>,
 }
 
 impl Request<'_, '_> {
     /// True when global document `doc` is outside the domain or deleted.
     fn dropped(&self, doc: Oid) -> bool {
-        self.domain.is_some_and(|d| !d.contains(&doc))
+        self.domain.is_some_and(|d| !d.contains(doc))
             || self.tombstones.is_some_and(|t| t.contains(doc))
     }
 
@@ -575,7 +574,7 @@ pub fn topk_beliefs(
     index: &InvertedIndex,
     params: BeliefParams,
     query: &[(&str, f64)],
-    domain: Option<&FxHashSet<Oid>>,
+    domain: Option<&DocSet>,
     k: usize,
     _degree: usize,
 ) -> TopKOutcome {
@@ -613,8 +612,8 @@ pub fn topk_beliefs(
 pub fn topk_channels(
     channels: &[TopKChannel<'_>],
     params: BeliefParams,
-    domain: Option<&FxHashSet<Oid>>,
-    tombstones: Option<&Tombstones>,
+    domain: Option<&DocSet>,
+    tombstones: Option<&DocSet>,
     k: usize,
 ) -> TopKOutcome {
     let chans: Vec<ChanInfo<'_>> = channels
@@ -1109,11 +1108,11 @@ mod tests {
         index: &InvertedIndex,
         params: BeliefParams,
         query: &[(&str, f64)],
-        domain: Option<&FxHashSet<Oid>>,
+        domain: Option<&DocSet>,
         k: usize,
     ) -> Vec<(Oid, f64)> {
         let mut out: Vec<(Oid, f64)> = (0..index.n_docs() as Oid)
-            .filter(|doc| domain.is_none_or(|d| d.contains(doc)))
+            .filter(|&doc| domain.is_none_or(|d| d.contains(doc)))
             .filter_map(|doc| Some((doc, grouped_sum(index, params, query, doc)?)))
             .collect();
         out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -1223,7 +1222,7 @@ mod tests {
         assert_eq!((out.scored, out.skipped_postings, out.blocks_skipped), (4, 0, 0));
         // docs 1 and 2 fall outside the domain: their one posting each is
         // passed unscored, the 4 postings of docs 0 and 3 are scored
-        let domain: FxHashSet<Oid> = [0, 3].into_iter().collect();
+        let domain: DocSet = [0, 3].into_iter().collect();
         let out = topk_beliefs(&index, params, &query, Some(&domain), 10, 1);
         assert_eq!(out.hits, baseline(&index, params, &query, Some(&domain), 10));
         assert_eq!((out.scored, out.skipped_postings, out.blocks_skipped), (2, 2, 0));
@@ -1289,7 +1288,7 @@ mod tests {
         let index = idx(100);
         let params = BeliefParams::default();
         let query = [("sunset", 1.0)];
-        let domain: FxHashSet<Oid> = (0..50).collect();
+        let domain: DocSet = (0..50).collect();
         let out = topk_beliefs(&index, params, &query, Some(&domain), 10, 1);
         assert!(!out.hits.is_empty());
         assert!(out.hits.iter().all(|(oid, _)| *oid < 50));
@@ -1407,7 +1406,7 @@ mod tests {
         // deleted, in the base and in the deltas
         let docs: [fn(usize) -> Vec<&'static str>; 2] = [text_doc, visual_doc];
         let cuts = [0usize, 900, 1000, 1150, 1200];
-        let dead: Tombstones = (0..1200).filter(|d| d % 7 == 3).collect();
+        let dead: DocSet = (0..1200).filter(|d| d % 7 == 3).collect();
         let survivors: Vec<Oid> = (0..1200).filter(|&d| !dead.contains(d)).collect();
         let segs: Vec<Vec<(Oid, InvertedIndex)>> = docs
             .iter()
@@ -1422,8 +1421,8 @@ mod tests {
         let queries: [&[(&str, f64)]; 2] =
             [&[("sunset", 1.0), ("wave", 0.5), ("zzz", 1.0)], &[("v1", 1.0), ("v3", 0.7)]];
         let in_domain = |d: Oid| !d.is_multiple_of(3);
-        let live_domain: FxHashSet<Oid> = (0..1200).filter(|&d| in_domain(d)).collect();
-        let batch_domain: FxHashSet<Oid> =
+        let live_domain: DocSet = (0..1200).filter(|&d| in_domain(d)).collect();
+        let batch_domain: DocSet =
             (0..survivors.len() as Oid).filter(|&i| in_domain(survivors[i as usize])).collect();
         let params = BeliefParams::default();
         for weights in [&[1.0][..], &[0.7, 0.3]] {
@@ -1466,7 +1465,7 @@ mod tests {
     fn empty_or_weightless_query_over_segments_scores_nothing() {
         let base = idx(300);
         let delta = build((300..400).map(text_doc));
-        let dead: Tombstones = [3, 310].into_iter().collect();
+        let dead: DocSet = [3, 310].into_iter().collect();
         let segments = vec![(0, &base), (300, &delta)];
         for query in [Vec::new(), vec![("sunset", 0.0, 90)]] {
             let ch =

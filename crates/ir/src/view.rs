@@ -13,10 +13,9 @@
 //! end to end.
 
 use crate::belief::BeliefParams;
+use crate::docset::DocSet;
 use crate::index::{CollectionStats, InvertedIndex};
-use crate::tombstones::Tombstones;
 use crate::topk::{topk_channels, TopKAccumulator, TopKChannel, TopKOutcome};
-use monet::fxhash::FxHashSet;
 use monet::{Bat, Oid, RequestView};
 use std::sync::Arc;
 
@@ -32,7 +31,7 @@ pub trait ViewPart: Send + Sync {
         0
     }
     /// The deleted local ids, masked out of ranking.
-    fn tombstones(&self) -> Option<&Tombstones> {
+    fn tombstones(&self) -> Option<&DocSet> {
         None
     }
     /// One past the last local id, deleted or not.
@@ -119,8 +118,9 @@ impl CorpusView {
     /// The k best `(global id, score)` pairs of the view, best first (ties
     /// by ascending global id), with the work of every part. Each part
     /// runs one [`topk_channels`] pass under the union statistics,
-    /// restricted to the view ids in `domain`. `None` when a hit has no
-    /// global id.
+    /// restricted to the view ids in `domain` — the head of a select,
+    /// handed to each part as a [`DocSet`] bitmap of its local ids. `None`
+    /// when a hit has no global id.
     pub fn topk(
         &self,
         channels: &[ViewChannel<'_>],
@@ -151,13 +151,13 @@ impl CorpusView {
             })
             .collect();
         let domains = domain.map(|bat| {
-            let mut sets = vec![FxHashSet::default(); self.parts.len()];
-            for oid in (0..bat.count()).filter_map(|i| bat.head().oid_at(i).ok()) {
+            let mut local = vec![Vec::new(); self.parts.len()];
+            for oid in bat.head().as_oids().unwrap_or_default() {
                 if let Some(part) = self.bases.partition_point(|&b| b <= oid).checked_sub(1) {
-                    sets[part].insert(oid - self.bases[part]);
+                    local[part].push(oid - self.bases[part]);
                 }
             }
-            sets
+            local.into_iter().map(DocSet::from_iter).collect::<Vec<_>>()
         });
         let mut acc = TopKAccumulator::new(k);
         let mut total = TopKOutcome::empty(channels.len(), 0);

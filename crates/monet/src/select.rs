@@ -31,18 +31,22 @@ impl Bat {
         Ok(self.take_ordered(&positions))
     }
 
-    /// Rows whose (string) tail contains `pat` as a substring.
+    /// Rows whose (string) tail contains `pat` as a substring. The
+    /// dictionary tests `pat` once per distinct directory prefix of its
+    /// strings, not once per string or row ([`StrDict::contains_flags`]).
+    ///
+    /// [`StrDict::contains_flags`]: crate::StrDict::contains_flags
     pub fn select_str_contains(&self, pat: &str) -> Result<Bat> {
         let s = self.tail().str_col()?;
-        // one substring test per distinct string, not per row
-        let mut matching = vec![false; s.dict.len()];
-        for (code, st) in s.dict.iter() {
-            matching[code as usize] = st.contains(pat);
+        let matching = s.dict.contains_flags(pat);
+        // branchless, like `scan_range`: write every row, advance on a match
+        let mut positions = vec![0u32; s.codes.len()];
+        let mut n = 0;
+        for (i, &c) in s.codes.iter().enumerate() {
+            positions[n] = i as u32;
+            n += usize::from(matching[c as usize]);
         }
-        let positions: Vec<u32> = (s.codes.iter().enumerate())
-            .filter(|(_, &c)| matching[c as usize])
-            .map(|(i, _)| i as u32)
-            .collect();
+        positions.truncate(n);
         Ok(self.take_ordered(&positions))
     }
 
@@ -192,6 +196,7 @@ fn float_bound(b: Bound<&Val>) -> Option<(f64, bool)> {
 mod tests {
     use super::*;
     use crate::bat::{bat_of_ints, bat_of_strs};
+    use crate::Oid;
 
     #[test]
     fn select_eq_ints() {
@@ -254,6 +259,67 @@ mod tests {
         assert_eq!(r.count(), 2);
         let r2 = b.select_str_contains("forest").unwrap();
         assert_eq!(r2.count(), 2);
+    }
+
+    /// A splitmix64 stream: the property test's seeded generator.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        /// Up to `max` pieces: `/` (so leading, trailing and doubled ones),
+        /// letters, `.` and a two-byte character.
+        fn string(&mut self, max: usize) -> String {
+            const PIECES: [&str; 7] = ["/", "/", "a", "b", "ab", ".", "é"];
+            (0..self.below(max + 1)).map(|_| PIECES[self.below(PIECES.len())]).collect()
+        }
+
+        /// A random substring of `s`, cut on character boundaries.
+        fn substring(&mut self, s: &str) -> String {
+            let cuts: Vec<usize> = (0..=s.len()).filter(|&i| s.is_char_boundary(i)).collect();
+            let (a, b) = (cuts[self.below(cuts.len())], cuts[self.below(cuts.len())]);
+            s[a.min(b)..a.max(b)].to_string()
+        }
+    }
+
+    #[test]
+    fn prop_select_str_contains_equals_a_scan_of_every_row() {
+        let mut rng = Mix(7);
+        for case in 0..300 {
+            let distinct: Vec<String> = (0..1 + rng.below(12)).map(|_| rng.string(10)).collect();
+            let rows: Vec<&str> =
+                (0..1 + rng.below(24)).map(|_| &*distinct[rng.below(distinct.len())]).collect();
+            let b = bat_of_strs(rows.iter().copied());
+            let mut pats = vec![String::new(), "/".to_string()];
+            for _ in 0..12 {
+                let s = rows[rng.below(rows.len())];
+                pats.push(rng.substring(s));
+                // a substring that spans the last '/', when there is one
+                if let Some(j) = s.rfind('/') {
+                    let (a, b) = (rng.below(j + 1), j + 1 + rng.below(s.len() - j));
+                    if s.is_char_boundary(a) && s.is_char_boundary(b) {
+                        pats.push(s[a..b].to_string());
+                    }
+                }
+                pats.push(rng.string(4));
+            }
+            for pat in &pats {
+                let got: Vec<Oid> = (b.select_str_contains(pat).unwrap().to_pairs().into_iter())
+                    .map(|(h, _)| h.as_oid().unwrap())
+                    .collect();
+                let want: Vec<Oid> = (rows.iter().enumerate())
+                    .filter(|(_, s)| s.contains(pat.as_str()))
+                    .map(|(i, _)| i as Oid)
+                    .collect();
+                assert_eq!(got, want, "case {case}: {pat:?} in {rows:?}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! another, so projections and selections never copy string data.
 
 use crate::fxhash::FxHashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An immutable, deduplicated pool of strings.
 ///
@@ -16,6 +16,11 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct StrDict {
     strings: Vec<Box<str>>,
+    /// Every string cut at its last `/` as `dir ++ leaf` (`dir` empty
+    /// without one) by the first [`contains_flags`](Self::contains_flags):
+    /// the distinct `dir`s, and each string's `dir` id — its leaf starts
+    /// at that `dir`'s length.
+    dirs: OnceLock<(Vec<Box<str>>, Vec<u32>)>,
 }
 
 impl StrDict {
@@ -36,16 +41,51 @@ impl StrDict {
         &self.strings[code as usize]
     }
 
-    /// Look up the code of `s`, if present. Linear in the dictionary only
-    /// when called on a frozen dict without index; intended for tests and
-    /// small lookups — bulk lookups should go through [`StrDictBuilder`].
-    pub fn lookup(&self, s: &str) -> Option<u32> {
-        self.strings.iter().position(|t| &**t == s).map(|i| i as u32)
-    }
-
     /// Iterate over `(code, string)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
         self.strings.iter().enumerate().map(|(i, s)| (i as u32, &**s))
+    }
+
+    /// One flag per code: whether its string contains `pat`. A string
+    /// `dir ++ leaf` contains it if and only if `dir` does, or `pat` has no
+    /// `/` and `leaf` contains it, or `dir` ends with `pat` through its
+    /// last `/` and `leaf` starts with the rest. So after the first call
+    /// cuts every string once, `pat` is tested once per distinct `dir`,
+    /// and a leaf is read only where `pat` could end inside it.
+    pub fn contains_flags(&self, pat: &str) -> Vec<bool> {
+        let (dirs, dir_of) = self.dirs.get_or_init(|| {
+            let (mut ids, mut dirs) = (FxHashMap::default(), Vec::new());
+            let dir_of = (self.strings.iter())
+                .map(|s| {
+                    let dir = &s[..s.rfind('/').map_or(0, |j| j + 1)];
+                    *ids.entry(dir).or_insert_with(|| {
+                        dirs.push(Box::from(dir));
+                        dirs.len() as u32 - 1
+                    })
+                })
+                .collect();
+            (dirs, dir_of)
+        });
+        let (head, rest) = match pat.rfind('/') {
+            Some(j) => (Some(&pat[..=j]), &pat[j + 1..]),
+            None => (None, pat),
+        };
+        // per `dir`: the answer for every string under it, or `None` when
+        // the leaf decides
+        let verdicts: Vec<Option<bool>> = (dirs.iter())
+            .map(|dir| match head {
+                _ if dir.contains(pat) => Some(true),
+                Some(head) if !dir.ends_with(head) => Some(false),
+                _ => None,
+            })
+            .collect();
+        let leaf_has = |code: usize, d: usize| {
+            let leaf = &self.strings[code][dirs[d].len()..];
+            head.map_or_else(|| leaf.contains(rest), |_| leaf.starts_with(rest))
+        };
+        (dir_of.iter().enumerate())
+            .map(|(code, &d)| verdicts[d as usize].unwrap_or_else(|| leaf_has(code, d as usize)))
+            .collect()
     }
 }
 
@@ -95,7 +135,7 @@ impl StrDictBuilder {
         for (s, code) in self.index {
             strings[code as usize] = s;
         }
-        Arc::new(StrDict { strings })
+        Arc::new(StrDict { strings, dirs: OnceLock::new() })
     }
 }
 
@@ -122,8 +162,7 @@ mod tests {
         let d = b.freeze();
         assert_eq!(d.resolve(0), "x");
         assert_eq!(d.resolve(1), "y");
-        assert_eq!(d.lookup("y"), Some(1));
-        assert_eq!(d.lookup("z"), None);
+        assert_eq!(d.len(), 2);
     }
 
     #[test]

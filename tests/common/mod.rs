@@ -7,8 +7,7 @@
 use mirror::core::serve::RetrievalRequest;
 use mirror::core::{LibraryRow, MirrorDbms, Retriever};
 use mirror::ir::index::Posting;
-use mirror::ir::{BeliefParams, InvertedIndex, PostingList, Tombstones, TopKChannel};
-use mirror::monet::fxhash::FxHashSet;
+use mirror::ir::{BeliefParams, DocSet, InvertedIndex, PostingList, TopKChannel};
 use mirror::monet::Oid;
 
 /// Rows in the block-scale library.
@@ -190,8 +189,8 @@ pub fn topk_channels_raw(
     channels: &[TopKChannel<'_>],
     raw: &[Vec<RawPostings>],
     params: BeliefParams,
-    domain: Option<&FxHashSet<Oid>>,
-    dead: Option<&Tombstones>,
+    domain: Option<&DocSet>,
+    dead: Option<&DocSet>,
     k: usize,
 ) -> Vec<(Oid, f64)> {
     let n_docs = channels
@@ -228,7 +227,7 @@ pub fn topk_channels_raw(
     };
     let mut ranked: Vec<(Oid, f64)> = (0..n_docs as Oid)
         .filter(|d| {
-            domain.is_none_or(|dom| dom.contains(d)) && dead.is_none_or(|t| !t.contains(*d))
+            domain.is_none_or(|dom| dom.contains(*d)) && dead.is_none_or(|t| !t.contains(*d))
         })
         .map(|doc| {
             let mut score = 0.0;

@@ -20,7 +20,10 @@ const POOL: &[&str] = &[
     "zeppelin", "quartz",
 ];
 
-const FILTERS: &[&str] = &["/sunset/", "/ocean/", "1", "png"];
+/// URL filters: directories, a leaf's digit, a suffix, and patterns that
+/// span a URL's last `/` (`t/4`, `/1`, a whole URL).
+const FILTERS: &[&str] =
+    &["/sunset/", "/ocean/", "1", "png", "t/4", "/1", "http://library.example/city/5.png"];
 
 /// One corpus served by an optimised node, an `OptConfig::none()` node and
 /// 1/2/4-shard clusters, built once and shared by every test below.
@@ -114,6 +117,17 @@ proptest! {
         for k in [1usize, 10, f.n_docs] {
             for req in requests(f, &terms, k, filter) {
                 let expected = f.unopt.retrieve(&req).unwrap();
+                // scores do not depend on the filter: past every document
+                // it keeps exactly the unfiltered hits its URL test keeps,
+                // an oracle that shares no `select` with the plan
+                if let (Some(pattern), true) = (&req.filter, k == f.n_docs) {
+                    let unfiltered = RetrievalRequest { filter: None, ..req.clone() };
+                    for backend in [&f.opt as &dyn Retriever, &f.clusters[1]] {
+                        let mut kept = backend.retrieve(&unfiltered).unwrap();
+                        kept.retain(|h| h.url.contains(pattern.as_str()));
+                        prop_assert_eq!(&expected, &kept, "filter {:?} k={}", pattern, k);
+                    }
+                }
                 let got = f.opt.retrieve(&req).unwrap();
                 prop_assert_eq!(&got, &expected, "single node diverged, k={} req={:?}", k, req);
                 for cluster in &f.clusters {

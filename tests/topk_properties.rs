@@ -14,11 +14,10 @@ use common::{
 use mirror::core::{MirrorConfig, MirrorDbms, Retriever};
 use mirror::ir::index::Posting;
 use mirror::ir::{
-    self, porter_stem, topk_beliefs, topk_channels, BeliefParams, ContrepStore, IndexBuilder,
-    InvertedIndex, PostingList, Tombstones, TopKChannel,
+    self, porter_stem, topk_beliefs, topk_channels, BeliefParams, ContrepStore, DocSet,
+    IndexBuilder, InvertedIndex, PostingList, TopKChannel,
 };
 use mirror::moa::{parse_define, Env, MoaEngine, MoaVal, OptConfig, QueryParams};
-use mirror::monet::fxhash::FxHashSet;
 use mirror::monet::Oid;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -342,11 +341,11 @@ fn channels_match_the_oracle(
     cuts.extend([0, n_docs]);
     cuts.sort_unstable();
     cuts.dedup();
-    let dead: Option<Tombstones> = (rng.below(2) == 0).then(|| {
+    let dead: Option<DocSet> = (rng.below(2) == 0).then(|| {
         let m = 3 + rng.below(18);
         (0..n_docs as Oid).filter(|&d| Mix(seed ^ u64::from(d)).below(m) == 0).collect()
     });
-    let domain: Option<FxHashSet<Oid>> = (rng.below(2) == 0)
+    let domain: Option<DocSet> = (rng.below(2) == 0)
         .then(|| (0..n_docs as Oid).filter(|&d| Mix(!seed ^ u64::from(d)).below(10) < 7).collect());
     let queries: Vec<Vec<(String, f64)>> = kinds
         .iter()
@@ -602,7 +601,7 @@ fn seventy_term_query_equals_the_exhaustive_oracle() {
         .collect();
     let dense: Vec<(String, f64)> = DENSE[..4].iter().map(|t| (t.to_string(), 1.0)).collect();
     let queries = [wide, dense];
-    let dead: Tombstones = (0..n_docs as Oid).filter(|d| d % 13 == 5).collect();
+    let dead: DocSet = (0..n_docs as Oid).filter(|d| d % 13 == 5).collect();
     let params = BeliefParams::default();
     let channels = case.channels(&queries, &[0.6, 0.4]);
     assert_eq!(channels[0].query.len(), 70);
