@@ -196,7 +196,6 @@ impl MoaEngine {
     /// view.
     fn executor(&self, hints: PlanHints, params: &QueryParams) -> Executor<'_> {
         let mut exec = Executor::new(self.env.catalog(), self.env.ops());
-        exec.memoize = self.opt.memoize;
         exec.view = params.view().cloned();
         if self.opt.stats_driven && !hints.est_rows.is_empty() {
             exec.est_rows = Some(Arc::new(hints.est_rows));
@@ -236,9 +235,7 @@ impl MoaEngine {
             Rep::Scalar { plan, .. } => plan.clone(),
             // bindings have no plan; callers reject them after execution
             Rep::Query(_) | Rep::Stats(_) => Plan::load("__binding__"),
-            Rep::Lit(v) => Plan::Const(Arc::new(monet::Bat::dense(
-                monet::Column::from_vals(std::slice::from_ref(v)).expect("literal column"),
-            ))),
+            Rep::Lit(v) => Plan::Const(v.clone()),
         }
     }
 }
@@ -308,16 +305,6 @@ mod tests {
         ] {
             assert_eq!(opt.query(q).unwrap(), raw.query(q).unwrap(), "{q}");
         }
-    }
-
-    #[test]
-    fn stats_report_fewer_ops_with_memoisation() {
-        let e = engine();
-        // same subexpression twice via or-predicate on the same attribute
-        let q = "select[THIS.size > 100 or THIS.size > 100](Lib)";
-        let expr = parse_expr(q).unwrap();
-        let (_, stats) = e.query_with_stats(&expr).unwrap();
-        assert!(stats.memo_hits > 0);
     }
 
     #[test]

@@ -133,43 +133,59 @@ fn pred_selectivity(pred: &Pred, col: Option<&ColSummary>) -> f64 {
 /// *documents touched* (sum of term document frequencies, capped by corpus
 /// and domain size), which is the meaningful input to the grouped sum above.
 pub fn estimate(plan: &Plan, stats: &StatsCatalog) -> Option<u64> {
+    annotate(plan, stats).pop().flatten()
+}
+
+/// [`estimate`] of every node of `plan`, indexed by node id
+/// ([`Plan::post_order`]), in one bottom-up pass: each node's estimate
+/// combines its children's.
+fn annotate(plan: &Plan, stats: &StatsCatalog) -> Vec<Option<u64>> {
+    fn walk(p: &Plan, stats: &StatsCatalog, out: &mut Vec<Option<u64>>) -> Option<u64> {
+        let kids: Vec<_> = p.children().into_iter().map(|c| walk(c, stats, out)).collect();
+        let est = estimate_node(p, &kids, stats);
+        out.push(est);
+        est
+    }
+    let mut out = Vec::new();
+    walk(plan, stats, &mut out);
+    out
+}
+
+/// One node's estimate from its children's (`kids`, in [`Plan::children`]
+/// order).
+fn estimate_node(plan: &Plan, kids: &[Option<u64>], stats: &StatsCatalog) -> Option<u64> {
+    let first = kids.first().copied().flatten();
+    let smaller_known = || match (kids[0], kids[1]) {
+        (Some(l), Some(r)) => Some(l.min(r)),
+        (l, r) => l.or(r),
+    };
     match plan {
         Plan::Load(name) => stats.column(name).map(|c| c.rows),
-        Plan::Const(b) => Some(b.count() as u64),
+        Plan::Const(_) | Plan::Aggr { .. } => Some(1),
         Plan::Select { input, pred } => {
-            let in_rows = estimate(input, stats)?;
             let col = if let Plan::Load(n) = &**input { stats.column(n) } else { None };
-            Some((in_rows as f64 * pred_selectivity(pred, col)).ceil() as u64)
+            Some((first? as f64 * pred_selectivity(pred, col)).ceil() as u64)
         }
-        Plan::Join { left, .. } => estimate(left, stats),
-        Plan::Semijoin { left, right } => match (estimate(left, stats), estimate(right, stats)) {
-            (Some(l), Some(r)) => Some(l.min(r)),
-            (l, r) => l.or(r),
-        },
-        Plan::Reverse(p) | Plan::Mirror(p) | Plan::Distinct(p) => estimate(p, stats),
-        Plan::Mark { input, .. }
-        | Plan::ProjectConst { input, .. }
-        | Plan::SortTail { input, .. }
-        | Plan::ArithConst { input, .. } => estimate(input, stats),
-        Plan::Aggr { .. } => Some(1),
-        Plan::GroupedAggr { groups, .. } => estimate(groups, stats),
-        Plan::TopN { input, k, .. } => {
-            Some(estimate(input, stats).map_or(*k as u64, |e| e.min(*k as u64)))
-        }
-        Plan::Slice { input, lo, hi } => {
+        Plan::Semijoin { .. } | Plan::Arith { .. } => smaller_known(),
+        // KDiff: an upper bound
+        Plan::Join { .. }
+        | Plan::Reverse(_)
+        | Plan::Mirror(_)
+        | Plan::Distinct(_)
+        | Plan::Mark { .. }
+        | Plan::ProjectConst { .. }
+        | Plan::SortTail { .. }
+        | Plan::ArithConst { .. }
+        | Plan::KDiff { .. } => first,
+        Plan::GroupedAggr { .. } => kids[1],
+        Plan::TopN { k, .. } => Some(first.map_or(*k as u64, |e| e.min(*k as u64))),
+        Plan::Slice { lo, hi, .. } => {
             let cap = hi.saturating_sub(*lo) as u64;
-            Some(estimate(input, stats).map_or(cap, |e| e.min(cap)))
+            Some(first.map_or(cap, |e| e.min(cap)))
         }
-        Plan::KUnion { left, right } => {
-            Some(estimate(left, stats)?.saturating_add(estimate(right, stats)?))
-        }
-        Plan::KDiff { left, .. } => estimate(left, stats), // upper bound
-        Plan::Arith { left, right, .. } => match (estimate(left, stats), estimate(right, stats)) {
-            (Some(l), Some(r)) => Some(l.min(r)),
-            (l, r) => l.or(r),
-        },
-        Plan::Custom { op, inputs, params } => {
-            let mut est = if op.ends_with(".topk") {
+        Plan::KUnion { .. } => Some(kids[0]?.saturating_add(kids[1]?)),
+        Plan::Custom { op, params, .. } => {
+            let est = if op.ends_with(".topk") {
                 // fused top-k: the documents any channel touches, at most k
                 let (channels, k) = split_topk_params(params)?;
                 let (mut touched, mut n_docs) = (0u64, 0u64);
@@ -183,10 +199,8 @@ pub fn estimate(plan: &Plan, stats: &StatsCatalog) -> Option<u64> {
                 let (touched, n_docs) = belief_touches(params, stats)?;
                 touched.min(n_docs)
             };
-            if let Some(d) = inputs.first().and_then(|d| estimate(d, stats)) {
-                est = est.min(d);
-            }
-            Some(est)
+            // capped by the domain input, if any
+            Some(first.map_or(est, |d| est.min(d)))
         }
     }
 }
@@ -220,12 +234,13 @@ pub struct PassCtx<'a> {
 }
 
 /// Side-channel produced by [`Pipeline::optimize`]: per-node cardinality
-/// estimates (keyed by plan fingerprint, the kernel's trace key), plus
-/// which rewrites changed the plan.
+/// estimates (indexed by node id, the kernel's trace key), plus which
+/// rewrites changed the plan.
 #[derive(Debug, Default, Clone)]
 pub struct PlanHints {
-    /// Estimated output rows per plan node.
-    pub est_rows: FxHashMap<u64, u64>,
+    /// Estimated output rows per plan node, indexed by node id
+    /// ([`Plan::post_order`]); empty when not annotated.
+    pub est_rows: Vec<Option<u64>>,
     /// Kept only because `benchmark/src` reads it (ROADMAP 1(h)); never
     /// filled.
     pub degree_cap: FxHashMap<u64, usize>,
@@ -248,10 +263,10 @@ impl Pipeline {
         let stats_driven = ctx.cfg.stats_driven && !ctx.stats.is_empty();
         let mut plan = plan.clone();
         if stats_driven {
-            let reordered = reorder_chains(&plan, &ctx.stats);
-            if reordered.fingerprint() != plan.fingerprint() {
+            let mut moved = false;
+            plan = reorder_chains(&plan, &ctx.stats, &mut moved);
+            if moved {
                 hints.passes_fired.push("selection_order");
-                plan = reordered;
             }
         }
         if let Some(fused) = ctx.top_k.and_then(|k| topk_fuse(&plan, k, ctx)) {
@@ -259,40 +274,37 @@ impl Pipeline {
             plan = fused;
         }
         if stats_driven {
-            annotate(&plan, ctx, &mut hints);
+            hints.est_rows = annotate(&plan, &ctx.stats);
         }
         (plan, hints)
     }
 }
 
-fn annotate(plan: &Plan, ctx: &PassCtx, hints: &mut PlanHints) {
-    if let Some(est) = estimate(plan, &ctx.stats) {
-        hints.est_rows.insert(plan.fingerprint(), est);
-    }
-    for child in plan.children() {
-        annotate(child, ctx, hints);
-    }
-}
-
 /// `selection_order`: reorder every semijoin filter chain most selective
-/// filter first.
-fn reorder_chains(plan: &Plan, stats: &StatsCatalog) -> Plan {
-    let node = map_children(plan, &|c| reorder_chains(c, stats));
+/// filter first, setting `moved` when a filter moved or was dropped.
+fn reorder_chains(plan: &Plan, stats: &StatsCatalog, moved: &mut bool) -> Plan {
+    let node = map_children(plan, &mut |c| reorder_chains(c, stats, moved));
     if !matches!(node, Plan::Semijoin { .. }) {
         return node;
     }
     // Flatten the left-deep chain base ⋉ f1 ⋉ f2 ⋉ …; a semijoin keeps
     // rows of the base whose head occurs in every filter's head set, so
-    // the filters commute (and duplicates by fingerprint are no-ops).
-    let mut filters: Vec<Plan> = Vec::new();
+    // the filters commute (and equal filters are no-ops).
+    let mut chain: Vec<Plan> = Vec::new();
     let mut base = node;
     while let Plan::Semijoin { left, right } = base {
-        filters.push(*right);
+        chain.push(*right);
         base = *left;
     }
-    filters.reverse(); // applied order: innermost first
-    let mut seen = monet::fxhash::FxHashSet::default();
-    filters.retain(|f| seen.insert(f.fingerprint()));
+    chain.reverse(); // applied order: innermost first
+    let mut filters: Vec<Plan> = Vec::with_capacity(chain.len());
+    for f in chain {
+        if filters.contains(&f) {
+            *moved = true;
+        } else {
+            filters.push(f);
+        }
+    }
     // Most selective (smallest estimated head set) first; unknown-size
     // filters keep their relative order at the end.
     let keyed: Vec<(u64, usize)> = filters
@@ -302,6 +314,9 @@ fn reorder_chains(plan: &Plan, stats: &StatsCatalog) -> Plan {
         .collect();
     let mut order: Vec<usize> = (0..filters.len()).collect();
     order.sort_by_key(|&i| keyed[i]);
+    if order.iter().enumerate().any(|(at, &i)| at != i) {
+        *moved = true;
+    }
     let reordered: Vec<Plan> = {
         let mut tagged: Vec<Option<Plan>> = filters.into_iter().map(Some).collect();
         order.iter().map(|&i| tagged[i].take().expect("each index used once")).collect()
@@ -312,11 +327,10 @@ fn reorder_chains(plan: &Plan, stats: &StatsCatalog) -> Plan {
 }
 
 /// Rebuild a plan node with its children transformed.
-fn map_children(plan: &Plan, f: &dyn Fn(&Plan) -> Plan) -> Plan {
+fn map_children(plan: &Plan, f: &mut dyn FnMut(&Plan) -> Plan) -> Plan {
     use Plan::*;
     match plan {
-        Load(n) => Load(n.clone()),
-        Const(b) => Const(b.clone()),
+        Load(_) | Const(_) => plan.clone(),
         Select { input, pred } => Select { input: Box::new(f(input)), pred: pred.clone() },
         Join { left, right } => Join { left: Box::new(f(left)), right: Box::new(f(right)) },
         Semijoin { left, right } => Semijoin { left: Box::new(f(left)), right: Box::new(f(right)) },
@@ -342,7 +356,7 @@ fn map_children(plan: &Plan, f: &dyn Fn(&Plan) -> Plan) -> Plan {
         }
         Custom { op, inputs, params } => Custom {
             op: op.clone(),
-            inputs: inputs.iter().map(f).collect(),
+            inputs: inputs.iter().map(&mut *f).collect(),
             params: params.clone(),
         },
     }
@@ -412,13 +426,8 @@ fn ranking_channel(plan: &Plan) -> Option<RankingChannel<'_>> {
         // domain-restricted ranking: the operator input, the group mapping
         // and the outer semijoin must all be that same domain
         (Some(d), outer) => {
-            if groups.fingerprint() != d.fingerprint() {
+            if **groups != *d || outer.is_some_and(|o| o != d) {
                 return None;
-            }
-            if let Some(o) = outer {
-                if o.fingerprint() != d.fingerprint() {
-                    return None;
-                }
             }
         }
         // a semijoin against a domain the operator does not know about
@@ -449,10 +458,7 @@ fn fuse_dual(plan: &Plan, k: usize, ops: &OpRegistry) -> Option<Plan> {
     }
     let Plan::Arith { left, right, op: ArithOp::Add } = plan else { return None };
     let ((a, wa), (b, wb)) = (weighted(left)?, weighted(right)?);
-    if a.op != b.op
-        || a.inputs.len() != b.inputs.len()
-        || a.groups.fingerprint() != b.groups.fingerprint()
-    {
+    if a.op != b.op || a.inputs.len() != b.inputs.len() || a.groups != b.groups {
         return None;
     }
     fuse_channels(a.op, &[(a.params, wa), (b.params, wb)], a.inputs, k, ops)
@@ -630,8 +636,17 @@ mod tests {
     #[test]
     fn selection_order_puts_selective_filter_first() {
         let (plan, expect) = filter_chain();
-        let out = reorder_chains(&plan, &catalog());
-        assert_eq!(out.fingerprint(), expect.fingerprint());
+        let mut moved = false;
+        assert_eq!(reorder_chains(&plan, &catalog(), &mut moved), expect);
+        assert!(moved);
+        // an ordered chain stays put, and a repeated filter is dropped
+        let mut moved = false;
+        assert_eq!(reorder_chains(&expect, &catalog(), &mut moved), expect);
+        assert!(!moved);
+        let Plan::Semijoin { right: last, .. } = &expect else { unreachable!() };
+        let repeated = Plan::Semijoin { left: Box::new(expect.clone()), right: last.clone() };
+        assert_eq!(reorder_chains(&repeated, &catalog(), &mut moved), expect);
+        assert!(moved);
     }
 
     #[test]
@@ -645,7 +660,7 @@ mod tests {
         };
         let (plan, _) = filter_chain();
         let (out, hints) = Pipeline.optimize(&plan, &ctx);
-        assert_eq!(out.fingerprint(), plan.fingerprint());
+        assert_eq!(out, plan);
         assert!(hints.passes_fired.is_empty(), "{:?}", hints.passes_fired);
         assert!(hints.est_rows.is_empty());
     }
@@ -768,7 +783,7 @@ mod tests {
         let Some(Plan::Custom { inputs, .. }) = topk_fuse(&filtered, 10, &ctx) else {
             panic!("filtered dual did not fuse")
         };
-        assert_eq!(inputs.iter().map(Plan::fingerprint).collect::<Vec<_>>(), vec![d.fingerprint()]);
+        assert_eq!(*inputs, [d]);
     }
 
     #[test]
@@ -831,7 +846,14 @@ mod tests {
         let ctx = PassCtx { top_k: None, ..fuse_ctx(&ops, OptConfig::default()) };
         let (out, hints) = Pipeline.optimize(&plan, &ctx);
         assert_eq!(hints.passes_fired, ["selection_order"]);
-        assert!(hints.est_rows.contains_key(&out.fingerprint()));
+        // one estimate per node, each that of the subtree at its node id
+        assert_eq!(hints.est_rows.len(), out.size());
+        let stats = catalog();
+        for (id, node) in out.post_order().into_iter().enumerate() {
+            assert_eq!(hints.est_rows[id], estimate(node, &stats), "node #{id}: {node:?}");
+        }
+        assert_eq!(hints.est_rows.last(), Some(&estimate(&out, &stats)));
+        assert!(hints.est_rows.iter().all(Option::is_some), "{:?}", hints.est_rows);
         // a ranking with a budget reports its fusion
         let (_, hints) =
             Pipeline.optimize(&ranking("Lib__self"), &fuse_ctx(&ops, OptConfig::default()));

@@ -7,8 +7,7 @@
 //! whenever the predicate only mentions attributes of `X`'s rows — crucial
 //! for the IR/data integration queries, because it makes ranking operate
 //! on the surviving documents only. Every rewrite of the flattened physical
-//! plan is in [`crate::opt`]; CSE memoisation is implemented by the kernel
-//! executor and toggled through [`OptConfig::memoize`].
+//! plan is in [`crate::opt`].
 
 use crate::expr::Expr;
 use crate::Env;
@@ -16,7 +15,7 @@ use crate::Env;
 /// Optimiser switches (all on by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptConfig {
-    /// Memoise common subexpressions during execution.
+    /// Kept only because `benchmark/src` reads it (ROADMAP 1(h)); ignored.
     pub memoize: bool,
     /// Kept only because `benchmark/src` reads it (ROADMAP 1(h)); ignored.
     pub parallelism: usize,
@@ -28,7 +27,7 @@ pub struct OptConfig {
 
 impl Default for OptConfig {
     fn default() -> Self {
-        OptConfig { memoize: true, parallelism: 1, stats_driven: true }
+        OptConfig { memoize: false, parallelism: 1, stats_driven: true }
     }
 }
 

@@ -18,8 +18,8 @@
 //! * a named-BAT catalog ([`catalog::Catalog`]), the equivalent of Monet's
 //!   BAT buffer pool;
 //! * a physical query plan representation ([`plan::Plan`]) with an
-//!   interpreting executor that records per-operator statistics and
-//!   supports common-subexpression memoisation;
+//!   interpreting executor that records per-operator statistics, one
+//!   trace per node, indexed by the node's post-order id;
 //! * an extension registry ([`ext::OpRegistry`]) through which higher
 //!   layers register new *physical operators* — exactly how the Mirror
 //!   paper's probabilistic `getBL` operator is added without the kernel

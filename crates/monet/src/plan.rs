@@ -4,10 +4,13 @@
 //! these by flattening logical object-algebra expressions. The [`Executor`]
 //! interprets a plan against a [`Catalog`] and an [`OpRegistry`], recording
 //! per-operator statistics (operator invocations, rows produced, wall
-//! time) and optionally memoising common subexpressions. Every operator
-//! runs serially over whole columns: a request's parallelism is the server
-//! worker that runs it. [`Executor::explain`] shows, per operator, the
-//! rows it produced.
+//! time). Every operator runs serially over whole columns: a request's
+//! parallelism is the server worker that runs it. [`Executor::explain`]
+//! shows, per operator, the rows it produced.
+//!
+//! Each node has one id, its index in [`Plan::post_order`]: the
+//! executor's trace, the optimizer's estimates and EXPLAIN's `#id` labels
+//! all use it.
 
 use crate::aggr::Agg;
 use crate::bat::Bat;
@@ -18,7 +21,6 @@ use crate::ext::{OpCtx, OpRegistry, RequestView};
 use crate::fxhash::FxHashMap;
 use crate::value::{Oid, Val};
 use std::fmt::Write as _;
-use std::hash::Hasher;
 use std::ops::Bound;
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,13 +61,13 @@ pub enum ArithOp {
 /// Re-export of the aggregate kind used in plans.
 pub type AggKind = Agg;
 
-/// A physical plan node.
-#[derive(Debug, Clone)]
+/// A physical plan node. Two plans are equal when their trees are.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Load a named BAT from the catalog.
     Load(String),
-    /// Literal BAT.
-    Const(Arc<Bat>),
+    /// A literal: executes to a one-row dense BAT.
+    Const(Val),
     /// Filter rows by a tail predicate.
     Select {
         /// Input plan.
@@ -199,140 +201,6 @@ impl Plan {
         Plan::Load(name.into())
     }
 
-    /// Structural fingerprint for memoisation. Collisions are possible in
-    /// principle but would require engineered inputs; the memo also stores
-    /// only within a single execution.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::fxhash::FxHasher::default();
-        self.hash_into(&mut h);
-        h.finish()
-    }
-
-    fn hash_into(&self, h: &mut crate::fxhash::FxHasher) {
-        match self {
-            Plan::Load(n) => {
-                h.write_u8(1);
-                h.write(n.as_bytes());
-            }
-            Plan::Const(b) => {
-                h.write_u8(2);
-                h.write_usize(Arc::as_ptr(b) as usize);
-            }
-            Plan::Select { input, pred } => {
-                h.write_u8(3);
-                input.hash_into(h);
-                match pred {
-                    Pred::Eq(v) => {
-                        h.write_u8(0);
-                        h.write_u64(v.fingerprint());
-                    }
-                    Pred::Range { lo, lo_incl, hi, hi_incl } => {
-                        h.write_u8(1);
-                        h.write_u8(u8::from(*lo_incl) | (u8::from(*hi_incl) << 1));
-                        h.write_u64(lo.as_ref().map_or(0, Val::fingerprint));
-                        h.write_u64(hi.as_ref().map_or(0, Val::fingerprint));
-                    }
-                    Pred::StrContains(s) => {
-                        h.write_u8(2);
-                        h.write(s.as_bytes());
-                    }
-                }
-            }
-            Plan::Join { left, right } => {
-                h.write_u8(4);
-                left.hash_into(h);
-                right.hash_into(h);
-            }
-            Plan::Semijoin { left, right } => {
-                h.write_u8(5);
-                left.hash_into(h);
-                right.hash_into(h);
-            }
-            Plan::Reverse(p) => {
-                h.write_u8(6);
-                p.hash_into(h);
-            }
-            Plan::Mirror(p) => {
-                h.write_u8(7);
-                p.hash_into(h);
-            }
-            Plan::Mark { input, base } => {
-                h.write_u8(8);
-                input.hash_into(h);
-                h.write_u32(*base);
-            }
-            Plan::ProjectConst { input, val } => {
-                h.write_u8(9);
-                input.hash_into(h);
-                h.write_u64(val.fingerprint());
-            }
-            Plan::Aggr { input, agg } => {
-                h.write_u8(10);
-                input.hash_into(h);
-                h.write_u8(*agg as u8);
-            }
-            Plan::GroupedAggr { values, groups, agg } => {
-                h.write_u8(11);
-                values.hash_into(h);
-                groups.hash_into(h);
-                h.write_u8(*agg as u8);
-            }
-            Plan::SortTail { input, desc } => {
-                h.write_u8(12);
-                input.hash_into(h);
-                h.write_u8(u8::from(*desc));
-            }
-            Plan::TopN { input, k, desc } => {
-                h.write_u8(13);
-                input.hash_into(h);
-                h.write_usize(*k);
-                h.write_u8(u8::from(*desc));
-            }
-            Plan::Slice { input, lo, hi } => {
-                h.write_u8(14);
-                input.hash_into(h);
-                h.write_usize(*lo);
-                h.write_usize(*hi);
-            }
-            Plan::Distinct(p) => {
-                h.write_u8(15);
-                p.hash_into(h);
-            }
-            Plan::KUnion { left, right } => {
-                h.write_u8(16);
-                left.hash_into(h);
-                right.hash_into(h);
-            }
-            Plan::KDiff { left, right } => {
-                h.write_u8(17);
-                left.hash_into(h);
-                right.hash_into(h);
-            }
-            Plan::Arith { left, right, op } => {
-                h.write_u8(18);
-                left.hash_into(h);
-                right.hash_into(h);
-                h.write_u8(*op as u8);
-            }
-            Plan::ArithConst { input, op, val } => {
-                h.write_u8(19);
-                input.hash_into(h);
-                h.write_u8(*op as u8);
-                h.write_u64(val.fingerprint());
-            }
-            Plan::Custom { op, inputs, params } => {
-                h.write_u8(20);
-                h.write(op.as_bytes());
-                for i in inputs {
-                    i.hash_into(h);
-                }
-                for p in params {
-                    h.write_u64(p.fingerprint());
-                }
-            }
-        }
-    }
-
     /// Operator mnemonic for statistics and EXPLAIN output.
     pub fn op_name(&self) -> &'static str {
         match self {
@@ -389,20 +257,53 @@ impl Plan {
         1 + self.children().iter().map(|c| c.size()).sum::<usize>()
     }
 
-    /// Indented EXPLAIN rendering of the plan tree.
-    pub fn explain(&self) -> String {
-        let mut out = String::new();
-        self.explain_into(&mut out, 0, None);
+    /// Every node in post-order: a node's children in [`Plan::children`]
+    /// order, then the node. A node's index here is its id.
+    pub fn post_order(&self) -> Vec<&Plan> {
+        fn walk<'p>(p: &'p Plan, out: &mut Vec<&'p Plan>) {
+            for c in p.children() {
+                walk(c, out);
+            }
+            out.push(p);
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
         out
     }
 
-    fn explain_into(&self, out: &mut String, depth: usize, trace: Option<&ExecStats>) {
-        for _ in 0..depth {
-            out.push_str("  ");
+    /// Indented EXPLAIN rendering of the plan tree, each node labelled
+    /// `#id`.
+    pub fn explain(&self) -> String {
+        self.render(None)
+    }
+
+    fn render(&self, trace: Option<&ExecStats>) -> String {
+        let mut lines = Vec::new();
+        self.explain_into(&mut lines, 0, &mut 0, trace);
+        lines.concat()
+    }
+
+    /// Push this subtree's lines in pre-order. A node's line precedes its
+    /// children's, but its id is known only once they are numbered, so
+    /// the line is filled in after them.
+    fn explain_into(
+        &self,
+        lines: &mut Vec<String>,
+        depth: usize,
+        next_id: &mut usize,
+        trace: Option<&ExecStats>,
+    ) {
+        let at = lines.len();
+        lines.push(String::new());
+        for c in self.children() {
+            c.explain_into(lines, depth + 1, next_id, trace);
         }
+        let id = *next_id;
+        *next_id += 1;
+        let mut out = "  ".repeat(depth);
         let label = match self {
             Plan::Load(n) => format!("load({n})"),
-            Plan::Const(b) => format!("const[{} rows]", b.count()),
+            Plan::Const(v) => format!("const[{v}]"),
             Plan::Select { pred, .. } => format!("select[{pred:?}]"),
             Plan::Custom { op, params, .. } => format!("custom[{op}]({params:?})"),
             Plan::Aggr { agg, .. } => format!("aggr[{agg}]"),
@@ -410,20 +311,16 @@ impl Plan {
             Plan::TopN { k, desc, .. } => format!("topn[k={k}, desc={desc}]"),
             other => other.op_name().to_string(),
         };
-        out.push_str(&label);
-        if let Some(stats) = trace {
-            if let Some(t) = stats.node_trace.get(&self.fingerprint()) {
-                let est = t.est_rows.map(|e| format!("est≈{e}, ")).unwrap_or_default();
-                let _ = write!(out, "  [{est}rows={}]", t.rows);
-                if let Some(note) = &t.note {
-                    let _ = write!(out, "  {note}");
-                }
+        let _ = write!(out, "{label} #{id}");
+        if let Some(t) = trace.and_then(|stats| stats.node_trace.get(id)) {
+            let est = t.est_rows.map(|e| format!("est≈{e}, ")).unwrap_or_default();
+            let _ = write!(out, "  [{est}rows={}]", t.rows);
+            if let Some(note) = &t.note {
+                let _ = write!(out, "  {note}");
             }
         }
         out.push('\n');
-        for c in self.children() {
-            c.explain_into(out, depth + 1, trace);
-        }
+        lines[at] = out;
     }
 }
 
@@ -432,6 +329,8 @@ impl Plan {
 /// [`crate::OpCtx::set_note`].
 #[derive(Debug, Clone)]
 pub struct NodeTrace {
+    /// The node's operator ([`Plan::op_name`]).
+    pub op: &'static str,
     /// Rows the operator produced.
     pub rows: u64,
     /// Optimiser-estimated output rows, when the caller supplied
@@ -446,37 +345,34 @@ pub struct NodeTrace {
 /// Counters collected during one plan execution.
 #[derive(Debug, Default, Clone)]
 pub struct ExecStats {
-    /// `(operator, invocations)` pairs.
-    pub op_counts: FxHashMap<&'static str, u64>,
     /// Total rows produced by all operators.
     pub rows_produced: u64,
-    /// Memo hits (subexpressions served from cache).
+    /// Kept only because `benchmark/src` reads it (ROADMAP 1(h)); always 0.
     pub memo_hits: u64,
-    /// Total operators evaluated (memo hits excluded).
+    /// Total operators evaluated: one per plan node.
     pub ops_evaluated: u64,
     /// Kept only because `benchmark/src` reads it (ROADMAP 1(h)); always 0.
     pub fragmented_ops: u64,
-    /// Per-node execution trace, keyed by plan fingerprint — feeds
-    /// [`Executor::explain`].
-    pub node_trace: FxHashMap<u64, NodeTrace>,
+    /// What each plan node did, indexed by node id ([`Plan::post_order`])
+    /// — feeds [`Executor::explain`].
+    pub node_trace: Vec<NodeTrace>,
     /// Wall time of the full execution in nanoseconds.
     pub wall_ns: u128,
 }
 
 impl ExecStats {
     /// Notes attached by custom operators during execution (e.g. the fused
-    /// top-k operator's `topk ×k (pruned N ranges)`), in no particular order.
+    /// top-k operator's `topk ×k (pruned N ranges)`), in node-id order.
     pub fn notes(&self) -> Vec<String> {
-        self.node_trace.values().filter_map(|t| t.note.clone()).collect()
+        self.node_trace.iter().filter_map(|t| t.note.clone()).collect()
     }
 
     /// Short single-line summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} ops, {} rows, {} memo hits, {:.3} ms",
+            "{} ops, {} rows, {:.3} ms",
             self.ops_evaluated,
             self.rows_produced,
-            self.memo_hits,
             self.wall_ns as f64 / 1e6
         )
     }
@@ -486,14 +382,15 @@ impl ExecStats {
 pub struct Executor<'a> {
     catalog: &'a Catalog,
     registry: &'a OpRegistry,
-    /// Enable common-subexpression memoisation within one `run`.
+    /// Kept only because `benchmark/src` sets it (ROADMAP 1(h)); ignored.
     pub memoize: bool,
     /// Kept only because `benchmark/src` sets it (ROADMAP 1(h)); ignored.
     pub degree: usize,
-    /// Optimiser-estimated output cardinalities keyed by plan fingerprint
-    /// (supplied by the logical layer's statistics catalog). Recorded into
-    /// each [`NodeTrace`] so EXPLAIN shows estimated vs actual rows.
-    pub est_rows: Option<Arc<FxHashMap<u64, u64>>>,
+    /// Optimiser-estimated output cardinalities indexed by node id
+    /// ([`Plan::post_order`]), supplied by the logical layer's statistics
+    /// catalog. Recorded into each [`NodeTrace`] so EXPLAIN shows
+    /// estimated vs actual rows.
+    pub est_rows: Option<Arc<Vec<Option<u64>>>>,
     /// Kept only because `benchmark/src` sets it (ROADMAP 1(h)); ignored.
     pub degree_hints: Option<Arc<FxHashMap<u64, usize>>>,
     /// The request's pinned view: loads read the BATs it supplies before
@@ -502,13 +399,12 @@ pub struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    /// Create an executor over a catalog and operator registry; memoisation
-    /// defaults to on.
+    /// Create an executor over a catalog and operator registry.
     pub fn new(catalog: &'a Catalog, registry: &'a OpRegistry) -> Self {
         Executor {
             catalog,
             registry,
-            memoize: true,
+            memoize: false,
             degree: 1,
             est_rows: None,
             degree_hints: None,
@@ -519,9 +415,8 @@ impl<'a> Executor<'a> {
     /// Execute a plan, returning the result BAT and execution statistics.
     pub fn run(&self, plan: &Plan) -> Result<(Arc<Bat>, ExecStats)> {
         let mut stats = ExecStats::default();
-        let mut memo: FxHashMap<u64, Arc<Bat>> = FxHashMap::default();
         let start = Instant::now();
-        let out = self.eval(plan, &mut stats, &mut memo)?;
+        let out = self.eval(plan, &mut stats)?;
         stats.wall_ns = start.elapsed().as_nanos();
         Ok((out, stats))
     }
@@ -537,23 +432,15 @@ impl<'a> Executor<'a> {
         let (_, stats) = self.run(plan)?;
         let mut out = String::new();
         let _ = writeln!(out, "-- physical plan · {} ops --", stats.ops_evaluated);
-        plan.explain_into(&mut out, 0, Some(&stats));
+        out.push_str(&plan.render(Some(&stats)));
         Ok(out)
     }
 
-    fn eval(
-        &self,
-        plan: &Plan,
-        stats: &mut ExecStats,
-        memo: &mut FxHashMap<u64, Arc<Bat>>,
-    ) -> Result<Arc<Bat>> {
-        let fp = plan.fingerprint();
-        if self.memoize {
-            if let Some(hit) = memo.get(&fp) {
-                stats.memo_hits += 1;
-                return Ok(Arc::clone(hit));
-            }
-        }
+    /// Evaluate a node after its children, in [`Plan::children`] order:
+    /// nodes complete in post-order, so each trace lands at its node id.
+    fn eval(&self, plan: &Plan, stats: &mut ExecStats) -> Result<Arc<Bat>> {
+        let ins =
+            plan.children().into_iter().map(|c| self.eval(c, stats)).collect::<Result<Vec<_>>>()?;
         // Diagnostic note a custom operator attached to this invocation.
         let mut note: Option<String> = None;
         let out: Arc<Bat> = match plan {
@@ -561,69 +448,27 @@ impl<'a> Executor<'a> {
                 Some(bat) => bat,
                 None => self.catalog.get(name)?,
             },
-            Plan::Const(b) => Arc::clone(b),
-            Plan::Select { input, pred } => {
-                Arc::new(apply_pred(&*self.eval(input, stats, memo)?, pred)?)
+            Plan::Const(v) => Arc::new(Bat::dense(Column::from_vals(std::slice::from_ref(v))?)),
+            Plan::Select { pred, .. } => Arc::new(apply_pred(&ins[0], pred)?),
+            Plan::Join { .. } => Arc::new(ins[0].join(&ins[1])?),
+            Plan::Semijoin { .. } => Arc::new(ins[0].semijoin(&ins[1])?),
+            Plan::Reverse(_) => Arc::new(ins[0].reverse()),
+            Plan::Mirror(_) => Arc::new(ins[0].mirror()),
+            Plan::Mark { base, .. } => Arc::new(ins[0].mark(*base)),
+            Plan::ProjectConst { val, .. } => Arc::new(ins[0].project(val)?),
+            Plan::Aggr { agg, .. } => {
+                Arc::new(Bat::dense(Column::from_vals(&[ins[0].agg_tail(*agg)?])?))
             }
-            Plan::Join { left, right } => {
-                let l = self.eval(left, stats, memo)?;
-                let r = self.eval(right, stats, memo)?;
-                Arc::new(l.join(&r)?)
-            }
-            Plan::Semijoin { left, right } => {
-                let l = self.eval(left, stats, memo)?;
-                let r = self.eval(right, stats, memo)?;
-                Arc::new(l.semijoin(&r)?)
-            }
-            Plan::Reverse(p) => Arc::new(self.eval(p, stats, memo)?.reverse()),
-            Plan::Mirror(p) => Arc::new(self.eval(p, stats, memo)?.mirror()),
-            Plan::Mark { input, base } => Arc::new(self.eval(input, stats, memo)?.mark(*base)),
-            Plan::ProjectConst { input, val } => {
-                Arc::new(self.eval(input, stats, memo)?.project(val)?)
-            }
-            Plan::Aggr { input, agg } => {
-                let v = self.eval(input, stats, memo)?.agg_tail(*agg)?;
-                Arc::new(Bat::dense(Column::from_vals(&[v])?))
-            }
-            Plan::GroupedAggr { values, groups, agg } => {
-                let v = self.eval(values, stats, memo)?;
-                let g = self.eval(groups, stats, memo)?;
-                Arc::new(v.grouped_agg(&g, *agg)?)
-            }
-            Plan::SortTail { input, desc } => {
-                Arc::new(self.eval(input, stats, memo)?.sort_tail(*desc))
-            }
-            Plan::TopN { input, k, desc } => {
-                Arc::new(self.eval(input, stats, memo)?.topn_tail(*k, *desc))
-            }
-            Plan::Slice { input, lo, hi } => {
-                Arc::new(self.eval(input, stats, memo)?.slice(*lo, *hi))
-            }
-            Plan::Distinct(p) => Arc::new(self.eval(p, stats, memo)?.tail_distinct()?),
-            Plan::KUnion { left, right } => {
-                let l = self.eval(left, stats, memo)?;
-                let r = self.eval(right, stats, memo)?;
-                Arc::new(l.kunion(&r)?)
-            }
-            Plan::KDiff { left, right } => {
-                let l = self.eval(left, stats, memo)?;
-                let r = self.eval(right, stats, memo)?;
-                Arc::new(l.kdiff(&r)?)
-            }
-            Plan::Arith { left, right, op } => {
-                let l = self.eval(left, stats, memo)?;
-                let r = self.eval(right, stats, memo)?;
-                Arc::new(arith(&l, &r, *op)?)
-            }
-            Plan::ArithConst { input, op, val } => {
-                let b = self.eval(input, stats, memo)?;
-                Arc::new(arith_const(&b, *op, val)?)
-            }
-            Plan::Custom { op, inputs, params } => {
-                let mut ins = Vec::with_capacity(inputs.len());
-                for i in inputs {
-                    ins.push(self.eval(i, stats, memo)?);
-                }
+            Plan::GroupedAggr { agg, .. } => Arc::new(ins[0].grouped_agg(&ins[1], *agg)?),
+            Plan::SortTail { desc, .. } => Arc::new(ins[0].sort_tail(*desc)),
+            Plan::TopN { k, desc, .. } => Arc::new(ins[0].topn_tail(*k, *desc)),
+            Plan::Slice { lo, hi, .. } => Arc::new(ins[0].slice(*lo, *hi)),
+            Plan::Distinct(_) => Arc::new(ins[0].tail_distinct()?),
+            Plan::KUnion { .. } => Arc::new(ins[0].kunion(&ins[1])?),
+            Plan::KDiff { .. } => Arc::new(ins[0].kdiff(&ins[1])?),
+            Plan::Arith { op, .. } => Arc::new(arith(&ins[0], &ins[1], *op)?),
+            Plan::ArithConst { op, val, .. } => Arc::new(arith_const(&ins[0], *op, val)?),
+            Plan::Custom { op, params, .. } => {
                 let f = self.registry.get(op)?;
                 let mut ctx = OpCtx::new(self.catalog);
                 ctx.view = self.view.as_deref();
@@ -632,14 +477,12 @@ impl<'a> Executor<'a> {
                 out
             }
         };
+        let rows = out.count() as u64;
         stats.ops_evaluated += 1;
-        stats.rows_produced += out.count() as u64;
-        *stats.op_counts.entry(plan.op_name()).or_insert(0) += 1;
-        let est_rows = self.est_rows.as_ref().and_then(|m| m.get(&fp).copied());
-        stats.node_trace.insert(fp, NodeTrace { rows: out.count() as u64, est_rows, note });
-        if self.memoize {
-            memo.insert(fp, Arc::clone(&out));
-        }
+        stats.rows_produced += rows;
+        let id = stats.node_trace.len();
+        let est_rows = self.est_rows.as_ref().and_then(|e| e.get(id).copied().flatten());
+        stats.node_trace.push(NodeTrace { op: plan.op_name(), rows, est_rows, note });
         Ok(out)
     }
 }
@@ -773,28 +616,32 @@ mod tests {
         let (out, stats) = exec.run(&plan).unwrap();
         let tails: Vec<_> = out.to_pairs().into_iter().map(|(_, t)| t).collect();
         assert_eq!(tails, vec![Val::Int(4), Val::Int(3)]);
-        assert_eq!(stats.op_counts["select"], 1);
+        let ops: Vec<_> = stats.node_trace.iter().map(|t| t.op).collect();
+        assert_eq!(ops, ["load", "select", "topn"]);
         assert!(stats.wall_ns > 0);
     }
 
     #[test]
-    fn memoisation_deduplicates_shared_subplans() {
+    fn shared_subtrees_are_evaluated_and_traced_per_node() {
         let (cat, reg) = setup();
         let exec = Executor::new(&cat, &reg);
         let shared =
             Plan::Select { input: Box::new(Plan::load("nums")), pred: Pred::Eq(Val::Int(3)) };
         let plan = Plan::KUnion { left: Box::new(shared.clone()), right: Box::new(shared) };
-        let (_, stats) = exec.run(&plan).unwrap();
-        assert_eq!(stats.memo_hits, 1);
-
-        let mut exec2 = Executor::new(&cat, &reg);
-        exec2.memoize = false;
-        let plan2 = Plan::KUnion {
-            left: Box::new(Plan::load("nums")),
-            right: Box::new(Plan::load("nums")),
-        };
-        let (_, stats2) = exec2.run(&plan2).unwrap();
-        assert_eq!(stats2.memo_hits, 0);
+        let (out, stats) = exec.run(&plan).unwrap();
+        assert_eq!(out.count(), 1);
+        assert_eq!(stats.ops_evaluated, plan.size() as u64);
+        assert_eq!(stats.node_trace.len(), plan.size());
+        let traced: Vec<_> = stats.node_trace.iter().map(|t| t.op).collect();
+        let ids: Vec<_> = plan.post_order().into_iter().map(Plan::op_name).collect();
+        assert_eq!(traced, ids);
+        assert_eq!(traced, ["load", "select", "load", "select", "kunion"]);
+        // EXPLAIN ANALYZE finds a trace for both copies
+        let text = exec.explain(&plan).unwrap();
+        let selects: Vec<_> = text.lines().filter(|l| l.contains("select[")).collect();
+        assert_eq!(selects.len(), 2, "{text}");
+        assert!(selects.iter().all(|l| l.ends_with("[rows=1]")), "{text}");
+        assert!(selects[0].contains(" #1 ") && selects[1].contains(" #3 "), "{text}");
     }
 
     #[test]
@@ -865,21 +712,28 @@ mod tests {
             desc: true,
         };
         let text = plan.explain();
-        assert!(text.contains("topn"));
-        assert!(text.contains("  join"));
-        assert!(text.contains("    load(a)"));
+        assert!(text.contains("topn[k=5, desc=true] #3\n"), "{text}");
+        assert!(text.contains("  join #2\n"), "{text}");
+        assert!(text.contains("    load(a) #0\n"), "{text}");
+        assert!(text.contains("    load(b) #1\n"), "{text}");
         assert_eq!(plan.size(), 4);
     }
 
     #[test]
-    fn fingerprints_distinguish_plans() {
+    fn plans_compare_by_structure() {
         let a = Plan::load("x");
-        let b = Plan::load("y");
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        let s1 = Plan::Select { input: Box::new(a.clone()), pred: Pred::Eq(Val::Int(1)) };
-        let s2 = Plan::Select { input: Box::new(a), pred: Pred::Eq(Val::Int(2)) };
-        assert_ne!(s1.fingerprint(), s2.fingerprint());
-        assert_eq!(s1.fingerprint(), s1.clone().fingerprint());
+        assert_ne!(a, Plan::load("y"));
+        let select = |input: &Plan, pred| Plan::Select { input: Box::new(input.clone()), pred };
+        let s1 = select(&a, Pred::Eq(Val::Int(1)));
+        assert_eq!(s1, select(&a, Pred::Eq(Val::Int(1))));
+        assert_eq!(s1, s1.clone());
+        // a different predicate, literal or literal type makes a different plan
+        assert_ne!(s1, select(&a, Pred::Eq(Val::Int(2))));
+        assert_ne!(s1, select(&a, Pred::Eq(Val::Oid(1))));
+        assert_ne!(s1, select(&a, Pred::StrContains("1".into())));
+        assert_ne!(Plan::Const(Val::Float(0.5)), Plan::Const(Val::Float(0.25)));
+        // a NaN literal only ever makes plans unequal
+        assert_ne!(Plan::Const(Val::Float(f64::NAN)), Plan::Const(Val::Float(f64::NAN)));
     }
 
     #[test]

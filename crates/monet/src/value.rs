@@ -120,7 +120,8 @@ impl Val {
         }
     }
 
-    /// Stable 64-bit fingerprint of the value (used for plan memoisation).
+    /// Stable 64-bit fingerprint of the value (used to count distinct values
+    /// for the statistics catalog's NDV summaries).
     pub fn fingerprint(&self) -> u64 {
         use std::hash::Hasher;
         let mut h = crate::fxhash::FxHasher::default();

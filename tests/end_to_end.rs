@@ -203,13 +203,14 @@ fn executor_explain_reports_rows_per_operator() {
     let text = exec.explain(&plan).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines[0], "-- physical plan · 3 ops --");
-    assert_eq!(lines[1], "aggr[sum]  [rows=1]");
+    // each node is labelled with its post-order id
+    assert_eq!(lines[1], "aggr[sum] #2  [rows=1]");
     assert!(
-        lines[2].starts_with("  select[Range") && lines[2].ends_with("  [rows=8000]"),
+        lines[2].starts_with("  select[Range") && lines[2].ends_with(" #1  [rows=8000]"),
         "select line: {:?}",
         lines[2]
     );
-    assert_eq!(lines[3], "    load(sizes)  [rows=10000]");
+    assert_eq!(lines[3], "    load(sizes) #0  [rows=10000]");
     // 20 rows per value, values 100..500
     let sum: i64 = (100..500).map(|v| 20 * v).sum();
     let out = exec.run_bat(&plan).unwrap();
