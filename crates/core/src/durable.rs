@@ -739,9 +739,9 @@ impl MirrorCluster {
 
     /// Cold-open a persisted cluster from `dir`: shards reopen
     /// independently (each runs its own kernel-level recovery), each as
-    /// generation 0 of its live corpus behind fresh replica routers.
-    /// Rankings are bit-identical to the cluster that saved, and the
-    /// reopened cluster takes writes where it left off.
+    /// generation 0 of its live corpus. Rankings are bit-identical to the
+    /// cluster that saved, and the reopened cluster takes writes where it
+    /// left off.
     pub fn open(dir: impl AsRef<Path>) -> RetrievalResult<Self> {
         let dir = dir.as_ref();
         let backend: Arc<dyn StorageBackend> = Arc::new(DiskFs::new(dir.join("cluster"))?);

@@ -22,9 +22,9 @@
 //!   directly or through the [`serve::MirrorServer`] worker pool, with the
 //!   ranking plan fused into a streaming top-k operator;
 //! * scale-out ([`shard`]): a [`shard::MirrorCluster`] of hash-routed
-//!   [`LiveMirror`] shards that takes writes, pins one replica per shard
-//!   through its router, and scores every shard with the cluster-wide
-//!   union statistics into the bit-identical global top-k;
+//!   [`LiveMirror`] shards that takes writes, pins every shard, and
+//!   scores every shard with the cluster-wide union statistics into the
+//!   bit-identical global top-k;
 //! * relevance feedback ([`feedback`]) and retrieval evaluation
 //!   ([`eval`]).
 

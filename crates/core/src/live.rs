@@ -110,8 +110,6 @@ struct Generation {
     number: u64,
     /// The channel indexes, by [`slot`].
     indexes: [Option<Arc<InvertedIndex>>; 2],
-    /// Exact token totals per channel (survivor bookkeeping starts here).
-    totals: [u64; 2],
     heap_bytes: u64,
     counters: Arc<LiveCounters>,
 }
@@ -119,12 +117,11 @@ struct Generation {
 impl Generation {
     fn new(db: MirrorDbms, number: u64, counters: Arc<LiveCounters>) -> Self {
         let indexes = ["annotation", "image"].map(|f| db.store().get(&format!("{INTERNAL}__{f}")));
-        let totals = indexes.each_ref().map(|i| i.as_ref().map_or(0, |i| i.stats().total_tokens));
         let heap_bytes = indexes.iter().flatten().map(|i| i.heap_bytes() as u64).sum::<u64>()
             + db.library_rows().iter().map(row_bytes).sum::<u64>();
         counters.created.fetch_add(1, Ordering::Relaxed);
         counters.alive_bytes.fetch_add(heap_bytes, Ordering::Relaxed);
-        Generation { db, number, indexes, totals, heap_bytes, counters }
+        Generation { db, number, indexes, heap_bytes, counters }
     }
 }
 
@@ -291,7 +288,10 @@ impl LiveSnapshot {
     fn fresh(gen: Arc<Generation>, seq: u64) -> Self {
         LiveSnapshot {
             n_live: gen.db.n_docs(),
-            totals: gen.totals,
+            totals: gen
+                .indexes
+                .each_ref()
+                .map(|i| i.as_ref().map_or(0, |i| i.stats().total_tokens)),
             gen,
             batches: Vec::new(),
             tombstones: DocSet::new(),

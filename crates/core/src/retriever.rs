@@ -8,10 +8,10 @@
 //! layer, the examples and relevance feedback run unchanged against any
 //! backend.
 //!
-//! Errors are structured ([`RetrievalError`]) so callers — the replica
-//! router above all — can match on error *kind*: only
-//! [`RetrievalError::ShardUnavailable`] is worth retrying on another
-//! replica; a compile error would fail identically everywhere.
+//! Errors are structured ([`RetrievalError`]) so callers can match on
+//! error *kind*: an [`Overloaded`](RetrievalError::Overloaded) request is
+//! worth resubmitting after a back-off; a compile error would fail
+//! identically every time.
 
 use crate::feedback::FeedbackQuery;
 use crate::query::RankedResult;
@@ -22,18 +22,9 @@ use moa::MoaError;
 /// Structured errors of the public retrieval path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RetrievalError {
-    /// A shard could not serve the request: the selected replica was down
-    /// and the retry (if any replica was left) failed too. Retryable —
-    /// the router uses this variant to decide to fail over.
-    ShardUnavailable {
-        /// Index of the shard that could not be reached.
-        shard: usize,
-        /// What happened on the way there.
-        detail: String,
-    },
     /// The request's relational filter is malformed (for example an empty
     /// pattern, which would silently match every document). Not
-    /// retryable: the same request fails on every replica.
+    /// retryable: the same request fails every time.
     BadFilter(String),
     /// The request is malformed in another way (for example a channel mix
     /// outside `[0, 1]`). Not retryable, like [`RetrievalError::BadFilter`].
@@ -69,9 +60,6 @@ pub enum RetrievalError {
 impl std::fmt::Display for RetrievalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RetrievalError::ShardUnavailable { shard, detail } => {
-                write!(f, "shard {shard} unavailable: {detail}")
-            }
             RetrievalError::BadFilter(m) => write!(f, "bad filter: {m}"),
             RetrievalError::BadRequest(m) => write!(f, "bad request: {m}"),
             RetrievalError::Compile(e) => write!(f, "query failed: {e}"),
@@ -106,14 +94,6 @@ impl From<MoaError> for RetrievalError {
 impl From<monet::MonetError> for RetrievalError {
     fn from(e: monet::MonetError) -> Self {
         RetrievalError::Storage(e)
-    }
-}
-
-impl RetrievalError {
-    /// Whether another replica could plausibly serve the same request —
-    /// the router's retry predicate.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, RetrievalError::ShardUnavailable { .. })
     }
 }
 
@@ -228,25 +208,14 @@ mod tests {
     fn moa_errors_convert_into_compile_kind() {
         let err: RetrievalError = MoaError::Unknown("thesaurus".into()).into();
         assert!(matches!(err, RetrievalError::Compile(MoaError::Unknown(_))));
-        assert!(!err.is_retryable());
         assert!(err.to_string().contains("thesaurus"));
     }
 
     #[test]
-    fn only_shard_unavailable_is_retryable() {
-        let down = RetrievalError::ShardUnavailable { shard: 2, detail: "replica 0 down".into() };
-        assert!(down.is_retryable());
-        assert!(down.to_string().contains("shard 2"));
-        assert!(!RetrievalError::BadFilter("empty".into()).is_retryable());
-        assert!(!RetrievalError::BadRequest("mix".into()).is_retryable());
-    }
-
-    #[test]
-    fn overloaded_is_typed_and_not_router_retryable() {
-        // load shedding is a backpressure signal for the *client* (back
-        // off and resubmit), not the replica router's failover predicate
+    fn overloaded_names_its_queue_depth() {
+        // load shedding is a backpressure signal for the client: back off
+        // and resubmit
         let err = RetrievalError::Overloaded { queue_depth: 64 };
-        assert!(!err.is_retryable());
         assert!(err.to_string().contains("depth 64"));
     }
 

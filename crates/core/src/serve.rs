@@ -20,12 +20,6 @@
 //!   The top-k budget lets the engine fuse the ranking plan into the
 //!   streaming `topk_bl` operator (`ir::topk`), which skips documents that
 //!   provably cannot enter the result;
-//! * [`ReplicaRouter`] — a shard-local router over a replica set: its
-//!   generic [`route`](ReplicaRouter::route) runs one call (a cluster
-//!   read pins a snapshot through it) on the least-outstanding replica
-//!   (round-robin on ties), suspects a replica whose call fails, and
-//!   retries exactly once on a different replica before surfacing
-//!   [`RetrievalError::ShardUnavailable`];
 //! * [`MirrorServer`] — a worker pool over any `Arc<R: Retriever>` (a
 //!   single node, a [`LiveMirror`](crate::LiveMirror) or a whole
 //!   [`MirrorCluster`](crate::shard::MirrorCluster); the mutable two also
@@ -45,7 +39,7 @@ use moa::expr::Lit;
 use moa::{Expr, MoaError, QueryParams};
 use monet::RequestView;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -442,8 +436,8 @@ pub struct ServerStats {
     /// ≈6% bucket resolution) over every request of the run.
     pub p50_latency_ms: f64,
     /// 99th-percentile request latency in milliseconds over every request
-    /// of the run — the tail the replica router exists to flatten.
-    /// Includes queue wait, so an overdriven server shows it here.
+    /// of the run. Includes queue wait, so an overdriven server shows it
+    /// here.
     pub p99_latency_ms: f64,
     /// Worst request latency in milliseconds.
     pub max_latency_ms: f64,
@@ -650,148 +644,6 @@ impl<R: crate::live::MutableCorpus + 'static> MirrorServer<R> {
     }
 }
 
-/// One replica of a shard: a shared backend plus the router's view of its
-/// liveness and load.
-struct Replica<R> {
-    backend: Arc<R>,
-    /// Simulated process liveness — [`ReplicaRouter::kill`] flips this, as
-    /// a crashed replica process would. A down replica fails every call.
-    up: AtomicBool,
-    /// The router's health suspicion, set after a failed call so later
-    /// requests stop selecting this replica until it is revived.
-    suspected: AtomicBool,
-    /// Requests currently in flight on this replica.
-    outstanding: AtomicUsize,
-}
-
-/// A shard-local router over a replica set.
-///
-/// Selection is least-outstanding among unsuspected replicas, with a
-/// round-robin cursor breaking ties so equal-load replicas share traffic.
-/// A call that fails retryably ([`RetrievalError::is_retryable`]) marks
-/// the replica suspected and is retried exactly once on a different
-/// replica; a second failure (or no replica left) surfaces
-/// [`RetrievalError::ShardUnavailable`].
-pub struct ReplicaRouter<R> {
-    shard: usize,
-    replicas: Vec<Replica<R>>,
-    cursor: AtomicUsize,
-}
-
-impl<R> ReplicaRouter<R> {
-    /// Build a router for `shard` over its replica set.
-    pub fn new(shard: usize, backends: Vec<Arc<R>>) -> Self {
-        assert!(!backends.is_empty(), "a shard needs at least one replica");
-        let replicas = backends
-            .into_iter()
-            .map(|backend| Replica {
-                backend,
-                up: AtomicBool::new(true),
-                suspected: AtomicBool::new(false),
-                outstanding: AtomicUsize::new(0),
-            })
-            .collect();
-        ReplicaRouter { shard, replicas, cursor: AtomicUsize::new(0) }
-    }
-
-    /// Replicas currently believed healthy (up and not suspected).
-    pub fn n_healthy(&self) -> usize {
-        self.replicas
-            .iter()
-            .filter(|r| r.up.load(Ordering::Relaxed) && !r.suspected.load(Ordering::Relaxed))
-            .count()
-    }
-
-    /// Simulate a replica crash: every call routed to it now fails, and
-    /// the router fails over to its siblings.
-    pub fn kill(&self, replica: usize) {
-        self.replicas[replica].up.store(false, Ordering::Relaxed);
-    }
-
-    /// Bring a killed replica back and clear the router's suspicion.
-    pub fn revive(&self, replica: usize) {
-        self.replicas[replica].up.store(true, Ordering::Relaxed);
-        self.replicas[replica].suspected.store(false, Ordering::Relaxed);
-    }
-
-    /// Pick the replica to try next: least outstanding among unsuspected
-    /// replicas (round-robin on ties), skipping `exclude`. Falls back to
-    /// suspected replicas when nothing better is left — a suspected
-    /// replica may have recovered, and trying it beats failing outright.
-    fn select(&self, exclude: Option<usize>) -> Option<usize> {
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let pick = |allow_suspected: bool| {
-            let mut best: Option<(usize, usize)> = None;
-            for offset in 0..self.replicas.len() {
-                let i = (start + offset) % self.replicas.len();
-                if Some(i) == exclude {
-                    continue;
-                }
-                let r = &self.replicas[i];
-                if !allow_suspected && r.suspected.load(Ordering::Relaxed) {
-                    continue;
-                }
-                let load = r.outstanding.load(Ordering::Relaxed);
-                if best.is_none_or(|(_, b)| load < b) {
-                    best = Some((i, load));
-                }
-            }
-            best.map(|(i, _)| i)
-        };
-        pick(false).or_else(|| pick(true))
-    }
-
-    /// Execute one call on `replica`, maintaining its load gauge.
-    fn call<T>(&self, replica: usize, f: &impl Fn(&R) -> RetrievalResult<T>) -> RetrievalResult<T> {
-        let r = &self.replicas[replica];
-        if !r.up.load(Ordering::Relaxed) {
-            return Err(RetrievalError::ShardUnavailable {
-                shard: self.shard,
-                detail: format!("replica {replica} is down"),
-            });
-        }
-        r.outstanding.fetch_add(1, Ordering::Relaxed);
-        let result = f(&r.backend);
-        r.outstanding.fetch_sub(1, Ordering::Relaxed);
-        result
-    }
-
-    /// Route a call: run `f` on the selected replica's backend, and fail
-    /// over once to another replica if it fails retryably.
-    pub fn route<T>(&self, f: impl Fn(&R) -> RetrievalResult<T>) -> RetrievalResult<T> {
-        let Some(first) = self.select(None) else {
-            return Err(RetrievalError::ShardUnavailable {
-                shard: self.shard,
-                detail: "no replicas configured".into(),
-            });
-        };
-        match self.call(first, &f) {
-            Err(e) if e.is_retryable() => {
-                self.replicas[first].suspected.store(true, Ordering::Relaxed);
-                match self.select(Some(first)) {
-                    Some(second) => self.call(second, &f).map_err(|e2| match e2 {
-                        RetrievalError::ShardUnavailable { shard, detail } => {
-                            RetrievalError::ShardUnavailable {
-                                shard,
-                                detail: format!(
-                                    "replica {first} failed ({e}); retry on replica {second} \
-                                     failed ({detail})"
-                                ),
-                            }
-                        }
-                        other => other,
-                    }),
-                    None => Err(RetrievalError::ShardUnavailable {
-                        shard: self.shard,
-                        detail: format!("replica {first} failed ({e}); no replica left to retry"),
-                    }),
-                }
-            }
-            other => other,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -886,7 +738,6 @@ mod tests {
             let req = RetrievalRequest::dual("sunset glow", mix, 10);
             let err = db.retrieve(&req).unwrap_err();
             assert!(matches!(err, RetrievalError::BadRequest(_)), "mix {mix}: {err}");
-            assert!(!err.is_retryable());
             let fb = RetrievalRequest::dual_terms(vec![("sunset".into(), 1.0)], vec![], mix, 10);
             assert!(matches!(db.retrieve(&fb), Err(RetrievalError::BadRequest(_))), "mix {mix}");
         }

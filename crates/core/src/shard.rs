@@ -4,11 +4,8 @@
 //! A [`MirrorCluster`] places every document on a shard by the FNV-1a hash
 //! of its URL ([`hash_shard`]) — at build time and for every later insert
 //! or delete, so a document is always found where its URL routes. Each
-//! shard is a [`LiveMirror`]; its replicas share it behind a
-//! [`ReplicaRouter`]. A request pins one replica of every shard through
-//! that shard's router (a down replica fails over once; a shard with none
-//! left surfaces [`RetrievalError::ShardUnavailable`](crate::RetrievalError))
-//! and runs as the node's one compiled plan over those snapshots as one
+//! shard is a [`LiveMirror`]. A request pins every shard and runs as the
+//! node's one compiled plan over those snapshots as one
 //! [`ir::CorpusView`]: the fused operator scores every shard serially and
 //! gathers the hits in one top-k under global oids. Two invariants make
 //! the answers *bit-identical* to a single node over the same documents:
@@ -25,7 +22,7 @@ use crate::ingest::{extract_inline, library_rows};
 use crate::live::{url_column, LiveMirror, LiveReader, MutableCorpus, PinnedView};
 use crate::query::RankedResult;
 use crate::retriever::{RetrievalResult, Retriever};
-use crate::serve::{ReplicaRouter, RetrievalRequest};
+use crate::serve::RetrievalRequest;
 use crate::{LibraryRow, MirrorConfig, MirrorDbms};
 use cluster::VisualVocabulary;
 use media::CrawledImage;
@@ -34,7 +31,9 @@ use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::sync::Arc;
 use thesaurus::AssociationThesaurus;
 
-/// How documents are placed onto shards.
+/// How documents are placed onto shards. Kept only because
+/// `benchmark/src` names it (ROADMAP 1(h)): placement is always
+/// [`hash_shard`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Partitioning {
     /// FNV-1a hash of the document URL modulo the shard count — cheap,
@@ -48,10 +47,10 @@ pub enum Partitioning {
 pub struct ClusterConfig {
     /// Number of shards the corpus is partitioned into (≥ 1).
     pub shards: usize,
-    /// Replicas per shard (≥ 1); replicas share the shard's live corpus
-    /// and exist for routing/failover.
+    /// Kept only because `benchmark/src` sets it (ROADMAP 1(h)); ignored,
+    /// though a saved cluster still records it.
     pub replicas: usize,
-    /// Placement policy.
+    /// Kept only because `benchmark/src` sets it (ROADMAP 1(h)); ignored.
     pub partitioning: Partitioning,
     /// Configuration applied to every shard node (and to the one global
     /// pipeline run: clustering, thesaurus, seed, …).
@@ -69,17 +68,13 @@ impl Default for ClusterConfig {
     }
 }
 
-/// A point-in-time view of a cluster's layout and replica health.
+/// A point-in-time view of a cluster's layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Number of shards.
     pub shards: usize,
-    /// Replicas per shard.
-    pub replicas_per_shard: usize,
     /// Live documents held by each shard.
     pub docs_per_shard: Vec<usize>,
-    /// Replicas currently believed healthy, per shard.
-    pub healthy_per_shard: Vec<usize>,
 }
 
 /// FNV-1a shard placement: which shard a URL's document lands on.
@@ -110,23 +105,22 @@ pub(crate) struct Routing {
 /// A pinned cut's `(generation, seq)` per shard and its URL column.
 type CutColumn = (Vec<(u64, Oid)>, Arc<Bat>);
 
-/// A sharded Mirror deployment: N [`LiveMirror`] shards behind replica
-/// routers, answering the same typed [`RetrievalRequest`]s as a single
+/// A sharded Mirror deployment: N [`LiveMirror`] shards, answering the
+/// same typed [`RetrievalRequest`]s as a single
 /// [`MirrorDbms`] — and, by construction, with the same answers — and
 /// taking inserts and deletes through [`MutableCorpus`].
 ///
 /// ```no_run
 /// # use mirror_core::{shard::MirrorCluster, Retriever};
 /// # let corpus = vec![];
-/// let cluster = MirrorCluster::build(&corpus, 4, 2).unwrap();
+/// let cluster = MirrorCluster::build(&corpus, 4).unwrap();
 /// let hits = cluster.query_text("sunset beach", 10).unwrap();
 /// ```
 pub struct MirrorCluster {
     config: ClusterConfig,
-    /// The shards' live corpora, in shard order — where writes land.
+    /// The shards' live corpora, in shard order — where writes land and
+    /// reads pin.
     shards: Vec<Arc<LiveMirror>>,
-    /// One router per shard over its replicas — where reads pin.
-    routers: Vec<ReplicaRouter<LiveMirror>>,
     routing: RwLock<Routing>,
     /// The URL column of the last cut a filtered request pinned, keyed by
     /// each shard's [`LiveReader::rows_cut`].
@@ -136,10 +130,9 @@ pub struct MirrorCluster {
 impl MirrorCluster {
     /// Build a cluster with hash partitioning and default node
     /// configuration: run the corpus-global ingest stages once, place
-    /// every document on one of `shards` shards, and stand up `replicas`
-    /// replicas per shard.
-    pub fn build(corpus: &[CrawledImage], shards: usize, replicas: usize) -> RetrievalResult<Self> {
-        Self::build_with(corpus, ClusterConfig { shards, replicas, ..ClusterConfig::default() })
+    /// every document on one of `shards` shards.
+    pub fn build(corpus: &[CrawledImage], shards: usize) -> RetrievalResult<Self> {
+        Self::build_with(corpus, ClusterConfig { shards, ..ClusterConfig::default() })
     }
 
     /// Build a cluster with full control over placement and node config.
@@ -186,31 +179,16 @@ impl MirrorCluster {
         Ok(Self::from_shards(config, dbs, routing))
     }
 
-    /// Wrap one instance per shard as generation 0 of its live corpus and
-    /// stand up the replica routers — shared by [`from_rows`](Self::from_rows)
-    /// and the durable layer's reopen path.
+    /// Wrap one instance per shard as generation 0 of its live corpus —
+    /// shared by [`from_rows`](Self::from_rows) and the durable layer's
+    /// reopen path.
     pub(crate) fn from_shards(
         config: ClusterConfig,
         dbs: Vec<MirrorDbms>,
         routing: Routing,
     ) -> Self {
-        assert!(config.replicas >= 1, "a shard needs at least one replica");
-        let shards: Vec<Arc<LiveMirror>> =
-            dbs.into_iter().map(|db| Arc::new(LiveMirror::new(db))).collect();
-        let routers = shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                ReplicaRouter::new(i, (0..config.replicas).map(|_| Arc::clone(shard)).collect())
-            })
-            .collect();
-        MirrorCluster {
-            config,
-            shards,
-            routers,
-            routing: RwLock::new(routing),
-            source: Mutex::default(),
-        }
+        let shards = dbs.into_iter().map(|db| Arc::new(LiveMirror::new(db))).collect();
+        MirrorCluster { config, shards, routing: RwLock::new(routing), source: Mutex::default() }
     }
 
     /// Number of shards.
@@ -231,24 +209,11 @@ impl MirrorCluster {
         &self.config
     }
 
-    /// Simulate a replica crash on one shard; the router fails over to
-    /// the shard's remaining replicas.
-    pub fn kill_replica(&self, shard: usize, replica: usize) {
-        self.routers[shard].kill(replica);
-    }
-
-    /// Bring a killed replica back.
-    pub fn revive_replica(&self, shard: usize, replica: usize) {
-        self.routers[shard].revive(replica);
-    }
-
-    /// Layout and replica health.
+    /// The cluster's layout.
     pub fn stats(&self) -> ClusterStats {
         ClusterStats {
             shards: self.shards.len(),
-            replicas_per_shard: self.config.replicas,
             docs_per_shard: self.shards.iter().map(|s| s.n_docs()).collect(),
-            healthy_per_shard: self.routers.iter().map(ReplicaRouter::n_healthy).collect(),
         }
     }
 
@@ -284,17 +249,13 @@ impl MirrorCluster {
 }
 
 impl MirrorCluster {
-    /// Pin one replica of every shard and the routing rows of that cut,
-    /// as one corpus view.
+    /// Pin every shard and the routing rows of that cut, as one corpus
+    /// view.
     fn pin_view(&self, req: &RetrievalRequest) -> RetrievalResult<PinnedView> {
         req.validate()?;
         let (pins, table) = {
             let routing = self.routing.read();
-            let pins = self
-                .routers
-                .iter()
-                .map(|router| router.route(|live| Ok(live.pin())))
-                .collect::<RetrievalResult<Vec<LiveReader>>>()?;
+            let pins: Vec<LiveReader> = self.shards.iter().map(|s| s.pin()).collect();
             (pins, Arc::clone(&routing.table))
         };
         Ok(PinnedView::new(&pins, Some(table), req, || self.source_column(&pins)))
@@ -388,7 +349,7 @@ mod tests {
     #[test]
     fn cluster_partitions_the_whole_corpus() {
         let corpus = corpus(30, 5);
-        let cluster = MirrorCluster::build(&corpus, 3, 1).unwrap();
+        let cluster = MirrorCluster::build(&corpus, 3).unwrap();
         let stats = cluster.stats();
         assert_eq!(stats.shards, 3);
         assert_eq!(stats.docs_per_shard.iter().sum::<usize>(), 30);
@@ -405,7 +366,7 @@ mod tests {
         let mut single = MirrorDbms::with_defaults();
         single.ingest(&corpus).unwrap();
         for shards in [1usize, 2, 3] {
-            let cluster = MirrorCluster::build(&corpus, shards, 1).unwrap();
+            let cluster = MirrorCluster::build(&corpus, shards).unwrap();
             for (q, k) in [("sunset glow evening", 10), ("forest tree", 7), ("ocean", 30)] {
                 let want = single.query_text(q, k).unwrap();
                 let got = cluster.query_text(q, k).unwrap();
@@ -421,27 +382,9 @@ mod tests {
     }
 
     #[test]
-    fn failover_retries_once_then_errors_when_no_replica_is_left() {
-        let corpus = corpus(20, 7);
-        let cluster = MirrorCluster::build(&corpus, 2, 2).unwrap();
-        let healthy = cluster.query_text("sunset", 10).unwrap();
-        // kill one replica of each shard: routing fails over transparently
-        cluster.kill_replica(0, 0);
-        cluster.kill_replica(1, 1);
-        assert_eq!(cluster.query_text("sunset", 10).unwrap(), healthy);
-        // kill the rest of shard 0: its router has nothing left
-        cluster.kill_replica(0, 1);
-        let err = cluster.query_text("sunset", 10).unwrap_err();
-        assert!(matches!(err, RetrievalError::ShardUnavailable { shard: 0, .. }), "{err}");
-        // revive and the cluster heals
-        cluster.revive_replica(0, 0);
-        assert_eq!(cluster.query_text("sunset", 10).unwrap(), healthy);
-    }
-
-    #[test]
     fn bad_filter_is_rejected_at_the_cluster_edge() {
         let corpus = corpus(12, 3);
-        let cluster = MirrorCluster::build(&corpus, 2, 1).unwrap();
+        let cluster = MirrorCluster::build(&corpus, 2).unwrap();
         let err = cluster.query_text_filtered("sunset", "", 5).unwrap_err();
         assert!(matches!(err, RetrievalError::BadFilter(_)));
     }

@@ -57,6 +57,8 @@ pub struct InvertedIndex {
     cf: Vec<u64>,
     /// Token count per document.
     doc_len: Vec<u32>,
+    /// Sum of `doc_len`, so [`stats`](Self::stats) is O(1).
+    total_tokens: u64,
     /// The tfs document-major, for a dense index.
     rows: Option<TfRows>,
 }
@@ -200,8 +202,7 @@ impl InvertedIndex {
     /// held in several indexes (live segments, cluster shards) is scored
     /// with union statistics passed to [`crate::topk_channels`] instead.
     pub fn stats(&self) -> CollectionStats {
-        let total: u64 = self.doc_len.iter().map(|&l| l as u64).sum();
-        let n = self.doc_len.len();
+        let (n, total) = (self.doc_len.len(), self.total_tokens);
         CollectionStats {
             n_docs: n,
             n_terms: self.dict.len(),
@@ -338,7 +339,16 @@ impl IndexBuilder {
             }
             TfRows { terms, cells }
         });
-        InvertedIndex { dict: self.dict, postings, df, cf, doc_len: self.doc_len, rows }
+        let total_tokens = self.doc_len.iter().map(|&l| u64::from(l)).sum();
+        InvertedIndex {
+            dict: self.dict,
+            postings,
+            df,
+            cf,
+            doc_len: self.doc_len,
+            total_tokens,
+            rows,
+        }
     }
 }
 
@@ -410,12 +420,19 @@ mod tests {
         assert_eq!(idx.doc_len(2), 0); // missing annotation
     }
 
+    /// The token total summed afresh from the document lengths, to hold
+    /// the cached `stats().total_tokens` to.
+    fn summed_doc_lens(idx: &InvertedIndex) -> u64 {
+        (0..idx.n_docs() as Oid).map(|d| u64::from(idx.doc_len(d))).sum()
+    }
+
     #[test]
     fn stats_are_consistent() {
         let idx = small_index();
         let s = idx.stats();
         assert_eq!(s.n_docs, 4);
         assert!(s.n_terms >= 6);
+        assert_eq!(s.total_tokens, summed_doc_lens(&idx));
         assert!((s.avg_dl - s.total_tokens as f64 / 4.0).abs() < 1e-12);
     }
 
@@ -664,6 +681,7 @@ mod tests {
                 let folded = InvertedIndex::fold(&segs, &remap);
                 assert_eq!(folded, expected, "case {case}, stem {stem}, batches {sizes:?}");
                 assert_eq!(folded.stats(), expected.stats());
+                assert_eq!(folded.stats().total_tokens, summed_doc_lens(&folded));
                 assert!(folded.df("zygot") == 0 && folded.df("only_here") == 0);
                 if !stem && (1..=ROW_DENSITY).contains(&kept) {
                     assert!(folded.tf_rows().is_some(), "a small index keeps rows");

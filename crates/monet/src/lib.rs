@@ -66,8 +66,6 @@ pub use error::{MonetError, Result};
 pub use ext::{OpCtx, OpRegistry, RequestView};
 pub use plan::{ArithOp, ExecStats, Executor, NodeTrace, Plan, Pred};
 pub use props::{summarize, ColSummary, Props};
-pub use storage::{
-    DiskFs, FaultFs, FaultPlan, MemFs, RecoveryReport, StorageBackend, Store, StoreOptions,
-};
+pub use storage::{DiskFs, MemFs, RecoveryReport, StorageBackend, Store, StoreOptions};
 pub use strdict::StrDict;
 pub use value::{MonetType, Oid, Val};

@@ -5,8 +5,7 @@
 //! The layering, bottom-up:
 //!
 //! * [`backend`] — the [`StorageBackend`] trait (a flat namespace of
-//!   byte files) with disk, in-memory, and fault-injecting
-//!   implementations;
+//!   byte files) with disk and in-memory implementations;
 //! * [`codec`] — shared little-endian scalar/column (de)serialization
 //!   with validated, allocation-bounded reads;
 //! * [`page`] — fixed 4096-byte checksummed pages, the unit of I/O;
@@ -16,10 +15,10 @@
 //!   reads.
 //!
 //! Higher layers (the `mirror` core's `durable` module) serialize BAT
-//! columns, indexes and metadata through this tier. The
-//! [`FaultFs`] backend makes crash consistency a tested property: the
-//! crash-recovery suite kills ingest at every reachable write and
-//! asserts recovery.
+//! columns, indexes and metadata through this tier. Crash consistency
+//! is a tested property: the crash-recovery suite wraps a backend in a
+//! fault injector, kills ingest at every reachable write and asserts
+//! recovery.
 
 pub mod backend;
 pub mod codec;
@@ -28,7 +27,7 @@ pub mod wal;
 
 mod store;
 
-pub use backend::{BitFlip, DiskFs, FaultFs, FaultPlan, MemFs, StorageBackend};
+pub use backend::{DiskFs, MemFs, StorageBackend};
 pub use codec::{
     bits_for, checksum64, pack_u32s, packed_words, unpack_u32_at, unpack_u32s, ByteReader,
     ByteWriter, ENDIAN_SENTINEL,

@@ -7,9 +7,9 @@
 //! daemon model.
 //!
 //! The second half serves the same library from a sharded cluster: the
-//! corpus is partitioned across `MirrorDbms` shards with replicated
-//! routing, queries scatter-gather through the `Retriever` trait, and a
-//! replica is killed mid-demo to show failover.
+//! corpus is partitioned across `MirrorDbms` shards, and queries
+//! scatter-gather through the `Retriever` trait, alone and through the
+//! worker-pool server.
 //!
 //! ```sh
 //! cargo run --example distributed_library
@@ -150,12 +150,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         db.vocabulary().unwrap().total_terms()
     );
 
-    // ---- scale out: the same library sharded with replicated routing ----
-    let cluster = MirrorCluster::build(&corpus, 2, 2)?;
+    // ---- scale out: the same library sharded across two nodes ----
+    let cluster = MirrorCluster::build(&corpus, 2)?;
     let stats = cluster.stats();
     println!(
-        "\ncluster online: {} shards × {} replicas, docs per shard {:?}",
-        stats.shards, stats.replicas_per_shard, stats.docs_per_shard
+        "\ncluster online: {} shards, docs per shard {:?}",
+        stats.shards, stats.docs_per_shard
     );
 
     let single = db.query_text("sunset glow", 5)?;
@@ -164,19 +164,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for r in &gathered {
         println!("  {:.4}  {}", r.score, r.url);
     }
-
-    // kill a replica of every shard: the router fails over and the
-    // complete top-k survives
-    for shard in 0..cluster.n_shards() {
-        cluster.kill_replica(shard, 0);
-    }
-    let after = cluster.query_text("sunset glow", 5)?;
-    println!(
-        "with replica 0 of every shard down, results unchanged: {} \
-         (healthy replicas per shard: {:?})",
-        after == gathered,
-        cluster.stats().healthy_per_shard
-    );
 
     // the concurrent server runs unchanged against the cluster backend
     let server = MirrorServer::start(std::sync::Arc::new(cluster), 4);

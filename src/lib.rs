@@ -48,15 +48,15 @@
 //!
 //! ## Cluster quickstart
 //!
-//! Partition the same corpus across shards with replicated routing — the
-//! answers are bit-identical to the single node:
+//! Partition the same corpus across shards — the answers are
+//! bit-identical to the single node:
 //!
 //! ```
 //! use mirror::core::{shard::MirrorCluster, Retriever};
 //! use mirror::media::{WebRobot, RobotConfig};
 //!
 //! let corpus = WebRobot::new(RobotConfig { n_images: 12, ..Default::default() }).crawl();
-//! let cluster = MirrorCluster::build(&corpus, 2, 2).unwrap();
+//! let cluster = MirrorCluster::build(&corpus, 2).unwrap();
 //! let hits = cluster.query_text("sunset", 5).unwrap();
 //! assert!(hits.len() <= 5);
 //! ```

@@ -12,14 +12,16 @@
 //! with a clean cut) and by property (random kill points with random
 //! torn tails), both against a cached never-crashed baseline.
 
+mod fault;
+
+use fault::{BitFlip, FaultFs, FaultPlan};
 use mirror::core::query::RankedResult;
-use mirror::core::shard::MirrorCluster;
+use mirror::core::shard::{ClusterConfig, MirrorCluster};
 use mirror::core::{
     LibraryRow, LiveMirror, MergePolicy, MirrorDbms, MutableCorpus, RetrievalError, Retriever,
 };
 use mirror::media::{CrawledImage, RobotConfig, WebRobot};
-use mirror::monet::storage::BitFlip;
-use mirror::monet::{FaultFs, FaultPlan, MemFs, MonetError, StorageBackend, Store, StoreOptions};
+use mirror::monet::{MemFs, MonetError, StorageBackend, Store, StoreOptions};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::{Arc, OnceLock};
@@ -43,7 +45,7 @@ fn probe(r: &(impl Retriever + ?Sized)) -> Vec<Vec<RankedResult>> {
 /// One ingested instance, its never-crashed durable images, and its
 /// rankings — built once, shared by every test below. Read-only: tests
 /// run on parallel threads, so a test that writes to a disk image works on
-/// a [`MemFs::fork`] of it; [`reopen`] of a shared image only reads.
+/// a [`fault::fork`] of it; [`reopen`] of a shared image only reads.
 struct Baseline {
     db: MirrorDbms,
     /// Fully saved *and* checkpointed: state lives in checksummed pages.
@@ -152,7 +154,7 @@ fn cold_open_from_wal_only_store_replays_the_log() {
 #[test]
 fn torn_wal_tail_is_discarded_not_fatal() {
     let b = baseline();
-    let fs = b.wal_only.fork();
+    let fs = fault::fork(&b.wal_only);
     // a crash tore the last record: append a partial frame
     fs.append("wal.log", &[0xAB, 0x00, 0x00, 0x00, 0x17, 0x9c, 0x4e]).unwrap();
     let store = reopen(&fs);
@@ -166,6 +168,117 @@ fn crash_at_every_write_recovers_or_reports_incomplete() {
     let b = baseline();
     for w in 0..b.total_writes {
         crash_and_check(w, 0).unwrap();
+    }
+}
+
+// The page store's own sweeps: crash a bare `Store` at every write.
+
+#[test]
+fn crash_mid_checkpoint_recovers_from_wal() {
+    // learn the write count of a full fault-free run, then crash at
+    // every mutating operation along the way and verify recovery
+    let counter = Arc::new(FaultFs::new(Arc::new(MemFs::new()), FaultPlan::default()));
+    {
+        let store = Store::open(counter.clone(), StoreOptions::default()).unwrap();
+        store.put("a", vec![1u8; 6000]);
+        store.put("b", b"bee".to_vec());
+        store.commit().unwrap();
+        store.checkpoint().unwrap();
+    }
+    let n = counter.writes_issued();
+    assert!(n > 3, "workload too small to be interesting: {n} writes");
+
+    for crash_at in 0..n {
+        for torn in [0usize, 3] {
+            let disk = MemFs::new();
+            let faulty = Arc::new(FaultFs::new(
+                Arc::new(disk.clone()),
+                FaultPlan {
+                    crash_at_write: Some(crash_at),
+                    torn_bytes: torn,
+                    ..Default::default()
+                },
+            ));
+            let store = Store::open(faulty, StoreOptions::default()).unwrap();
+            store.put("a", vec![1u8; 6000]);
+            store.put("b", b"bee".to_vec());
+            let committed = store.commit().is_ok();
+            let _ = store.checkpoint(); // may crash — fine
+            drop(store);
+            // reopen on the survived bytes
+            let store = reopen(&disk);
+            if committed {
+                assert_eq!(
+                    store.get("a").unwrap().unwrap(),
+                    vec![1u8; 6000],
+                    "crash at write {crash_at} torn {torn} lost committed data"
+                );
+                assert_eq!(store.get("b").unwrap().unwrap(), b"bee");
+            } else {
+                // crashed before commit: all-or-nothing
+                assert!(
+                    store.get("a").unwrap().is_none(),
+                    "crash at write {crash_at} leaked uncommitted data"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn crash_in_a_mixed_put_delete_transaction_is_all_or_nothing() {
+    // a checkpointed base, then one transaction that deletes a base
+    // key and a WAL key and puts a new one, then a checkpoint: crash
+    // at every write of the run and expect exactly before or after
+    let setup = |store: &Store| {
+        store.put("base", vec![2u8; 5000]);
+        store.commit().unwrap();
+        store.checkpoint().unwrap();
+        store.put("wal", b"w".to_vec());
+        store.commit().unwrap();
+    };
+    let txn = |store: &Store| -> bool {
+        store.delete("base");
+        store.delete("wal");
+        store.put("new", vec![3u8; 6000]);
+        let committed = store.commit().is_ok();
+        let _ = store.checkpoint(); // may crash — fine
+        committed
+    };
+    let counter = Arc::new(FaultFs::new(Arc::new(MemFs::new()), FaultPlan::default()));
+    let store = Store::open(counter.clone(), StoreOptions::default()).unwrap();
+    setup(&store);
+    let first = counter.writes_issued();
+    assert!(txn(&store));
+    let n = counter.writes_issued();
+    assert!(n - first > 5, "transaction too small to be interesting: {} writes", n - first);
+
+    for crash_at in first..n {
+        for torn in [0usize, 3] {
+            let disk = MemFs::new();
+            let faulty = Arc::new(FaultFs::new(
+                Arc::new(disk.clone()),
+                FaultPlan {
+                    crash_at_write: Some(crash_at),
+                    torn_bytes: torn,
+                    ..Default::default()
+                },
+            ));
+            let store = Store::open(faulty, StoreOptions::default()).unwrap();
+            setup(&store);
+            let committed = txn(&store);
+            drop(store);
+            let store = reopen(&disk);
+            let keys = store.keys();
+            if committed {
+                assert_eq!(keys, vec!["new".to_string()], "crash at {crash_at} torn {torn}");
+                assert_eq!(store.get("new").unwrap().unwrap(), vec![3u8; 6000]);
+            } else {
+                let before = vec!["base".to_string(), "wal".to_string()];
+                assert_eq!(keys, before, "crash at {crash_at} torn {torn}");
+                assert_eq!(store.get("base").unwrap().unwrap(), vec![2u8; 5000]);
+            }
+        }
     }
 }
 
@@ -191,7 +304,7 @@ fn flip_during_write_is_caught_on_reopen() {
     b.db.save_to(&store).unwrap();
     drop(store);
     // count the WAL writes so the flip targets the checkpoint phase
-    let counter = Arc::new(FaultFs::new(Arc::new(fs.fork()), FaultPlan::default()));
+    let counter = Arc::new(FaultFs::new(Arc::new(fault::fork(&fs)), FaultPlan::default()));
     let probe_store = Store::open(counter.clone(), StoreOptions::default()).unwrap();
     probe_store.checkpoint().unwrap();
     drop(probe_store);
@@ -221,7 +334,9 @@ fn flip_during_write_is_caught_on_reopen() {
 #[test]
 fn cluster_shards_persist_and_reopen_independently() {
     let corpus = corpus();
-    let cluster = MirrorCluster::build(&corpus, 2, 2).unwrap();
+    // `replicas` is ignored but still recorded in the saved cluster config
+    let config = ClusterConfig { shards: 2, replicas: 2, ..ClusterConfig::default() };
+    let cluster = MirrorCluster::build_with(&corpus, config).unwrap();
     // written to before the save: an insert and a delete, still un-merged
     let mut copy = baseline().db.library_rows()[3].clone();
     copy.url = format!("{}#copy", copy.url);
@@ -237,6 +352,7 @@ fn cluster_shards_persist_and_reopen_independently() {
     let reopened = MirrorCluster::open(&dir).unwrap();
     assert_eq!(probe(&reopened), written);
     assert_eq!(reopened.stats().shards, 2);
+    assert_eq!(reopened.config().replicas, 2);
     assert_eq!(reopened.n_docs(), corpus.len());
     // the reopened routing table still finds every document's shard
     assert!(reopened.delete(&copy.url).unwrap().is_some());
@@ -294,7 +410,7 @@ fn store_with_previous_format_version_is_rejected_typed() {
     // the pre-compression v1 layout, v4, the last to store index blobs,
     // and v5, the last to store the raw-row configuration flag
     for found in [1u32, 4, 5] {
-        let fs = b.saved.fork();
+        let fs = fault::fork(&b.saved);
         {
             let store = reopen(&fs);
             let mut stale = found.to_le_bytes().to_vec();
@@ -821,14 +937,14 @@ proptest! {
         bit in 0u32..8,
     ) {
         let b = baseline();
-        let fs = b.saved.fork();
+        let fs = fault::fork(&b.saved);
         let pages: Vec<String> =
             fs.list().unwrap().into_iter().filter(|f| f.starts_with("pages-")).collect();
         prop_assert!(!pages.is_empty());
         let file = &pages[((file_frac * pages.len() as f64) as usize).min(pages.len() - 1)];
         let len = fs.read(file).unwrap().len();
         let offset = ((offset_frac * len as f64) as usize).min(len - 1);
-        fs.corrupt(file, offset, 1 << bit).unwrap();
+        fault::corrupt(&fs, file, offset, 1 << bit).unwrap();
 
         match Store::open(Arc::new(fs.clone()), StoreOptions::default()) {
             // flip hit the footer/manifest: the whole generation is

@@ -285,7 +285,7 @@ fn explain_analyze_shows_per_segment_and_per_shard_work() {
     use mirror::core::serve::RetrievalRequest;
     use mirror::core::shard::MirrorCluster;
     let live = live_with_pending_writes(40, OptConfig::default());
-    let cluster = MirrorCluster::build(corpus(), 2, 1).unwrap();
+    let cluster = MirrorCluster::build(corpus(), 2).unwrap();
     for req in
         [RetrievalRequest::text("sunset glow", 10), RetrievalRequest::dual("ocean wave", 0.4, 10)]
     {

@@ -117,7 +117,7 @@ fn seed_cluster(
     vocab: Option<VisualVocabulary>,
     thes: Option<AssociationThesaurus>,
 ) -> MirrorCluster {
-    let config = ClusterConfig { shards, replicas: 1, node, ..ClusterConfig::default() };
+    let config = ClusterConfig { shards, node, ..ClusterConfig::default() };
     MirrorCluster::from_rows(config, rows, vocab, thes).unwrap()
 }
 

@@ -28,7 +28,7 @@ const FILTERS: &[&str] =
 /// One corpus served by an optimised node, an `OptConfig::none()` node and
 /// 1/2/4-shard clusters, built once and shared by every test below.
 /// Read-only: tests run on parallel threads, and nothing here binds query
-/// names or kills replicas.
+/// names.
 struct Fixture {
     corpus: Vec<CrawledImage>,
     /// Reference node: every optimizer switch off.
@@ -65,10 +65,7 @@ fn fixture() -> &'static Fixture {
                 .unwrap();
         let mut unopt = MirrorDbms::from_rows(base.config().clone(), rows, vocab, thes).unwrap();
         unopt.set_opt(OptConfig::none());
-        let clusters = [1usize, 2, 4]
-            .map(|s| MirrorCluster::build(&corpus, s, 1).unwrap())
-            .into_iter()
-            .collect();
+        let clusters = [1usize, 2, 4].map(|s| MirrorCluster::build(&corpus, s).unwrap()).into();
         let n_docs = base.n_docs();
         Fixture { corpus, unopt, opt, clusters, n_docs, visual_terms }
     })

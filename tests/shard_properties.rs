@@ -1,17 +1,16 @@
 //! Property tests for the sharded retrieval path: hash placement must be
 //! balanced, a cluster must answer every query bit-identically to a
-//! single node at 1/2/4 shards, and the replica router must survive the
-//! loss of one replica per shard without changing a single result.
+//! single node at 1/2/4 shards.
 
 mod common;
 
 use common::{assert_fused, block_scale_requests, block_scale_rows, topk_beliefs_raw, RawPostings};
 use mirror::core::shard::{hash_shard, ClusterConfig, MirrorCluster};
-use mirror::core::{MirrorConfig, MirrorDbms, RetrievalError, Retriever};
+use mirror::core::{MirrorConfig, MirrorDbms, Retriever};
 use mirror::ir::{
     topk_beliefs, topk_channels, BeliefParams, IndexBuilder, TopKAccumulator, TopKChannel,
 };
-use mirror::media::{CrawledImage, RobotConfig, WebRobot};
+use mirror::media::{RobotConfig, WebRobot};
 use mirror::monet::Oid;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -48,21 +47,9 @@ proptest! {
 /// One corpus, one single node, and clusters at 1/2/4 shards — built once
 /// and shared by every proptest case below (building them is the
 /// expensive part; the properties range over queries).
-///
-/// Read-only: tests run on parallel libtest threads, so a test that kills
-/// replicas builds its own clusters from `corpus` (see [`clusters`]).
 struct Fixture {
-    corpus: Vec<CrawledImage>,
     single: MirrorDbms,
     clusters: Vec<MirrorCluster>,
-}
-
-/// Clusters at 1/2/4 shards × 2 replicas over `corpus`.
-fn clusters(corpus: &[CrawledImage]) -> Vec<MirrorCluster> {
-    [1usize, 2, 4]
-        .into_iter()
-        .map(|shards| MirrorCluster::build(corpus, shards, 2).unwrap())
-        .collect()
 }
 
 fn fixture() -> &'static Fixture {
@@ -77,8 +64,9 @@ fn fixture() -> &'static Fixture {
         .crawl();
         let mut single = MirrorDbms::with_defaults();
         single.ingest(&corpus).unwrap();
-        let clusters = clusters(&corpus);
-        Fixture { corpus, single, clusters }
+        let clusters =
+            [1usize, 2, 4].map(|shards| MirrorCluster::build(&corpus, shards).unwrap()).into();
+        Fixture { single, clusters }
     })
 }
 
@@ -122,32 +110,6 @@ proptest! {
                 &cluster.query_text_filtered(&q, &filter, k).unwrap(), &expected_filtered,
                 "filtered {:?} k={} filter={:?} shards={}", &q, k, &filter, shards
             );
-        }
-    }
-
-    /// Failover: with one replica of every shard killed (whichever one),
-    /// the router fails over and the complete top-k is unchanged.
-    #[test]
-    fn prop_failover_preserves_complete_topk(
-        words in proptest::collection::vec(0usize..QUERY_POOL.len(), 1..4),
-        k in 1usize..48,
-        dead_replica in 0usize..2,
-    ) {
-        // this test's own clusters, built once for all its cases: it kills
-        // replicas, which another test querying them would observe
-        static OWN: OnceLock<Vec<MirrorCluster>> = OnceLock::new();
-        let f = fixture();
-        let q = query_text(&words);
-        let expected = f.single.query_text(&q, k).unwrap();
-        for cluster in OWN.get_or_init(|| clusters(&f.corpus)) {
-            for shard in 0..cluster.n_shards() {
-                cluster.kill_replica(shard, dead_replica);
-            }
-            let got = cluster.query_text(&q, k).unwrap();
-            for shard in 0..cluster.n_shards() {
-                cluster.revive_replica(shard, dead_replica);
-            }
-            prop_assert_eq!(&got, &expected, "query {:?} k={} shards={}", &q, k, cluster.n_shards());
         }
     }
 
@@ -223,7 +185,7 @@ fn fused_dual_requests_at_block_scale_match_across_shards() {
     let fused = MirrorDbms::from_rows(MirrorConfig::default(), rows.clone(), None, None).unwrap();
     let clusters: Vec<MirrorCluster> = [1, 2, 4]
         .map(|shards| {
-            let config = ClusterConfig { shards, replicas: 1, ..ClusterConfig::default() };
+            let config = ClusterConfig { shards, ..ClusterConfig::default() };
             MirrorCluster::from_rows(config, rows.clone(), None, None).unwrap()
         })
         .into();
@@ -239,26 +201,4 @@ fn fused_dual_requests_at_block_scale_match_across_shards() {
             );
         }
     }
-}
-
-/// Losing every replica of a shard is an error — a shard's documents
-/// cannot silently vanish from the ranking.
-#[test]
-fn losing_a_whole_shard_errors_rather_than_truncating() {
-    let f = fixture();
-    // its own cluster: the replicas it kills must not fail other tests
-    let cluster = MirrorCluster::build(&f.corpus, 2, 2).unwrap();
-    cluster.kill_replica(0, 0);
-    cluster.kill_replica(0, 1);
-    let err = cluster.query_text("sunset glow", 10).unwrap_err();
-    assert!(
-        matches!(err, RetrievalError::ShardUnavailable { shard: 0, .. }),
-        "expected ShardUnavailable for shard 0, got {err}"
-    );
-    cluster.revive_replica(0, 0);
-    cluster.revive_replica(0, 1);
-    assert_eq!(
-        cluster.query_text("sunset glow", 10).unwrap(),
-        f.single.query_text("sunset glow", 10).unwrap()
-    );
 }
